@@ -26,8 +26,9 @@
 //! caching recursive resolver. Both are deterministic in their seed —
 //! the property the parallel runner rests on.
 //!
-//! The `benches/` targets are plain-main harnesses kept buildable without
-//! external benchmarking crates.
+//! `benches/transports.rs` is a plain-main wall-clock harness kept
+//! buildable without external benchmarking crates; the repo benchmark
+//! proper lives in `perfbench/`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -152,6 +153,7 @@ pub fn run_matrix_cell(cfg: &TransportConfig, seed: u64, resolutions: u16) -> Ce
     }
     driver.close(&mut sim, client);
     driver.run_until_quiescent(&mut sim);
+    assert_eq!(driver.unrouted_wakes(), 0, "a wake of the run reached no registered endpoint");
 
     let mut sum = Cost::default();
     let mut steady_bytes = 0u64;
@@ -396,6 +398,7 @@ pub fn run_fleet_cell(cfg: &FleetConfig, seed: u64) -> Result<FleetRun, TxnSpace
         driver.close(&mut sim, client);
     }
     driver.run_until_quiescent(&mut sim);
+    assert_eq!(driver.unrouted_wakes(), 0, "a wake of the run reached no registered endpoint");
 
     let cache_hits = sim.meter.counter("cache_hit") + sim.meter.counter("cache_negative_hit");
     let cache_misses = sim.meter.counter("cache_miss");
@@ -579,6 +582,7 @@ pub fn run_pageload_cell(
     }
     driver.close(&mut sim, client);
     driver.run_until_quiescent(&mut sim);
+    assert_eq!(driver.unrouted_wakes(), 0, "a wake of the run reached no registered endpoint");
 
     Ok(PageloadRun {
         label: cfg.transport.label(),
@@ -735,6 +739,23 @@ mod tests {
             run_matrix_cell(&cfg, 9, 4).bytes_per_resolution,
             run_matrix_cell(&cfg, 10, 4).bytes_per_resolution
         );
+    }
+
+    #[test]
+    fn every_wake_of_a_cell_run_reaches_a_registered_endpoint() {
+        // Each runner asserts `Driver::unrouted_wakes() == 0` once its
+        // simulation is quiescent; the page-load engine's own fetch
+        // timers must not count. One run of each, on the transports with
+        // the most moving parts.
+        let h2 = TransportConfig::new(TransportKind::DohH2, ReusePolicy::Fresh);
+        run_matrix_cell(&h2, 3, 4);
+        let retrying = TransportConfig::new(TransportKind::Do53, ReusePolicy::Fresh)
+            .with_udp_retry(UdpRetry::standard());
+        run_fleet_cell(&FleetConfig::new(retrying.clone(), 8, 16), 3).unwrap();
+        let mut lossy = PageloadConfig::new(retrying, "lossy_wifi");
+        lossy.transport.link = dohmark::netsim::LinkConfig::lossy_wifi();
+        lossy.pages = 3;
+        assert!(run_pageload_cell(&lossy, 3).unwrap().mean_dns_queries > 0.0);
     }
 
     #[test]

@@ -178,20 +178,6 @@ impl Do53Client {
         }
         true
     }
-
-    /// Sends the query and runs the simulation until its response arrives,
-    /// broadcasting every wake to `self` and `peer` — a two-endpoint
-    /// convenience; registry topologies use
-    /// [`Driver::resolve`](crate::Driver::resolve) instead.
-    pub fn resolve(
-        &mut self,
-        sim: &mut Sim,
-        peer: &mut dyn Endpoint,
-        name: &Name,
-        id: u16,
-    ) -> Option<Message> {
-        crate::resolve_with_extras_impl(sim, self, peer, &mut [], name, id)
-    }
 }
 
 impl Resolver for Do53Client {
@@ -259,6 +245,7 @@ impl Endpoint for Do53Client {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::pump;
     use dohmark_netsim::LinkConfig;
     use std::net::Ipv4Addr;
 
@@ -276,7 +263,7 @@ mod tests {
     fn query_resolves_to_the_fixed_answer() {
         let (mut sim, mut client, mut server) = setup(1);
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-        let response = client.resolve(&mut sim, &mut server, &name, 1).unwrap();
+        let response = pump(&mut sim, &mut client, &mut server, Some((&name, 1))).unwrap();
         assert_eq!(response.header.id, 1);
         assert_eq!(response.answers.len(), 1);
         assert_eq!(response.answers[0].name, name);
@@ -287,7 +274,7 @@ mod tests {
         let (mut sim, mut client, mut server) = setup(2);
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
         for id in 1..=3u16 {
-            client.resolve(&mut sim, &mut server, &name, id).unwrap();
+            pump(&mut sim, &mut client, &mut server, Some((&name, id))).unwrap();
         }
         sim.drain();
         for id in 1..=3u32 {
@@ -304,8 +291,8 @@ mod tests {
         let (mut sim, mut client, mut server) = setup(3);
         sim.trace.enable(100);
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-        client.resolve(&mut sim, &mut server, &name, 1).unwrap();
-        client.resolve(&mut sim, &mut server, &name, 2).unwrap();
+        pump(&mut sim, &mut client, &mut server, Some((&name, 1))).unwrap();
+        pump(&mut sim, &mut client, &mut server, Some((&name, 2))).unwrap();
         let sources: Vec<String> = sim
             .trace
             .records()
@@ -322,7 +309,7 @@ mod tests {
         let (mut sim, mut client, mut server) = setup(5);
         sim.trace.enable(16);
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-        client.resolve(&mut sim, &mut server, &name, 1).unwrap();
+        pump(&mut sim, &mut client, &mut server, Some((&name, 1))).unwrap();
         sim.drain();
         let dropped_before = sim.dropped_packets();
         // A stray duplicate response to the query's (now closed) source
@@ -346,7 +333,7 @@ mod tests {
         let mut server = Do53Server::bind(&mut sim, resolver, 53, Ipv4Addr::new(192, 0, 2, 7), 60);
         let mut client = Do53Client::new(stub, (resolver, 53));
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-        assert!(client.resolve(&mut sim, &mut server, &name, 1).is_none());
+        assert!(pump(&mut sim, &mut client, &mut server, Some((&name, 1))).is_none());
     }
 
     #[test]
@@ -363,7 +350,7 @@ mod tests {
         let mut client = Do53Client::with_retry(stub, (resolver, 53), UdpRetry::standard());
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
         for id in 1..=8u16 {
-            let response = client.resolve(&mut sim, &mut server, &name, id);
+            let response = pump(&mut sim, &mut client, &mut server, Some((&name, id)));
             assert!(response.is_some(), "id {id} failed despite retries");
         }
     }
@@ -377,7 +364,7 @@ mod tests {
         let mut server = Do53Server::bind(&mut sim, resolver, 53, Ipv4Addr::new(192, 0, 2, 7), 60);
         let mut client = Do53Client::with_retry(stub, (resolver, 53), UdpRetry::standard());
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-        assert!(client.resolve(&mut sim, &mut server, &name, 1).is_none());
+        assert!(pump(&mut sim, &mut client, &mut server, Some((&name, 1))).is_none());
         // Original send + 6 retransmissions, every one dropped on the link.
         assert_eq!(sim.dropped_packets(), 7);
     }
@@ -396,7 +383,7 @@ mod tests {
             UdpRetry { initial: SimDuration::from_millis(200), max_retries: 2 },
         );
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-        client.resolve(&mut sim, &mut server, &name, 1);
+        pump(&mut sim, &mut client, &mut server, Some((&name, 1)));
         let sources: Vec<String> = sim
             .trace
             .records()

@@ -14,15 +14,13 @@
 //! [`LayerTag::HttpBody`], TLS record framing `Tls` — the paper's "Hdr" /
 //! "Body" / "TLS" split.
 
-use crate::resolver::ServerBackend;
-use crate::tls_stream::TlsStream;
-use crate::{Endpoint, Resolver, ReusePolicy};
-use dohmark_dns_wire::{Message, Name, RecordType};
-use dohmark_httpsim::h1::{Request, RequestParser, Response, ResponseParser};
-use dohmark_netsim::{HostId, LayerTag, ListenerId, Side, Sim, TcpHandle, Wake};
+use crate::stream::{Framing, Segments, StreamClient, StreamServer};
+use crate::ReusePolicy;
+use dohmark_dns_wire::Message;
+use dohmark_httpsim::h1::{Encoded, Request, RequestParser, Response, ResponseParser};
+use dohmark_netsim::{HostId, LayerTag, Side};
 use dohmark_tls_model::TlsConfig;
-use std::collections::{HashMap, VecDeque};
-use std::net::Ipv4Addr;
+use std::collections::VecDeque;
 
 /// The RFC 8484 media type.
 pub const DNS_MESSAGE: &str = "application/dns-message";
@@ -54,29 +52,118 @@ fn doh_response(body: Vec<u8>) -> Response {
     .with_body(body)
 }
 
-/// A DoH/1.1 connection: TLS stream plus an HTTP/1.1 response parser.
+/// Header text tagged `HttpHeader`, the body `HttpBody`.
+fn tagged(encoded: Encoded) -> Segments {
+    vec![(LayerTag::HttpHeader, encoded.head), (LayerTag::HttpBody, encoded.body)]
+}
+
+/// The DoH/1.1 framing: one `POST /dns-query` request and one `200 OK`
+/// response per query, answered in request order.
 #[derive(Debug)]
-struct H1Conn {
-    tls: TlsStream,
-    parser: ResponseParser,
+pub struct Http1 {
+    /// The `host` header value (normally the TLS SNI).
+    authority: String,
+}
+
+/// The HTTP/1.1 parser of one end: a client reads responses, a server
+/// requests.
+#[derive(Debug)]
+enum H1Parser {
+    Responses(ResponseParser),
+    Requests(RequestParser),
+}
+
+/// Per-connection DoH/1.1 state.
+#[derive(Debug)]
+pub struct H1Conn {
+    parser: H1Parser,
+    /// The server's answers in request order, `None` while still pending
+    /// — HTTP/1.1 has no stream multiplexing, so responses must go out
+    /// in request order even when a later request's answer (a cache hit)
+    /// is ready before an earlier one's (parked on an upstream fetch):
+    /// real h1 head-of-line blocking.
+    pipeline: VecDeque<Option<Message>>,
+    /// Requests already answered: the request-order position of the
+    /// pipeline's front.
+    answered: u64,
+}
+
+impl Framing for Http1 {
+    type Conn = H1Conn;
+    /// The request's position in the connection's request order.
+    type Slot = u64;
+
+    fn conn(side: Side) -> H1Conn {
+        let parser = match side {
+            Side::Client => H1Parser::Responses(ResponseParser::new()),
+            Side::Server => H1Parser::Requests(RequestParser::new()),
+        };
+        H1Conn { parser, pipeline: VecDeque::new(), answered: 0 }
+    }
+
+    fn encode_query(&self, _conn: &mut H1Conn, query: &Message) -> Segments {
+        tagged(doh_request(&self.authority, query.encode()).encode())
+    }
+
+    fn encode_response(_conn: &mut H1Conn, _slot: u64, response: &Message) -> Segments {
+        tagged(doh_response(response.encode()).encode())
+    }
+
+    fn decode(
+        conn: &mut H1Conn,
+        plaintext: &[u8],
+        _control: &mut Vec<Segments>,
+    ) -> (Vec<(u64, Message)>, usize) {
+        let mut messages = Vec::new();
+        let mut completed = 0;
+        match &mut conn.parser {
+            H1Parser::Responses(parser) => {
+                parser.push(plaintext);
+                while let Ok(Some(response)) = parser.next_response() {
+                    completed += 1;
+                    if response.status == 200 {
+                        if let Ok(msg) = Message::decode(&response.body) {
+                            messages.push((0, msg));
+                        }
+                    }
+                }
+            }
+            H1Parser::Requests(parser) => {
+                parser.push(plaintext);
+                while let Ok(Some(request)) = parser.next_request() {
+                    // Requests whose body is not a DNS message are dropped,
+                    // like a resolver answering 400 we never retry on.
+                    let Ok(query) = Message::decode(&request.body) else { continue };
+                    messages.push((conn.answered + conn.pipeline.len() as u64, query));
+                    conn.pipeline.push_back(None);
+                }
+            }
+        }
+        (messages, completed)
+    }
+
+    /// Parks `response` at its pipeline position and releases the ready
+    /// responses at the front, stopping at the first whose answer is
+    /// still pending (h1 head-of-line blocking).
+    fn release(conn: &mut H1Conn, slot: u64, response: Message) -> Vec<(u64, Message)> {
+        conn.pipeline[(slot - conn.answered) as usize] = Some(response);
+        let mut ready = Vec::new();
+        while let Some(response) = conn.pipeline.front_mut().and_then(Option::take) {
+            conn.pipeline.pop_front();
+            ready.push((conn.answered, response));
+            conn.answered += 1;
+        }
+        ready
+    }
 }
 
 /// A DoH client speaking HTTP/1.1 to one resolver.
-#[derive(Debug)]
-pub struct DohH1Client {
-    host: HostId,
-    server: (HostId, u16),
-    authority: String,
-    tls_cfg: TlsConfig,
-    policy: ReusePolicy,
-    conn_attr: u32,
-    conn: Option<H1Conn>,
-    queued: Vec<(u16, Name)>,
-    /// Queries sent (or queued) whose response has not yet arrived; a
-    /// fresh connection closes only once this drains.
-    inflight: usize,
-    responses: Vec<Message>,
-}
+pub type DohH1Client = StreamClient<Http1>;
+
+/// A DoH/1.1 server answering from a pluggable
+/// [`ServerBackend`](crate::ServerBackend) — authoritative zone data or a
+/// shared caching recursive resolver.
+pub type DohH1Server = StreamServer<Http1>;
 
 impl DohH1Client {
     /// A client on `host` for `server`, usually `(resolver, 443)`. The
@@ -91,297 +178,18 @@ impl DohH1Client {
         policy: ReusePolicy,
         conn_attr: u32,
     ) -> DohH1Client {
-        DohH1Client {
-            host,
-            server,
-            authority: authority.to_string(),
-            tls_cfg,
-            policy,
-            conn_attr,
-            conn: None,
-            queued: Vec::new(),
-            inflight: 0,
-            responses: Vec::new(),
-        }
-    }
-
-    /// Whether the client currently holds an established connection.
-    pub fn is_connected(&self) -> bool {
-        self.conn.as_ref().is_some_and(|c| c.tls.established())
-    }
-
-    fn flush(&mut self, sim: &mut Sim) {
-        let Some(conn) = self.conn.as_mut() else { return };
-        if !conn.tls.established() {
-            return;
-        }
-        for (id, name) in self.queued.drain(..) {
-            let query = Message::query(id, &name, RecordType::A);
-            let encoded = doh_request(&self.authority, query.encode()).encode();
-            conn.tls.send_segments(
-                sim,
-                u32::from(id),
-                &[(LayerTag::HttpHeader, &encoded.head), (LayerTag::HttpBody, &encoded.body)],
-            );
-        }
-    }
-
-    /// Sends the query and runs the simulation until its response arrives,
-    /// broadcasting every wake to `self` and `peer` — a two-endpoint
-    /// convenience; registry topologies use
-    /// [`Driver::resolve`](crate::Driver::resolve) instead.
-    pub fn resolve(
-        &mut self,
-        sim: &mut Sim,
-        peer: &mut dyn Endpoint,
-        name: &Name,
-        id: u16,
-    ) -> Option<Message> {
-        crate::resolve_with_extras_impl(sim, self, peer, &mut [], name, id)
-    }
-}
-
-impl Resolver for DohH1Client {
-    fn send_query(&mut self, sim: &mut Sim, name: &Name, id: u16) {
-        let dead = self.conn.as_ref().is_some_and(|c| sim.tcp_has_failed(c.tls.handle));
-        if self.conn.is_none() || dead {
-            let attr = match self.policy {
-                ReusePolicy::Fresh => u32::from(id),
-                ReusePolicy::Persistent => self.conn_attr,
-            };
-            sim.set_attr(attr);
-            let handle = sim.tcp_connect(self.host, self.server);
-            self.conn = Some(H1Conn {
-                tls: TlsStream::new(handle, &self.tls_cfg, attr),
-                parser: ResponseParser::new(),
-            });
-            // Queries in flight on a dead connection are lost for good.
-            self.inflight = 0;
-        }
-        self.queued.push((id, name.clone()));
-        self.inflight += 1;
-        self.flush(sim);
-    }
-
-    fn take_response(&mut self, id: u16) -> Option<Message> {
-        let idx = self.responses.iter().position(|m| m.header.id == id)?;
-        Some(self.responses.remove(idx))
-    }
-
-    /// Closes the current connection, if any (TCP FIN), abandoning
-    /// queries that were still queued for it.
-    fn close(&mut self, sim: &mut Sim) {
-        self.queued.clear();
-        self.inflight = 0;
-        if let Some(conn) = self.conn.take() {
-            sim.tcp_close(conn.tls.handle);
-        }
-    }
-}
-
-impl Endpoint for DohH1Client {
-    fn on_wake(&mut self, sim: &mut Sim, wake: &Wake) {
-        let Some(conn) = self.conn.as_mut() else { return };
-        match *wake {
-            Wake::TcpConnected { conn: handle, .. } if handle == conn.tls.handle => {
-                let _ = conn.tls.advance(sim, &[]);
-                self.flush(sim);
-            }
-            Wake::TcpReadable { conn: handle, .. } if handle == conn.tls.handle => {
-                let data = sim.tcp_recv(handle);
-                let was_established = conn.tls.established();
-                let plaintext = conn.tls.advance(sim, &data);
-                conn.parser.push(&plaintext);
-                while let Ok(Some(response)) = conn.parser.next_response() {
-                    self.inflight = self.inflight.saturating_sub(1);
-                    if response.status == 200 {
-                        if let Ok(msg) = Message::decode(&response.body) {
-                            self.responses.push(msg);
-                        }
-                    }
-                }
-                if !was_established && conn.tls.established() {
-                    self.flush(sim);
-                }
-                if self.inflight == 0 && self.policy == ReusePolicy::Fresh {
-                    let handle = self.conn.take().expect("conn is live").tls.handle;
-                    sim.tcp_close(handle);
-                }
-            }
-            Wake::TcpFin { conn: handle, .. } if handle == conn.tls.handle => {
-                sim.tcp_close(handle);
-                self.conn = None;
-            }
-            _ => {}
-        }
-    }
-}
-
-/// A DoH/1.1 server-side connection.
-#[derive(Debug)]
-struct H1ServerConn {
-    tls: TlsStream,
-    parser: RequestParser,
-    /// Waiter tokens of requests in arrival order — HTTP/1.1 has no
-    /// stream multiplexing, so responses must go out in request order
-    /// even when a later request's answer (a cache hit) is ready before
-    /// an earlier one's (parked on an upstream fetch): real h1
-    /// head-of-line blocking.
-    pipeline: VecDeque<u64>,
-}
-
-/// A DoH/1.1 server answering from a pluggable [`ServerBackend`] —
-/// authoritative zone data or a shared caching recursive resolver.
-#[derive(Debug)]
-pub struct DohH1Server {
-    listener: ListenerId,
-    tls_cfg: TlsConfig,
-    backend: ServerBackend,
-    /// Keyed lookup only (the wake's own handle) — never iterated, so
-    /// the randomized order is unobservable (no-unordered-iteration).
-    conns: HashMap<TcpHandle, H1ServerConn>,
-    /// Parked queries: waiter token → the connection expecting the answer.
-    /// Keyed lookup only: drained in the backend's completion order.
-    waiters: HashMap<u64, TcpHandle>,
-    /// Responses ready to send, held until their turn in the pipeline.
-    /// Keyed lookup only: popped in each connection's FIFO order.
-    ready: HashMap<u64, Message>,
-    next_waiter: u64,
-}
-
-impl DohH1Server {
-    /// Listens on `(host, port)` answering every query with one fixed A
-    /// record `answer`/`ttl`.
-    pub fn bind(
-        sim: &mut Sim,
-        host: HostId,
-        port: u16,
-        tls_cfg: TlsConfig,
-        answer: Ipv4Addr,
-        ttl: u32,
-    ) -> DohH1Server {
-        DohH1Server::bind_with(sim, host, port, tls_cfg, ServerBackend::fixed(answer, ttl))
-    }
-
-    /// Listens on `(host, port)` answering from `backend`.
-    pub fn bind_with(
-        sim: &mut Sim,
-        host: HostId,
-        port: u16,
-        tls_cfg: TlsConfig,
-        backend: ServerBackend,
-    ) -> DohH1Server {
-        let listener = sim.tcp_listen(host, port);
-        DohH1Server {
-            listener,
-            tls_cfg,
-            backend,
-            conns: HashMap::new(),
-            waiters: HashMap::new(),
-            ready: HashMap::new(),
-            next_waiter: 1,
-        }
-    }
-
-    /// Established-and-open connection count (for tests and reports).
-    pub fn open_connections(&self) -> usize {
-        self.conns.len()
-    }
-
-    /// The backend's cache statistics, if it has a cache.
-    pub fn cache_stats(&self) -> Option<crate::cache::CacheStats> {
-        self.backend.cache_stats()
-    }
-
-    /// Sends `handle`'s ready responses, in request order, stopping at the
-    /// first whose answer is still pending (h1 head-of-line blocking).
-    fn flush_conn(&mut self, sim: &mut Sim, handle: TcpHandle) {
-        let Some(conn) = self.conns.get_mut(&handle) else { return };
-        while let Some(&waiter) = conn.pipeline.front() {
-            let Some(response) = self.ready.remove(&waiter) else { break };
-            conn.pipeline.pop_front();
-            let encoded = doh_response(response.encode()).encode();
-            conn.tls.send_segments(
-                sim,
-                u32::from(response.header.id),
-                &[(LayerTag::HttpHeader, &encoded.head), (LayerTag::HttpBody, &encoded.body)],
-            );
-        }
-    }
-}
-
-impl Endpoint for DohH1Server {
-    fn on_wake(&mut self, sim: &mut Sim, wake: &Wake) {
-        // Upstream completions first: queue each answer at its pipeline
-        // slot, then flush whatever became sendable.
-        let completed = self.backend.poll(sim, wake);
-        if !completed.is_empty() {
-            let mut touched = Vec::new();
-            for (waiter, response) in completed {
-                let Some(handle) = self.waiters.remove(&waiter) else { continue };
-                self.ready.insert(waiter, response);
-                if !touched.contains(&handle) {
-                    touched.push(handle);
-                }
-            }
-            for handle in touched {
-                self.flush_conn(sim, handle);
-            }
-        }
-        match *wake {
-            Wake::TcpAccepted { listener, conn: handle, .. } if listener == self.listener => {
-                let attr = sim.attr();
-                self.conns.insert(
-                    handle,
-                    H1ServerConn {
-                        tls: TlsStream::new(handle, &self.tls_cfg, attr),
-                        parser: RequestParser::new(),
-                        pipeline: VecDeque::new(),
-                    },
-                );
-            }
-            Wake::TcpReadable { conn: handle, .. } if handle.side == Side::Server => {
-                let Some(conn) = self.conns.get_mut(&handle) else { return };
-                let data = sim.tcp_recv(handle);
-                let plaintext = conn.tls.advance(sim, &data);
-                conn.parser.push(&plaintext);
-                let mut queries = Vec::new();
-                while let Ok(Some(request)) = conn.parser.next_request() {
-                    // Requests whose body is not a DNS message are dropped,
-                    // like a resolver answering 400 we never retry on.
-                    let Ok(query) = Message::decode(&request.body) else { continue };
-                    queries.push(query);
-                }
-                for query in queries {
-                    let waiter = self.next_waiter;
-                    self.next_waiter += 1;
-                    let conn = self.conns.get_mut(&handle).expect("conn is live");
-                    conn.pipeline.push_back(waiter);
-                    match self.backend.answer(sim, &query, waiter) {
-                        Some(response) => {
-                            self.ready.insert(waiter, response);
-                        }
-                        None => {
-                            self.waiters.insert(waiter, handle);
-                        }
-                    }
-                }
-                self.flush_conn(sim, handle);
-            }
-            Wake::TcpFin { conn: handle, .. }
-                if handle.side == Side::Server && self.conns.remove(&handle).is_some() =>
-            {
-                sim.tcp_close(handle);
-            }
-            _ => {}
-        }
+        let framing = Http1 { authority: authority.to_string() };
+        StreamClient::with_framing(framing, host, server, tls_cfg, policy, conn_attr)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dohmark_netsim::LinkConfig;
+    use crate::testing::pump;
+    use crate::Resolver;
+    use dohmark_dns_wire::{Name, RecordType};
+    use dohmark_netsim::{LinkConfig, Sim};
     use dohmark_tls_model::{handshake_bytes, ALPN_HTTP11};
     use std::net::Ipv4Addr;
 
@@ -405,7 +213,7 @@ mod tests {
     fn cold_resolution_pays_handshake_headers_and_body() {
         let (mut sim, mut client, mut server) = setup(1, ReusePolicy::Fresh);
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-        let response = client.resolve(&mut sim, &mut server, &name, 1).unwrap();
+        let response = pump(&mut sim, &mut client, &mut server, Some((&name, 1))).unwrap();
         assert_eq!(response.answers[0].name, name);
         sim.drain();
         let cost = sim.meter.cost(1);
@@ -428,7 +236,7 @@ mod tests {
         let (mut sim, mut client, mut server) = setup(2, ReusePolicy::Persistent);
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
         for id in 1..=3u16 {
-            client.resolve(&mut sim, &mut server, &name, id).unwrap();
+            pump(&mut sim, &mut client, &mut server, Some((&name, id))).unwrap();
         }
         assert!(client.is_connected());
         sim.drain();
@@ -445,12 +253,12 @@ mod tests {
     fn close_then_next_query_reconnects() {
         let (mut sim, mut client, mut server) = setup(3, ReusePolicy::Persistent);
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-        client.resolve(&mut sim, &mut server, &name, 1).unwrap();
+        pump(&mut sim, &mut client, &mut server, Some((&name, 1))).unwrap();
         client.close(&mut sim);
-        crate::drain_endpoints_impl(&mut sim, &mut [&mut client, &mut server]);
+        pump(&mut sim, &mut client, &mut server, None);
         assert!(!client.is_connected());
         assert_eq!(server.open_connections(), 0);
-        let response = client.resolve(&mut sim, &mut server, &name, 2);
+        let response = pump(&mut sim, &mut client, &mut server, Some((&name, 2)));
         assert!(response.is_some());
     }
 
@@ -460,7 +268,7 @@ mod tests {
             let (mut sim, mut client, mut server) = setup(seed, ReusePolicy::Persistent);
             let name = Name::parse("abcdefgh.dohmark.test").unwrap();
             for id in 1..=3u16 {
-                client.resolve(&mut sim, &mut server, &name, id).unwrap();
+                pump(&mut sim, &mut client, &mut server, Some((&name, id))).unwrap();
             }
             sim.drain();
             (sim.meter.total(), sim.now())

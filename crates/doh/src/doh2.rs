@@ -18,18 +18,15 @@
 //! * Graceful teardown sends GOAWAY (NO_ERROR) before the FIN, as real
 //!   clients do; fresh connections do this after every response.
 
-use crate::resolver::ServerBackend;
-use crate::tls_stream::TlsStream;
-use crate::{Endpoint, Resolver, ReusePolicy};
-use dohmark_dns_wire::{Message, Name, RecordType};
+use crate::doh1::{DNS_MESSAGE, DOH_PATH};
+use crate::stream::{Framing, Segments, StreamClient, StreamServer};
+use crate::ReusePolicy;
+use dohmark_dns_wire::Message;
 use dohmark_httpsim::h2::{settings, Frame, FrameDecoder, PREFACE};
 use dohmark_httpsim::hpack;
-use dohmark_netsim::{HostId, LayerTag, ListenerId, Side, Sim, TcpHandle, Wake};
+use dohmark_netsim::{HostId, LayerTag, Side};
 use dohmark_tls_model::TlsConfig;
 use std::collections::{HashMap, HashSet};
-use std::net::Ipv4Addr;
-
-use crate::doh1::{DNS_MESSAGE, DOH_PATH};
 
 /// SETTINGS a browser-like DoH client announces.
 const CLIENT_SETTINGS: [(u16, u32); 4] = [
@@ -53,10 +50,27 @@ fn owned(pairs: &[(&str, &str)]) -> Vec<(String, String)> {
     pairs.iter().map(|&(n, v)| (n.to_string(), v.to_string())).collect()
 }
 
-/// One end's HTTP/2 state over an established TLS stream.
+/// Management frames (after `preface`, when the client opens with it)
+/// as one write tagged `HttpMgmt`.
+fn mgmt(preface: &[u8], frames: &[Frame]) -> Segments {
+    let mut bytes = preface.to_vec();
+    for frame in frames {
+        bytes.extend_from_slice(&frame.encode());
+    }
+    vec![(LayerTag::HttpMgmt, bytes)]
+}
+
+/// The DoH/2 framing: HPACK-compressed HEADERS + DATA per message on
+/// its own stream, plus the connection management HTTP/2 adds.
 #[derive(Debug)]
-struct H2Conn {
-    tls: TlsStream,
+pub struct Http2 {
+    /// The `:authority` pseudo-header (normally the TLS SNI).
+    authority: String,
+}
+
+/// One end's HTTP/2 connection state.
+#[derive(Debug)]
+pub struct H2Conn {
     frames: FrameDecoder,
     /// HPACK for header blocks this end sends.
     encoder: hpack::Encoder,
@@ -70,101 +84,132 @@ struct H2Conn {
     /// not a DNS answer (mirrors the h1 client's status check).
     /// Keyed membership test only — never iterated.
     failed_streams: HashSet<u32>,
-    /// Whether the h2 layer has started (preface/SETTINGS sent).
+    /// Client-preface bytes a server still expects before frames begin.
+    preface_left: usize,
+    /// Next client-initiated stream id (odd: 1, 3, 5, …).
+    next_stream_id: u32,
+    /// Whether the client's preface and SETTINGS went out — only then
+    /// does the peer know an h2 connection it is owed a GOAWAY on.
     started: bool,
     /// Highest peer stream id seen (for GOAWAY).
     last_peer_stream: u32,
 }
 
 impl H2Conn {
-    fn new(tls: TlsStream) -> H2Conn {
+    /// One request/response: a HEADERS frame tagged header and an
+    /// END_STREAM DATA frame tagged body.
+    fn message(&mut self, stream_id: u32, headers: &[(String, String)], body: Vec<u8>) -> Segments {
+        let block = self.encoder.encode(headers);
+        let headers_frame = Frame::Headers { stream_id, block, end_stream: false }.encode();
+        let data_frame = Frame::Data { stream_id, data: body, end_stream: true }.encode();
+        vec![(LayerTag::HttpHeader, headers_frame), (LayerTag::HttpBody, data_frame)]
+    }
+}
+
+impl Framing for Http2 {
+    type Conn = H2Conn;
+    /// The stream the query arrived on.
+    type Slot = u32;
+
+    fn conn(side: Side) -> H2Conn {
         H2Conn {
-            tls,
             frames: FrameDecoder::new(),
             encoder: hpack::Encoder::new(),
             decoder: hpack::Decoder::new(),
             bodies: HashMap::new(),
             failed_streams: HashSet::new(),
+            preface_left: if side == Side::Server { PREFACE.len() } else { 0 },
+            next_stream_id: 1,
             started: false,
             last_peer_stream: 0,
         }
     }
 
-    /// Sends management frames (plus the preface when `preface` is set)
-    /// as one tagged write under the connection's setup attribution.
-    fn send_mgmt(&mut self, sim: &mut Sim, preface: bool, frames: &[Frame]) {
-        let mut bytes = Vec::new();
-        if preface {
-            bytes.extend_from_slice(PREFACE);
-        }
-        for frame in frames {
-            bytes.extend_from_slice(&frame.encode());
-        }
-        let attr = self.tls.setup_attr;
-        self.tls.send_segments(sim, attr, &[(LayerTag::HttpMgmt, &bytes)]);
+    /// The connection preface, SETTINGS and the connection WINDOW_UPDATE.
+    fn preamble(conn: &mut H2Conn) -> Option<Segments> {
+        conn.started = true;
+        Some(mgmt(
+            PREFACE,
+            &[
+                Frame::Settings { params: CLIENT_SETTINGS.to_vec(), ack: false },
+                Frame::WindowUpdate { stream_id: 0, increment: CLIENT_WINDOW_BUMP },
+            ],
+        ))
     }
 
-    /// Sends one request/response: a HEADERS frame and an END_STREAM DATA
-    /// frame, tagged header/body, under attribution `attr`.
-    fn send_message(
-        &mut self,
-        sim: &mut Sim,
-        stream_id: u32,
-        headers: &[(String, String)],
-        body: Vec<u8>,
-        attr: u32,
-    ) {
-        let block = self.encoder.encode(headers);
-        let headers_frame = Frame::Headers { stream_id, block, end_stream: false }.encode();
-        let data_frame = Frame::Data { stream_id, data: body, end_stream: true }.encode();
-        self.tls.send_segments(
-            sim,
-            attr,
-            &[(LayerTag::HttpHeader, &headers_frame), (LayerTag::HttpBody, &data_frame)],
-        );
+    fn encode_query(&self, conn: &mut H2Conn, query: &Message) -> Segments {
+        let body = query.encode();
+        let headers = owned(&[
+            (":method", "POST"),
+            (":scheme", "https"),
+            (":authority", &self.authority),
+            (":path", DOH_PATH),
+            ("accept", DNS_MESSAGE),
+            ("content-type", DNS_MESSAGE),
+            ("content-length", &body.len().to_string()),
+        ]);
+        let stream_id = conn.next_stream_id;
+        conn.next_stream_id += 2;
+        conn.message(stream_id, &headers, body)
     }
 
-    /// Feeds received plaintext through the frame decoder, answering
-    /// management frames; returns `(stream id, DNS message)` for every
-    /// accepted stream plus the count of **all** completed streams —
-    /// rejected (non-200 / undecodable) ones included, so callers can
-    /// balance their in-flight bookkeeping like the h1 client does.
-    fn ingest(&mut self, sim: &mut Sim, plaintext: &[u8]) -> (Vec<(u32, Message)>, usize) {
-        self.frames.push(plaintext);
+    fn encode_response(conn: &mut H2Conn, stream_id: u32, response: &Message) -> Segments {
+        let body = response.encode();
+        let headers = owned(&[
+            (":status", "200"),
+            ("content-type", DNS_MESSAGE),
+            ("content-length", &body.len().to_string()),
+            ("server", "dohmark"),
+        ]);
+        conn.message(stream_id, &headers, body)
+    }
+
+    /// Strips the client preface (announcing the server's SETTINGS once
+    /// it has arrived), then feeds the frame decoder, acknowledging
+    /// SETTINGS and PING; every END_STREAM counts as completed, rejected
+    /// (non-200 / undecodable) streams included.
+    fn decode(
+        conn: &mut H2Conn,
+        plaintext: &[u8],
+        control: &mut Vec<Segments>,
+    ) -> (Vec<(u32, Message)>, usize) {
+        let skip = conn.preface_left.min(plaintext.len());
+        conn.preface_left -= skip;
+        if skip > 0 && conn.preface_left == 0 {
+            let announce = Frame::Settings { params: SERVER_SETTINGS.to_vec(), ack: false };
+            control.push(mgmt(&[], &[announce]));
+        }
+        conn.frames.push(&plaintext[skip..]);
         let mut messages = Vec::new();
         let mut completed = 0usize;
         // A malformed frame (`Err`) poisons the connection: stop reading.
-        while let Ok(Some(frame)) = self.frames.next_frame() {
+        while let Ok(Some(frame)) = conn.frames.next_frame() {
             match frame {
                 Frame::Settings { ack: false, .. } => {
-                    self.send_mgmt(
-                        sim,
-                        false,
-                        &[Frame::Settings { params: Vec::new(), ack: true }],
-                    );
+                    control.push(mgmt(&[], &[Frame::Settings { params: Vec::new(), ack: true }]));
                 }
                 Frame::Settings { ack: true, .. } => {}
                 Frame::Headers { stream_id, block, .. } => {
-                    self.last_peer_stream = self.last_peer_stream.max(stream_id);
+                    conn.last_peer_stream = conn.last_peer_stream.max(stream_id);
                     // Decoding also keeps the shared dynamic table in sync.
-                    if let Ok(headers) = self.decoder.decode(&block) {
+                    if let Ok(headers) = conn.decoder.decode(&block) {
                         // A non-200 response is no DNS answer (requests
                         // carry no `:status` and stay accepted).
                         let failed =
                             headers.iter().any(|(name, value)| name == ":status" && value != "200");
                         if failed {
-                            self.failed_streams.insert(stream_id);
+                            conn.failed_streams.insert(stream_id);
                         }
                     }
                 }
                 Frame::Data { stream_id, data, end_stream } => {
-                    self.last_peer_stream = self.last_peer_stream.max(stream_id);
-                    let body = self.bodies.entry(stream_id).or_default();
+                    conn.last_peer_stream = conn.last_peer_stream.max(stream_id);
+                    let body = conn.bodies.entry(stream_id).or_default();
                     body.extend_from_slice(&data);
                     if end_stream {
                         completed += 1;
-                        let body = self.bodies.remove(&stream_id).unwrap_or_default();
-                        if !self.failed_streams.remove(&stream_id) {
+                        let body = conn.bodies.remove(&stream_id).unwrap_or_default();
+                        if !conn.failed_streams.remove(&stream_id) {
                             if let Ok(msg) = Message::decode(&body) {
                                 messages.push((stream_id, msg));
                             }
@@ -172,7 +217,7 @@ impl H2Conn {
                     }
                 }
                 Frame::Ping { data, ack: false } => {
-                    self.send_mgmt(sim, false, &[Frame::Ping { data, ack: true }]);
+                    control.push(mgmt(&[], &[Frame::Ping { data, ack: true }]));
                 }
                 Frame::Ping { ack: true, .. }
                 | Frame::WindowUpdate { .. }
@@ -183,26 +228,25 @@ impl H2Conn {
         }
         (messages, completed)
     }
+
+    /// GOAWAY (NO_ERROR) naming the last peer stream, as real clients
+    /// send before the FIN.
+    fn goodbye(conn: &H2Conn) -> Option<Segments> {
+        let last_stream_id = conn.last_peer_stream;
+        let goaway = Frame::Goaway { last_stream_id, error_code: 0, debug: Vec::new() };
+        conn.started.then(|| mgmt(&[], &[goaway]))
+    }
 }
 
 /// A DoH client speaking HTTP/2 to one resolver.
-#[derive(Debug)]
-pub struct DohH2Client {
-    host: HostId,
-    server: (HostId, u16),
-    authority: String,
-    tls_cfg: TlsConfig,
-    policy: ReusePolicy,
-    conn_attr: u32,
-    conn: Option<H2Conn>,
-    /// Next client-initiated stream id (odd: 1, 3, 5, …).
-    next_stream_id: u32,
-    queued: Vec<(u16, Name)>,
-    /// Queries sent (or queued) whose response has not yet arrived; a
-    /// fresh connection tears down only once this drains.
-    inflight: usize,
-    responses: Vec<Message>,
-}
+pub type DohH2Client = StreamClient<Http2>;
+
+/// A DoH/2 server answering from a pluggable
+/// [`ServerBackend`](crate::ServerBackend) — authoritative zone data or a
+/// shared caching recursive resolver. Streams multiplex, so — unlike h1 —
+/// a stream parked on an upstream fetch never blocks a cache hit on
+/// another stream of the same connection.
+pub type DohH2Server = StreamServer<Http2>;
 
 impl DohH2Client {
     /// A client on `host` for `server`, usually `(resolver, 443)`. The
@@ -217,304 +261,19 @@ impl DohH2Client {
         policy: ReusePolicy,
         conn_attr: u32,
     ) -> DohH2Client {
-        DohH2Client {
-            host,
-            server,
-            authority: authority.to_string(),
-            tls_cfg,
-            policy,
-            conn_attr,
-            conn: None,
-            next_stream_id: 1,
-            queued: Vec::new(),
-            inflight: 0,
-            responses: Vec::new(),
-        }
-    }
-
-    /// Whether the client currently holds an established connection.
-    pub fn is_connected(&self) -> bool {
-        self.conn.as_ref().is_some_and(|c| c.tls.established())
-    }
-
-    fn flush(&mut self, sim: &mut Sim) {
-        let Some(conn) = self.conn.as_mut() else { return };
-        if !conn.tls.established() {
-            return;
-        }
-        if !conn.started {
-            conn.started = true;
-            conn.send_mgmt(
-                sim,
-                true,
-                &[
-                    Frame::Settings { params: CLIENT_SETTINGS.to_vec(), ack: false },
-                    Frame::WindowUpdate { stream_id: 0, increment: CLIENT_WINDOW_BUMP },
-                ],
-            );
-        }
-        for (id, name) in self.queued.drain(..) {
-            let query = Message::query(id, &name, RecordType::A).encode();
-            let headers = owned(&[
-                (":method", "POST"),
-                (":scheme", "https"),
-                (":authority", &self.authority),
-                (":path", DOH_PATH),
-                ("accept", DNS_MESSAGE),
-                ("content-type", DNS_MESSAGE),
-                ("content-length", &query.len().to_string()),
-            ]);
-            let stream_id = self.next_stream_id;
-            self.next_stream_id += 2;
-            conn.send_message(sim, stream_id, &headers, query, u32::from(id));
-        }
-    }
-
-    /// Sends GOAWAY and closes the TCP connection, dropping local state
-    /// and abandoning queries that were still queued for it.
-    fn teardown(&mut self, sim: &mut Sim) {
-        self.queued.clear();
-        self.inflight = 0;
-        let Some(mut conn) = self.conn.take() else { return };
-        if conn.tls.established() && conn.started {
-            let last_stream_id = conn.last_peer_stream;
-            conn.send_mgmt(
-                sim,
-                false,
-                &[Frame::Goaway { last_stream_id, error_code: 0, debug: Vec::new() }],
-            );
-        }
-        sim.tcp_close(conn.tls.handle);
-    }
-
-    /// Sends the query and runs the simulation until its response arrives,
-    /// broadcasting every wake to `self` and `peer` — a two-endpoint
-    /// convenience; registry topologies use
-    /// [`Driver::resolve`](crate::Driver::resolve) instead.
-    pub fn resolve(
-        &mut self,
-        sim: &mut Sim,
-        peer: &mut dyn Endpoint,
-        name: &Name,
-        id: u16,
-    ) -> Option<Message> {
-        crate::resolve_with_extras_impl(sim, self, peer, &mut [], name, id)
-    }
-}
-
-impl Resolver for DohH2Client {
-    fn send_query(&mut self, sim: &mut Sim, name: &Name, id: u16) {
-        let dead = self.conn.as_ref().is_some_and(|c| sim.tcp_has_failed(c.tls.handle));
-        if self.conn.is_none() || dead {
-            let attr = match self.policy {
-                ReusePolicy::Fresh => u32::from(id),
-                ReusePolicy::Persistent => self.conn_attr,
-            };
-            sim.set_attr(attr);
-            let handle = sim.tcp_connect(self.host, self.server);
-            self.conn = Some(H2Conn::new(TlsStream::new(handle, &self.tls_cfg, attr)));
-            self.next_stream_id = 1;
-            // Queries in flight on a dead connection are lost for good.
-            self.inflight = 0;
-        }
-        self.queued.push((id, name.clone()));
-        self.inflight += 1;
-        self.flush(sim);
-    }
-
-    fn take_response(&mut self, id: u16) -> Option<Message> {
-        let idx = self.responses.iter().position(|m| m.header.id == id)?;
-        Some(self.responses.remove(idx))
-    }
-
-    /// Graceful teardown: GOAWAY (NO_ERROR), then the TCP FIN.
-    fn close(&mut self, sim: &mut Sim) {
-        self.teardown(sim);
-    }
-}
-
-impl Endpoint for DohH2Client {
-    fn on_wake(&mut self, sim: &mut Sim, wake: &Wake) {
-        let Some(conn) = self.conn.as_mut() else { return };
-        match *wake {
-            Wake::TcpConnected { conn: handle, .. } if handle == conn.tls.handle => {
-                let _ = conn.tls.advance(sim, &[]);
-                self.flush(sim);
-            }
-            Wake::TcpReadable { conn: handle, .. } if handle == conn.tls.handle => {
-                let data = sim.tcp_recv(handle);
-                let was_established = conn.tls.established();
-                let plaintext = conn.tls.advance(sim, &data);
-                let (responses, completed) = conn.ingest(sim, &plaintext);
-                self.inflight = self.inflight.saturating_sub(completed);
-                self.responses.extend(responses.into_iter().map(|(_, msg)| msg));
-                if !was_established && conn.tls.established() {
-                    self.flush(sim);
-                }
-                if completed > 0 && self.inflight == 0 && self.policy == ReusePolicy::Fresh {
-                    // Cold connections are one-shot: GOAWAY + FIN once
-                    // every outstanding answer has arrived.
-                    self.teardown(sim);
-                }
-            }
-            Wake::TcpFin { conn: handle, .. } if handle == conn.tls.handle => {
-                sim.tcp_close(handle);
-                self.conn = None;
-            }
-            _ => {}
-        }
-    }
-}
-
-/// A DoH/2 server answering from a pluggable [`ServerBackend`] —
-/// authoritative zone data or a shared caching recursive resolver.
-#[derive(Debug)]
-pub struct DohH2Server {
-    listener: ListenerId,
-    tls_cfg: TlsConfig,
-    backend: ServerBackend,
-    /// Keyed lookup only (the wake's own handle) — never iterated, so
-    /// the randomized order is unobservable (no-unordered-iteration).
-    conns: HashMap<TcpHandle, H2ServerConn>,
-    /// Parked queries: waiter token → (connection, stream) expecting the
-    /// answer. Streams multiplex, so — unlike h1 — a parked stream never
-    /// blocks a cache hit on another stream of the same connection.
-    /// Keyed lookup only: drained in the backend's completion order.
-    waiters: HashMap<u64, (TcpHandle, u32)>,
-    next_waiter: u64,
-}
-
-/// Server-side connection: shared h2 state plus preface stripping.
-#[derive(Debug)]
-struct H2ServerConn {
-    h2: H2Conn,
-    /// Client-preface bytes still expected before frames begin.
-    preface_left: usize,
-}
-
-impl DohH2Server {
-    /// Listens on `(host, port)` answering every query with one fixed A
-    /// record `answer`/`ttl`.
-    pub fn bind(
-        sim: &mut Sim,
-        host: HostId,
-        port: u16,
-        tls_cfg: TlsConfig,
-        answer: Ipv4Addr,
-        ttl: u32,
-    ) -> DohH2Server {
-        DohH2Server::bind_with(sim, host, port, tls_cfg, ServerBackend::fixed(answer, ttl))
-    }
-
-    /// Listens on `(host, port)` answering from `backend`.
-    pub fn bind_with(
-        sim: &mut Sim,
-        host: HostId,
-        port: u16,
-        tls_cfg: TlsConfig,
-        backend: ServerBackend,
-    ) -> DohH2Server {
-        let listener = sim.tcp_listen(host, port);
-        DohH2Server {
-            listener,
-            tls_cfg,
-            backend,
-            conns: HashMap::new(),
-            waiters: HashMap::new(),
-            next_waiter: 1,
-        }
-    }
-
-    /// Established-and-open connection count (for tests and reports).
-    pub fn open_connections(&self) -> usize {
-        self.conns.len()
-    }
-
-    /// The backend's cache statistics, if it has a cache.
-    pub fn cache_stats(&self) -> Option<crate::cache::CacheStats> {
-        self.backend.cache_stats()
-    }
-
-    /// Sends `response` on `stream_id` of `handle` with 200 headers,
-    /// charged to the response's transaction id.
-    fn send_response(conn: &mut H2ServerConn, sim: &mut Sim, stream_id: u32, response: &Message) {
-        let body = response.encode();
-        let headers = owned(&[
-            (":status", "200"),
-            ("content-type", DNS_MESSAGE),
-            ("content-length", &body.len().to_string()),
-            ("server", "dohmark"),
-        ]);
-        conn.h2.send_message(sim, stream_id, &headers, body, u32::from(response.header.id));
-    }
-}
-
-impl Endpoint for DohH2Server {
-    fn on_wake(&mut self, sim: &mut Sim, wake: &Wake) {
-        // Upstream completions first: each answer goes out on the stream
-        // its query arrived on (dropped if the connection is gone).
-        for (waiter, response) in self.backend.poll(sim, wake) {
-            let Some((handle, stream_id)) = self.waiters.remove(&waiter) else { continue };
-            if let Some(conn) = self.conns.get_mut(&handle) {
-                DohH2Server::send_response(conn, sim, stream_id, &response);
-            }
-        }
-        match *wake {
-            Wake::TcpAccepted { listener, conn: handle, .. } if listener == self.listener => {
-                let attr = sim.attr();
-                self.conns.insert(
-                    handle,
-                    H2ServerConn {
-                        h2: H2Conn::new(TlsStream::new(handle, &self.tls_cfg, attr)),
-                        preface_left: PREFACE.len(),
-                    },
-                );
-            }
-            Wake::TcpReadable { conn: handle, .. } if handle.side == Side::Server => {
-                let Some(conn) = self.conns.get_mut(&handle) else { return };
-                let data = sim.tcp_recv(handle);
-                let plaintext = conn.h2.tls.advance(sim, &data);
-                let skip = conn.preface_left.min(plaintext.len());
-                conn.preface_left -= skip;
-                if !conn.h2.started && conn.preface_left == 0 {
-                    // The preface has arrived: announce our SETTINGS once.
-                    conn.h2.started = true;
-                    conn.h2.send_mgmt(
-                        sim,
-                        false,
-                        &[Frame::Settings { params: SERVER_SETTINGS.to_vec(), ack: false }],
-                    );
-                }
-                let (queries, _) = conn.h2.ingest(sim, &plaintext[skip..]);
-                for (stream_id, query) in queries {
-                    let waiter = self.next_waiter;
-                    self.next_waiter += 1;
-                    match self.backend.answer(sim, &query, waiter) {
-                        Some(response) => {
-                            let conn = self.conns.get_mut(&handle).expect("conn is live");
-                            // Respond on the stream the query arrived on.
-                            DohH2Server::send_response(conn, sim, stream_id, &response);
-                        }
-                        None => {
-                            self.waiters.insert(waiter, (handle, stream_id));
-                        }
-                    }
-                }
-            }
-            Wake::TcpFin { conn: handle, .. }
-                if handle.side == Side::Server && self.conns.remove(&handle).is_some() =>
-            {
-                sim.tcp_close(handle);
-            }
-            _ => {}
-        }
+        let framing = Http2 { authority: authority.to_string() };
+        StreamClient::with_framing(framing, host, server, tls_cfg, policy, conn_attr)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dohmark_netsim::LinkConfig;
+    use crate::stream::TlsStream;
+    use crate::testing::pump;
+    use crate::{Endpoint, Resolver};
+    use dohmark_dns_wire::{Name, RecordType};
+    use dohmark_netsim::{LinkConfig, Sim, Wake};
     use dohmark_tls_model::{handshake_bytes, ALPN_H2};
     use std::net::Ipv4Addr;
 
@@ -538,9 +297,9 @@ mod tests {
     fn cold_resolution_pays_handshake_mgmt_headers_and_body() {
         let (mut sim, mut client, mut server) = setup(1, ReusePolicy::Fresh);
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-        let response = client.resolve(&mut sim, &mut server, &name, 1).unwrap();
+        let response = pump(&mut sim, &mut client, &mut server, Some((&name, 1))).unwrap();
         assert_eq!(response.answers[0].name, name);
-        crate::drain_endpoints_impl(&mut sim, &mut [&mut client, &mut server]);
+        pump(&mut sim, &mut client, &mut server, None);
         let cost = sim.meter.cost(1);
         // Preface + SETTINGS both ways + ACKs + WINDOW_UPDATE + GOAWAY.
         assert!(cost.layers.http_mgmt > 100, "mgmt bytes {}", cost.layers.http_mgmt);
@@ -560,7 +319,7 @@ mod tests {
         let (mut sim, mut client, mut server) = setup(2, ReusePolicy::Persistent);
         let name_gen = |i: u64| Name::parse(&format!("abcdefg{i}.dohmark.test")).unwrap();
         for id in 1..=4u16 {
-            client.resolve(&mut sim, &mut server, &name_gen(u64::from(id)), id).unwrap();
+            pump(&mut sim, &mut client, &mut server, Some((&name_gen(u64::from(id)), id))).unwrap();
         }
         assert!(client.is_connected());
         sim.drain();
@@ -580,10 +339,10 @@ mod tests {
     fn close_sends_goaway_then_fin() {
         let (mut sim, mut client, mut server) = setup(3, ReusePolicy::Persistent);
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-        client.resolve(&mut sim, &mut server, &name, 1).unwrap();
+        pump(&mut sim, &mut client, &mut server, Some((&name, 1))).unwrap();
         let mgmt_before = sim.meter.cost(0).layers.http_mgmt;
         client.close(&mut sim);
-        crate::drain_endpoints_impl(&mut sim, &mut [&mut client, &mut server]);
+        pump(&mut sim, &mut client, &mut server, None);
         // GOAWAY: 9-byte frame header + 8-byte payload, plus TLS framing.
         assert_eq!(sim.meter.cost(0).layers.http_mgmt, mgmt_before + 17);
         assert!(!client.is_connected());
@@ -598,11 +357,17 @@ mod tests {
         for id in 1..=3u16 {
             client.send_query(&mut sim, &name, id);
         }
-        crate::drain_endpoints_impl(&mut sim, &mut [&mut client, &mut server]);
+        pump(&mut sim, &mut client, &mut server, None);
         for id in 1..=3u16 {
             assert!(client.take_response(id).is_some(), "id {id}");
         }
-        assert_eq!(client.next_stream_id, 7, "streams 1, 3, 5 were used");
+        // The stream id is the framing's to assign, one per encoded query.
+        let framing = Http2 { authority: "dns.example.net".to_string() };
+        let mut conn = Http2::conn(Side::Client);
+        for id in 1..=3u16 {
+            framing.encode_query(&mut conn, &Message::query(id, &name, RecordType::A));
+        }
+        assert_eq!(conn.next_stream_id, 7, "streams 1, 3, 5 were used");
     }
 
     #[test]
@@ -627,22 +392,20 @@ mod tests {
         );
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
         client.send_query(&mut sim, &name, 1);
-        let mut server_conn: Option<H2Conn> = None;
-        let mut preface_left = PREFACE.len();
+        let mut server_conn: Option<(TlsStream, H2Conn)> = None;
         while let Some(wake) = sim.next_wake() {
             client.on_wake(&mut sim, &wake);
             match wake {
                 Wake::TcpAccepted { listener: l, conn: handle, .. } if l == listener => {
                     let attr = sim.attr();
-                    server_conn = Some(H2Conn::new(TlsStream::new(handle, &h2_tls(), attr)));
+                    let tls = TlsStream::new(handle, &h2_tls(), attr);
+                    server_conn = Some((tls, Http2::conn(Side::Server)));
                 }
                 Wake::TcpReadable { conn: handle, .. } if handle.side == Side::Server => {
-                    let Some(conn) = server_conn.as_mut() else { continue };
+                    let Some((tls, conn)) = server_conn.as_mut() else { continue };
                     let data = sim.tcp_recv(handle);
-                    let plaintext = conn.tls.advance(&mut sim, &data);
-                    let skip = preface_left.min(plaintext.len());
-                    preface_left -= skip;
-                    let (queries, _) = conn.ingest(&mut sim, &plaintext[skip..]);
+                    let plaintext = tls.advance(&mut sim, &data);
+                    let (queries, _) = Http2::decode(conn, &plaintext, &mut Vec::new());
                     for (stream_id, query) in queries {
                         let body =
                             Message::fixed_a_response(&query, Ipv4Addr::new(192, 0, 2, 7), 60)
@@ -652,13 +415,8 @@ mod tests {
                             ("content-type", DNS_MESSAGE),
                             ("content-length", &body.len().to_string()),
                         ]);
-                        conn.send_message(
-                            &mut sim,
-                            stream_id,
-                            &headers,
-                            body,
-                            u32::from(query.header.id),
-                        );
+                        let rejected = conn.message(stream_id, &headers, body);
+                        tls.send_segments(&mut sim, u32::from(query.header.id), &rejected);
                     }
                 }
                 _ => {}
@@ -676,7 +434,7 @@ mod tests {
             let (mut sim, mut client, mut server) = setup(seed, ReusePolicy::Persistent);
             let name = Name::parse("abcdefgh.dohmark.test").unwrap();
             for id in 1..=3u16 {
-                client.resolve(&mut sim, &mut server, &name, id).unwrap();
+                pump(&mut sim, &mut client, &mut server, Some((&name, id))).unwrap();
             }
             sim.drain();
             (sim.meter.total(), sim.now())

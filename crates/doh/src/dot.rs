@@ -18,14 +18,10 @@
 //! one long-lived connection ([`ReusePolicy::Persistent`], which amortises
 //! the handshake to near-zero per-resolution overhead).
 
-use crate::resolver::ServerBackend;
-use crate::tls_stream::TlsStream;
-use crate::{Endpoint, Resolver};
-use dohmark_dns_wire::{Message, Name, RecordType};
-use dohmark_netsim::{HostId, LayerTag, ListenerId, Side, Sim, TcpHandle, Wake};
+use crate::stream::{Framing, Segments, StreamClient, StreamServer};
+use dohmark_dns_wire::Message;
+use dohmark_netsim::{HostId, LayerTag, Side};
 use dohmark_tls_model::TlsConfig;
-use std::collections::HashMap;
-use std::net::Ipv4Addr;
 
 /// Connection-reuse policy of a TLS-based client (DoT or DoH).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,55 +64,57 @@ fn drain_prefixed_messages(buf: &mut Vec<u8>) -> Vec<Message> {
     messages
 }
 
-/// A DoT connection: the shared TLS stream plus length-prefix reassembly.
-#[derive(Debug)]
-struct DotConn {
-    tls: TlsStream,
-    rx: Vec<u8>,
+/// `message` behind its 2-byte length prefix, all of it tagged
+/// `DnsPayload`.
+fn prefixed(message: &Message) -> Segments {
+    let wire = message.encode();
+    let mut plaintext = Vec::with_capacity(2 + wire.len());
+    plaintext.extend_from_slice(&(wire.len() as u16).to_be_bytes());
+    plaintext.extend_from_slice(&wire);
+    vec![(LayerTag::DnsPayload, plaintext)]
 }
 
-impl DotConn {
-    fn new(tls: TlsStream) -> DotConn {
-        DotConn { tls, rx: Vec::new() }
+/// The DoT framing: RFC 7766 length-prefixed DNS messages, nothing else.
+/// Its per-connection state is the length-prefix reassembly buffer, and
+/// a response goes to the connection as a whole.
+#[derive(Debug)]
+pub struct Dot;
+
+impl Framing for Dot {
+    type Conn = Vec<u8>;
+    type Slot = ();
+
+    fn conn(_side: Side) -> Vec<u8> {
+        Vec::new()
     }
 
-    fn advance(&mut self, sim: &mut Sim, incoming: &[u8]) -> Vec<Message> {
-        let plaintext = self.tls.advance(sim, incoming);
-        self.rx.extend_from_slice(&plaintext);
-        drain_prefixed_messages(&mut self.rx)
+    fn encode_query(&self, _rx: &mut Vec<u8>, query: &Message) -> Segments {
+        prefixed(query)
     }
 
-    /// Seals `message` (with its 2-byte length prefix) into TLS records,
-    /// attributing the record framing to `Tls` and the prefixed DNS bytes
-    /// to `DnsPayload`, all under attribution `attr`.
-    fn send_message(&mut self, sim: &mut Sim, message: &Message, attr: u32) {
-        let wire = message.encode();
-        let mut plaintext = Vec::with_capacity(2 + wire.len());
-        plaintext.extend_from_slice(&(wire.len() as u16).to_be_bytes());
-        plaintext.extend_from_slice(&wire);
-        self.tls.send_segments(sim, attr, &[(LayerTag::DnsPayload, &plaintext)]);
+    fn encode_response(_rx: &mut Vec<u8>, _slot: (), response: &Message) -> Segments {
+        prefixed(response)
+    }
+
+    fn decode(
+        rx: &mut Vec<u8>,
+        plaintext: &[u8],
+        _control: &mut Vec<Segments>,
+    ) -> (Vec<((), Message)>, usize) {
+        rx.extend_from_slice(plaintext);
+        let messages = drain_prefixed_messages(rx);
+        let completed = messages.len();
+        (messages.into_iter().map(|m| ((), m)).collect(), completed)
     }
 }
 
 /// A DoT client resolving names against one server.
-#[derive(Debug)]
-pub struct DotClient {
-    host: HostId,
-    server: (HostId, u16),
-    tls_cfg: TlsConfig,
-    policy: ReusePolicy,
-    /// Attribution for connection setup under [`ReusePolicy::Persistent`];
-    /// fresh connections charge setup to the resolution that opened them.
-    conn_attr: u32,
-    conn: Option<DotConn>,
-    /// Queries accepted before the connection established.
-    queued: Vec<(u16, Name)>,
-    /// Queries sent (or queued) whose response has not yet arrived; a
-    /// fresh connection closes only once this drains, so pipelining
-    /// several queries onto one cold connection loses none of them.
-    inflight: usize,
-    responses: Vec<Message>,
-}
+pub type DotClient = StreamClient<Dot>;
+
+/// A DoT server answering from a pluggable
+/// [`ServerBackend`](crate::ServerBackend) — authoritative zone data or a
+/// shared caching recursive resolver.
+pub type DotServer = StreamServer<Dot>;
 
 impl DotClient {
     /// A client on `host` for `server`, usually `(resolver, 853)`.
@@ -131,260 +129,83 @@ impl DotClient {
         policy: ReusePolicy,
         conn_attr: u32,
     ) -> DotClient {
-        DotClient {
-            host,
-            server,
-            tls_cfg,
-            policy,
-            conn_attr,
-            conn: None,
-            queued: Vec::new(),
-            inflight: 0,
-            responses: Vec::new(),
-        }
-    }
-
-    fn flush(&mut self, sim: &mut Sim) {
-        let Some(conn) = self.conn.as_mut() else { return };
-        if !conn.tls.established() {
-            return;
-        }
-        for (id, name) in self.queued.drain(..) {
-            let query = Message::query(id, &name, RecordType::A);
-            conn.send_message(sim, &query, u32::from(id));
-        }
-    }
-
-    /// Whether the client currently holds an established connection.
-    pub fn is_connected(&self) -> bool {
-        self.conn.as_ref().is_some_and(|c| c.tls.established())
-    }
-
-    /// Sends the query and runs the simulation until its response arrives,
-    /// broadcasting every wake to `self` and `peer` — a two-endpoint
-    /// convenience; registry topologies use
-    /// [`Driver::resolve`](crate::Driver::resolve) instead.
-    pub fn resolve(
-        &mut self,
-        sim: &mut Sim,
-        peer: &mut dyn Endpoint,
-        name: &Name,
-        id: u16,
-    ) -> Option<Message> {
-        crate::resolve_with_extras_impl(sim, self, peer, &mut [], name, id)
-    }
-}
-
-impl Resolver for DotClient {
-    /// Queues an A query for `name` with transaction id `id`, opening a
-    /// connection if none is usable. The query is transmitted as soon as
-    /// the TLS handshake completes (immediately, when already established).
-    fn send_query(&mut self, sim: &mut Sim, name: &Name, id: u16) {
-        let dead = self.conn.as_ref().is_some_and(|c| sim.tcp_has_failed(c.tls.handle));
-        if self.conn.is_none() || dead {
-            let attr = match self.policy {
-                ReusePolicy::Fresh => u32::from(id),
-                ReusePolicy::Persistent => self.conn_attr,
-            };
-            sim.set_attr(attr);
-            let handle = sim.tcp_connect(self.host, self.server);
-            self.conn = Some(DotConn::new(TlsStream::new(handle, &self.tls_cfg, attr)));
-            // Queries in flight on a dead connection are lost for good
-            // (no application retries are modelled).
-            self.inflight = 0;
-        }
-        self.queued.push((id, name.clone()));
-        self.inflight += 1;
-        self.flush(sim);
-    }
-
-    fn take_response(&mut self, id: u16) -> Option<Message> {
-        let idx = self.responses.iter().position(|m| m.header.id == id)?;
-        Some(self.responses.remove(idx))
-    }
-
-    /// Closes the current connection, if any (TCP FIN), abandoning
-    /// queries that were still queued for it.
-    fn close(&mut self, sim: &mut Sim) {
-        self.queued.clear();
-        self.inflight = 0;
-        if let Some(conn) = self.conn.take() {
-            sim.tcp_close(conn.tls.handle);
-        }
-    }
-}
-
-impl Endpoint for DotClient {
-    fn on_wake(&mut self, sim: &mut Sim, wake: &Wake) {
-        let Some(conn) = self.conn.as_mut() else { return };
-        match *wake {
-            Wake::TcpConnected { conn: handle, .. } if handle == conn.tls.handle => {
-                // TCP is up: kick off the TLS handshake (ClientHello).
-                let _ = conn.advance(sim, &[]);
-                self.flush(sim);
-            }
-            Wake::TcpReadable { conn: handle, .. } if handle == conn.tls.handle => {
-                let data = sim.tcp_recv(handle);
-                let was_established = conn.tls.established();
-                let responses = conn.advance(sim, &data);
-                self.inflight = self.inflight.saturating_sub(responses.len());
-                self.responses.extend(responses);
-                if !was_established && conn.tls.established() {
-                    self.flush(sim);
-                }
-                if self.inflight == 0 && self.policy == ReusePolicy::Fresh {
-                    // Cold connections are one-shot: close once every
-                    // outstanding answer has arrived.
-                    let handle = self.conn.take().expect("conn is live").tls.handle;
-                    sim.tcp_close(handle);
-                }
-            }
-            Wake::TcpFin { conn: handle, .. } if handle == conn.tls.handle => {
-                // Server closed on us; drop the connection state so the
-                // next query reconnects.
-                sim.tcp_close(handle);
-                self.conn = None;
-            }
-            _ => {}
-        }
-    }
-}
-
-/// A DoT server answering from a pluggable [`ServerBackend`] —
-/// authoritative zone data or a shared caching recursive resolver.
-#[derive(Debug)]
-pub struct DotServer {
-    listener: ListenerId,
-    tls_cfg: TlsConfig,
-    backend: ServerBackend,
-    /// Keyed lookup only (the wake's own handle) — never iterated, so
-    /// the randomized order is unobservable (no-unordered-iteration).
-    conns: HashMap<TcpHandle, DotConn>,
-    /// Parked queries: waiter token → the connection expecting the answer.
-    /// Keyed lookup only: drained in the backend's completion order.
-    waiters: HashMap<u64, TcpHandle>,
-    next_waiter: u64,
-}
-
-impl DotServer {
-    /// Listens on `(host, port)` answering every query with one fixed A
-    /// record `answer`/`ttl`. The TLS config must match the clients' (both
-    /// ends of the byte model derive flight sizes from it).
-    pub fn bind(
-        sim: &mut Sim,
-        host: HostId,
-        port: u16,
-        tls_cfg: TlsConfig,
-        answer: Ipv4Addr,
-        ttl: u32,
-    ) -> DotServer {
-        DotServer::bind_with(sim, host, port, tls_cfg, ServerBackend::fixed(answer, ttl))
-    }
-
-    /// Listens on `(host, port)` answering from `backend`.
-    pub fn bind_with(
-        sim: &mut Sim,
-        host: HostId,
-        port: u16,
-        tls_cfg: TlsConfig,
-        backend: ServerBackend,
-    ) -> DotServer {
-        let listener = sim.tcp_listen(host, port);
-        DotServer {
-            listener,
-            tls_cfg,
-            backend,
-            conns: HashMap::new(),
-            waiters: HashMap::new(),
-            next_waiter: 1,
-        }
-    }
-
-    /// Established-and-open connection count (for tests and reports).
-    pub fn open_connections(&self) -> usize {
-        self.conns.len()
-    }
-
-    /// The backend's cache statistics, if it has a cache.
-    pub fn cache_stats(&self) -> Option<crate::cache::CacheStats> {
-        self.backend.cache_stats()
-    }
-}
-
-impl Endpoint for DotServer {
-    fn on_wake(&mut self, sim: &mut Sim, wake: &Wake) {
-        // Upstream completions first: answers for queries parked by a
-        // recursive backend go out on the connection they arrived on
-        // (silently dropped if that connection is gone — like a real
-        // resolver whose client hung up mid-recursion).
-        for (waiter, response) in self.backend.poll(sim, wake) {
-            let Some(handle) = self.waiters.remove(&waiter) else { continue };
-            if let Some(conn) = self.conns.get_mut(&handle) {
-                conn.send_message(sim, &response, u32::from(response.header.id));
-            }
-        }
-        match *wake {
-            Wake::TcpAccepted { listener, conn: handle, .. } if listener == self.listener => {
-                // Setup bytes we send are charged to whatever attribution
-                // the connecting client's setup used (current attr).
-                let attr = sim.attr();
-                self.conns
-                    .insert(handle, DotConn::new(TlsStream::new(handle, &self.tls_cfg, attr)));
-            }
-            Wake::TcpReadable { conn: handle, .. } if handle.side == Side::Server => {
-                let Some(conn) = self.conns.get_mut(&handle) else { return };
-                let data = sim.tcp_recv(handle);
-                for query in conn.advance(sim, &data) {
-                    let waiter = self.next_waiter;
-                    self.next_waiter += 1;
-                    match self.backend.answer(sim, &query, waiter) {
-                        Some(response) => {
-                            let conn = self.conns.get_mut(&handle).expect("conn is live");
-                            conn.send_message(sim, &response, u32::from(query.header.id));
-                        }
-                        None => {
-                            self.waiters.insert(waiter, handle);
-                        }
-                    }
-                }
-            }
-            Wake::TcpFin { conn: handle, .. }
-                if handle.side == Side::Server && self.conns.remove(&handle).is_some() =>
-            {
-                sim.tcp_close(handle);
-            }
-            _ => {}
-        }
+        StreamClient::with_framing(Dot, host, server, tls_cfg, policy, conn_attr)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dohmark_netsim::LinkConfig;
-    use dohmark_tls_model::handshake_bytes;
+    use crate::testing::pump;
+    use crate::{DohH1Client, DohH1Server, DohH2Client, DohH2Server, Resolver};
+    use dohmark_dns_wire::{Name, RecordType};
+    use dohmark_netsim::{LinkConfig, Sim};
+    use dohmark_tls_model::{handshake_bytes, TlsVersion};
     use std::net::Ipv4Addr;
 
     fn dot_tls() -> TlsConfig {
         TlsConfig::for_server("dns.example.net").alpn("dot")
     }
 
+    const ANSWER: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 7);
+
     fn setup(seed: u64, policy: ReusePolicy) -> (Sim, DotClient, DotServer) {
         let mut sim = Sim::new(seed);
         let stub = sim.add_host("stub");
         let resolver = sim.add_host("resolver");
         sim.add_link(stub, resolver, LinkConfig::localhost());
-        let server =
-            DotServer::bind(&mut sim, resolver, 853, dot_tls(), Ipv4Addr::new(192, 0, 2, 7), 300);
+        let server = DotServer::bind(&mut sim, resolver, 853, dot_tls(), ANSWER, 300);
         let client = DotClient::new(stub, (resolver, 853), dot_tls(), policy, 0);
         (sim, client, server)
+    }
+
+    /// The connection skeleton is shared, so its behaviours are pinned
+    /// here once and run over all three framings: `$body` is expanded for
+    /// a DoT, a DoH/1.1 and a DoH/2 client/server pair on a fresh
+    /// simulator seeded `$seed`, joined by `$link`, speaking `$tls`.
+    macro_rules! for_each_framing {
+        ($seed:expr, $link:expr, $tls:expr, $policy:expr,
+         |$sim:ident, $client:ident, $server:ident, $name:ident| $body:block) => {{
+            let topology = || {
+                let mut sim = Sim::new($seed);
+                let stub = sim.add_host("stub");
+                let resolver = sim.add_host("resolver");
+                sim.add_link(stub, resolver, $link);
+                (sim, stub, resolver)
+            };
+            let $name = Name::parse("abcdefgh.dohmark.test").unwrap();
+            let tls: TlsConfig = $tls;
+            {
+                let (mut $sim, stub, resolver) = topology();
+                let mut $server =
+                    DotServer::bind(&mut $sim, resolver, 853, tls.clone(), ANSWER, 60);
+                let mut $client = DotClient::new(stub, (resolver, 853), tls.clone(), $policy, 0);
+                $body
+            }
+            {
+                let (mut $sim, stub, resolver) = topology();
+                let mut $server =
+                    DohH1Server::bind(&mut $sim, resolver, 443, tls.clone(), ANSWER, 60);
+                let mut $client =
+                    DohH1Client::new(stub, (resolver, 443), &tls.sni, tls.clone(), $policy, 0);
+                $body
+            }
+            {
+                let (mut $sim, stub, resolver) = topology();
+                let mut $server =
+                    DohH2Server::bind(&mut $sim, resolver, 443, tls.clone(), ANSWER, 60);
+                let mut $client =
+                    DohH2Client::new(stub, (resolver, 443), &tls.sni, tls.clone(), $policy, 0);
+                $body
+            }
+        }};
     }
 
     #[test]
     fn cold_resolution_answers_and_charges_the_handshake() {
         let (mut sim, mut client, mut server) = setup(1, ReusePolicy::Fresh);
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-        let response = client.resolve(&mut sim, &mut server, &name, 1).unwrap();
+        let response = pump(&mut sim, &mut client, &mut server, Some((&name, 1))).unwrap();
         assert_eq!(response.answers[0].name, name);
         sim.drain();
         let cost = sim.meter.cost(1);
@@ -400,18 +221,24 @@ mod tests {
 
     #[test]
     fn fresh_policy_closes_and_reopens_per_query() {
-        let (mut sim, mut client, mut server) = setup(2, ReusePolicy::Fresh);
-        let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-        for id in 1..=2u16 {
-            client.resolve(&mut sim, &mut server, &name, id).unwrap();
-            assert!(!client.is_connected(), "cold connection must close");
-        }
-        crate::drain_endpoints_impl(&mut sim, &mut [&mut client, &mut server]);
-        assert_eq!(server.open_connections(), 0);
-        let hs = handshake_bytes(&dot_tls()) as u64;
-        // Both resolutions paid the full handshake independently.
-        assert_eq!(sim.meter.cost(1).layers.tls, hs + 2 * 21);
-        assert_eq!(sim.meter.cost(2).layers.tls, hs + 2 * 21);
+        for_each_framing!(
+            2,
+            LinkConfig::localhost(),
+            dot_tls(),
+            ReusePolicy::Fresh,
+            |sim, client, server, name| {
+                for id in 1..=2u16 {
+                    pump(&mut sim, &mut client, &mut server, Some((&name, id))).unwrap();
+                    assert!(!client.is_connected(), "cold connection must close");
+                }
+                pump(&mut sim, &mut client, &mut server, None);
+                assert_eq!(server.open_connections(), 0);
+                // Both resolutions paid the full handshake independently.
+                let hs = handshake_bytes(&dot_tls()) as u64;
+                assert!(sim.meter.cost(1).layers.tls >= hs + 2 * 21);
+                assert_eq!(sim.meter.cost(1).layers.tls, sim.meter.cost(2).layers.tls);
+            }
+        );
     }
 
     #[test]
@@ -419,7 +246,7 @@ mod tests {
         let (mut sim, mut client, mut server) = setup(3, ReusePolicy::Persistent);
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
         for id in 1..=5u16 {
-            client.resolve(&mut sim, &mut server, &name, id).unwrap();
+            pump(&mut sim, &mut client, &mut server, Some((&name, id))).unwrap();
         }
         assert!(client.is_connected());
         sim.drain();
@@ -434,74 +261,86 @@ mod tests {
 
     #[test]
     fn fresh_connection_serves_all_pipelined_queries_before_closing() {
-        let (mut sim, mut client, mut server) = setup(12, ReusePolicy::Fresh);
-        let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-        // Two queries launched back-to-back share the cold connection; it
-        // must not close after the first answer and strand the second.
-        client.send_query(&mut sim, &name, 1);
-        client.send_query(&mut sim, &name, 2);
-        crate::drain_endpoints_impl(&mut sim, &mut [&mut client, &mut server]);
-        assert!(client.take_response(1).is_some());
-        assert!(client.take_response(2).is_some());
-        assert!(!client.is_connected(), "cold connection closes once drained");
-        assert_eq!(server.open_connections(), 0);
+        for_each_framing!(
+            12,
+            LinkConfig::localhost(),
+            dot_tls(),
+            ReusePolicy::Fresh,
+            |sim, client, server, name| {
+                // Two queries launched back-to-back share the cold connection;
+                // it must not close after the first answer and strand the
+                // second.
+                client.send_query(&mut sim, &name, 1);
+                client.send_query(&mut sim, &name, 2);
+                pump(&mut sim, &mut client, &mut server, None);
+                assert!(client.take_response(1).is_some());
+                assert!(client.take_response(2).is_some());
+                assert!(!client.is_connected(), "cold connection closes once drained");
+                assert_eq!(server.open_connections(), 0);
+            }
+        );
     }
 
     #[test]
     fn close_abandons_queued_queries() {
-        let (mut sim, mut client, mut server) = setup(13, ReusePolicy::Persistent);
-        let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-        // Query 1 is still queued (handshake pending) when the client
-        // closes; it must not be retransmitted on the next connection.
-        client.send_query(&mut sim, &name, 1);
-        client.close(&mut sim);
-        crate::drain_endpoints_impl(&mut sim, &mut [&mut client, &mut server]);
-        assert!(client.take_response(1).is_none());
-        let response = client.resolve(&mut sim, &mut server, &name, 2);
-        assert!(response.is_some(), "a fresh query after close must work");
-        crate::drain_endpoints_impl(&mut sim, &mut [&mut client, &mut server]);
-        assert!(client.take_response(1).is_none(), "stale query 1 must stay abandoned");
+        for_each_framing!(
+            13,
+            LinkConfig::localhost(),
+            dot_tls(),
+            ReusePolicy::Persistent,
+            |sim, client, server, name| {
+                // Query 1 is still queued (handshake pending) when the
+                // client closes; it must not be retransmitted on the next
+                // connection.
+                client.send_query(&mut sim, &name, 1);
+                client.close(&mut sim);
+                pump(&mut sim, &mut client, &mut server, None);
+                assert!(client.take_response(1).is_none());
+                let response = pump(&mut sim, &mut client, &mut server, Some((&name, 2)));
+                assert!(response.is_some(), "a fresh query after close must work");
+                pump(&mut sim, &mut client, &mut server, None);
+                assert!(client.take_response(1).is_none(), "stale query 1 must stay abandoned");
+            }
+        );
     }
 
     #[test]
     fn explicit_close_tears_the_connection_down() {
-        let (mut sim, mut client, mut server) = setup(6, ReusePolicy::Persistent);
-        let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-        client.resolve(&mut sim, &mut server, &name, 1).unwrap();
-        assert!(client.is_connected());
-        client.close(&mut sim);
-        crate::drain_endpoints_impl(&mut sim, &mut [&mut client, &mut server]);
-        assert!(!client.is_connected());
-        assert_eq!(server.open_connections(), 0);
+        for_each_framing!(
+            6,
+            LinkConfig::localhost(),
+            dot_tls(),
+            ReusePolicy::Persistent,
+            |sim, client, server, name| {
+                pump(&mut sim, &mut client, &mut server, Some((&name, 1))).unwrap();
+                assert!(client.is_connected());
+                client.close(&mut sim);
+                pump(&mut sim, &mut client, &mut server, None);
+                assert!(!client.is_connected());
+                assert_eq!(server.open_connections(), 0);
+            }
+        );
     }
 
     #[test]
     fn tls12_and_resumption_configs_work_end_to_end() {
-        use dohmark_tls_model::TlsVersion;
         for cfg in [
             TlsConfig { version: TlsVersion::Tls12, ..dot_tls() },
             TlsConfig { resumption: true, ..dot_tls() },
             TlsConfig { version: TlsVersion::Tls12, resumption: true, ..dot_tls() },
         ] {
-            let mut sim = Sim::new(4);
-            let stub = sim.add_host("stub");
-            let resolver = sim.add_host("resolver");
-            sim.add_link(stub, resolver, LinkConfig::localhost());
-            let mut server = DotServer::bind(
-                &mut sim,
-                resolver,
-                853,
+            for_each_framing!(
+                4,
+                LinkConfig::localhost(),
                 cfg.clone(),
-                Ipv4Addr::new(192, 0, 2, 7),
-                60,
+                ReusePolicy::Fresh,
+                |sim, client, server, name| {
+                    let response = pump(&mut sim, &mut client, &mut server, Some((&name, 9)));
+                    assert!(response.is_some(), "no response for {cfg:?}");
+                    sim.drain();
+                    assert!(sim.meter.cost(9).layers.tls >= handshake_bytes(&cfg) as u64);
+                }
             );
-            let mut client =
-                DotClient::new(stub, (resolver, 853), cfg.clone(), ReusePolicy::Fresh, 0);
-            let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-            let response = client.resolve(&mut sim, &mut server, &name, 9);
-            assert!(response.is_some(), "no response for {cfg:?}");
-            sim.drain();
-            assert!(sim.meter.cost(9).layers.tls >= handshake_bytes(&cfg) as u64);
         }
     }
 
@@ -511,7 +350,7 @@ mod tests {
             let (mut sim, mut client, mut server) = setup(seed, ReusePolicy::Persistent);
             let name = Name::parse("abcdefgh.dohmark.test").unwrap();
             for id in 1..=3u16 {
-                client.resolve(&mut sim, &mut server, &name, id).unwrap();
+                pump(&mut sim, &mut client, &mut server, Some((&name, id))).unwrap();
             }
             sim.drain();
             (sim.meter.total(), sim.now())
@@ -521,17 +360,16 @@ mod tests {
 
     #[test]
     fn queries_survive_a_lossy_link_via_tcp_retransmission() {
-        let mut sim = Sim::new(11);
-        let stub = sim.add_host("stub");
-        let resolver = sim.add_host("resolver");
-        sim.add_link(stub, resolver, LinkConfig::localhost().loss(0.2));
-        let mut server =
-            DotServer::bind(&mut sim, resolver, 853, dot_tls(), Ipv4Addr::new(192, 0, 2, 7), 60);
-        let mut client =
-            DotClient::new(stub, (resolver, 853), dot_tls(), ReusePolicy::Persistent, 0);
-        let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-        let response = client.resolve(&mut sim, &mut server, &name, 1).unwrap();
-        assert_eq!(response.answers.len(), 1);
-        assert!(sim.dropped_packets() > 0, "the link should actually have lost packets");
+        for_each_framing!(
+            11,
+            LinkConfig::localhost().loss(0.2),
+            dot_tls(),
+            ReusePolicy::Persistent,
+            |sim, client, server, name| {
+                let response = pump(&mut sim, &mut client, &mut server, Some((&name, 1))).unwrap();
+                assert_eq!(response.answers.len(), 1);
+                assert!(sim.dropped_packets() > 0, "the link should actually have lost packets");
+            }
+        );
     }
 }

@@ -1,14 +1,14 @@
 //! Addressed wake routing: the [`Driver`] registry that scales topologies
 //! from one echo pair to thousands of endpoints.
 //!
-//! The original dispatch model *broadcast* every wake to every endpoint
-//! (each filtering by its own handles) — O(endpoints) work per wake, which
-//! caps topologies at a handful of sessions. The netsim layer now stamps
-//! every socket, listener, connection and timer with the **owner id**
-//! current at creation time ([`Sim::set_owner`]) and returns it alongside
-//! each wake ([`Sim::next_wake_owned`]); the `Driver` exploits that to
-//! route each wake straight to the one endpoint that owns the underlying
-//! handle — O(1) per wake, independent of topology size.
+//! The netsim layer stamps every socket, listener, connection and timer
+//! with the **owner id** current at creation time ([`Sim::set_owner`])
+//! and returns it alongside each wake ([`Sim::next_wake_owned`]); the
+//! `Driver` exploits that to route each wake straight to the one endpoint
+//! that owns the underlying handle — O(1) per wake, independent of
+//! topology size. [`Driver::step`] is the one place wakes are popped:
+//! every loop in this crate, and the page-load engine's, is a loop over
+//! it.
 //!
 //! Endpoints are registered through a closure so that every handle they
 //! create during construction (server listeners, resolver upstream
@@ -36,9 +36,13 @@
 //! # let _ = server;
 //! ```
 
-use crate::{Endpoint, Resolver, ADVANCE_TOKEN};
+use crate::{Endpoint, Resolver};
 use dohmark_dns_wire::{Message, Name};
 use dohmark_netsim::{Sim, SimDuration, SimTime, Wake};
+
+/// Token [`Driver::advance_until`] reserves for its internal timer;
+/// application timers must use other values.
+pub const ADVANCE_TOKEN: u64 = u64::MAX;
 
 /// Arms an application timer on behalf of an endpoint — the blessed wake
 /// scheduling path for endpoint re-arm logic (retransmission timeouts,
@@ -81,83 +85,11 @@ impl Slot {
     }
 }
 
-/// Routes one popped wake to its consumers — either addressed (the
-/// [`Driver`]) or broadcast (the legacy free-function drivers). The shared
-/// pump loops ([`drain_routed`], [`advance_routed`], [`resolve_routed`])
-/// are generic over this, so both dispatch models run the exact same
-/// event-loop machinery.
-pub(crate) trait Route {
-    fn deliver(&mut self, sim: &mut Sim, wake: &Wake, owner: u64);
-}
-
-/// The legacy dispatch model: every wake goes to every endpoint, each
-/// filtering by its own handles. Correct (endpoints ignore foreign
-/// handles) but O(endpoints) per wake.
-pub(crate) struct Broadcast<'a, 'b> {
-    pub first: Option<&'a mut dyn Endpoint>,
-    pub rest: &'a mut [&'b mut dyn Endpoint],
-}
-
-impl Route for Broadcast<'_, '_> {
-    fn deliver(&mut self, sim: &mut Sim, wake: &Wake, _owner: u64) {
-        if let Some(first) = self.first.as_mut() {
-            first.on_wake(sim, wake);
-        }
-        for endpoint in self.rest.iter_mut() {
-            endpoint.on_wake(sim, wake);
-        }
-    }
-}
-
-/// Runs the simulation to quiescence, handing every wake to `route`.
-pub(crate) fn drain_routed(sim: &mut Sim, route: &mut impl Route) {
-    while let Some((wake, owner)) = sim.next_wake_owned() {
-        route.deliver(sim, &wake, owner);
-    }
-}
-
-/// Advances the simulation to `at`, handing every wake seen on the way to
-/// `route`; stops when the reserved [`ADVANCE_TOKEN`] timer fires.
-pub(crate) fn advance_routed(sim: &mut Sim, route: &mut impl Route, at: SimTime) {
-    let prev = sim.owner();
-    sim.set_owner(0);
-    sim.schedule_app(at, ADVANCE_TOKEN);
-    sim.set_owner(prev);
-    while let Some((wake, owner)) = sim.next_wake_owned() {
-        if matches!(wake, Wake::AppTimer { token, .. } if token == ADVANCE_TOKEN) {
-            return;
-        }
-        route.deliver(sim, &wake, owner);
-    }
-}
-
-/// Sends one query from `client` and pumps wakes through `route` until the
-/// response arrives (or the simulation runs dry).
-pub(crate) fn resolve_routed(
-    sim: &mut Sim,
-    client: &mut (impl Resolver + ?Sized),
-    route: &mut impl Route,
-    name: &Name,
-    id: u16,
-) -> Option<Message> {
-    client.send_query(sim, name, id);
-    loop {
-        if let Some(response) = client.take_response(id) {
-            return Some(response);
-        }
-        let (wake, owner) = sim.next_wake_owned()?;
-        client.on_wake(sim, &wake);
-        route.deliver(sim, &wake, owner);
-    }
-}
-
 /// An [`EndpointId`]-keyed endpoint registry with addressed wake dispatch.
 ///
 /// See the crate-level docs for the routing model. All loop methods
 /// ([`Driver::resolve`], [`Driver::run_until_quiescent`],
-/// [`Driver::advance_until`]) share the event-pump machinery with the
-/// legacy broadcast free functions, so both models stay semantically
-/// aligned.
+/// [`Driver::advance_until`]) are loops over [`Driver::step`].
 #[derive(Default)]
 pub struct Driver {
     slots: Vec<Slot>,
@@ -180,9 +112,11 @@ impl Driver {
         self.slots.is_empty()
     }
 
-    /// Wakes whose owner was unknown to this driver (owner 0 or an id it
-    /// never issued) — nonzero values usually mean an endpoint was built
-    /// outside [`Driver::register`].
+    /// Wakes nobody consumed: their owner was unknown to this driver
+    /// (owner 0 or an id it never issued) — nonzero values usually mean
+    /// an endpoint was built outside [`Driver::register`]. Unowned timers
+    /// are not counted: they belong to the harness that armed them and
+    /// [`Driver::step`] hands them back.
     pub fn unrouted_wakes(&self) -> u64 {
         self.unrouted
     }
@@ -229,27 +163,29 @@ impl Driver {
         }
     }
 
-    /// Routes one wake to the endpoint owning its handle, installing that
-    /// endpoint's id as the simulator owner for the duration of the
-    /// callback (so reconnects inherit it).
-    fn route(&mut self, sim: &mut Sim, wake: &Wake, owner: u64) {
-        if owner == 0 || owner as usize > self.slots.len() {
+    /// Pops the next wake and routes it to the endpoint owning its
+    /// handle, installing that endpoint's id as the simulator owner for
+    /// the duration of the callback (so reconnects inherit it). Returns
+    /// the wake and whether an endpoint received it, or `None` once the
+    /// simulation has run dry.
+    ///
+    /// This is the one place wakes are popped. A harness that arms timers
+    /// of its own outside any endpoint callback (the page-load engine's
+    /// fetch completions) loops over `step` itself: endpoint timers carry
+    /// their endpoint's id, so an [`Wake::AppTimer`] that comes back
+    /// unrouted is the harness's.
+    pub fn step(&mut self, sim: &mut Sim) -> Option<(Wake, bool)> {
+        let (wake, owner) = sim.next_wake_owned()?;
+        let routed = owner != 0 && owner as usize <= self.slots.len();
+        if routed {
+            let prev = sim.owner();
+            sim.set_owner(owner);
+            self.slots[owner as usize - 1].on_wake(sim, &wake);
+            sim.set_owner(prev);
+        } else if owner != 0 || !matches!(wake, Wake::AppTimer { .. }) {
             self.unrouted += 1;
-            return;
         }
-        let prev = sim.owner();
-        sim.set_owner(owner);
-        self.slots[owner as usize - 1].on_wake(sim, wake);
-        sim.set_owner(prev);
-    }
-
-    /// Routes one externally popped wake — the entry point for harnesses
-    /// that run their own event loop (e.g. the page-load engine, which
-    /// interleaves its fetch-completion timers with DNS wakes): pop with
-    /// [`Sim::next_wake_owned`], handle your own tokens, and hand
-    /// everything else here.
-    pub fn dispatch(&mut self, sim: &mut Sim, wake: &Wake, owner: u64) {
-        self.route(sim, wake, owner);
+        Some((wake, routed))
     }
 
     /// Starts a resolution on the registered client `id` (transaction and
@@ -291,32 +227,108 @@ impl Driver {
             if let Some(response) = self.take_response(id, txn) {
                 return Some(response);
             }
-            let (wake, owner) = sim.next_wake_owned()?;
-            self.route(sim, &wake, owner);
+            self.step(sim)?;
         }
     }
 
     /// Runs the simulation to quiescence, routing every wake to its owner
-    /// — the addressed counterpart of [`crate::drain_endpoints`].
+    /// — unlike [`Sim::drain`], which discards wakes, so teardown traffic
+    /// (FINs) still reaches the endpoints' state machines.
     pub fn run_until_quiescent(&mut self, sim: &mut Sim) {
-        let mut router = DriverRoute(self);
-        drain_routed(sim, &mut router);
+        while self.step(sim).is_some() {}
     }
 
     /// Advances the simulation to time `at`, routing wakes seen on the way
-    /// — the addressed counterpart of [`crate::advance_endpoints_until`].
-    /// Uses the reserved [`ADVANCE_TOKEN`] timer token.
+    /// (leftover ACKs, FIN teardown, late responses) — the idle time
+    /// between two workload arrivals. Uses the reserved [`ADVANCE_TOKEN`]
+    /// timer token; wakes due after `at` stay queued.
     pub fn advance_until(&mut self, sim: &mut Sim, at: SimTime) {
-        let mut router = DriverRoute(self);
-        advance_routed(sim, &mut router, at);
+        let prev = sim.owner();
+        sim.set_owner(0);
+        sim.schedule_app(at, ADVANCE_TOKEN);
+        sim.set_owner(prev);
+        while let Some((wake, routed)) = self.step(sim) {
+            if !routed && matches!(wake, Wake::AppTimer { token: ADVANCE_TOKEN, .. }) {
+                return;
+            }
+        }
     }
 }
 
-/// Adapter so the `Driver` plugs into the shared pump loops.
-struct DriverRoute<'a>(&'a mut Driver);
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{DohH2Server, ReusePolicy, TransportConfig, TransportKind};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
-impl Route for DriverRoute<'_> {
-    fn deliver(&mut self, sim: &mut Sim, wake: &Wake, owner: u64) {
-        self.0.route(sim, wake, owner);
+    /// Registers a concrete server while the test keeps a handle on it,
+    /// for the assertions a boxed slot hides.
+    struct Shared(Rc<RefCell<DohH2Server>>);
+
+    impl Endpoint for Shared {
+        fn on_wake(&mut self, sim: &mut Sim, wake: &Wake) {
+            self.0.borrow_mut().on_wake(sim, wake);
+        }
+    }
+
+    #[test]
+    fn a_closing_bystander_session_keeps_its_teardown_wakes() {
+        // Two DoH/2 sessions on one resolver. Session A's GOAWAY/FIN
+        // exchange is still in flight while session B's resolution is
+        // driven: the loop must not swallow A's teardown wakes.
+        let cfg_a = TransportConfig::new(TransportKind::DohH2, ReusePolicy::Persistent);
+        let cfg_b = TransportConfig { conn_attr: 200, ..cfg_a.clone() };
+        let mut sim = Sim::new(5);
+        let stub = sim.add_host("stub");
+        let resolver = sim.add_host("resolver");
+        sim.add_link(stub, resolver, cfg_a.link);
+        let mut driver = Driver::new();
+        let mut server = None;
+        driver.register(&mut sim, |sim| {
+            let tls = cfg_a.tls().expect("doh uses tls");
+            let bound = DohH2Server::bind(sim, resolver, 443, tls, cfg_a.answer, cfg_a.ttl);
+            let shared = Rc::new(RefCell::new(bound));
+            server = Some(shared.clone());
+            Box::new(Shared(shared))
+        });
+        let server = server.expect("the build closure ran");
+        let a = driver.register_resolver(&mut sim, |_| cfg_a.build_client(stub, resolver));
+        let b = driver.register_resolver(&mut sim, |_| cfg_b.build_client(stub, resolver));
+        let name = Name::parse("abcdefgh.dohmark.test").unwrap();
+
+        driver.resolve(&mut sim, a, &name, 1).expect("session A resolves");
+        driver.resolve(&mut sim, b, &name, 100).expect("session B resolves");
+        assert_eq!(server.borrow().open_connections(), 2);
+        driver.close(&mut sim, a);
+        let response = driver.resolve(&mut sim, b, &name, 101);
+        assert!(response.is_some(), "B's answer arrives while A tears down");
+        driver.run_until_quiescent(&mut sim);
+        // A's FIN reached the server instead of being discarded; B's
+        // persistent connection is untouched.
+        assert_eq!(server.borrow().open_connections(), 1, "A's teardown wake was lost");
+        assert_eq!(driver.unrouted_wakes(), 0);
+        // And A reconnects cleanly afterwards.
+        driver.resolve(&mut sim, a, &name, 2).expect("session A reconnects");
+        assert_eq!(server.borrow().open_connections(), 2);
+        assert_eq!(driver.unrouted_wakes(), 0);
+    }
+
+    #[test]
+    fn advance_until_stops_on_time_and_leaves_later_wakes_queued() {
+        let mut sim = Sim::new(1);
+        let mut driver = Driver::new();
+        let at = SimTime::ZERO + SimDuration::from_millis(50);
+        sim.schedule_app(SimTime::ZERO + SimDuration::from_millis(20), 3);
+        sim.schedule_app(at + SimDuration::from_millis(10), 7);
+        driver.advance_until(&mut sim, at);
+        assert_eq!(sim.now(), at);
+        // The earlier harness timer was passed on the way; the later one
+        // is still queued and comes back from the next step, unrouted.
+        let (wake, routed) = driver.step(&mut sim).expect("the later timer is still queued");
+        assert!(matches!(wake, Wake::AppTimer { token: 7, .. }) && !routed, "{wake:?}");
+        assert_eq!(sim.now(), at + SimDuration::from_millis(10));
+        assert!(driver.step(&mut sim).is_none());
+        assert_eq!(driver.unrouted_wakes(), 0, "harness timers are not endpoint wakes");
     }
 }

@@ -52,14 +52,18 @@
 //! assert_eq!(response.answers.len(), 1);
 //! ```
 //!
-//! The pre-registry entry points remain for one release, **deprecated**:
-//! [`build_pair`] constructs an unregistered boxed client/server pair and
-//! [`resolve_with`] / [`drain_endpoints`] / [`advance_endpoints_until`]
-//! drive it by *broadcasting* every wake to every endpoint. They are thin
-//! shims over the same event-pump machinery the driver uses, so both
-//! dispatch models stay semantically aligned; new code should register
-//! endpoints in a [`Driver`] and use [`Driver::resolve`] /
-//! [`Driver::run_until_quiescent`] / [`Driver::advance_until`] instead.
+//! [`Driver::resolve`], [`Driver::run_until_quiescent`] and
+//! [`Driver::advance_until`] are loops over one primitive,
+//! [`Driver::step`], which pops one wake and routes it; a harness with
+//! timers of its own (the page-load engine) loops over `step` itself.
+//!
+//! # One connection skeleton, three framings
+//!
+//! DoT, DoH/1.1 and DoH/2 share one client and one server state machine
+//! ([`stream`]): connect, TLS flights, flush queued queries, deframe,
+//! close. Each transport contributes only a [`stream::Framing`] — how a
+//! DNS message is laid out inside the TLS byte stream — so every cost
+//! difference between them is attributable to that framing.
 //!
 //! # Servers answer from pluggable backends
 //!
@@ -92,7 +96,7 @@ pub mod doh2;
 pub mod dot;
 mod driver;
 pub mod resolver;
-mod tls_stream;
+pub mod stream;
 mod transport;
 pub mod zone;
 
@@ -101,27 +105,28 @@ pub use do53::{Do53Client, Do53Server, UdpRetry};
 pub use doh1::{DohH1Client, DohH1Server};
 pub use doh2::{DohH2Client, DohH2Server};
 pub use dot::{DotClient, DotServer, ReusePolicy};
-pub use driver::{Driver, EndpointId};
+pub use driver::{Driver, EndpointId, ADVANCE_TOKEN};
 pub use resolver::{RecursiveResolver, ServerBackend};
-pub use transport::{build_pair, build_pair_on, TransportConfig, TransportKind};
+pub use transport::{TransportConfig, TransportKind};
 pub use zone::Zone;
 
 use dohmark_dns_wire::{Message, Name};
-use dohmark_netsim::{Sim, SimTime, Wake};
+use dohmark_netsim::{Sim, Wake};
 
 /// A simulation participant that reacts to application-visible wakes.
 ///
-/// `on_wake` is called for **every** wake the driver pops, including ones
-/// addressed to other endpoints; implementations must filter by their own
-/// socket/connection handles and ignore the rest.
+/// The [`Driver`] delivers only wakes whose handle this endpoint owns
+/// (sockets, listeners, connections and timers it created), with the
+/// endpoint's id installed as the simulator owner for the duration of
+/// the call.
 pub trait Endpoint {
-    /// Reacts to one wake (possibly not addressed to this endpoint).
+    /// Reacts to one wake on a handle this endpoint owns.
     fn on_wake(&mut self, sim: &mut Sim, wake: &Wake);
 }
 
 /// A transport client that can start a resolution, surface its result and
 /// tear its connections down — the unified client API every transport
-/// (Do53, DoT, DoH-h1, DoH-h2) implements and [`resolve_with`] drives.
+/// (Do53, DoT, DoH-h1, DoH-h2) implements and [`Driver::resolve`] drives.
 pub trait Resolver: Endpoint {
     /// Starts an A-record resolution for `name` with transaction (and
     /// attribution) id `id`.
@@ -132,101 +137,39 @@ pub trait Resolver: Endpoint {
 
     /// Initiates a graceful teardown of any open transport state (TCP
     /// FIN, HTTP/2 GOAWAY); in-flight wakes still need to be drained with
-    /// [`drain_endpoints`] afterwards. Default: nothing to tear down.
+    /// [`Driver::run_until_quiescent`] afterwards. Default: nothing to
+    /// tear down.
     fn close(&mut self, sim: &mut Sim) {
         let _ = sim;
     }
 }
 
-/// The pre-redesign name of [`Resolver`], kept as an alias so existing
-/// `use dohmark_doh::QueryClient` imports keep compiling.
-pub use Resolver as QueryClient;
+/// The two-endpoint pump of the in-crate unit tests, which drive concrete
+/// client/server pairs to inspect state (`is_connected()`,
+/// `open_connections()`) a boxed [`Driver`] slot hides.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::*;
 
-/// Sends one query and runs the simulation until its response arrives,
-/// dispatching every wake to both the client and `peer`.
-///
-/// Returns `None` if the simulation runs dry first (e.g. an unanswered
-/// datagram on a lossy link — the clients model no application retries).
-/// Wakes not consumed by either endpoint are discarded; use
-/// [`resolve_with_extras`] when other endpoints (old connections, other
-/// sessions) still need their teardown wakes.
-///
-/// remove-by: PR 11
-#[deprecated(note = "register the endpoints in a `Driver` and use `Driver::resolve`; \
-                     this broadcast shim will be removed next release")]
-pub fn resolve_with(
-    sim: &mut Sim,
-    client: &mut (impl Resolver + ?Sized),
-    peer: &mut dyn Endpoint,
-    name: &Name,
-    id: u16,
-) -> Option<Message> {
-    resolve_with_extras_impl(sim, client, peer, &mut [], name, id)
-}
-
-/// [`resolve_with`], additionally routing every wake to the `extras`
-/// endpoints, so a multi-connection session (several DoH clients sharing
-/// one simulator, an old connection draining its FIN) cannot lose
-/// teardown wakes while one resolution is being driven.
-///
-/// remove-by: PR 11
-#[deprecated(note = "register every session in a `Driver` — addressed routing never loses \
-                     bystander wakes; this broadcast shim will be removed next release")]
-pub fn resolve_with_extras(
-    sim: &mut Sim,
-    client: &mut (impl Resolver + ?Sized),
-    peer: &mut dyn Endpoint,
-    extras: &mut [&mut dyn Endpoint],
-    name: &Name,
-    id: u16,
-) -> Option<Message> {
-    resolve_with_extras_impl(sim, client, peer, extras, name, id)
-}
-
-/// Non-deprecated body of [`resolve_with_extras`], shared with the
-/// per-transport `resolve` convenience methods.
-pub(crate) fn resolve_with_extras_impl(
-    sim: &mut Sim,
-    client: &mut (impl Resolver + ?Sized),
-    peer: &mut dyn Endpoint,
-    extras: &mut [&mut dyn Endpoint],
-    name: &Name,
-    id: u16,
-) -> Option<Message> {
-    let mut route = driver::Broadcast { first: Some(peer), rest: extras };
-    driver::resolve_routed(sim, client, &mut route, name, id)
-}
-
-/// Runs the simulation to quiescence, dispatching every wake to all
-/// `endpoints` — unlike [`Sim::drain`], which discards wakes, so teardown
-/// traffic (FINs) still reaches the endpoints' state machines.
-///
-/// remove-by: PR 11
-#[deprecated(note = "register the endpoints in a `Driver` and use \
-                     `Driver::run_until_quiescent`; this broadcast shim will be removed \
-                     next release")]
-pub fn drain_endpoints(sim: &mut Sim, endpoints: &mut [&mut dyn Endpoint]) {
-    drain_endpoints_impl(sim, endpoints);
-}
-
-/// Non-deprecated body of [`drain_endpoints`], shared with in-crate tests.
-pub(crate) fn drain_endpoints_impl(sim: &mut Sim, endpoints: &mut [&mut dyn Endpoint]) {
-    let mut route = driver::Broadcast { first: None, rest: endpoints };
-    driver::drain_routed(sim, &mut route);
-}
-
-/// Token [`advance_endpoints_until`] reserves for its internal timer;
-/// application timers must use other values.
-pub const ADVANCE_TOKEN: u64 = u64::MAX;
-
-/// Advances the simulation to time `at`, dispatching every wake seen on
-/// the way (leftover ACKs, FIN teardown, late responses) to all
-/// `endpoints` — the idle time between two workload arrivals.
-///
-/// remove-by: PR 11
-#[deprecated(note = "register the endpoints in a `Driver` and use `Driver::advance_until`; \
-                     this broadcast shim will be removed next release")]
-pub fn advance_endpoints_until(sim: &mut Sim, endpoints: &mut [&mut dyn Endpoint], at: SimTime) {
-    let mut route = driver::Broadcast { first: None, rest: endpoints };
-    driver::advance_routed(sim, &mut route, at);
+    /// Sends `query` (if any) from `client`, then hands every wake to
+    /// `client` and `server` until the response arrives — or, without a
+    /// query or an answer, until the simulation runs dry.
+    pub(crate) fn pump(
+        sim: &mut Sim,
+        client: &mut dyn Resolver,
+        server: &mut dyn Endpoint,
+        query: Option<(&Name, u16)>,
+    ) -> Option<Message> {
+        if let Some((name, id)) = query {
+            client.send_query(sim, name, id);
+        }
+        loop {
+            if let Some(response) = query.and_then(|(_, id)| client.take_response(id)) {
+                return Some(response);
+            }
+            let wake = sim.next_wake()?;
+            client.on_wake(sim, &wake);
+            server.on_wake(sim, &wake);
+        }
+    }
 }

@@ -1,0 +1,466 @@
+//! The one connection skeleton under every TLS-over-TCP transport.
+//!
+//! DoT, DoH/1.1 and DoH/2 differ in how a DNS message is framed inside
+//! the TLS byte stream and in nothing else, so everything that is not
+//! framing lives here once: [`StreamClient`] (connect → TLS flights →
+//! flush queued queries → deframe → one-shot close or FIN) and
+//! [`StreamServer`] (accept → TLS flights → deframe → answer from a
+//! [`ServerBackend`], parking queries a recursive backend cannot answer
+//! yet). A transport is a [`Framing`]: [`Dot`](crate::dot::Dot),
+//! [`Http1`](crate::doh1::Http1) or [`Http2`](crate::doh2::Http2). Any
+//! cost difference between two of them is therefore the framing's.
+
+use crate::cache::CacheStats;
+use crate::resolver::ServerBackend;
+use crate::{Endpoint, Resolver, ReusePolicy};
+use dohmark_dns_wire::{Message, Name, RecordType};
+use dohmark_netsim::{HostId, LayerTag, ListenerId, Side, Sim, TcpHandle, Wake};
+use dohmark_tls_model::{handshake_flights, seal, Deframer, Flight, TlsConfig};
+use std::collections::HashMap;
+use std::fmt::Debug;
+use std::net::Ipv4Addr;
+
+/// One write: byte segments sealed together into TLS records, each
+/// charged to its own layer — which is how the cost meter can split a
+/// DoH message into header, body and TLS framing.
+pub type Segments = Vec<(LayerTag, Vec<u8>)>;
+
+/// How one transport frames DNS messages inside the TLS byte stream —
+/// everything [`StreamClient`] and [`StreamServer`] do not already do.
+pub trait Framing: Debug {
+    /// Per-connection codec state of either end: reassembly buffers,
+    /// HPACK tables, stream bookkeeping.
+    type Conn: Debug;
+    /// Where on a connection a response goes: nowhere in particular
+    /// (DoT), a position in the request order (h1), a stream id (h2).
+    type Slot: Copy + Debug;
+
+    /// Fresh codec state for a connection seen from `side`.
+    fn conn(side: Side) -> Self::Conn;
+
+    /// What the client sends once TLS is established, before its first
+    /// query; charged to the connection's setup attribution.
+    fn preamble(_conn: &mut Self::Conn) -> Option<Segments> {
+        None
+    }
+
+    /// One query as the client writes it.
+    fn encode_query(&self, conn: &mut Self::Conn, query: &Message) -> Segments;
+
+    /// One response as the server writes it to `slot`.
+    fn encode_response(conn: &mut Self::Conn, slot: Self::Slot, response: &Message) -> Segments;
+
+    /// Consumes deframed `plaintext`. Returns the complete DNS messages
+    /// with the slot each arrived on, and how many exchanges completed —
+    /// rejected ones (a non-200 status) included, so the client's
+    /// in-flight count balances. Control traffic the peer is owed at
+    /// once (h2 SETTINGS / PING acknowledgements) is pushed to `control`,
+    /// one write each, and charged to the setup attribution.
+    fn decode(
+        conn: &mut Self::Conn,
+        plaintext: &[u8],
+        control: &mut Vec<Segments>,
+    ) -> (Vec<(Self::Slot, Message)>, usize);
+
+    /// The responses that may go out now that `slot`'s is ready, in
+    /// order: just that one, unless the framing answers in request order.
+    fn release(
+        _conn: &mut Self::Conn,
+        slot: Self::Slot,
+        response: Message,
+    ) -> Vec<(Self::Slot, Message)> {
+        vec![(slot, response)]
+    }
+
+    /// What the client sends before its FIN; charged to the setup
+    /// attribution.
+    fn goodbye(_conn: &Self::Conn) -> Option<Segments> {
+        None
+    }
+}
+
+/// One endpoint's view of a TLS connection: drives the
+/// `dohmark-tls-model` handshake flights over a simulated TCP
+/// connection, then seals and deframes application data as TLS records.
+#[derive(Debug)]
+pub(crate) struct TlsStream {
+    handle: TcpHandle,
+    flights: Vec<Flight>,
+    /// Index of the next flight not yet fully sent/received.
+    next_flight: usize,
+    /// Bytes of the currently awaited inbound flight already received.
+    flight_rx: usize,
+    /// Attribution for connection setup bytes this endpoint sends.
+    setup_attr: u32,
+    established: bool,
+    deframer: Deframer,
+}
+
+impl TlsStream {
+    pub(crate) fn new(handle: TcpHandle, cfg: &TlsConfig, setup_attr: u32) -> TlsStream {
+        TlsStream {
+            handle,
+            flights: handshake_flights(cfg),
+            next_flight: 0,
+            flight_rx: 0,
+            setup_attr,
+            established: false,
+            deframer: Deframer::new(),
+        }
+    }
+
+    /// Drives the handshake with `incoming` stream bytes (possibly empty),
+    /// sending our flights when it is our turn; surplus bytes after
+    /// establishment flow through the record deframer. Returns the
+    /// deframed application plaintext, in order.
+    pub(crate) fn advance(&mut self, sim: &mut Sim, mut incoming: &[u8]) -> Vec<u8> {
+        while !self.established {
+            let Some(flight) = self.flights.get(self.next_flight) else {
+                self.established = true;
+                break;
+            };
+            if flight.from_client == (self.handle.side == Side::Client) {
+                // Our turn: emit the flight as opaque handshake bytes.
+                sim.set_attr(self.setup_attr);
+                sim.tcp_send(self.handle, LayerTag::Tls, &vec![0u8; flight.bytes]);
+                self.next_flight += 1;
+            } else {
+                let need = flight.bytes - self.flight_rx;
+                let take = need.min(incoming.len());
+                self.flight_rx += take;
+                incoming = &incoming[take..];
+                if self.flight_rx == flight.bytes {
+                    self.flight_rx = 0;
+                    self.next_flight += 1;
+                } else {
+                    return Vec::new(); // need more bytes
+                }
+            }
+        }
+        self.deframer.push(incoming);
+        let mut plaintext = Vec::new();
+        while let Some(p) = self.deframer.next_plaintext() {
+            plaintext.extend_from_slice(&p);
+        }
+        plaintext
+    }
+
+    /// Seals the concatenation of `segments` into TLS records and queues
+    /// them as one vectored write under attribution `attr`: the record
+    /// header and AEAD tag are charged to [`LayerTag::Tls`], each
+    /// segment's bytes to its own tag.
+    pub(crate) fn send_segments(&mut self, sim: &mut Sim, attr: u32, segments: &Segments) {
+        let total: Vec<u8> = segments.iter().flat_map(|(_, b)| b.iter().copied()).collect();
+        if total.is_empty() {
+            return;
+        }
+        sim.set_attr(attr);
+        let mut parts: Vec<(LayerTag, &[u8])> = Vec::new();
+        let mut offset = 0usize;
+        let records = seal(&total);
+        for record in &records {
+            let end = offset + record.plaintext.len();
+            parts.push((LayerTag::Tls, &record.header));
+            // The slices of `segments` that fall inside this record.
+            let mut seg_start = 0usize;
+            for (tag, bytes) in segments {
+                let seg_end = seg_start + bytes.len();
+                if seg_end > offset && seg_start < end {
+                    let from = offset.max(seg_start) - seg_start;
+                    let to = end.min(seg_end) - seg_start;
+                    parts.push((*tag, &bytes[from..to]));
+                }
+                seg_start = seg_end;
+            }
+            parts.push((LayerTag::Tls, &record.tag));
+            offset = end;
+        }
+        sim.tcp_send_vectored(self.handle, &parts);
+    }
+}
+
+/// One end of one connection: the TLS stream plus the framing's codec.
+#[derive(Debug)]
+struct Conn<F: Framing> {
+    tls: TlsStream,
+    codec: F::Conn,
+}
+
+impl<F: Framing> Conn<F> {
+    fn new(handle: TcpHandle, cfg: &TlsConfig, setup_attr: u32) -> Conn<F> {
+        Conn { tls: TlsStream::new(handle, cfg, setup_attr), codec: F::conn(handle.side) }
+    }
+
+    /// Feeds received stream bytes through TLS and the framing, writing
+    /// the control traffic the framing owes the peer; returns what
+    /// [`Framing::decode`] did.
+    fn receive(&mut self, sim: &mut Sim, data: &[u8]) -> (Vec<(F::Slot, Message)>, usize) {
+        let plaintext = self.tls.advance(sim, data);
+        let mut control = Vec::new();
+        let decoded = F::decode(&mut self.codec, &plaintext, &mut control);
+        for segments in &control {
+            self.send_setup(sim, segments);
+        }
+        decoded
+    }
+
+    /// Writes `segments` under the connection's setup attribution.
+    fn send_setup(&mut self, sim: &mut Sim, segments: &Segments) {
+        self.tls.send_segments(sim, self.tls.setup_attr, segments);
+    }
+}
+
+/// A client resolving names against one server over TLS, framed by `F`.
+#[derive(Debug)]
+pub struct StreamClient<F: Framing> {
+    framing: F,
+    host: HostId,
+    server: (HostId, u16),
+    tls_cfg: TlsConfig,
+    policy: ReusePolicy,
+    /// Attribution for connection setup under [`ReusePolicy::Persistent`];
+    /// fresh connections charge setup to the resolution that opened them.
+    conn_attr: u32,
+    conn: Option<Conn<F>>,
+    /// Queries accepted before the connection established.
+    queued: Vec<(u16, Name)>,
+    /// Queries sent (or queued) whose response has not yet arrived; a
+    /// fresh connection closes only once this drains, so pipelining
+    /// several queries onto one cold connection loses none of them.
+    inflight: usize,
+    responses: Vec<Message>,
+}
+
+impl<F: Framing> StreamClient<F> {
+    pub(crate) fn with_framing(
+        framing: F,
+        host: HostId,
+        server: (HostId, u16),
+        tls_cfg: TlsConfig,
+        policy: ReusePolicy,
+        conn_attr: u32,
+    ) -> StreamClient<F> {
+        StreamClient {
+            framing,
+            host,
+            server,
+            tls_cfg,
+            policy,
+            conn_attr,
+            conn: None,
+            queued: Vec::new(),
+            inflight: 0,
+            responses: Vec::new(),
+        }
+    }
+
+    /// Whether the client currently holds an established connection.
+    pub fn is_connected(&self) -> bool {
+        self.conn.as_ref().is_some_and(|c| c.tls.established)
+    }
+
+    fn flush(&mut self, sim: &mut Sim) {
+        let Some(conn) = self.conn.as_mut() else { return };
+        if !conn.tls.established {
+            return;
+        }
+        for (id, name) in self.queued.drain(..) {
+            let query = Message::query(id, &name, RecordType::A);
+            let segments = self.framing.encode_query(&mut conn.codec, &query);
+            conn.tls.send_segments(sim, u32::from(id), &segments);
+        }
+    }
+}
+
+impl<F: Framing> Resolver for StreamClient<F> {
+    /// Queues an A query for `name` with transaction id `id`, opening a
+    /// connection if none is usable. The query is transmitted as soon as
+    /// the TLS handshake completes (immediately, when already established).
+    fn send_query(&mut self, sim: &mut Sim, name: &Name, id: u16) {
+        let dead = self.conn.as_ref().is_some_and(|c| sim.tcp_has_failed(c.tls.handle));
+        if self.conn.is_none() || dead {
+            let attr = match self.policy {
+                ReusePolicy::Fresh => u32::from(id),
+                ReusePolicy::Persistent => self.conn_attr,
+            };
+            sim.set_attr(attr);
+            let handle = sim.tcp_connect(self.host, self.server);
+            self.conn = Some(Conn::new(handle, &self.tls_cfg, attr));
+            // Queries in flight on a dead connection are lost for good
+            // (no application retries are modelled).
+            self.inflight = 0;
+        }
+        self.queued.push((id, name.clone()));
+        self.inflight += 1;
+        self.flush(sim);
+    }
+
+    fn take_response(&mut self, id: u16) -> Option<Message> {
+        let idx = self.responses.iter().position(|m| m.header.id == id)?;
+        Some(self.responses.remove(idx))
+    }
+
+    /// Graceful teardown of the current connection, if any — the
+    /// framing's goodbye (h2: GOAWAY), then the TCP FIN — abandoning
+    /// queries that were still queued for it.
+    fn close(&mut self, sim: &mut Sim) {
+        self.queued.clear();
+        self.inflight = 0;
+        let Some(mut conn) = self.conn.take() else { return };
+        if let Some(goodbye) = F::goodbye(&conn.codec) {
+            conn.send_setup(sim, &goodbye);
+        }
+        sim.tcp_close(conn.tls.handle);
+    }
+}
+
+impl<F: Framing> Endpoint for StreamClient<F> {
+    fn on_wake(&mut self, sim: &mut Sim, wake: &Wake) {
+        let Some(conn) = self.conn.as_mut() else { return };
+        let handle = conn.tls.handle;
+        let data = match *wake {
+            // TCP is up: kick off the TLS handshake (ClientHello).
+            Wake::TcpConnected { conn: h, .. } if h == handle => Vec::new(),
+            Wake::TcpReadable { conn: h, .. } if h == handle => sim.tcp_recv(handle),
+            Wake::TcpFin { conn: h, .. } if h == handle => {
+                // Server closed on us; drop the connection state so the
+                // next query reconnects.
+                sim.tcp_close(handle);
+                self.conn = None;
+                return;
+            }
+            _ => return,
+        };
+        let was_established = conn.tls.established;
+        let (responses, completed) = conn.receive(sim, &data);
+        self.inflight = self.inflight.saturating_sub(completed);
+        self.responses.extend(responses.into_iter().map(|(_, response)| response));
+        if !was_established && conn.tls.established {
+            if let Some(preamble) = F::preamble(&mut conn.codec) {
+                conn.send_setup(sim, &preamble);
+            }
+            self.flush(sim);
+        }
+        if self.inflight == 0 && self.policy == ReusePolicy::Fresh {
+            // Cold connections are one-shot: close once every
+            // outstanding answer has arrived.
+            self.close(sim);
+        }
+    }
+}
+
+/// A server answering over TLS, framed by `F`, from a pluggable
+/// [`ServerBackend`] — authoritative zone data or a shared caching
+/// recursive resolver.
+#[derive(Debug)]
+pub struct StreamServer<F: Framing> {
+    listener: ListenerId,
+    tls_cfg: TlsConfig,
+    backend: ServerBackend,
+    /// Keyed lookup only (the wake's own handle) — never iterated, so
+    /// the randomized order is unobservable (no-unordered-iteration).
+    conns: HashMap<TcpHandle, Conn<F>>,
+    /// Parked queries: waiter token → the connection and slot expecting
+    /// the answer. Keyed lookup only: drained in the backend's
+    /// completion order.
+    waiters: HashMap<u64, (TcpHandle, F::Slot)>,
+    next_waiter: u64,
+}
+
+impl<F: Framing> StreamServer<F> {
+    /// Listens on `(host, port)` answering every query with one fixed A
+    /// record `answer`/`ttl`. The TLS config must match the clients' (both
+    /// ends of the byte model derive flight sizes from it).
+    pub fn bind(
+        sim: &mut Sim,
+        host: HostId,
+        port: u16,
+        tls_cfg: TlsConfig,
+        answer: Ipv4Addr,
+        ttl: u32,
+    ) -> StreamServer<F> {
+        StreamServer::bind_with(sim, host, port, tls_cfg, ServerBackend::fixed(answer, ttl))
+    }
+
+    /// Listens on `(host, port)` answering from `backend`.
+    pub fn bind_with(
+        sim: &mut Sim,
+        host: HostId,
+        port: u16,
+        tls_cfg: TlsConfig,
+        backend: ServerBackend,
+    ) -> StreamServer<F> {
+        let listener = sim.tcp_listen(host, port);
+        StreamServer {
+            listener,
+            tls_cfg,
+            backend,
+            conns: HashMap::new(),
+            waiters: HashMap::new(),
+            next_waiter: 1,
+        }
+    }
+
+    /// Established-and-open connection count (for tests and reports).
+    pub fn open_connections(&self) -> usize {
+        self.conns.len()
+    }
+
+    /// The backend's cache statistics, if it has a cache.
+    pub fn cache_stats(&self) -> Option<CacheStats> {
+        self.backend.cache_stats()
+    }
+
+    /// Writes every response `slot`'s answer releases, each charged to
+    /// its own transaction id.
+    fn respond(conn: &mut Conn<F>, sim: &mut Sim, slot: F::Slot, response: Message) {
+        for (slot, response) in F::release(&mut conn.codec, slot, response) {
+            let segments = F::encode_response(&mut conn.codec, slot, &response);
+            conn.tls.send_segments(sim, u32::from(response.header.id), &segments);
+        }
+    }
+}
+
+impl<F: Framing> Endpoint for StreamServer<F> {
+    fn on_wake(&mut self, sim: &mut Sim, wake: &Wake) {
+        // Upstream completions first: answers for queries parked by a
+        // recursive backend go out on the connection they arrived on
+        // (silently dropped if that connection is gone — like a real
+        // resolver whose client hung up mid-recursion).
+        for (waiter, response) in self.backend.poll(sim, wake) {
+            let Some((handle, slot)) = self.waiters.remove(&waiter) else { continue };
+            if let Some(conn) = self.conns.get_mut(&handle) {
+                Self::respond(conn, sim, slot, response);
+            }
+        }
+        match *wake {
+            Wake::TcpAccepted { listener, conn: handle, .. } if listener == self.listener => {
+                // Setup bytes we send are charged to whatever attribution
+                // the connecting client's setup used (current attr).
+                let conn = Conn::new(handle, &self.tls_cfg, sim.attr());
+                self.conns.insert(handle, conn);
+            }
+            Wake::TcpReadable { conn: handle, .. } if handle.side == Side::Server => {
+                let Some(conn) = self.conns.get_mut(&handle) else { return };
+                let data = sim.tcp_recv(handle);
+                let (queries, _) = conn.receive(sim, &data);
+                for (slot, query) in queries {
+                    let waiter = self.next_waiter;
+                    self.next_waiter += 1;
+                    match self.backend.answer(sim, &query, waiter) {
+                        Some(response) => Self::respond(conn, sim, slot, response),
+                        None => {
+                            self.waiters.insert(waiter, (handle, slot));
+                        }
+                    }
+                }
+            }
+            Wake::TcpFin { conn: handle, .. }
+                if handle.side == Side::Server && self.conns.remove(&handle).is_some() =>
+            {
+                sim.tcp_close(handle);
+            }
+            _ => {}
+        }
+    }
+}

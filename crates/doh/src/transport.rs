@@ -263,30 +263,6 @@ impl TransportConfig {
     }
 }
 
-/// Builds the configured client/server pair on two fresh hosts ("stub",
-/// "resolver") joined by the config's link — one matrix cell for the
-/// deprecated broadcast drive model; registry topologies use the
-/// `build_server`/`build_client` factories with a
-/// [`Driver`](crate::Driver) instead.
-pub fn build_pair(sim: &mut Sim, cfg: &TransportConfig) -> (Box<dyn Resolver>, Box<dyn Endpoint>) {
-    let stub = sim.add_host("stub");
-    let resolver = sim.add_host("resolver");
-    sim.add_link(stub, resolver, cfg.link);
-    build_pair_on(sim, stub, resolver, cfg)
-}
-
-/// [`build_pair`] on an existing topology: `stub` and `resolver` must
-/// already be linked. Lets multi-client experiments share one resolver
-/// host.
-pub fn build_pair_on(
-    sim: &mut Sim,
-    stub: HostId,
-    resolver: HostId,
-    cfg: &TransportConfig,
-) -> (Box<dyn Resolver>, Box<dyn Endpoint>) {
-    (cfg.build_client(stub, resolver), cfg.build_server(sim, resolver))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -24,8 +24,8 @@
 //! * Page-load time is the makespan of the tree: the simulated time from
 //!   navigation start to the last resource completing, with DNS wakes and
 //!   fetch-completion timers interleaved on the same deterministic
-//!   [`netsim`](dohmark_netsim) event loop, owner-routed via
-//!   [`Driver::dispatch`](dohmark_doh::Driver::dispatch).
+//!   [`netsim`](dohmark_netsim) event loop, pumped one wake at a time by
+//!   [`Driver::step`](dohmark_doh::Driver::step).
 //!
 //! ```
 //! use dohmark_dns_wire::Name;
@@ -60,14 +60,6 @@
 use dohmark_doh::{Driver, EndpointId};
 use dohmark_netsim::{LinkConfig, Sim, SimDuration, SimTime, Wake};
 use dohmark_workload::PageSpec;
-
-/// High bits of the fetch-completion timer tokens [`load_page`] arms; the
-/// low 32 bits carry the resource index. Disjoint from the driver's
-/// reserved [`ADVANCE_TOKEN`](dohmark_doh::ADVANCE_TOKEN) (`u64::MAX`)
-/// and from the Do53 retransmission-timer namespace, so the page-load
-/// event loop can claim its own timers by prefix and hand every other
-/// wake to [`Driver::dispatch`].
-pub const FETCH_TOKEN_BASE: u64 = 0xF37C << 32;
 
 /// Analytic model of one resource fetch: a request/response round trip on
 /// the access link plus serialisation of the resource body at the link's
@@ -148,11 +140,12 @@ enum ResState {
 /// Loads one page through the registered resolver `client`, returning the
 /// tree's makespan and DNS accounting.
 ///
-/// The engine runs its own event loop on [`Sim::next_wake_owned`]: wakes
-/// carrying a [`FETCH_TOKEN_BASE`]-prefixed timer token are its own
-/// fetch completions, everything else (DNS transport traffic, TCP timers,
-/// Do53 retransmissions) is handed to [`Driver::dispatch`] for addressed
-/// routing. Domain `d` of the page is resolved with transaction id
+/// The engine loops over [`Driver::step`], which routes DNS transport
+/// traffic, TCP timers and Do53 retransmissions to the endpoint owning
+/// them and hands back what nobody owns. Fetch-completion timers are
+/// armed here, outside any endpoint callback, so they are exactly the
+/// unowned timers that come back; their token is the resource index.
+/// Domain `d` of the page is resolved with transaction id
 /// `txn_base + d`; the caller owns the transaction-id space and must leave
 /// `page.domains.len()` ids free from `txn_base` (the fleet harnesses
 /// thread a global counter through, exactly like
@@ -206,26 +199,22 @@ pub fn load_page(
     }
 
     while loader.done < n as u32 {
-        let Some((wake, owner)) = sim.next_wake_owned() else { break };
-        if let Wake::AppTimer { token, .. } = wake {
-            let idx = token & 0xFFFF_FFFF;
-            if token & !0xFFFF_FFFF == FETCH_TOKEN_BASE && (idx as usize) < n {
-                // One of our fetch-completion timers.
-                let r = idx as usize;
-                debug_assert_eq!(loader.res_state[r], ResState::Fetching);
-                loader.res_state[r] = ResState::Done;
-                loader.done += 1;
-                last_done = sim.now();
-                for c in std::mem::take(&mut children[r]) {
-                    loader.discover(sim, driver, c);
-                }
-                continue;
+        let Some((wake, routed)) = driver.step(sim) else { break };
+        if let (Wake::AppTimer { token, .. }, false) = (wake, routed) {
+            // One of our fetch-completion timers.
+            let r = token as usize;
+            debug_assert_eq!(loader.res_state[r], ResState::Fetching);
+            loader.res_state[r] = ResState::Done;
+            loader.done += 1;
+            last_done = sim.now();
+            for c in std::mem::take(&mut children[r]) {
+                loader.discover(sim, driver, c);
             }
+            continue;
         }
         // A DNS-transport wake (UDP/TCP readability, retransmission
-        // timers, teardown): addressed routing, then check whether any
+        // timers, teardown) went to its endpoint: check whether any
         // in-flight resolution just completed.
-        driver.dispatch(sim, &wake, owner);
         for d in 0..n_domains {
             let DnsState::InFlight(sent) = loader.dns[d] else { continue };
             if driver.take_response(client, txn_base + d as u16).is_none() {
@@ -299,10 +288,7 @@ impl Loader<'_> {
 
     fn start_fetch(&mut self, sim: &mut Sim, r: usize) {
         self.res_state[r] = ResState::Fetching;
-        sim.schedule_app_in(
-            self.fetch.fetch_time(self.page.resources[r].bytes),
-            FETCH_TOKEN_BASE | r as u64,
-        );
+        sim.schedule_app_in(self.fetch.fetch_time(self.page.resources[r].bytes), r as u64);
     }
 }
 

@@ -44,7 +44,7 @@ pub enum ItemKind {
 pub struct Call {
     /// 0-based line of the call.
     pub line: usize,
-    /// The called path: `rearm`, `driver::resolve_routed`,
+    /// The called path: `rearm`, `driver::schedule_endpoint_timer`,
     /// `Sim::schedule_app` — or a bare method name for `.method(` calls.
     pub path: String,
     /// Whether this was a `.method(` call (dot dispatch, receiver type
@@ -80,7 +80,7 @@ pub struct FileModel {
     /// e.g. `crates/doh/src/driver.rs` → `doh::driver`.
     pub module: String,
     /// `use`-alias map: last-segment alias → full imported path
-    /// (`drain_routed` → `crate::driver::drain_routed`).
+    /// (`Driver` → `crate::driver::Driver`).
     pub aliases: BTreeMap<String, String>,
     /// Items in source order. Nested items (a fn inside an impl) appear
     /// after their container; spans overlap.
@@ -97,6 +97,9 @@ pub struct Workspace<'a> {
     /// Callable index: fully qualified `Fn` item path → (file index,
     /// item index), joined across every file in the workspace.
     index: BTreeMap<String, (usize, usize)>,
+    /// The highest PR recorded as landed (0 when unknown) — the deadline
+    /// `shim-expiry` holds `remove-by: PR <n>` markers to.
+    pub landed_pr: u32,
 }
 
 impl<'a> Workspace<'a> {
@@ -111,7 +114,7 @@ impl<'a> Workspace<'a> {
                 }
             }
         }
-        Workspace { views, files, index }
+        Workspace { views, files, index, landed_pr: 0 }
     }
 
     /// The innermost `Fn` item covering `line` in file `fi`, else the
@@ -205,8 +208,8 @@ fn impl_of(path: &str, name: &str) -> Option<String> {
 
 /// Derives a module path from a workspace-relative file path:
 /// `crates/doh/src/driver.rs` → `doh::driver`, `crates/doh/src/lib.rs`
-/// → `doh`, `src/lib.rs` → `dohmark`, `examples/browse.rs` →
-/// `examples::browse`; `-` becomes `_` as cargo does.
+/// → `doh`, `src/lib.rs` → `dohmark`, `examples/quickstart.rs` →
+/// `examples::quickstart`; `-` becomes `_` as cargo does.
 pub fn module_path(rel: &str) -> String {
     let parts: Vec<&str> = rel.split('/').collect();
     let stem = |s: &str| s.trim_end_matches(".rs").replace('-', "_");
@@ -616,7 +619,7 @@ mod tests {
         assert_eq!(module_path("crates/bench/src/bin/fig3.rs"), "bench::bin::fig3");
         assert_eq!(module_path("crates/bench/tests/fleet_scale.rs"), "bench::tests::fleet_scale");
         assert_eq!(module_path("src/lib.rs"), "dohmark");
-        assert_eq!(module_path("examples/browse.rs"), "examples::browse");
+        assert_eq!(module_path("examples/quickstart.rs"), "examples::quickstart");
     }
 
     #[test]

@@ -29,8 +29,8 @@
 //! (string and comment braces are already blanked, so depth never
 //! desyncs); each function's body is then mined for `ident(` /
 //! `path::ident(` / `.method(` call shapes. A workspace pass joins all
-//! files into a callable index (`doh::driver::drain_routed` → item), on
-//! which calls resolve: same-impl method, then same-module free
+//! files into a callable index (`doh::driver::schedule_endpoint_timer` →
+//! item), on which calls resolve: same-impl method, then same-module free
 //! function, then alias-expanded path with `crate::`/`self::`
 //! normalised, then a unique `::`-suffix match. This is deliberately
 //! *not* a parser — generics are skipped, macros are opaque, and an
@@ -60,7 +60,9 @@
 //! A fixture can pin the workspace-relative path it is linted *as* with
 //! a leading `//@ path: crates/netsim/src/fake.rs` directive — that is
 //! how the golden corpus exercises path-scoped rules from inside
-//! `crates/simlint/tests/fixtures/`.
+//! `crates/simlint/tests/fixtures/`. Likewise `//@ landed-pr: 11` pins
+//! the PR number `shim-expiry` measures deadlines against, which a
+//! workspace lint reads from `CHANGES.md`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -92,23 +94,28 @@ pub const FIXTURES_DIR: &str = "crates/simlint/tests/fixtures";
 /// Workspace rules run over a one-file workspace, so single-file
 /// fixtures can exercise them as long as their call chains stay in-file.
 pub fn lint_source(rel: &str, source: &str) -> Vec<Finding> {
-    lint_files(vec![(rel.to_string(), source.to_string())])
+    lint_files(vec![(rel.to_string(), source.to_string())], 0)
 }
 
 /// The full lint pipeline over a set of `(rel, source)` files: scrub
 /// every file, build the [`items::Workspace`] model, run the file rules
 /// per file and the workspace rules over the joined model, then resolve
 /// suppression and attribute each finding to its enclosing item.
+/// `landed_pr` is the highest PR known to have landed (0 when unknown);
+/// a file's `//@ landed-pr: <n>` directive can only raise it.
 /// Findings come back sorted by path, then line, then rule.
-pub fn lint_files(files: Vec<(String, String)>) -> Vec<Finding> {
+pub fn lint_files(files: Vec<(String, String)>, landed_pr: u32) -> Vec<Finding> {
+    let pinned = files.iter().filter_map(|(_, s)| directive(s, "landed-pr:")?.parse().ok());
+    let landed_pr = pinned.fold(landed_pr, u32::max);
     let views: Vec<FileView> = files
         .into_iter()
         .map(|(rel, source)| {
-            let rel = directive_path(&source).unwrap_or(rel);
+            let rel = directive(&source, "path:").map_or(rel, str::to_string);
             FileView { rel, lines: lexer::scrub(&source) }
         })
         .collect();
-    let ws = items::Workspace::build(&views);
+    let mut ws = items::Workspace::build(&views);
+    ws.landed_pr = landed_pr;
     let mut sinks: Vec<Sink> = views.iter().map(Sink::new).collect();
     for rule in RULES {
         match rule.check {
@@ -131,18 +138,20 @@ pub fn lint_files(files: Vec<(String, String)>) -> Vec<Finding> {
     findings
 }
 
-/// The `//@ path: …` override from the first lines of `source`, if any.
-fn directive_path(source: &str) -> Option<String> {
+/// The value of the `//@ <key> …` directive in the first lines of
+/// `source`, if any.
+fn directive<'a>(source: &'a str, key: &str) -> Option<&'a str> {
     source
         .lines()
         .take(3)
-        .find_map(|l| l.trim().strip_prefix("//@ path:"))
-        .map(|p| p.trim().to_string())
+        .find_map(|l| l.trim().strip_prefix("//@ ")?.strip_prefix(key))
+        .map(str::trim)
 }
 
 /// Walks every `.rs` file under `root` (skipping `target/`, `.git/` and
 /// the fixture corpus) and lints it. Findings come back sorted by path,
-/// then line, then rule — byte-stable across runs and platforms.
+/// then line, then rule — byte-stable across runs and platforms. The
+/// highest `PR <n>:` entry of `root`'s `CHANGES.md` is the landed PR.
 pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
     let mut files = Vec::new();
     collect_rs_files(root, root, &mut files)?;
@@ -153,7 +162,10 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
         let rel = rel.to_string_lossy().replace('\\', "/");
         inputs.push((rel, source));
     }
-    Ok(lint_files(inputs))
+    let changes = fs::read_to_string(root.join("CHANGES.md")).unwrap_or_default();
+    let landed =
+        changes.lines().filter_map(|l| l.strip_prefix("PR ")?.split(':').next()?.parse().ok());
+    Ok(lint_files(inputs, landed.max().unwrap_or(0)))
 }
 
 fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {

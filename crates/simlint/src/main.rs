@@ -108,7 +108,7 @@ fn main() -> ExitCode {
             let rel = file.to_string_lossy().replace('\\', "/");
             inputs.push((rel, source));
         }
-        dohmark_simlint::lint_files(inputs)
+        dohmark_simlint::lint_files(inputs, 0)
     };
 
     match format {

@@ -124,12 +124,6 @@ pub const RULES: &[Rule] = &[
         check: Check::File(no_thread_outside_sweep),
     },
     Rule {
-        name: "no-deprecated-broadcast",
-        summary: "the deprecated broadcast shims (resolve_with, drain_endpoints, …) \
-                  outside their definition and the one pinned test",
-        check: Check::File(no_deprecated_broadcast),
-    },
-    Rule {
         name: "no-print-in-lib",
         summary: "println!/eprintln! in library code — stdout belongs to src/bin, \
                   examples and benches",
@@ -170,7 +164,8 @@ pub const RULES: &[Rule] = &[
     Rule {
         name: "shim-expiry",
         summary: "a #[deprecated] item without a well-formed `remove-by: PR <n>` marker \
-                  in its doc/comment block — shims must name their removal deadline",
+                  in its doc/comment block, or whose PR <n> has landed — shims name \
+                  their removal deadline and keep it",
         check: Check::Workspace(shim_expiry),
     },
 ];
@@ -509,32 +504,6 @@ fn find_token_prefix(code: &str, pat: &str, from: usize) -> Option<usize> {
     None
 }
 
-/// The deprecated broadcast entry points quarantined by
-/// `no-deprecated-broadcast`. Their definitions live in
-/// `crates/doh/src/lib.rs` (exempt); every use elsewhere needs an allow.
-const BROADCAST_SHIMS: &[&str] =
-    &["resolve_with", "resolve_with_extras", "drain_endpoints", "advance_endpoints_until"];
-
-fn no_deprecated_broadcast(view: &FileView, sink: &mut Sink) {
-    if view.rel == "crates/doh/src/lib.rs" {
-        return;
-    }
-    for (i, line) in view.lines.iter().enumerate() {
-        for &shim in BROADCAST_SHIMS {
-            if has_token(&line.code, shim) {
-                sink.report(
-                    i,
-                    "no-deprecated-broadcast",
-                    format!(
-                        "deprecated broadcast shim `{shim}` — register the endpoints \
-                             in a `Driver` and use addressed routing"
-                    ),
-                );
-            }
-        }
-    }
-}
-
 fn no_print_in_lib(view: &FileView, sink: &mut Sink) {
     if view.is_bin_or_example() || view.is_bench() || view.is_test_path() {
         return;
@@ -666,8 +635,9 @@ fn seed_discipline(view: &FileView, sink: &mut Sink) {
 /// The `Sim` wake-scheduling entry points `wake-via-driver` guards.
 const WAKE_APIS: &[&str] = &["schedule_app", "schedule_app_in", "next_wake", "next_wake_owned"];
 
-/// The one file whose wake calls are blessed: the `Driver` registry and
-/// its pump helpers (`drain_routed`, `advance_routed`, `resolve_routed`).
+/// The one file whose wake calls are blessed: the `Driver` registry,
+/// whose `step` is the single place wakes are popped, and the endpoint
+/// timer helper beside it.
 const DRIVER_FILE: &str = "crates/doh/src/driver.rs";
 
 /// Does this call path name a wake API (`sim.next_wake_owned()`,
@@ -845,19 +815,18 @@ fn stable_sort_for_reports(ws: &Workspace, sinks: &mut [Sink]) {
     }
 }
 
-/// Is `text` (starting at `remove-by`) a well-formed
-/// `remove-by: PR <digits>` marker?
-fn well_formed_remove_by(text: &str) -> bool {
-    text.strip_prefix("remove-by")
-        .and_then(|r| r.trim_start().strip_prefix(':'))
-        .and_then(|r| r.trim_start().strip_prefix("PR"))
-        .map(|r| r.trim_start())
-        .is_some_and(|r| r.chars().next().is_some_and(|c| c.is_ascii_digit()))
+/// The `<n>` of `text` (starting at `remove-by`) if it is a well-formed
+/// `remove-by: PR <n>` marker.
+fn remove_by_pr(text: &str) -> Option<u32> {
+    let rest = text.strip_prefix("remove-by")?.trim_start().strip_prefix(':')?;
+    let digits = rest.trim_start().strip_prefix("PR")?.trim_start();
+    digits[..digits.find(|c: char| !c.is_ascii_digit()).unwrap_or(digits.len())].parse().ok()
 }
 
 /// Every `#[deprecated]` item must carry a `remove-by: PR <n>` marker in
 /// its doc/comment block, so shims name the PR that deletes them instead
-/// of rotting. Malformed markers are findings too.
+/// of rotting. Malformed markers are findings too, and so is a deadline
+/// that has passed: `<n>` at or below [`Workspace::landed_pr`].
 fn shim_expiry(ws: &Workspace, sinks: &mut [Sink]) {
     for (fi, file) in ws.files.iter().enumerate() {
         let view = &ws.views[fi];
@@ -887,15 +856,22 @@ fn shim_expiry(ws: &Workspace, sinks: &mut [Sink]) {
                         item.path
                     ),
                 ),
-                Some((i, text)) if !well_formed_remove_by(&text) => sinks[fi].report(
-                    i,
-                    "shim-expiry",
-                    format!(
-                        "malformed expiry marker for `{}` — write `remove-by: PR <n>`",
-                        item.path
+                Some((i, text)) => match remove_by_pr(&text) {
+                    None => sinks[fi].report(
+                        i,
+                        "shim-expiry",
+                        format!(
+                            "malformed expiry marker for `{}` — write `remove-by: PR <n>`",
+                            item.path
+                        ),
                     ),
-                ),
-                Some(_) => {}
+                    Some(n) if n <= ws.landed_pr => sinks[fi].report(
+                        i,
+                        "shim-expiry",
+                        format!("overdue: PR {n} has landed — delete `{}`", item.path),
+                    ),
+                    Some(_) => {}
+                },
             }
         }
     }
@@ -906,7 +882,7 @@ mod tests {
     use super::*;
 
     fn run(rel: &str, src: &str) -> Vec<Finding> {
-        crate::lint_files(vec![(rel.to_string(), src.to_string())])
+        crate::lint_files(vec![(rel.to_string(), src.to_string())], 0)
     }
 
     #[test]
@@ -954,16 +930,6 @@ mod tests {
         assert!(run("crates/bench/src/sweep.rs", src).is_empty());
         let found = run("crates/bench/src/stats.rs", src);
         assert_eq!(found.iter().filter(|f| f.rule == "no-thread-outside-sweep").count(), 3);
-    }
-
-    #[test]
-    fn broadcast_shims_are_flagged_outside_their_definition() {
-        let src = "fn f(sim: &mut Sim) { resolve_with(sim, &mut c, &mut s, &n, 1); \
-                   drain_endpoints_impl(sim, &mut []); }\n";
-        assert!(run("crates/doh/src/lib.rs", src).is_empty(), "definitions file is exempt");
-        let found = run("crates/doh/src/do53.rs", src);
-        assert_eq!(found.len(), 1, "the _impl helper is a different token: {found:?}");
-        assert_eq!(found[0].rule, "no-deprecated-broadcast");
     }
 
     #[test]
@@ -1044,7 +1010,7 @@ mod tests {
     }
 
     fn multi_run(files: &[(&str, &str)]) -> Vec<Finding> {
-        crate::lint_files(files.iter().map(|(r, s)| (r.to_string(), s.to_string())).collect())
+        crate::lint_files(files.iter().map(|(r, s)| (r.to_string(), s.to_string())).collect(), 0)
     }
 
     #[test]
@@ -1123,6 +1089,11 @@ mod tests {
         let ok = "/// Old. remove-by: PR 11.\n\
                   #[deprecated(note = \"old\")]\npub fn shim() {}\n";
         assert!(run("crates/doh/src/lib.rs", ok).is_empty());
+        assert!(run("crates/doh/src/lib.rs", &format!("//@ landed-pr: 10\n{ok}")).is_empty());
+
+        let found = run("crates/doh/src/lib.rs", &format!("//@ landed-pr: 11\n{ok}"));
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(found[0].message.contains("overdue: PR 11 has landed"), "{found:?}");
     }
 
     #[test]

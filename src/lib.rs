@@ -16,9 +16,9 @@
 //!   request/response text.
 //! * [`doh`] — simulated DNS transports behind one unified API: UDP Do53,
 //!   DoT, and DoH over HTTP/1.1 and HTTP/2, each resolution attributed in
-//!   the cost meter. `doh::build_pair` turns a `doh::TransportConfig`
-//!   (kind × reuse × TLS resumption) into a boxed `Resolver`/`Endpoint`
-//!   pair, so experiments iterate the whole transport matrix.
+//!   the cost meter. A `doh::TransportConfig` (kind × reuse × TLS
+//!   resumption) builds a boxed `Resolver` and `Endpoint` to register in
+//!   a `doh::Driver`, so experiments iterate the whole transport matrix.
 //! * [`survey`] — the DoH provider landscape survey, paper Tables 1–2
 //!   (planned).
 //! * [`workload`] — seeded Poisson query arrivals, Zipf name universes,

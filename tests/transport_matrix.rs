@@ -1,14 +1,13 @@
-//! Integration test for the unified transport API: `build_pair` must
-//! construct every matrix cell, and the cells must reproduce the paper's
-//! qualitative cost ordering deterministically — the same properties
+//! Integration test for the unified transport API: the `TransportConfig`
+//! factories must construct every matrix cell, and the cells must
+//! reproduce the paper's qualitative cost ordering deterministically —
+//! the same properties
 //! `examples/transport_shootout.rs` demonstrates, kept under `cargo test`
 //! and driven through the same shared `dohmark_bench::run_matrix_cell`
 //! loop so the example, this test and the figure harnesses measure the
 //! same thing.
 
-use dohmark::dns::Name;
 use dohmark::doh::{ReusePolicy, TransportConfig, TransportKind};
-use dohmark::netsim::Sim;
 use dohmark_bench::{run_matrix_cell, CellRun};
 
 const RESOLUTIONS: u16 = 6;
@@ -18,7 +17,7 @@ fn cell(kind: TransportKind, reuse: ReusePolicy) -> CellRun {
 }
 
 #[test]
-fn build_pair_constructs_every_kind_in_both_reuse_modes() {
+fn the_matrix_constructs_every_kind_in_both_reuse_modes() {
     let cells = TransportConfig::matrix();
     for kind in [TransportKind::Dot, TransportKind::DohH1, TransportKind::DohH2] {
         for reuse in [ReusePolicy::Fresh, ReusePolicy::Persistent] {
@@ -90,72 +89,4 @@ fn the_matrix_is_deterministic_under_a_fixed_seed() {
             cfg.label()
         );
     }
-}
-
-#[test]
-// The broadcast wrappers are deprecated shims kept for one release;
-// this test pins their semantics (bystander wake routing) until removal.
-// New code drives multi-session topologies through `Driver` instead.
-#[allow(deprecated)]
-fn resolve_with_extras_routes_wakes_to_bystander_endpoints() {
-    // Two independent DoH/2 sessions on one simulator: driving a
-    // resolution on the first must not swallow the second's teardown
-    // wakes (the GOAWAY/FIN exchange after its client closed). Session B
-    // uses concrete types so its connection state can be asserted.
-    use dohmark::doh::{
-        build_pair_on,
-        // simlint::allow(no-deprecated-broadcast): the one pinned test of the shims — goes away with them next release
-        drain_endpoints,
-        // simlint::allow(no-deprecated-broadcast): the one pinned test of the shims — goes away with them next release
-        resolve_with,
-        DohH2Client,
-        DohH2Server,
-        Resolver,
-    };
-    use dohmark::tls::{TlsConfig, ALPN_H2};
-    use std::net::Ipv4Addr;
-
-    let mut sim = Sim::new(5);
-    let cfg = TransportConfig::new(TransportKind::DohH2, ReusePolicy::Persistent);
-    let stub = sim.add_host("stub");
-    let resolver = sim.add_host("resolver");
-    sim.add_link(stub, resolver, cfg.link);
-    let (mut client_a, mut server_a) = build_pair_on(&mut sim, stub, resolver, &cfg);
-    let tls = TlsConfig::for_server("dns.example.net").alpn(ALPN_H2);
-    let mut server_b =
-        DohH2Server::bind(&mut sim, resolver, 8443, tls.clone(), Ipv4Addr::new(192, 0, 2, 9), 60);
-    let mut client_b = DohH2Client::new(
-        stub,
-        (resolver, 8443),
-        "dns.example.net",
-        tls,
-        ReusePolicy::Persistent,
-        200,
-    );
-    let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-
-    // Session B resolves, then starts closing — its GOAWAY/FIN exchange
-    // is still in flight when session A's resolution is driven.
-    // simlint::allow(no-deprecated-broadcast): pinning broadcast semantics until the shims are removed
-    resolve_with(&mut sim, &mut client_b, &mut server_b, &name, 100).unwrap();
-    client_b.close(&mut sim);
-    // simlint::allow(no-deprecated-broadcast): pinning broadcast semantics until the shims are removed
-    let response = dohmark::doh::resolve_with_extras(
-        &mut sim,
-        client_a.as_mut(),
-        server_a.as_mut(),
-        &mut [&mut client_b, &mut server_b],
-        &name,
-        1,
-    );
-    assert!(response.is_some());
-    // simlint::allow(no-deprecated-broadcast): pinning broadcast semantics until the shims are removed
-    drain_endpoints(
-        &mut sim,
-        &mut [client_a.as_mut(), server_a.as_mut(), &mut client_b, &mut server_b],
-    );
-    // B's teardown completed even though A's resolve loop was driving:
-    // the FIN wake reached B's server instead of being discarded.
-    assert!(!client_b.is_connected());
-    assert_eq!(server_b.open_connections(), 0, "B's teardown wake was lost");
 }
