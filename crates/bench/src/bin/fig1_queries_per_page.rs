@@ -14,15 +14,13 @@ const PAGES: usize = 200;
 
 fn main() {
     let args = SweepArgs::from_env(DEFAULT_SEEDS);
-    let sweep = SweepSpec::new()
-        .cells(
+    let sweep = args.run(
+        SweepSpec::new().cells(
             [100usize, 1_000, 10_000]
                 .into_iter()
                 .map(|sites| Box::new(SitePagesCell { sites, exponent: 1.0, pages: PAGES }) as _),
-        )
-        .seeds(args.seed_range())
-        .threads(args.threads)
-        .run();
+        ),
+    );
     let doc = Report::new("fig1_queries_per_page")
         .meta("pages", Value::U64(PAGES as u64))
         .meta("seeds", Value::U64(args.seeds))

@@ -9,10 +9,9 @@
 //! strictly faster than Do53's. Emits per-cell page-load means with
 //! p5/p95/CI bands as one line of JSON.
 
-use dohmark::netsim::{LinkConfig, SimDuration};
-use dohmark_bench::{
-    pageload_transports, PageloadCell, PageloadConfig, Report, SweepArgs, SweepSpec, Value,
-};
+use dohmark::doh::{TransportConfig, UdpRetry};
+use dohmark::netsim::LinkConfig;
+use dohmark_bench::{pageload_transports, PageloadCell, Report, SweepArgs, SweepSpec, Value};
 
 const DEFAULT_SEEDS: u64 = 5;
 const PAGES: usize = 8;
@@ -35,19 +34,20 @@ fn main() {
     let mut spec = SweepSpec::new();
     for transport in pageload_transports() {
         for (label, link) in links() {
-            let mut cfg = PageloadConfig::new(transport.clone(), label);
-            cfg.transport.link = link;
-            cfg.pages = PAGES;
-            spec = spec.cell(PageloadCell::new(cfg).expect("page budget fits the txn space"));
+            spec = spec.cell(PageloadCell {
+                transport: TransportConfig { link, ..transport.clone() },
+                link_label: label.to_string(),
+                pages: PAGES,
+            });
         }
     }
-    let sweep = spec.seeds(args.seed_range()).threads(args.threads).run();
+    let sweep = args.run(spec);
     let doc = Report::new("fig2_hol_blocking")
         .meta("pages", Value::U64(PAGES as u64))
         .meta("seeds", Value::U64(args.seeds))
         .meta(
             "udp_retry_initial_ms",
-            Value::U64(SimDuration::from_millis(200).as_nanos() / 1_000_000),
+            Value::U64(UdpRetry::standard().initial.as_nanos() / 1_000_000),
         )
         .columns(&[
             "mean_page_load_ms",

@@ -13,15 +13,13 @@ const RESOLUTIONS: u16 = 20;
 
 fn main() {
     let args = SweepArgs::from_env(DEFAULT_SEEDS);
-    let sweep = SweepSpec::new()
-        .cells(
+    let sweep = args.run(
+        SweepSpec::new().cells(
             TransportConfig::matrix()
                 .into_iter()
                 .map(|cfg| Box::new(MatrixCell { cfg, resolutions: RESOLUTIONS }) as _),
-        )
-        .seeds(args.seed_range())
-        .threads(args.threads)
-        .run();
+        ),
+    );
     let doc = Report::new("fig5_layer_breakdown")
         .meta("resolutions", Value::U64(u64::from(RESOLUTIONS)))
         .meta("seeds", Value::U64(args.seeds))

@@ -7,9 +7,7 @@
 //! the paper's headline "DoH barely moves page-load time" result, because
 //! DNS wait is a small slice of the dependency-tree makespan.
 
-use dohmark_bench::{
-    pageload_transports, PageloadCell, PageloadConfig, Report, SweepArgs, SweepSpec, Value,
-};
+use dohmark_bench::{pageload_transports, PageloadCell, Report, SweepArgs, SweepSpec, Value};
 
 const DEFAULT_SEEDS: u64 = 10;
 const PAGES: usize = 20;
@@ -18,11 +16,10 @@ fn main() {
     let args = SweepArgs::from_env(DEFAULT_SEEDS);
     let mut spec = SweepSpec::new();
     for transport in pageload_transports() {
-        let mut cfg = PageloadConfig::new(transport, "clean_broadband");
-        cfg.pages = PAGES;
-        spec = spec.cell(PageloadCell::new(cfg).expect("page budget fits the txn space"));
+        let link_label = "clean_broadband".to_string();
+        spec = spec.cell(PageloadCell { transport, link_label, pages: PAGES });
     }
-    let sweep = spec.seeds(args.seed_range()).threads(args.threads).run();
+    let sweep = args.run(spec);
     let doc = Report::new("fig6_pageload")
         .meta("pages", Value::U64(PAGES as u64))
         .meta("seeds", Value::U64(args.seeds))

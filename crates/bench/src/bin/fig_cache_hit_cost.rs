@@ -8,7 +8,7 @@
 //! everything. Emits one line of JSON pairing each cell's `hit_ratio`
 //! with its `bytes_per_resolution`, with per-cell bands over seeds.
 
-use dohmark_bench::{FleetCell, FleetConfig, Report, SweepArgs, SweepSpec, Value};
+use dohmark_bench::{FleetCell, Report, SweepArgs, SweepSpec, Value};
 
 /// Fleet runs are heavy (1,000 clients each); one seed by default.
 const DEFAULT_SEEDS: u64 = 1;
@@ -17,17 +17,12 @@ const UNIVERSES: [usize; 5] = [4000, 800, 160, 32, 8];
 
 fn main() {
     let args = SweepArgs::from_env(DEFAULT_SEEDS);
-    let sweep = SweepSpec::new()
-        .cells(dohmark_bench::fleet_transports().into_iter().flat_map(|transport| {
-            UNIVERSES.map(|universe| {
-                let cell = FleetCell::new(FleetConfig::new(transport.clone(), CLIENTS, universe))
-                    .expect("1,000-client fleets fit the txn-id space");
-                Box::new(cell) as _
-            })
-        }))
-        .seeds(args.seed_range())
-        .threads(args.threads)
-        .run();
+    let sweep = args.run(SweepSpec::new().cells(
+        dohmark_bench::fleet_transports().into_iter().flat_map(|transport| {
+            UNIVERSES
+                .map(|universe| Box::new(FleetCell::new(transport.clone(), CLIENTS, universe)) as _)
+        }),
+    ));
     let doc = Report::new("fig_cache_hit_cost")
         .meta("clients", Value::U64(CLIENTS as u64))
         .meta("seeds", Value::U64(args.seeds))

@@ -12,9 +12,11 @@
 //! Parsing is hand-rolled (the workspace takes no external crates):
 //! [`SweepArgs::from_env`] reads `std::env::args`, printing usage and
 //! exiting on `--help` or a malformed flag; [`SweepArgs::parse`] is the
-//! testable core.
+//! testable core. [`SweepArgs::run`] and [`SweepArgs::emit`] are where a
+//! failed sweep or an unwritable `--out` path becomes a message on stderr
+//! and exit status 1.
 
-use std::ops::RangeInclusive;
+use crate::sweep::{SweepReport, SweepSpec};
 
 /// Parsed sweep options shared by every figure binary.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,31 +78,36 @@ impl SweepArgs {
                 println!("{message}");
                 std::process::exit(0);
             }
-            Err(message) => {
-                // simlint::allow(no-print-in-lib): parse errors go to the invoking fig binary's stderr
-                eprintln!("{message}");
-                std::process::exit(2);
-            }
+            Err(message) => fail(&message, 2),
         }
     }
 
-    /// The seed list the sweep runs: `1..=seeds`.
-    pub fn seed_range(&self) -> RangeInclusive<u64> {
-        1..=self.seeds
+    /// Runs `spec` over seeds `1..=seeds` on `threads` workers. A failed
+    /// run is reported on stderr and exits with status 1: a report either
+    /// is complete or is not written.
+    pub fn run(&self, spec: SweepSpec) -> SweepReport {
+        spec.seeds(1..=self.seeds).threads(self.threads).run().unwrap_or_else(|e| fail(&e, 1))
     }
 
     /// Emits a rendered report: to `--out`'s path (with a trailing
-    /// newline) when given, to stdout otherwise.
+    /// newline) when given, to stdout otherwise. An unwritable path is
+    /// reported on stderr and exits with status 1.
     pub fn emit(&self, doc: &str) {
         match &self.out {
-            Some(path) => {
-                std::fs::write(path, format!("{doc}\n"))
-                    .unwrap_or_else(|e| panic!("writing {path}: {e}"));
-            }
+            Some(path) => std::fs::write(path, format!("{doc}\n"))
+                .unwrap_or_else(|e| fail(&format_args!("writing {path}: {e}"), 1)),
             // simlint::allow(no-print-in-lib): emitting the report to stdout is this helper's contract with the fig binaries
             None => println!("{doc}"),
         }
     }
+}
+
+/// The fig binaries' one failure exit: `message` on stderr, then `status`
+/// (2 for a usage error, 1 for a run that could not produce its report).
+fn fail(message: &dyn std::fmt::Display, status: i32) -> ! {
+    // simlint::allow(no-print-in-lib): errors go to the invoking fig binary's stderr
+    eprintln!("{message}");
+    std::process::exit(status);
 }
 
 /// Usage text shared by every binary.
@@ -138,10 +145,5 @@ mod tests {
             let err = parse(&bad).unwrap_err();
             assert!(err.contains("usage:"), "{bad:?} -> {err}");
         }
-    }
-
-    #[test]
-    fn seed_range_is_one_through_n() {
-        assert_eq!(parse(&["--seeds", "3"]).unwrap().seed_range(), 1..=3);
     }
 }

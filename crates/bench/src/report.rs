@@ -93,15 +93,15 @@ fn write_pairs(out: &mut String, pairs: &[(String, Value)]) {
 /// Builder for one experiment's single-line JSON report.
 ///
 /// ```
-/// use dohmark_bench::report::{Report, Value};
-/// use dohmark_bench::sweep::{MatrixCell, SweepSpec};
+/// use dohmark_bench::{MatrixCell, Report, SweepSpec, Value};
 /// use dohmark::doh::{ReusePolicy, TransportConfig, TransportKind};
 ///
 /// let cfg = TransportConfig::new(TransportKind::Do53, ReusePolicy::Fresh);
 /// let sweep = SweepSpec::new()
 ///     .cell(MatrixCell { cfg, resolutions: 2 })
 ///     .seeds(1..=2)
-///     .run();
+///     .run()
+///     .unwrap();
 /// let doc = Report::new("example")
 ///     .meta("resolutions", Value::U64(2))
 ///     .columns(&["bytes_per_resolution"])

@@ -5,10 +5,10 @@
 //! The pieces:
 //!
 //! * [`Cell`] — one experiment configuration that can run under any seed.
-//!   Both the transport-matrix runner ([`MatrixCell`] over
-//!   [`run_matrix_cell`](crate::run_matrix_cell)) and the fleet runner
-//!   ([`FleetCell`] over [`run_fleet_cell`](crate::run_fleet_cell))
+//!   The simulated cells of [`testbed`](crate::testbed) and the two
+//!   pure-workload cells below ([`SitePagesCell`], [`WorkloadStatsCell`])
 //!   implement it, so one runner drives every experiment shape.
+//! * [`CellError`] / [`SweepError`] — why a run, and so its sweep, failed.
 //! * [`SweepSpec`] — the builder: cells, seeds, worker threads.
 //! * [`SweepReport`] — results in **canonical (cell, seed) order**,
 //!   independent of worker interleaving: workers pull tasks from a shared
@@ -25,6 +25,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
 use crate::report::Value;
+use crate::testbed::MAX_FLEET_QUERIES;
 
 /// Stable identifier of one sweep cell — keys result rows and stats.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -77,99 +78,65 @@ pub trait Cell: Sync {
     fn id(&self) -> CellId;
 
     /// Runs the experiment under `seed`.
-    fn run(&self, seed: u64) -> CellOutcome;
+    fn run(&self, seed: u64) -> Result<CellOutcome, CellError>;
 }
 
-/// A transport-matrix cell: one [`TransportConfig`](dohmark::doh::TransportConfig) resolving a seeded
-/// Poisson workload of `resolutions` queries
-/// (via [`run_matrix_cell`](crate::run_matrix_cell)).
-#[derive(Debug, Clone)]
-pub struct MatrixCell {
-    /// The transport cell to drive.
-    pub cfg: dohmark::doh::TransportConfig,
-    /// Queries resolved per run.
-    pub resolutions: u16,
+/// Why one (cell, seed) run produced no outcome.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CellError {
+    /// The simulation ran dry before transaction `txn` was answered.
+    DidNotResolve {
+        /// The transaction id of the lost resolution.
+        txn: u16,
+    },
+    /// The run needs more globally unique transaction ids than the `u16`
+    /// space holds (see [`MAX_FLEET_QUERIES`]); wrapping would silently
+    /// cross-wire responses.
+    TxnSpaceExhausted {
+        /// The total number of ids the run had asked for.
+        requested: usize,
+    },
+    /// This many wakes of the run reached no registered endpoint.
+    UnroutedWakes(u64),
 }
 
-impl Cell for MatrixCell {
-    fn id(&self) -> CellId {
-        CellId::new(self.cfg.label())
-    }
-
-    fn run(&self, seed: u64) -> CellOutcome {
-        crate::run_matrix_cell(&self.cfg, seed, self.resolutions).outcome()
-    }
-}
-
-/// A fleet cell: `clients` stubs sharing one caching recursive resolver
-/// (via [`run_fleet_cell`](crate::run_fleet_cell)). Construction
-/// validates the transaction-id budget up front, so `run` cannot hit the
-/// typed [`TxnSpaceExhausted`](crate::TxnSpaceExhausted) error mid-sweep.
-#[derive(Debug, Clone)]
-pub struct FleetCell {
-    cfg: crate::FleetConfig,
-}
-
-impl FleetCell {
-    /// Wraps a validated fleet configuration; errors if
-    /// `clients × queries_per_client` exceeds the u16 transaction-id
-    /// space (see [`MAX_FLEET_QUERIES`](crate::MAX_FLEET_QUERIES)).
-    pub fn new(cfg: crate::FleetConfig) -> Result<FleetCell, crate::TxnSpaceExhausted> {
-        cfg.check_txn_space()?;
-        Ok(FleetCell { cfg })
-    }
-
-    /// The wrapped configuration.
-    pub fn config(&self) -> &crate::FleetConfig {
-        &self.cfg
+impl fmt::Display for CellError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CellError::DidNotResolve { txn } => write!(f, "transaction {txn} did not resolve"),
+            CellError::TxnSpaceExhausted { requested } => write!(
+                f,
+                "run needs {requested} globally unique transaction ids, but the u16 id space \
+                 holds at most {MAX_FLEET_QUERIES}"
+            ),
+            CellError::UnroutedWakes(n) => write!(f, "{n} wakes reached no registered endpoint"),
+        }
     }
 }
 
-impl Cell for FleetCell {
-    fn id(&self) -> CellId {
-        CellId::new(format!("{} universe={}", self.cfg.transport.label(), self.cfg.universe))
-    }
+impl std::error::Error for CellError {}
 
-    fn run(&self, seed: u64) -> CellOutcome {
-        crate::run_fleet_cell(&self.cfg, seed)
-            .expect("txn space validated at construction")
-            .outcome()
+/// The first failed run of a sweep, in canonical (cell, seed) order — as
+/// independent of the thread count as the report it replaces.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SweepError {
+    /// The cell whose run failed.
+    pub cell: CellId,
+    /// The seed it ran under.
+    pub seed: u64,
+    /// What went wrong.
+    pub source: CellError,
+}
+
+impl fmt::Display for SweepError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "cell {} seed {}: {}", self.cell, self.seed, self.source)
     }
 }
 
-/// A page-load cell: `pages` dependency-tree pages loaded through one
-/// transport over one named link profile
-/// (via [`run_pageload_cell`](crate::run_pageload_cell)). Construction
-/// validates the transaction-id budget up front, like [`FleetCell`].
-#[derive(Debug, Clone)]
-pub struct PageloadCell {
-    cfg: crate::PageloadConfig,
-}
-
-impl PageloadCell {
-    /// Wraps a validated page-load configuration; errors if
-    /// `pages × SiteModel::MAX_DOMAINS` exceeds the u16 transaction-id
-    /// space (see [`MAX_FLEET_QUERIES`](crate::MAX_FLEET_QUERIES)).
-    pub fn new(cfg: crate::PageloadConfig) -> Result<PageloadCell, crate::TxnSpaceExhausted> {
-        cfg.check_txn_space()?;
-        Ok(PageloadCell { cfg })
-    }
-
-    /// The wrapped configuration.
-    pub fn config(&self) -> &crate::PageloadConfig {
-        &self.cfg
-    }
-}
-
-impl Cell for PageloadCell {
-    fn id(&self) -> CellId {
-        CellId::new(format!("{} {}", self.cfg.transport.label(), self.cfg.link_label))
-    }
-
-    fn run(&self, seed: u64) -> CellOutcome {
-        crate::run_pageload_cell(&self.cfg, seed)
-            .expect("txn space validated at construction")
-            .outcome()
+impl std::error::Error for SweepError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        Some(&self.source)
     }
 }
 
@@ -192,7 +159,7 @@ impl Cell for SitePagesCell {
         CellId::new(format!("sites={} exponent={:.2}", self.sites, self.exponent))
     }
 
-    fn run(&self, seed: u64) -> CellOutcome {
+    fn run(&self, seed: u64) -> Result<CellOutcome, CellError> {
         let zone = dohmark::dns::Name::parse("sites.dohmark.test").expect("static name parses");
         let mut rng = dohmark::netsim::SimRng::new(seed);
         let mut model =
@@ -201,7 +168,7 @@ impl Cell for SitePagesCell {
         let queries: Vec<f64> = pages.iter().map(|p| p.dns_queries() as f64).collect();
         let resources: Vec<f64> = pages.iter().map(|p| p.resources.len() as f64).collect();
         let depths: Vec<f64> = pages.iter().map(|p| p.depth() as f64).collect();
-        CellOutcome {
+        Ok(CellOutcome {
             identity: vec![
                 ("sites".to_string(), Value::U64(self.sites as u64)),
                 ("exponent".to_string(), Value::Fixed(self.exponent, 2)),
@@ -233,7 +200,7 @@ impl Cell for SitePagesCell {
                     ),
                 ),
             ],
-        }
+        })
     }
 }
 
@@ -259,7 +226,7 @@ impl Cell for WorkloadStatsCell {
         CellId::new(format!("clients={} universe={}", self.clients, self.universe))
     }
 
-    fn run(&self, seed: u64) -> CellOutcome {
+    fn run(&self, seed: u64) -> Result<CellOutcome, CellError> {
         use dohmark::netsim::{SimDuration, SimTime};
         let zone = dohmark::dns::Name::parse("dohmark.test").expect("static name parses");
         let mut rng = dohmark::netsim::SimRng::new(seed);
@@ -276,7 +243,7 @@ impl Cell for WorkloadStatsCell {
         let distinct = schedule.distinct_names();
         let span =
             schedule.queries.last().map_or(SimDuration::ZERO, |(at, _, _)| *at - SimTime::ZERO);
-        CellOutcome {
+        Ok(CellOutcome {
             identity: vec![
                 ("clients".to_string(), Value::U64(self.clients as u64)),
                 ("queries_per_client".to_string(), Value::U64(self.queries_per_client as u64)),
@@ -292,7 +259,7 @@ impl Cell for WorkloadStatsCell {
                 ),
                 ("span_ms".to_string(), Value::fixed2(span.as_nanos() as f64 / 1e6)),
             ],
-        }
+        })
     }
 }
 
@@ -336,23 +303,26 @@ impl SweepSpec {
     }
 
     /// Runs every (cell, seed) task and returns results in canonical
-    /// cell-major, seed-minor order.
+    /// cell-major, seed-minor order — or, if any run failed, the first
+    /// failure in that same order (every task still runs, so the error
+    /// does not depend on which worker got there first).
     ///
     /// With `threads = 1` the tasks run inline on the caller's thread;
     /// otherwise scoped workers pull task indices from a shared atomic
     /// cursor until the grid is exhausted, and the outcomes are
     /// reassembled by index. A panicking cell propagates to the caller.
-    pub fn run(&self) -> SweepReport {
+    pub fn run(&self) -> Result<SweepReport, SweepError> {
         let tasks: Vec<(usize, usize)> = (0..self.cells.len())
             .flat_map(|c| (0..self.seeds.len()).map(move |s| (c, s)))
             .collect();
         let run_task = |&(c, s): &(usize, usize)| self.cells[c].run(self.seeds[s]);
 
-        let outcomes: Vec<CellOutcome> = if self.threads == 1 {
+        let outcomes: Vec<Result<CellOutcome, CellError>> = if self.threads == 1 {
             tasks.iter().map(run_task).collect()
         } else {
             let cursor = AtomicUsize::new(0);
-            let mut slots: Vec<Option<CellOutcome>> = tasks.iter().map(|_| None).collect();
+            let mut slots: Vec<Option<Result<CellOutcome, CellError>>> =
+                tasks.iter().map(|_| None).collect();
             let worker = || {
                 let mut done = Vec::new();
                 loop {
@@ -386,13 +356,15 @@ impl SweepSpec {
         let entries = tasks
             .iter()
             .zip(outcomes)
-            .map(|(&(c, s), outcome)| SweepEntry {
-                cell: self.cells[c].id(),
-                seed: self.seeds[s],
-                outcome,
+            .map(|(&(c, s), outcome)| {
+                let (cell, seed) = (self.cells[c].id(), self.seeds[s]);
+                match outcome {
+                    Ok(outcome) => Ok(SweepEntry { cell, seed, outcome }),
+                    Err(source) => Err(SweepError { cell, seed, source }),
+                }
             })
-            .collect();
-        SweepReport { entries }
+            .collect::<Result<_, _>>()?;
+        Ok(SweepReport { entries })
     }
 }
 

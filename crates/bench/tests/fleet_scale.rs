@@ -4,34 +4,34 @@
 //! transport of the matrix.
 
 use dohmark::netsim::SimDuration;
-use dohmark_bench::{fleet_transports, run_fleet_cell, FleetConfig};
+use dohmark_bench::{fleet_transports, FleetCell};
 
 /// One thousand clients, one query each: big enough to exercise the
 /// registry's addressed dispatch across thousands of handles, small
 /// enough to replay twice per seed in the test suite.
-fn thousand_client_cell(transport: dohmark::doh::TransportConfig) -> FleetConfig {
-    FleetConfig {
+fn thousand_client_cell(transport: dohmark::doh::TransportConfig) -> FleetCell {
+    FleetCell {
         queries_per_client: 1,
         mean_gap: SimDuration::from_millis(100),
-        ..FleetConfig::new(transport, 1000, 200)
+        ..FleetCell::new(transport, 1000, 200)
     }
 }
 
 #[test]
 fn thousand_client_fleet_is_bit_for_bit_deterministic_on_every_transport() {
     for transport in fleet_transports() {
-        let cfg = thousand_client_cell(transport);
+        let label = transport.label();
+        let cell = thousand_client_cell(transport);
         let mut per_seed = Vec::new();
         for seed in [11u64, 12] {
-            let first = run_fleet_cell(&cfg, seed).expect("1,000 queries fit the txn-id space");
-            let second = run_fleet_cell(&cfg, seed).expect("1,000 queries fit the txn-id space");
-            assert_eq!(first, second, "{} seed {seed} must replay bit for bit", first.label);
+            let first = cell.measure(seed).expect("1,000 queries fit the txn-id space");
+            let second = cell.measure(seed).expect("1,000 queries fit the txn-id space");
+            assert_eq!(first, second, "{label} seed {seed} must replay bit for bit");
             assert_eq!(first.queries, 1000);
             assert_eq!(
                 first.cache_hits + first.cache_misses,
                 1000,
-                "{} seed {seed}: every query must hit the resolver cache path",
-                first.label
+                "{label} seed {seed}: every query must hit the resolver cache path"
             );
             assert!(first.hit_ratio > 0.0, "a shared cache over 200 names must hit");
             assert!(first.distinct_names <= 200, "names come from the 200-name universe");
@@ -40,8 +40,7 @@ fn thousand_client_fleet_is_bit_for_bit_deterministic_on_every_transport() {
         assert_ne!(
             (per_seed[0].distinct_names, per_seed[0].total_bytes),
             (per_seed[1].distinct_names, per_seed[1].total_bytes),
-            "{}: different seeds must draw different workloads",
-            per_seed[0].label
+            "{label}: different seeds must draw different workloads"
         );
     }
 }

@@ -13,9 +13,7 @@
 
 use dohmark::doh::{TransportConfig, TransportKind};
 use dohmark::netsim::LinkConfig;
-use dohmark_bench::{
-    pageload_transports, run_pageload_cell, PageloadCell, PageloadConfig, Report, SweepSpec, Value,
-};
+use dohmark_bench::{pageload_transports, PageloadCell, Report, SweepSpec, Value};
 
 const PAGES: usize = 8;
 const SEEDS: std::ops::RangeInclusive<u64> = 1..=4;
@@ -23,12 +21,15 @@ const SEEDS: std::ops::RangeInclusive<u64> = 1..=4;
 /// Mean page-load time for one transport at one loss rate, averaged
 /// over seeds and pages.
 fn mean_pageload_ms(transport: &TransportConfig, loss: f64) -> f64 {
-    let mut cfg = PageloadConfig::new(transport.clone(), "probe");
-    cfg.transport.link = LinkConfig::clean_broadband().loss(loss);
-    cfg.pages = PAGES;
+    let link = LinkConfig::clean_broadband().loss(loss);
+    let cell = PageloadCell {
+        transport: TransportConfig { link, ..transport.clone() },
+        link_label: "probe".to_string(),
+        pages: PAGES,
+    };
     let samples: Vec<f64> = SEEDS
         .map(|seed| {
-            let run = run_pageload_cell(&cfg, seed).expect("probe fits the txn space");
+            let run = cell.measure(seed).expect("probe fits the txn space");
             assert_eq!(run.unresolved, 0, "{} loss {loss} seed {seed}", transport.label());
             run.mean_page_load_ms
         })
@@ -103,13 +104,15 @@ fn pageload_sweep_renders_byte_identically_across_thread_counts() {
         let mut spec = SweepSpec::new();
         for transport in pageload_transports() {
             for (label, loss) in [("clean_broadband", 0.0), ("loss_2pct", 0.02)] {
-                let mut cfg = PageloadConfig::new(transport.clone(), label);
-                cfg.transport.link = LinkConfig::clean_broadband().loss(loss);
-                cfg.pages = 4;
-                spec = spec.cell(PageloadCell::new(cfg).expect("probe fits the txn space"));
+                let link = LinkConfig::clean_broadband().loss(loss);
+                spec = spec.cell(PageloadCell {
+                    transport: TransportConfig { link, ..transport.clone() },
+                    link_label: label.to_string(),
+                    pages: 4,
+                });
             }
         }
-        let sweep = spec.seeds(1..=3).threads(threads).run();
+        let sweep = spec.seeds(1..=3).threads(threads).run().expect("probe fits the txn space");
         Report::new("pageload_determinism_probe")
             .meta("seeds", Value::U64(3))
             .columns(&["mean_page_load_ms", "page_load_ms", "unresolved"])

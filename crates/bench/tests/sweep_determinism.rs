@@ -4,18 +4,14 @@
 //! `2` and `8` must render byte-identical JSON.
 
 use dohmark::doh::{ReusePolicy, TransportConfig, TransportKind};
-use dohmark_bench::{FleetCell, FleetConfig, MatrixCell, Report, SweepSpec, Value};
+use dohmark_bench::{FleetCell, MatrixCell, Report, SweepSpec, Value};
 
 /// A mixed matrix + fleet sweep, small enough to run three times in the
 /// test suite but with more tasks than workers so stealing actually
 /// interleaves cells.
 fn render(threads: usize) -> String {
-    let fleet = FleetCell::new(FleetConfig::new(
-        TransportConfig::new(TransportKind::Do53, ReusePolicy::Fresh),
-        40,
-        16,
-    ))
-    .expect("a 40-client fleet fits the txn-id space");
+    let fleet =
+        FleetCell::new(TransportConfig::new(TransportKind::Do53, ReusePolicy::Fresh), 40, 16);
     let sweep = SweepSpec::new()
         .cells(
             TransportConfig::matrix()
@@ -26,7 +22,8 @@ fn render(threads: usize) -> String {
         .cell(fleet)
         .seeds(1..=5)
         .threads(threads)
-        .run();
+        .run()
+        .expect("a 40-client fleet fits the txn-id space");
     Report::new("determinism_probe")
         .meta("seeds", Value::U64(5))
         .stats(&["bytes_per_resolution"])

@@ -147,9 +147,9 @@ enum ResState {
 /// unowned timers that come back; their token is the resource index.
 /// Domain `d` of the page is resolved with transaction id
 /// `txn_base + d`; the caller owns the transaction-id space and must leave
-/// `page.domains.len()` ids free from `txn_base` (the fleet harnesses
-/// thread a global counter through, exactly like
-/// [`FleetSchedule`](dohmark_workload::FleetSchedule) consumers do).
+/// `page.domains.len()` ids free from `txn_base` (the bench crate's
+/// testbed reserves them from the one id allocator every simulated cell
+/// draws on).
 ///
 /// The loop ends when every resource is fetched or the simulation runs
 /// dry; in the latter case still-gated resources are counted as

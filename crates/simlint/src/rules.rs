@@ -888,7 +888,7 @@ mod tests {
     #[test]
     fn wall_clock_is_legal_in_benches() {
         let src = "use std::time::Instant;\nfn main() { let t = Instant::now(); t.elapsed(); }\n";
-        assert!(run("crates/bench/benches/transports.rs", src).is_empty());
+        assert!(run("perfbench/benches/main.rs", src).is_empty());
         assert_eq!(run("crates/netsim/src/sim.rs", src).len(), 2);
     }
 

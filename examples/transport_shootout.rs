@@ -3,7 +3,7 @@
 //! experiment grid behind the paper's Figures 3–5.
 //!
 //! Every cell resolves the *same* seeded Poisson workload of
-//! constant-length random names through `dohmark_bench::run_matrix_cell`
+//! constant-length random names through `dohmark_bench::MatrixCell`
 //! (the single shared drive loop, also used by `tests/transport_matrix.rs`
 //! and the `fig3_bytes_per_resolution` harness), so the per-layer byte
 //! table is directly comparable across cells. Two qualitative results of
@@ -19,15 +19,25 @@
 //! output. Run with: `cargo run --example transport_shootout`
 
 use dohmark::doh::{ReusePolicy, TransportConfig, TransportKind};
-use dohmark_bench::{run_matrix_cell, CellRun};
+use dohmark_bench::{MatrixCell, MatrixRun};
 
 const SEED: u64 = 42;
 const RESOLUTIONS: u16 = 10;
 
-fn find(cells: &[CellRun], kind: TransportKind, reuse: ReusePolicy, resumed: bool) -> &CellRun {
+/// One matrix cell's configuration and what it measured.
+type Measured = (TransportConfig, MatrixRun);
+
+fn measure(cfg: TransportConfig) -> Measured {
+    let cell = MatrixCell { cfg, resolutions: RESOLUTIONS };
+    let run = cell.measure(SEED).expect("every resolution completes");
+    (cell.cfg, run)
+}
+
+fn find(cells: &[Measured], kind: TransportKind, reuse: ReusePolicy, resumed: bool) -> &MatrixRun {
     cells
         .iter()
-        .find(|c| c.transport == kind.label() && c.reuse == reuse.label() && c.resumed == resumed)
+        .find(|(cfg, _)| cfg.kind == kind && cfg.reuse == reuse && cfg.resumption == resumed)
+        .map(|(_, run)| run)
         .expect("matrix covers every cell")
 }
 
@@ -38,22 +48,19 @@ fn main() {
     );
     println!();
 
-    let cells: Vec<CellRun> = TransportConfig::matrix()
-        .iter()
-        .map(|cfg| run_matrix_cell(cfg, SEED, RESOLUTIONS))
-        .collect();
+    let cells: Vec<Measured> = TransportConfig::matrix().into_iter().map(measure).collect();
 
     println!("mean per-resolution bytes on the wire (setup amortised over {RESOLUTIONS}):");
     println!(
         "{:<26}{:>6}{:>8}{:>8}{:>7}{:>7}{:>7}{:>7}{:>8}",
         "cell", "pkts", "l4", "tls", "hdr", "body", "mgmt", "dns", "total"
     );
-    for c in &cells {
+    for (cfg, c) in &cells {
         // `layers` is in LayerTag::ALL order: Body, Hdr, Mgmt, TLS, L4, DNS.
         let [body, hdr, mgmt, tls, l4, dns] = c.layers.map(|(_, bytes)| bytes);
         println!(
             "{:<26}{:>6.0}{:>8.0}{:>8.0}{:>7.0}{:>7.0}{:>7.0}{:>7.0}{:>8.0}",
-            c.label,
+            cfg.label(),
             c.packets_per_resolution,
             l4,
             tls,
@@ -84,13 +91,13 @@ fn main() {
 
     // ---- Assertion 1: cold DoH/2 is the costliest cell of the matrix.
     let h2_cold = find(&cells, TransportKind::DohH2, ReusePolicy::Fresh, false);
-    for c in &cells {
+    for (cfg, c) in &cells {
         if !std::ptr::eq(c, h2_cold) {
             assert!(
                 h2_cold.bytes_per_resolution > c.bytes_per_resolution,
                 "cold doh-h2 ({:.0} B) must out-cost {} ({:.0} B)",
                 h2_cold.bytes_per_resolution,
-                c.label,
+                cfg.label(),
                 c.bytes_per_resolution
             );
         }
@@ -141,11 +148,7 @@ fn main() {
     assert!(h2[9] < h1[9], "steady-state h2 headers must undercut h1 text");
 
     // ---- Assertion 5: byte-identical reruns under the fixed seed.
-    let rerun = run_matrix_cell(
-        &TransportConfig::new(TransportKind::DohH2, ReusePolicy::Persistent),
-        SEED,
-        RESOLUTIONS,
-    );
+    let (_, rerun) = measure(TransportConfig::new(TransportKind::DohH2, ReusePolicy::Persistent));
     assert_eq!(&rerun, h2_persistent, "shootout must be deterministic");
 
     println!("cold doh-h2 is the costliest cell; persistent connections amortise toward do53.");

@@ -3,17 +3,20 @@
 //! reproduce the paper's qualitative cost ordering deterministically —
 //! the same properties
 //! `examples/transport_shootout.rs` demonstrates, kept under `cargo test`
-//! and driven through the same shared `dohmark_bench::run_matrix_cell`
-//! loop so the example, this test and the figure harnesses measure the
-//! same thing.
+//! and driven through the same shared `dohmark_bench::MatrixCell` so the
+//! example, this test and the figure harnesses measure the same thing.
 
 use dohmark::doh::{ReusePolicy, TransportConfig, TransportKind};
-use dohmark_bench::{run_matrix_cell, CellRun};
+use dohmark_bench::{MatrixCell, MatrixRun};
 
 const RESOLUTIONS: u16 = 6;
 
-fn cell(kind: TransportKind, reuse: ReusePolicy) -> CellRun {
-    run_matrix_cell(&TransportConfig::new(kind, reuse), 42, RESOLUTIONS)
+fn measure(cfg: TransportConfig, seed: u64) -> MatrixRun {
+    MatrixCell { cfg, resolutions: RESOLUTIONS }.measure(seed).expect("every resolution completes")
+}
+
+fn cell(kind: TransportKind, reuse: ReusePolicy) -> MatrixRun {
+    measure(TransportConfig::new(kind, reuse), 42)
 }
 
 #[test]
@@ -28,10 +31,9 @@ fn the_matrix_constructs_every_kind_in_both_reuse_modes() {
         }
     }
     assert!(cells.iter().any(|c| c.kind == TransportKind::Do53));
-    for cfg in &cells {
-        // run_matrix_cell panics if any resolution fails to complete.
-        let run = run_matrix_cell(cfg, 42, RESOLUTIONS);
-        assert!(run.bytes_per_resolution > 0.0, "{} moved no bytes", cfg.label());
+    for cfg in cells {
+        let label = cfg.label();
+        assert!(measure(cfg, 42).bytes_per_resolution > 0.0, "{label} moved no bytes");
     }
 }
 
@@ -82,11 +84,7 @@ fn persistent_doh_h2_shrinks_header_bytes_via_hpack() {
 #[test]
 fn the_matrix_is_deterministic_under_a_fixed_seed() {
     for cfg in TransportConfig::matrix() {
-        assert_eq!(
-            run_matrix_cell(&cfg, 7, RESOLUTIONS),
-            run_matrix_cell(&cfg, 7, RESOLUTIONS),
-            "{} diverged",
-            cfg.label()
-        );
+        let label = cfg.label();
+        assert_eq!(measure(cfg.clone(), 7), measure(cfg, 7), "{label} diverged");
     }
 }
