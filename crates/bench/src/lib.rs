@@ -41,9 +41,7 @@ pub use sweep::{
     Cell, CellError, CellId, CellOutcome, SitePagesCell, SweepError, SweepReport, SweepSpec,
     WorkloadStatsCell,
 };
-pub use testbed::{
-    FleetCell, FleetRun, MatrixCell, MatrixRun, PageloadCell, PageloadRun, MAX_FLEET_QUERIES,
-};
+pub use testbed::{FleetCell, FleetRun, MatrixCell, MatrixRun, PageloadCell, PageloadRun};
 
 use dohmark::doh::{ReusePolicy, TransportConfig, TransportKind, UdpRetry};
 
@@ -80,7 +78,6 @@ pub fn fleet_transports() -> Vec<TransportConfig> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testbed::Testbed;
     use dohmark::dns::jsontext;
     use dohmark::netsim::LinkConfig;
 
@@ -256,21 +253,14 @@ mod tests {
     }
 
     #[test]
-    fn oversized_fleets_get_a_typed_error_not_a_wrapped_txn_id() {
-        let do53 = TransportConfig::new(TransportKind::Do53, ReusePolicy::Fresh);
-        // 40,000 clients × 2 queries = 80,000 > 65,534 u16 ids.
-        let err = FleetCell::new(do53, 40_000, 100).measure(1).unwrap_err();
-        assert_eq!(err, CellError::TxnSpaceExhausted { requested: 80_000 });
-        assert!(err.to_string().contains("65534"), "{err}");
-    }
-
-    #[test]
-    fn the_txn_id_space_is_handed_out_to_its_last_id_and_no_further() {
-        let do53 = TransportConfig::new(TransportKind::Do53, ReusePolicy::Fresh);
-        let mut bed = Testbed::new(1, &do53, 1, None);
-        assert_eq!(bed.take_txns(MAX_FLEET_QUERIES - 1), Ok(1));
-        assert_eq!(bed.take_txns(1), Ok(65534));
-        assert_eq!(bed.take_txns(1), Err(CellError::TxnSpaceExhausted { requested: 65535 }));
+    fn a_fleet_past_the_old_global_id_space_resolves_every_query() {
+        // 66,000 resolutions in one run: more than a single 16-bit id space
+        // holds, and 33,000 per client — nowhere near wrapping either one's.
+        let dot = TransportConfig::new(TransportKind::Dot, ReusePolicy::Persistent);
+        let fleet = FleetCell { queries_per_client: 33_000, ..FleetCell::new(dot, 2, 64) };
+        let run = fleet.measure(1).unwrap();
+        assert_eq!(run.queries, 66_000);
+        assert_eq!(run.cache_hits + run.cache_misses, 66_000);
     }
 
     #[test]
@@ -280,13 +270,12 @@ mod tests {
             link: LinkConfig::clean_broadband().loss(1.0),
             ..TransportConfig::new(TransportKind::Dot, ReusePolicy::Fresh)
         };
-        // One good cell, then two failing ones: a dead link and an
-        // oversized fleet.
+        // One good cell, then two failing ones, each on a dead link.
         let run = |threads: usize| {
             SweepSpec::new()
                 .cell(MatrixCell { cfg: do53.clone(), resolutions: 2 })
                 .cell(MatrixCell { cfg: dead.clone(), resolutions: 2 })
-                .cell(FleetCell::new(do53.clone(), 40_000, 100))
+                .cell(FleetCell::new(dead.clone(), 2, 4))
                 .seeds(4..=6)
                 .threads(threads)
                 .run()

@@ -25,7 +25,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
 use crate::report::Value;
-use crate::testbed::MAX_FLEET_QUERIES;
 
 /// Stable identifier of one sweep cell — keys result rows and stats.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -89,13 +88,6 @@ pub enum CellError {
         /// The transaction id of the lost resolution.
         txn: u16,
     },
-    /// The run needs more globally unique transaction ids than the `u16`
-    /// space holds (see [`MAX_FLEET_QUERIES`]); wrapping would silently
-    /// cross-wire responses.
-    TxnSpaceExhausted {
-        /// The total number of ids the run had asked for.
-        requested: usize,
-    },
     /// This many wakes of the run reached no registered endpoint.
     UnroutedWakes(u64),
 }
@@ -104,11 +96,6 @@ impl fmt::Display for CellError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CellError::DidNotResolve { txn } => write!(f, "transaction {txn} did not resolve"),
-            CellError::TxnSpaceExhausted { requested } => write!(
-                f,
-                "run needs {requested} globally unique transaction ids, but the u16 id space \
-                 holds at most {MAX_FLEET_QUERIES}"
-            ),
             CellError::UnroutedWakes(n) => write!(f, "{n} wakes reached no registered endpoint"),
         }
     }

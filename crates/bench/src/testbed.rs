@@ -4,13 +4,13 @@
 //! page-load result (Figures 2 and 6) are the same experiment shape:
 //! stubs resolving a seeded workload through one resolver over one
 //! transport. `Testbed` is the only place in this crate that builds a
-//! [`Sim`] topology and a [`Driver`], hands out transaction ids and tears
-//! a run down; [`MatrixCell`], [`FleetCell`] and [`PageloadCell`] are
-//! their own configuration (public fields) and differ only in the
-//! workload they drive over it. Each has an inherent `measure(seed)`
-//! returning its typed measurements, and [`Cell::run`] is `measure` plus
-//! the report's identity and measurement columns. All of it is
-//! deterministic in the seed — the property the parallel runner rests on.
+//! [`Sim`] topology and a [`Driver`] and tears a run down; [`MatrixCell`],
+//! [`FleetCell`] and [`PageloadCell`] are their own configuration (public
+//! fields) and differ only in the workload they drive over it. Each has an
+//! inherent `measure(seed)` returning its typed measurements, and
+//! [`Cell::run`] is `measure` plus the report's identity and measurement
+//! columns. All of it is deterministic in the seed — the property the
+//! parallel runner rests on.
 
 use crate::report::Value;
 use crate::stats;
@@ -30,12 +30,6 @@ pub const WORKLOAD_STREAM: u64 = 7;
 /// RNG stream label the page-load harness builds its site model from.
 pub const SITE_STREAM: u64 = 8;
 
-/// The most queries one run can drive: transaction ids are `u16`, id 0 is
-/// reserved, and every query needs a globally unique id — so a fleet's
-/// `clients × queries_per_client` must not exceed 65534. Growing fleets
-/// past this needs a wider id space first (see ROADMAP).
-pub const MAX_FLEET_QUERIES: usize = u16::MAX as usize - 1;
-
 /// Zipf popularity exponent of the fleet's name universe and the
 /// page-load site ranks.
 pub const ZIPF_EXPONENT: f64 = 1.0;
@@ -49,12 +43,10 @@ pub const PAGELOAD_SITES: usize = 1000;
 /// One run's simulated world: a resolver host serving `cfg`'s transport,
 /// `clients` stub hosts each on its own link to it, everything registered
 /// in one [`Driver`] for addressed wake routing.
-pub(crate) struct Testbed {
+struct Testbed {
     sim: Sim,
     driver: Driver,
     clients: Vec<EndpointId>,
-    /// Transaction ids handed out so far (ids `1..=txns` are taken).
-    txns: usize,
 }
 
 impl Testbed {
@@ -62,7 +54,7 @@ impl Testbed {
     /// caching [`RecursiveResolver`] fetching misses from a plain-Do53
     /// authoritative upstream for that zone; without one it answers from
     /// `cfg`'s fixed backend.
-    pub(crate) fn new(
+    fn new(
         seed: u64,
         cfg: &TransportConfig,
         clients: usize,
@@ -75,7 +67,11 @@ impl Testbed {
             let upstream = sim.add_host("upstream");
             sim.add_link(resolver, upstream, cfg.link);
             driver.register(&mut sim, |sim| {
-                let backend = ServerBackend::Authoritative(Zone::synth(zone.clone(), cfg.ttl, 60));
+                let backend = ServerBackend::Authoritative(Zone::synth(
+                    zone.clone(),
+                    TransportConfig::TTL,
+                    60,
+                ));
                 TransportConfig::new(TransportKind::Do53, ReusePolicy::Fresh)
                     .build_server_with(sim, upstream, backend)
             });
@@ -94,33 +90,17 @@ impl Testbed {
                 driver.register_resolver(&mut sim, |_| cfg.build_client(stub, resolver))
             })
             .collect();
-        Testbed { sim, driver, clients, txns: 0 }
-    }
-
-    /// Reserves `n` consecutive transaction ids and returns the first —
-    /// the only place ids come from. Refuses to go past
-    /// [`MAX_FLEET_QUERIES`] rather than wrap.
-    pub(crate) fn take_txns(&mut self, n: usize) -> Result<u16, CellError> {
-        let requested = self.txns + n;
-        if requested > MAX_FLEET_QUERIES {
-            return Err(CellError::TxnSpaceExhausted { requested });
-        }
-        let first = self.txns as u16 + 1;
-        self.txns = requested;
-        Ok(first)
+        Testbed { sim, driver, clients }
     }
 
     /// Advances the simulation to `at`, then resolves `name` from client
-    /// number `client` under a fresh transaction id, which it returns.
-    fn resolve_at(&mut self, at: SimTime, client: usize, name: &Name) -> Result<u16, CellError> {
+    /// number `client`.
+    fn resolve_at(&mut self, at: SimTime, client: usize, name: &Name) -> Result<(), CellError> {
         self.driver.advance_until(&mut self.sim, at);
-        let txn = self.take_txns(1)?;
-        let response = self
-            .driver
-            .resolve(&mut self.sim, self.clients[client], name, txn)
-            .ok_or(CellError::DidNotResolve { txn })?;
-        assert_eq!(response.header.id, txn);
-        Ok(txn)
+        self.driver
+            .resolve(&mut self.sim, self.clients[client], name)
+            .map(drop)
+            .map_err(|txn| CellError::DidNotResolve { txn })
     }
 
     /// Closes every client, runs the simulation to quiescence and hands
@@ -313,17 +293,9 @@ impl FleetCell {
         }
     }
 
-    /// Resolves a seeded [`FleetSchedule`] under `seed`, every query under
-    /// a globally unique transaction id.
-    ///
-    /// Errors with [`CellError::TxnSpaceExhausted`] — before any host is
-    /// built — when `clients × queries_per_client` exceeds
-    /// [`MAX_FLEET_QUERIES`].
+    /// Resolves a seeded [`FleetSchedule`] under `seed`.
     pub fn measure(&self, seed: u64) -> Result<FleetRun, CellError> {
         let queries = self.clients * self.queries_per_client;
-        if queries > MAX_FLEET_QUERIES {
-            return Err(CellError::TxnSpaceExhausted { requested: queries });
-        }
         let zone = workload_zone();
         let mut bed = Testbed::new(seed, &self.transport, self.clients, Some(&zone));
         let mut rng = bed.sim.split_rng(WORKLOAD_STREAM);
@@ -445,9 +417,8 @@ impl PageloadCell {
         let mut loads = Vec::with_capacity(self.pages);
         for _ in 0..self.pages {
             let page = model.next_page();
-            let txn_base = bed.take_txns(page.domains.len())?;
             let client = bed.clients[0];
-            loads.push(load_page(&mut bed.sim, &mut bed.driver, client, &page, &fetch, txn_base));
+            loads.push(load_page(&mut bed.sim, &mut bed.driver, client, &page, &fetch));
         }
         bed.finish()?;
 

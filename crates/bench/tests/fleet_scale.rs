@@ -24,8 +24,8 @@ fn thousand_client_fleet_is_bit_for_bit_deterministic_on_every_transport() {
         let cell = thousand_client_cell(transport);
         let mut per_seed = Vec::new();
         for seed in [11u64, 12] {
-            let first = cell.measure(seed).expect("1,000 queries fit the txn-id space");
-            let second = cell.measure(seed).expect("1,000 queries fit the txn-id space");
+            let first = cell.measure(seed).expect("every query of a clean-link fleet resolves");
+            let second = cell.measure(seed).expect("every query of a clean-link fleet resolves");
             assert_eq!(first, second, "{label} seed {seed} must replay bit for bit");
             assert_eq!(first.queries, 1000);
             assert_eq!(

@@ -23,7 +23,7 @@ fn render(threads: usize) -> String {
         .seeds(1..=5)
         .threads(threads)
         .run()
-        .expect("a 40-client fleet fits the txn-id space");
+        .expect("every clean-link cell resolves");
     Report::new("determinism_probe")
         .meta("seeds", Value::U64(5))
         .stats(&["bytes_per_resolution"])

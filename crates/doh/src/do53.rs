@@ -42,12 +42,6 @@ impl UdpRetry {
     }
 }
 
-/// High bits of the retransmission-timer tokens, keeping them disjoint
-/// from [`ADVANCE_TOKEN`](crate::ADVANCE_TOKEN) (`u64::MAX`) and from any
-/// harness-owned token namespace; the low 16 bits carry the transaction
-/// id the timer belongs to.
-const RETRY_TOKEN_BASE: u64 = 0xD053 << 32;
-
 /// A Do53 server answering from a pluggable [`ServerBackend`] —
 /// authoritative zone data or a shared caching recursive resolver.
 #[derive(Debug)]
@@ -136,6 +130,8 @@ pub struct Do53Client {
     host: HostId,
     server: (HostId, u16),
     retry: Option<UdpRetry>,
+    /// The transaction id of the latest query (0 before the first).
+    last_txn: u16,
     pending: Vec<PendingQuery>,
     responses: Vec<Message>,
 }
@@ -144,7 +140,14 @@ impl Do53Client {
     /// A client on `host` querying `server`. No retransmission: a lost
     /// datagram loses the query, the paper's §3 measurement-client shape.
     pub fn new(host: HostId, server: (HostId, u16)) -> Do53Client {
-        Do53Client { host, server, retry: None, pending: Vec::new(), responses: Vec::new() }
+        Do53Client {
+            host,
+            server,
+            retry: None,
+            last_txn: 0,
+            pending: Vec::new(),
+            responses: Vec::new(),
+        }
     }
 
     /// A client that retransmits unanswered queries on `retry`'s timeout
@@ -152,20 +155,16 @@ impl Do53Client {
     /// on lossy links, where "a lost query never resolves" would conflate
     /// transport loss behaviour with client give-up behaviour.
     pub fn with_retry(host: HostId, server: (HostId, u16), retry: UdpRetry) -> Do53Client {
-        Do53Client { host, server, retry: Some(retry), pending: Vec::new(), responses: Vec::new() }
+        Do53Client { retry: Some(retry), ..Do53Client::new(host, server) }
     }
 
-    /// Handles a retransmission-timer wake; returns `true` if the token
-    /// belonged to this client's timer namespace.
-    fn on_retry_timer(&mut self, sim: &mut Sim, token: u64) -> bool {
-        if token & !0xFFFF != RETRY_TOKEN_BASE {
-            return false;
-        }
-        let id = (token & 0xFFFF) as u16;
+    /// Handles a retransmission-timer wake. Timers are routed to their
+    /// owner, so the token is simply the transaction id it was armed for.
+    fn on_retry_timer(&mut self, sim: &mut Sim, token: u64) {
         // A stale timer for an already-answered query finds no pending
         // entry and falls through silently — each fire rearms at most
         // one successor, so chains die with their query.
-        if let Some(q) = self.pending.iter_mut().find(|q| q.id == id) {
+        if let Some(q) = self.pending.iter_mut().find(|q| u64::from(q.id) == token) {
             if q.retries_left > 0 {
                 q.retries_left -= 1;
                 sim.set_attr(u32::from(q.id));
@@ -176,15 +175,15 @@ impl Do53Client {
                 crate::driver::schedule_endpoint_timer(sim, q.next_timeout, token);
             }
         }
-        true
     }
 }
 
 impl Resolver for Do53Client {
-    /// Sends an A query for `name` with transaction (and attribution) id
-    /// `id` from a freshly bound ephemeral port, arming the first
-    /// retransmission timer when the client has an [`UdpRetry`] policy.
-    fn send_query(&mut self, sim: &mut Sim, name: &Name, id: u16) {
+    /// Sends an A query for `name` from a freshly bound ephemeral port,
+    /// arming the first retransmission timer when the client has an
+    /// [`UdpRetry`] policy.
+    fn send_query(&mut self, sim: &mut Sim, name: &Name) -> u16 {
+        let id = crate::next_txn(&mut self.last_txn);
         let sock = sim.udp_bind(self.host, 0);
         sim.set_attr(u32::from(id));
         let query = Message::query(id, name, RecordType::A);
@@ -192,13 +191,13 @@ impl Resolver for Do53Client {
         sim.udp_send(sock, self.server, LayerTag::DnsPayload, wire.clone());
         let (retries_left, next_timeout) = match self.retry {
             Some(retry) => {
-                let token = RETRY_TOKEN_BASE | u64::from(id);
-                crate::driver::schedule_endpoint_timer(sim, retry.initial, token);
+                crate::driver::schedule_endpoint_timer(sim, retry.initial, u64::from(id));
                 (retry.max_retries, retry.initial)
             }
             None => (0, SimDuration::ZERO),
         };
         self.pending.push(PendingQuery { id, sock, wire, retries_left, next_timeout });
+        id
     }
 
     fn take_response(&mut self, id: u16) -> Option<Message> {
@@ -217,9 +216,7 @@ impl Resolver for Do53Client {
 impl Endpoint for Do53Client {
     fn on_wake(&mut self, sim: &mut Sim, wake: &Wake) {
         match wake {
-            Wake::AppTimer { token, .. } => {
-                self.on_retry_timer(sim, *token);
-            }
+            Wake::AppTimer { token, .. } => self.on_retry_timer(sim, *token),
             Wake::UdpReadable { sock, .. } => {
                 let Some(idx) = self.pending.iter().position(|q| q.sock == *sock) else {
                     return;
@@ -263,7 +260,7 @@ mod tests {
     fn query_resolves_to_the_fixed_answer() {
         let (mut sim, mut client, mut server) = setup(1);
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-        let response = pump(&mut sim, &mut client, &mut server, Some((&name, 1))).unwrap();
+        let response = pump(&mut sim, &mut client, &mut server, Some(&name)).unwrap();
         assert_eq!(response.header.id, 1);
         assert_eq!(response.answers.len(), 1);
         assert_eq!(response.answers[0].name, name);
@@ -273,8 +270,8 @@ mod tests {
     fn each_resolution_is_two_packets_charged_to_its_id() {
         let (mut sim, mut client, mut server) = setup(2);
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-        for id in 1..=3u16 {
-            pump(&mut sim, &mut client, &mut server, Some((&name, id))).unwrap();
+        for _ in 0..3 {
+            pump(&mut sim, &mut client, &mut server, Some(&name)).unwrap();
         }
         sim.drain();
         for id in 1..=3u32 {
@@ -291,8 +288,8 @@ mod tests {
         let (mut sim, mut client, mut server) = setup(3);
         sim.trace.enable(100);
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-        pump(&mut sim, &mut client, &mut server, Some((&name, 1))).unwrap();
-        pump(&mut sim, &mut client, &mut server, Some((&name, 2))).unwrap();
+        pump(&mut sim, &mut client, &mut server, Some(&name)).unwrap();
+        pump(&mut sim, &mut client, &mut server, Some(&name)).unwrap();
         let sources: Vec<String> = sim
             .trace
             .records()
@@ -309,7 +306,7 @@ mod tests {
         let (mut sim, mut client, mut server) = setup(5);
         sim.trace.enable(16);
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-        pump(&mut sim, &mut client, &mut server, Some((&name, 1))).unwrap();
+        pump(&mut sim, &mut client, &mut server, Some(&name)).unwrap();
         sim.drain();
         let dropped_before = sim.dropped_packets();
         // A stray duplicate response to the query's (now closed) source
@@ -333,7 +330,7 @@ mod tests {
         let mut server = Do53Server::bind(&mut sim, resolver, 53, Ipv4Addr::new(192, 0, 2, 7), 60);
         let mut client = Do53Client::new(stub, (resolver, 53));
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-        assert!(pump(&mut sim, &mut client, &mut server, Some((&name, 1))).is_none());
+        assert!(pump(&mut sim, &mut client, &mut server, Some(&name)).is_none());
     }
 
     #[test]
@@ -350,7 +347,7 @@ mod tests {
         let mut client = Do53Client::with_retry(stub, (resolver, 53), UdpRetry::standard());
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
         for id in 1..=8u16 {
-            let response = pump(&mut sim, &mut client, &mut server, Some((&name, id)));
+            let response = pump(&mut sim, &mut client, &mut server, Some(&name));
             assert!(response.is_some(), "id {id} failed despite retries");
         }
     }
@@ -364,7 +361,7 @@ mod tests {
         let mut server = Do53Server::bind(&mut sim, resolver, 53, Ipv4Addr::new(192, 0, 2, 7), 60);
         let mut client = Do53Client::with_retry(stub, (resolver, 53), UdpRetry::standard());
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-        assert!(pump(&mut sim, &mut client, &mut server, Some((&name, 1))).is_none());
+        assert!(pump(&mut sim, &mut client, &mut server, Some(&name)).is_none());
         // Original send + 6 retransmissions, every one dropped on the link.
         assert_eq!(sim.dropped_packets(), 7);
     }
@@ -383,7 +380,7 @@ mod tests {
             UdpRetry { initial: SimDuration::from_millis(200), max_retries: 2 },
         );
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-        pump(&mut sim, &mut client, &mut server, Some((&name, 1)));
+        pump(&mut sim, &mut client, &mut server, Some(&name));
         let sources: Vec<String> = sim
             .trace
             .records()

@@ -176,10 +176,9 @@ impl DohH1Client {
         authority: &str,
         tls_cfg: TlsConfig,
         policy: ReusePolicy,
-        conn_attr: u32,
     ) -> DohH1Client {
         let framing = Http1 { authority: authority.to_string() };
-        StreamClient::with_framing(framing, host, server, tls_cfg, policy, conn_attr)
+        StreamClient::with_framing(framing, host, server, tls_cfg, policy)
     }
 }
 
@@ -204,8 +203,7 @@ mod tests {
         sim.add_link(stub, resolver, LinkConfig::localhost());
         let server =
             DohH1Server::bind(&mut sim, resolver, 443, h1_tls(), Ipv4Addr::new(192, 0, 2, 7), 300);
-        let client =
-            DohH1Client::new(stub, (resolver, 443), "dns.example.net", h1_tls(), policy, 0);
+        let client = DohH1Client::new(stub, (resolver, 443), "dns.example.net", h1_tls(), policy);
         (sim, client, server)
     }
 
@@ -213,7 +211,7 @@ mod tests {
     fn cold_resolution_pays_handshake_headers_and_body() {
         let (mut sim, mut client, mut server) = setup(1, ReusePolicy::Fresh);
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-        let response = pump(&mut sim, &mut client, &mut server, Some((&name, 1))).unwrap();
+        let response = pump(&mut sim, &mut client, &mut server, Some(&name)).unwrap();
         assert_eq!(response.answers[0].name, name);
         sim.drain();
         let cost = sim.meter.cost(1);
@@ -235,8 +233,8 @@ mod tests {
     fn persistent_connection_repeats_header_text_every_query() {
         let (mut sim, mut client, mut server) = setup(2, ReusePolicy::Persistent);
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-        for id in 1..=3u16 {
-            pump(&mut sim, &mut client, &mut server, Some((&name, id))).unwrap();
+        for _ in 0..3 {
+            pump(&mut sim, &mut client, &mut server, Some(&name)).unwrap();
         }
         assert!(client.is_connected());
         sim.drain();
@@ -253,12 +251,12 @@ mod tests {
     fn close_then_next_query_reconnects() {
         let (mut sim, mut client, mut server) = setup(3, ReusePolicy::Persistent);
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-        pump(&mut sim, &mut client, &mut server, Some((&name, 1))).unwrap();
+        pump(&mut sim, &mut client, &mut server, Some(&name)).unwrap();
         client.close(&mut sim);
         pump(&mut sim, &mut client, &mut server, None);
         assert!(!client.is_connected());
         assert_eq!(server.open_connections(), 0);
-        let response = pump(&mut sim, &mut client, &mut server, Some((&name, 2)));
+        let response = pump(&mut sim, &mut client, &mut server, Some(&name));
         assert!(response.is_some());
     }
 
@@ -267,8 +265,8 @@ mod tests {
         let run = |seed: u64| {
             let (mut sim, mut client, mut server) = setup(seed, ReusePolicy::Persistent);
             let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-            for id in 1..=3u16 {
-                pump(&mut sim, &mut client, &mut server, Some((&name, id))).unwrap();
+            for _ in 0..3 {
+                pump(&mut sim, &mut client, &mut server, Some(&name)).unwrap();
             }
             sim.drain();
             (sim.meter.total(), sim.now())

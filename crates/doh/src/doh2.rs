@@ -259,10 +259,9 @@ impl DohH2Client {
         authority: &str,
         tls_cfg: TlsConfig,
         policy: ReusePolicy,
-        conn_attr: u32,
     ) -> DohH2Client {
         let framing = Http2 { authority: authority.to_string() };
-        StreamClient::with_framing(framing, host, server, tls_cfg, policy, conn_attr)
+        StreamClient::with_framing(framing, host, server, tls_cfg, policy)
     }
 }
 
@@ -288,8 +287,7 @@ mod tests {
         sim.add_link(stub, resolver, LinkConfig::localhost());
         let server =
             DohH2Server::bind(&mut sim, resolver, 443, h2_tls(), Ipv4Addr::new(192, 0, 2, 7), 300);
-        let client =
-            DohH2Client::new(stub, (resolver, 443), "dns.example.net", h2_tls(), policy, 0);
+        let client = DohH2Client::new(stub, (resolver, 443), "dns.example.net", h2_tls(), policy);
         (sim, client, server)
     }
 
@@ -297,7 +295,7 @@ mod tests {
     fn cold_resolution_pays_handshake_mgmt_headers_and_body() {
         let (mut sim, mut client, mut server) = setup(1, ReusePolicy::Fresh);
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-        let response = pump(&mut sim, &mut client, &mut server, Some((&name, 1))).unwrap();
+        let response = pump(&mut sim, &mut client, &mut server, Some(&name)).unwrap();
         assert_eq!(response.answers[0].name, name);
         pump(&mut sim, &mut client, &mut server, None);
         let cost = sim.meter.cost(1);
@@ -318,8 +316,8 @@ mod tests {
     fn persistent_hpack_shrinks_headers_after_the_first_query() {
         let (mut sim, mut client, mut server) = setup(2, ReusePolicy::Persistent);
         let name_gen = |i: u64| Name::parse(&format!("abcdefg{i}.dohmark.test")).unwrap();
-        for id in 1..=4u16 {
-            pump(&mut sim, &mut client, &mut server, Some((&name_gen(u64::from(id)), id))).unwrap();
+        for i in 1..=4u64 {
+            pump(&mut sim, &mut client, &mut server, Some(&name_gen(i))).unwrap();
         }
         assert!(client.is_connected());
         sim.drain();
@@ -339,7 +337,7 @@ mod tests {
     fn close_sends_goaway_then_fin() {
         let (mut sim, mut client, mut server) = setup(3, ReusePolicy::Persistent);
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-        pump(&mut sim, &mut client, &mut server, Some((&name, 1))).unwrap();
+        pump(&mut sim, &mut client, &mut server, Some(&name)).unwrap();
         let mgmt_before = sim.meter.cost(0).layers.http_mgmt;
         client.close(&mut sim);
         pump(&mut sim, &mut client, &mut server, None);
@@ -354,8 +352,8 @@ mod tests {
         let (mut sim, mut client, mut server) = setup(4, ReusePolicy::Persistent);
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
         // Launch three queries back-to-back before any response arrives.
-        for id in 1..=3u16 {
-            client.send_query(&mut sim, &name, id);
+        for _ in 0..3 {
+            client.send_query(&mut sim, &name);
         }
         pump(&mut sim, &mut client, &mut server, None);
         for id in 1..=3u16 {
@@ -388,10 +386,9 @@ mod tests {
             "dns.example.net",
             h2_tls(),
             ReusePolicy::Fresh,
-            0,
         );
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-        client.send_query(&mut sim, &name, 1);
+        client.send_query(&mut sim, &name);
         let mut server_conn: Option<(TlsStream, H2Conn)> = None;
         while let Some(wake) = sim.next_wake() {
             client.on_wake(&mut sim, &wake);
@@ -433,8 +430,8 @@ mod tests {
         let run = |seed: u64| {
             let (mut sim, mut client, mut server) = setup(seed, ReusePolicy::Persistent);
             let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-            for id in 1..=3u16 {
-                pump(&mut sim, &mut client, &mut server, Some((&name, id))).unwrap();
+            for _ in 0..3 {
+                pump(&mut sim, &mut client, &mut server, Some(&name)).unwrap();
             }
             sim.drain();
             (sim.meter.total(), sim.now())

@@ -120,16 +120,15 @@ impl DotClient {
     /// A client on `host` for `server`, usually `(resolver, 853)`.
     ///
     /// Under [`ReusePolicy::Persistent`] the TCP+TLS setup bytes are
-    /// attributed to `conn_attr`; under [`ReusePolicy::Fresh`] each
-    /// resolution's setup is attributed to its own transaction id.
+    /// attributed to id 0; under [`ReusePolicy::Fresh`] each resolution's
+    /// setup is attributed to its own transaction id.
     pub fn new(
         host: HostId,
         server: (HostId, u16),
         tls_cfg: TlsConfig,
         policy: ReusePolicy,
-        conn_attr: u32,
     ) -> DotClient {
-        StreamClient::with_framing(Dot, host, server, tls_cfg, policy, conn_attr)
+        StreamClient::with_framing(Dot, host, server, tls_cfg, policy)
     }
 }
 
@@ -155,7 +154,7 @@ mod tests {
         let resolver = sim.add_host("resolver");
         sim.add_link(stub, resolver, LinkConfig::localhost());
         let server = DotServer::bind(&mut sim, resolver, 853, dot_tls(), ANSWER, 300);
-        let client = DotClient::new(stub, (resolver, 853), dot_tls(), policy, 0);
+        let client = DotClient::new(stub, (resolver, 853), dot_tls(), policy);
         (sim, client, server)
     }
 
@@ -179,7 +178,7 @@ mod tests {
                 let (mut $sim, stub, resolver) = topology();
                 let mut $server =
                     DotServer::bind(&mut $sim, resolver, 853, tls.clone(), ANSWER, 60);
-                let mut $client = DotClient::new(stub, (resolver, 853), tls.clone(), $policy, 0);
+                let mut $client = DotClient::new(stub, (resolver, 853), tls.clone(), $policy);
                 $body
             }
             {
@@ -187,7 +186,7 @@ mod tests {
                 let mut $server =
                     DohH1Server::bind(&mut $sim, resolver, 443, tls.clone(), ANSWER, 60);
                 let mut $client =
-                    DohH1Client::new(stub, (resolver, 443), &tls.sni, tls.clone(), $policy, 0);
+                    DohH1Client::new(stub, (resolver, 443), &tls.sni, tls.clone(), $policy);
                 $body
             }
             {
@@ -195,7 +194,7 @@ mod tests {
                 let mut $server =
                     DohH2Server::bind(&mut $sim, resolver, 443, tls.clone(), ANSWER, 60);
                 let mut $client =
-                    DohH2Client::new(stub, (resolver, 443), &tls.sni, tls.clone(), $policy, 0);
+                    DohH2Client::new(stub, (resolver, 443), &tls.sni, tls.clone(), $policy);
                 $body
             }
         }};
@@ -205,7 +204,7 @@ mod tests {
     fn cold_resolution_answers_and_charges_the_handshake() {
         let (mut sim, mut client, mut server) = setup(1, ReusePolicy::Fresh);
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-        let response = pump(&mut sim, &mut client, &mut server, Some((&name, 1))).unwrap();
+        let response = pump(&mut sim, &mut client, &mut server, Some(&name)).unwrap();
         assert_eq!(response.answers[0].name, name);
         sim.drain();
         let cost = sim.meter.cost(1);
@@ -227,8 +226,8 @@ mod tests {
             dot_tls(),
             ReusePolicy::Fresh,
             |sim, client, server, name| {
-                for id in 1..=2u16 {
-                    pump(&mut sim, &mut client, &mut server, Some((&name, id))).unwrap();
+                for _ in 0..2 {
+                    pump(&mut sim, &mut client, &mut server, Some(&name)).unwrap();
                     assert!(!client.is_connected(), "cold connection must close");
                 }
                 pump(&mut sim, &mut client, &mut server, None);
@@ -245,8 +244,8 @@ mod tests {
     fn persistent_policy_amortises_the_handshake() {
         let (mut sim, mut client, mut server) = setup(3, ReusePolicy::Persistent);
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-        for id in 1..=5u16 {
-            pump(&mut sim, &mut client, &mut server, Some((&name, id))).unwrap();
+        for _ in 0..5 {
+            pump(&mut sim, &mut client, &mut server, Some(&name)).unwrap();
         }
         assert!(client.is_connected());
         sim.drain();
@@ -270,8 +269,8 @@ mod tests {
                 // Two queries launched back-to-back share the cold connection;
                 // it must not close after the first answer and strand the
                 // second.
-                client.send_query(&mut sim, &name, 1);
-                client.send_query(&mut sim, &name, 2);
+                client.send_query(&mut sim, &name);
+                client.send_query(&mut sim, &name);
                 pump(&mut sim, &mut client, &mut server, None);
                 assert!(client.take_response(1).is_some());
                 assert!(client.take_response(2).is_some());
@@ -292,11 +291,11 @@ mod tests {
                 // Query 1 is still queued (handshake pending) when the
                 // client closes; it must not be retransmitted on the next
                 // connection.
-                client.send_query(&mut sim, &name, 1);
+                client.send_query(&mut sim, &name);
                 client.close(&mut sim);
                 pump(&mut sim, &mut client, &mut server, None);
                 assert!(client.take_response(1).is_none());
-                let response = pump(&mut sim, &mut client, &mut server, Some((&name, 2)));
+                let response = pump(&mut sim, &mut client, &mut server, Some(&name));
                 assert!(response.is_some(), "a fresh query after close must work");
                 pump(&mut sim, &mut client, &mut server, None);
                 assert!(client.take_response(1).is_none(), "stale query 1 must stay abandoned");
@@ -312,7 +311,7 @@ mod tests {
             dot_tls(),
             ReusePolicy::Persistent,
             |sim, client, server, name| {
-                pump(&mut sim, &mut client, &mut server, Some((&name, 1))).unwrap();
+                pump(&mut sim, &mut client, &mut server, Some(&name)).unwrap();
                 assert!(client.is_connected());
                 client.close(&mut sim);
                 pump(&mut sim, &mut client, &mut server, None);
@@ -335,10 +334,10 @@ mod tests {
                 cfg.clone(),
                 ReusePolicy::Fresh,
                 |sim, client, server, name| {
-                    let response = pump(&mut sim, &mut client, &mut server, Some((&name, 9)));
+                    let response = pump(&mut sim, &mut client, &mut server, Some(&name));
                     assert!(response.is_some(), "no response for {cfg:?}");
                     sim.drain();
-                    assert!(sim.meter.cost(9).layers.tls >= handshake_bytes(&cfg) as u64);
+                    assert!(sim.meter.cost(1).layers.tls >= handshake_bytes(&cfg) as u64);
                 }
             );
         }
@@ -349,8 +348,8 @@ mod tests {
         let run = |seed: u64| {
             let (mut sim, mut client, mut server) = setup(seed, ReusePolicy::Persistent);
             let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-            for id in 1..=3u16 {
-                pump(&mut sim, &mut client, &mut server, Some((&name, id))).unwrap();
+            for _ in 0..3 {
+                pump(&mut sim, &mut client, &mut server, Some(&name)).unwrap();
             }
             sim.drain();
             (sim.meter.total(), sim.now())
@@ -366,7 +365,7 @@ mod tests {
             dot_tls(),
             ReusePolicy::Persistent,
             |sim, client, server, name| {
-                let response = pump(&mut sim, &mut client, &mut server, Some((&name, 1))).unwrap();
+                let response = pump(&mut sim, &mut client, &mut server, Some(&name)).unwrap();
                 assert_eq!(response.answers.len(), 1);
                 assert!(sim.dropped_packets() > 0, "the link should actually have lost packets");
             }

@@ -31,8 +31,8 @@
 //! let server = driver.register(&mut sim, |sim| cfg.build_server(sim, resolver));
 //! let client = driver.register_resolver(&mut sim, |_| cfg.build_client(stub, resolver));
 //! let name = Name::parse("example.com").unwrap();
-//! let response = driver.resolve(&mut sim, client, &name, 1).unwrap();
-//! assert_eq!(response.header.id, 1);
+//! let response = driver.resolve(&mut sim, client, &name).unwrap();
+//! assert_eq!(response.header.id, 1, "the client's first transaction id");
 //! # let _ = server;
 //! ```
 
@@ -188,15 +188,16 @@ impl Driver {
         Some((wake, routed))
     }
 
-    /// Starts a resolution on the registered client `id` (transaction and
-    /// attribution id `txn`) without driving the loop; pair with
-    /// [`Driver::run_until_quiescent`] / [`Driver::take_response`] to
-    /// overlap many in-flight resolutions.
-    pub fn send_query(&mut self, sim: &mut Sim, id: EndpointId, name: &Name, txn: u16) {
+    /// Starts a resolution on the registered client `id` without driving
+    /// the loop and returns the transaction (and attribution) id the
+    /// client drew for it; pair with [`Driver::run_until_quiescent`] /
+    /// [`Driver::take_response`] to overlap many in-flight resolutions.
+    pub fn send_query(&mut self, sim: &mut Sim, id: EndpointId, name: &Name) -> u16 {
         let prev = sim.owner();
         sim.set_owner(id.0);
-        self.resolver_mut(id).send_query(sim, name, txn);
+        let txn = self.resolver_mut(id).send_query(sim, name);
         sim.set_owner(prev);
+        txn
     }
 
     /// Removes and returns client `id`'s response to transaction `txn`.
@@ -213,21 +214,17 @@ impl Driver {
     }
 
     /// Sends one query from client `id` and runs the simulation — routing
-    /// every wake to its owner — until the response arrives. Returns
-    /// `None` if the simulation runs dry first.
-    pub fn resolve(
-        &mut self,
-        sim: &mut Sim,
-        id: EndpointId,
-        name: &Name,
-        txn: u16,
-    ) -> Option<Message> {
-        self.send_query(sim, id, name, txn);
+    /// every wake to its owner — until the response arrives. If the
+    /// simulation runs dry first, returns the lost query's transaction id
+    /// as the error.
+    pub fn resolve(&mut self, sim: &mut Sim, id: EndpointId, name: &Name) -> Result<Message, u16> {
+        let txn = self.send_query(sim, id, name);
         loop {
             if let Some(response) = self.take_response(id, txn) {
-                return Some(response);
+                assert_eq!(response.header.id, txn, "an answer carries its query's id");
+                return Ok(response);
             }
-            self.step(sim)?;
+            self.step(sim).ok_or(txn)?;
         }
     }
 
@@ -277,41 +274,73 @@ mod tests {
         // Two DoH/2 sessions on one resolver. Session A's GOAWAY/FIN
         // exchange is still in flight while session B's resolution is
         // driven: the loop must not swallow A's teardown wakes.
-        let cfg_a = TransportConfig::new(TransportKind::DohH2, ReusePolicy::Persistent);
-        let cfg_b = TransportConfig { conn_attr: 200, ..cfg_a.clone() };
+        let cfg = TransportConfig::new(TransportKind::DohH2, ReusePolicy::Persistent);
         let mut sim = Sim::new(5);
         let stub = sim.add_host("stub");
         let resolver = sim.add_host("resolver");
-        sim.add_link(stub, resolver, cfg_a.link);
+        sim.add_link(stub, resolver, cfg.link);
         let mut driver = Driver::new();
         let mut server = None;
         driver.register(&mut sim, |sim| {
-            let tls = cfg_a.tls().expect("doh uses tls");
-            let bound = DohH2Server::bind(sim, resolver, 443, tls, cfg_a.answer, cfg_a.ttl);
+            let tls = cfg.tls().expect("doh uses tls");
+            let bound = DohH2Server::bind(
+                sim,
+                resolver,
+                443,
+                tls,
+                TransportConfig::ANSWER,
+                TransportConfig::TTL,
+            );
             let shared = Rc::new(RefCell::new(bound));
             server = Some(shared.clone());
             Box::new(Shared(shared))
         });
         let server = server.expect("the build closure ran");
-        let a = driver.register_resolver(&mut sim, |_| cfg_a.build_client(stub, resolver));
-        let b = driver.register_resolver(&mut sim, |_| cfg_b.build_client(stub, resolver));
+        let a = driver.register_resolver(&mut sim, |_| cfg.build_client(stub, resolver));
+        let b = driver.register_resolver(&mut sim, |_| cfg.build_client(stub, resolver));
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
 
-        driver.resolve(&mut sim, a, &name, 1).expect("session A resolves");
-        driver.resolve(&mut sim, b, &name, 100).expect("session B resolves");
+        driver.resolve(&mut sim, a, &name).expect("session A resolves");
+        driver.resolve(&mut sim, b, &name).expect("session B resolves");
         assert_eq!(server.borrow().open_connections(), 2);
         driver.close(&mut sim, a);
-        let response = driver.resolve(&mut sim, b, &name, 101);
-        assert!(response.is_some(), "B's answer arrives while A tears down");
+        let response = driver.resolve(&mut sim, b, &name);
+        assert!(response.is_ok(), "B's answer arrives while A tears down");
         driver.run_until_quiescent(&mut sim);
         // A's FIN reached the server instead of being discarded; B's
         // persistent connection is untouched.
         assert_eq!(server.borrow().open_connections(), 1, "A's teardown wake was lost");
         assert_eq!(driver.unrouted_wakes(), 0);
         // And A reconnects cleanly afterwards.
-        driver.resolve(&mut sim, a, &name, 2).expect("session A reconnects");
+        driver.resolve(&mut sim, a, &name).expect("session A reconnects");
         assert_eq!(server.borrow().open_connections(), 2);
         assert_eq!(driver.unrouted_wakes(), 0);
+    }
+
+    #[test]
+    fn two_clients_hold_the_same_transaction_id_at_once() {
+        for cfg in TransportConfig::matrix() {
+            let mut sim = Sim::new(3);
+            let resolver = sim.add_host("resolver");
+            let mut driver = Driver::new();
+            driver.register(&mut sim, |sim| cfg.build_server(sim, resolver));
+            let clients = ["stub0", "stub1"].map(|host| {
+                let stub = sim.add_host(host);
+                sim.add_link(stub, resolver, cfg.link);
+                driver.register_resolver(&mut sim, |_| cfg.build_client(stub, resolver))
+            });
+            let names = ["left", "right"].map(|l| Name::parse(&format!("{l}.test")).unwrap());
+            // Ids are per client: each one's first query is id 1.
+            for (client, name) in clients.into_iter().zip(&names) {
+                assert_eq!(driver.send_query(&mut sim, client, name), 1, "{}", cfg.label());
+            }
+            driver.run_until_quiescent(&mut sim);
+            for (client, name) in clients.into_iter().zip(&names) {
+                let response = driver.take_response(client, 1).expect("answered");
+                assert_eq!(&response.answers[0].name, name, "{}", cfg.label());
+                assert_eq!(driver.send_query(&mut sim, client, name), 2, "{}", cfg.label());
+            }
+        }
     }
 
     #[test]

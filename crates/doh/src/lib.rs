@@ -48,7 +48,7 @@
 //! let _server = driver.register(&mut sim, |sim| cfg.build_server(sim, resolver));
 //! let client = driver.register_resolver(&mut sim, |_| cfg.build_client(stub, resolver));
 //! let name = Name::parse("example.com").unwrap();
-//! let response = driver.resolve(&mut sim, client, &name, 1).unwrap();
+//! let response = driver.resolve(&mut sim, client, &name).unwrap();
 //! assert_eq!(response.answers.len(), 1);
 //! ```
 //!
@@ -77,14 +77,19 @@
 //!
 //! # Attribution
 //!
-//! Each resolution is identified by its DNS transaction id, which doubles
-//! as the simulator attribution id: clients call
-//! [`Sim::set_attr`](dohmark_netsim::Sim::set_attr) before writing query
-//! bytes and servers set it from the decoded query id before answering, so
-//! the meter splits cost per resolution. Connection setup (TCP handshake +
-//! TLS flights + HTTP/2 preface and SETTINGS) is charged to the id current
-//! when the connection was opened: the resolution's own id for fresh
-//! connections, a caller-chosen connection id for persistent ones.
+//! Each client draws its own DNS transaction ids — 1, 2, … in send order,
+//! wrapping past 65 535 back to 1 — and [`Resolver::send_query`] returns
+//! the one it drew. That id doubles as the simulator attribution id:
+//! clients call [`Sim::set_attr`](dohmark_netsim::Sim::set_attr) before
+//! writing query bytes and servers set it from the decoded query id before
+//! answering, so the meter splits cost per resolution. An id is unique per
+//! client, not per run: with one client the meter reads per resolution,
+//! while in a fleet every client's first query is metered under id 1 (the
+//! fleet experiments read only totals and named counters). Connection
+//! setup (TCP handshake + TLS flights + HTTP/2 preface and SETTINGS) is
+//! charged to the id current when the connection was opened: the
+//! resolution's own id for fresh connections, id 0 — which no query ever
+//! draws — for persistent ones.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -128,9 +133,9 @@ pub trait Endpoint {
 /// tear its connections down — the unified client API every transport
 /// (Do53, DoT, DoH-h1, DoH-h2) implements and [`Driver::resolve`] drives.
 pub trait Resolver: Endpoint {
-    /// Starts an A-record resolution for `name` with transaction (and
-    /// attribution) id `id`.
-    fn send_query(&mut self, sim: &mut Sim, name: &Name, id: u16);
+    /// Starts an A-record resolution for `name` and returns the
+    /// transaction (and attribution) id this client drew for it.
+    fn send_query(&mut self, sim: &mut Sim, name: &Name) -> u16;
 
     /// Removes and returns the response to transaction `id`, if received.
     fn take_response(&mut self, id: u16) -> Option<Message>;
@@ -142,6 +147,14 @@ pub trait Resolver: Endpoint {
     fn close(&mut self, sim: &mut Sim) {
         let _ = sim;
     }
+}
+
+/// Advances a client's transaction-id counter and returns the new id:
+/// 1, 2, …, 65 535, 1, … — never 0, the attribution persistent-connection
+/// setup is charged to.
+pub(crate) fn next_txn(last: &mut u16) -> u16 {
+    *last = last.checked_add(1).unwrap_or(1);
+    *last
 }
 
 /// The two-endpoint pump of the in-crate unit tests, which drive concrete
@@ -158,18 +171,28 @@ pub(crate) mod testing {
         sim: &mut Sim,
         client: &mut dyn Resolver,
         server: &mut dyn Endpoint,
-        query: Option<(&Name, u16)>,
+        query: Option<&Name>,
     ) -> Option<Message> {
-        if let Some((name, id)) = query {
-            client.send_query(sim, name, id);
-        }
+        let id = query.map(|name| client.send_query(sim, name));
         loop {
-            if let Some(response) = query.and_then(|(_, id)| client.take_response(id)) {
+            if let Some(response) = id.and_then(|id| client.take_response(id)) {
                 return Some(response);
             }
             let wake = sim.next_wake()?;
             client.on_wake(sim, &wake);
             server.on_wake(sim, &wake);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn transaction_ids_wrap_past_65535_to_1_and_are_never_0() {
+        let mut last = 0;
+        assert_eq!(super::next_txn(&mut last), 1);
+        last = 65_533;
+        let drawn: Vec<u16> = (0..4).map(|_| super::next_txn(&mut last)).collect();
+        assert_eq!(drawn, [65_534, 65_535, 1, 2]);
     }
 }

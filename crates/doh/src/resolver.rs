@@ -26,9 +26,9 @@ use dohmark_netsim::{HostId, LayerTag, Sim, SockId, Wake};
 #[derive(Debug)]
 struct PendingFetch {
     key: (Name, RecordType),
-    /// Transaction id used upstream — the id of the stub query that
-    /// triggered the fetch, so upstream bytes are attributed to the
-    /// resolution that actually paid for them.
+    /// Transaction id on the upstream wire, from the resolver's own
+    /// counter: stub ids are unique per stub only, so two stubs' queries
+    /// may carry the same one.
     upstream_id: u16,
     /// Parked stub queries: the transport-level waiter token and the
     /// original query (whose header id the answer must echo).
@@ -42,6 +42,8 @@ pub struct RecursiveResolver {
     sock: SockId,
     upstream: (HostId, u16),
     cache: DnsCache,
+    /// The transaction id of the latest upstream query (0 before the first).
+    last_upstream_txn: u16,
     pending: Vec<PendingFetch>,
 }
 
@@ -65,6 +67,7 @@ impl RecursiveResolver {
             sock,
             upstream,
             cache: DnsCache::new(cache_capacity),
+            last_upstream_txn: 0,
             pending: Vec::new(),
         }
     }
@@ -103,12 +106,12 @@ impl RecursiveResolver {
             fetch.waiters.push((waiter, query.clone()));
             return None;
         }
-        // Fetch upstream, reusing the stub query's transaction id so the
-        // upstream bytes are attributed to the triggering resolution.
-        let upstream_id = query.header.id;
-        let upstream_query = Message::query(upstream_id, &key.0, qtype);
-        let encoded = upstream_query.encode();
-        sim.set_attr(u32::from(upstream_id));
+        // Fetch upstream under the resolver's own transaction id, the
+        // query's bytes attributed to the resolution that triggered it
+        // (the upstream server meters its answer under the id it decodes).
+        let upstream_id = crate::next_txn(&mut self.last_upstream_txn);
+        let encoded = Message::query(upstream_id, &key.0, qtype).encode();
+        sim.set_attr(u32::from(query.header.id));
         sim.meter.bump("upstream_queries", 1);
         sim.meter.bump("upstream_bytes", encoded.len() as u64 + 28);
         sim.udp_send(self.sock, self.upstream, LayerTag::DnsPayload, encoded);
@@ -221,6 +224,128 @@ impl ServerBackend {
         match self {
             ServerBackend::Authoritative(_) => None,
             ServerBackend::Recursive(resolver) => Some(resolver.cache_stats()),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Driver, EndpointId, ReusePolicy, TransportConfig, TransportKind};
+    use dohmark_netsim::{SimDuration, SimTime};
+
+    fn name(label: &str) -> Name {
+        Name::parse(&format!("{label}.dohmark.test")).unwrap()
+    }
+
+    /// Two stubs, each on its own link to a recursive resolver speaking
+    /// `kind`, which fetches misses from a Do53 authoritative upstream
+    /// over a link whose jitter lets upstream answers overtake each other.
+    fn two_stubs(kind: TransportKind, seed: u64) -> (Sim, Driver, [EndpointId; 2]) {
+        let cfg = TransportConfig::new(kind, ReusePolicy::Persistent);
+        let mut sim = Sim::new(seed);
+        let resolver = sim.add_host("resolver");
+        let upstream = sim.add_host("upstream");
+        sim.add_link(resolver, upstream, cfg.link.jitter(SimDuration::from_millis(5)));
+        let mut driver = Driver::new();
+        driver.register(&mut sim, |sim| {
+            let zone = Zone::synth(Name::parse("dohmark.test").unwrap(), 300, 60);
+            TransportConfig::new(TransportKind::Do53, ReusePolicy::Fresh).build_server_with(
+                sim,
+                upstream,
+                ServerBackend::Authoritative(zone),
+            )
+        });
+        driver.register(&mut sim, |sim| {
+            let recursive = RecursiveResolver::new(sim, resolver, (upstream, 53), 64);
+            cfg.build_server_with(sim, resolver, ServerBackend::Recursive(recursive))
+        });
+        let stubs = ["stub0", "stub1"].map(|host| {
+            let stub = sim.add_host(host);
+            sim.add_link(stub, resolver, cfg.link);
+            driver.register_resolver(&mut sim, |_| cfg.build_client(stub, resolver))
+        });
+        (sim, driver, stubs)
+    }
+
+    /// Sends `names[i]` from stub `i` before driving anything — both
+    /// queries are each stub's first, so both carry id 1 — and returns
+    /// the two answers.
+    fn ask_concurrently(
+        kind: TransportKind,
+        seed: u64,
+        names: [&Name; 2],
+    ) -> (Sim, Driver, [Message; 2]) {
+        let (mut sim, mut driver, stubs) = two_stubs(kind, seed);
+        for (stub, name) in stubs.into_iter().zip(names) {
+            assert_eq!(driver.send_query(&mut sim, stub, name), 1, "{kind:?}");
+        }
+        driver.run_until_quiescent(&mut sim);
+        let answers = stubs.map(|stub| driver.take_response(stub, 1).expect("answered"));
+        (sim, driver, answers)
+    }
+
+    #[test]
+    fn the_same_question_under_the_same_id_from_two_stubs_is_fetched_once() {
+        for kind in TransportKind::ALL {
+            let shared = name("shared");
+            let (sim, driver, answers) = ask_concurrently(kind, 7, [&shared, &shared]);
+            for answer in &answers {
+                assert_eq!(answer.question().unwrap().name, shared, "{kind:?}");
+                assert_eq!(answer.answers.len(), 1, "{kind:?}");
+            }
+            assert_eq!(sim.meter.counter("upstream_queries"), 1, "{kind:?}");
+            assert_eq!(sim.meter.counter("coalesced_queries"), 1, "{kind:?}");
+            assert_eq!(driver.unrouted_wakes(), 0, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn different_questions_under_the_same_id_get_their_own_answers() {
+        // Several seeds, so that under some the second upstream answer
+        // arrives first: matching upstream answers by the stubs' (equal)
+        // ids would hand each stub the other's records.
+        for (kind, seed) in
+            TransportKind::ALL.into_iter().flat_map(|k| (1..=8).map(move |s| (k, s)))
+        {
+            let names = [name("left"), name("right")];
+            let (sim, driver, answers) = ask_concurrently(kind, seed, [&names[0], &names[1]]);
+            for (answer, name) in answers.iter().zip(&names) {
+                assert_eq!(&answer.question().unwrap().name, name, "{kind:?} seed {seed}");
+                assert_eq!(&answer.answers[0].name, name, "{kind:?} seed {seed}");
+            }
+            assert_eq!(sim.meter.counter("upstream_queries"), 2, "{kind:?} seed {seed}");
+            assert_eq!(sim.meter.counter("coalesced_queries"), 0, "{kind:?} seed {seed}");
+            assert_eq!(driver.unrouted_wakes(), 0, "{kind:?} seed {seed}");
+        }
+    }
+
+    #[test]
+    fn only_http1_holds_a_cache_hit_behind_a_parked_miss() {
+        for kind in TransportKind::ALL {
+            let (mut sim, mut driver, [stub, _]) = two_stubs(kind, 7);
+            let (cached, uncached) = (name("cached"), name("uncached"));
+            driver.resolve(&mut sim, stub, &cached).expect("warms the cache");
+            // Back to back on the one connection: a miss, which parks on
+            // the upstream fetch, then a hit the resolver can answer at once.
+            let miss = driver.send_query(&mut sim, stub, &uncached);
+            let hit = driver.send_query(&mut sim, stub, &cached);
+            let mut arrived: [Option<SimTime>; 2] = [None, None];
+            while arrived.contains(&None) {
+                driver.step(&mut sim).expect("both queries are answered");
+                for (at, txn) in arrived.iter_mut().zip([miss, hit]) {
+                    if at.is_none() && driver.take_response(stub, txn).is_some() {
+                        *at = Some(sim.now());
+                    }
+                }
+            }
+            let [miss_at, hit_at] = arrived;
+            if kind == TransportKind::DohH1 {
+                // Responses go out in request order: the hit waits.
+                assert!(hit_at >= miss_at, "{hit_at:?} before {miss_at:?}");
+            } else {
+                assert!(hit_at < miss_at, "{kind:?}: {hit_at:?} not before {miss_at:?}");
+            }
         }
     }
 }

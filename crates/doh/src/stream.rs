@@ -218,9 +218,8 @@ pub struct StreamClient<F: Framing> {
     server: (HostId, u16),
     tls_cfg: TlsConfig,
     policy: ReusePolicy,
-    /// Attribution for connection setup under [`ReusePolicy::Persistent`];
-    /// fresh connections charge setup to the resolution that opened them.
-    conn_attr: u32,
+    /// The transaction id of the latest query (0 before the first).
+    last_txn: u16,
     conn: Option<Conn<F>>,
     /// Queries accepted before the connection established.
     queued: Vec<(u16, Name)>,
@@ -238,7 +237,6 @@ impl<F: Framing> StreamClient<F> {
         server: (HostId, u16),
         tls_cfg: TlsConfig,
         policy: ReusePolicy,
-        conn_attr: u32,
     ) -> StreamClient<F> {
         StreamClient {
             framing,
@@ -246,7 +244,7 @@ impl<F: Framing> StreamClient<F> {
             server,
             tls_cfg,
             policy,
-            conn_attr,
+            last_txn: 0,
             conn: None,
             queued: Vec::new(),
             inflight: 0,
@@ -273,15 +271,18 @@ impl<F: Framing> StreamClient<F> {
 }
 
 impl<F: Framing> Resolver for StreamClient<F> {
-    /// Queues an A query for `name` with transaction id `id`, opening a
-    /// connection if none is usable. The query is transmitted as soon as
-    /// the TLS handshake completes (immediately, when already established).
-    fn send_query(&mut self, sim: &mut Sim, name: &Name, id: u16) {
+    /// Queues an A query for `name`, opening a connection if none is
+    /// usable. The query is transmitted as soon as the TLS handshake
+    /// completes (immediately, when already established). Connection setup
+    /// is charged to the query that opened it under [`ReusePolicy::Fresh`]
+    /// and to attribution 0 under [`ReusePolicy::Persistent`].
+    fn send_query(&mut self, sim: &mut Sim, name: &Name) -> u16 {
+        let id = crate::next_txn(&mut self.last_txn);
         let dead = self.conn.as_ref().is_some_and(|c| sim.tcp_has_failed(c.tls.handle));
         if self.conn.is_none() || dead {
             let attr = match self.policy {
                 ReusePolicy::Fresh => u32::from(id),
-                ReusePolicy::Persistent => self.conn_attr,
+                ReusePolicy::Persistent => 0,
             };
             sim.set_attr(attr);
             let handle = sim.tcp_connect(self.host, self.server);
@@ -293,6 +294,7 @@ impl<F: Framing> Resolver for StreamClient<F> {
         self.queued.push((id, name.clone()));
         self.inflight += 1;
         self.flush(sim);
+        id
     }
 
     fn take_response(&mut self, id: u16) -> Option<Message> {

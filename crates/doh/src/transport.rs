@@ -2,8 +2,9 @@
 //! transport matrix.
 //!
 //! A [`TransportConfig`] names one cell of the matrix — transport kind ×
-//! [`ReusePolicy`] × TLS resumption — plus the topology parameters every
-//! cell shares (link characteristics, the answer the resolver serves).
+//! [`ReusePolicy`] × TLS resumption — plus the link between stub and
+//! resolver; what the resolver is called and answers is the same in every
+//! cell ([`TransportConfig::SNI`], [`TransportConfig::ANSWER`]).
 //! [`TransportConfig::build_server`] / [`TransportConfig::build_client`]
 //! are [`Driver`](crate::Driver) registration factories, so experiment
 //! harnesses iterate over configs instead of naming concrete client/server
@@ -23,8 +24,8 @@
 //!     driver.register(&mut sim, |sim| cfg.build_server(sim, resolver));
 //!     let client = driver.register_resolver(&mut sim, |_| cfg.build_client(stub, resolver));
 //!     let name = Name::parse("example.com").unwrap();
-//!     let response = driver.resolve(&mut sim, client, &name, 1);
-//!     assert!(response.is_some(), "{} failed", cfg.label());
+//!     let response = driver.resolve(&mut sim, client, &name);
+//!     assert!(response.is_ok(), "{} failed", cfg.label());
 //! }
 //! ```
 
@@ -102,17 +103,8 @@ pub struct TransportConfig {
     pub tls_version: TlsVersion,
     /// Resume a TLS session instead of a full handshake.
     pub resumption: bool,
-    /// Server name (SNI and the HTTP `host`/`:authority` value).
-    pub sni: String,
     /// Link characteristics between stub and resolver.
     pub link: LinkConfig,
-    /// The A record every query is answered with.
-    pub answer: Ipv4Addr,
-    /// Answer TTL.
-    pub ttl: u32,
-    /// Attribution id for persistent-connection setup bytes; fresh
-    /// connections charge setup to the resolution that opened them.
-    pub conn_attr: u32,
     /// Retransmission policy for Do53 (ignored by the TLS transports,
     /// whose TCP layer already retransmits). `None` — the default —
     /// models a stub with no application retry, so a lost datagram loses
@@ -122,20 +114,25 @@ pub struct TransportConfig {
 }
 
 impl TransportConfig {
+    /// The resolver's server name: the TLS SNI and the HTTP
+    /// `host`/`:authority` value.
+    pub const SNI: &'static str = "dns.example.net";
+    /// The A record [`TransportConfig::build_server`] answers every query
+    /// with.
+    pub const ANSWER: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 1);
+    /// That answer's TTL, in seconds.
+    pub const TTL: u32 = 300;
+
     /// A matrix cell with the defaults the examples use: TLS 1.3, no
-    /// resumption, the [`LinkConfig::clean_broadband`] link
-    /// (14 ms/50 Mbit s⁻¹) and `dns.example.net`.
+    /// resumption and the [`LinkConfig::clean_broadband`] link
+    /// (14 ms/50 Mbit s⁻¹).
     pub fn new(kind: TransportKind, reuse: ReusePolicy) -> TransportConfig {
         TransportConfig {
             kind,
             reuse,
             tls_version: TlsVersion::Tls13,
             resumption: false,
-            sni: "dns.example.net".to_string(),
             link: LinkConfig::clean_broadband(),
-            answer: Ipv4Addr::new(192, 0, 2, 1),
-            ttl: 300,
-            conn_attr: 0,
             udp_retry: None,
         }
     }
@@ -168,7 +165,7 @@ impl TransportConfig {
         Some(TlsConfig {
             version: self.tls_version,
             resumption: self.resumption,
-            ..TlsConfig::for_server(&self.sni).alpn(alpn)
+            ..TlsConfig::for_server(Self::SNI).alpn(alpn)
         })
     }
 
@@ -185,12 +182,12 @@ impl TransportConfig {
         cells
     }
 
-    /// Builds this cell's server on `host`, answering with the config's
-    /// fixed `answer`/`ttl`. Designed as a
+    /// Builds this cell's server on `host`, answering every query with
+    /// [`Self::ANSWER`] under [`Self::TTL`]. Designed as a
     /// [`Driver::register`](crate::Driver::register) factory, so handles
     /// it binds get the registering endpoint's owner id.
     pub fn build_server(&self, sim: &mut Sim, host: HostId) -> Box<dyn Endpoint> {
-        self.build_server_with(sim, host, ServerBackend::fixed(self.answer, self.ttl))
+        self.build_server_with(sim, host, ServerBackend::fixed(Self::ANSWER, Self::TTL))
     }
 
     /// [`TransportConfig::build_server`] with an explicit backend — a
@@ -235,29 +232,15 @@ impl TransportConfig {
             },
             TransportKind::Dot => {
                 let tls = self.tls().expect("dot uses tls");
-                Box::new(DotClient::new(stub, server_addr, tls, self.reuse, self.conn_attr))
+                Box::new(DotClient::new(stub, server_addr, tls, self.reuse))
             }
             TransportKind::DohH1 => {
                 let tls = self.tls().expect("doh uses tls");
-                Box::new(DohH1Client::new(
-                    stub,
-                    server_addr,
-                    &self.sni,
-                    tls,
-                    self.reuse,
-                    self.conn_attr,
-                ))
+                Box::new(DohH1Client::new(stub, server_addr, Self::SNI, tls, self.reuse))
             }
             TransportKind::DohH2 => {
                 let tls = self.tls().expect("doh uses tls");
-                Box::new(DohH2Client::new(
-                    stub,
-                    server_addr,
-                    &self.sni,
-                    tls,
-                    self.reuse,
-                    self.conn_attr,
-                ))
+                Box::new(DohH2Client::new(stub, server_addr, Self::SNI, tls, self.reuse))
             }
         }
     }
@@ -303,8 +286,8 @@ mod tests {
             let client = driver.register_resolver(&mut sim, |_| cfg.build_client(stub, resolver));
             let name = Name::parse("abcdefgh.dohmark.test").unwrap();
             for id in 1..=2u16 {
-                let response = driver.resolve(&mut sim, client, &name, id);
-                assert!(response.is_some(), "{} id {id} failed", cfg.label());
+                let response = driver.resolve(&mut sim, client, &name);
+                assert!(response.is_ok(), "{} id {id} failed", cfg.label());
             }
             driver.close(&mut sim, client);
             driver.run_until_quiescent(&mut sim);
@@ -333,7 +316,7 @@ mod tests {
             driver.register(&mut sim, |sim| cfg.build_server(sim, resolver));
             let client = driver.register_resolver(&mut sim, |_| cfg.build_client(stub, resolver));
             let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-            driver.resolve(&mut sim, client, &name, 1).unwrap();
+            driver.resolve(&mut sim, client, &name).unwrap();
             driver.run_until_quiescent(&mut sim);
             sim.meter.cost(1).layers.tls
         };

@@ -244,8 +244,8 @@ impl Sim {
     /// Sets the wake-ownership id stamped on subsequently created handles
     /// (UDP sockets, TCP listeners/connections, app timers). Wakes for a
     /// handle carry its owner, so a registry-style driver can route each
-    /// wake straight to the endpoint that owns the handle instead of
-    /// broadcasting it. Owner `0` means "unowned" (legacy broadcast mode).
+    /// wake straight to the endpoint that owns the handle. Owner `0` means
+    /// "unowned": the wake belongs to whoever drives the loop.
     pub fn set_owner(&mut self, owner: u64) {
         self.owner = owner;
     }
@@ -396,17 +396,19 @@ impl Sim {
         // Corrupted TCP segments fail the checksum at the receiver and are
         // discarded there: identical to a drop for the state machine.
         let effective_drop = lost || (corrupted && pkt.proto == Proto::Tcp);
-        self.trace.push(PacketRecord {
-            at: self.now,
-            direction: format!(
-                "{}:{}->{}:{}",
-                self.hosts[pkt.src.0 .0], pkt.src.1, self.hosts[pkt.dst.0 .0], pkt.dst.1
-            ),
-            wire_len: pkt.wire_len(),
-            attr: pkt.attr,
-            summary: pkt.summary(),
-            dropped: effective_drop,
-        });
+        if self.trace.is_enabled() {
+            self.trace.push(PacketRecord {
+                at: self.now,
+                direction: format!(
+                    "{}:{}->{}:{}",
+                    self.hosts[pkt.src.0 .0], pkt.src.1, self.hosts[pkt.dst.0 .0], pkt.dst.1
+                ),
+                wire_len: pkt.wire_len(),
+                attr: pkt.attr,
+                summary: pkt.summary(),
+                dropped: effective_drop,
+            });
+        }
         if effective_drop {
             self.dropped += 1;
             return;
@@ -453,8 +455,9 @@ impl Sim {
 
     /// Like [`Sim::next_wake`], but also returns the wake's owner id — the
     /// [`Sim::set_owner`] value in effect when the underlying handle was
-    /// created. Owner `0` means the handle was created unowned; routed
-    /// drivers broadcast (or drop) such wakes as they see fit.
+    /// created. Owner `0` means the handle was created unowned: a routing
+    /// driver has no endpoint to hand the wake to and returns it to its
+    /// caller.
     pub fn next_wake_owned(&mut self) -> Option<(Wake, u64)> {
         loop {
             if let Some(w) = self.wakes.pop_front() {

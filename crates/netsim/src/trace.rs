@@ -237,6 +237,13 @@ impl TraceLog {
         self.enabled = false;
     }
 
+    /// Whether recording is on. Callers check this before building a
+    /// [`PacketRecord`], so a disabled log costs a branch and no
+    /// formatting.
+    pub fn is_enabled(&self) -> bool {
+        self.enabled
+    }
+
     /// Appends a record if enabled and under the cap.
     pub fn push(&mut self, rec: PacketRecord) {
         if self.enabled && self.records.len() < self.cap {

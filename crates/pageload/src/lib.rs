@@ -49,7 +49,7 @@
 //! let model = SiteModel::new(&mut rng, &zone, 1000, 1.0);
 //! let page = model.page_for(3);
 //! let fetch = FetchModel::from_link(&cfg.link);
-//! let result = load_page(&mut sim, &mut driver, client, &page, &fetch, 1);
+//! let result = load_page(&mut sim, &mut driver, client, &page, &fetch);
 //! assert_eq!(result.unresolved, 0);
 //! assert!(result.makespan > dohmark_netsim::SimDuration::ZERO);
 //! ```
@@ -118,8 +118,9 @@ pub struct PageLoadResult {
 enum DnsState {
     /// No discoverable resource has needed this domain yet.
     Idle,
-    /// Query sent at the recorded time; resources queue behind it.
-    InFlight(SimTime),
+    /// Query sent at the recorded time under the recorded transaction id;
+    /// resources queue behind it.
+    InFlight(SimTime, u16),
     /// Answer in hand; fetches on this domain start immediately.
     Resolved,
 }
@@ -145,11 +146,8 @@ enum ResState {
 /// them and hands back what nobody owns. Fetch-completion timers are
 /// armed here, outside any endpoint callback, so they are exactly the
 /// unowned timers that come back; their token is the resource index.
-/// Domain `d` of the page is resolved with transaction id
-/// `txn_base + d`; the caller owns the transaction-id space and must leave
-/// `page.domains.len()` ids free from `txn_base` (the bench crate's
-/// testbed reserves them from the one id allocator every simulated cell
-/// draws on).
+/// Each domain is resolved under the transaction id `client` draws for it,
+/// in discovery order.
 ///
 /// The loop ends when every resource is fetched or the simulation runs
 /// dry; in the latter case still-gated resources are counted as
@@ -161,11 +159,9 @@ pub fn load_page(
     client: EndpointId,
     page: &PageSpec,
     fetch: &FetchModel,
-    txn_base: u16,
 ) -> PageLoadResult {
     let n = page.resources.len();
     let n_domains = page.domains.len();
-    assert!(n_domains <= usize::from(u16::MAX - txn_base), "transaction-id space exhausted");
 
     // The dependency tree, inverted: children[r] lists the resources that
     // become discoverable when r finishes.
@@ -181,7 +177,6 @@ pub fn load_page(
         client,
         page,
         fetch,
-        txn_base,
         res_state: vec![ResState::Blocked; n],
         dns: vec![DnsState::Idle; n_domains],
         dns_waiters: vec![Vec::new(); n_domains],
@@ -216,8 +211,8 @@ pub fn load_page(
         // timers, teardown) went to its endpoint: check whether any
         // in-flight resolution just completed.
         for d in 0..n_domains {
-            let DnsState::InFlight(sent) = loader.dns[d] else { continue };
-            if driver.take_response(client, txn_base + d as u16).is_none() {
+            let DnsState::InFlight(sent, txn) = loader.dns[d] else { continue };
+            if driver.take_response(client, txn).is_none() {
                 continue;
             }
             let wait = sim.now() - sent;
@@ -249,7 +244,6 @@ struct Loader<'a> {
     client: EndpointId,
     page: &'a PageSpec,
     fetch: &'a FetchModel,
-    txn_base: u16,
     res_state: Vec<ResState>,
     dns: Vec<DnsState>,
     /// Resources discovered while their domain's query is in flight.
@@ -267,21 +261,16 @@ impl Loader<'_> {
         let d = self.page.resources[r].domain;
         match self.dns[d] {
             DnsState::Resolved => self.start_fetch(sim, r),
-            DnsState::InFlight(_) => {
+            DnsState::InFlight(..) => {
                 self.res_state[r] = ResState::WaitingDns;
                 self.dns_waiters[d].push(r);
             }
             DnsState::Idle => {
                 self.res_state[r] = ResState::WaitingDns;
                 self.dns_waiters[d].push(r);
-                self.dns[d] = DnsState::InFlight(sim.now());
+                let txn = driver.send_query(sim, self.client, &self.page.domains[d]);
+                self.dns[d] = DnsState::InFlight(sim.now(), txn);
                 self.dns_queries += 1;
-                driver.send_query(
-                    sim,
-                    self.client,
-                    &self.page.domains[d],
-                    self.txn_base + d as u16,
-                );
             }
         }
     }
@@ -336,7 +325,7 @@ mod tests {
         let (mut sim, mut driver, client) = harness(&cfg, TEST_SEED);
         let page = two_domain_page();
         let fetch = FetchModel::from_link(&cfg.link);
-        let result = load_page(&mut sim, &mut driver, client, &page, &fetch, 1);
+        let result = load_page(&mut sim, &mut driver, client, &page, &fetch);
         assert_eq!(result.unresolved, 0);
         assert_eq!(result.resources, 4);
         assert_eq!(result.dns_queries, 2, "one resolution per distinct domain");
@@ -378,7 +367,7 @@ mod tests {
         let fetch = FetchModel::from_link(&cfg.link);
         let run = |page: &PageSpec| {
             let (mut sim, mut driver, client) = harness(&cfg, TEST_SEED);
-            load_page(&mut sim, &mut driver, client, page, &fetch, 1)
+            load_page(&mut sim, &mut driver, client, page, &fetch)
         };
         let deep = run(&chain);
         let shallow = run(&wide);
@@ -396,7 +385,7 @@ mod tests {
         let (mut sim, mut driver, client) = harness(&cfg, TEST_SEED);
         let page = two_domain_page();
         let fetch = FetchModel::from_link(&cfg.link);
-        let result = load_page(&mut sim, &mut driver, client, &page, &fetch, 1);
+        let result = load_page(&mut sim, &mut driver, client, &page, &fetch);
         assert_eq!(result.unresolved, 4);
         assert_eq!(result.makespan, SimDuration::ZERO);
         // Only d0 was ever discoverable: d1's resources sit behind the
@@ -415,15 +404,10 @@ mod tests {
                 let mut rng = SimRng::new(TEST_SEED);
                 let model = SiteModel::new(&mut rng, &zone, 500, 1.0);
                 let fetch = FetchModel::from_link(&cfg.link);
-                let mut txn_base = 1u16;
-                let mut results = Vec::new();
-                for rank in [1usize, 5, 17] {
+                [1usize, 5, 17].map(|rank| {
                     let page = model.page_for(rank);
-                    let r = load_page(&mut sim, &mut driver, client, &page, &fetch, txn_base);
-                    txn_base += page.domains.len() as u16;
-                    results.push(r);
-                }
-                results
+                    load_page(&mut sim, &mut driver, client, &page, &fetch)
+                })
             };
             let first = run();
             let second = run();

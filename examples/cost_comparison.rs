@@ -37,11 +37,11 @@ fn run(cfg: &TransportConfig) -> CostMeter {
     let mut rng = sim.split_rng(WORKLOAD_STREAM);
     let zone = Name::parse("dohmark.test").unwrap();
     let schedule = QuerySchedule::new(&mut rng, SimDuration::from_millis(50), 8, &zone);
-    for (i, (at, name)) in schedule.take(usize::from(RESOLUTIONS)).enumerate() {
+    for (at, name) in schedule.take(usize::from(RESOLUTIONS)) {
         driver.advance_until(&mut sim, at);
         driver
-            .resolve(&mut sim, client, &name, i as u16 + 1)
-            .unwrap_or_else(|| panic!("{} resolution {} completes", cfg.label(), i + 1));
+            .resolve(&mut sim, client, &name)
+            .unwrap_or_else(|txn| panic!("{} resolution {txn} completes", cfg.label()));
     }
     driver.run_until_quiescent(&mut sim);
     let mut meter = CostMeter::new();
