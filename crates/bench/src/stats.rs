@@ -18,10 +18,10 @@
 //! slice left to right as the caller passed it (sweep results arrive in
 //! seed order regardless of thread count, cf. `sweep::run`), and
 //! [`bootstrap_ci`] sums each resample in draw order of its fixed-seed
-//! RNG. Those two are the *blessed* accumulation helpers simlint's
-//! `no-float-accumulation` rule recognises — any new `+=` / `.sum()` in
-//! this crate's stats/report layer must either live here with the same
-//! order argument spelled out, or carry a reasoned `simlint::allow`.
+//! RNG. simlint's `no-float-accumulation` rule flags every `+=` /
+//! `.sum()` / `.fold()` in this crate's stats/report layer, so each of
+//! those two carries a `simlint::allow` stating its order — and a new
+//! accumulation, even inside [`mean`], has to state its own.
 
 use dohmark::netsim::SimRng;
 
@@ -39,6 +39,7 @@ const BOOTSTRAP_SEED: u64 = 0xB00757A9;
 /// pin (seed order in sweeps).
 pub fn mean(samples: &[f64]) -> f64 {
     assert!(!samples.is_empty(), "mean of no samples");
+    // simlint::allow(no-float-accumulation): left to right over the slice, whose order callers pin
     samples.iter().sum::<f64>() / samples.len() as f64
 }
 
@@ -79,6 +80,7 @@ pub fn bootstrap_ci(samples: &[f64], resamples: usize, level: f64, rng: &mut Sim
     let n = samples.len() as u64;
     let means: Vec<f64> = (0..resamples)
         .map(|_| {
+            // simlint::allow(no-float-accumulation): draw order of the seeded `rng`
             let sum: f64 = (0..n).map(|_| samples[rng.below(n) as usize]).sum();
             sum / n as f64
         })

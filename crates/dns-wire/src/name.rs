@@ -87,11 +87,6 @@ impl Name {
         &self.labels
     }
 
-    /// Number of labels.
-    pub fn label_count(&self) -> usize {
-        self.labels.len()
-    }
-
     /// Whether this is the root name.
     pub fn is_root(&self) -> bool {
         self.labels.is_empty()

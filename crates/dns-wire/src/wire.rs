@@ -115,11 +115,6 @@ impl Writer {
         self.buf.is_empty()
     }
 
-    /// Whether compression pointers may be emitted.
-    pub fn compression_enabled(&self) -> bool {
-        self.compress
-    }
-
     /// Consumes the writer, returning the finished buffer.
     pub fn finish(self) -> Vec<u8> {
         self.buf

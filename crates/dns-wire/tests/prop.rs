@@ -6,6 +6,7 @@
 //! Failures print the offending seed so a case can be replayed exactly.
 
 use dohmark_dns_wire::{
+    jsontext,
     rdata::{CaaRdata, Rdata, SoaRdata, SrvRdata},
     JsonMessage, Message, Name, Rcode, Record, RecordType,
 };
@@ -132,11 +133,40 @@ impl Gen {
         m.additionals = self.records(1);
         m
     }
+
+    /// One seeded corruption of the valid encoding `valid`: truncate it,
+    /// flip one bit, overwrite a span with a slice of `donor` (another
+    /// valid encoding, so the splice is plausible input), or append
+    /// garbage.
+    fn mutate(&mut self, valid: &[u8], donor: &[u8]) -> Vec<u8> {
+        let mut out = valid.to_vec();
+        match self.below(4) {
+            0 => out.truncate(self.below(out.len() as u64 + 1) as usize),
+            1 if !out.is_empty() => {
+                let at = self.below(out.len() as u64) as usize;
+                out[at] ^= 1 << self.below(8);
+            }
+            2 if !donor.is_empty() => {
+                let from = self.below(donor.len() as u64) as usize;
+                let len = 1 + self.below((donor.len() - from) as u64) as usize;
+                let at = self.below(out.len() as u64 + 1) as usize;
+                let end = (at + len).min(out.len());
+                out.splice(at..end, donor[from..from + len].iter().copied());
+            }
+            _ => out.extend((0..self.below(33)).map(|_| self.next() as u8)),
+        }
+        out
+    }
 }
 
 /// Runs `check` over [`CASES`] seeded cases, reporting the failing seed.
 fn for_all_cases(check: impl Fn(&mut Gen)) {
-    for seed in 0..CASES {
+    for_cases(CASES, check);
+}
+
+/// Runs `check` over `cases` seeded cases, reporting the failing seed.
+fn for_cases(cases: u64, check: impl Fn(&mut Gen)) {
+    for seed in 0..cases {
         let mut g = Gen::new(seed);
         // A panic inside `check` aborts the test; print the seed first so
         // the case can be replayed.
@@ -257,4 +287,19 @@ fn json_round_trip() {
         let back = JsonMessage::from_json(&j.to_json()).unwrap().to_message(m.header.id).unwrap();
         assert_eq!(back.answers, m.answers);
     });
+}
+
+/// The JSON text parser never panics on a corrupted `application/dns-json`
+/// document — truncated, bit-flipped, spliced with another document or
+/// followed by garbage — and its recursion is bounded by its own depth
+/// limit, not by the stack it runs on.
+#[test]
+fn jsontext_parser_is_total_on_mutated_documents() {
+    for_cases(4096, |g| {
+        let doc = JsonMessage::from_message(&g.message()).to_json();
+        let donor = JsonMessage::from_message(&g.message()).to_json();
+        let mutated = g.mutate(doc.as_bytes(), donor.as_bytes());
+        let _ = jsontext::parse(&String::from_utf8_lossy(&mutated));
+    });
+    assert!(jsontext::parse(&"[".repeat(200_000)).is_err());
 }

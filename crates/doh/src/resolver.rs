@@ -20,7 +20,7 @@
 use crate::cache::{CachedAnswer, DnsCache};
 use crate::zone::Zone;
 use dohmark_dns_wire::{Message, Name, Rcode, Rdata, Record, RecordType};
-use dohmark_netsim::{HostId, LayerTag, Sim, SockId, Wake};
+use dohmark_netsim::{HostId, LayerTag, Sim, SockId, Wake, IP_HEADER, UDP_HEADER};
 
 /// One outstanding upstream fetch, with every stub query waiting on it.
 #[derive(Debug)]
@@ -113,7 +113,7 @@ impl RecursiveResolver {
         let encoded = Message::query(upstream_id, &key.0, qtype).encode();
         sim.set_attr(u32::from(query.header.id));
         sim.meter.bump("upstream_queries", 1);
-        sim.meter.bump("upstream_bytes", encoded.len() as u64 + 28);
+        sim.meter.bump("upstream_bytes", (encoded.len() + IP_HEADER + UDP_HEADER) as u64);
         sim.udp_send(self.sock, self.upstream, LayerTag::DnsPayload, encoded);
         self.pending.push(PendingFetch {
             key,
@@ -139,7 +139,7 @@ impl RecursiveResolver {
                 continue;
             };
             let fetch = self.pending.remove(idx);
-            sim.meter.bump("upstream_bytes", data.len() as u64 + 28);
+            sim.meter.bump("upstream_bytes", (data.len() + IP_HEADER + UDP_HEADER) as u64);
             self.cache_upstream(sim, &fetch, &upstream);
             for (waiter, stub_query) in fetch.waiters {
                 let mut response =

@@ -84,11 +84,6 @@ impl TransportKind {
             TransportKind::DohH2 => Some(ALPN_H2),
         }
     }
-
-    /// Whether the transport carries TLS (everything but Do53).
-    pub fn uses_tls(self) -> bool {
-        self != TransportKind::Do53
-    }
 }
 
 /// One cell of the transport matrix plus shared topology parameters.

@@ -6,9 +6,12 @@
 //! Failures print the offending seed so a case can be replayed exactly.
 
 use dohmark_httpsim::h1::{Request, RequestParser, Response, ResponseParser};
+use dohmark_httpsim::h2::{Frame, FrameDecoder};
 use dohmark_httpsim::hpack::{huffman_decode, huffman_encode, Decoder, Encoder};
 
 const CASES: u64 = 192;
+/// Cases per decoder in the mutation harness (cheap: no round trip).
+const MUTATIONS: u64 = 4096;
 
 /// Deterministic SplitMix64 generator; tiny, unbiased enough for tests.
 struct Gen(u64);
@@ -85,6 +88,54 @@ impl Gen {
         s.chars()
             .map(|c| if self.chance(2) { c.to_ascii_uppercase() } else { c.to_ascii_lowercase() })
             .collect()
+    }
+
+    /// One random HTTP/2 frame of any kind, unknown types included.
+    fn frame(&mut self) -> Frame {
+        let stream_id = self.next() as u32 & 0x7FFF_FFFF;
+        match self.below(8) {
+            0 => Frame::Data { stream_id, data: self.bytes(60), end_stream: self.chance(2) },
+            1 => Frame::Headers { stream_id, block: self.bytes(60), end_stream: self.chance(2) },
+            2 => Frame::Settings {
+                params: (0..self.below(4))
+                    .map(|_| (self.next() as u16, self.next() as u32))
+                    .collect(),
+                ack: false,
+            },
+            3 => Frame::WindowUpdate { stream_id, increment: self.next() as u32 & 0x7FFF_FFFF },
+            4 => Frame::Ping { data: self.next().to_be_bytes(), ack: self.chance(2) },
+            5 => Frame::Goaway {
+                last_stream_id: stream_id,
+                error_code: self.next() as u32,
+                debug: self.bytes(20),
+            },
+            6 => Frame::RstStream { stream_id, error_code: self.next() as u32 },
+            _ => Frame::Unknown { frame_type: 0x20, stream_id, payload: self.bytes(30) },
+        }
+    }
+
+    /// One seeded corruption of the valid encoding `valid`: truncate it,
+    /// flip one bit, overwrite a span with a slice of `donor` (another
+    /// valid encoding, so the splice is plausible input), or append
+    /// garbage.
+    fn mutate(&mut self, valid: &[u8], donor: &[u8]) -> Vec<u8> {
+        let mut out = valid.to_vec();
+        match self.below(4) {
+            0 => out.truncate(self.below(out.len() as u64 + 1) as usize),
+            1 if !out.is_empty() => {
+                let at = self.below(out.len() as u64) as usize;
+                out[at] ^= 1 << self.below(8);
+            }
+            2 if !donor.is_empty() => {
+                let from = self.below(donor.len() as u64) as usize;
+                let len = 1 + self.below((donor.len() - from) as u64) as usize;
+                let at = self.below(out.len() as u64 + 1) as usize;
+                let end = (at + len).min(out.len());
+                out.splice(at..end, donor[from..from + len].iter().copied());
+            }
+            _ => out.extend(self.bytes(32)),
+        }
+        out
     }
 }
 
@@ -257,4 +308,128 @@ fn h1_pipelined_random_responses_round_trip() {
             assert_eq!(s.body, r.body, "seed {seed}");
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Mutation harness: corrupted valid encodings never panic a decoder
+// ---------------------------------------------------------------------
+//
+// The round trips above only ever show the decoders well-formed input.
+// These feed them truncated, bit-flipped, spliced and garbage-extended
+// encodings and require an `Ok` or an `Err` — a panic (index, overflow,
+// allocation) fails the test — and an output the input's size bounds.
+
+/// Runs `check` over [`MUTATIONS`] seeded cases. A panic inside a decoder
+/// carries no seed of its own, so it is printed before unwinding resumes.
+fn for_mutations(check: impl Fn(u64, &mut Gen)) {
+    for seed in 0..MUTATIONS {
+        let mut g = Gen::new(seed);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| check(seed, &mut g)));
+        if let Err(payload) = result {
+            eprintln!("mutation harness failed for generator seed {seed}");
+            std::panic::resume_unwind(payload);
+        }
+    }
+}
+
+/// Pulls from an incremental decoder until it stops (`Ok(None)` or
+/// `Err`) and returns how many items came out. Every item consumes at
+/// least one input byte, so more than `input_len` of them means the
+/// decoder yields without consuming and would never terminate.
+fn drain_bounded<T, E>(
+    input_len: usize,
+    seed: u64,
+    mut next: impl FnMut() -> Result<Option<T>, E>,
+) -> usize {
+    for yielded in 0..=input_len {
+        if !matches!(next(), Ok(Some(_))) {
+            return yielded;
+        }
+    }
+    panic!("seed {seed}: more than {input_len} items out of {input_len} bytes");
+}
+
+#[test]
+fn hpack_decoder_is_total_on_mutated_blocks_cold_and_warm() {
+    for_mutations(|seed, g| {
+        let mut enc = Encoder::new();
+        let first = enc.encode(&g.headers(12));
+        let second = enc.encode(&g.headers(12));
+        // Cold: the corrupted block is the first thing the decoder sees.
+        let block = g.mutate(&first, &second);
+        if let Ok(headers) = Decoder::new().decode(&block) {
+            assert!(headers.len() <= block.len(), "seed {seed}: one field per octet at most");
+        }
+        // Warm: after one valid block the dynamic table is populated, so
+        // corrupted indices can reach it.
+        let mut dec = Decoder::new();
+        dec.decode(&first).unwrap_or_else(|e| panic!("seed {seed}: valid block: {e}"));
+        let block = g.mutate(&second, &first);
+        if let Ok(headers) = dec.decode(&block) {
+            assert!(headers.len() <= block.len(), "seed {seed}: one field per octet at most");
+        }
+    });
+}
+
+#[test]
+fn huffman_decode_is_total_on_mutated_input() {
+    for_mutations(|seed, g| {
+        let coded = huffman_encode(&g.bytes(200));
+        let donor = huffman_encode(&g.bytes(200));
+        let input = g.mutate(&coded, &donor);
+        if let Ok(out) = huffman_decode(&input) {
+            // The shortest code is 5 bits.
+            assert!(
+                out.len() * 5 <= input.len() * 8,
+                "seed {seed}: {} from {}",
+                out.len(),
+                input.len()
+            );
+        }
+    });
+}
+
+#[test]
+fn h2_frame_decoder_is_total_and_bounded_on_mutated_streams() {
+    for_mutations(|seed, g| {
+        let stream: Vec<u8> = (0..1 + g.below(4)).flat_map(|_| g.frame().encode()).collect();
+        let donor = g.frame().encode();
+        let input = g.mutate(&stream, &donor);
+        let mut dec = FrameDecoder::new();
+        let step = 1 + g.below(64) as usize;
+        let mut frames = 0;
+        for chunk in input.chunks(step) {
+            dec.push(chunk);
+            frames += drain_bounded(input.len(), seed, || dec.next_frame());
+        }
+        // Each frame has a 9-octet header.
+        assert!(
+            frames * 9 <= input.len(),
+            "seed {seed}: {frames} frames from {} bytes",
+            input.len()
+        );
+    });
+}
+
+#[test]
+fn h1_parsers_are_total_and_bounded_on_mutated_messages() {
+    for_mutations(|seed, g| {
+        let mut headers = g.headers(6);
+        if g.chance(3) {
+            headers.push(("Transfer-Encoding".to_string(), "chunked".to_string()));
+        }
+        let request = Request::new("POST", "/dns-query", headers.clone()).with_body(g.bytes(100));
+        let response = Response::new(200, "OK", headers).with_body(g.bytes(100));
+        let (request, response) = (request.encode().concat(), response.encode().concat());
+
+        let input = g.mutate(&request, &response);
+        let mut parser = RequestParser::new();
+        parser.push(&input);
+        drain_bounded(input.len(), seed, || parser.next_request());
+
+        let input = g.mutate(&response, &request);
+        let mut parser = ResponseParser::new();
+        parser.push(&input);
+        drain_bounded(input.len(), seed, || parser.next_response());
+    });
 }

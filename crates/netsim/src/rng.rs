@@ -66,11 +66,6 @@ impl SimRng {
         lo + self.below(hi - lo + 1)
     }
 
-    /// Uniform float in `[lo, hi)`.
-    pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + self.next_f64() * (hi - lo)
-    }
-
     /// Bernoulli trial with success probability `p`.
     pub fn chance(&mut self, p: f64) -> bool {
         p > 0.0 && self.next_f64() < p

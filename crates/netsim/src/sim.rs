@@ -266,11 +266,6 @@ impl Sim {
         HostId(self.hosts.len() - 1)
     }
 
-    /// Host name for reporting.
-    pub fn host_name(&self, h: HostId) -> &str {
-        &self.hosts[h.0]
-    }
-
     /// Connects two hosts with symmetric link characteristics.
     pub fn add_link(&mut self, a: HostId, b: HostId, cfg: LinkConfig) {
         self.links.insert((a.0, b.0), DirLink::new(cfg));

@@ -301,11 +301,6 @@ impl Sim {
         std::mem::take(&mut self.ep_mut(conn).rcvbuf)
     }
 
-    /// Bytes currently readable without blocking.
-    pub fn tcp_readable(&self, conn: TcpHandle) -> usize {
-        self.ep(conn).rcvbuf.len()
-    }
-
     /// Closes the sending direction: a FIN follows any still-queued data.
     /// Receiving remains possible (half-close).
     pub fn tcp_close(&mut self, conn: TcpHandle) {

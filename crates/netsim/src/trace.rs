@@ -232,11 +232,6 @@ impl TraceLog {
         self.cap = cap;
     }
 
-    /// Disables recording.
-    pub fn disable(&mut self) {
-        self.enabled = false;
-    }
-
     /// Whether recording is on. Callers check this before building a
     /// [`PacketRecord`], so a disabled log costs a branch and no
     /// formatting.

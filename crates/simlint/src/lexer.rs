@@ -123,7 +123,11 @@ pub fn scrub(source: &str) -> Vec<Line> {
             }
             State::Str => {
                 if c == '\\' {
-                    i += 2; // skip the escaped char, whatever it is
+                    // Skip the escaped char, whatever it is — except the
+                    // newline of a line-continuation escape, which must
+                    // still end the line or every later finding is
+                    // reported one line early.
+                    i += if chars.get(i + 1) == Some(&'\n') { 1 } else { 2 };
                 } else if c == '"' {
                     cur.code.push('"');
                     state = State::Code;
@@ -338,6 +342,9 @@ mod tests {
         let c = codes("let s = \"first\nsecond HashMap\nthird\"; let x = 1;\n");
         assert!(!c[1].contains("HashMap"));
         assert!(c[2].contains("let x = 1;"));
+        let c = codes("let s = \"first \\\n    HashMap\";\nlet x = 1;\n");
+        assert!(!c[1].contains("HashMap"));
+        assert!(c[2].contains("let x = 1;"), "an escaped newline still ends its line: {c:?}");
     }
 
     #[test]

@@ -14,33 +14,11 @@
 //! [`lexer`] scrubs each `.rs` file into per-line code/comment channels
 //! (comment-, string-literal- and `#[cfg(test)]`-aware, via brace
 //! tracking), and [`rules`] runs the table-driven catalog over the
-//! scrubbed lines. Findings print as `file:line rule message`; the
-//! `dohmark-simlint` binary exits non-zero under `--deny` when any
-//! survive, which is how CI consumes it. `--format json` / `--format
-//! github` re-render the same findings for machines ([`render_json`],
-//! [`render_github`]).
-//!
-//! # The item model
-//!
-//! Lexical rules see *lines*; the v2 rules need to see *items*. The
-//! [`items`] module recovers, per file, the module path implied by the
-//! file's workspace location, the `use`-alias map, and every
-//! `fn`/`impl`/`trait`/`mod` span by brace tracking over scrubbed code
-//! (string and comment braces are already blanked, so depth never
-//! desyncs); each function's body is then mined for `ident(` /
-//! `path::ident(` / `.method(` call shapes. A workspace pass joins all
-//! files into a callable index (`doh::driver::schedule_endpoint_timer` →
-//! item), on which calls resolve: same-impl method, then same-module free
-//! function, then alias-expanded path with `crate::`/`self::`
-//! normalised, then a unique `::`-suffix match. This is deliberately
-//! *not* a parser — generics are skipped, macros are opaque, and an
-//! unresolvable call simply doesn't propagate — but it is exact enough
-//! to answer "can this endpoint reach `Sim::schedule_app` without going
-//! through the `Driver`?", which no per-line regex can. Workspace rules
-//! ([`rules::Check::Workspace`]) get the whole model plus one sink per
-//! file, so cross-file findings still honour file-local allows, and
-//! every finding is attributed to its enclosing item path (the `item`
-//! field of the JSON schema).
+//! scrubbed lines, one file at a time — there is no parser, no item model
+//! and no cross-file pass. Findings print as `file:line rule message`;
+//! the `dohmark-simlint` binary exits non-zero under `--deny` when any
+//! survive, which is how CI consumes it. `--format github` re-renders the
+//! same findings as workflow annotations ([`render_github`]).
 //!
 //! # Suppression
 //!
@@ -67,12 +45,11 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod items;
 pub mod lexer;
 pub mod output;
 pub mod rules;
 
-pub use output::{render_github, render_json};
+pub use output::render_github;
 pub use rules::{Finding, Rule, RULES};
 
 use rules::{FileView, Sink};
@@ -85,54 +62,32 @@ use std::path::{Path, PathBuf};
 const SKIP_DIRS: &[&str] = &["target", ".git"];
 
 /// The golden fixture corpus, workspace-relative: excluded from
-/// [`lint_workspace`] (it is *intentionally* full of findings) and the
-/// target of [`bless_fixtures`] / the CLI's `--bless`.
-pub const FIXTURES_DIR: &str = "crates/simlint/tests/fixtures";
+/// [`lint_workspace`] (it is *intentionally* full of findings).
+const FIXTURES_DIR: &str = "crates/simlint/tests/fixtures";
 
 /// Lints one source text as workspace-relative path `rel`. A leading
 /// `//@ path: <p>` directive overrides `rel` (the golden-fixture hook).
-/// Workspace rules run over a one-file workspace, so single-file
-/// fixtures can exercise them as long as their call chains stay in-file.
 pub fn lint_source(rel: &str, source: &str) -> Vec<Finding> {
     lint_files(vec![(rel.to_string(), source.to_string())], 0)
 }
 
 /// The full lint pipeline over a set of `(rel, source)` files: scrub
-/// every file, build the [`items::Workspace`] model, run the file rules
-/// per file and the workspace rules over the joined model, then resolve
-/// suppression and attribute each finding to its enclosing item.
+/// each file, run every rule of [`RULES`] over it, resolve suppression.
 /// `landed_pr` is the highest PR known to have landed (0 when unknown);
 /// a file's `//@ landed-pr: <n>` directive can only raise it.
 /// Findings come back sorted by path, then line, then rule.
 pub fn lint_files(files: Vec<(String, String)>, landed_pr: u32) -> Vec<Finding> {
     let pinned = files.iter().filter_map(|(_, s)| directive(s, "landed-pr:")?.parse().ok());
     let landed_pr = pinned.fold(landed_pr, u32::max);
-    let views: Vec<FileView> = files
-        .into_iter()
-        .map(|(rel, source)| {
-            let rel = directive(&source, "path:").map_or(rel, str::to_string);
-            FileView { rel, lines: lexer::scrub(&source) }
-        })
-        .collect();
-    let mut ws = items::Workspace::build(&views);
-    ws.landed_pr = landed_pr;
-    let mut sinks: Vec<Sink> = views.iter().map(Sink::new).collect();
-    for rule in RULES {
-        match rule.check {
-            rules::Check::File(f) => {
-                for (view, sink) in views.iter().zip(sinks.iter_mut()) {
-                    f(view, sink);
-                }
-            }
-            rules::Check::Workspace(f) => f(&ws, &mut sinks),
-        }
-    }
     let mut findings = Vec::new();
-    for (fi, sink) in sinks.into_iter().enumerate() {
-        for mut f in sink.finish() {
-            f.item = ws.enclosing_path(fi, f.line - 1);
-            findings.push(f);
+    for (rel, source) in files {
+        let rel = directive(&source, "path:").map_or(rel, str::to_string);
+        let view = FileView { rel, lines: lexer::scrub(&source), landed_pr };
+        let mut sink = Sink::new(&view);
+        for rule in RULES {
+            (rule.check)(&view, &mut sink);
         }
+        findings.extend(sink.finish());
     }
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     findings
@@ -201,43 +156,17 @@ pub fn render(findings: &[Finding]) -> String {
     out
 }
 
-/// Re-lints every `.rs` fixture under `dir` and rewrites its sibling
-/// `.expected` file with the current findings — the `--bless` workflow
-/// for intentional rule changes. Returns `(expected_path, changed)` per
-/// fixture, sorted by path. Blessing is idempotent: a second run over an
-/// unchanged corpus rewrites nothing (the self-consistency test pins
-/// this).
-pub fn bless_fixtures(dir: &Path) -> io::Result<Vec<(PathBuf, bool)>> {
-    let mut sources: Vec<PathBuf> = fs::read_dir(dir)?
-        .map(|e| e.map(|e| e.path()))
-        .collect::<io::Result<Vec<_>>>()?
-        .into_iter()
-        .filter(|p| p.extension().is_some_and(|ext| ext == "rs"))
-        .collect();
-    sources.sort();
-    let mut out = Vec::new();
-    for path in sources {
-        let source = fs::read_to_string(&path)?;
-        let rel = path.file_name().unwrap_or(path.as_os_str()).to_string_lossy();
-        let rendered = render(&lint_source(&rel, &source));
-        let expected = path.with_extension("expected");
-        let changed = fs::read_to_string(&expected).ok().as_deref() != Some(rendered.as_str());
-        if changed {
-            fs::write(&expected, &rendered)?;
-        }
-        out.push((expected, changed));
-    }
-    Ok(out)
-}
-
 /// Finds the workspace root: the nearest ancestor of `start` whose
-/// `Cargo.toml` declares `[workspace]`.
+/// `Cargo.toml` has a `[workspace]` table with a `members` key. A
+/// member-less table (`perfbench/`'s, there to keep the package out of
+/// the root build) is a package opting out of a workspace, not the tree
+/// to lint, so the walk continues past it.
 pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
     let mut dir = start.to_path_buf();
     loop {
-        let manifest = dir.join("Cargo.toml");
-        if let Ok(text) = fs::read_to_string(&manifest) {
-            if text.contains("[workspace]") {
+        if let Ok(manifest) = fs::read_to_string(dir.join("Cargo.toml")) {
+            let table = manifest.lines().map(str::trim).skip_while(|l| *l != "[workspace]").skip(1);
+            if table.take_while(|l| !l.starts_with('[')).any(|l| l.starts_with("members")) {
                 return Some(dir);
             }
         }
@@ -267,8 +196,27 @@ mod tests {
             line: 7,
             rule: "no-wall-clock",
             message: "boom".into(),
-            item: "doh::dot".into(),
         };
         assert_eq!(render(&[f]), "crates/doh/src/dot.rs:7 no-wall-clock boom\n");
+    }
+
+    #[test]
+    fn a_member_less_workspace_table_is_not_the_root() {
+        let root = std::env::temp_dir().join(format!("simlint-root-{}", std::process::id()));
+        let nested = root.join("perfbench/benches");
+        fs::create_dir_all(&nested).expect("create temp tree");
+        fs::write(
+            root.join("Cargo.toml"),
+            "[workspace]\nresolver = \"2\"\nmembers = [\"crates/*\"]\n",
+        )
+        .expect("write root manifest");
+        fs::write(
+            root.join("perfbench/Cargo.toml"),
+            "# an empty [workspace] table\n[workspace]\n\n[package]\nname = \"perfbench\"\n",
+        )
+        .expect("write nested manifest");
+        let found = find_workspace_root(&nested);
+        fs::remove_dir_all(&root).expect("remove temp tree");
+        assert_eq!(found, Some(root));
     }
 }

@@ -1,17 +1,15 @@
 //! `dohmark-simlint` — the CLI over [`dohmark_simlint`].
 //!
 //! ```text
-//! dohmark-simlint [--deny] [--root DIR] [--format text|json|github]
-//!                 [--bless] [--list-rules] [FILE...]
+//! dohmark-simlint [--deny] [--root DIR] [--format text|github]
+//!                 [--list-rules] [FILE...]
 //! ```
 //!
 //! With no `FILE` arguments the whole workspace is linted (found by
 //! walking up from `--root`, default the current directory, to the
-//! nearest `[workspace]` manifest). Findings print one per line as
-//! `file:line rule message`; `--format json` emits one machine-readable
-//! document on stdout and `--format github` emits workflow-command
-//! annotations for CI. `--bless` rewrites the golden fixture corpus's
-//! `.expected` files from the current rule catalog instead of linting.
+//! nearest manifest whose `[workspace]` table lists `members`). Findings
+//! print one per line as `file:line rule message`; `--format github`
+//! emits workflow-command annotations for CI.
 //! Exit status: 0 when clean, or in warn mode (the default); 1 when
 //! `--deny` and findings exist; 2 on usage or I/O errors — the `--deny`
 //! form is what CI runs.
@@ -20,18 +18,16 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: dohmark-simlint [--deny] [--root DIR] \
-                     [--format text|json|github] [--bless] [--list-rules] [FILE...]";
+                     [--format text|github] [--list-rules] [FILE...]";
 
 #[derive(Clone, Copy, PartialEq)]
 enum Format {
     Text,
-    Json,
     Github,
 }
 
 fn main() -> ExitCode {
     let mut deny = false;
-    let mut bless = false;
     let mut format = Format::Text;
     let mut root: Option<PathBuf> = None;
     let mut files: Vec<PathBuf> = Vec::new();
@@ -39,18 +35,16 @@ fn main() -> ExitCode {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--deny" => deny = true,
-            "--bless" => bless = true,
             "--root" => match args.next() {
                 Some(dir) => root = Some(PathBuf::from(dir)),
                 None => return usage_error("--root needs a directory"),
             },
             "--format" => match args.next().as_deref() {
                 Some("text") => format = Format::Text,
-                Some("json") => format = Format::Json,
                 Some("github") => format = Format::Github,
                 Some(other) => {
                     return usage_error(&format!(
-                        "unknown format {other:?} (expected text, json or github)"
+                        "unknown format {other:?} (expected text or github)"
                     ))
                 }
                 None => return usage_error("--format needs a value"),
@@ -76,22 +70,6 @@ fn main() -> ExitCode {
         }
     }
 
-    if bless {
-        if !files.is_empty() {
-            return usage_error("--bless takes no FILE arguments");
-        }
-        let Some(ws) = resolve_workspace(root) else { return ExitCode::from(2) };
-        let fixtures = ws.join(dohmark_simlint::FIXTURES_DIR);
-        return match dohmark_simlint::bless_fixtures(&fixtures) {
-            Ok(results) => {
-                let updated = results.iter().filter(|(_, changed)| *changed).count();
-                eprintln!("simlint: blessed {} fixture(s), {updated} updated", results.len());
-                ExitCode::SUCCESS
-            }
-            Err(e) => io_error(&fixtures, &e),
-        };
-    }
-
     let findings = if files.is_empty() {
         let Some(ws) = resolve_workspace(root) else { return ExitCode::from(2) };
         match dohmark_simlint::lint_workspace(&ws) {
@@ -113,7 +91,6 @@ fn main() -> ExitCode {
 
     match format {
         Format::Text => print!("{}", dohmark_simlint::render(&findings)),
-        Format::Json => print!("{}", dohmark_simlint::render_json(&findings)),
         Format::Github => print!("{}", dohmark_simlint::render_github(&findings)),
     }
     if findings.is_empty() {
@@ -146,7 +123,10 @@ fn resolve_workspace(root: Option<PathBuf>) -> Option<PathBuf> {
     };
     let ws = dohmark_simlint::find_workspace_root(&start);
     if ws.is_none() {
-        eprintln!("dohmark-simlint: no [workspace] manifest above {}", start.display());
+        eprintln!(
+            "dohmark-simlint: no [workspace] manifest with members above {}",
+            start.display()
+        );
     }
     ws
 }

@@ -1,46 +1,7 @@
-//! Finding renderers: the canonical text format, a machine-readable
-//! JSON document, and GitHub Actions workflow annotations.
-//!
-//! The JSON writer goes through `dohmark_dns_wire::jsontext` — the same
-//! in-tree layer the bench reports use — so the schema round-trips
-//! through [`dohmark_dns_wire::jsontext::parse`] by construction and
-//! simlint stays free of external dependencies.
+//! The GitHub Actions renderer: findings as workflow annotations. (The
+//! canonical text format is [`crate::render`].)
 
 use crate::rules::Finding;
-use dohmark_dns_wire::jsontext;
-
-/// Renders findings as the `--format json` document:
-///
-/// ```json
-/// {"findings": [{"file": "...", "line": 7, "rule": "...",
-///                "message": "...", "item": "..."}, ...],
-///  "count": 1}
-/// ```
-///
-/// `item` is the enclosing item's path (`doh::driver::Driver::resolve`),
-/// or the file's module path for file-level findings. Key order and
-/// formatting are fixed, so the output is byte-stable for a given
-/// finding list.
-pub fn render_json(findings: &[Finding]) -> String {
-    let mut out = String::from("{\"findings\": [");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str("{\"file\": ");
-        jsontext::write_escaped(&mut out, &f.file);
-        out.push_str(&format!(", \"line\": {}", f.line));
-        out.push_str(", \"rule\": ");
-        jsontext::write_escaped(&mut out, f.rule);
-        out.push_str(", \"message\": ");
-        jsontext::write_escaped(&mut out, &f.message);
-        out.push_str(", \"item\": ");
-        jsontext::write_escaped(&mut out, &f.item);
-        out.push('}');
-    }
-    out.push_str(&format!("], \"count\": {}}}\n", findings.len()));
-    out
-}
 
 /// Renders findings as GitHub Actions `::error` workflow commands, one
 /// per line, so a CI lint job annotates the offending lines of a PR
@@ -83,33 +44,7 @@ mod tests {
             line: 7,
             rule: "no-wall-clock",
             message: "wall clock `Instant::now` — use \"Sim::now()\"".into(),
-            item: "doh::dot::DotClient::on_wake".into(),
         }
-    }
-
-    #[test]
-    fn json_output_parses_back_with_the_documented_schema() {
-        let text = render_json(&[finding()]);
-        let doc = jsontext::parse(&text).expect("render_json emits valid JSON");
-        assert_eq!(doc.get("count").and_then(|v| v.as_u64()), Some(1));
-        let rows = doc.get("findings").and_then(|v| v.as_array()).expect("findings array");
-        let row = &rows[0];
-        assert_eq!(row.get("file").and_then(|v| v.as_str()), Some("crates/doh/src/dot.rs"));
-        assert_eq!(row.get("line").and_then(|v| v.as_u64()), Some(7));
-        assert_eq!(row.get("rule").and_then(|v| v.as_str()), Some("no-wall-clock"));
-        assert_eq!(
-            row.get("message").and_then(|v| v.as_str()),
-            Some("wall clock `Instant::now` — use \"Sim::now()\"")
-        );
-        assert_eq!(row.get("item").and_then(|v| v.as_str()), Some("doh::dot::DotClient::on_wake"));
-    }
-
-    #[test]
-    fn empty_findings_is_an_empty_well_formed_document() {
-        let text = render_json(&[]);
-        let doc = jsontext::parse(&text).expect("valid");
-        assert_eq!(doc.get("count").and_then(|v| v.as_u64()), Some(0));
-        assert_eq!(doc.get("findings").and_then(|v| v.as_array()).map(<[_]>::len), Some(0));
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //@ path: crates/bench/src/stats.rs
-//! Rogue float accumulation outside the blessed fixed-order helpers:
-//! `mean` is blessed, `total` is not — its `+=` loop and `.fold()` both
-//! flag.
+//! Float accumulation in the stats layer: `mean` states its summation
+//! order in an allow and passes, `total` does not — its `+=` loop and
+//! `.fold()` both flag.
 
 pub fn mean(xs: &[f64]) -> f64 {
+    // simlint::allow(no-float-accumulation): sums the slice left to right
     xs.iter().sum::<f64>() / xs.len() as f64
 }
 

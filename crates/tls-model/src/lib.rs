@@ -506,6 +506,36 @@ mod tests {
         assert_eq!(d.next_plaintext(), Some(vec![9; 8]));
     }
 
+    /// Every truncation point and every single-bit flip of a two-record
+    /// stream: the deframer never panics, never yields more records than
+    /// the bytes can hold, and never yields more plaintext than it was fed.
+    #[test]
+    fn deframer_is_total_and_bounded_on_truncated_and_bit_flipped_records() {
+        let mut stream = Vec::new();
+        for rec in seal(&[0xA5; 40]).into_iter().chain(seal(&[0x5A; 3])) {
+            stream.extend_from_slice(&rec.header);
+            stream.extend_from_slice(&rec.plaintext);
+            stream.extend_from_slice(&rec.tag);
+        }
+        let truncations = (0..=stream.len()).map(|cut| stream[..cut].to_vec());
+        let flips = (0..stream.len() * 8).map(|bit| {
+            let mut flipped = stream.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            flipped
+        });
+        for input in truncations.chain(flips) {
+            let mut d = Deframer::new();
+            d.push(&input);
+            let (mut records, mut plain) = (0, 0);
+            while let Some(p) = d.next_plaintext() {
+                records += 1;
+                plain += p.len();
+                assert!(records * RECORD_HEADER <= input.len(), "{records} records of {input:?}");
+            }
+            assert!(plain + d.buffered() <= input.len(), "{plain} plaintext bytes of {input:?}");
+        }
+    }
+
     #[test]
     fn sealed_header_length_field_covers_payload_and_tag() {
         let recs = seal(&[7; 10]);

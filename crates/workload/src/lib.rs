@@ -135,11 +135,6 @@ impl QuerySchedule {
             at: SimTime::ZERO,
         }
     }
-
-    /// The wire length every scheduled name encodes to.
-    pub fn name_wire_len(&self) -> usize {
-        self.names.wire_len()
-    }
 }
 
 impl Iterator for QuerySchedule {
