@@ -219,6 +219,22 @@ mod tests {
     }
 
     #[test]
+    fn a_flight_larger_than_the_zero_block_is_sent_whole() {
+        // An 11 kB chain: the server's flight is several zero blocks long.
+        let tls = TlsConfig { cert_chain: vec![6000, 5000], ..dot_tls() };
+        let mut sim = Sim::new(13);
+        let stub = sim.add_host("stub");
+        let resolver = sim.add_host("resolver");
+        sim.add_link(stub, resolver, LinkConfig::localhost());
+        let mut server = DotServer::bind(&mut sim, resolver, 853, tls.clone(), ANSWER, 300);
+        let mut client = DotClient::new(stub, (resolver, 853), tls.clone(), ReusePolicy::Fresh);
+        let name = Name::parse("abcdefgh.dohmark.test").unwrap();
+        pump(&mut sim, &mut client, &mut server, Some(&name)).unwrap();
+        sim.drain();
+        assert_eq!(sim.meter.cost(1).layers.tls, handshake_bytes(&tls) as u64 + 2 * 21);
+    }
+
+    #[test]
     fn fresh_policy_closes_and_reopens_per_query() {
         for_each_framing!(
             2,

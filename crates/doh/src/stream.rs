@@ -15,7 +15,10 @@ use crate::resolver::ServerBackend;
 use crate::{Endpoint, Resolver, ReusePolicy};
 use dohmark_dns_wire::{Message, Name, RecordType};
 use dohmark_netsim::{HostId, LayerTag, ListenerId, Side, Sim, TcpHandle, Wake};
-use dohmark_tls_model::{handshake_flights, seal, Deframer, Flight, TlsConfig};
+use dohmark_tls_model::{
+    handshake_flights, record_header, Deframer, Flight, TlsConfig, MAX_PLAINTEXT, RECORD_HEADER,
+    ZERO_TAG,
+};
 use std::collections::HashMap;
 use std::fmt::Debug;
 use std::net::Ipv4Addr;
@@ -79,6 +82,10 @@ pub trait Framing: Debug {
     }
 }
 
+/// What every handshake flight is sent from: the byte model's handshake
+/// messages are opaque zeros, so no flight needs a buffer of its own.
+static ZERO_BLOCK: [u8; 4096] = [0; 4096];
+
 /// One endpoint's view of a TLS connection: drives the
 /// `dohmark-tls-model` handshake flights over a simulated TCP
 /// connection, then seals and deframes application data as TLS records.
@@ -120,9 +127,13 @@ impl TlsStream {
                 break;
             };
             if flight.from_client == (self.handle.side == Side::Client) {
-                // Our turn: emit the flight as opaque handshake bytes.
+                // Our turn: emit the flight as opaque handshake bytes, in
+                // one write so it segments as one.
                 sim.set_attr(self.setup_attr);
-                sim.tcp_send(self.handle, LayerTag::Tls, &vec![0u8; flight.bytes]);
+                let parts: Vec<(LayerTag, &[u8])> = chunk_lens(flight.bytes, ZERO_BLOCK.len())
+                    .map(|len| (LayerTag::Tls, &ZERO_BLOCK[..len]))
+                    .collect();
+                sim.tcp_send_vectored(self.handle, &parts);
                 self.next_flight += 1;
             } else {
                 let need = flight.bytes - self.flight_rx;
@@ -137,11 +148,8 @@ impl TlsStream {
                 }
             }
         }
-        self.deframer.push(incoming);
         let mut plaintext = Vec::new();
-        while let Some(p) = self.deframer.next_plaintext() {
-            plaintext.extend_from_slice(&p);
-        }
+        self.deframer.deframe_into(incoming, &mut plaintext);
         plaintext
     }
 
@@ -149,34 +157,66 @@ impl TlsStream {
     /// them as one vectored write under attribution `attr`: the record
     /// header and AEAD tag are charged to [`LayerTag::Tls`], each
     /// segment's bytes to its own tag.
+    ///
+    /// The bytes on the wire are those of `tls_model::seal` over the
+    /// concatenation, but nothing is concatenated: record boundaries follow
+    /// from the total length alone, so the write is a list of borrowed
+    /// parts — the caller's segments, cut where a record ends, between a
+    /// header and a tag per record — and the copy into the TCP send buffer
+    /// is the only one a byte makes on this hop.
     pub(crate) fn send_segments(&mut self, sim: &mut Sim, attr: u32, segments: &Segments) {
-        let total: Vec<u8> = segments.iter().flat_map(|(_, b)| b.iter().copied()).collect();
-        if total.is_empty() {
+        let total: usize = segments.iter().map(|(_, bytes)| bytes.len()).sum();
+        if total == 0 {
             return;
         }
         sim.set_attr(attr);
-        let mut parts: Vec<(LayerTag, &[u8])> = Vec::new();
-        let mut offset = 0usize;
-        let records = seal(&total);
-        for record in &records {
-            let end = offset + record.plaintext.len();
-            parts.push((LayerTag::Tls, &record.header));
-            // The slices of `segments` that fall inside this record.
-            let mut seg_start = 0usize;
-            for (tag, bytes) in segments {
-                let seg_end = seg_start + bytes.len();
-                if seg_end > offset && seg_start < end {
-                    let from = offset.max(seg_start) - seg_start;
-                    let to = end.min(seg_end) - seg_start;
-                    parts.push((*tag, &bytes[from..to]));
-                }
-                seg_start = seg_end;
-            }
-            parts.push((LayerTag::Tls, &record.tag));
-            offset = end;
-        }
-        sim.tcp_send_vectored(self.handle, &parts);
+        sim.tcp_send_vectored(self.handle, &sealed_parts(segments, &record_headers(total)));
     }
+}
+
+/// The lengths `total` bytes are cut into, `max` at a time: all `max` but
+/// a shorter last one.
+fn chunk_lens(total: usize, max: usize) -> impl Iterator<Item = usize> {
+    (0..total).step_by(max).map(move |at| max.min(total - at))
+}
+
+/// The header of each record a write of `total` plaintext bytes is cut
+/// into: [`MAX_PLAINTEXT`] bytes a record, the last one shorter.
+fn record_headers(total: usize) -> Vec<[u8; RECORD_HEADER]> {
+    chunk_lens(total, MAX_PLAINTEXT).map(record_header).collect()
+}
+
+/// `segments` as one vectored write of sealed records, borrowing every
+/// byte: a header from `headers` ([`record_headers`] of the total length)
+/// opens each record, [`ZERO_TAG`] closes it, and a segment that runs past
+/// a record's end continues in the next.
+fn sealed_parts<'a>(
+    segments: &'a Segments,
+    headers: &'a [[u8; RECORD_HEADER]],
+) -> Vec<(LayerTag, &'a [u8])> {
+    let mut parts: Vec<(LayerTag, &[u8])> = Vec::with_capacity(segments.len() + 2 * headers.len());
+    let total = segments.iter().map(|(_, bytes)| bytes.len()).sum();
+    let mut records = chunk_lens(total, MAX_PLAINTEXT).zip(headers);
+    // Plaintext bytes the open record still takes.
+    let mut room = 0usize;
+    for (tag, bytes) in segments {
+        let mut rest = bytes.as_slice();
+        while !rest.is_empty() {
+            if room == 0 {
+                let (len, header) = records.next().expect("a header per record");
+                parts.push((LayerTag::Tls, header));
+                room = len;
+            }
+            let (now, later) = rest.split_at(rest.len().min(room));
+            parts.push((*tag, now));
+            rest = later;
+            room -= now.len();
+            if room == 0 {
+                parts.push((LayerTag::Tls, &ZERO_TAG));
+            }
+        }
+    }
+    parts
 }
 
 /// One end of one connection: the TLS stream plus the framing's codec.
@@ -463,6 +503,53 @@ impl<F: Framing> Endpoint for StreamServer<F> {
                 sim.tcp_close(handle);
             }
             _ => {}
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dohmark_netsim::SimRng;
+    use dohmark_tls_model::seal;
+
+    /// The copy-free framing against the reference: same bytes, and every
+    /// byte under the tag its segment carried.
+    #[test]
+    fn sealed_parts_are_the_reference_seal_of_the_concatenation() {
+        const TAGS: [LayerTag; 3] = [LayerTag::HttpHeader, LayerTag::HttpBody, LayerTag::HttpMgmt];
+        for seed in 1..=60u64 {
+            let mut rng = SimRng::new(seed);
+            let segments: Segments = (0..rng.below(6))
+                .map(|_| {
+                    let len = match rng.below(8) {
+                        0 => 0,
+                        1 => MAX_PLAINTEXT,
+                        2 => rng.below(3 * MAX_PLAINTEXT as u64) as usize,
+                        _ => rng.below(200) as usize,
+                    };
+                    let bytes = (0..len).map(|_| rng.next_u64() as u8).collect();
+                    (TAGS[rng.below(3) as usize], bytes)
+                })
+                .collect();
+            let plaintext: Vec<u8> = segments.iter().flat_map(|(_, b)| b.clone()).collect();
+            let mut reference = Vec::new();
+            for record in seal(&plaintext) {
+                reference.extend_from_slice(&record.header);
+                reference.extend_from_slice(&record.plaintext);
+                reference.extend_from_slice(&record.tag);
+            }
+            let headers = record_headers(plaintext.len());
+            let parts = sealed_parts(&segments, &headers);
+            let wire: Vec<u8> = parts.iter().flat_map(|(_, bytes)| bytes.iter().copied()).collect();
+            assert_eq!(wire, reference, "seed {seed}");
+            assert!(parts.iter().all(|(_, bytes)| !bytes.is_empty()), "seed {seed}");
+            for tag in TAGS {
+                let written: usize =
+                    segments.iter().filter(|s| s.0 == tag).map(|s| s.1.len()).sum();
+                let sent: usize = parts.iter().filter(|p| p.0 == tag).map(|p| p.1.len()).sum();
+                assert_eq!(sent, written, "seed {seed}: {tag:?}");
+            }
         }
     }
 }

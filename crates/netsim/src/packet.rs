@@ -1,7 +1,7 @@
 //! Simulated packets and on-wire header size constants.
 
 use crate::sim::HostId;
-use crate::trace::LayerTag;
+use crate::trace::LayerBytes;
 
 /// IPv4 header size without options.
 pub const IP_HEADER: usize = 20;
@@ -70,18 +70,17 @@ pub struct TcpSegMeta {
     pub options_len: usize,
 }
 
-/// A contiguous payload range carrying a single layer tag.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TaggedRange {
-    /// The layer this range belongs to.
-    pub tag: LayerTag,
-    /// Attribution at the time the bytes were written.
-    pub attr: u32,
-    /// Length in bytes.
-    pub len: u32,
-}
-
 /// A packet in flight.
+///
+/// **One copy per hop.** A payload byte is copied once on the way in (the
+/// sender's write into its send buffer, or the caller's own `Vec` for UDP),
+/// once per transmission (the `memcpy` that cuts a segment out of the send
+/// buffer) and is then *moved*, never copied, through the in-flight slab
+/// into the receiver's buffer. A packet costs no heap allocation beyond
+/// `payload`: its layer composition is the fixed-size [`LayerBytes`], not a
+/// list of ranges, because its only readers
+/// ([`CostMeter::record`](crate::trace::CostMeter::record) and the coverage
+/// check in `Sim::send_packet`) want per-tag sums.
 #[derive(Debug, Clone)]
 pub struct Packet {
     /// Source host and port.
@@ -94,8 +93,9 @@ pub struct Packet {
     pub seg: Option<TcpSegMeta>,
     /// Transport payload.
     pub payload: Vec<u8>,
-    /// Payload layer composition; lengths sum to `payload.len()`.
-    pub layers: Vec<TaggedRange>,
+    /// Payload bytes per layer; they sum to `payload.len()` (the headers
+    /// are charged separately, from [`Packet::header_len`]).
+    pub layers: LayerBytes,
     /// Attribution id for headers and accounting.
     pub attr: u32,
 }
@@ -133,6 +133,7 @@ impl Packet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::LayerTag;
 
     #[test]
     fn udp_header_is_28_bytes() {
@@ -142,11 +143,12 @@ mod tests {
             proto: Proto::Udp,
             seg: None,
             payload: vec![0; 33],
-            layers: vec![],
+            layers: LayerBytes::of(LayerTag::DnsPayload, 33),
             attr: 0,
         };
         assert_eq!(p.header_len(), 28);
         assert_eq!(p.wire_len(), 61);
+        assert_eq!(p.layers.total() as usize, p.payload.len());
     }
 
     #[test]
@@ -163,7 +165,7 @@ mod tests {
                 options_len: TCP_SYN_OPTIONS,
             }),
             payload: vec![],
-            layers: vec![],
+            layers: LayerBytes::default(),
             attr: 0,
         };
         assert_eq!(p.header_len(), 60);
@@ -184,11 +186,12 @@ mod tests {
                 options_len: 0,
             }),
             payload: vec![9; 100],
-            layers: vec![],
+            layers: LayerBytes::of(LayerTag::HttpBody, 100),
             attr: 0,
         };
         assert_eq!(p.header_len(), 40);
         assert_eq!(p.wire_len(), 140);
+        assert_eq!(p.layers.total() as usize, p.payload.len());
         assert!(p.summary().contains("len=100"));
     }
 

@@ -18,9 +18,9 @@ use crate::packet::{Packet, Proto};
 use crate::rng::SimRng;
 use crate::tcp::{Listener, TcpConn};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{CostMeter, LayerTag, PacketRecord, TraceLog};
+use crate::trace::{CostMeter, LayerBytes, LayerTag, PacketRecord, TraceLog};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 
 /// Identifier of a simulated host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -132,12 +132,24 @@ impl Wake {
     }
 }
 
+/// One entry of the event heap: when, a tie-breaker, and a small kind.
+///
+/// Every `BinaryHeap` sift moves whole entries, so an entry carries no
+/// packet: a delivery names a [`PacketSlab`] slot instead. Order is
+/// `(at, seq)`, and `seq` is drawn in [`Sim::push_event`] at the moment the
+/// event is scheduled. That moment must not move: the per-packet loss,
+/// corruption and jitter draws in `Sim::send_packet` happen in event order,
+/// so reordering two same-instant events changes which packets a lossy link
+/// drops — and with them every report digest.
 #[derive(Debug)]
 pub(crate) struct Ev {
     pub at: SimTime,
     pub seq: u64,
     pub kind: EvKind,
 }
+
+// With a `Packet` inline an entry would be ~176 bytes.
+const _: () = assert!(std::mem::size_of::<Ev>() <= 40);
 
 impl PartialEq for Ev {
     fn eq(&self, other: &Self) -> bool {
@@ -156,12 +168,57 @@ impl Ord for Ev {
     }
 }
 
+/// What an [`Ev`] does; `Deliver` names the [`PacketSlab`] slot of the
+/// packet that arrives.
 #[derive(Debug)]
 pub(crate) enum EvKind {
-    Deliver(Packet),
+    Deliver(u32),
     TcpDelack { conn: usize, side: Side, gen: u64 },
     TcpRto { conn: usize, side: Side, gen: u64 },
     AppTimer { token: u64, owner: u64 },
+}
+
+/// Out-of-line storage for the packets in flight, so heap entries stay
+/// small. A slot is taken when a packet is put on a link and freed when it
+/// is delivered; the payload `Vec` is moved in and out, never copied. Free
+/// slots are chained through the slots themselves, so the slab is one
+/// allocation, and at its high-water mark it makes none.
+#[derive(Debug, Default)]
+struct PacketSlab {
+    slots: Vec<Slot>,
+    /// The most recently freed slot, the head of the free chain.
+    free: Option<u32>,
+}
+
+#[derive(Debug)]
+enum Slot {
+    InFlight(Packet),
+    Free { next: Option<u32> },
+}
+
+impl PacketSlab {
+    fn insert(&mut self, pkt: Packet) -> u32 {
+        let Some(slot) = self.free else {
+            self.slots.push(Slot::InFlight(pkt));
+            return u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 packets in flight");
+        };
+        match std::mem::replace(&mut self.slots[slot as usize], Slot::InFlight(pkt)) {
+            Slot::Free { next } => self.free = next,
+            Slot::InFlight(_) => unreachable!("the free chain names a slot in flight"),
+        }
+        slot
+    }
+
+    fn take(&mut self, slot: u32) -> Packet {
+        let freed = Slot::Free { next: self.free };
+        match std::mem::replace(&mut self.slots[slot as usize], freed) {
+            Slot::InFlight(pkt) => {
+                self.free = Some(slot);
+                pkt
+            }
+            Slot::Free { .. } => unreachable!("a delivery event owns its slot"),
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -169,7 +226,6 @@ struct UdpSock {
     host: usize,
     port: u16,
     rx: VecDeque<(HostId, u16, Vec<u8>)>,
-    open: bool,
     owner: u64,
 }
 
@@ -179,11 +235,18 @@ pub struct Sim {
     now: SimTime,
     heap: BinaryHeap<Reverse<Ev>>,
     next_seq: u64,
+    packets: PacketSlab,
     hosts: Vec<String>,
-    /// Keyed lookup only ((src, dst) route resolution) — never iterated,
-    /// so the randomized order is unobservable (no-unordered-iteration).
-    links: HashMap<(usize, usize), DirLink>,
+    links: Vec<DirLink>,
+    /// `(src host, dst host, index into links)` sorted by `(src, dst)`: a
+    /// route lookup is one short binary search, no hashing. An index, once
+    /// handed out, stays valid: links are replaced in place, never removed.
+    routes: Vec<(usize, usize, usize)>,
     udp: Vec<UdpSock>,
+    /// The open sockets as `(host, port, sock)`: the first entry in a
+    /// `(host, port)` range is the earliest-bound open socket, which is
+    /// the one a datagram is delivered to.
+    udp_open: BTreeSet<(usize, u16, usize)>,
     pub(crate) listeners: Vec<Listener>,
     pub(crate) conns: Vec<TcpConn>,
     pub(crate) wakes: VecDeque<(Wake, u64)>,
@@ -196,6 +259,10 @@ pub struct Sim {
     owner: u64,
     next_ephemeral: u16,
     pub(crate) dropped: u64,
+    /// Sum of `wire_len()` over every packet put on a link, counted apart
+    /// from the meter so a test can hold the two against each other.
+    #[cfg(any(test, debug_assertions))]
+    wire_bytes: u64,
 }
 
 impl Sim {
@@ -205,9 +272,12 @@ impl Sim {
             now: SimTime::ZERO,
             heap: BinaryHeap::new(),
             next_seq: 0,
+            packets: PacketSlab::default(),
             hosts: Vec::new(),
-            links: HashMap::new(),
+            links: Vec::new(),
+            routes: Vec::new(),
             udp: Vec::new(),
+            udp_open: BTreeSet::new(),
             listeners: Vec::new(),
             conns: Vec::new(),
             wakes: VecDeque::new(),
@@ -218,6 +288,8 @@ impl Sim {
             owner: 0,
             next_ephemeral: 40_000,
             dropped: 0,
+            #[cfg(any(test, debug_assertions))]
+            wire_bytes: 0,
         }
     }
 
@@ -268,8 +340,7 @@ impl Sim {
 
     /// Connects two hosts with symmetric link characteristics.
     pub fn add_link(&mut self, a: HostId, b: HostId, cfg: LinkConfig) {
-        self.links.insert((a.0, b.0), DirLink::new(cfg));
-        self.links.insert((b.0, a.0), DirLink::new(cfg));
+        self.add_link_asymmetric(a, b, cfg, cfg);
     }
 
     /// Connects two hosts with distinct per-direction characteristics.
@@ -280,13 +351,33 @@ impl Sim {
         a_to_b: LinkConfig,
         b_to_a: LinkConfig,
     ) {
-        self.links.insert((a.0, b.0), DirLink::new(a_to_b));
-        self.links.insert((b.0, a.0), DirLink::new(b_to_a));
+        self.set_dir_link(a, b, a_to_b);
+        self.set_dir_link(b, a, b_to_a);
+    }
+
+    fn find_route(&self, src: HostId, dst: HostId) -> Result<usize, usize> {
+        self.routes.binary_search_by_key(&(src.0, dst.0), |r| (r.0, r.1))
+    }
+
+    /// Installs (or replaces, keeping its index) the link `src -> dst`.
+    fn set_dir_link(&mut self, src: HostId, dst: HostId, cfg: LinkConfig) {
+        match self.find_route(src, dst) {
+            Ok(i) => self.links[self.routes[i].2] = DirLink::new(cfg),
+            Err(i) => {
+                self.routes.insert(i, (src.0, dst.0, self.links.len()));
+                self.links.push(DirLink::new(cfg));
+            }
+        }
+    }
+
+    /// Index into `links` of the link `src -> dst`, if one is configured.
+    pub(crate) fn route(&self, src: HostId, dst: HostId) -> Option<usize> {
+        self.find_route(src, dst).ok().map(|i| self.routes[i].2)
     }
 
     /// The configured link from `a` to `b`, if any.
     pub fn link_config(&self, a: HostId, b: HostId) -> Option<LinkConfig> {
-        self.links.get(&(a.0, b.0)).map(|l| l.cfg)
+        self.route(a, b).map(|i| self.links[i].cfg)
     }
 
     pub(crate) fn push_event(&mut self, at: SimTime, kind: EvKind) {
@@ -324,8 +415,10 @@ impl Sim {
     pub fn udp_bind(&mut self, host: HostId, port: u16) -> SockId {
         let port = if port == 0 { self.alloc_ephemeral() } else { port };
         let owner = self.owner;
-        self.udp.push(UdpSock { host: host.0, port, rx: VecDeque::new(), open: true, owner });
-        SockId(self.udp.len() - 1)
+        self.udp.push(UdpSock { host: host.0, port, rx: VecDeque::new(), owner });
+        let sock = self.udp.len() - 1;
+        self.udp_open.insert((host.0, port, sock));
+        SockId(sock)
     }
 
     /// Closes a UDP socket: queued datagrams are discarded and later
@@ -334,8 +427,8 @@ impl Sim {
     /// port would alias a dead socket and swallow responses.
     pub fn udp_close(&mut self, sock: SockId) {
         let s = &mut self.udp[sock.0];
-        s.open = false;
         s.rx.clear();
+        self.udp_open.remove(&(s.host, s.port, sock.0));
     }
 
     /// The local port of a UDP socket.
@@ -347,20 +440,12 @@ impl Sim {
     /// accounted under `tag` with the current attribution.
     pub fn udp_send(&mut self, sock: SockId, dst: (HostId, u16), tag: LayerTag, payload: Vec<u8>) {
         let src_sock = &self.udp[sock.0];
-        let pkt = Packet {
-            src: (HostId(src_sock.host), src_sock.port),
-            dst,
-            proto: Proto::Udp,
-            seg: None,
-            layers: vec![crate::packet::TaggedRange {
-                tag,
-                attr: self.attr,
-                len: payload.len() as u32,
-            }],
-            payload,
-            attr: self.attr,
-        };
-        self.send_packet(pkt);
+        let src = (HostId(src_sock.host), src_sock.port);
+        let layers = LayerBytes::of(tag, payload.len() as u64);
+        let pkt =
+            Packet { src, dst, proto: Proto::Udp, seg: None, layers, payload, attr: self.attr };
+        let link = self.route(src.0, dst.0);
+        self.send_packet(pkt, link);
     }
 
     /// Receives one queued datagram, if any.
@@ -372,20 +457,27 @@ impl Sim {
     // Packet transmission and delivery
     // ------------------------------------------------------------------
 
-    pub(crate) fn send_packet(&mut self, mut pkt: Packet) {
+    /// Puts `pkt` on `link` (its [`Sim::route`], resolved by the caller so
+    /// a TCP endpoint can look it up once per connection): meters it,
+    /// draws its fate, and schedules the delivery.
+    pub(crate) fn send_packet(&mut self, mut pkt: Packet, link: Option<usize>) {
         debug_assert_eq!(
-            pkt.layers.iter().map(|r| r.len as usize).sum::<usize>(),
-            pkt.payload.len(),
-            "layer ranges must cover the payload exactly"
+            pkt.layers.total(),
+            pkt.payload.len() as u64,
+            "layer bytes must cover the payload exactly"
         );
-        let key = (pkt.src.0 .0, pkt.dst.0 .0);
-        let Some(link) = self.links.get_mut(&key) else {
+        debug_assert_eq!(link, self.route(pkt.src.0, pkt.dst.0), "a stale cached route");
+        let Some(link) = link else {
             self.dropped += 1;
             return;
         };
-        let cfg = link.cfg;
+        let cfg = self.links[link].cfg;
         // Every transmitted packet consumes wire bytes, delivered or not.
         self.meter.record(&pkt);
+        #[cfg(any(test, debug_assertions))]
+        {
+            self.wire_bytes += pkt.wire_len() as u64;
+        }
         let lost = self.rng.chance(cfg.loss);
         let corrupted = !lost && self.rng.chance(cfg.corrupt);
         // Corrupted TCP segments fail the checksum at the receiver and are
@@ -418,17 +510,15 @@ impl Sim {
         } else {
             SimDuration::ZERO
         };
-        let wire_len = pkt.wire_len();
-        let link = self.links.get_mut(&key).expect("checked above");
-        let arrival = link.schedule(self.now, wire_len, jitter);
-        self.push_event(arrival, EvKind::Deliver(pkt));
+        let arrival = self.links[link].schedule(self.now, pkt.wire_len(), jitter);
+        let slot = self.packets.insert(pkt);
+        self.push_event(arrival, EvKind::Deliver(slot));
     }
 
     fn deliver_udp(&mut self, pkt: Packet) {
-        let dst_host = pkt.dst.0 .0;
-        let dst_port = pkt.dst.1;
-        let Some(idx) =
-            self.udp.iter().position(|s| s.open && s.host == dst_host && s.port == dst_port)
+        let (host, port) = (pkt.dst.0 .0, pkt.dst.1);
+        let Some(&(_, _, idx)) =
+            self.udp_open.range((host, port, 0)..=(host, port, usize::MAX)).next()
         else {
             self.dropped += 1;
             return;
@@ -462,10 +552,13 @@ impl Sim {
             debug_assert!(ev.at >= self.now, "time must be monotone");
             self.now = ev.at;
             match ev.kind {
-                EvKind::Deliver(pkt) => match pkt.proto {
-                    Proto::Udp => self.deliver_udp(pkt),
-                    Proto::Tcp => self.on_tcp_segment(pkt),
-                },
+                EvKind::Deliver(slot) => {
+                    let pkt = self.packets.take(slot);
+                    match pkt.proto {
+                        Proto::Udp => self.deliver_udp(pkt),
+                        Proto::Tcp => self.on_tcp_segment(pkt),
+                    }
+                }
                 EvKind::TcpDelack { conn, side, gen } => self.on_tcp_delack(conn, side, gen),
                 EvKind::TcpRto { conn, side, gen } => self.on_tcp_rto(conn, side, gen),
                 EvKind::AppTimer { token, owner } => {
@@ -543,6 +636,114 @@ mod tests {
             other => panic!("unexpected wake {other:?}"),
         }
         assert_eq!(sim.udp_recv(new).unwrap().2, vec![3]);
+    }
+
+    #[test]
+    fn the_earliest_bound_open_socket_on_a_port_receives() {
+        let (mut sim, a, b) = two_hosts(21);
+        let sa = sim.udp_bind(a, 0);
+        let first = sim.udp_bind(b, 53);
+        let second = sim.udp_bind(b, 53);
+        let receiver = |sim: &mut Sim| {
+            sim.udp_send(sa, (b, 53), LayerTag::DnsPayload, vec![7]);
+            match sim.next_wake() {
+                Some(Wake::UdpReadable { sock, .. }) => {
+                    assert!(sim.udp_recv(sock).is_some());
+                    sock
+                }
+                other => panic!("unexpected wake {other:?}"),
+            }
+        };
+        assert_eq!(receiver(&mut sim), first);
+        assert_eq!(receiver(&mut sim), first, "and keeps receiving");
+        sim.udp_close(first);
+        assert_eq!(receiver(&mut sim), second);
+        sim.udp_close(first); // closing twice changes nothing
+        assert_eq!(receiver(&mut sim), second);
+        assert_eq!(sim.dropped_packets(), 0);
+    }
+
+    #[test]
+    fn packet_slots_are_reused_not_leaked() {
+        let (mut sim, a, b) = two_hosts(22);
+        let sa = sim.udp_bind(a, 0);
+        sim.udp_bind(b, 53);
+        let live =
+            |sim: &Sim| sim.packets.slots.iter().filter(|s| matches!(s, Slot::InFlight(_))).count();
+        for round in 0..3 {
+            for _ in 0..1000 {
+                sim.udp_send(sa, (b, 53), LayerTag::DnsPayload, vec![0; 40]);
+            }
+            assert_eq!(live(&sim), 1000, "round {round}");
+            sim.drain();
+            // Nothing is live, and the slab stays at the burst's high-water mark.
+            assert_eq!(live(&sim), 0, "round {round}");
+            assert_eq!(sim.packets.slots.len(), 1000, "round {round}");
+        }
+    }
+
+    /// Every byte put on a wire is metered exactly once and lands in exactly
+    /// one layer bucket — retransmitted and dropped packets included.
+    #[test]
+    fn meter_conserves_wire_bytes_over_a_lossy_link() {
+        let mut sim = Sim::new(23);
+        let a = sim.add_host("client");
+        let b = sim.add_host("server");
+        sim.add_link(a, b, LinkConfig::localhost().loss(0.02));
+        sim.tcp_listen(b, 443);
+        let client = sim.tcp_connect(a, (b, 443));
+        let sa = sim.udp_bind(a, 0);
+        sim.udp_bind(b, 53);
+        let mut written = 0;
+        for write in 0..200u32 {
+            sim.set_attr(write % 7);
+            // A TLS-record-shaped write; every tenth spans several segments.
+            let body = vec![write as u8; if write % 10 == 0 { 5000 } else { 90 }];
+            written += body.len() as u64;
+            sim.tcp_send_vectored(
+                client,
+                &[
+                    (LayerTag::Tls, &[1; 5]),
+                    (LayerTag::HttpHeader, &[2; 60]),
+                    (LayerTag::HttpBody, &body),
+                    (LayerTag::HttpMgmt, &[]),
+                    (LayerTag::Tls, &[4; 16]),
+                ],
+            );
+            sim.udp_send(sa, (b, 53), LayerTag::DnsPayload, vec![0; 33]);
+            // Let some of it be acknowledged (and some of it time out)
+            // before the next write lands behind it.
+            sim.schedule_app_in(SimDuration::from_millis(30), 0);
+            while !matches!(sim.next_wake(), Some(Wake::AppTimer { .. })) {}
+        }
+        sim.tcp_close(client);
+        sim.drain();
+        assert!(sim.dropped_packets() > 0, "the link lost nothing");
+        let total = sim.meter.total();
+        assert!(total.layers.http_body > written, "nothing was retransmitted");
+        assert_eq!(total.bytes, sim.wire_bytes);
+        assert_eq!(total.layers.total(), total.bytes);
+    }
+
+    #[test]
+    fn a_link_added_after_connect_still_routes() {
+        let mut sim = Sim::new(24);
+        let a = sim.add_host("client");
+        let b = sim.add_host("server");
+        sim.tcp_listen(b, 853);
+        let client = sim.tcp_connect(a, (b, 853));
+        assert_eq!(sim.dropped_packets(), 1, "the first SYN had no route");
+        sim.add_link(a, b, LinkConfig::localhost());
+        // The retransmitted SYN finds the link, and so does everything after.
+        sim.tcp_send(client, LayerTag::DnsPayload, &[5; 100]);
+        let mut accepted = None;
+        while let Some(wake) = sim.next_wake() {
+            if let Wake::TcpAccepted { conn, .. } = wake {
+                accepted = Some(conn);
+            }
+        }
+        assert_eq!(sim.tcp_recv(accepted.expect("the handshake completed")), vec![5; 100]);
+        assert_eq!(sim.dropped_packets(), 1);
     }
 
     #[test]

@@ -19,10 +19,10 @@
 //! [`Sim::tcp_close`], with readiness delivered through
 //! [`Wake`] events.
 
-use crate::packet::{Packet, Proto, TaggedRange, TcpFlags, TcpSegMeta, IP_HEADER, TCP_HEADER};
+use crate::packet::{Packet, Proto, TcpFlags, TcpSegMeta, IP_HEADER, TCP_HEADER};
 use crate::sim::{EvKind, HostId, ListenerId, Side, Sim, TcpHandle, Wake};
 use crate::time::SimDuration;
-use crate::trace::LayerTag;
+use crate::trace::{LayerBytes, LayerTag};
 use std::collections::VecDeque;
 
 /// Fallback MSS when no link (and hence no MTU) is configured.
@@ -49,25 +49,56 @@ pub struct Listener {
     pub(crate) owner: u64,
 }
 
+/// A run of send-buffer bytes written under one layer tag and attribution.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct TaggedRange {
+    tag: LayerTag,
+    attr: u32,
+    len: u32,
+}
+
+/// One segment's worth of a [`TaggedBuf`], as [`TaggedBuf::slice`] cut it.
+#[derive(Debug)]
+struct Segment {
+    bytes: Vec<u8>,
+    /// `bytes` split by the tag each was written under.
+    layers: LayerBytes,
+    /// Attribution of the first byte: the whole packet is charged to it.
+    attr: u32,
+    /// Whether a later byte was written under another attribution.
+    mixed_attr: bool,
+}
+
 /// A FIFO byte buffer that remembers which [`LayerTag`] and attribution
 /// each byte was written under, so retransmitted segments reproduce the
 /// exact layer breakdown of the original transmission.
+///
+/// The bytes are one contiguous `Vec` whose acknowledged prefix is dead:
+/// [`TaggedBuf::push`] is the one copy a byte makes on its way in,
+/// [`TaggedBuf::slice`] is the one `memcpy` per transmission (go-back-N
+/// re-slices the same bytes under the same tags), and
+/// [`TaggedBuf::advance`] only moves the offset, compacting when the dead
+/// prefix outgrows the live bytes — so each byte is moved at most once more
+/// over its lifetime.
 #[derive(Debug, Default)]
 struct TaggedBuf {
-    data: VecDeque<u8>,
+    data: Vec<u8>,
+    /// Length of the dead (acknowledged) prefix of `data`.
+    head: usize,
+    /// Covers exactly the live bytes `data[head..]`.
     ranges: VecDeque<TaggedRange>,
 }
 
 impl TaggedBuf {
     fn len(&self) -> usize {
-        self.data.len()
+        self.data.len() - self.head
     }
 
     fn push(&mut self, tag: LayerTag, attr: u32, bytes: &[u8]) {
         if bytes.is_empty() {
             return;
         }
-        self.data.extend(bytes);
+        self.data.extend_from_slice(bytes);
         if let Some(last) = self.ranges.back_mut() {
             if last.tag == tag && last.attr == attr {
                 last.len += bytes.len() as u32;
@@ -79,8 +110,14 @@ impl TaggedBuf {
 
     /// Drops `n` bytes from the front (they were cumulatively ACKed).
     fn advance(&mut self, n: usize) {
-        debug_assert!(n <= self.data.len());
-        self.data.drain(..n);
+        debug_assert!(n <= self.len());
+        self.head += n;
+        let live = self.data.len() - self.head;
+        if self.head > live {
+            self.data.copy_within(self.head.., 0);
+            self.data.truncate(live);
+            self.head = 0;
+        }
         let mut left = n as u32;
         while left > 0 {
             let front = self.ranges.front_mut().expect("ranges cover data");
@@ -93,26 +130,28 @@ impl TaggedBuf {
         }
     }
 
-    /// Copies `len` bytes starting `off` bytes into the buffer, with the
-    /// tagged ranges covering exactly those bytes.
-    fn slice(&self, off: usize, len: usize) -> (Vec<u8>, Vec<TaggedRange>) {
-        debug_assert!(off + len <= self.data.len());
-        let bytes: Vec<u8> = self.data.iter().skip(off).take(len).copied().collect();
-        let mut ranges = Vec::new();
-        let (start, end) = (off as u64, (off + len) as u64);
-        let mut cursor = 0u64;
+    /// Copies `len` bytes starting `off` bytes into the buffer, summing
+    /// per tag the ranges that cover exactly those bytes.
+    fn slice(&self, off: usize, len: usize) -> Segment {
+        debug_assert!(off + len <= self.len());
+        let bytes = self.data[self.head + off..self.head + off + len].to_vec();
+        let mut layers = LayerBytes::default();
+        let mut attr = None;
+        let mut mixed_attr = false;
+        let (start, end) = (off, off + len);
+        let mut cursor = 0usize;
         for r in &self.ranges {
-            let r_end = cursor + r.len as u64;
+            let r_end = cursor + r.len as usize;
             if r_end > start && cursor < end {
-                let take = r_end.min(end) - cursor.max(start);
-                ranges.push(TaggedRange { tag: r.tag, attr: r.attr, len: take as u32 });
+                layers.add(r.tag, (r_end.min(end) - cursor.max(start)) as u64);
+                mixed_attr |= *attr.get_or_insert(r.attr) != r.attr;
             }
             cursor = r_end;
             if cursor >= end {
                 break;
             }
         }
-        (bytes, ranges)
+        Segment { bytes, layers, attr: attr.unwrap_or(0), mixed_attr }
     }
 
     /// Bytes from `off` to the end of the contiguous run of ranges that
@@ -191,6 +230,10 @@ pub(crate) struct Endpoint {
     failed: bool,
     /// Server side: the listener that will accept this connection.
     listener: Option<ListenerId>,
+    /// The [`Sim::route`] towards the peer, looked up when the first
+    /// segment finds one and kept: a link may be added after `tcp_connect`,
+    /// and once present its index never changes.
+    link: Option<usize>,
 }
 
 impl Endpoint {
@@ -218,6 +261,7 @@ impl Endpoint {
             retries: 0,
             failed: false,
             listener: None,
+            link: None,
         }
     }
 }
@@ -355,24 +399,25 @@ impl Sim {
 
     /// Builds and transmits one segment from `side` of `conn`.
     ///
-    /// Pure control segments are attributed to the current [`Sim::attr`];
-    /// data segments keep the attribution of their first payload range, so
-    /// retransmissions stay charged to the resolution that wrote the bytes.
+    /// Pure control segments (`data` is `None`) are attributed to the
+    /// current [`Sim::attr`]; data segments keep the attribution of their
+    /// first payload byte, so retransmissions stay charged to the
+    /// resolution that wrote the bytes.
     fn tcp_emit(
         &mut self,
         conn: usize,
         side: Side,
         flags: TcpFlags,
         seq: u64,
-        payload: Vec<u8>,
-        layers: Vec<TaggedRange>,
+        data: Option<Segment>,
     ) {
         debug_assert!(
-            layers.windows(2).all(|w| w[0].attr == w[1].attr),
+            !data.as_ref().is_some_and(|d| d.mixed_attr),
             "a segment must never span attribution boundaries"
         );
-        let attr = layers.first().map(|r| r.attr).unwrap_or(self.attr());
-        let (src, dst, ack) = {
+        let attr = data.as_ref().map_or(self.attr(), |d| d.attr);
+        let (payload, layers) = data.map(|d| (d.bytes, d.layers)).unwrap_or_default();
+        let (src, dst, ack, link) = {
             let c = &mut self.conns[conn];
             let ack = if flags.ack { c.ends[side.index()].rcv_nxt } else { 0 };
             if flags.ack {
@@ -383,37 +428,35 @@ impl Sim {
             }
             let s = &c.ends[side.index()];
             let d = &c.ends[side.peer().index()];
-            ((HostId(s.host), s.port), (HostId(d.host), d.port), ack)
+            ((HostId(s.host), s.port), (HostId(d.host), d.port), ack, s.link)
         };
-        let options_len = if flags.syn { crate::packet::TCP_SYN_OPTIONS } else { 0 };
-        self.send_packet(Packet {
-            src,
-            dst,
-            proto: Proto::Tcp,
-            seg: Some(TcpSegMeta { conn, seq, ack, flags, options_len }),
-            layers,
-            payload,
-            attr,
+        let link = link.or_else(|| {
+            let found = self.route(src.0, dst.0);
+            self.conns[conn].ends[side.index()].link = found;
+            found
         });
+        let options_len = if flags.syn { crate::packet::TCP_SYN_OPTIONS } else { 0 };
+        let seg = Some(TcpSegMeta { conn, seq, ack, flags, options_len });
+        self.send_packet(Packet { src, dst, proto: Proto::Tcp, seg, layers, payload, attr }, link);
     }
 
     fn tcp_emit_syn(&mut self, conn: usize) {
         self.conns[conn].ends[Side::Client.index()].snd_nxt = 1;
         let flags = TcpFlags { syn: true, ..Default::default() };
-        self.tcp_emit(conn, Side::Client, flags, 0, Vec::new(), Vec::new());
+        self.tcp_emit(conn, Side::Client, flags, 0, None);
     }
 
     fn tcp_emit_synack(&mut self, conn: usize) {
         self.conns[conn].ends[Side::Server.index()].snd_nxt = 1;
         let flags = TcpFlags { syn: true, ack: true, ..Default::default() };
-        self.tcp_emit(conn, Side::Server, flags, 0, Vec::new(), Vec::new());
+        self.tcp_emit(conn, Side::Server, flags, 0, None);
     }
 
     /// Emits a pure ACK (consumes no sequence space).
     fn tcp_emit_ack(&mut self, conn: usize, side: Side) {
         let seq = self.conns[conn].ends[side.index()].snd_nxt;
         let flags = TcpFlags { ack: true, ..Default::default() };
-        self.tcp_emit(conn, side, flags, seq, Vec::new(), Vec::new());
+        self.tcp_emit(conn, side, flags, seq, None);
     }
 
     /// Transmits as much queued data (and, once drained, a queued FIN) as
@@ -421,7 +464,7 @@ impl Sim {
     fn tcp_pump(&mut self, conn: usize, side: Side) {
         loop {
             enum Emit {
-                Data { seq: u64, bytes: Vec<u8>, ranges: Vec<TaggedRange> },
+                Data { seq: u64, data: Segment },
                 Fin { seq: u64 },
             }
             let emit = {
@@ -437,10 +480,10 @@ impl Sim {
                         .min(ep.mss as u64)
                         .min(ep.sndbuf.attr_run_len(off) as u64)
                         as usize;
-                    let (bytes, ranges) = ep.sndbuf.slice(off, len);
+                    let data = ep.sndbuf.slice(off, len);
                     let seq = ep.snd_nxt;
                     ep.snd_nxt += len as u64;
-                    Emit::Data { seq, bytes, ranges }
+                    Emit::Data { seq, data }
                 } else if ep.fin_seq == Some(ep.snd_nxt)
                     || (ep.fin_queued
                         && ep.fin_seq.is_none()
@@ -459,13 +502,13 @@ impl Sim {
                 }
             };
             match emit {
-                Emit::Data { seq, bytes, ranges } => {
+                Emit::Data { seq, data } => {
                     let flags = TcpFlags { ack: true, ..Default::default() };
-                    self.tcp_emit(conn, side, flags, seq, bytes, ranges);
+                    self.tcp_emit(conn, side, flags, seq, Some(data));
                 }
                 Emit::Fin { seq } => {
                     let flags = TcpFlags { fin: true, ack: true, ..Default::default() };
-                    self.tcp_emit(conn, side, flags, seq, Vec::new(), Vec::new());
+                    self.tcp_emit(conn, side, flags, seq, None);
                 }
             }
             self.tcp_arm_rto(conn, side);
@@ -620,7 +663,12 @@ impl Sim {
                 } else {
                     // In order, possibly overlapping already-received bytes.
                     let skip = (ep.rcv_nxt - seg.seq) as usize;
-                    ep.rcvbuf.extend_from_slice(&payload[skip..]);
+                    if skip == 0 && ep.rcvbuf.is_empty() {
+                        // The usual case: the payload is moved, not copied.
+                        ep.rcvbuf = payload;
+                    } else {
+                        ep.rcvbuf.extend_from_slice(&payload[skip..]);
+                    }
                     ep.rcv_nxt = seg_end;
                     readable = true;
                     ep.ack_pending += 1;
@@ -1060,18 +1108,99 @@ mod tests {
         assert_eq!(buf.len(), 35);
         assert_eq!(buf.ranges.len(), 2);
 
-        let (bytes, ranges) = buf.slice(12, 10);
-        assert_eq!(bytes.len(), 10);
-        assert_eq!(ranges.len(), 2);
-        assert_eq!((ranges[0].tag, ranges[0].len), (LayerTag::Tls, 3));
-        assert_eq!((ranges[1].tag, ranges[1].attr, ranges[1].len), (LayerTag::HttpBody, 2, 7));
+        // Across the attribution boundary on purpose (the pump never does).
+        let seg = buf.slice(12, 10);
+        assert_eq!(seg.bytes, [vec![2; 3], vec![3; 7]].concat());
+        assert_eq!((seg.layers.tls, seg.layers.http_body, seg.layers.total()), (3, 7, 10));
+        assert_eq!(seg.attr, 1, "the first byte's attribution");
+        assert!(seg.mixed_attr);
+        assert_eq!(buf.attr_run_len(12), 3);
 
         buf.advance(15);
         assert_eq!(buf.len(), 20);
-        let (bytes, ranges) = buf.slice(0, 20);
-        assert_eq!(bytes, vec![3; 20]);
-        assert_eq!(ranges.len(), 1);
-        assert_eq!(ranges[0].tag, LayerTag::HttpBody);
+        let seg = buf.slice(0, 20);
+        assert_eq!(seg.bytes, vec![3; 20]);
+        assert_eq!((seg.layers.http_body, seg.layers.total()), (20, 20));
+        assert_eq!((seg.attr, seg.mixed_attr), (2, false));
+    }
+
+    /// Random `push` / `advance` / `slice` / `attr_run_len` sequences
+    /// against a model that keeps `(byte, tag, attr)` per byte.
+    #[test]
+    fn tagged_buf_matches_a_naive_per_byte_model() {
+        const TAGS: [LayerTag; 4] =
+            [LayerTag::Tls, LayerTag::HttpHeader, LayerTag::HttpBody, LayerTag::DnsPayload];
+        for seed in 1..=40u64 {
+            let mut rng = crate::rng::SimRng::new(seed);
+            let mut buf = TaggedBuf::default();
+            let mut model: Vec<(u8, LayerTag, u32)> = Vec::new();
+            // A slice taken earlier that a go-back-N rewind would cut again.
+            let mut sent: Option<(usize, usize)> = None;
+            let mut compactions = 0;
+            let check_slice = |buf: &TaggedBuf,
+                               model: &[(u8, LayerTag, u32)],
+                               off: usize,
+                               len: usize| {
+                let seg = buf.slice(off, len);
+                let want = &model[off..off + len];
+                let bytes: Vec<u8> = want.iter().map(|b| b.0).collect();
+                assert_eq!(seg.bytes, bytes, "seed {seed}: bytes of slice({off}, {len})");
+                for tag in LayerTag::ALL {
+                    let n = want.iter().filter(|b| b.1 == tag).count() as u64;
+                    assert_eq!(seg.layers.get(tag), n, "seed {seed}: {tag:?} of ({off}, {len})");
+                }
+                if let Some(first) = want.first() {
+                    assert_eq!(seg.attr, first.2, "seed {seed}: attr of ({off}, {len})");
+                    let mixed = want.iter().any(|b| b.2 != first.2);
+                    assert_eq!(seg.mixed_attr, mixed, "seed {seed}: mixed ({off}, {len})");
+                }
+            };
+            for _ in 0..400 {
+                match rng.below(10) {
+                    // Mostly small writes, mixed tags, few attributions so
+                    // that runs both coalesce and break.
+                    0..=3 => {
+                        let len = if rng.chance(0.1) { rng.below(3000) } else { rng.below(40) };
+                        let tag = TAGS[rng.below(4) as usize];
+                        let attr = rng.below(3) as u32;
+                        let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+                        buf.push(tag, attr, &bytes);
+                        model.extend(bytes.iter().map(|&b| (b, tag, attr)));
+                    }
+                    4..=5 => {
+                        let n = rng.below(model.len() as u64 + 1) as usize;
+                        let dead_before = buf.head;
+                        buf.advance(n);
+                        model.drain(..n);
+                        compactions += usize::from(buf.head < dead_before);
+                        sent = sent.and_then(|(off, len)| Some((off.checked_sub(n)?, len)));
+                    }
+                    6..=7 if !model.is_empty() => {
+                        let off = rng.below(model.len() as u64) as usize;
+                        let len = rng.below((model.len() - off) as u64 + 1) as usize;
+                        check_slice(&buf, &model, off, len);
+                        sent = Some((off, len));
+                    }
+                    8 if !model.is_empty() => {
+                        let off = rng.below(model.len() as u64) as usize;
+                        let run = model[off..].iter().take_while(|b| b.2 == model[off].2).count();
+                        assert_eq!(buf.attr_run_len(off), run, "seed {seed}: run at {off}");
+                        // What the pump cuts never mixes attributions.
+                        assert!(!buf.slice(off, run.min(1460)).mixed_attr, "seed {seed}");
+                    }
+                    // The rewind: later pushes and ACKs of earlier bytes
+                    // leave a retransmission identical to the original.
+                    _ => {
+                        if let Some((off, len)) = sent {
+                            check_slice(&buf, &model, off, len);
+                        }
+                    }
+                }
+                assert_eq!(buf.len(), model.len(), "seed {seed}");
+                assert!(buf.head <= buf.len(), "seed {seed}: the dead prefix dominates");
+            }
+            assert!(compactions > 0, "seed {seed}: compaction never ran");
+        }
     }
 
     #[test]

@@ -75,6 +75,13 @@ pub struct LayerBytes {
 }
 
 impl LayerBytes {
+    /// `n` bytes, all of them in the bucket for `tag`.
+    pub fn of(tag: LayerTag, n: u64) -> LayerBytes {
+        let mut layers = LayerBytes::default();
+        layers.add(tag, n);
+        layers
+    }
+
     /// Adds `n` bytes to the bucket for `tag`.
     pub fn add(&mut self, tag: LayerTag, n: u64) {
         match tag {
@@ -147,9 +154,7 @@ impl CostMeter {
         cost.packets += 1;
         cost.bytes += pkt.wire_len() as u64;
         cost.layers.add(LayerTag::L4Header, pkt.header_len() as u64);
-        for seg in &pkt.layers {
-            cost.layers.add(seg.tag, seg.len as u64);
-        }
+        cost.layers.merge(&pkt.layers);
     }
 
     /// The cost attributed to `attr`, zero if nothing was recorded.
@@ -273,7 +278,7 @@ impl TraceLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::{Packet, Proto, TaggedRange};
+    use crate::packet::{Packet, Proto};
 
     fn dummy_packet(attr: u32, payload: usize) -> Packet {
         Packet {
@@ -282,7 +287,7 @@ mod tests {
             proto: Proto::Udp,
             seg: None,
             payload: vec![0; payload],
-            layers: vec![TaggedRange { tag: LayerTag::DnsPayload, attr, len: payload as u32 }],
+            layers: LayerBytes::of(LayerTag::DnsPayload, payload as u64),
             attr,
         }
     }

@@ -15,7 +15,10 @@
 //!    [`AEAD_TAG`] bytes of overhead. [`wrap`] gives the byte-count view,
 //!    [`seal`] produces on-wire records (type/version/length header, the
 //!    plaintext verbatim, a zero tag) and [`Deframer`] parses them back out
-//!    of a byte stream.
+//!    of a byte stream. [`seal`] owns a copy of every chunk, so it is the
+//!    *reference*: the transports in `dohmark-doh` write the same bytes
+//!    without that copy, from [`record_header`] and [`ZERO_TAG`], and are
+//!    tested against it.
 //!
 //! Transports charge the framing and handshake bytes to
 //! `LayerTag::Tls` and the carried plaintext to the layer it belongs to
@@ -329,25 +332,66 @@ pub struct SealedRecord {
     pub tag: [u8; AEAD_TAG],
 }
 
-/// Frames `plaintext` into on-wire [`SealedRecord`]s.
+/// The stand-in AEAD tag every sealed record ends with.
+pub const ZERO_TAG: [u8; AEAD_TAG] = [0; AEAD_TAG];
+
+/// The header of an application-data record carrying `plain_len` (at most
+/// [`MAX_PLAINTEXT`]) plaintext bytes: `[0x17, 0x03, 0x03, len_hi, len_lo]`
+/// with a length that covers the plaintext and the tag.
+///
+/// Record boundaries depend on nothing but the total length of a write —
+/// a record per [`MAX_PLAINTEXT`] bytes, the last one shorter — so a caller
+/// that frames its own buffers in place needs only this and [`ZERO_TAG`].
+pub fn record_header(plain_len: usize) -> [u8; RECORD_HEADER] {
+    debug_assert!(plain_len <= MAX_PLAINTEXT);
+    let len = (plain_len + AEAD_TAG) as u16;
+    [0x17, 0x03, 0x03, (len >> 8) as u8, (len & 0xFF) as u8]
+}
+
+/// Frames `plaintext` into on-wire [`SealedRecord`]s, each owning a copy of
+/// its chunk: the reference framing (see the crate docs).
 pub fn seal(plaintext: &[u8]) -> Vec<SealedRecord> {
     plaintext
         .chunks(MAX_PLAINTEXT)
-        .map(|chunk| {
-            let len = (chunk.len() + AEAD_TAG) as u16;
-            SealedRecord {
-                header: [0x17, 0x03, 0x03, (len >> 8) as u8, (len & 0xFF) as u8],
-                plaintext: chunk.to_vec(),
-                tag: [0; AEAD_TAG],
-            }
+        .map(|chunk| SealedRecord {
+            header: record_header(chunk.len()),
+            plaintext: chunk.to_vec(),
+            tag: ZERO_TAG,
         })
         .collect()
+}
+
+/// Splits the record at the front of `stream` into its plaintext and its
+/// total wire length, or `None` while it is incomplete. Total on malformed
+/// input: see [`Deframer::next_plaintext`].
+fn split_record(stream: &[u8]) -> Option<(&[u8], usize)> {
+    let header = stream.get(..RECORD_HEADER)?;
+    let len = usize::from(u16::from_be_bytes([header[3], header[4]]));
+    let total = RECORD_HEADER + len;
+    if stream.len() < total {
+        return None;
+    }
+    Some((&stream[RECORD_HEADER..RECORD_HEADER + len.saturating_sub(AEAD_TAG)], total))
+}
+
+/// Appends the plaintext of every complete record at the front of `stream`
+/// to `out`; returns how many bytes of `stream` those records took.
+fn deframe_all(stream: &[u8], out: &mut Vec<u8>) -> usize {
+    let mut consumed = 0;
+    while let Some((plaintext, total)) = split_record(&stream[consumed..]) {
+        out.extend_from_slice(plaintext);
+        consumed += total;
+    }
+    consumed
 }
 
 /// Incremental parser for a stream of sealed records.
 ///
 /// Feed raw received bytes with [`Deframer::push`]; complete plaintexts
-/// come back out of [`Deframer::next_plaintext`] in order.
+/// come back out of [`Deframer::next_plaintext`] in order, one record (and
+/// one copy of the buffered tail) at a time. A stream that wants all of
+/// them at once calls [`Deframer::deframe_into`] instead, which is a single
+/// pass over the same parser.
 #[derive(Debug, Default)]
 pub struct Deframer {
     buf: Vec<u8>,
@@ -376,18 +420,26 @@ impl Deframer {
     /// TLS stack would abort the connection there, but a byte model only
     /// needs to stay total.
     pub fn next_plaintext(&mut self) -> Option<Vec<u8>> {
-        if self.buf.len() < RECORD_HEADER {
-            return None;
-        }
-        let len = usize::from(u16::from_be_bytes([self.buf[3], self.buf[4]]));
-        let total = RECORD_HEADER + len;
-        if self.buf.len() < total {
-            return None;
-        }
-        let plain_len = len.saturating_sub(AEAD_TAG);
-        let plaintext = self.buf[RECORD_HEADER..RECORD_HEADER + plain_len].to_vec();
+        let (plaintext, total) = split_record(&self.buf)?;
+        let plaintext = plaintext.to_vec();
         self.buf.drain(..total);
         Some(plaintext)
+    }
+
+    /// Takes `incoming` as the next stream bytes and appends to `out`, in
+    /// order, the plaintext of every record that is now complete — what
+    /// [`Deframer::push`] followed by [`Deframer::next_plaintext`] until
+    /// `None` yields, concatenated. Each plaintext byte is copied once; only
+    /// an incomplete trailing record is buffered.
+    pub fn deframe_into(&mut self, incoming: &[u8], out: &mut Vec<u8>) {
+        if self.buf.is_empty() {
+            let consumed = deframe_all(incoming, out);
+            self.buf.extend_from_slice(&incoming[consumed..]);
+        } else {
+            self.buf.extend_from_slice(incoming);
+            let consumed = deframe_all(&self.buf, out);
+            self.buf.drain(..consumed);
+        }
     }
 }
 
@@ -487,6 +539,34 @@ mod tests {
         }
         assert_eq!(out, msg);
         assert_eq!(deframer.buffered(), 0);
+    }
+
+    #[test]
+    fn deframe_into_yields_what_push_and_next_plaintext_do() {
+        let msg: Vec<u8> = (0..40_000u32).map(|i| (i % 253) as u8).collect();
+        let mut stream = vec![0x17, 0x03, 0x03, 0x00, 0x05, 1, 2, 3, 4, 5]; // malformed: no tag
+        for rec in seal(&msg).into_iter().chain(seal(&[7; 3])) {
+            stream.extend_from_slice(&rec.header);
+            stream.extend_from_slice(&rec.plaintext);
+            stream.extend_from_slice(&rec.tag);
+        }
+        // Chunk sizes that split headers, leave whole records pending and
+        // (the last) deliver everything at once.
+        for chunk in [1, 4, 997, 16_405, 20_000, stream.len()] {
+            let (mut reference, mut single_pass) = (Deframer::new(), Deframer::new());
+            let (mut want, mut got) = (Vec::new(), Vec::new());
+            for bytes in stream.chunks(chunk) {
+                reference.push(bytes);
+                while let Some(p) = reference.next_plaintext() {
+                    want.extend_from_slice(&p);
+                }
+                single_pass.deframe_into(bytes, &mut got);
+                assert_eq!(got, want, "chunk {chunk}");
+                assert_eq!(single_pass.buffered(), reference.buffered(), "chunk {chunk}");
+            }
+            assert_eq!(got, [&msg[..], &[7; 3]].concat(), "chunk {chunk}");
+            assert_eq!(single_pass.buffered(), 0);
+        }
     }
 
     #[test]
