@@ -11,18 +11,27 @@ pub const MAX_NAME_LEN: usize = 255;
 
 /// A fully-qualified domain name.
 ///
-/// Stored as a sequence of lowercase labels; comparison is therefore
-/// case-insensitive as required by RFC 1035 §2.3.3. The root name has zero
-/// labels.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// Stored as its uncompressed wire form in one buffer: length-prefixed
+/// labels, lower-cased once on the way in, terminated by the root octet,
+/// at most [`MAX_NAME_LEN`] octets. The root name is `[0]`. Comparison and
+/// hashing are slice operations on that buffer and therefore
+/// case-insensitive, as RFC 1035 §2.3.3 requires. `Ord` is the byte order
+/// of the wire form — a total order consistent with `Eq`, *not* RFC 4034
+/// canonical order: it compares the leftmost label's length first, where
+/// canonical order compares labels from the right.
+#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Name {
-    labels: Vec<String>,
+    wire: Vec<u8>,
 }
+
+// One buffer and nothing beside it: a second field here is a second
+// representation.
+const _: () = assert!(std::mem::size_of::<Name>() <= std::mem::size_of::<Vec<u8>>());
 
 impl Name {
     /// The DNS root (`.`).
     pub fn root() -> Self {
-        Name { labels: Vec::new() }
+        Name { wire: vec![0] }
     }
 
     /// Parses a presentation-format name such as `"www.example.com."`.
@@ -35,27 +44,37 @@ impl Name {
             return Ok(Name::root());
         }
         let trimmed = s.strip_suffix('.').unwrap_or(s);
-        let mut labels = Vec::new();
+        // Every dot becomes a length octet; one more leads, the root ends.
+        let mut wire = Vec::with_capacity((trimmed.len() + 2).min(MAX_NAME_LEN));
         for label in trimmed.split('.') {
-            Self::validate_label(label)?;
-            labels.push(label.to_ascii_lowercase());
+            Self::push_label(&mut wire, label.as_bytes())?;
         }
-        let name = Name { labels };
-        let wire_len = name.wire_len();
-        if wire_len > MAX_NAME_LEN {
-            return Err(DnsError::NameTooLong(wire_len));
-        }
-        Ok(name)
+        wire.push(0);
+        Self::checked(wire)
     }
 
-    fn validate_label(label: &str) -> Result<()> {
+    /// Builds a name from label strings, validated like [`Name::parse`]'s.
+    pub fn from_labels<I, S>(iter: I) -> Result<Self>
+    where
+        I: IntoIterator<Item = S>,
+        S: AsRef<str>,
+    {
+        let mut wire = Vec::new();
+        for l in iter {
+            Self::push_label(&mut wire, l.as_ref().as_bytes())?;
+        }
+        wire.push(0);
+        Self::checked(wire)
+    }
+
+    fn validate_label(label: &[u8]) -> Result<()> {
         if label.is_empty() {
             return Err(DnsError::InvalidLabel(b'.'));
         }
         if label.len() > MAX_LABEL_LEN {
             return Err(DnsError::LabelTooLong(label.len()));
         }
-        for &b in label.as_bytes() {
+        for &b in label {
             let ok = b.is_ascii_alphanumeric() || b == b'-' || b == b'_';
             if !ok {
                 return Err(DnsError::InvalidLabel(b));
@@ -64,69 +83,82 @@ impl Name {
         Ok(())
     }
 
-    /// Builds a name from pre-validated label strings.
-    pub fn from_labels<I, S>(iter: I) -> Result<Self>
-    where
-        I: IntoIterator<Item = S>,
-        S: AsRef<str>,
-    {
-        let mut labels = Vec::new();
-        for l in iter {
-            Self::validate_label(l.as_ref())?;
-            labels.push(l.as_ref().to_ascii_lowercase());
+    /// Appends `label` to `wire`: validated, length-prefixed, lower-cased.
+    fn push_label(wire: &mut Vec<u8>, label: &[u8]) -> Result<()> {
+        Self::validate_label(label)?;
+        wire.push(label.len() as u8);
+        let start = wire.len();
+        wire.extend_from_slice(label);
+        wire[start..].make_ascii_lowercase();
+        Ok(())
+    }
+
+    /// Wraps a complete wire form, refusing one over the length limit.
+    fn checked(wire: Vec<u8>) -> Result<Name> {
+        if wire.len() > MAX_NAME_LEN {
+            return Err(DnsError::NameTooLong(wire.len()));
         }
-        let name = Name { labels };
-        if name.wire_len() > MAX_NAME_LEN {
-            return Err(DnsError::NameTooLong(name.wire_len()));
-        }
-        Ok(name)
+        Ok(Name { wire })
+    }
+
+    /// Walks the labels left to right, yielding each one (length octet
+    /// included) beside the suffix of the wire form that it begins: the
+    /// whole name first, then its parent's, … — never the root octet alone.
+    fn walk(&self) -> impl Iterator<Item = (&[u8], &[u8])> {
+        let mut rest = &self.wire[..];
+        std::iter::from_fn(move || {
+            let suffix = rest;
+            let (label, tail) = suffix.split_at(1 + suffix[0] as usize);
+            if tail.is_empty() {
+                return None; // `label` is the root octet
+            }
+            rest = tail;
+            Some((label, suffix))
+        })
     }
 
     /// The labels, left-to-right (`www`, `example`, `com`).
-    pub fn labels(&self) -> &[String] {
-        &self.labels
+    pub fn labels(&self) -> impl Iterator<Item = &str> {
+        self.walk()
+            .map(|(label, _)| std::str::from_utf8(&label[1..]).expect("labels are validated ASCII"))
+    }
+
+    /// The uncompressed wire form: lower-case length-prefixed labels and
+    /// the terminating root octet.
+    pub fn as_wire(&self) -> &[u8] {
+        &self.wire
     }
 
     /// Whether this is the root name.
     pub fn is_root(&self) -> bool {
-        self.labels.is_empty()
+        self.wire.len() == 1
     }
 
     /// Creates a child name `label.self`.
     pub fn child(&self, label: &str) -> Result<Name> {
-        Self::validate_label(label)?;
-        let mut labels = Vec::with_capacity(self.labels.len() + 1);
-        labels.push(label.to_ascii_lowercase());
-        labels.extend(self.labels.iter().cloned());
-        let name = Name { labels };
-        if name.wire_len() > MAX_NAME_LEN {
-            return Err(DnsError::NameTooLong(name.wire_len()));
-        }
-        Ok(name)
+        let mut wire = Vec::with_capacity(1 + label.len() + self.wire.len());
+        Self::push_label(&mut wire, label.as_bytes())?;
+        wire.extend_from_slice(&self.wire);
+        Self::checked(wire)
     }
 
     /// The parent name (strips the leftmost label); `None` for the root.
     pub fn parent(&self) -> Option<Name> {
-        if self.labels.is_empty() {
-            None
-        } else {
-            Some(Name { labels: self.labels[1..].to_vec() })
-        }
+        self.walk().next().map(|(label, suffix)| Name { wire: suffix[label.len()..].to_vec() })
     }
 
     /// Whether `self` equals `other` or is a subdomain of it.
     pub fn is_subdomain_of(&self, other: &Name) -> bool {
-        if other.labels.len() > self.labels.len() {
-            return false;
-        }
-        let offset = self.labels.len() - other.labels.len();
-        self.labels[offset..] == other.labels[..]
+        // Only a suffix that begins at a label counts. A bytewise
+        // `ends_with` is wrong: `-` and `0`–`9` are legal length octets
+        // too, so one label's tail can spell another name's whole wire form.
+        other.is_root() || self.walk().any(|(_, suffix)| suffix == other.wire)
     }
 
     /// Uncompressed wire length: each label costs `1 + len`, plus the root
     /// octet.
     pub fn wire_len(&self) -> usize {
-        1 + self.labels.iter().map(|l| 1 + l.len()).sum::<usize>()
+        self.wire.len()
     }
 
     /// Encodes the name, emitting a compression pointer when the writer has
@@ -134,20 +166,15 @@ impl Name {
     pub fn encode(&self, w: &mut Writer) {
         // Walk suffixes from the full name down; the longest previously
         // written suffix wins.
-        let mut idx = 0;
-        while idx < self.labels.len() {
-            let suffix = self.labels[idx..].to_vec();
-            if let Some(off) = w.find_suffix(&suffix) {
+        for (label, suffix) in self.walk() {
+            if let Some(off) = w.find_suffix(suffix) {
                 w.u16(0xC000 | off as u16);
                 return;
             }
             // Not yet known: write this label and register the suffix that
-            // starts here for future messages.
-            w.register_suffix(suffix, w.len());
-            let label = &self.labels[idx];
-            w.u8(label.len() as u8);
-            w.bytes(label.as_bytes());
-            idx += 1;
+            // starts here for the rest of the message.
+            w.register_suffix(w.len());
+            w.bytes(label);
         }
         w.u8(0); // root
     }
@@ -157,9 +184,10 @@ impl Name {
     /// Pointers must point strictly backwards; loops and forward pointers
     /// are rejected.
     pub fn decode(r: &mut Reader<'_>) -> Result<Name> {
-        let mut labels = Vec::new();
-        // Wire length starts at 1 for the terminal root octet.
-        let mut wire_len = 1usize;
+        // Filled on the stack so the name is one exact-size allocation.
+        let mut wire = [0u8; MAX_NAME_LEN];
+        // Octets of `wire` filled; the root octet is not among them.
+        let mut filled = 0usize;
         // Position to restore once the first pointer is followed.
         let mut resume: Option<usize> = None;
         // Strictly decreasing pointer targets prevent loops.
@@ -173,18 +201,15 @@ impl Name {
                         break;
                     }
                     let raw = r.bytes(len as usize, "name label")?;
-                    let mut label = String::with_capacity(len as usize);
-                    for &b in raw {
-                        if !(b.is_ascii_alphanumeric() || b == b'-' || b == b'_') {
-                            return Err(DnsError::InvalidLabel(b));
-                        }
-                        label.push(b.to_ascii_lowercase() as char);
+                    Self::validate_label(raw)?;
+                    let end = filled + 1 + raw.len();
+                    if end + 1 > MAX_NAME_LEN {
+                        return Err(DnsError::NameTooLong(end + 1));
                     }
-                    wire_len += 1 + label.len();
-                    if wire_len > MAX_NAME_LEN {
-                        return Err(DnsError::NameTooLong(wire_len));
-                    }
-                    labels.push(label);
+                    wire[filled] = len;
+                    wire[filled + 1..end].copy_from_slice(raw);
+                    wire[filled + 1..end].make_ascii_lowercase();
+                    filled = end;
                 }
                 0xC0 => {
                     let lo = r.u8("compression pointer")?;
@@ -205,19 +230,27 @@ impl Name {
         if let Some(pos) = resume {
             r.seek(pos)?;
         }
-        Ok(Name { labels })
+        // `wire[filled]` is still the zero it was initialised to: the root.
+        Ok(Name { wire: wire[..=filled].to_vec() })
     }
 }
 
 impl fmt::Display for Name {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.labels.is_empty() {
-            return write!(f, ".");
+        if self.is_root() {
+            return f.write_str(".");
         }
-        for label in &self.labels {
+        for label in self.labels() {
             write!(f, "{label}.")?;
         }
         Ok(())
+    }
+}
+
+/// The presentation form, not the buffer: `Name("www.example.com.")`.
+impl fmt::Debug for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Name(\"{self}\")")
     }
 }
 

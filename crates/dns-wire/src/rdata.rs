@@ -163,13 +163,10 @@ impl Rdata {
         }
     }
 
-    /// Writes a name label-by-label without consulting the compression map.
+    /// Writes a name in full, neither consulting nor feeding the
+    /// compression table.
     fn encode_name_plain(name: &Name, w: &mut Writer) {
-        for label in name.labels() {
-            w.u8(label.len() as u8);
-            w.bytes(label.as_bytes());
-        }
-        w.u8(0);
+        w.bytes(name.as_wire());
     }
 
     /// Decodes RDATA of type `rtype` spanning exactly `rdlength` bytes.

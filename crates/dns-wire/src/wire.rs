@@ -88,8 +88,9 @@ impl<'a> Reader<'a> {
 #[derive(Debug, Default)]
 pub struct Writer {
     buf: Vec<u8>,
-    /// (encoded name suffix, offset) pairs usable as compression targets.
-    name_offsets: Vec<(Vec<String>, usize)>,
+    /// Message offsets at which `Name::encode` began a label sequence:
+    /// the compression targets, in the order they were written.
+    name_offsets: Vec<u16>,
     /// When `false`, names are written without compression pointers.
     compress: bool,
 }
@@ -146,27 +147,61 @@ impl Writer {
         self.buf[offset..offset + 2].copy_from_slice(&v.to_be_bytes());
     }
 
-    /// Looks up a previously written name suffix equal to `labels`.
+    /// Looks up a previously written name equal to `suffix`, a name (or a
+    /// name's tail from a label boundary on) in uncompressed wire form.
     ///
-    /// Returns the message offset of that suffix if it is addressable by a
+    /// Returns the message offset of that name if it is addressable by a
     /// 14-bit compression pointer. A 14-bit pointer encodes offsets
     /// `0..=0x3FFF`, so `0x3FFF` itself is a valid target.
-    pub fn find_suffix(&self, labels: &[String]) -> Option<usize> {
-        if !self.compress {
-            return None;
-        }
-        self.name_offsets
-            .iter()
-            .find(|(suffix, off)| suffix == labels && *off < 0x4000)
-            .map(|(_, off)| *off)
+    ///
+    /// Registered offsets are tried in registration order and the first
+    /// match wins. Which offset a pointer names is part of the encoding —
+    /// the figures are computed over these bytes and every report digest
+    /// pins them — so a faster index must still return the
+    /// earliest-registered match.
+    pub fn find_suffix(&self, suffix: &[u8]) -> Option<usize> {
+        self.name_offsets.iter().map(|&off| usize::from(off)).find(|&off| self.name_at(off, suffix))
     }
 
-    /// Registers `labels` as a compression target starting at `offset`.
-    /// Offsets past `0x3FFF` are unreachable by a 14-bit pointer and are
-    /// silently discarded.
-    pub fn register_suffix(&mut self, labels: Vec<String>, offset: usize) {
+    /// Whether the name written at `pos` — its labels, then whatever its
+    /// own compression pointers lead to — spells exactly `suffix`.
+    fn name_at(&self, mut pos: usize, mut suffix: &[u8]) -> bool {
+        loop {
+            // Running off the end is the name `Name::encode` is still in
+            // the middle of writing; it equals nothing yet.
+            let Some(&len) = self.buf.get(pos) else { return false };
+            if len & 0xC0 == 0xC0 {
+                let Some(&lo) = self.buf.get(pos + 1) else { return false };
+                let target = usize::from(len & 0x3F) << 8 | usize::from(lo);
+                // `Name::encode` only ever points backwards; anything else
+                // was not written by it and must not be able to loop.
+                if target >= pos {
+                    return false;
+                }
+                pos = target;
+                continue;
+            }
+            let end = 1 + usize::from(len);
+            match (self.buf.get(pos..pos + end), suffix.get(..end)) {
+                (Some(written), Some(wanted)) if written == wanted => {}
+                _ => return false,
+            }
+            if len == 0 {
+                return true;
+            }
+            pos += end;
+            suffix = &suffix[end..];
+        }
+    }
+
+    /// Registers `offset`, where a label sequence is about to be written,
+    /// as a compression target. Later registrations never shadow earlier
+    /// ones (see [`Writer::find_suffix`]). Offsets past `0x3FFF` are
+    /// unreachable by a 14-bit pointer and are silently discarded, as is
+    /// everything on an uncompressed writer.
+    pub fn register_suffix(&mut self, offset: usize) {
         if self.compress && offset < 0x4000 {
-            self.name_offsets.push((labels, offset));
+            self.name_offsets.push(offset as u16);
         }
     }
 }
@@ -215,12 +250,46 @@ mod tests {
         assert_eq!(w.finish(), vec![1, 2, 7]);
     }
 
+    const EXAMPLE_COM: &[u8] = b"\x07example\x03com\0";
+
+    /// Appends `filler` bytes and then `example.com.`, registering only the
+    /// name's first label; returns the offset it landed on.
+    fn write_example_com_after(w: &mut Writer, filler: usize) -> usize {
+        w.bytes(&vec![0xEE; filler]);
+        let at = w.len();
+        w.register_suffix(at);
+        w.bytes(EXAMPLE_COM);
+        at
+    }
+
     #[test]
     fn suffix_registry_finds_exact_suffix_only() {
         let mut w = Writer::new();
-        w.register_suffix(vec!["example".into(), "com".into()], 12);
-        assert_eq!(w.find_suffix(&["example".into(), "com".into()]), Some(12));
-        assert_eq!(w.find_suffix(&["com".into()]), None);
+        assert_eq!(write_example_com_after(&mut w, 12), 12);
+        assert_eq!(w.find_suffix(EXAMPLE_COM), Some(12));
+        // `com.` is in the buffer at 20, but nothing registered it.
+        assert_eq!(w.find_suffix(b"\x03com\0"), None);
+        assert_eq!(w.find_suffix(b"\x07example\0"), None);
+        assert_eq!(w.find_suffix(b"\x07example\x03com\x03net\0"), None);
+        // A second copy, registered later, never shadows the first.
+        assert_eq!(write_example_com_after(&mut w, 3), 28);
+        assert_eq!(w.find_suffix(EXAMPLE_COM), Some(12));
+    }
+
+    #[test]
+    fn suffix_match_follows_the_written_names_own_pointer() {
+        // `www` + pointer to 12 at offset 25 spells www.example.com.
+        let mut w = Writer::new();
+        write_example_com_after(&mut w, 12);
+        w.register_suffix(25);
+        w.bytes(b"\x03www\xC0\x0C");
+        assert_eq!(w.find_suffix(b"\x03www\x07example\x03com\0"), Some(25));
+        assert_eq!(w.find_suffix(b"\x03www\x07example\0"), None);
+        // A pointer that does not point backwards matches nothing, and the
+        // walk over it ends.
+        w.register_suffix(31);
+        w.bytes(b"\xC0\x1F");
+        assert_eq!(w.find_suffix(b"\x03net\0"), None);
     }
 
     #[test]
@@ -229,18 +298,18 @@ mod tests {
         // offset itself must be registered and found (regression: the guard
         // used to be `< 0x3FFF`, rejecting the last addressable offset).
         let mut w = Writer::new();
-        w.register_suffix(vec!["example".into(), "com".into()], 0x3FFF);
-        assert_eq!(w.find_suffix(&["example".into(), "com".into()]), Some(0x3FFF));
+        write_example_com_after(&mut w, 0x3FFF);
+        assert_eq!(w.find_suffix(EXAMPLE_COM), Some(0x3FFF));
         // One past the boundary is genuinely unreachable.
         let mut w2 = Writer::new();
-        w2.register_suffix(vec!["example".into(), "com".into()], 0x4000);
-        assert_eq!(w2.find_suffix(&["example".into(), "com".into()]), None);
+        write_example_com_after(&mut w2, 0x4000);
+        assert_eq!(w2.find_suffix(EXAMPLE_COM), None);
     }
 
     #[test]
     fn uncompressed_writer_never_offers_suffixes() {
         let mut w = Writer::uncompressed();
-        w.register_suffix(vec!["com".into()], 12);
-        assert_eq!(w.find_suffix(&["com".into()]), None);
+        write_example_com_after(&mut w, 12);
+        assert_eq!(w.find_suffix(EXAMPLE_COM), None);
     }
 }

@@ -8,8 +8,11 @@
 use dohmark_dns_wire::{
     jsontext,
     rdata::{CaaRdata, Rdata, SoaRdata, SrvRdata},
-    JsonMessage, Message, Name, Rcode, Record, RecordType,
+    wire::{Reader, Writer},
+    DnsError, JsonMessage, Message, Name, Rcode, Record, RecordType,
 };
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
 
 const CASES: u64 = 256;
 
@@ -35,6 +38,11 @@ impl Gen {
 
     fn chance(&mut self, one_in: u64) -> bool {
         self.below(one_in) == 0
+    }
+
+    /// A uniformly drawn element of the non-empty `from`.
+    fn pick<'a, T>(&mut self, from: &'a [T]) -> &'a T {
+        &from[self.below(from.len() as u64) as usize]
     }
 
     /// A label matching `[a-z0-9_][a-z0-9_-]{0,18}`.
@@ -134,6 +142,43 @@ impl Gen {
         m
     }
 
+    /// A response whose records mostly hang off the question name, so its
+    /// encoding is full of compression pointers — into the question, into
+    /// earlier owners and into one another.
+    fn compressible_message(&mut self) -> Message {
+        let mut m = self.message();
+        let qname = m.questions[0].name.clone();
+        let mut owner = qname.clone();
+        for rec in m.answers.iter_mut().chain(&mut m.authorities).chain(&mut m.additionals) {
+            match self.below(4) {
+                0 => {}
+                1 => rec.name = qname.clone(),
+                2 => rec.name = owner.parent().unwrap_or_else(Name::root),
+                _ => {
+                    owner = owner.child(&self.label()).unwrap_or(owner);
+                    rec.name = owner.clone();
+                }
+            }
+        }
+        m
+    }
+
+    /// Labels for a name drawn from eight short labels — few enough that
+    /// the names of one sequence share suffixes all the time — spelled in
+    /// random case. `x0`, `0` and `-` end in bytes that are also legal
+    /// length octets.
+    fn colliding_labels(&mut self) -> Vec<String> {
+        const ALPHABET: [&str; 8] = ["a", "b", "ab", "com", "x0", "0", "-", "a-b"];
+        (0..self.below(5))
+            .map(|_| {
+                self.pick(&ALPHABET)
+                    .chars()
+                    .map(|c| if self.chance(3) { c.to_ascii_uppercase() } else { c })
+                    .collect()
+            })
+            .collect()
+    }
+
     /// One seeded corruption of the valid encoding `valid`: truncate it,
     /// flip one bit, overwrite a span with a slice of `donor` (another
     /// valid encoding, so the splice is plausible input), or append
@@ -183,10 +228,10 @@ fn for_cases(cases: u64, check: impl Fn(&mut Gen)) {
 fn name_round_trip() {
     for_all_cases(|g| {
         let n = g.name();
-        let mut w = dohmark_dns_wire::wire::Writer::new();
+        let mut w = Writer::new();
         n.encode(&mut w);
         let buf = w.finish();
-        let mut r = dohmark_dns_wire::wire::Reader::new(&buf);
+        let mut r = Reader::new(&buf);
         assert_eq!(Name::decode(&mut r).unwrap(), n);
     });
 }
@@ -302,4 +347,236 @@ fn jsontext_parser_is_total_on_mutated_documents() {
         let _ = jsontext::parse(&String::from_utf8_lossy(&mutated));
     });
     assert!(jsontext::parse(&"[".repeat(200_000)).is_err());
+}
+
+/// The compressor as it was when a name was a `Vec<String>`: every written
+/// suffix kept as its own label vector beside its offset, matched by
+/// vector equality, first registration first. Kept only here, as the
+/// reference [`Writer`]'s offset table must agree with byte for byte.
+#[derive(Default)]
+struct LabelVecWriter {
+    buf: Vec<u8>,
+    name_offsets: Vec<(Vec<String>, usize)>,
+}
+
+impl LabelVecWriter {
+    fn find_suffix(&self, labels: &[String]) -> Option<usize> {
+        self.name_offsets
+            .iter()
+            .find(|(suffix, off)| suffix == labels && *off < 0x4000)
+            .map(|(_, off)| *off)
+    }
+
+    fn register_suffix(&mut self, labels: Vec<String>, offset: usize) {
+        if offset < 0x4000 {
+            self.name_offsets.push((labels, offset));
+        }
+    }
+
+    fn encode_name(&mut self, labels: &[String]) {
+        for idx in 0..labels.len() {
+            let suffix = labels[idx..].to_vec();
+            if let Some(off) = self.find_suffix(&suffix) {
+                self.buf.extend_from_slice(&(0xC000 | off as u16).to_be_bytes());
+                return;
+            }
+            self.register_suffix(suffix, self.buf.len());
+            self.buf.push(labels[idx].len() as u8);
+            self.buf.extend_from_slice(labels[idx].as_bytes());
+        }
+        self.buf.push(0);
+    }
+}
+
+/// The offset-table compressor emits exactly the bytes the label-vector
+/// compressor did, over sequences built to make suffixes collide: a tiny
+/// label alphabet, mixed-case spellings, the root, repeats, tails and
+/// children of earlier names, and filler that walks the offsets up to and
+/// across the last pointer-addressable one.
+#[test]
+fn compression_matches_the_label_vector_reference() {
+    for_cases(4096, |g| {
+        let mut real = Writer::new();
+        let mut reference = LabelVecWriter::default();
+        let mut written: Vec<(usize, Name)> = Vec::new();
+        let mut history: Vec<Vec<String>> = Vec::new();
+        // One sequence in four is pushed up against `0x3FFF`.
+        let mut crossing = g.chance(4);
+        for _ in 0..2 + g.below(14) {
+            let filler = if crossing && g.chance(3) {
+                crossing = false;
+                0x3FFF_usize.saturating_sub(real.len() + g.below(24) as usize)
+            } else if g.chance(3) {
+                g.below(12) as usize
+            } else {
+                0
+            };
+            // Arbitrary bytes: no offset is registered inside them, so
+            // whatever they spell must never be read as a name.
+            let filler: Vec<u8> = (0..filler).map(|_| g.next() as u8).collect();
+            real.bytes(&filler);
+            reference.buf.extend_from_slice(&filler);
+
+            let labels = match g.below(4) {
+                0 if !history.is_empty() => g.pick(&history).clone(),
+                1 if !history.is_empty() => {
+                    let earlier = g.pick(&history);
+                    earlier[g.below(earlier.len() as u64 + 1) as usize..].to_vec()
+                }
+                2 if !history.is_empty() => {
+                    let mut child = g.colliding_labels();
+                    child.truncate(1);
+                    child.extend(g.pick(&history).iter().cloned());
+                    child
+                }
+                _ => g.colliding_labels(),
+            };
+            let name = Name::from_labels(&labels).expect("short labels, short names");
+            written.push((real.len(), name.clone()));
+            name.encode(&mut real);
+            let lowered: Vec<String> = labels.iter().map(|l| l.to_ascii_lowercase()).collect();
+            reference.encode_name(&lowered);
+            history.push(labels);
+        }
+        let bytes = real.finish();
+        assert_eq!(bytes, reference.buf);
+        for (at, name) in written {
+            let mut r = Reader::new(&bytes);
+            r.seek(at).unwrap();
+            assert_eq!(Name::decode(&mut r).unwrap(), name, "name written at {at}");
+        }
+    });
+}
+
+fn hash_of(name: &Name) -> u64 {
+    let mut h = DefaultHasher::new();
+    name.hash(&mut h);
+    h.finish()
+}
+
+/// Case is folded once, on the way in, by every constructor — so equality,
+/// ordering and hashing on the stored bytes are case-insensitive.
+#[test]
+fn every_way_in_folds_case() {
+    let lower = Name::parse("example.com").unwrap();
+    let decoded = Name::decode(&mut Reader::new(b"\x07EXAMPLE\x03Com\0")).unwrap();
+    let spelled = [
+        Name::parse("EXAMPLE.Com").unwrap(),
+        Name::from_labels(["ExAmPlE", "COM"]).unwrap(),
+        Name::parse("COM").unwrap().child("Example").unwrap(),
+        decoded,
+    ];
+    for name in &spelled {
+        assert_eq!(name, &lower);
+        assert_eq!(name.cmp(&lower), std::cmp::Ordering::Equal);
+        assert_eq!(hash_of(name), hash_of(&lower));
+        assert_eq!(name.as_wire(), b"\x07example\x03com\0");
+        assert_eq!(name.to_string(), "example.com.");
+    }
+}
+
+/// `is_subdomain_of` compares from a label boundary, not from wherever the
+/// bytes happen to line up: `0` is 0x30, the length octet of a 48-byte
+/// label, so the one label `x0aaa…a` *ends with* the whole wire form of
+/// the name `aaa…a.` without being under it.
+#[test]
+fn subdomain_test_respects_label_boundaries() {
+    let a48 = "a".repeat(48);
+    let parent = Name::parse(&a48).unwrap();
+    let lookalike = Name::parse(&format!("x0{a48}")).unwrap();
+    assert!(lookalike.as_wire().ends_with(parent.as_wire()));
+    assert!(!lookalike.is_subdomain_of(&parent));
+    assert!(parent.child("x0").unwrap().is_subdomain_of(&parent));
+    assert!(lookalike.is_subdomain_of(&lookalike));
+    assert!(lookalike.is_subdomain_of(&Name::root()));
+    assert!(!Name::root().is_subdomain_of(&parent));
+}
+
+/// Every name a decoded message carries, RDATA included.
+fn names_of(m: &Message) -> Vec<&Name> {
+    let mut names: Vec<&Name> = m.questions.iter().map(|q| &q.name).collect();
+    for rec in m.answers.iter().chain(&m.authorities).chain(&m.additionals) {
+        names.push(&rec.name);
+        match &rec.rdata {
+            Rdata::Cname(n) | Rdata::Ns(n) | Rdata::Ptr(n) => names.push(n),
+            Rdata::Mx { exchange, .. } => names.push(exchange),
+            Rdata::Soa(soa) => names.extend([&soa.mname, &soa.rname]),
+            Rdata::Srv(srv) => names.push(&srv.target),
+            _ => {}
+        }
+    }
+    names
+}
+
+/// `Message::decode` never panics on a corrupted *valid* response —
+/// truncated, bit-flipped, spliced with another response or followed by
+/// garbage: unlike random bytes, these get past the header and into RDATA
+/// and compression pointers — and no name it does accept is over-long.
+#[test]
+fn message_decoder_is_total_on_mutated_responses() {
+    for_cases(4096, |g| {
+        let valid = g.compressible_message().encode();
+        let donor = g.compressible_message().encode();
+        let mutated = g.mutate(&valid, &donor);
+        if let Ok(m) = Message::decode(&mutated) {
+            for name in names_of(&m) {
+                assert!(name.wire_len() <= 255, "{name} is {} octets", name.wire_len());
+                assert_eq!(name.as_wire().last(), Some(&0));
+            }
+        }
+    });
+}
+
+/// A message holding, inside the opaque RDATA of its first record, a chain
+/// of `links` one-label names — `a` then a pointer to the link before, the
+/// first ending in the root — and a second record whose owner is `owner`
+/// (given the offset of the chain's last link).
+fn message_with_pointer_chain(links: usize, owner: impl Fn(usize) -> Vec<u8>) -> Vec<u8> {
+    let mut msg = vec![0, 1, 0x80, 0, 0, 0, 0, 2, 0, 0, 0, 0]; // response, ANCOUNT 2
+    msg.extend_from_slice(&[0, 0, 99, 0, 1, 0, 0, 0, 0]); // root owner, TYPE99, IN, ttl 0
+    let rdlength = 3 + 4 * (links - 1);
+    msg.extend_from_slice(&(rdlength as u16).to_be_bytes());
+    let mut last = msg.len();
+    msg.extend_from_slice(&[1, b'a', 0]);
+    for _ in 1..links {
+        let link = msg.len();
+        msg.extend_from_slice(&[1, b'a']);
+        msg.extend_from_slice(&(0xC000 | last as u16).to_be_bytes());
+        last = link;
+    }
+    assert!(last < 0x4000, "the chain must stay pointer-addressable");
+    msg.extend_from_slice(&owner(last));
+    msg.extend_from_slice(&[0, 1, 0, 1, 0, 0, 0, 0, 0, 4, 192, 0, 2, 1]); // A 192.0.2.1
+    msg
+}
+
+/// Decoding is bounded in work as well as total: a compressed name may
+/// hop backwards as often as the message has bytes, but what it expands to
+/// is cut off at 255 octets — also when every label sits behind its own
+/// pointer — and pointers that do not go strictly backwards are refused.
+#[test]
+fn pointer_chains_are_bounded_by_the_name_length_limit() {
+    let pointer_to = |at: usize| (0xC000 | at as u16).to_be_bytes().to_vec();
+    // 127 two-octet labels and the root are exactly 255 octets: the longest
+    // legal name, every label of it reached through a pointer.
+    let longest = Message::decode(&message_with_pointer_chain(127, pointer_to)).unwrap();
+    assert_eq!(longest.answers[1].name.wire_len(), 255);
+    assert_eq!(longest.answers[1].name.labels().count(), 127);
+    // One more link is one label too many…
+    let over = Message::decode(&message_with_pointer_chain(128, pointer_to));
+    assert_eq!(over, Err(DnsError::NameTooLong(257)));
+    // …and so is a chain filling all 16 KiB a pointer can address: an
+    // error after 128 hops, not a 4 000-label name and not a hang.
+    let full = message_with_pointer_chain(4090, pointer_to);
+    assert!(full.len() > 0x4000);
+    assert_eq!(Message::decode(&full), Err(DnsError::NameTooLong(257)));
+
+    // The owner sits right after a two-link chain, 4 octets past the last
+    // link: header 12, first record up to its RDATA 11, links 3 + 4. A
+    // pointer to itself and a pointer past itself are both refused.
+    let owner_at = 12 + 11 + 3 + 4;
+    let to_itself = message_with_pointer_chain(2, |last| pointer_to(last + 4));
+    assert_eq!(Message::decode(&to_itself), Err(DnsError::BadPointer(owner_at)));
+    let forward = message_with_pointer_chain(2, |last| pointer_to(last + 4 + 6));
+    assert_eq!(Message::decode(&forward), Err(DnsError::BadPointer(owner_at + 6)));
 }

@@ -115,7 +115,8 @@ struct PendingQuery {
     /// The ephemeral socket the reply arrives on; retransmissions reuse
     /// it, as a real stub resolver resends from the same source port.
     sock: SockId,
-    /// The encoded query, kept for retransmission.
+    /// The encoded query, kept for retransmission; empty on a client
+    /// without an [`UdpRetry`], which never sends it again.
     wire: Vec<u8>,
     /// Retransmissions still allowed.
     retries_left: u32,
@@ -188,7 +189,9 @@ impl Resolver for Do53Client {
         sim.set_attr(u32::from(id));
         let query = Message::query(id, name, RecordType::A);
         let wire = query.encode();
-        sim.udp_send(sock, self.server, LayerTag::DnsPayload, wire.clone());
+        let kept = if self.retry.is_some() { wire.clone() } else { Vec::new() };
+        // The send draws its event `seq` before the timer does.
+        sim.udp_send(sock, self.server, LayerTag::DnsPayload, wire);
         let (retries_left, next_timeout) = match self.retry {
             Some(retry) => {
                 crate::driver::schedule_endpoint_timer(sim, retry.initial, u64::from(id));
@@ -196,7 +199,7 @@ impl Resolver for Do53Client {
             }
             None => (0, SimDuration::ZERO),
         };
-        self.pending.push(PendingQuery { id, sock, wire, retries_left, next_timeout });
+        self.pending.push(PendingQuery { id, sock, wire: kept, retries_left, next_timeout });
         id
     }
 

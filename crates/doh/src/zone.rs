@@ -82,12 +82,20 @@ impl Zone {
     }
 
     /// Deterministic per-name address in `10.0.0.0/8` (FNV-1a over the
-    /// display form, so it is stable across runs and platforms).
+    /// bytes of the display form — each label and its dot, a lone dot for
+    /// the root — so it is stable across runs and platforms).
     fn synth_addr(name: &Name) -> Ipv4Addr {
         let mut hash: u32 = 0x811C_9DC5;
-        for byte in name.to_string().bytes() {
+        let mut fold = |byte: u8| {
             hash ^= u32::from(byte);
             hash = hash.wrapping_mul(0x0100_0193);
+        };
+        if name.is_root() {
+            fold(b'.');
+        }
+        for label in name.labels() {
+            label.bytes().for_each(&mut fold);
+            fold(b'.');
         }
         let [_, b, c, d] = hash.to_be_bytes();
         Ipv4Addr::new(10, b, c, d)
@@ -100,7 +108,7 @@ impl Zone {
             ZoneMode::Fixed(_) => false,
             ZoneMode::Synth => {
                 !name.is_subdomain_of(&self.origin)
-                    || name.labels().first().is_some_and(|l| l.starts_with("nx"))
+                    || name.labels().next().is_some_and(|l| l.starts_with("nx"))
                     || qtype != RecordType::A
             }
         }
@@ -115,7 +123,7 @@ impl Zone {
             ZoneMode::Fixed(addr) => Message::fixed_a_response(query, addr, self.ttl),
             ZoneMode::Synth => {
                 let nx = !q.name.is_subdomain_of(&self.origin)
-                    || q.name.labels().first().is_some_and(|l| l.starts_with("nx"));
+                    || q.name.labels().next().is_some_and(|l| l.starts_with("nx"));
                 if nx {
                     let mut m = Message::response(query, Rcode::NxDomain, Vec::new());
                     m.authorities.push(self.soa_record());
@@ -188,5 +196,15 @@ mod tests {
         assert_eq!(resp.header.rcode, Rcode::NoError);
         assert!(resp.answers.is_empty());
         assert_eq!(resp.authorities.len(), 1);
+    }
+
+    #[test]
+    fn synth_addresses_are_the_fnv1a_of_the_display_form() {
+        // Literals computed with the `name.to_string().bytes()` fold this
+        // replaced: every fleet report digest hangs on them.
+        let addr = |s: &str| Zone::synth_addr(&Name::parse(s).unwrap());
+        assert_eq!(addr("wwwwwww1.dohmark.test"), Ipv4Addr::new(10, 4, 236, 67));
+        assert_eq!(addr("Mail-7.sub.Example.org"), Ipv4Addr::new(10, 119, 2, 64));
+        assert_eq!(addr("."), Ipv4Addr::new(10, 12, 152, 241));
     }
 }

@@ -25,7 +25,7 @@
 //! let mut names = NameGen::new(rng.split(2), 8, &Name::parse("dohmark.test").unwrap());
 //! let gap = arrivals.next_gap();
 //! let name = names.next_name();
-//! assert_eq!(name.labels()[0].len(), 8);
+//! assert_eq!(name.labels().next().unwrap().len(), 8);
 //! assert!(gap.as_nanos() > 0);
 //! ```
 
@@ -300,10 +300,9 @@ impl FleetSchedule {
     /// compulsory cache misses.
     pub fn distinct_names(&self) -> usize {
         let mut names: Vec<&Name> = self.queries.iter().map(|(_, _, n)| n).collect();
-        // A stable sort: distinct `Name`s can render to the same string
-        // key, and `dedup` only folds *adjacent* equals — tie order must
-        // not depend on the sort algorithm.
-        names.sort_by_key(|n| n.to_string());
+        // Any total order consistent with `Eq` makes equal names adjacent,
+        // which is all `dedup` needs.
+        names.sort();
         names.dedup();
         names.len()
     }
@@ -534,7 +533,7 @@ mod tests {
         for _ in 0..50 {
             let n = names.next_name();
             assert_eq!(n.wire_len(), expected);
-            assert_eq!(n.labels()[0].len(), 8);
+            assert_eq!(n.labels().next().unwrap().len(), 8);
             assert!(n.is_subdomain_of(&zone()));
         }
     }
@@ -647,6 +646,33 @@ mod tests {
             .distinct_names()
         };
         assert!(distinct(5) < distinct(1000), "universe 5 must repeat names more");
+    }
+
+    #[test]
+    fn distinct_names_folds_repeats_whatever_their_order_or_spelling() {
+        // Repeats scattered through the schedule, one name spelled three
+        // ways, and two names whose wire forms differ only in where the
+        // label boundary falls.
+        let spelled = [
+            "b.dohmark.test",
+            "a.dohmark.test",
+            "B.Dohmark.Test",
+            "c.dohmark.test",
+            "a.dohmark.test.",
+            "ab.dohmark.test",
+            "b.DOHMARK.test",
+            "a.b.dohmark.test",
+            "c.dohmark.test",
+            ".",
+        ];
+        let queries = spelled
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (SimTime::ZERO, i, Name::parse(s).unwrap()))
+            .collect();
+        let schedule = FleetSchedule { queries, clients: spelled.len() };
+        assert_eq!(schedule.distinct_names(), 6);
+        assert_eq!(FleetSchedule { queries: Vec::new(), clients: 0 }.distinct_names(), 0);
     }
 
     #[test]
