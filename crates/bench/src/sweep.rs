@@ -244,7 +244,7 @@ impl Cell for WorkloadStatsCell {
                     "reuse_ratio".to_string(),
                     Value::Fixed(1.0 - distinct as f64 / (total as f64).max(1.0), 4),
                 ),
-                ("span_ms".to_string(), Value::fixed2(span.as_nanos() as f64 / 1e6)),
+                ("span_ms".to_string(), Value::fixed2(span.as_millis_f64())),
             ],
         })
     }

@@ -123,11 +123,6 @@ fn workload_zone() -> Name {
     Name::parse("dohmark.test").expect("static zone name parses")
 }
 
-/// Milliseconds, as the reports print durations.
-fn as_ms(d: SimDuration) -> f64 {
-    d.as_nanos() as f64 / 1e6
-}
-
 /// A transport-matrix cell: one stub resolving a seeded Poisson workload
 /// of `resolutions` queries through one [`TransportConfig`].
 #[derive(Debug, Clone)]
@@ -425,10 +420,10 @@ impl PageloadCell {
         let mean_of =
             |f: fn(&PageLoadResult) -> f64| stats::mean(&loads.iter().map(f).collect::<Vec<_>>());
         Ok(PageloadRun {
-            page_load_ms: loads.iter().map(|r| as_ms(r.makespan)).collect(),
-            mean_page_load_ms: mean_of(|r| as_ms(r.makespan)),
+            page_load_ms: loads.iter().map(|r| r.makespan.as_millis_f64()).collect(),
+            mean_page_load_ms: mean_of(|r| r.makespan.as_millis_f64()),
             mean_dns_queries: mean_of(|r| f64::from(r.dns_queries)),
-            mean_dns_wait_ms: mean_of(|r| as_ms(r.dns_wait_total)),
+            mean_dns_wait_ms: mean_of(|r| r.dns_wait_total.as_millis_f64()),
             unresolved: loads.iter().map(|r| u64::from(r.unresolved)).sum(),
         })
     }

@@ -32,17 +32,8 @@ pub enum DnsError {
         /// Length actually consumed.
         actual: usize,
     },
-    /// A field held a value outside its legal range.
-    InvalidValue {
-        /// Which field.
-        field: &'static str,
-        /// The offending value.
-        value: u64,
-    },
     /// Trailing bytes after the final record.
     TrailingBytes(usize),
-    /// A JSON document did not describe a valid DNS message.
-    Json(String),
 }
 
 impl fmt::Display for DnsError {
@@ -62,11 +53,7 @@ impl fmt::Display for DnsError {
             DnsError::RdataLength { expected, actual } => {
                 write!(f, "rdata length mismatch: rdlength {expected}, consumed {actual}")
             }
-            DnsError::InvalidValue { field, value } => {
-                write!(f, "value {value} out of range for {field}")
-            }
             DnsError::TrailingBytes(n) => write!(f, "{n} trailing bytes after message"),
-            DnsError::Json(msg) => write!(f, "invalid dns-json: {msg}"),
         }
     }
 }

@@ -2,13 +2,12 @@
 //!
 //! The workspace must build on offline machines with an empty registry
 //! cache, so it cannot depend on `serde`/`serde_json`. This module supplies
-//! the small subset of JSON the `application/dns-json` codec ([`crate::json`])
-//! needs: a parsed [`JsonValue`] tree, a recursive-descent parser, and
-//! string escaping for the writer side.
+//! the small subset of JSON the figure reports need: a parsed [`JsonValue`]
+//! tree, a recursive-descent parser, and string escaping for the writer
+//! side.
 //!
 //! Objects preserve insertion order (they are association lists, not maps),
-//! which keeps serialisation deterministic and matches how the deployed
-//! Google/Cloudflare APIs present their fields.
+//! so a report reads back in the order it was written.
 
 use std::fmt;
 
@@ -42,14 +41,6 @@ impl JsonValue {
     pub fn as_str(&self) -> Option<&str> {
         match self {
             JsonValue::String(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as a bool, if it is a bool.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -126,8 +117,8 @@ pub fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Nesting depth guard: DNS JSON is three levels deep; anything past this
-/// is hostile input.
+/// Nesting depth guard: the reports nest a few levels deep; anything past
+/// this is hostile input.
 const MAX_DEPTH: usize = 64;
 
 struct Parser<'a> {

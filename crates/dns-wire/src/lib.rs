@@ -1,12 +1,11 @@
-//! Byte-accurate DNS wireformat (RFC 1035) and `application/dns-json` codecs.
+//! Byte-accurate DNS wireformat (RFC 1035) codec.
 //!
 //! This crate implements the DNS message format from first principles:
 //! domain names with RFC 1035 pointer compression, the 12-byte header,
 //! questions, resource records with typed RDATA (A, AAAA, CNAME, NS, PTR,
-//! SOA, MX, TXT, SRV, CAA and EDNS0 OPT), and complete message
-//! encode/decode. It also provides the JSON representation used by the
-//! `application/dns-json` content type served by Google and Cloudflare,
-//! which the paper's landscape survey (Table 2) probes for.
+//! SOA, MX, TXT, SRV and EDNS0 OPT), and complete message encode/decode.
+//! [`jsontext`] is the JSON text codec the figure reports are written and
+//! validated with.
 //!
 //! Every byte produced by [`Message::encode`] is real wire data: the
 //! overhead figures of the reproduced paper are computed over these bytes.
@@ -28,7 +27,6 @@
 
 pub mod error;
 pub mod header;
-pub mod json;
 pub mod jsontext;
 pub mod message;
 pub mod name;
@@ -38,8 +36,7 @@ pub mod wire;
 
 pub use error::{DnsError, Result};
 pub use header::{Header, Opcode, Rcode};
-pub use json::{JsonAnswer, JsonMessage, JsonQuestion};
 pub use message::{Message, Question};
 pub use name::Name;
-pub use rdata::{CaaRdata, Rdata, SoaRdata, SrvRdata};
+pub use rdata::{Rdata, SoaRdata, SrvRdata};
 pub use record::{Record, RecordClass, RecordType};

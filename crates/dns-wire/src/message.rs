@@ -162,11 +162,6 @@ impl Message {
         let additionals = decode_section(header.arcount)?;
         Ok(Message { header, questions, answers, authorities, additionals })
     }
-
-    /// Encoded size in bytes (with compression).
-    pub fn wire_len(&self) -> usize {
-        self.encode().len()
-    }
 }
 
 #[cfg(test)]
@@ -192,7 +187,7 @@ mod tests {
     fn typical_query_size_matches_hand_count() {
         // header 12 + name (www.example.com. = 17) + type 2 + class 2 = 33
         let q = example_query();
-        assert_eq!(q.wire_len(), 33);
+        assert_eq!(q.encode().len(), 33);
     }
 
     #[test]

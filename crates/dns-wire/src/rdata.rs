@@ -38,17 +38,6 @@ pub struct SrvRdata {
     pub target: Name,
 }
 
-/// CAA record fields (RFC 6844) — the Table 2 survey probes these.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CaaRdata {
-    /// Critical flag (bit 7 of the flags octet).
-    pub critical: bool,
-    /// Property tag, e.g. `issue`, `issuewild`, `iodef`.
-    pub tag: String,
-    /// Property value, e.g. the authorized CA domain.
-    pub value: String,
-}
-
 /// Typed record data.
 ///
 /// The `Opt` variant is the EDNS0 pseudo-record payload; its options are kept
@@ -78,8 +67,6 @@ pub enum Rdata {
     Soa(SoaRdata),
     /// Service location.
     Srv(SrvRdata),
-    /// Certification Authority Authorization.
-    Caa(CaaRdata),
     /// EDNS0 options as raw `(code, data)` pairs.
     Opt(Vec<(u16, Vec<u8>)>),
     /// Unrecognised record data kept verbatim.
@@ -104,7 +91,6 @@ impl Rdata {
             Rdata::Txt(_) => RecordType::Txt,
             Rdata::Soa(_) => RecordType::Soa,
             Rdata::Srv(_) => RecordType::Srv,
-            Rdata::Caa(_) => RecordType::Caa,
             Rdata::Opt(_) => RecordType::Opt,
             Rdata::Unknown { rtype, .. } => RecordType::from_u16(*rtype),
         }
@@ -145,12 +131,6 @@ impl Rdata {
                 w.u16(srv.weight);
                 w.u16(srv.port);
                 Self::encode_name_plain(&srv.target, w);
-            }
-            Rdata::Caa(caa) => {
-                w.u8(if caa.critical { 0x80 } else { 0 });
-                w.u8(caa.tag.len() as u8);
-                w.bytes(caa.tag.as_bytes());
-                w.bytes(caa.value.as_bytes());
             }
             Rdata::Opt(options) => {
                 for (code, data) in options {
@@ -216,21 +196,6 @@ impl Rdata {
                 port: r.u16("SRV port")?,
                 target: Name::decode(r)?,
             }),
-            RecordType::Caa => {
-                let flags = r.u8("CAA flags")?;
-                let tag_len = r.u8("CAA tag length")? as usize;
-                let tag_raw = r.bytes(tag_len, "CAA tag")?;
-                let consumed = 2 + tag_len;
-                if rdlength < consumed {
-                    return Err(DnsError::Truncated { context: "CAA value" });
-                }
-                let value_raw = r.bytes(rdlength - consumed, "CAA value")?;
-                Rdata::Caa(CaaRdata {
-                    critical: flags & 0x80 != 0,
-                    tag: String::from_utf8_lossy(tag_raw).into_owned(),
-                    value: String::from_utf8_lossy(value_raw).into_owned(),
-                })
-            }
             RecordType::Opt => {
                 let mut options = Vec::new();
                 while r.position() < end {
@@ -311,20 +276,6 @@ mod tests {
     }
 
     #[test]
-    fn caa_round_trips() {
-        round_trip(Rdata::Caa(CaaRdata {
-            critical: true,
-            tag: "issue".into(),
-            value: "pki.goog".into(),
-        }));
-        round_trip(Rdata::Caa(CaaRdata {
-            critical: false,
-            tag: "iodef".into(),
-            value: "mailto:security@example.com".into(),
-        }));
-    }
-
-    #[test]
     fn opt_round_trips() {
         round_trip(Rdata::Opt(vec![(8, vec![0, 1, 16, 0, 1, 2, 3, 4]), (10, vec![9; 8])]));
         round_trip(Rdata::Opt(vec![]));
@@ -333,6 +284,8 @@ mod tests {
     #[test]
     fn unknown_type_preserves_bytes() {
         round_trip(Rdata::Unknown { rtype: 99, data: vec![1, 2, 3, 4, 5] });
+        // A type with a name but no typed arm takes the same path: CAA.
+        round_trip(Rdata::Unknown { rtype: 257, data: b"\x80\x05issuepki.goog".to_vec() });
     }
 
     #[test]

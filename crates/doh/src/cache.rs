@@ -46,40 +46,6 @@ struct Entry {
     stamp: u64,
 }
 
-/// Hit/miss/eviction counters, readable by experiments.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Positive-entry hits.
-    pub hits: u64,
-    /// Negative-entry hits (NXDOMAIN / NODATA served from cache).
-    pub negative_hits: u64,
-    /// Lookups that found nothing usable.
-    pub misses: u64,
-    /// Entries stored.
-    pub insertions: u64,
-    /// Entries evicted by the size cap.
-    pub evictions: u64,
-    /// Entries dropped because a lookup found them expired.
-    pub expirations: u64,
-}
-
-impl CacheStats {
-    /// All hits, positive and negative.
-    pub fn total_hits(&self) -> u64 {
-        self.hits + self.negative_hits
-    }
-
-    /// Hit ratio over all lookups, 0 when nothing was looked up.
-    pub fn hit_ratio(&self) -> f64 {
-        let lookups = self.total_hits() + self.misses;
-        if lookups == 0 {
-            0.0
-        } else {
-            self.total_hits() as f64 / lookups as f64
-        }
-    }
-}
-
 /// The cache: a capacity-capped map with TTL expiry and LRU eviction.
 ///
 /// Determinism: iteration never touches `HashMap` order — eviction picks
@@ -95,8 +61,6 @@ pub struct DnsCache {
     /// Recency index: stamp → key, oldest first.
     lru: BTreeMap<u64, CacheKey>,
     next_stamp: u64,
-    /// Counters; public so resolvers can fold them into reports.
-    pub stats: CacheStats,
 }
 
 impl DnsCache {
@@ -107,7 +71,6 @@ impl DnsCache {
             entries: HashMap::new(),
             lru: BTreeMap::new(),
             next_stamp: 0,
-            stats: CacheStats::default(),
         }
     }
 
@@ -122,26 +85,16 @@ impl DnsCache {
         self.entries.is_empty()
     }
 
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Looks up `name`/`qtype` at time `now`, counting a hit or miss and
-    /// refreshing recency. TTLs in the returned records are the remaining
-    /// lifetime (floored to whole seconds).
+    /// Looks up `name`/`qtype` at time `now`, refreshing recency on a hit
+    /// and dropping an entry it finds expired. TTLs in the returned records
+    /// are the remaining lifetime (floored to whole seconds).
     pub fn get(&mut self, name: &Name, qtype: RecordType, now: SimTime) -> Option<CachedAnswer> {
         let key = (name.clone(), qtype);
-        let Some(entry) = self.entries.get_mut(&key) else {
-            self.stats.misses += 1;
-            return None;
-        };
+        let entry = self.entries.get_mut(&key)?;
         if now >= entry.expires_at {
             let stamp = entry.stamp;
             self.entries.remove(&key);
             self.lru.remove(&stamp);
-            self.stats.expirations += 1;
-            self.stats.misses += 1;
             return None;
         }
         let remaining = entry.expires_at.duration_since(now).as_secs_f64() as u32;
@@ -149,19 +102,13 @@ impl DnsCache {
         entry.stamp = self.next_stamp;
         self.next_stamp += 1;
         let answer = match &entry.data {
-            CachedData::Positive(records) => {
-                self.stats.hits += 1;
-                CachedAnswer::Positive(
-                    records.iter().map(|r| Record { ttl: remaining, ..r.clone() }).collect(),
-                )
-            }
-            CachedData::Negative { rcode, soa } => {
-                self.stats.negative_hits += 1;
-                CachedAnswer::Negative {
-                    rcode: *rcode,
-                    soa: Record { ttl: remaining, ..soa.clone() },
-                }
-            }
+            CachedData::Positive(records) => CachedAnswer::Positive(
+                records.iter().map(|r| Record { ttl: remaining, ..r.clone() }).collect(),
+            ),
+            CachedData::Negative { rcode, soa } => CachedAnswer::Negative {
+                rcode: *rcode,
+                soa: Record { ttl: remaining, ..soa.clone() },
+            },
         };
         let new_stamp = self.next_stamp - 1;
         self.lru.remove(&old_stamp);
@@ -211,7 +158,6 @@ impl DnsCache {
             if let Some((&stamp, _)) = self.lru.iter().next() {
                 let victim = self.lru.remove(&stamp).expect("stamp just seen");
                 self.entries.remove(&victim);
-                self.stats.evictions += 1;
             }
         }
         let stamp = self.next_stamp;
@@ -219,7 +165,6 @@ impl DnsCache {
         let expires_at = now + SimDuration::from_secs(u64::from(ttl));
         self.entries.insert(key.clone(), Entry { data, expires_at, stamp });
         self.lru.insert(stamp, key);
-        self.stats.insertions += 1;
     }
 }
 
@@ -267,11 +212,8 @@ mod tests {
             CachedAnswer::Positive(records) => assert_eq!(records[0].ttl, 1, "29s in, 1s left"),
             other => panic!("unexpected {other:?}"),
         }
-        // At exactly t + ttl the entry is expired: a miss, counted as such.
+        // At exactly t + ttl the entry is expired: a miss.
         assert!(cache.get(&name("w1"), RecordType::A, at(30)).is_none());
-        assert_eq!(cache.stats.hits, 1);
-        assert_eq!(cache.stats.misses, 1);
-        assert_eq!(cache.stats.expirations, 1);
         assert_eq!(cache.len(), 0, "expired entries are dropped on lookup");
     }
 
@@ -288,7 +230,6 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         assert!(cache.get(&name("nx1"), RecordType::A, at(20)).is_none(), "expired at MINIMUM");
-        assert_eq!(cache.stats.negative_hits, 1);
         // And symmetrically: SOA TTL 15 under MINIMUM 300 caps at 15.
         cache.insert_negative(name("nx2"), RecordType::A, Rcode::NxDomain, soa(15, 300), at(100));
         assert!(cache.get(&name("nx2"), RecordType::A, at(114)).is_some());
@@ -304,7 +245,6 @@ mod tests {
         assert!(cache.get(&name("w1"), RecordType::A, at(2)).is_some());
         cache.insert_positive(name("w3"), RecordType::A, vec![a_record("w3", 300)], at(3));
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.stats.evictions, 1);
         assert!(cache.get(&name("w1"), RecordType::A, at(4)).is_some(), "w1 was touched");
         assert!(cache.get(&name("w3"), RecordType::A, at(4)).is_some(), "w3 just arrived");
         assert!(cache.get(&name("w2"), RecordType::A, at(4)).is_none(), "w2 was evicted");
@@ -317,7 +257,6 @@ mod tests {
         cache.insert_positive(name("w2"), RecordType::A, vec![a_record("w2", 10)], at(0));
         // Refreshing w1 must not evict w2.
         cache.insert_positive(name("w1"), RecordType::A, vec![a_record("w1", 300)], at(5));
-        assert_eq!(cache.stats.evictions, 0);
         assert!(cache.get(&name("w2"), RecordType::A, at(6)).is_some());
         // The refreshed entry carries the new TTL.
         match cache.get(&name("w1"), RecordType::A, at(6)).unwrap() {
@@ -331,15 +270,5 @@ mod tests {
         let mut cache = DnsCache::new(4);
         cache.insert_positive(name("w1"), RecordType::A, vec![a_record("w1", 0)], at(0));
         assert!(cache.is_empty());
-        assert_eq!(cache.stats.insertions, 0);
-    }
-
-    #[test]
-    fn hit_ratio_tracks_lookups() {
-        let mut cache = DnsCache::new(4);
-        cache.insert_positive(name("w1"), RecordType::A, vec![a_record("w1", 300)], at(0));
-        assert!(cache.get(&name("w1"), RecordType::A, at(1)).is_some());
-        assert!(cache.get(&name("w9"), RecordType::A, at(1)).is_none());
-        assert!((cache.stats.hit_ratio() - 0.5).abs() < 1e-9);
     }
 }

@@ -73,11 +73,6 @@ impl Do53Server {
         Do53Server { sock, backend }
     }
 
-    /// The backend's cache statistics, if it has a cache.
-    pub fn cache_stats(&self) -> Option<crate::cache::CacheStats> {
-        self.backend.cache_stats()
-    }
-
     fn send_response(&mut self, sim: &mut Sim, dst: (HostId, u16), response: &Message) {
         sim.set_attr(u32::from(response.header.id));
         sim.udp_send(self.sock, dst, LayerTag::DnsPayload, response.encode());
@@ -185,6 +180,11 @@ impl Resolver for Do53Client {
     /// [`UdpRetry`] policy.
     fn send_query(&mut self, sim: &mut Sim, name: &Name) -> u16 {
         let id = crate::next_txn(&mut self.last_txn);
+        debug_assert!(
+            !self.pending.iter().any(|q| q.id == id)
+                && !self.responses.iter().any(|m| m.header.id == id),
+            "transaction id {id} redrawn while its query is still outstanding"
+        );
         let sock = sim.udp_bind(self.host, 0);
         sim.set_attr(u32::from(id));
         let query = Message::query(id, name, RecordType::A);
@@ -334,6 +334,19 @@ mod tests {
         let mut client = Do53Client::new(stub, (resolver, 53));
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
         assert!(pump(&mut sim, &mut client, &mut server, Some(&name)).is_none());
+    }
+
+    /// A lost query stays pending for good, so a wrapped counter could hand
+    /// out its id again.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "transaction id 1 redrawn")]
+    fn redrawing_the_id_of_a_pending_query_is_caught() {
+        let (mut sim, mut client, _server) = setup(9);
+        let name = Name::parse("abcdefgh.dohmark.test").unwrap();
+        client.send_query(&mut sim, &name);
+        client.last_txn = 65_535;
+        client.send_query(&mut sim, &name);
     }
 
     #[test]

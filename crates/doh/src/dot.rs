@@ -138,7 +138,7 @@ mod tests {
     use crate::testing::pump;
     use crate::{DohH1Client, DohH1Server, DohH2Client, DohH2Server, Resolver};
     use dohmark_dns_wire::{Name, RecordType};
-    use dohmark_netsim::{LinkConfig, Sim};
+    use dohmark_netsim::{HostId, LinkConfig, Sim};
     use dohmark_tls_model::{handshake_bytes, TlsVersion};
     use std::net::Ipv4Addr;
 
@@ -294,6 +294,36 @@ mod tests {
                 assert_eq!(server.open_connections(), 0);
             }
         );
+    }
+
+    #[test]
+    fn a_query_queued_on_a_failed_connection_is_answered_after_the_reconnect() {
+        for policy in [ReusePolicy::Fresh, ReusePolicy::Persistent] {
+            for_each_framing!(
+                14,
+                LinkConfig::localhost().loss(1.0),
+                dot_tls(),
+                policy,
+                |sim, client, server, name| {
+                    // Every SYN is lost: query 1 is still queued when its
+                    // connection fails.
+                    client.send_query(&mut sim, &name);
+                    pump(&mut sim, &mut client, &mut server, None);
+                    // The link heals (stub and resolver are hosts 0 and 1);
+                    // query 2 reconnects and takes query 1 along, and a cold
+                    // connection must stay open for both answers.
+                    sim.add_link(HostId(0), HostId(1), LinkConfig::localhost());
+                    client.send_query(&mut sim, &name);
+                    pump(&mut sim, &mut client, &mut server, None);
+                    assert!(client.take_response(1).is_some(), "{policy:?}: query 1");
+                    assert!(client.take_response(2).is_some(), "{policy:?}: query 2");
+                    if policy == ReusePolicy::Fresh {
+                        assert!(!client.is_connected(), "cold connection closes once drained");
+                        assert_eq!(server.open_connections(), 0);
+                    }
+                }
+            );
+        }
     }
 
     #[test]

@@ -102,16 +102,6 @@ impl Driver {
         Driver::default()
     }
 
-    /// Registered endpoint count.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether no endpoint is registered.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
     /// Wakes nobody consumed: their owner was unknown to this driver
     /// (owner 0 or an id it never issued) — nonzero values usually mean
     /// an endpoint was built outside [`Driver::register`]. Unowned timers

@@ -105,7 +105,7 @@ pub mod stream;
 mod transport;
 pub mod zone;
 
-pub use cache::{CacheStats, DnsCache};
+pub use cache::DnsCache;
 pub use do53::{Do53Client, Do53Server, UdpRetry};
 pub use doh1::{DohH1Client, DohH1Server};
 pub use doh2::{DohH2Client, DohH2Server};

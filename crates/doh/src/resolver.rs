@@ -72,11 +72,6 @@ impl RecursiveResolver {
         }
     }
 
-    /// The cache's live statistics.
-    pub fn cache_stats(&self) -> crate::cache::CacheStats {
-        self.cache.stats
-    }
-
     /// Answers `query` from the cache, or parks it (returning `None`)
     /// behind an upstream fetch whose completion [`Self::poll`] will
     /// surface with `waiter` attached.
@@ -216,14 +211,6 @@ impl ServerBackend {
         match self {
             ServerBackend::Authoritative(_) => Vec::new(),
             ServerBackend::Recursive(resolver) => resolver.poll(sim, wake),
-        }
-    }
-
-    /// Cache statistics, if this backend has a cache.
-    pub fn cache_stats(&self) -> Option<crate::cache::CacheStats> {
-        match self {
-            ServerBackend::Authoritative(_) => None,
-            ServerBackend::Recursive(resolver) => Some(resolver.cache_stats()),
         }
     }
 }

@@ -10,7 +10,6 @@
 //! [`Http1`](crate::doh1::Http1) or [`Http2`](crate::doh2::Http2). Any
 //! cost difference between two of them is therefore the framing's.
 
-use crate::cache::CacheStats;
 use crate::resolver::ServerBackend;
 use crate::{Endpoint, Resolver, ReusePolicy};
 use dohmark_dns_wire::{Message, Name, RecordType};
@@ -318,6 +317,11 @@ impl<F: Framing> Resolver for StreamClient<F> {
     /// and to attribution 0 under [`ReusePolicy::Persistent`].
     fn send_query(&mut self, sim: &mut Sim, name: &Name) -> u16 {
         let id = crate::next_txn(&mut self.last_txn);
+        debug_assert!(
+            !self.queued.iter().any(|q| q.0 == id)
+                && !self.responses.iter().any(|m| m.header.id == id),
+            "transaction id {id} redrawn while its query is still outstanding"
+        );
         let dead = self.conn.as_ref().is_some_and(|c| sim.tcp_has_failed(c.tls.handle));
         if self.conn.is_none() || dead {
             let attr = match self.policy {
@@ -328,8 +332,9 @@ impl<F: Framing> Resolver for StreamClient<F> {
             let handle = sim.tcp_connect(self.host, self.server);
             self.conn = Some(Conn::new(handle, &self.tls_cfg, attr));
             // Queries in flight on a dead connection are lost for good
-            // (no application retries are modelled).
-            self.inflight = 0;
+            // (no application retries are modelled); the ones still queued
+            // were never sent, and go out on the new connection.
+            self.inflight = self.queued.len();
         }
         self.queued.push((id, name.clone()));
         self.inflight += 1;
@@ -448,11 +453,6 @@ impl<F: Framing> StreamServer<F> {
         self.conns.len()
     }
 
-    /// The backend's cache statistics, if it has a cache.
-    pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.backend.cache_stats()
-    }
-
     /// Writes every response `slot`'s answer releases, each charged to
     /// its own transaction id.
     fn respond(conn: &mut Conn<F>, sim: &mut Sim, slot: F::Slot, response: Message) {
@@ -512,6 +512,23 @@ mod tests {
     use super::*;
     use dohmark_netsim::SimRng;
     use dohmark_tls_model::seal;
+
+    /// Nothing bounds how long an answer may go untaken, so a wrapped
+    /// counter could hand out the id of a query still outstanding.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "transaction id 1 redrawn")]
+    fn redrawing_the_id_of_a_queued_query_is_caught() {
+        let mut sim = Sim::new(1);
+        let (stub, resolver) = (sim.add_host("stub"), sim.add_host("resolver"));
+        // No link: query 1 stays queued behind a connection that never opens.
+        let tls = TlsConfig::for_server("dns.example.net");
+        let mut client = crate::DotClient::new(stub, (resolver, 853), tls, ReusePolicy::Persistent);
+        let name = Name::parse("abcdefgh.dohmark.test").unwrap();
+        client.send_query(&mut sim, &name);
+        client.last_txn = 65_535;
+        client.send_query(&mut sim, &name);
+    }
 
     /// The copy-free framing against the reference: same bytes, and every
     /// byte under the tag its segment carried.

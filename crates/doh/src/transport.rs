@@ -245,7 +245,6 @@ impl TransportConfig {
 mod tests {
     use super::*;
     use dohmark_dns_wire::Name;
-    use dohmark_tls_model::select_alpn;
 
     #[test]
     fn matrix_covers_every_kind_and_reuse_mode() {
@@ -290,13 +289,15 @@ mod tests {
     }
 
     #[test]
-    fn alpn_offers_match_what_a_doh_server_selects() {
-        let h2 = TransportConfig::new(TransportKind::DohH2, ReusePolicy::Fresh);
-        let offers = h2.tls().unwrap().alpn;
-        assert_eq!(select_alpn(&offers, &[ALPN_H2, ALPN_HTTP11]), Some(ALPN_H2));
-        let h1 = TransportConfig::new(TransportKind::DohH1, ReusePolicy::Fresh);
-        let offers = h1.tls().unwrap().alpn;
-        assert_eq!(select_alpn(&offers, &[ALPN_H2, ALPN_HTTP11]), Some(ALPN_HTTP11));
+    fn each_tls_kind_offers_exactly_its_own_alpn() {
+        for (kind, alpn) in [
+            (TransportKind::Dot, ALPN_DOT),
+            (TransportKind::DohH1, ALPN_HTTP11),
+            (TransportKind::DohH2, ALPN_H2),
+        ] {
+            let cfg = TransportConfig::new(kind, ReusePolicy::Fresh);
+            assert_eq!(cfg.tls().unwrap().alpn, [alpn], "{kind:?}");
+        }
         assert!(TransportConfig::new(TransportKind::Do53, ReusePolicy::Fresh).tls().is_none());
     }
 

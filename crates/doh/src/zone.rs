@@ -44,21 +44,6 @@ impl Zone {
         Zone { origin, ttl, negative_ttl, mode: ZoneMode::Synth }
     }
 
-    /// The zone origin.
-    pub fn origin(&self) -> &Name {
-        &self.origin
-    }
-
-    /// The positive-answer TTL.
-    pub fn ttl(&self) -> u32 {
-        self.ttl
-    }
-
-    /// The RFC 2308 negative-caching TTL (the SOA `minimum`).
-    pub fn negative_ttl(&self) -> u32 {
-        self.negative_ttl
-    }
-
     /// The zone's SOA record, as served in the authority section of
     /// negative answers. Its TTL and `minimum` are both the configured
     /// negative TTL, so caches obeying RFC 2308's `min(SOA TTL, MINIMUM)`
@@ -99,19 +84,6 @@ impl Zone {
         }
         let [_, b, c, d] = hash.to_be_bytes();
         Ipv4Addr::new(10, b, c, d)
-    }
-
-    /// Whether this zone would answer `name`/`qtype` negatively (NXDOMAIN
-    /// or NODATA).
-    pub fn is_negative(&self, name: &Name, qtype: RecordType) -> bool {
-        match self.mode {
-            ZoneMode::Fixed(_) => false,
-            ZoneMode::Synth => {
-                !name.is_subdomain_of(&self.origin)
-                    || name.labels().next().is_some_and(|l| l.starts_with("nx"))
-                    || qtype != RecordType::A
-            }
-        }
     }
 
     /// The authoritative response to `query`.
@@ -184,7 +156,6 @@ mod tests {
             let soa = &resp.authorities[0];
             assert_eq!(soa.ttl, 45);
             assert!(matches!(&soa.rdata, Rdata::Soa(s) if s.minimum == 45));
-            assert!(zone.is_negative(&name, RecordType::A));
         }
     }
 

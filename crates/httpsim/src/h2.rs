@@ -208,26 +208,6 @@ impl Frame {
         out
     }
 
-    /// Total wire length of the encoded frame.
-    pub fn wire_len(&self) -> usize {
-        FRAME_HEADER
-            + match self {
-                Frame::Data { data, .. } => data.len(),
-                Frame::Headers { block, .. } => block.len(),
-                Frame::Settings { params, .. } => params.len() * 6,
-                Frame::WindowUpdate { .. } | Frame::RstStream { .. } => 4,
-                Frame::Ping { .. } => 8,
-                Frame::Goaway { debug, .. } => 8 + debug.len(),
-                Frame::Unknown { payload, .. } => payload.len(),
-            }
-    }
-
-    /// Whether this is connection management (the paper's "Mgmt" layer)
-    /// rather than request headers or body.
-    pub fn is_mgmt(&self) -> bool {
-        !matches!(self, Frame::Data { .. } | Frame::Headers { .. })
-    }
-
     fn decode(ftype: u8, flags: u8, stream_id: u32, payload: &[u8]) -> Result<Frame, H2Error> {
         let be32 = |b: &[u8]| u32::from_be_bytes([b[0], b[1], b[2], b[3]]);
         match ftype {
@@ -343,7 +323,6 @@ mod tests {
 
     fn round_trip(frame: Frame) {
         let wire = frame.encode();
-        assert_eq!(wire.len(), frame.wire_len());
         let mut dec = FrameDecoder::new();
         dec.push(&wire);
         assert_eq!(dec.next_frame().unwrap(), Some(frame));
@@ -394,15 +373,6 @@ mod tests {
             }
         }
         assert_eq!(got.as_slice(), frames.as_slice());
-    }
-
-    #[test]
-    fn mgmt_classification_matches_the_paper() {
-        assert!(Frame::Settings { params: Vec::new(), ack: true }.is_mgmt());
-        assert!(Frame::Goaway { last_stream_id: 0, error_code: 0, debug: Vec::new() }.is_mgmt());
-        assert!(Frame::WindowUpdate { stream_id: 0, increment: 1 }.is_mgmt());
-        assert!(!Frame::Data { stream_id: 1, data: Vec::new(), end_stream: true }.is_mgmt());
-        assert!(!Frame::Headers { stream_id: 1, block: Vec::new(), end_stream: false }.is_mgmt());
     }
 
     #[test]

@@ -25,11 +25,6 @@ impl SimTime {
         self.0 as f64 / 1e9
     }
 
-    /// Milliseconds since the epoch, as a float (for reporting).
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// Duration elapsed since `earlier`; saturates at zero.
     pub fn duration_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))

@@ -136,8 +136,8 @@ pub struct Cost {
 /// instrument.
 #[derive(Debug, Default)]
 pub struct CostMeter {
-    /// Ordered so [`CostMeter::attrs`] and [`CostMeter::total`] traverse
-    /// in key order — report bytes must never depend on map internals.
+    /// Ordered because [`CostMeter::total`] iterates it
+    /// (no-unordered-iteration).
     by_attr: BTreeMap<u32, Cost>,
     counters: BTreeMap<&'static str, u64>,
 }
@@ -162,11 +162,6 @@ impl CostMeter {
         self.by_attr.get(&attr).copied().unwrap_or_default()
     }
 
-    /// All attributions with recorded cost, in ascending order.
-    pub fn attrs(&self) -> Vec<u32> {
-        self.by_attr.keys().copied().collect()
-    }
-
     /// Sum over every attribution.
     pub fn total(&self) -> Cost {
         let mut total = Cost::default();
@@ -186,17 +181,6 @@ impl CostMeter {
     /// The named counter's value, zero if it was never bumped.
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// All named counters in lexicographic order.
-    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(&k, &v)| (k, v))
-    }
-
-    /// Clears all recorded costs and counters.
-    pub fn reset(&mut self) {
-        self.by_attr.clear();
-        self.counters.clear();
     }
 }
 
@@ -305,7 +289,6 @@ mod tests {
         assert_eq!(c1.layers.dns, 123);
         assert_eq!(c1.layers.l4_header, 56);
         assert_eq!(m.cost(2).packets, 1);
-        assert_eq!(m.attrs(), vec![1, 2]);
     }
 
     #[test]

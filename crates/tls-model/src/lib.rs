@@ -12,13 +12,12 @@
 //!    fresh-vs-resumed contrast the paper measures.
 //! 2. **Record framing** — every application write is wrapped into records
 //!    of at most [`MAX_PLAINTEXT`] bytes, each costing [`RECORD_HEADER`] +
-//!    [`AEAD_TAG`] bytes of overhead. [`wrap`] gives the byte-count view,
-//!    [`seal`] produces on-wire records (type/version/length header, the
-//!    plaintext verbatim, a zero tag) and [`Deframer`] parses them back out
-//!    of a byte stream. [`seal`] owns a copy of every chunk, so it is the
-//!    *reference*: the transports in `dohmark-doh` write the same bytes
-//!    without that copy, from [`record_header`] and [`ZERO_TAG`], and are
-//!    tested against it.
+//!    [`AEAD_TAG`] bytes of overhead. [`seal`] produces on-wire records
+//!    (type/version/length header, the plaintext verbatim, a zero tag) and
+//!    [`Deframer`] parses them back out of a byte stream. [`seal`] owns a
+//!    copy of every chunk, so it is the *reference*: the transports in
+//!    `dohmark-doh` write the same bytes without that copy, from
+//!    [`record_header`] and [`ZERO_TAG`], and are tested against it.
 //!
 //! Transports charge the framing and handshake bytes to
 //! `LayerTag::Tls` and the carried plaintext to the layer it belongs to
@@ -52,21 +51,6 @@ pub const ALPN_DOT: &str = "dot";
 pub const ALPN_HTTP11: &str = "http/1.1";
 /// ALPN protocol id for HTTP/2 over TLS (RFC 9113 §3.3).
 pub const ALPN_H2: &str = "h2";
-
-/// RFC 7301 §3.2 protocol selection: the server picks its most-preferred
-/// protocol that the client offered; `None` means no overlap, which a
-/// real server answers with a `no_application_protocol` alert.
-///
-/// ```
-/// use dohmark_tls_model::{select_alpn, ALPN_H2, ALPN_HTTP11};
-///
-/// let offers = vec![ALPN_H2.to_string(), ALPN_HTTP11.to_string()];
-/// assert_eq!(select_alpn(&offers, &[ALPN_HTTP11, ALPN_H2]), Some(ALPN_HTTP11));
-/// assert_eq!(select_alpn(&offers, &["dot"]), None);
-/// ```
-pub fn select_alpn<'a>(client_offers: &[String], server_prefs: &'a [&str]) -> Option<&'a str> {
-    server_prefs.iter().find(|p| client_offers.iter().any(|o| o == **p)).copied()
-}
 
 /// TLS record header: content type (1), legacy version (2), length (2).
 pub const RECORD_HEADER: usize = 5;
@@ -285,41 +269,6 @@ pub fn handshake_bytes(cfg: &TlsConfig) -> usize {
     handshake_flights(cfg).iter().map(|f| f.bytes).sum()
 }
 
-/// Byte-count view of one application-data record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TlsRecord {
-    /// Plaintext bytes the record carries.
-    pub payload: usize,
-}
-
-impl TlsRecord {
-    /// Framing overhead of any record: header + AEAD tag.
-    pub const OVERHEAD: usize = RECORD_HEADER + AEAD_TAG;
-
-    /// Total wire length of the record.
-    pub fn wire_len(&self) -> usize {
-        self.payload + TlsRecord::OVERHEAD
-    }
-}
-
-/// Splits an application write into records of at most [`MAX_PLAINTEXT`]
-/// plaintext bytes each. A zero-length write produces no records.
-pub fn wrap(bytes: usize) -> Vec<TlsRecord> {
-    let mut records = Vec::with_capacity(bytes.div_ceil(MAX_PLAINTEXT));
-    let mut left = bytes;
-    while left > 0 {
-        let take = left.min(MAX_PLAINTEXT);
-        records.push(TlsRecord { payload: take });
-        left -= take;
-    }
-    records
-}
-
-/// Total wire bytes of `bytes` of application data after record framing.
-pub fn framed_len(bytes: usize) -> usize {
-    wrap(bytes).iter().map(TlsRecord::wire_len).sum()
-}
-
 /// An application-data record ready for the wire: real header bytes, the
 /// plaintext verbatim (this is a byte model, not encryption), a zero tag.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -507,18 +456,6 @@ mod tests {
     }
 
     #[test]
-    fn wrap_splits_at_the_record_boundary() {
-        assert!(wrap(0).is_empty());
-        assert_eq!(wrap(100), vec![TlsRecord { payload: 100 }]);
-        let two = wrap(MAX_PLAINTEXT + 1);
-        assert_eq!(two.len(), 2);
-        assert_eq!(two[0].payload, MAX_PLAINTEXT);
-        assert_eq!(two[1].payload, 1);
-        assert_eq!(framed_len(100), 100 + 21);
-        assert_eq!(framed_len(MAX_PLAINTEXT + 1), MAX_PLAINTEXT + 1 + 2 * 21);
-    }
-
-    #[test]
     fn seal_then_deframe_round_trips_across_partial_pushes() {
         let msg: Vec<u8> = (0..40_000u32).map(|i| (i % 251) as u8).collect();
         let mut stream = Vec::new();
@@ -527,7 +464,8 @@ mod tests {
             stream.extend_from_slice(&rec.plaintext);
             stream.extend_from_slice(&rec.tag);
         }
-        assert_eq!(stream.len(), framed_len(msg.len()));
+        // 40 000 bytes are three records, each with a header and a tag.
+        assert_eq!(stream.len(), msg.len() + 3 * (RECORD_HEADER + AEAD_TAG));
         let mut deframer = Deframer::new();
         let mut out = Vec::new();
         // Push in awkward 997-byte chunks to exercise partial records.

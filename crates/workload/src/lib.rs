@@ -51,11 +51,6 @@ impl PoissonArrivals {
         PoissonArrivals { rng, mean }
     }
 
-    /// The configured mean gap.
-    pub fn mean(&self) -> SimDuration {
-        self.mean
-    }
-
     /// The next inter-arrival gap.
     pub fn next_gap(&mut self) -> SimDuration {
         self.rng.exp_duration(self.mean)
@@ -177,11 +172,6 @@ impl ZipfNames {
     pub fn new(rng: SimRng, zone: &Name, universe: usize, exponent: f64) -> ZipfNames {
         let universe = universe.clamp(1, 10usize.pow(ZipfNames::DIGITS as u32));
         ZipfNames { rng, zone: zone.clone(), cdf: zipf_cdf(universe, exponent) }
-    }
-
-    /// The number of distinct names in the universe.
-    pub fn universe(&self) -> usize {
-        self.cdf.len()
     }
 
     /// The `rank`-th (0-based, most popular first) name of the universe.
@@ -356,11 +346,6 @@ impl PageSpec {
         }
         depth.into_iter().max().unwrap_or(0)
     }
-
-    /// Total bytes of all resource bodies.
-    pub fn total_bytes(&self) -> u64 {
-        self.resources.iter().map(|r| u64::from(r.bytes)).sum()
-    }
 }
 
 /// An Alexa-like site universe: Zipf-distributed site popularity, and a
@@ -429,11 +414,6 @@ impl SiteModel {
             bytes_mu: 9.5,
             bytes_sigma: 1.0,
         }
-    }
-
-    /// The number of sites in the universe.
-    pub fn sites(&self) -> usize {
-        self.cdf.len()
     }
 
     /// The page of the `rank`-th most popular site — a pure function of

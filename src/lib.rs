@@ -5,7 +5,8 @@
 //!
 //! This facade crate re-exports the whole workspace:
 //!
-//! * [`dns`] — DNS wireformat and `application/dns-json` codecs.
+//! * [`dns`] — the DNS wireformat codec, and the JSON text codec the
+//!   reports are written with.
 //! * [`netsim`] — deterministic discrete-event network simulator with
 //!   simulated UDP and TCP and per-layer cost accounting.
 //! * [`tls`] — TLS 1.2/1.3 handshake and record-layer byte model:
