@@ -70,11 +70,11 @@ impl SweepArgs {
 
     /// Parses the process arguments over these defaults, printing usage
     /// and exiting on `--help` (status 0) or any parse error (status 2).
+    #[allow(clippy::print_stdout)] // the fig binaries' shared CLI front-end: usage is their stdout
     pub fn from_env(default_seeds: u64) -> SweepArgs {
         match SweepArgs::defaults(default_seeds).parse(std::env::args().skip(1)) {
             Ok(args) => args,
             Err(message) if message == USAGE => {
-                // simlint::allow(no-print-in-lib): this is the fig binaries' shared CLI front-end — usage goes to their stdout
                 println!("{message}");
                 std::process::exit(0);
             }
@@ -96,7 +96,7 @@ impl SweepArgs {
         match &self.out {
             Some(path) => std::fs::write(path, format!("{doc}\n"))
                 .unwrap_or_else(|e| fail(&format_args!("writing {path}: {e}"), 1)),
-            // simlint::allow(no-print-in-lib): emitting the report to stdout is this helper's contract with the fig binaries
+            #[allow(clippy::print_stdout)] // the report on stdout is this helper's contract
             None => println!("{doc}"),
         }
     }
@@ -104,8 +104,8 @@ impl SweepArgs {
 
 /// The fig binaries' one failure exit: `message` on stderr, then `status`
 /// (2 for a usage error, 1 for a run that could not produce its report).
+#[allow(clippy::print_stderr)] // errors go to the invoking fig binary's stderr
 fn fail(message: &dyn std::fmt::Display, status: i32) -> ! {
-    // simlint::allow(no-print-in-lib): errors go to the invoking fig binary's stderr
     eprintln!("{message}");
     std::process::exit(status);
 }

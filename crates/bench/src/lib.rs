@@ -27,6 +27,7 @@
 //! (the repo benchmark).
 
 #![warn(missing_docs)]
+#![warn(clippy::print_stdout, clippy::print_stderr, clippy::unwrap_used)]
 #![forbid(unsafe_code)]
 
 pub mod cli;

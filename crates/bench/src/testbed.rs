@@ -308,9 +308,9 @@ impl FleetCell {
         }
         let sim = bed.finish()?;
 
-        let cache_hits = sim.meter.counter("cache_hit") + sim.meter.counter("cache_negative_hit");
-        let cache_misses = sim.meter.counter("cache_miss");
-        let upstream_bytes = sim.meter.counter("upstream_bytes");
+        let cache_hits = sim.meter.counters.cache_hit + sim.meter.counters.cache_negative_hit;
+        let cache_misses = sim.meter.counters.cache_miss;
+        let upstream_bytes = sim.meter.counters.upstream_bytes;
         let total_bytes = sim.meter.total().bytes;
         let n = queries as f64;
         Ok(FleetRun {
@@ -319,7 +319,7 @@ impl FleetCell {
             cache_hits,
             cache_misses,
             hit_ratio: cache_hits as f64 / (cache_hits + cache_misses).max(1) as f64,
-            upstream_queries: sim.meter.counter("upstream_queries"),
+            upstream_queries: sim.meter.counters.upstream_queries,
             upstream_bytes,
             total_bytes,
             bytes_per_resolution: total_bytes as f64 / n,

@@ -16,7 +16,8 @@ use std::collections::{BTreeMap, HashMap};
 /// Cache key: query name and type (class is always `IN` here).
 pub type CacheKey = (Name, RecordType);
 
-/// What a cache hit yields, TTLs already decremented to the remaining
+/// A cached answer. What the cache stores carries the TTLs it was
+/// inserted with; what a hit yields has them decremented to the remaining
 /// lifetime.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CachedAnswer {
@@ -27,20 +28,15 @@ pub enum CachedAnswer {
     Negative {
         /// `NxDomain`, or `NoError` for NODATA.
         rcode: Rcode,
-        /// The zone's SOA, TTL decremented.
+        /// The zone's SOA.
         soa: Record,
     },
 }
 
-#[derive(Debug, Clone)]
-enum CachedData {
-    Positive(Vec<Record>),
-    Negative { rcode: Rcode, soa: Record },
-}
-
 #[derive(Debug)]
 struct Entry {
-    data: CachedData,
+    /// The answer as inserted; [`DnsCache::get`] rewrites its TTLs.
+    data: CachedAnswer,
     expires_at: SimTime,
     /// LRU stamp; also the key into the recency index.
     stamp: u64,
@@ -102,10 +98,10 @@ impl DnsCache {
         entry.stamp = self.next_stamp;
         self.next_stamp += 1;
         let answer = match &entry.data {
-            CachedData::Positive(records) => CachedAnswer::Positive(
+            CachedAnswer::Positive(records) => CachedAnswer::Positive(
                 records.iter().map(|r| Record { ttl: remaining, ..r.clone() }).collect(),
             ),
-            CachedData::Negative { rcode, soa } => CachedAnswer::Negative {
+            CachedAnswer::Negative { rcode, soa } => CachedAnswer::Negative {
                 rcode: *rcode,
                 soa: Record { ttl: remaining, ..soa.clone() },
             },
@@ -126,7 +122,7 @@ impl DnsCache {
         now: SimTime,
     ) {
         let ttl = records.iter().map(|r| r.ttl).min().unwrap_or(0);
-        self.put((name, qtype), CachedData::Positive(records), ttl, now);
+        self.put((name, qtype), CachedAnswer::Positive(records), ttl, now);
     }
 
     /// Caches a negative answer for `min(SOA TTL, SOA MINIMUM)` seconds —
@@ -144,10 +140,10 @@ impl DnsCache {
             _ => 0,
         };
         let ttl = minimum.min(soa.ttl);
-        self.put((name, qtype), CachedData::Negative { rcode, soa }, ttl, now);
+        self.put((name, qtype), CachedAnswer::Negative { rcode, soa }, ttl, now);
     }
 
-    fn put(&mut self, key: CacheKey, data: CachedData, ttl: u32, now: SimTime) {
+    fn put(&mut self, key: CacheKey, data: CachedAnswer, ttl: u32, now: SimTime) {
         if ttl == 0 {
             return;
         }

@@ -85,13 +85,14 @@
 //! answering, so the meter splits cost per resolution. An id is unique per
 //! client, not per run: with one client the meter reads per resolution,
 //! while in a fleet every client's first query is metered under id 1 (the
-//! fleet experiments read only totals and named counters). Connection
+//! fleet experiments read only totals and the meter's counters). Connection
 //! setup (TCP handshake + TLS flights + HTTP/2 preface and SETTINGS) is
 //! charged to the id current when the connection was opened: the
 //! resolution's own id for fresh connections, id 0 — which no query ever
 //! draws — for persistent ones.
 
 #![warn(missing_docs)]
+#![warn(clippy::print_stdout, clippy::print_stderr, clippy::unwrap_used)]
 #![forbid(unsafe_code)]
 
 pub mod cache;

@@ -12,8 +12,9 @@
 //! upstream fetch.
 //!
 //! All measurements flow through the one instrument experiments already
-//! read, [`CostMeter`](dohmark_netsim::CostMeter) named counters:
-//! `cache_hit`, `cache_negative_hit`, `cache_miss`, `coalesced_queries`,
+//! read, the [`CostMeter`](dohmark_netsim::CostMeter)'s typed
+//! [`Counters`](dohmark_netsim::Counters): `cache_hit`,
+//! `cache_negative_hit`, `cache_miss`, `coalesced_queries`,
 //! `upstream_queries` and `upstream_bytes` (upstream payload + IP/UDP
 //! header bytes, both directions).
 
@@ -82,22 +83,22 @@ impl RecursiveResolver {
         let (qname, qtype) = (q.name.clone(), q.qtype);
         match self.cache.get(&qname, qtype, sim.now()) {
             Some(CachedAnswer::Positive(records)) => {
-                sim.meter.bump("cache_hit", 1);
+                sim.meter.counters.cache_hit += 1;
                 return Some(Message::response(query, Rcode::NoError, records));
             }
             Some(CachedAnswer::Negative { rcode, soa }) => {
-                sim.meter.bump("cache_negative_hit", 1);
+                sim.meter.counters.cache_negative_hit += 1;
                 let mut m = Message::response(query, rcode, Vec::new());
                 m.authorities.push(soa);
                 return Some(m);
             }
             None => {}
         }
-        sim.meter.bump("cache_miss", 1);
+        sim.meter.counters.cache_miss += 1;
         let key = (qname, qtype);
         if let Some(fetch) = self.pending.iter_mut().find(|f| f.key == key) {
             // An identical question is already in flight: coalesce.
-            sim.meter.bump("coalesced_queries", 1);
+            sim.meter.counters.coalesced_queries += 1;
             fetch.waiters.push((waiter, query.clone()));
             return None;
         }
@@ -107,8 +108,8 @@ impl RecursiveResolver {
         let upstream_id = crate::next_txn(&mut self.last_upstream_txn);
         let encoded = Message::query(upstream_id, &key.0, qtype).encode();
         sim.set_attr(u32::from(query.header.id));
-        sim.meter.bump("upstream_queries", 1);
-        sim.meter.bump("upstream_bytes", (encoded.len() + IP_HEADER + UDP_HEADER) as u64);
+        sim.meter.counters.upstream_queries += 1;
+        sim.meter.counters.upstream_bytes += (encoded.len() + IP_HEADER + UDP_HEADER) as u64;
         sim.udp_send(self.sock, self.upstream, LayerTag::DnsPayload, encoded);
         self.pending.push(PendingFetch {
             key,
@@ -134,7 +135,7 @@ impl RecursiveResolver {
                 continue;
             };
             let fetch = self.pending.remove(idx);
-            sim.meter.bump("upstream_bytes", (data.len() + IP_HEADER + UDP_HEADER) as u64);
+            sim.meter.counters.upstream_bytes += (data.len() + IP_HEADER + UDP_HEADER) as u64;
             self.cache_upstream(sim, &fetch, &upstream);
             for (waiter, stub_query) in fetch.waiters {
                 let mut response =
@@ -281,8 +282,8 @@ mod tests {
                 assert_eq!(answer.question().unwrap().name, shared, "{kind:?}");
                 assert_eq!(answer.answers.len(), 1, "{kind:?}");
             }
-            assert_eq!(sim.meter.counter("upstream_queries"), 1, "{kind:?}");
-            assert_eq!(sim.meter.counter("coalesced_queries"), 1, "{kind:?}");
+            assert_eq!(sim.meter.counters.upstream_queries, 1, "{kind:?}");
+            assert_eq!(sim.meter.counters.coalesced_queries, 1, "{kind:?}");
             assert_eq!(driver.unrouted_wakes(), 0, "{kind:?}");
         }
     }
@@ -301,8 +302,8 @@ mod tests {
                 assert_eq!(&answer.question().unwrap().name, name, "{kind:?} seed {seed}");
                 assert_eq!(&answer.answers[0].name, name, "{kind:?} seed {seed}");
             }
-            assert_eq!(sim.meter.counter("upstream_queries"), 2, "{kind:?} seed {seed}");
-            assert_eq!(sim.meter.counter("coalesced_queries"), 0, "{kind:?} seed {seed}");
+            assert_eq!(sim.meter.counters.upstream_queries, 2, "{kind:?} seed {seed}");
+            assert_eq!(sim.meter.counters.coalesced_queries, 0, "{kind:?} seed {seed}");
             assert_eq!(driver.unrouted_wakes(), 0, "{kind:?} seed {seed}");
         }
     }

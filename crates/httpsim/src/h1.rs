@@ -23,7 +23,8 @@ pub enum H1Error {
     BadHeader(String),
     /// `content-length` was present but not a number.
     BadContentLength(String),
-    /// A chunk-size line was not hexadecimal.
+    /// A chunk-size line was not hexadecimal, or named a chunk of 1 MiB
+    /// or more.
     BadChunkSize(String),
     /// The head was not valid UTF-8.
     BadEncoding,
@@ -259,6 +260,12 @@ enum ParseState {
     },
 }
 
+/// Sanity bound on a declared chunk size, the one `h2::FrameDecoder` puts
+/// on its length field: 1 MiB is far above any DoH message, and a size at
+/// or above it is rejected instead of buffering for bytes that never come
+/// (or, near `usize::MAX`, overflowing the `+ 2` for the chunk's CRLF).
+const MAX_CHUNK: usize = 1 << 20;
+
 /// A finished message: start line, headers, unframed body.
 type Parsed = (StartLine, Vec<(String, String)>, Vec<u8>);
 
@@ -364,8 +371,10 @@ impl Parser {
                             self.state = ParseState::Body { start, headers, framing, got };
                             return Ok(None);
                         };
-                        let size = usize::from_str_radix(line.trim(), 16)
-                            .map_err(|_| H1Error::BadChunkSize(line))?;
+                        let size = match usize::from_str_radix(line.trim(), 16) {
+                            Ok(size) if size < MAX_CHUNK => size,
+                            _ => return Err(H1Error::BadChunkSize(line)),
+                        };
                         if size == 0 {
                             // Consume the trailing blank line if present.
                             if self.buf.starts_with(b"\r\n") {
@@ -388,7 +397,8 @@ impl Parser {
                         self.buf.drain(..2);
                         return Ok(Some((start, headers, got)));
                     }
-                    // Chunk payload plus its trailing CRLF.
+                    // Chunk payload plus its trailing CRLF; `left` is
+                    // below MAX_CHUNK, so the sum cannot overflow.
                     if self.buf.len() < left + 2 {
                         self.state = ParseState::Chunk { start, headers, got, left };
                         return Ok(None);
@@ -589,5 +599,18 @@ mod tests {
         let mut parser = ResponseParser::new();
         parser.push(b"HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\nzz\r\n");
         assert!(matches!(parser.next_response(), Err(H1Error::BadChunkSize(_))));
+        // From the 1 MiB bound up to usize::MAX, where `left + 2` would overflow.
+        for size in ["ffffffffffffffff", "fffffffffffffffe", "100000"] {
+            let chunked = format!("transfer-encoding: chunked\r\n\r\n{size}\r\nabc");
+            let mut parser = ResponseParser::new();
+            parser.push(format!("HTTP/1.1 200 OK\r\n{chunked}").as_bytes());
+            assert!(matches!(parser.next_response(), Err(H1Error::BadChunkSize(_))), "{size}");
+            let mut parser = RequestParser::new();
+            parser.push(format!("POST /dns-query HTTP/1.1\r\n{chunked}").as_bytes());
+            assert!(matches!(parser.next_request(), Err(H1Error::BadChunkSize(_))), "{size}");
+        }
+        let mut parser = ResponseParser::new();
+        parser.push(b"HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\nfffff\r\nabc");
+        assert_eq!(parser.next_response(), Ok(None), "just under the bound still buffers");
     }
 }

@@ -116,11 +116,12 @@ impl Gen {
 
     /// One seeded corruption of the valid encoding `valid`: truncate it,
     /// flip one bit, overwrite a span with a slice of `donor` (another
-    /// valid encoding, so the splice is plausible input), or append
-    /// garbage.
+    /// valid encoding, so the splice is plausible input), saturate a run
+    /// of 1–20 bytes to `0xFF` or ASCII `f` (the largest value a binary
+    /// or a hexadecimal length field can hold), or append garbage.
     fn mutate(&mut self, valid: &[u8], donor: &[u8]) -> Vec<u8> {
         let mut out = valid.to_vec();
-        match self.below(4) {
+        match self.below(5) {
             0 => out.truncate(self.below(out.len() as u64 + 1) as usize),
             1 if !out.is_empty() => {
                 let at = self.below(out.len() as u64) as usize;
@@ -132,6 +133,11 @@ impl Gen {
                 let at = self.below(out.len() as u64 + 1) as usize;
                 let end = (at + len).min(out.len());
                 out.splice(at..end, donor[from..from + len].iter().copied());
+            }
+            3 if !out.is_empty() => {
+                let at = self.below(out.len() as u64) as usize;
+                let end = (at + 1 + self.below(20) as usize).min(out.len());
+                out[at..end].fill(if self.chance(2) { 0xFF } else { b'f' });
             }
             _ => out.extend(self.bytes(32)),
         }

@@ -33,6 +33,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(clippy::print_stdout, clippy::print_stderr, clippy::unwrap_used)]
 #![forbid(unsafe_code)]
 
 pub mod link;
@@ -49,4 +50,4 @@ pub use rng::SimRng;
 pub use sim::{HostId, ListenerId, Side, Sim, SockId, TcpHandle, Wake};
 pub use tcp::{Listener, TcpConn};
 pub use time::{SimDuration, SimTime};
-pub use trace::{Cost, CostMeter, LayerBytes, LayerTag, PacketRecord, TraceLog};
+pub use trace::{Cost, CostMeter, Counters, LayerBytes, LayerTag, PacketRecord, TraceLog};

@@ -130,16 +130,35 @@ pub struct Cost {
     pub layers: LayerBytes,
 }
 
-/// Aggregates packets into per-attribution [`Cost`]s, plus named event
-/// counters (cache hits/misses, upstream fetches, …) that application
-/// layers bump so experiments read *all* their measurements from one
+/// The event counters application layers keep on the [`CostMeter`]: what
+/// the caching recursive resolver counts, one field per event.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Counters {
+    /// Stub queries answered from a positive cache entry.
+    pub cache_hit: u64,
+    /// Stub queries answered from a negative (RFC 2308) cache entry.
+    pub cache_negative_hit: u64,
+    /// Stub queries the cache could not answer.
+    pub cache_miss: u64,
+    /// Cache misses parked behind an identical fetch already in flight.
+    pub coalesced_queries: u64,
+    /// Queries sent to the upstream authoritative server.
+    pub upstream_queries: u64,
+    /// Upstream payload + IP/UDP header bytes, both directions.
+    pub upstream_bytes: u64,
+}
+
+/// Aggregates packets into per-attribution [`Cost`]s, plus the event
+/// [`Counters`] (cache hits/misses, upstream fetches, …) that application
+/// layers increment so experiments read *all* their measurements from one
 /// instrument.
 #[derive(Debug, Default)]
 pub struct CostMeter {
     /// Ordered because [`CostMeter::total`] iterates it
     /// (no-unordered-iteration).
     by_attr: BTreeMap<u32, Cost>,
-    counters: BTreeMap<&'static str, u64>,
+    /// Application-layer event counts.
+    pub counters: Counters,
 }
 
 impl CostMeter {
@@ -171,16 +190,6 @@ impl CostMeter {
             total.layers.merge(&c.layers);
         }
         total
-    }
-
-    /// Adds `n` to the named counter, creating it at zero first.
-    pub fn bump(&mut self, name: &'static str, n: u64) {
-        *self.counters.entry(name).or_insert(0) += n;
-    }
-
-    /// The named counter's value, zero if it was never bumped.
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
     }
 }
 
@@ -251,11 +260,6 @@ impl TraceLog {
             ));
         }
         out
-    }
-
-    /// Clears the log.
-    pub fn clear(&mut self) {
-        self.records.clear();
     }
 }
 

@@ -55,6 +55,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(clippy::print_stdout, clippy::print_stderr, clippy::unwrap_used)]
 #![forbid(unsafe_code)]
 
 use dohmark_doh::{Driver, EndpointId};

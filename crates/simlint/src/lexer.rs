@@ -8,8 +8,9 @@
 //!   and brace structure are preserved). Pattern matching on this channel
 //!   cannot be fooled by a forbidden API name inside a doc comment or a
 //!   format string.
-//! * `comment` — the concatenated comment text of the line, which is
-//!   where `simlint::allow(...)` annotations and invariant comments live.
+//! * `comment` — the concatenated plain-comment text of the line, which
+//!   is where `simlint::allow(...)` annotations live. Doc-comment text
+//!   goes to neither channel.
 //!
 //! A second pass tracks `#[cfg(test)]` items by brace depth and marks
 //! every line inside them `in_test`, so rules can exempt unit-test
@@ -21,12 +22,10 @@ pub struct Line {
     /// Code text with comments and literal contents blanked.
     pub code: String,
     /// Plain (non-doc) comment text on this line — the channel
-    /// `simlint::allow` annotations and invariant comments live in.
+    /// `simlint::allow` annotations live in. Doc-comment text (`///`,
+    /// `//!`, `/** */`) is dropped, so prose *examples* of forbidden APIs
+    /// or allow syntax in rustdoc never register as live annotations.
     pub comment: String,
-    /// Doc-comment text (`///`, `//!`, `/** */`) on this line. Kept
-    /// separate so prose *examples* of forbidden APIs or allow syntax
-    /// in rustdoc never register as live annotations.
-    pub doc: String,
     /// Whether the line sits inside a `#[cfg(test)]` item's braces.
     pub in_test: bool,
 }
@@ -94,9 +93,7 @@ pub fn scrub(source: &str) -> Vec<Line> {
                 }
             }
             State::LineComment { doc } => {
-                if doc {
-                    cur.doc.push(c);
-                } else {
+                if !doc {
                     cur.comment.push(c);
                 }
                 i += 1;
@@ -113,9 +110,7 @@ pub fn scrub(source: &str) -> Vec<Line> {
                     };
                     i += 2;
                 } else {
-                    if doc {
-                        cur.doc.push(c);
-                    } else {
+                    if !doc {
                         cur.comment.push(c);
                     }
                     i += 1;
@@ -307,6 +302,8 @@ mod tests {
         let c = codes(src);
         assert_eq!(c[0].trim(), "");
         assert_eq!(c[1].trim(), "fn f() {}");
+        let lines = scrub("/// e.g. `// simlint::allow(no-wall-clock): why`\n");
+        assert_eq!(lines[0].comment, "", "rustdoc prose is not an annotation");
     }
 
     #[test]

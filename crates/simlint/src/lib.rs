@@ -1,5 +1,4 @@
-//! `simlint` — static determinism & hygiene lints for the dohmark
-//! workspace.
+//! `simlint` — static determinism lints for the dohmark workspace.
 //!
 //! The workspace's load-bearing guarantee is bit-for-bit determinism:
 //! [`SweepSpec`](../dohmark_bench/sweep) promises byte-identical reports
@@ -15,10 +14,14 @@
 //! (comment-, string-literal- and `#[cfg(test)]`-aware, via brace
 //! tracking), and [`rules`] runs the table-driven catalog over the
 //! scrubbed lines, one file at a time — there is no parser, no item model
-//! and no cross-file pass. Findings print as `file:line rule message`;
-//! the `dohmark-simlint` binary exits non-zero under `--deny` when any
-//! survive, which is how CI consumes it. `--format github` re-renders the
-//! same findings as workflow annotations ([`render_github`]).
+//! and no cross-file pass. Findings print as `file:line rule message`.
+//!
+//! There is one way to run it and it has no options: `cargo test -p
+//! dohmark-simlint`. `tests/self_check.rs` lints the whole workspace
+//! ([`lint_workspace`]) and fails on any finding; `tests/golden.rs` pins
+//! each rule's findings on a fixture corpus. Print and unwrap hygiene is
+//! not here: it is `clippy::print_stdout` / `print_stderr` / `unwrap_used`,
+//! declared at the library crate roots.
 //!
 //! # Suppression
 //!
@@ -26,8 +29,8 @@
 //! directly above, with a mandatory reason:
 //!
 //! ```text
-//! // simlint::allow(no-print-in-lib): the CLI front-end owns stdout
-//! println!("{doc}");
+//! // simlint::allow(no-wall-clock): progress line only, never reaches a report
+//! let started = Instant::now();
 //! ```
 //!
 //! Unused or malformed allows are findings themselves (`unused-allow`,
@@ -38,18 +41,14 @@
 //! A fixture can pin the workspace-relative path it is linted *as* with
 //! a leading `//@ path: crates/netsim/src/fake.rs` directive — that is
 //! how the golden corpus exercises path-scoped rules from inside
-//! `crates/simlint/tests/fixtures/`. Likewise `//@ landed-pr: 11` pins
-//! the PR number `shim-expiry` measures deadlines against, which a
-//! workspace lint reads from `CHANGES.md`.
+//! `crates/simlint/tests/fixtures/`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod lexer;
-pub mod output;
 pub mod rules;
 
-pub use output::render_github;
 pub use rules::{Finding, Rule, RULES};
 
 use rules::{FileView, Sink};
@@ -68,21 +67,17 @@ const FIXTURES_DIR: &str = "crates/simlint/tests/fixtures";
 /// Lints one source text as workspace-relative path `rel`. A leading
 /// `//@ path: <p>` directive overrides `rel` (the golden-fixture hook).
 pub fn lint_source(rel: &str, source: &str) -> Vec<Finding> {
-    lint_files(vec![(rel.to_string(), source.to_string())], 0)
+    lint_files(vec![(rel.to_string(), source.to_string())])
 }
 
 /// The full lint pipeline over a set of `(rel, source)` files: scrub
 /// each file, run every rule of [`RULES`] over it, resolve suppression.
-/// `landed_pr` is the highest PR known to have landed (0 when unknown);
-/// a file's `//@ landed-pr: <n>` directive can only raise it.
 /// Findings come back sorted by path, then line, then rule.
-pub fn lint_files(files: Vec<(String, String)>, landed_pr: u32) -> Vec<Finding> {
-    let pinned = files.iter().filter_map(|(_, s)| directive(s, "landed-pr:")?.parse().ok());
-    let landed_pr = pinned.fold(landed_pr, u32::max);
+pub fn lint_files(files: Vec<(String, String)>) -> Vec<Finding> {
     let mut findings = Vec::new();
     for (rel, source) in files {
-        let rel = directive(&source, "path:").map_or(rel, str::to_string);
-        let view = FileView { rel, lines: lexer::scrub(&source), landed_pr };
+        let rel = path_directive(&source).map_or(rel, str::to_string);
+        let view = FileView { rel, lines: lexer::scrub(&source) };
         let mut sink = Sink::new(&view);
         for rule in RULES {
             (rule.check)(&view, &mut sink);
@@ -93,20 +88,15 @@ pub fn lint_files(files: Vec<(String, String)>, landed_pr: u32) -> Vec<Finding> 
     findings
 }
 
-/// The value of the `//@ <key> …` directive in the first lines of
+/// The value of the `//@ path: …` directive in the first lines of
 /// `source`, if any.
-fn directive<'a>(source: &'a str, key: &str) -> Option<&'a str> {
-    source
-        .lines()
-        .take(3)
-        .find_map(|l| l.trim().strip_prefix("//@ ")?.strip_prefix(key))
-        .map(str::trim)
+fn path_directive(source: &str) -> Option<&str> {
+    source.lines().take(3).find_map(|l| l.trim().strip_prefix("//@ path:")).map(str::trim)
 }
 
 /// Walks every `.rs` file under `root` (skipping `target/`, `.git/` and
 /// the fixture corpus) and lints it. Findings come back sorted by path,
-/// then line, then rule — byte-stable across runs and platforms. The
-/// highest `PR <n>:` entry of `root`'s `CHANGES.md` is the landed PR.
+/// then line, then rule — byte-stable across runs and platforms.
 pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
     let mut files = Vec::new();
     collect_rs_files(root, root, &mut files)?;
@@ -117,10 +107,7 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
         let rel = rel.to_string_lossy().replace('\\', "/");
         inputs.push((rel, source));
     }
-    let changes = fs::read_to_string(root.join("CHANGES.md")).unwrap_or_default();
-    let landed =
-        changes.lines().filter_map(|l| l.strip_prefix("PR ")?.split(':').next()?.parse().ok());
-    Ok(lint_files(inputs, landed.max().unwrap_or(0)))
+    Ok(lint_files(inputs))
 }
 
 fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
@@ -156,26 +143,6 @@ pub fn render(findings: &[Finding]) -> String {
     out
 }
 
-/// Finds the workspace root: the nearest ancestor of `start` whose
-/// `Cargo.toml` has a `[workspace]` table with a `members` key. A
-/// member-less table (`perfbench/`'s, there to keep the package out of
-/// the root build) is a package opting out of a workspace, not the tree
-/// to lint, so the walk continues past it.
-pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
-    let mut dir = start.to_path_buf();
-    loop {
-        if let Ok(manifest) = fs::read_to_string(dir.join("Cargo.toml")) {
-            let table = manifest.lines().map(str::trim).skip_while(|l| *l != "[workspace]").skip(1);
-            if table.take_while(|l| !l.starts_with('[')).any(|l| l.starts_with("members")) {
-                return Some(dir);
-            }
-        }
-        if !dir.pop() {
-            return None;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,25 +165,5 @@ mod tests {
             message: "boom".into(),
         };
         assert_eq!(render(&[f]), "crates/doh/src/dot.rs:7 no-wall-clock boom\n");
-    }
-
-    #[test]
-    fn a_member_less_workspace_table_is_not_the_root() {
-        let root = std::env::temp_dir().join(format!("simlint-root-{}", std::process::id()));
-        let nested = root.join("perfbench/benches");
-        fs::create_dir_all(&nested).expect("create temp tree");
-        fs::write(
-            root.join("Cargo.toml"),
-            "[workspace]\nresolver = \"2\"\nmembers = [\"crates/*\"]\n",
-        )
-        .expect("write root manifest");
-        fs::write(
-            root.join("perfbench/Cargo.toml"),
-            "# an empty [workspace] table\n[workspace]\n\n[package]\nname = \"perfbench\"\n",
-        )
-        .expect("write nested manifest");
-        let found = find_workspace_root(&nested);
-        fs::remove_dir_all(&root).expect("remove temp tree");
-        assert_eq!(found, Some(root));
     }
 }

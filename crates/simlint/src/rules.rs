@@ -38,9 +38,6 @@ pub struct FileView {
     pub rel: String,
     /// Scrubbed lines, 0-indexed (findings report 1-based).
     pub lines: Vec<Line>,
-    /// The highest PR recorded as landed (0 when unknown) — the deadline
-    /// `shim-expiry` holds `remove-by: PR <n>` markers to.
-    pub landed_pr: u32,
 }
 
 impl FileView {
@@ -53,23 +50,9 @@ impl FileView {
         self.has_component("benches")
     }
 
-    /// Binaries and examples own stdout.
-    pub fn is_bin_or_example(&self) -> bool {
-        self.has_component("bin")
-            || self.has_component("examples")
-            || self.rel.ends_with("/main.rs")
-    }
-
     /// Integration tests (a `tests/` path component).
     pub fn is_test_path(&self) -> bool {
         self.has_component("tests")
-    }
-
-    /// The determinism-critical crates `no-bare-unwrap-in-core` covers.
-    pub fn is_core_crate(&self) -> bool {
-        ["crates/netsim/src/", "crates/doh/src/", "crates/httpsim/src/"]
-            .iter()
-            .any(|p| self.rel.starts_with(p))
     }
 
     /// Is line `i` exempt as test code (unit-test mod or tests/ file)?
@@ -82,7 +65,7 @@ impl FileView {
 pub struct Rule {
     /// The identifier used in findings and `simlint::allow(...)`.
     pub name: &'static str,
-    /// One-line description for `--list-rules` and the README table.
+    /// One-line description: what the rule flags and what to write instead.
     pub summary: &'static str,
     /// The check itself: a lexical pass over one scrubbed file.
     pub check: fn(&FileView, &mut Sink),
@@ -109,18 +92,6 @@ pub const RULES: &[Rule] = &[
         check: no_thread_outside_sweep,
     },
     Rule {
-        name: "no-print-in-lib",
-        summary: "println!/eprintln! in library code — stdout belongs to src/bin, \
-                  examples and benches",
-        check: no_print_in_lib,
-    },
-    Rule {
-        name: "no-bare-unwrap-in-core",
-        summary: ".unwrap() in netsim/doh/httpsim non-test code without an invariant \
-                  comment on the same or previous line",
-        check: no_bare_unwrap_in_core,
-    },
-    Rule {
         name: "seed-discipline",
         summary: "a literal or misnamed seed fed to SimRng::new / split / split_rng in \
                   non-test code — seeds and stream labels are named *_SEED / *_STREAM \
@@ -144,13 +115,6 @@ pub const RULES: &[Rule] = &[
         summary: "sort_unstable_by / sort_unstable_by_key in report-feeding crates — \
                   equal keys land in arbitrary order; use the stable sort_by forms",
         check: stable_sort_for_reports,
-    },
-    Rule {
-        name: "shim-expiry",
-        summary: "a #[deprecated] item without a well-formed `remove-by: PR <n>` marker \
-                  in its doc/comment block, or whose PR <n> has landed — shims name \
-                  their removal deadline and keep it",
-        check: shim_expiry,
     },
 ];
 
@@ -474,51 +438,6 @@ fn find_token_prefix(code: &str, pat: &str, from: usize) -> Option<usize> {
     None
 }
 
-fn no_print_in_lib(view: &FileView, sink: &mut Sink) {
-    if view.is_bin_or_example() || view.is_bench() || view.is_test_path() {
-        return;
-    }
-    for (i, line) in view.lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        for pat in ["println!", "eprintln!", "print!", "eprint!"] {
-            if has_token(&line.code, pat) {
-                sink.report(
-                    i,
-                    "no-print-in-lib",
-                    format!(
-                        "`{pat}` in library code — stdout/stderr belong to src/bin, \
-                             examples and benches"
-                    ),
-                );
-            }
-        }
-    }
-}
-
-fn no_bare_unwrap_in_core(view: &FileView, sink: &mut Sink) {
-    if !view.is_core_crate() {
-        return;
-    }
-    for (i, line) in view.lines.iter().enumerate() {
-        if view.test_line(i) || !line.code.contains(".unwrap()") {
-            continue;
-        }
-        let has_comment = |l: &Line| !l.comment.trim().is_empty() || !l.doc.trim().is_empty();
-        let documented = has_comment(line) || (i > 0 && has_comment(&view.lines[i - 1]));
-        if !documented {
-            sink.report(
-                i,
-                "no-bare-unwrap-in-core",
-                "bare `.unwrap()` in a core crate — state the invariant in a comment \
-                 on this or the previous line, or use `.expect(\"…\")`"
-                    .to_string(),
-            );
-        }
-    }
-}
-
 /// The leading token of the first argument after an open paren: a
 /// digit-leading literal (`42`, `0xBEEF`) or the last segment of an
 /// identifier path (`SiteModel::RANK_STREAM` → `RANK_STREAM`). `None`
@@ -704,97 +623,12 @@ fn stable_sort_for_reports(view: &FileView, sink: &mut Sink) {
     }
 }
 
-/// The `<n>` of `text` (starting at `remove-by`) if it is a well-formed
-/// `remove-by: PR <n>` marker.
-fn remove_by_pr(text: &str) -> Option<u32> {
-    let rest = text.strip_prefix("remove-by")?.trim_start().strip_prefix(':')?;
-    let digits = rest.trim_start().strip_prefix("PR")?.trim_start();
-    digits[..digits.find(|c: char| !c.is_ascii_digit()).unwrap_or(digits.len())].parse().ok()
-}
-
-/// The keywords an item a `#[deprecated]` can sit on is named after.
-const ITEM_KEYWORDS: &[&str] = &["fn", "struct", "enum", "trait", "type", "const", "static", "mod"];
-
-/// Every `#[deprecated]` item must carry a `remove-by: PR <n>` marker in
-/// its doc/comment block, so shims name the PR that deletes them instead
-/// of rotting. Malformed markers are findings too, and so is a deadline
-/// that has passed: `<n>` at or below [`FileView::landed_pr`].
-///
-/// The item's block is the contiguous run of doc, comment and attribute
-/// lines above the `#[deprecated` line, down to the item's header: the
-/// first code line below it that is neither an attribute nor inside one
-/// (a multi-line `note = "…"` leaves a `")]` residue line).
-fn shim_expiry(view: &FileView, sink: &mut Sink) {
-    let is_meta = |l: &Line| {
-        let code = l.code.trim();
-        code.starts_with("#[")
-            || (code.is_empty() && !(l.doc.trim().is_empty() && l.comment.trim().is_empty()))
-    };
-    for (i, line) in view.lines.iter().enumerate() {
-        if view.test_line(i) || !line.code.contains("#[deprecated") {
-            continue;
-        }
-        let top = (0..i).rev().take_while(|&j| is_meta(&view.lines[j])).last().unwrap_or(i);
-        let mut open = 0i32;
-        let header = (i..view.lines.len()).find(|&j| {
-            let code = view.lines[j].code.trim();
-            let inside_attr = open > 0;
-            open += code.matches('[').count() as i32 - code.matches(']').count() as i32;
-            !inside_attr && !code.is_empty() && !code.starts_with("#[")
-        });
-        // An attribute with nothing under it does not compile; there is
-        // no item to hold to a deadline.
-        let Some(header) = header else { continue };
-        let code = view.lines[header].code.as_str();
-        let name = ITEM_KEYWORDS
-            .iter()
-            .find_map(|kw| {
-                let rest = code[find_token(code, kw, 0)? + kw.len()..].trim_start();
-                let end = rest.find(|c| !is_ident_char(c)).unwrap_or(rest.len());
-                (end > 0).then(|| &rest[..end])
-            })
-            .unwrap_or(code.trim());
-        let mut marker: Option<(usize, &str)> = None;
-        for j in top..=header {
-            let l = &view.lines[j];
-            for chan in [l.comment.as_str(), l.doc.as_str()] {
-                if let Some(pos) = chan.find("remove-by") {
-                    marker = Some((j, &chan[pos..]));
-                }
-            }
-        }
-        match marker {
-            None => sink.report(
-                header,
-                "shim-expiry",
-                format!(
-                    "deprecated item `{name}` has no `remove-by: PR <n>` marker — \
-                     name the PR that deletes this shim"
-                ),
-            ),
-            Some((j, text)) => match remove_by_pr(text) {
-                None => sink.report(
-                    j,
-                    "shim-expiry",
-                    format!("malformed expiry marker for `{name}` — write `remove-by: PR <n>`"),
-                ),
-                Some(n) if n <= view.landed_pr => sink.report(
-                    j,
-                    "shim-expiry",
-                    format!("overdue: PR {n} has landed — delete `{name}`"),
-                ),
-                Some(_) => {}
-            },
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn run(rel: &str, src: &str) -> Vec<Finding> {
-        crate::lint_files(vec![(rel.to_string(), src.to_string())], 0)
+        crate::lint_source(rel, src)
     }
 
     #[test]
@@ -845,25 +679,6 @@ mod tests {
     }
 
     #[test]
-    fn prints_are_legal_in_bins_examples_and_tests() {
-        let src = "fn f() { println!(\"x\"); }\n";
-        assert!(run("crates/bench/src/bin/fig3.rs", src).is_empty());
-        assert!(run("examples/quickstart.rs", src).is_empty());
-        assert!(run("tests/transport_matrix.rs", src).is_empty());
-        assert_eq!(run("crates/bench/src/report.rs", src).len(), 1);
-    }
-
-    #[test]
-    fn unwrap_needs_an_invariant_comment_only_in_core_crates() {
-        let bare = "fn f() { x().unwrap(); }\n";
-        let documented =
-            "fn f() {\n    // invariant: x is Some after setup\n    x().unwrap();\n}\n";
-        assert_eq!(run("crates/netsim/src/tcp.rs", bare).len(), 1);
-        assert!(run("crates/netsim/src/tcp.rs", documented).is_empty());
-        assert!(run("crates/bench/src/stats.rs", bare).is_empty(), "bench is not a core crate");
-    }
-
-    #[test]
     fn literal_seeds_are_flagged_outside_tests() {
         let src = "pub fn f(sim: &mut Sim, rng: &mut SimRng) {\n\
                    \x20   let a = SimRng::new(42);\n\
@@ -905,24 +720,24 @@ mod tests {
 
     #[test]
     fn allows_suppress_mark_used_and_surface_when_unused_or_malformed() {
-        let src = "// simlint::allow(no-print-in-lib): CLI front-end owns stdout\n\
-                   fn f() { println!(\"ok\"); }\n\
-                   // simlint::allow(no-print-in-lib): nothing here\n\
+        let src = "// simlint::allow(no-wall-clock): calibrates against the host once\n\
+                   fn f() { Instant::now(); }\n\
+                   // simlint::allow(no-wall-clock): nothing here\n\
                    fn g() {}\n\
-                   // simlint::allow(no-print-in-lib)\n\
-                   fn h() { println!(\"missing reason does not suppress\"); }\n\
+                   // simlint::allow(no-wall-clock)\n\
+                   fn h() { Instant::now(); } // a missing reason does not suppress\n\
                    // simlint::allow(not-a-rule): whatever\n";
         let found = run("crates/doh/src/zone.rs", src);
         let rules: Vec<&str> = found.iter().map(|f| f.rule).collect();
         assert_eq!(
             rules,
-            vec!["unused-allow", "allow-syntax", "no-print-in-lib", "allow-syntax"],
+            vec!["unused-allow", "allow-syntax", "no-wall-clock", "allow-syntax"],
             "{found:?}"
         );
     }
 
     fn multi_run(files: &[(&str, &str)]) -> Vec<Finding> {
-        crate::lint_files(files.iter().map(|(r, s)| (r.to_string(), s.to_string())).collect(), 0)
+        crate::lint_files(files.iter().map(|(r, s)| (r.to_string(), s.to_string())).collect())
     }
 
     #[test]
@@ -1004,38 +819,5 @@ mod tests {
         assert_eq!(found.len(), 1, "plain sort_unstable is legal: {found:?}");
         assert_eq!((found[0].rule, found[0].line), ("stable-sort-for-reports", 2));
         assert!(run("crates/netsim/src/sim.rs", src).is_empty(), "netsim is not report-feeding");
-    }
-
-    #[test]
-    fn deprecated_items_need_a_well_formed_expiry_marker() {
-        let missing = "#[deprecated(note = \"old\")]\npub fn shim() {}\n";
-        let found = run("crates/doh/src/lib.rs", missing);
-        assert_eq!(found.len(), 1, "{found:?}");
-        assert_eq!((found[0].rule, found[0].line), ("shim-expiry", 2));
-
-        let malformed = "/// Old. remove-by: next release\n\
-                         #[deprecated(note = \"old\")]\npub fn shim() {}\n";
-        let found = run("crates/doh/src/lib.rs", malformed);
-        assert_eq!(found.len(), 1, "{found:?}");
-        assert!(found[0].message.contains("malformed"));
-
-        let ok = "/// Old. remove-by: PR 11.\n\
-                  #[deprecated(note = \"old\")]\npub fn shim() {}\n";
-        assert!(run("crates/doh/src/lib.rs", ok).is_empty());
-        assert!(run("crates/doh/src/lib.rs", &format!("//@ landed-pr: 10\n{ok}")).is_empty());
-
-        let found = run("crates/doh/src/lib.rs", &format!("//@ landed-pr: 11\n{ok}"));
-        assert_eq!(found.len(), 1, "{found:?}");
-        assert!(found[0].message.contains("overdue: PR 11 has landed"), "{found:?}");
-    }
-
-    #[test]
-    fn deprecated_attribute_attaches_to_its_item_only() {
-        let src = "/// Docs.\n#[deprecated(note = \"gone \\\n                     soon\")]\n\
-                   pub fn old() {}\n\npub fn fresh() {}\n";
-        let found = run("crates/doh/src/lib.rs", src);
-        assert_eq!(found.len(), 1, "{found:?}");
-        assert_eq!((found[0].rule, found[0].line), ("shim-expiry", 4));
-        assert!(found[0].message.contains("`old`"), "{found:?}");
     }
 }

@@ -1,7 +1,8 @@
 //@ path: crates/netsim/src/fixture_suppressed.rs
 //! Golden fixture: a well-formed `simlint::allow` (rule + reason) on
 //! the finding's line or the line above suppresses it and counts as
-//! used. One unsuppressed finding remains so `--deny` still exits 1.
+//! used. One unsuppressed finding remains so the fixture still guards
+//! something.
 
 pub fn calibrated() -> std::time::Instant {
     // simlint::allow(no-wall-clock): fixture — pretend this calibrates the sim clock against the host
@@ -12,6 +13,6 @@ pub fn same_line_allow() -> std::time::SystemTime {
     std::time::SystemTime::now() // simlint::allow(no-wall-clock): fixture — same-line allows work too
 }
 
-pub fn not_suppressed() {
-    println!("this one still fires");
+pub fn not_suppressed() -> std::time::Instant {
+    std::time::Instant::now()
 }

@@ -6,9 +6,9 @@
 // simlint::allow(no-wall-clock): stale — the wall-clock call below was removed long ago
 pub fn nothing_to_suppress() {}
 
-pub fn reasonless_allow_does_not_suppress() {
-    // simlint::allow(no-print-in-lib)
-    println!("still flagged");
+pub fn reasonless_allow_does_not_suppress() -> std::time::Instant {
+    // simlint::allow(no-wall-clock)
+    std::time::Instant::now()
 }
 
 // simlint::allow(no-flux-capacitor): not a rule the catalog knows

@@ -7,9 +7,7 @@
 //! machinery's own meta-findings (`unused-allow`, `allow-syntax`).
 //!
 //! After an intentional rule change, update an `.expected` by hand: the
-//! failing assertion below prints the rendered findings, and
-//! `cargo run -p dohmark-simlint -- tests/fixtures/<name>.rs > …/<name>.expected`
-//! (from this crate's directory) writes the same bytes.
+//! failing assertion below prints the rendered findings to paste.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -39,7 +37,7 @@ fn every_fixture_matches_its_expected_findings() {
         let got = render(&lint_source(&rel, &source));
         let expected_path = path.with_extension("expected");
         let expected = fs::read_to_string(&expected_path).unwrap_or_else(|_| {
-            panic!("missing {} — regenerate with the simlint binary", expected_path.display())
+            panic!("missing {} — write it from this test's failure output", expected_path.display())
         });
         assert_eq!(got, expected, "findings drifted for fixture {}", path.display());
     }
@@ -53,8 +51,7 @@ fn every_fixture_produces_findings() {
         let findings = lint_source(&rel, &source);
         assert!(
             !findings.is_empty(),
-            "fixture {} yields no findings — it no longer guards anything \
-             (and `--deny` would exit 0 on it)",
+            "fixture {} yields no findings — it no longer guards anything",
             path.display()
         );
     }

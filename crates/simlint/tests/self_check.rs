@@ -1,6 +1,6 @@
 //! The workspace lints itself: `cargo test -p dohmark-simlint` fails if
-//! any checked-in source trips a rule, so determinism regressions are
-//! caught even where CI's explicit `--deny` run is skipped.
+//! any checked-in source trips a rule. This is the one place simlint runs
+//! over the tree — tier-1, so every PR and CI's test job go through it.
 
 use std::path::Path;
 

@@ -42,6 +42,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(clippy::print_stdout, clippy::print_stderr, clippy::unwrap_used)]
 #![forbid(unsafe_code)]
 
 /// ALPN protocol id for DNS over TLS (a conventional private label; DoT

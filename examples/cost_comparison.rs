@@ -6,51 +6,22 @@
 //! cost split by layer. Deterministic: two runs with the same seed produce
 //! byte-identical output.
 //!
-//! Each scenario is one [`TransportConfig`] cell registered in a
-//! [`Driver`] — the same addressed-routing drive loop the figure
-//! harnesses and fleet experiments use.
+//! Each scenario is one [`TransportConfig`] cell run through
+//! `dohmark_bench::MatrixCell` — the single shared drive loop, also used
+//! by `transport_shootout`, `tests/transport_matrix.rs` and the
+//! `fig3_bytes_per_resolution` harness.
 //!
 //! Run with: `cargo run --example cost_comparison`
 
-use dohmark::dns::Name;
-use dohmark::doh::{Driver, ReusePolicy, TransportConfig, TransportKind};
-use dohmark::netsim::{Cost, CostMeter, Sim, SimDuration};
+use dohmark::doh::{ReusePolicy, TransportConfig, TransportKind};
 use dohmark::tls::handshake_bytes;
-use dohmark::workload::QuerySchedule;
+use dohmark_bench::MatrixCell;
 
 const SEED: u64 = 42;
 const RESOLUTIONS: u16 = 20;
-const WORKLOAD_STREAM: u64 = 0;
 
-/// One scenario: a fresh simulator, the same seeded workload, N sequential
-/// resolutions driven through a registered client/server pair.
-fn run(cfg: &TransportConfig) -> CostMeter {
-    let mut sim = Sim::new(SEED);
-    let stub = sim.add_host("stub");
-    let resolver = sim.add_host("resolver");
-    sim.add_link(stub, resolver, cfg.link);
-    let mut driver = Driver::new();
-    driver.register(&mut sim, |sim| cfg.build_server(sim, resolver));
-    let client = driver.register_resolver(&mut sim, |_| cfg.build_client(stub, resolver));
-    // The workload RNG is split from the simulator seed, so every
-    // scenario resolves the identical (arrival, name) stream.
-    let mut rng = sim.split_rng(WORKLOAD_STREAM);
-    let zone = Name::parse("dohmark.test").unwrap();
-    let schedule = QuerySchedule::new(&mut rng, SimDuration::from_millis(50), 8, &zone);
-    for (at, name) in schedule.take(usize::from(RESOLUTIONS)) {
-        driver.advance_until(&mut sim, at);
-        driver
-            .resolve(&mut sim, client, &name)
-            .unwrap_or_else(|txn| panic!("{} resolution {txn} completes", cfg.label()));
-    }
-    driver.run_until_quiescent(&mut sim);
-    let mut meter = CostMeter::new();
-    std::mem::swap(&mut meter, &mut sim.meter);
-    meter
-}
-
-/// Mean per-resolution cost over ids 1..=N plus any connection-setup cost
-/// (attr 0), which persistent transports amortise across all resolutions.
+/// Mean per-resolution cost, connection setup and teardown amortised
+/// across all resolutions.
 struct Row {
     label: &'static str,
     packets: f64,
@@ -62,36 +33,31 @@ struct Row {
     total: f64,
 }
 
-fn mean_row(label: &'static str, meter: &CostMeter, udp_transport: bool) -> Row {
-    let mut sum = Cost::default();
-    for attr in 0..=u32::from(RESOLUTIONS) {
-        let c = meter.cost(attr);
-        sum.bytes += c.bytes;
-        sum.packets += c.packets;
-        sum.layers.merge(&c.layers);
-    }
-    let n = f64::from(RESOLUTIONS);
+fn measure(label: &'static str, cfg: TransportConfig) -> Row {
+    let udp_transport = cfg.kind == TransportKind::Do53;
+    let run = MatrixCell { cfg, resolutions: RESOLUTIONS }
+        .measure(SEED)
+        .expect("every resolution completes");
+    // `layers` is in LayerTag::ALL order: Body, Hdr, Mgmt, TLS, L4, DNS.
+    let [_, _, _, tls, l4, dns] = run.layers.map(|(_, bytes)| bytes);
     // The meter tracks IP+transport headers as one layer; every simulated
     // packet carries a 20-byte IPv4 header, so the split is exact.
-    let ip = sum.packets as f64 * 20.0;
-    let transport = sum.layers.l4_header as f64 - ip;
+    let ip = run.packets_per_resolution * 20.0;
     Row {
         label,
-        packets: sum.packets as f64 / n,
-        ip: ip / n,
-        udp: if udp_transport { transport / n } else { 0.0 },
-        tcp: if udp_transport { 0.0 } else { transport / n },
-        tls: sum.layers.tls as f64 / n,
-        dns: sum.layers.dns as f64 / n,
-        total: sum.bytes as f64 / n,
+        packets: run.packets_per_resolution,
+        ip,
+        udp: if udp_transport { l4 - ip } else { 0.0 },
+        tcp: if udp_transport { 0.0 } else { l4 - ip },
+        tls,
+        dns,
+        total: run.bytes_per_resolution,
     }
 }
 
 fn main() {
-    let do53_cfg = TransportConfig::new(TransportKind::Do53, ReusePolicy::Fresh);
-    let dot_cold_cfg = TransportConfig::new(TransportKind::Dot, ReusePolicy::Fresh);
-    let dot_persistent_cfg = TransportConfig::new(TransportKind::Dot, ReusePolicy::Persistent);
-    let tls = dot_cold_cfg.tls().expect("dot uses tls");
+    let dot_cold = TransportConfig::new(TransportKind::Dot, ReusePolicy::Fresh);
+    let tls = dot_cold.tls().expect("dot uses tls");
     println!(
         "cost_comparison: {RESOLUTIONS} resolutions per scenario, seed {SEED}, \
          Poisson mean 50ms"
@@ -104,9 +70,12 @@ fn main() {
     println!();
 
     let rows = [
-        mean_row("do53 (udp)", &run(&do53_cfg), true),
-        mean_row("dot cold", &run(&dot_cold_cfg), false),
-        mean_row("dot persistent", &run(&dot_persistent_cfg), false),
+        measure("do53 (udp)", TransportConfig::new(TransportKind::Do53, ReusePolicy::Fresh)),
+        measure("dot cold", dot_cold),
+        measure(
+            "dot persistent",
+            TransportConfig::new(TransportKind::Dot, ReusePolicy::Persistent),
+        ),
     ];
 
     println!("mean per-resolution bytes on the wire (both directions):");
