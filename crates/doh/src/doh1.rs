@@ -13,11 +13,17 @@
 //! Header text is tagged [`LayerTag::HttpHeader`], bodies
 //! [`LayerTag::HttpBody`], TLS record framing `Tls` — the paper's "Hdr" /
 //! "Body" / "TLS" split.
+//!
+//! Nothing here owns header text: a message's header list is a stack
+//! array of `(&str, &str)` handed to [`h1::encode_request`] /
+//! [`h1::encode_response`], which move the encoded DNS message into the
+//! body segment, and an arriving message is read — status, body — through
+//! the parser's borrowed view, straight out of its receive buffer.
 
 use crate::stream::{Framing, Segments, StreamClient, StreamServer};
 use crate::ReusePolicy;
 use dohmark_dns_wire::Message;
-use dohmark_httpsim::h1::{Encoded, Request, RequestParser, Response, ResponseParser};
+use dohmark_httpsim::h1::{self, Encoded, RequestParser, ResponseParser};
 use dohmark_netsim::{HostId, LayerTag, Side};
 use dohmark_tls_model::TlsConfig;
 use std::collections::VecDeque;
@@ -26,31 +32,6 @@ use std::collections::VecDeque;
 pub const DNS_MESSAGE: &str = "application/dns-message";
 /// The conventional DoH endpoint path.
 pub const DOH_PATH: &str = "/dns-query";
-
-fn doh_request(authority: &str, body: Vec<u8>) -> Request {
-    Request::new(
-        "POST",
-        DOH_PATH,
-        vec![
-            ("host".to_string(), authority.to_string()),
-            ("accept".to_string(), DNS_MESSAGE.to_string()),
-            ("content-type".to_string(), DNS_MESSAGE.to_string()),
-        ],
-    )
-    .with_body(body)
-}
-
-fn doh_response(body: Vec<u8>) -> Response {
-    Response::new(
-        200,
-        "OK",
-        vec![
-            ("content-type".to_string(), DNS_MESSAGE.to_string()),
-            ("server".to_string(), "dohmark".to_string()),
-        ],
-    )
-    .with_body(body)
-}
 
 /// Header text tagged `HttpHeader`, the body `HttpBody`.
 fn tagged(encoded: Encoded) -> Segments {
@@ -102,11 +83,17 @@ impl Framing for Http1 {
     }
 
     fn encode_query(&self, _conn: &mut H1Conn, query: &Message) -> Segments {
-        tagged(doh_request(&self.authority, query.encode()).encode())
+        let headers = [
+            ("host", self.authority.as_str()),
+            ("accept", DNS_MESSAGE),
+            ("content-type", DNS_MESSAGE),
+        ];
+        tagged(h1::encode_request("POST", DOH_PATH, &headers, query.encode()))
     }
 
     fn encode_response(_conn: &mut H1Conn, _slot: u64, response: &Message) -> Segments {
-        tagged(doh_response(response.encode()).encode())
+        let headers = [("content-type", DNS_MESSAGE), ("server", "dohmark")];
+        tagged(h1::encode_response(200, "OK", &headers, response.encode()))
     }
 
     fn decode(
@@ -119,10 +106,10 @@ impl Framing for Http1 {
         match &mut conn.parser {
             H1Parser::Responses(parser) => {
                 parser.push(plaintext);
-                while let Ok(Some(response)) = parser.next_response() {
+                while let Ok(Some(response)) = parser.next_ref() {
                     completed += 1;
                     if response.status == 200 {
-                        if let Ok(msg) = Message::decode(&response.body) {
+                        if let Ok(msg) = Message::decode(response.body) {
                             messages.push((0, msg));
                         }
                     }
@@ -130,10 +117,10 @@ impl Framing for Http1 {
             }
             H1Parser::Requests(parser) => {
                 parser.push(plaintext);
-                while let Ok(Some(request)) = parser.next_request() {
+                while let Ok(Some(request)) = parser.next_ref() {
                     // Requests whose body is not a DNS message are dropped,
                     // like a resolver answering 400 we never retry on.
-                    let Ok(query) = Message::decode(&request.body) else { continue };
+                    let Ok(query) = Message::decode(request.body) else { continue };
                     messages.push((conn.answered + conn.pipeline.len() as u64, query));
                     conn.pipeline.push_back(None);
                 }

@@ -17,13 +17,20 @@
 //!   header-byte shrinkage `examples/transport_shootout.rs` asserts.
 //! * Graceful teardown sends GOAWAY (NO_ERROR) before the FIN, as real
 //!   clients do; fresh connections do this after every response.
+//!
+//! Nothing here owns header text or copies a frame: a message's header
+//! list is a stack array of `(&str, &str)` that HPACK encodes directly
+//! behind the HEADERS frame header, and arriving frames are read where
+//! they lie in the [`FrameDecoder`]'s buffer — `:status` through
+//! [`hpack::Decoder::decode_with`], the DNS message out of the DATA
+//! payload. Only a body split over several DATA frames is reassembled.
 
 use crate::doh1::{DNS_MESSAGE, DOH_PATH};
 use crate::stream::{Framing, Segments, StreamClient, StreamServer};
 use crate::ReusePolicy;
 use dohmark_dns_wire::Message;
-use dohmark_httpsim::h2::{settings, Frame, FrameDecoder, PREFACE};
-use dohmark_httpsim::hpack;
+use dohmark_httpsim::h2::{self, settings, Frame, FrameDecoder, FrameRef, PREFACE};
+use dohmark_httpsim::{decimal, hpack};
 use dohmark_netsim::{HostId, LayerTag, Side};
 use dohmark_tls_model::TlsConfig;
 use std::collections::{HashMap, HashSet};
@@ -46,16 +53,13 @@ const SERVER_SETTINGS: [(u16, u32); 3] = [
     (settings::INITIAL_WINDOW_SIZE, 65_535),
 ];
 
-fn owned(pairs: &[(&str, &str)]) -> Vec<(String, String)> {
-    pairs.iter().map(|&(n, v)| (n.to_string(), v.to_string())).collect()
-}
-
 /// Management frames (after `preface`, when the client opens with it)
 /// as one write tagged `HttpMgmt`.
 fn mgmt(preface: &[u8], frames: &[Frame]) -> Segments {
-    let mut bytes = preface.to_vec();
+    let mut bytes = Vec::with_capacity(preface.len() + 40 * frames.len());
+    bytes.extend_from_slice(preface);
     for frame in frames {
-        bytes.extend_from_slice(&frame.encode());
+        frame.encode_into(&mut bytes);
     }
     vec![(LayerTag::HttpMgmt, bytes)]
 }
@@ -76,9 +80,10 @@ pub struct H2Conn {
     encoder: hpack::Encoder,
     /// HPACK for header blocks this end receives.
     decoder: hpack::Decoder,
-    /// Reassembled DATA payloads per stream. Keyed lookup only (by the
-    /// arriving frame's stream id) — never iterated, so the randomized
-    /// order is unobservable (no-unordered-iteration).
+    /// DATA payloads of streams whose body did not end on its first
+    /// frame. Keyed lookup only (by the arriving frame's stream id) —
+    /// never iterated, so the randomized order is unobservable
+    /// (no-unordered-iteration).
     bodies: HashMap<u32, Vec<u8>>,
     /// Streams whose HEADERS carried a non-200 `:status`; their DATA is
     /// not a DNS answer (mirrors the h1 client's status check).
@@ -93,15 +98,23 @@ pub struct H2Conn {
     started: bool,
     /// Highest peer stream id seen (for GOAWAY).
     last_peer_stream: u32,
+    /// A malformed frame or an undecodable header block arrived: a
+    /// connection error (RFC 9113 §4.3, §5.4.1), after which nothing the
+    /// peer sends is read.
+    broken: bool,
 }
 
 impl H2Conn {
     /// One request/response: a HEADERS frame tagged header and an
     /// END_STREAM DATA frame tagged body.
-    fn message(&mut self, stream_id: u32, headers: &[(String, String)], body: Vec<u8>) -> Segments {
-        let block = self.encoder.encode(headers);
-        let headers_frame = Frame::Headers { stream_id, block, end_stream: false }.encode();
-        let data_frame = Frame::Data { stream_id, data: body, end_stream: true }.encode();
+    fn message(&mut self, stream_id: u32, headers: &[(&str, &str)], body: &[u8]) -> Segments {
+        // Room for a connection's first block, the one that is all literals.
+        let mut headers_frame = Vec::with_capacity(128);
+        h2::write_headers(&mut headers_frame, stream_id, false, |block| {
+            self.encoder.encode_into(headers, block);
+        });
+        let mut data_frame = Vec::with_capacity(h2::FRAME_HEADER + body.len());
+        h2::write_data(&mut data_frame, stream_id, body, true);
         vec![(LayerTag::HttpHeader, headers_frame), (LayerTag::HttpBody, data_frame)]
     }
 }
@@ -122,6 +135,7 @@ impl Framing for Http2 {
             next_stream_id: 1,
             started: false,
             last_peer_stream: 0,
+            broken: false,
         }
     }
 
@@ -139,35 +153,39 @@ impl Framing for Http2 {
 
     fn encode_query(&self, conn: &mut H2Conn, query: &Message) -> Segments {
         let body = query.encode();
-        let headers = owned(&[
+        let mut digits = [0; 20];
+        let headers = [
             (":method", "POST"),
             (":scheme", "https"),
-            (":authority", &self.authority),
+            (":authority", self.authority.as_str()),
             (":path", DOH_PATH),
             ("accept", DNS_MESSAGE),
             ("content-type", DNS_MESSAGE),
-            ("content-length", &body.len().to_string()),
-        ]);
+            ("content-length", decimal(body.len(), &mut digits)),
+        ];
         let stream_id = conn.next_stream_id;
         conn.next_stream_id += 2;
-        conn.message(stream_id, &headers, body)
+        conn.message(stream_id, &headers, &body)
     }
 
     fn encode_response(conn: &mut H2Conn, stream_id: u32, response: &Message) -> Segments {
         let body = response.encode();
-        let headers = owned(&[
+        let mut digits = [0; 20];
+        let headers = [
             (":status", "200"),
             ("content-type", DNS_MESSAGE),
-            ("content-length", &body.len().to_string()),
+            ("content-length", decimal(body.len(), &mut digits)),
             ("server", "dohmark"),
-        ]);
-        conn.message(stream_id, &headers, body)
+        ];
+        conn.message(stream_id, &headers, &body)
     }
 
     /// Strips the client preface (announcing the server's SETTINGS once
     /// it has arrived), then feeds the frame decoder, acknowledging
     /// SETTINGS and PING; every END_STREAM counts as completed, rejected
-    /// (non-200 / undecodable) streams included.
+    /// (non-200 / undecodable) streams included. A malformed frame or an
+    /// undecodable header block ends the connection: it and everything
+    /// after it, on this call and later ones, goes unread.
     fn decode(
         conn: &mut H2Conn,
         plaintext: &[u8],
@@ -179,51 +197,76 @@ impl Framing for Http2 {
             let announce = Frame::Settings { params: SERVER_SETTINGS.to_vec(), ack: false };
             control.push(mgmt(&[], &[announce]));
         }
+        if conn.broken {
+            return (Vec::new(), 0);
+        }
         conn.frames.push(&plaintext[skip..]);
         let mut messages = Vec::new();
         let mut completed = 0usize;
-        // A malformed frame (`Err`) poisons the connection: stop reading.
-        while let Ok(Some(frame)) = conn.frames.next_frame() {
+        loop {
+            let frame = match conn.frames.next_ref() {
+                Ok(Some(frame)) => frame,
+                Ok(None) => break,
+                Err(_) => {
+                    conn.broken = true;
+                    break;
+                }
+            };
             match frame {
-                Frame::Settings { ack: false, .. } => {
+                FrameRef::Settings { ack: false, .. } => {
                     control.push(mgmt(&[], &[Frame::Settings { params: Vec::new(), ack: true }]));
                 }
-                Frame::Settings { ack: true, .. } => {}
-                Frame::Headers { stream_id, block, .. } => {
+                FrameRef::Settings { ack: true, .. } => {}
+                FrameRef::Headers { stream_id, block, .. } => {
                     conn.last_peer_stream = conn.last_peer_stream.max(stream_id);
-                    // Decoding also keeps the shared dynamic table in sync.
-                    if let Ok(headers) = conn.decoder.decode(&block) {
-                        // A non-200 response is no DNS answer (requests
-                        // carry no `:status` and stay accepted).
-                        let failed =
-                            headers.iter().any(|(name, value)| name == ":status" && value != "200");
-                        if failed {
-                            conn.failed_streams.insert(stream_id);
-                        }
+                    // A non-200 response is no DNS answer (requests carry
+                    // no `:status` and stay accepted). Decoding also keeps
+                    // the shared dynamic table in sync — so a block that
+                    // does not decode leaves it out of step for good.
+                    let mut failed = false;
+                    let decoded = conn.decoder.decode_with(block, |name, value| {
+                        failed |= name == ":status" && value != "200";
+                    });
+                    if decoded.is_err() {
+                        conn.broken = true;
+                        break;
+                    }
+                    if failed {
+                        conn.failed_streams.insert(stream_id);
                     }
                 }
-                Frame::Data { stream_id, data, end_stream } => {
+                FrameRef::Data { stream_id, data, end_stream } => {
                     conn.last_peer_stream = conn.last_peer_stream.max(stream_id);
-                    let body = conn.bodies.entry(stream_id).or_default();
-                    body.extend_from_slice(&data);
-                    if end_stream {
-                        completed += 1;
-                        let body = conn.bodies.remove(&stream_id).unwrap_or_default();
-                        if !conn.failed_streams.remove(&stream_id) {
-                            if let Ok(msg) = Message::decode(&body) {
-                                messages.push((stream_id, msg));
-                            }
+                    if !end_stream {
+                        conn.bodies.entry(stream_id).or_default().extend_from_slice(data);
+                        continue;
+                    }
+                    completed += 1;
+                    // A body that arrived whole is decoded where it lies.
+                    let earlier =
+                        if conn.bodies.is_empty() { None } else { conn.bodies.remove(&stream_id) };
+                    if !conn.failed_streams.is_empty() && conn.failed_streams.remove(&stream_id) {
+                        continue;
+                    }
+                    let decoded = match earlier {
+                        Some(mut body) => {
+                            body.extend_from_slice(data);
+                            Message::decode(&body)
                         }
+                        None => Message::decode(data),
+                    };
+                    if let Ok(msg) = decoded {
+                        messages.push((stream_id, msg));
                     }
                 }
-                Frame::Ping { data, ack: false } => {
+                FrameRef::Ping { data, ack: false } => {
                     control.push(mgmt(&[], &[Frame::Ping { data, ack: true }]));
                 }
-                Frame::Ping { ack: true, .. }
-                | Frame::WindowUpdate { .. }
-                | Frame::Goaway { .. }
-                | Frame::RstStream { .. }
-                | Frame::Unknown { .. } => {}
+                FrameRef::Ping { ack: true, .. }
+                | FrameRef::WindowUpdate { .. }
+                | FrameRef::Goaway { .. }
+                | FrameRef::RstStream { .. }
+                | FrameRef::Unknown { .. } => {}
             }
         }
         (messages, completed)
@@ -368,27 +411,26 @@ mod tests {
         assert_eq!(conn.next_stream_id, 7, "streams 1, 3, 5 were used");
     }
 
-    #[test]
-    fn non_200_responses_are_not_dns_answers() {
-        // A hand-rolled server that answers every query with :status 500
-        // and a DNS-shaped body; the client must not surface it (the h1
-        // client's explicit status check, mirrored on h2) — but the
-        // rejected response still completes the stream, so a Fresh
-        // connection must tear down rather than linger.
+    /// Sends `queries` queries back to back from a `policy` client to a
+    /// hand-rolled server that answers each with whatever `answer` makes
+    /// of `(connection, stream id, DNS response bytes)`, and hands the
+    /// client back once the simulation is quiet.
+    fn resolve_against(
+        policy: ReusePolicy,
+        queries: usize,
+        mut answer: impl FnMut(&mut H2Conn, u32, &[u8]) -> Segments,
+    ) -> DohH2Client {
         let mut sim = Sim::new(21);
         let stub = sim.add_host("stub");
         let resolver = sim.add_host("resolver");
-        sim.add_link(stub, resolver, dohmark_netsim::LinkConfig::localhost());
+        sim.add_link(stub, resolver, LinkConfig::localhost());
         let listener = sim.tcp_listen(resolver, 443);
-        let mut client = DohH2Client::new(
-            stub,
-            (resolver, 443),
-            "dns.example.net",
-            h2_tls(),
-            ReusePolicy::Fresh,
-        );
+        let mut client =
+            DohH2Client::new(stub, (resolver, 443), "dns.example.net", h2_tls(), policy);
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-        client.send_query(&mut sim, &name);
+        for _ in 0..queries {
+            client.send_query(&mut sim, &name);
+        }
         let mut server_conn: Option<(TlsStream, H2Conn)> = None;
         while let Some(wake) = sim.next_wake() {
             client.on_wake(&mut sim, &wake);
@@ -407,22 +449,58 @@ mod tests {
                         let body =
                             Message::fixed_a_response(&query, Ipv4Addr::new(192, 0, 2, 7), 60)
                                 .encode();
-                        let headers = owned(&[
-                            (":status", "500"),
-                            ("content-type", DNS_MESSAGE),
-                            ("content-length", &body.len().to_string()),
-                        ]);
-                        let rejected = conn.message(stream_id, &headers, body);
-                        tls.send_segments(&mut sim, u32::from(query.header.id), &rejected);
+                        let segments = answer(conn, stream_id, &body);
+                        tls.send_segments(&mut sim, u32::from(query.header.id), &segments);
                     }
                 }
                 _ => {}
             }
         }
+        client
+    }
+
+    #[test]
+    fn non_200_responses_are_not_dns_answers() {
+        // A server that answers every query with :status 500 and a
+        // DNS-shaped body; the client must not surface it (the h1
+        // client's explicit status check, mirrored on h2) — but the
+        // rejected response still completes the stream, so a Fresh
+        // connection must tear down rather than linger.
+        let mut client = resolve_against(ReusePolicy::Fresh, 1, |conn, stream_id, body| {
+            let headers = [
+                (":status", "500"),
+                ("content-type", DNS_MESSAGE),
+                ("content-length", &body.len().to_string()),
+            ];
+            conn.message(stream_id, &headers, body)
+        });
         assert!(client.take_response(1).is_none(), "a 500 must not count as an answer");
         // The rejected response still drained the in-flight count: the
         // fresh connection was torn down, not left open for reuse.
         assert!(!client.is_connected(), "fresh connection must close after a 500");
+    }
+
+    #[test]
+    fn an_undecodable_header_block_ends_the_connection() {
+        // The first answer's header block names an index outside both
+        // tables (`BadIndex`): from there on the client's dynamic table
+        // may be out of step with the server's, so neither that stream's
+        // DATA nor the well-formed answer behind it is a DNS answer.
+        let mut first = true;
+        let mut client = resolve_against(ReusePolicy::Persistent, 2, |conn, stream_id, body| {
+            if !std::mem::take(&mut first) {
+                return conn.message(stream_id, &[(":status", "200")], body);
+            }
+            let mut headers_frame = Vec::new();
+            h2::write_headers(&mut headers_frame, stream_id, false, |block| {
+                block.extend_from_slice(&[0xBF, 0x20]);
+            });
+            let mut data_frame = Vec::new();
+            h2::write_data(&mut data_frame, stream_id, body, true);
+            vec![(LayerTag::HttpHeader, headers_frame), (LayerTag::HttpBody, data_frame)]
+        });
+        assert!(client.take_response(1).is_none(), "DATA behind an undecodable block");
+        assert!(client.take_response(2).is_none(), "the connection is not read any further");
     }
 
     #[test]

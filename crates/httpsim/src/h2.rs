@@ -15,7 +15,27 @@
 //! accounting: HEADERS frames (header bytes plus their frame header) are
 //! charged to the paper's "Hdr" layer, DATA frames to "Body", and
 //! everything else to "Mgmt".
+//!
+//! # Owned and borrowed frames
+//!
+//! [`Frame`] owns its payload; [`FrameRef`] is the same frame with every
+//! variable-length payload a slice of whatever holds the bytes. Both are
+//! one codec: [`FrameDecoder::next_ref`] parses a frame where it lies in
+//! the decoder's buffer and [`FrameDecoder::next_frame`] is
+//! [`FrameRef::to_owned`] of that view; [`Frame::encode`] is
+//! [`Frame::encode_into`] a fresh buffer, and the two frames that carry a
+//! message — [`write_headers`], whose block is written in place behind the
+//! frame header and its length patched in afterwards, and [`write_data`] —
+//! are what `encode_into` itself calls for them.
+//!
+//! A borrowed frame pins the decoder's buffer, so consuming it cannot
+//! move bytes: the decoder only advances a consumed-prefix offset, and
+//! [`FrameDecoder::push`] compacts — before it appends — once the
+//! consumed prefix is longer than the bytes still pending. Every byte is
+//! moved at most once per time it is overtaken, and the buffer never
+//! holds more than twice its pending bytes plus the chunk just pushed.
 
+use crate::StreamBuf;
 use std::fmt;
 
 /// The 24 octets every client connection starts with (§3.4).
@@ -153,111 +173,243 @@ fn put_frame_header(out: &mut Vec<u8>, len: usize, ftype: u8, flags: u8, stream_
     out.extend_from_slice(&(stream_id & 0x7FFF_FFFF).to_be_bytes());
 }
 
+/// Appends a HEADERS frame whose header block `block` writes directly
+/// behind the frame header; the length field is patched once the block's
+/// size is known. Header blocks here always fit one frame, so END_HEADERS
+/// is always set and CONTINUATION never occurs.
+pub fn write_headers(
+    out: &mut Vec<u8>,
+    stream_id: u32,
+    end_stream: bool,
+    block: impl FnOnce(&mut Vec<u8>),
+) {
+    let flags = if end_stream { FLAG_END_HEADERS | FLAG_END_STREAM } else { FLAG_END_HEADERS };
+    let at = out.len();
+    put_frame_header(out, 0, frame_type::HEADERS, flags, stream_id);
+    block(out);
+    let len = out.len() - at - FRAME_HEADER;
+    debug_assert!(len < 1 << 24);
+    out[at..at + 3].copy_from_slice(&(len as u32).to_be_bytes()[1..]);
+}
+
+/// Appends a DATA frame carrying `data`.
+pub fn write_data(out: &mut Vec<u8>, stream_id: u32, data: &[u8], end_stream: bool) {
+    let flags = if end_stream { FLAG_END_STREAM } else { 0 };
+    put_frame_header(out, data.len(), frame_type::DATA, flags, stream_id);
+    out.extend_from_slice(data);
+}
+
 impl Frame {
     /// Serialises the frame: 9-octet header plus payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(FRAME_HEADER + 16);
+        let payload = match self {
+            Frame::Data { data, .. } => data.len(),
+            Frame::Headers { block, .. } => block.len(),
+            Frame::Settings { params, .. } => params.len() * 6,
+            Frame::Goaway { debug, .. } => 8 + debug.len(),
+            Frame::Unknown { payload, .. } => payload.len(),
+            Frame::WindowUpdate { .. } | Frame::Ping { .. } | Frame::RstStream { .. } => 8,
+        };
+        let mut out = Vec::with_capacity(FRAME_HEADER + payload);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// [`Frame::encode`], the frame appended to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Frame::Data { stream_id, data, end_stream } => {
-                let flags = if *end_stream { FLAG_END_STREAM } else { 0 };
-                put_frame_header(&mut out, data.len(), frame_type::DATA, flags, *stream_id);
-                out.extend_from_slice(data);
+                write_data(out, *stream_id, data, *end_stream);
             }
             Frame::Headers { stream_id, block, end_stream } => {
-                // Header blocks here always fit one frame, so END_HEADERS
-                // is always set and CONTINUATION never occurs.
-                let mut flags = FLAG_END_HEADERS;
-                if *end_stream {
-                    flags |= FLAG_END_STREAM;
-                }
-                put_frame_header(&mut out, block.len(), frame_type::HEADERS, flags, *stream_id);
-                out.extend_from_slice(block);
+                write_headers(out, *stream_id, *end_stream, |out| out.extend_from_slice(block));
             }
             Frame::Settings { params, ack } => {
                 let flags = if *ack { FLAG_ACK } else { 0 };
-                put_frame_header(&mut out, params.len() * 6, frame_type::SETTINGS, flags, 0);
+                put_frame_header(out, params.len() * 6, frame_type::SETTINGS, flags, 0);
                 for &(id, value) in params {
                     out.extend_from_slice(&id.to_be_bytes());
                     out.extend_from_slice(&value.to_be_bytes());
                 }
             }
             Frame::WindowUpdate { stream_id, increment } => {
-                put_frame_header(&mut out, 4, frame_type::WINDOW_UPDATE, 0, *stream_id);
+                put_frame_header(out, 4, frame_type::WINDOW_UPDATE, 0, *stream_id);
                 out.extend_from_slice(&(increment & 0x7FFF_FFFF).to_be_bytes());
             }
             Frame::Ping { data, ack } => {
                 let flags = if *ack { FLAG_ACK } else { 0 };
-                put_frame_header(&mut out, 8, frame_type::PING, flags, 0);
+                put_frame_header(out, 8, frame_type::PING, flags, 0);
                 out.extend_from_slice(data);
             }
             Frame::Goaway { last_stream_id, error_code, debug } => {
-                put_frame_header(&mut out, 8 + debug.len(), frame_type::GOAWAY, 0, 0);
+                put_frame_header(out, 8 + debug.len(), frame_type::GOAWAY, 0, 0);
                 out.extend_from_slice(&(last_stream_id & 0x7FFF_FFFF).to_be_bytes());
                 out.extend_from_slice(&error_code.to_be_bytes());
                 out.extend_from_slice(debug);
             }
             Frame::RstStream { stream_id, error_code } => {
-                put_frame_header(&mut out, 4, frame_type::RST_STREAM, 0, *stream_id);
+                put_frame_header(out, 4, frame_type::RST_STREAM, 0, *stream_id);
                 out.extend_from_slice(&error_code.to_be_bytes());
             }
             Frame::Unknown { frame_type, stream_id, payload } => {
-                put_frame_header(&mut out, payload.len(), *frame_type, 0, *stream_id);
+                put_frame_header(out, payload.len(), *frame_type, 0, *stream_id);
                 out.extend_from_slice(payload);
             }
         }
-        out
     }
+}
 
-    fn decode(ftype: u8, flags: u8, stream_id: u32, payload: &[u8]) -> Result<Frame, H2Error> {
-        let be32 = |b: &[u8]| u32::from_be_bytes([b[0], b[1], b[2], b[3]]);
+/// One HTTP/2 frame as it lies in a receive buffer: [`Frame`] with every
+/// variable-length payload borrowed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FrameRef<'a> {
+    /// DATA (§6.1): stream payload bytes.
+    Data {
+        /// Stream the data belongs to.
+        stream_id: u32,
+        /// Payload bytes.
+        data: &'a [u8],
+        /// END_STREAM flag.
+        end_stream: bool,
+    },
+    /// HEADERS (§6.2) carrying a complete HPACK header block.
+    Headers {
+        /// Stream the header block opens.
+        stream_id: u32,
+        /// HPACK-encoded header block fragment.
+        block: &'a [u8],
+        /// END_STREAM flag.
+        end_stream: bool,
+    },
+    /// SETTINGS (§6.5): parameter list, or an empty acknowledgement.
+    Settings {
+        /// Whole 6-octet entries: a 16-bit identifier, a 32-bit value.
+        params: &'a [u8],
+        /// ACK flag.
+        ack: bool,
+    },
+    /// WINDOW_UPDATE (§6.9).
+    WindowUpdate {
+        /// 0 for the connection window, else the stream.
+        stream_id: u32,
+        /// Window increment in octets.
+        increment: u32,
+    },
+    /// PING (§6.7): 8 opaque octets.
+    Ping {
+        /// Opaque payload, echoed in the ACK.
+        data: [u8; 8],
+        /// ACK flag.
+        ack: bool,
+    },
+    /// GOAWAY (§6.8).
+    Goaway {
+        /// Highest stream id the sender may still process.
+        last_stream_id: u32,
+        /// Error code (0 = NO_ERROR, the graceful case).
+        error_code: u32,
+        /// Optional opaque debug data.
+        debug: &'a [u8],
+    },
+    /// RST_STREAM (§6.4).
+    RstStream {
+        /// The stream being reset.
+        stream_id: u32,
+        /// Error code.
+        error_code: u32,
+    },
+    /// Any frame type this model does not interpret.
+    Unknown {
+        /// Frame type code.
+        frame_type: u8,
+        /// Stream id from the frame header.
+        stream_id: u32,
+        /// Raw payload.
+        payload: &'a [u8],
+    },
+}
+
+fn be32(b: &[u8]) -> u32 {
+    u32::from_be_bytes([b[0], b[1], b[2], b[3]])
+}
+
+impl<'a> FrameRef<'a> {
+    /// Types one frame from its header fields and complete payload.
+    fn parse(
+        ftype: u8,
+        flags: u8,
+        stream_id: u32,
+        payload: &'a [u8],
+    ) -> Result<FrameRef<'a>, H2Error> {
+        let end_stream = flags & FLAG_END_STREAM != 0;
         match ftype {
-            frame_type::DATA => Ok(Frame::Data {
-                stream_id,
-                data: payload.to_vec(),
-                end_stream: flags & FLAG_END_STREAM != 0,
-            }),
-            frame_type::HEADERS => Ok(Frame::Headers {
-                stream_id,
-                block: payload.to_vec(),
-                end_stream: flags & FLAG_END_STREAM != 0,
-            }),
+            frame_type::DATA => Ok(FrameRef::Data { stream_id, data: payload, end_stream }),
+            frame_type::HEADERS => Ok(FrameRef::Headers { stream_id, block: payload, end_stream }),
             frame_type::SETTINGS => {
                 if payload.len() % 6 != 0 {
                     return Err(H2Error::BadFrame("SETTINGS"));
                 }
-                let params = payload
-                    .chunks_exact(6)
-                    .map(|c| (u16::from_be_bytes([c[0], c[1]]), be32(&c[2..])))
-                    .collect();
-                Ok(Frame::Settings { params, ack: flags & FLAG_ACK != 0 })
+                Ok(FrameRef::Settings { params: payload, ack: flags & FLAG_ACK != 0 })
             }
             frame_type::WINDOW_UPDATE => {
                 if payload.len() != 4 {
                     return Err(H2Error::BadFrame("WINDOW_UPDATE"));
                 }
-                Ok(Frame::WindowUpdate { stream_id, increment: be32(payload) & 0x7FFF_FFFF })
+                Ok(FrameRef::WindowUpdate { stream_id, increment: be32(payload) & 0x7FFF_FFFF })
             }
             frame_type::PING => {
                 let data: [u8; 8] = payload.try_into().map_err(|_| H2Error::BadFrame("PING"))?;
-                Ok(Frame::Ping { data, ack: flags & FLAG_ACK != 0 })
+                Ok(FrameRef::Ping { data, ack: flags & FLAG_ACK != 0 })
             }
             frame_type::GOAWAY => {
                 if payload.len() < 8 {
                     return Err(H2Error::BadFrame("GOAWAY"));
                 }
-                Ok(Frame::Goaway {
+                Ok(FrameRef::Goaway {
                     last_stream_id: be32(payload) & 0x7FFF_FFFF,
                     error_code: be32(&payload[4..]),
-                    debug: payload[8..].to_vec(),
+                    debug: &payload[8..],
                 })
             }
             frame_type::RST_STREAM => {
                 if payload.len() != 4 {
                     return Err(H2Error::BadFrame("RST_STREAM"));
                 }
-                Ok(Frame::RstStream { stream_id, error_code: be32(payload) })
+                Ok(FrameRef::RstStream { stream_id, error_code: be32(payload) })
             }
-            other => Ok(Frame::Unknown { frame_type: other, stream_id, payload: payload.to_vec() }),
+            other => Ok(FrameRef::Unknown { frame_type: other, stream_id, payload }),
+        }
+    }
+
+    /// The frame with its payload copied out of the buffer.
+    pub fn to_owned(&self) -> Frame {
+        match *self {
+            FrameRef::Data { stream_id, data, end_stream } => {
+                Frame::Data { stream_id, data: data.to_vec(), end_stream }
+            }
+            FrameRef::Headers { stream_id, block, end_stream } => {
+                Frame::Headers { stream_id, block: block.to_vec(), end_stream }
+            }
+            FrameRef::Settings { params, ack } => {
+                let params = params
+                    .chunks_exact(6)
+                    .map(|c| (u16::from_be_bytes([c[0], c[1]]), be32(&c[2..])))
+                    .collect();
+                Frame::Settings { params, ack }
+            }
+            FrameRef::WindowUpdate { stream_id, increment } => {
+                Frame::WindowUpdate { stream_id, increment }
+            }
+            FrameRef::Ping { data, ack } => Frame::Ping { data, ack },
+            FrameRef::Goaway { last_stream_id, error_code, debug } => {
+                Frame::Goaway { last_stream_id, error_code, debug: debug.to_vec() }
+            }
+            FrameRef::RstStream { stream_id, error_code } => {
+                Frame::RstStream { stream_id, error_code }
+            }
+            FrameRef::Unknown { frame_type, stream_id, payload } => {
+                Frame::Unknown { frame_type, stream_id, payload: payload.to_vec() }
+            }
         }
     }
 }
@@ -272,10 +424,11 @@ const MAX_FRAME_PAYLOAD: usize = 1 << 20;
 ///
 /// Feed raw stream bytes with [`FrameDecoder::push`] (after stripping the
 /// client [`PREFACE`], which is not a frame), then drain complete frames
-/// with [`FrameDecoder::next_frame`].
+/// with [`FrameDecoder::next_ref`] — or [`FrameDecoder::next_frame`] for
+/// frames that outlive the next call.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
-    buf: Vec<u8>,
+    buf: StreamBuf,
 }
 
 impl FrameDecoder {
@@ -286,34 +439,38 @@ impl FrameDecoder {
 
     /// Appends received stream bytes.
     pub fn push(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
+        self.buf.push(bytes);
     }
 
     /// Bytes buffered but not yet consumed.
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.buf.pending().len()
     }
 
-    /// Pops the next complete frame, if fully received.
-    pub fn next_frame(&mut self) -> Result<Option<Frame>, H2Error> {
-        if self.buf.len() < FRAME_HEADER {
-            return Ok(None);
-        }
-        let len = usize::from(self.buf[0]) << 16
-            | usize::from(self.buf[1]) << 8
-            | usize::from(self.buf[2]);
+    /// Pops the next complete frame, if fully received, as a view of the
+    /// decoder's buffer. A frame whose payload does not match its type's
+    /// fixed layout is consumed and reported; a length field at or above
+    /// 1 MiB is reported without consuming anything, on every call.
+    pub fn next_ref(&mut self) -> Result<Option<FrameRef<'_>>, H2Error> {
+        let pending = self.buf.pending();
+        let Some(header) = pending.get(..FRAME_HEADER) else { return Ok(None) };
+        let len =
+            usize::from(header[0]) << 16 | usize::from(header[1]) << 8 | usize::from(header[2]);
         if len >= MAX_FRAME_PAYLOAD {
             return Err(H2Error::FrameTooLarge(len));
         }
-        if self.buf.len() < FRAME_HEADER + len {
+        if pending.len() < FRAME_HEADER + len {
             return Ok(None);
         }
-        let ftype = self.buf[3];
-        let flags = self.buf[4];
-        let stream_id =
-            u32::from_be_bytes([self.buf[5], self.buf[6], self.buf[7], self.buf[8]]) & 0x7FFF_FFFF;
-        let payload: Vec<u8> = self.buf.drain(..FRAME_HEADER + len).skip(FRAME_HEADER).collect();
-        Frame::decode(ftype, flags, stream_id, &payload).map(Some)
+        let frame = self.buf.consume(FRAME_HEADER + len);
+        let (header, payload) = frame.split_at(FRAME_HEADER);
+        let stream_id = be32(&header[5..]) & 0x7FFF_FFFF;
+        FrameRef::parse(header[3], header[4], stream_id, payload).map(Some)
+    }
+
+    /// [`FrameDecoder::next_ref`], the frame copied out of the buffer.
+    pub fn next_frame(&mut self) -> Result<Option<Frame>, H2Error> {
+        Ok(self.next_ref()?.map(|frame| frame.to_owned()))
     }
 }
 
@@ -394,6 +551,45 @@ mod tests {
         let mut dec = FrameDecoder::new();
         dec.push(&[0, 0, 5, 4, 0, 0, 0, 0, 0, 1, 2, 3, 4, 5]);
         assert_eq!(dec.next_frame(), Err(H2Error::BadFrame("SETTINGS")));
+    }
+
+    /// 10 000 messages pushed in chunks that never end on a frame
+    /// boundary: the buffer compacts as it goes.
+    #[test]
+    fn decoder_buffer_stays_bounded_with_a_partial_frame_always_pending() {
+        const CHUNK: usize = 37;
+        let mut message = Vec::new();
+        write_headers(&mut message, 1, false, |block| block.extend_from_slice(&[0x82; 7]));
+        let headers_len = message.len();
+        write_data(&mut message, 1, &[0xAB; 90], true);
+        let mut dec = FrameDecoder::new();
+        let mut wire = Vec::new();
+        // Stream offsets: of the bytes pushed, and of each frame end
+        // generated.
+        let (mut pushed, mut generated) = (0usize, 0usize);
+        let mut ends = Vec::new();
+        let mut messages = 0usize;
+        while messages < 10_000 {
+            while wire.len() < CHUNK {
+                wire.extend_from_slice(&message);
+                ends.extend([generated + headers_len, generated + message.len()]);
+                generated += message.len();
+            }
+            let chunk = if ends.contains(&(pushed + CHUNK)) { CHUNK - 1 } else { CHUNK };
+            dec.push(&wire[..chunk]);
+            wire.drain(..chunk);
+            pushed += chunk;
+            ends.retain(|&end| end > pushed);
+            while let Some(frame) = dec.next_ref().unwrap() {
+                messages += usize::from(matches!(frame, FrameRef::Data { end_stream: true, .. }));
+            }
+            assert!(dec.buffered() > 0, "a partial frame is pending");
+            let held = dec.buf.held();
+            assert!(
+                held <= 2 * (message.len() + CHUNK),
+                "{held} bytes held after {messages} messages"
+            );
+        }
     }
 
     #[test]

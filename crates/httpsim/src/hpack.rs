@@ -16,6 +16,27 @@
 //! across consecutive queries in `examples/transport_shootout.rs` is this
 //! module at work.
 //!
+//! # Borrowed in, borrowed out
+//!
+//! A header list is any slice of `(name, value)` pairs that read as
+//! `&str` — a stack array of `(&str, &str)` on the simulator's hot path, a
+//! `Vec<(String, String)>` where a caller already owns one — and
+//! [`Encoder::encode_into`] appends its block to a buffer the caller
+//! brings, so a HEADERS frame is written behind its own frame header with
+//! no block in between. The only heap traffic of an encode is one
+//! allocation per field that enters the dynamic table.
+//!
+//! [`Decoder::decode_with`] hands each field to a visitor as two `&str`s
+//! and allocates only for a field that enters the dynamic table. Where a
+//! field's bytes live depends on its representation: an indexed name or
+//! value lies in the static table or in the decoder's dynamic table; a
+//! literal string — Huffman-coded or raw — is decoded into a scratch
+//! buffer the decoder owns and reuses from one field to the next. Either
+//! way the borrow ends when the visitor returns: the next field overwrites
+//! the scratch buffer, and the next insertion may evict the table entry.
+//! [`Decoder::decode`] is that same walk collecting the fields into a
+//! `Vec<(String, String)>`.
+//!
 //! # Huffman model
 //!
 //! The Huffman code is built canonically from a code-length table
@@ -27,6 +48,17 @@
 //! simulation produces — share a uniform 23-bit code instead of the RFC's
 //! per-symbol 10–30-bit codes. Unfinished trailing bits are padded with
 //! ones and validated on decode, as §5.2 requires.
+//!
+//! Decoding walks an automaton generated, at first use, from that same
+//! code: one state per interior node of the code's binary trie, and for
+//! each state a row of 16 transitions, one per value of the next four
+//! input bits. A transition names the state the four bits lead to, the
+//! symbol they completed on the way (the shortest code is five bits, so at
+//! most one), or that they ran into a hole in the code space. The padding
+//! rule is a property of the *state* the input ends in, not of the last
+//! step taken: a state accepts when the path from the trie's root to it is
+//! at most seven bits long and all ones. The code-length table stays the
+//! only table written by hand.
 
 use std::fmt;
 use std::sync::OnceLock;
@@ -216,11 +248,56 @@ fn code_lengths() -> [u8; 256] {
     len
 }
 
-/// The built Huffman code: per-symbol (code, length) plus a binary decode
-/// trie in a flat node array (`[left, right]`, leaves store `!symbol`).
+/// One transition of the decode automaton: what four input bits do to a
+/// state. Four octets, so a state's 16 transitions are one cache line.
+#[derive(Debug, Clone, Copy, Default)]
+struct Step {
+    /// The state the four bits lead to.
+    next: u16,
+    /// The symbol they completed on the way, under [`Step::EMIT`].
+    symbol: u8,
+    flags: u8,
+}
+
+impl Step {
+    /// The bits completed `symbol`.
+    const EMIT: u8 = 1;
+    /// The bits left the code: a hole in the code space.
+    const HOLE: u8 = 2;
+}
+
+/// The built Huffman code: per-symbol (code, length) for the encoder, and
+/// for the decoder an automaton that consumes four bits a step — one state
+/// per interior node of the code's trie, state 0 its root.
 struct Huffman {
     codes: [(u32, u8); 256],
-    trie: Vec<[i32; 2]>,
+    steps: Vec<[Step; 16]>,
+    /// Whether the input may end in a state: the bits since the last whole
+    /// symbol are at most seven and all ones (§5.2 padding).
+    accept: Vec<bool>,
+}
+
+/// The canonical code's binary trie in a flat node array: `[left, right]`
+/// per interior node, the root first; a negative child is the leaf
+/// `!symbol`, 0 is a hole in the code space.
+fn code_trie(codes: &[(u32, u8); 256]) -> Vec<[i32; 2]> {
+    let mut trie: Vec<[i32; 2]> = vec![[0, 0]];
+    for (sym, &(code, len)) in codes.iter().enumerate() {
+        let mut node = 0usize;
+        for i in (0..len).rev() {
+            let bit = ((code >> i) & 1) as usize;
+            if i == 0 {
+                trie[node][bit] = !(sym as i32);
+            } else {
+                if trie[node][bit] == 0 {
+                    trie.push([0, 0]);
+                    trie[node][bit] = (trie.len() - 1) as i32;
+                }
+                node = trie[node][bit] as usize;
+            }
+        }
+    }
+    trie
 }
 
 impl Huffman {
@@ -246,78 +323,107 @@ impl Huffman {
             debug_assert!(len == 32 || code < (1 << len), "code lengths violate Kraft");
             codes[usize::from(sym)] = (code, len);
         }
-        let mut trie: Vec<[i32; 2]> = vec![[0, 0]];
-        for (sym, &(code, len)) in codes.iter().enumerate() {
-            let mut node = 0usize;
-            for i in (0..len).rev() {
-                let bit = ((code >> i) & 1) as usize;
-                if i == 0 {
-                    trie[node][bit] = !(sym as i32);
-                } else {
-                    if trie[node][bit] == 0 {
-                        trie.push([0, 0]);
-                        trie[node][bit] = (trie.len() - 1) as i32;
+        let trie = code_trie(&codes);
+        let steps = (0..trie.len())
+            .map(|state| {
+                let mut row = [Step::default(); 16];
+                for (nibble, step) in row.iter_mut().enumerate() {
+                    let mut node = state;
+                    for i in (0..4).rev() {
+                        let next = trie[node][(nibble >> i) & 1];
+                        match next.cmp(&0) {
+                            std::cmp::Ordering::Less => {
+                                debug_assert_eq!(step.flags, 0, "codes are longer than a step");
+                                (step.symbol, step.flags) = (!next as u8, Step::EMIT);
+                                node = 0;
+                            }
+                            std::cmp::Ordering::Equal => {
+                                step.flags = Step::HOLE;
+                                break;
+                            }
+                            std::cmp::Ordering::Greater => node = next as usize,
+                        }
                     }
-                    node = trie[node][bit] as usize;
+                    step.next = node as u16;
                 }
+                row
+            })
+            .collect();
+        // The accepting states are the root and the first seven nodes down
+        // its all-ones spine.
+        let mut accept = vec![false; trie.len()];
+        let mut node = 0usize;
+        for _ in 0..8 {
+            accept[node] = true;
+            match trie[node][1] {
+                next if next > 0 => node = next as usize,
+                _ => break,
             }
         }
-        Huffman { codes, trie }
+        Huffman { codes, steps, accept }
+    }
+
+    /// Octets `input` Huffman-codes to: the code lengths summed, rounded
+    /// up to a whole octet — no trial encoding.
+    fn coded_len(&self, input: &[u8]) -> usize {
+        let bits: usize = input.iter().map(|&b| usize::from(self.codes[usize::from(b)].1)).sum();
+        bits.div_ceil(8)
+    }
+
+    /// Appends the Huffman coding of `input`, padding the final partial
+    /// octet with one bits.
+    fn encode_into(&self, input: &[u8], out: &mut Vec<u8>) {
+        let mut acc = 0u64;
+        let mut bits = 0u8;
+        for &byte in input {
+            let (code, len) = self.codes[usize::from(byte)];
+            acc = (acc << len) | u64::from(code);
+            bits += len;
+            while bits >= 8 {
+                bits -= 8;
+                out.push((acc >> bits) as u8);
+            }
+        }
+        if bits > 0 {
+            // EOS-prefix padding: all ones.
+            out.push(((acc << (8 - bits)) as u8) | (0xFF >> bits));
+        }
+    }
+
+    /// Appends the bytes `input` decodes to, validating the padding.
+    fn decode_into(&self, input: &[u8], out: &mut Vec<u8>) -> Result<(), HpackError> {
+        let mut state = 0usize;
+        for &byte in input {
+            for nibble in [byte >> 4, byte & 0x0F] {
+                let step = self.steps[state][usize::from(nibble)];
+                match step.flags {
+                    0 => {}
+                    Step::EMIT => out.push(step.symbol),
+                    _ => return Err(HpackError::BadHuffman),
+                }
+                state = usize::from(step.next);
+            }
+        }
+        if self.accept[state] {
+            Ok(())
+        } else {
+            Err(HpackError::BadHuffman)
+        }
     }
 }
 
 /// Huffman-encodes `input`, padding the final partial octet with one bits.
 pub fn huffman_encode(input: &[u8]) -> Vec<u8> {
     let table = Huffman::get();
-    let mut out = Vec::with_capacity(input.len());
-    let mut acc = 0u64;
-    let mut bits = 0u8;
-    for &byte in input {
-        let (code, len) = table.codes[usize::from(byte)];
-        acc = (acc << len) | u64::from(code);
-        bits += len;
-        while bits >= 8 {
-            bits -= 8;
-            out.push((acc >> bits) as u8);
-        }
-    }
-    if bits > 0 {
-        // EOS-prefix padding: all ones.
-        out.push(((acc << (8 - bits)) as u8) | (0xFF >> bits));
-    }
+    let mut out = Vec::with_capacity(table.coded_len(input));
+    table.encode_into(input, &mut out);
     out
 }
 
 /// Decodes Huffman `input` back to raw bytes, validating the padding.
 pub fn huffman_decode(input: &[u8]) -> Result<Vec<u8>, HpackError> {
-    let table = Huffman::get();
     let mut out = Vec::with_capacity(input.len() * 8 / 5);
-    let mut node = 0usize;
-    // Bits consumed since the last completed symbol, and whether they were
-    // all ones (the only valid padding, at most 7 bits of it).
-    let mut partial_bits = 0u8;
-    let mut partial_all_ones = true;
-    for &byte in input {
-        for i in (0..8).rev() {
-            let bit = usize::from((byte >> i) & 1);
-            partial_all_ones &= bit == 1;
-            partial_bits += 1;
-            let next = table.trie[node][bit];
-            match next.cmp(&0) {
-                std::cmp::Ordering::Less => {
-                    out.push(!next as u8);
-                    node = 0;
-                    partial_bits = 0;
-                    partial_all_ones = true;
-                }
-                std::cmp::Ordering::Equal => return Err(HpackError::BadHuffman),
-                std::cmp::Ordering::Greater => node = next as usize,
-            }
-        }
-    }
-    if partial_bits >= 8 || !partial_all_ones {
-        return Err(HpackError::BadHuffman);
-    }
+    Huffman::get().decode_into(input, &mut out)?;
     Ok(out)
 }
 
@@ -328,35 +434,66 @@ pub fn huffman_decode(input: &[u8]) -> Result<Vec<u8>, HpackError> {
 /// Writes a string literal, Huffman-coded only when that is shorter (the
 /// choice every production encoder makes).
 fn encode_string(out: &mut Vec<u8>, s: &str) {
-    let huffman = huffman_encode(s.as_bytes());
-    if huffman.len() < s.len() {
-        encode_int(out, 0x80, 7, huffman.len());
-        out.extend_from_slice(&huffman);
+    let table = Huffman::get();
+    let coded_len = table.coded_len(s.as_bytes());
+    if coded_len < s.len() {
+        encode_int(out, 0x80, 7, coded_len);
+        table.encode_into(s.as_bytes(), out);
     } else {
         encode_int(out, 0x00, 7, s.len());
         out.extend_from_slice(s.as_bytes());
     }
 }
 
-fn decode_string(buf: &[u8], pos: &mut usize) -> Result<String, HpackError> {
+/// Appends the text of the string literal at `*pos` to `scratch`,
+/// advancing `*pos` past it; what it appended is valid UTF-8.
+fn decode_string(buf: &[u8], pos: &mut usize, scratch: &mut Vec<u8>) -> Result<(), HpackError> {
     let huffman = *buf.get(*pos).ok_or(HpackError::Truncated)? & 0x80 != 0;
     let len = decode_int(buf, pos, 7)?;
     let end = pos.checked_add(len).ok_or(HpackError::IntegerOverflow)?;
     let raw = buf.get(*pos..end).ok_or(HpackError::Truncated)?;
     *pos = end;
-    let bytes = if huffman { huffman_decode(raw)? } else { raw.to_vec() };
-    String::from_utf8(bytes).map_err(|_| HpackError::BadUtf8)
+    let start = scratch.len();
+    if huffman {
+        // The shortest code is five bits.
+        scratch.reserve(raw.len() * 8 / 5);
+        Huffman::get().decode_into(raw, scratch)?;
+    } else {
+        scratch.extend_from_slice(raw);
+    }
+    std::str::from_utf8(&scratch[start..]).map(drop).map_err(|_| HpackError::BadUtf8)
 }
 
 // ---------------------------------------------------------------------
 // Dynamic table (§4)
 // ---------------------------------------------------------------------
 
+/// One dynamic-table entry: name and value back to back in a single
+/// allocation.
+#[derive(Debug)]
+struct Entry {
+    text: Box<str>,
+    name_len: usize,
+}
+
+impl Entry {
+    fn new(name: &str, value: &str) -> Entry {
+        let mut text = String::with_capacity(name.len() + value.len());
+        text.push_str(name);
+        text.push_str(value);
+        Entry { text: text.into_boxed_str(), name_len: name.len() }
+    }
+
+    fn field(&self) -> (&str, &str) {
+        self.text.split_at(self.name_len)
+    }
+}
+
 /// The dynamic table both endpoints of a direction maintain in lockstep.
 #[derive(Debug, Default)]
 struct DynTable {
     /// Newest first: `entries[0]` is index 62.
-    entries: std::collections::VecDeque<(String, String)>,
+    entries: std::collections::VecDeque<Entry>,
     /// Sum of entry sizes (name + value + 32 each).
     size: usize,
     /// Current capacity (≤ `max_size`).
@@ -368,19 +505,16 @@ impl DynTable {
         DynTable { capacity, ..DynTable::default() }
     }
 
-    fn entry_size(name: &str, value: &str) -> usize {
-        name.len() + value.len() + ENTRY_OVERHEAD
-    }
-
     fn evict_to(&mut self, limit: usize) {
         while self.size > limit {
-            let (name, value) = self.entries.pop_back().expect("size > 0 implies entries");
-            self.size -= DynTable::entry_size(&name, &value);
+            let entry = self.entries.pop_back().expect("size > 0 implies entries");
+            self.size -= entry.text.len() + ENTRY_OVERHEAD;
         }
     }
 
-    fn insert(&mut self, name: String, value: String) {
-        let size = DynTable::entry_size(&name, &value);
+    /// Adds `entry` as index 62, evicting from the old end to make room.
+    fn insert(&mut self, entry: Entry) {
+        let size = entry.text.len() + ENTRY_OVERHEAD;
         if size > self.capacity {
             // An oversized entry empties the table and is not inserted.
             self.evict_to(0);
@@ -388,7 +522,7 @@ impl DynTable {
         }
         self.evict_to(self.capacity - size);
         self.size += size;
-        self.entries.push_front((name, value));
+        self.entries.push_front(entry);
     }
 
     fn set_capacity(&mut self, capacity: usize) {
@@ -396,27 +530,41 @@ impl DynTable {
         self.evict_to(capacity);
     }
 
-    /// Entry by HPACK index (62-based), if present.
-    fn get(&self, index: usize) -> Option<&(String, String)> {
-        self.entries.get(index.checked_sub(STATIC_TABLE.len() + 1)?)
+    /// Resolves an index against the static then dynamic table.
+    fn lookup(&self, index: usize) -> Result<(&str, &str), HpackError> {
+        let at = index.checked_sub(1).ok_or(HpackError::BadIndex(0))?;
+        let field = match STATIC_TABLE.get(at) {
+            Some(&field) => Some(field),
+            None => self.entries.get(at - STATIC_TABLE.len()).map(Entry::field),
+        };
+        field.ok_or(HpackError::BadIndex(index))
     }
-}
-
-/// Resolves an index against the static then dynamic table.
-fn lookup(table: &DynTable, index: usize) -> Result<(String, String), HpackError> {
-    if index == 0 {
-        return Err(HpackError::BadIndex(0));
-    }
-    if let Some(&(name, value)) = STATIC_TABLE.get(index - 1) {
-        return Ok((name.to_string(), value.to_string()));
-    }
-    let (name, value) = table.get(index).ok_or(HpackError::BadIndex(index))?;
-    Ok((name.clone(), value.clone()))
 }
 
 // ---------------------------------------------------------------------
 // Encoder
 // ---------------------------------------------------------------------
+
+/// The index of the first of `fields` — indexed from `first` — that is
+/// exactly `(name, value)`; the first whose name matches on the way to it
+/// goes into `name_index` unless one is there already.
+fn find_field<'a>(
+    fields: impl Iterator<Item = (&'a str, &'a str)>,
+    first: usize,
+    name: &str,
+    value: &str,
+    name_index: &mut Option<usize>,
+) -> Option<usize> {
+    for ((n, v), index) in fields.zip(first..) {
+        if n == name {
+            if v == value {
+                return Some(index);
+            }
+            name_index.get_or_insert(index);
+        }
+    }
+    None
+}
 
 /// A stateful HPACK encoder for one direction of one connection.
 #[derive(Debug)]
@@ -461,27 +609,45 @@ impl Encoder {
 
     /// Encodes `headers` into one header block, updating the dynamic
     /// table exactly as the peer's [`Decoder`] will.
-    pub fn encode(&mut self, headers: &[(String, String)]) -> Vec<u8> {
-        let mut out = Vec::new();
-        if let Some(capacity) = self.pending_capacity.take() {
-            encode_int(&mut out, 0x20, 5, capacity);
-            self.table.set_capacity(capacity);
-        }
-        for (name, value) in headers {
-            self.encode_header(&mut out, name, value);
-        }
+    pub fn encode<N: AsRef<str>, V: AsRef<str>>(&mut self, headers: &[(N, V)]) -> Vec<u8> {
+        // Room for a block of mostly literals without regrowing.
+        let mut out = Vec::with_capacity(16 * headers.len());
+        self.encode_into(headers, &mut out);
         out
     }
 
+    /// [`Encoder::encode`], the block appended to `out`.
+    pub fn encode_into<N: AsRef<str>, V: AsRef<str>>(
+        &mut self,
+        headers: &[(N, V)],
+        out: &mut Vec<u8>,
+    ) {
+        if let Some(capacity) = self.pending_capacity.take() {
+            encode_int(out, 0x20, 5, capacity);
+            self.table.set_capacity(capacity);
+        }
+        for (name, value) in headers {
+            self.encode_header(out, name.as_ref(), value.as_ref());
+        }
+    }
+
     fn encode_header(&mut self, out: &mut Vec<u8>, name: &str, value: &str) {
-        // Exact match → one indexed instruction.
-        if let Some(index) = self.find_exact(name, value) {
+        // The lowest index that matches the whole field, and on the way
+        // to it the lowest whose name matches: the static table first,
+        // then the dynamic entries, newest first.
+        let mut name_index = None;
+        let statics = STATIC_TABLE.iter().copied();
+        let dynamics = self.table.entries.iter().map(Entry::field);
+        let exact = find_field(statics, 1, name, value, &mut name_index)
+            .or_else(|| find_field(dynamics, STATIC_TABLE.len() + 1, name, value, &mut name_index));
+        if let Some(index) = exact {
+            // Exact match → one indexed instruction.
             encode_int(out, 0x80, 7, index);
             return;
         }
         // Literal with incremental indexing, reusing an indexed name when
         // one exists; both sides add the entry to their dynamic table.
-        match self.find_name(name) {
+        match name_index {
             Some(index) => encode_int(out, 0x40, 6, index),
             None => {
                 out.push(0x40);
@@ -489,25 +655,7 @@ impl Encoder {
             }
         }
         encode_string(out, value);
-        self.table.insert(name.to_string(), value.to_string());
-    }
-
-    fn find_exact(&self, name: &str, value: &str) -> Option<usize> {
-        if let Some(i) = STATIC_TABLE.iter().position(|&(n, v)| n == name && v == value) {
-            return Some(i + 1);
-        }
-        self.table
-            .entries
-            .iter()
-            .position(|(n, v)| n == name && v == value)
-            .map(|i| STATIC_TABLE.len() + 1 + i)
-    }
-
-    fn find_name(&self, name: &str) -> Option<usize> {
-        if let Some(i) = STATIC_TABLE.iter().position(|&(n, _)| n == name) {
-            return Some(i + 1);
-        }
-        self.table.entries.iter().position(|(n, _)| n == name).map(|i| STATIC_TABLE.len() + 1 + i)
+        self.table.insert(Entry::new(name, value));
     }
 }
 
@@ -521,6 +669,8 @@ pub struct Decoder {
     table: DynTable,
     /// Upper bound a size update may set (SETTINGS_HEADER_TABLE_SIZE).
     max_capacity: usize,
+    /// The literal strings of the field being decoded, name first.
+    scratch: Vec<u8>,
 }
 
 impl Default for Decoder {
@@ -537,7 +687,7 @@ impl Decoder {
 
     /// A decoder whose dynamic table starts (and is capped) at `capacity`.
     pub fn with_capacity(capacity: usize) -> Decoder {
-        Decoder { table: DynTable::new(capacity), max_capacity: capacity }
+        Decoder { table: DynTable::new(capacity), max_capacity: capacity, scratch: Vec::new() }
     }
 
     /// Current dynamic-table occupancy in octets.
@@ -545,21 +695,30 @@ impl Decoder {
         self.table.size
     }
 
-    /// Decodes one complete header block.
+    /// Decodes one complete header block into an owned header list.
     pub fn decode(&mut self, block: &[u8]) -> Result<Vec<(String, String)>, HpackError> {
         let mut headers = Vec::new();
+        self.decode_with(block, |name, value| headers.push((name.to_string(), value.to_string())))?;
+        Ok(headers)
+    }
+
+    /// Decodes one complete header block, handing each field to `field`
+    /// as `(name, value)` in block order. The strings are borrowed from
+    /// the decoder (see the module docs) for the duration of the call
+    /// only. On an error the fields before it have been handed out and the
+    /// dynamic table holds their insertions: the connection is lost.
+    pub fn decode_with(
+        &mut self,
+        block: &[u8],
+        mut field: impl FnMut(&str, &str),
+    ) -> Result<(), HpackError> {
         let mut pos = 0usize;
         while pos < block.len() {
             let first = block[pos];
             if first & 0x80 != 0 {
                 // Indexed header field.
-                let index = decode_int(block, &mut pos, 7)?;
-                headers.push(lookup(&self.table, index)?);
-            } else if first & 0xC0 == 0x40 {
-                // Literal with incremental indexing.
-                let (name, value) = self.decode_literal(block, &mut pos, 6)?;
-                self.table.insert(name.clone(), value.clone());
-                headers.push((name, value));
+                let (name, value) = self.table.lookup(decode_int(block, &mut pos, 7)?)?;
+                field(name, value);
             } else if first & 0xE0 == 0x20 {
                 // Dynamic-table size update.
                 let capacity = decode_int(block, &mut pos, 5)?;
@@ -568,28 +727,32 @@ impl Decoder {
                 }
                 self.table.set_capacity(capacity);
             } else {
-                // Literal without indexing (0000) or never indexed (0001).
-                let (name, value) = self.decode_literal(block, &mut pos, 4)?;
-                headers.push((name, value));
+                // Literal: with incremental indexing (01), without
+                // indexing (0000) or never indexed (0001).
+                let indexing = first & 0x40 != 0;
+                let name_index = decode_int(block, &mut pos, if indexing { 6 } else { 4 })?;
+                self.scratch.clear();
+                let indexed_name = match name_index {
+                    0 => {
+                        decode_string(block, &mut pos, &mut self.scratch)?;
+                        None
+                    }
+                    index => Some(self.table.lookup(index)?.0),
+                };
+                let name_len = self.scratch.len();
+                decode_string(block, &mut pos, &mut self.scratch)?;
+                let text = std::str::from_utf8(&self.scratch)
+                    .expect("each literal was validated as it was decoded");
+                let (literal_name, value) = text.split_at(name_len);
+                let name = indexed_name.unwrap_or(literal_name);
+                field(name, value);
+                if indexing {
+                    let entry = Entry::new(name, value);
+                    self.table.insert(entry);
+                }
             }
         }
-        Ok(headers)
-    }
-
-    fn decode_literal(
-        &mut self,
-        block: &[u8],
-        pos: &mut usize,
-        prefix_bits: u8,
-    ) -> Result<(String, String), HpackError> {
-        let name_index = decode_int(block, pos, prefix_bits)?;
-        let name = if name_index == 0 {
-            decode_string(block, pos)?
-        } else {
-            lookup(&self.table, name_index)?.0
-        };
-        let value = decode_string(block, pos)?;
-        Ok((name, value))
+        Ok(())
     }
 }
 
@@ -645,6 +808,167 @@ mod tests {
         let mut coded = huffman_encode(b"ab");
         coded.push(0xFF);
         assert_eq!(huffman_decode(&coded), Err(HpackError::BadHuffman));
+    }
+
+    /// The decoder the automaton replaced, kept as its reference: one trie
+    /// edge per input bit, the padding rule spelled out.
+    fn huffman_decode_bitwise(trie: &[[i32; 2]], input: &[u8]) -> Result<Vec<u8>, HpackError> {
+        let mut out = Vec::new();
+        let mut node = 0usize;
+        // Bits consumed since the last completed symbol, and whether they were
+        // all ones (the only valid padding, at most 7 bits of it).
+        let mut partial_bits = 0u8;
+        let mut partial_all_ones = true;
+        for &byte in input {
+            for i in (0..8).rev() {
+                let bit = usize::from((byte >> i) & 1);
+                partial_all_ones &= bit == 1;
+                partial_bits += 1;
+                let next = trie[node][bit];
+                match next.cmp(&0) {
+                    std::cmp::Ordering::Less => {
+                        out.push(!next as u8);
+                        node = 0;
+                        partial_bits = 0;
+                        partial_all_ones = true;
+                    }
+                    std::cmp::Ordering::Equal => return Err(HpackError::BadHuffman),
+                    std::cmp::Ordering::Greater => node = next as usize,
+                }
+            }
+        }
+        if partial_bits >= 8 || !partial_all_ones {
+            return Err(HpackError::BadHuffman);
+        }
+        Ok(out)
+    }
+
+    /// SplitMix64, as in `tests/prop.rs`.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E3779B97F4A7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn automaton_agrees_with_the_bit_at_a_time_decoder() {
+        let trie = code_trie(&Huffman::get().codes);
+        for seed in 0..4096u64 {
+            let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15);
+            let mut below = |n: u64| splitmix(&mut state) % n;
+            // Header text, every byte value from a seeded start, or bytes
+            // at large.
+            let plain: Vec<u8> = match seed % 3 {
+                0 => (0..below(60)).map(|_| (0x20 + below(0x5F)) as u8).collect(),
+                1 => (0..=255u8).map(|b| b.wrapping_add(seed as u8)).collect(),
+                _ => (0..below(100)).map(|_| below(256) as u8).collect(),
+            };
+            let coded = huffman_encode(&plain);
+            assert_eq!(huffman_decode(&coded).as_ref(), Ok(&plain), "seed {seed}");
+            assert_eq!(huffman_decode_bitwise(&trie, &coded).as_ref(), Ok(&plain), "seed {seed}");
+            // The damage `Gen::mutate` does: truncate, flip a bit, splice in
+            // a span of another coding, saturate a run, append garbage.
+            let mut damaged = coded.clone();
+            match below(5) {
+                0 => damaged.truncate(below(coded.len() as u64 + 1) as usize),
+                1 if !damaged.is_empty() => {
+                    let at = below(damaged.len() as u64) as usize;
+                    damaged[at] ^= 1 << below(8);
+                }
+                2 if !damaged.is_empty() => {
+                    let donor = huffman_encode(&[below(256) as u8, b'a', below(256) as u8, b'?']);
+                    let at = below(damaged.len() as u64) as usize;
+                    let end = (at + donor.len()).min(damaged.len());
+                    damaged.splice(at..end, donor);
+                }
+                3 if !damaged.is_empty() => {
+                    let at = below(damaged.len() as u64) as usize;
+                    let end = (at + 1 + below(20) as usize).min(damaged.len());
+                    damaged[at..end].fill(0xFF);
+                }
+                _ => damaged.extend((0..below(8)).map(|_| below(256) as u8)),
+            }
+            assert_eq!(
+                huffman_decode(&damaged),
+                huffman_decode_bitwise(&trie, &damaged),
+                "seed {seed}: {damaged:02x?}"
+            );
+        }
+        // Every input of one and two octets: all the ways a symbol boundary,
+        // a hole and the end of input can fall inside a step.
+        for input in 0..=0xFFFFu16 {
+            let octets = input.to_be_bytes();
+            for input in [&octets[1..], &octets[..]] {
+                assert_eq!(
+                    huffman_decode(input),
+                    huffman_decode_bitwise(&trie, input),
+                    "{input:02x?}"
+                );
+            }
+        }
+    }
+
+    /// `bits` ("0"/"1" text) packed into octets; the last is filled up with
+    /// ones.
+    fn octets(bits: &str) -> Vec<u8> {
+        let mut bits: Vec<u8> = bits.bytes().map(|b| b - b'0').collect();
+        bits.resize(bits.len().next_multiple_of(8), 1);
+        bits.chunks(8).map(|octet| octet.iter().fold(0, |acc, bit| acc << 1 | bit)).collect()
+    }
+
+    #[test]
+    fn padding_is_judged_by_the_state_the_input_ends_in() {
+        let table = Huffman::get();
+        let bits_of = |text: &str| -> String {
+            text.bytes()
+                .map(|b| {
+                    let (code, len) = table.codes[usize::from(b)];
+                    format!("{code:0len$b}", len = usize::from(len))
+                })
+                .collect()
+        };
+        // Texts of 8, 7, … 1 bits modulo 8: 0 to 7 bits of padding.
+        for (pad, text) in ["&", ":", " ", "0", "0:", "0 ", "00", "00:"].into_iter().enumerate() {
+            let bits = bits_of(text);
+            assert_eq!((8 - bits.len() % 8) % 8, pad, "{text:?}");
+            let ones = "1".repeat(pad);
+            assert_eq!(huffman_decode(&octets(&format!("{bits}{ones}"))).unwrap(), text.as_bytes());
+            // A whole octet more of ones is 8 to 15 bits of padding: never
+            // valid, though each of its steps is all ones.
+            let longer = octets(&format!("{bits}{ones}11111111"));
+            assert_eq!(huffman_decode(&longer), Err(HpackError::BadHuffman), "{text:?} + FF");
+            // A zero anywhere in the padding: up to four bits cannot hold a
+            // symbol, so the input ends inside one, off the all-ones path;
+            // five to seven may spell one (`011111` is `9`).
+            let trie = code_trie(&table.codes);
+            for zero in 0..pad {
+                let mut padding = ones.clone().into_bytes();
+                padding[zero] = b'0';
+                let padding = String::from_utf8(padding).unwrap();
+                let input = octets(&format!("{bits}{padding}"));
+                let got = huffman_decode(&input);
+                assert_eq!(got, huffman_decode_bitwise(&trie, &input), "{text:?} {padding}");
+                assert!(pad > 4 || got == Err(HpackError::BadHuffman), "{text:?} {padding}");
+            }
+        }
+        // `10` ends one step and `1111` is all of the next: the last step
+        // saw only ones, but the state it ends in is inside `1011110`.
+        assert_eq!(bits_of("00").len() % 4, 2);
+        let input = octets(&format!("{}101111", bits_of("00")));
+        assert_eq!(huffman_decode(&input), Err(HpackError::BadHuffman));
+        // The two holes of the code space — 17 ones, and 16 ones then 011 —
+        // behind 0, 5, 6 and 7 bits of text, so that the bit that leaves the
+        // code is each of a step's four. The ones that fill the last octet
+        // would be valid padding from the root, where a decoder that lost
+        // its place would be.
+        for hole in [format!("{}1", "1".repeat(16)), format!("{}011", "1".repeat(16))] {
+            for text in ["", "0", " ", ":"] {
+                let input = octets(&format!("{}{hole}", bits_of(text)));
+                assert_eq!(huffman_decode(&input), Err(HpackError::BadHuffman), "{text:?} {hole}");
+            }
+        }
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! drives random inputs, and every property is checked over many cases.
 //! Failures print the offending seed so a case can be replayed exactly.
 
-use dohmark_httpsim::h1::{Request, RequestParser, Response, ResponseParser};
-use dohmark_httpsim::h2::{Frame, FrameDecoder};
-use dohmark_httpsim::hpack::{huffman_decode, huffman_encode, Decoder, Encoder};
+use dohmark_httpsim::h1::{Fields, H1Error, Request, RequestParser, Response, ResponseParser};
+use dohmark_httpsim::h2::{Frame, FrameDecoder, H2Error};
+use dohmark_httpsim::hpack::{huffman_decode, huffman_encode, Decoder, Encoder, HpackError};
 
 const CASES: u64 = 192;
 /// Cases per decoder in the mutation harness (cheap: no round trip).
@@ -146,6 +146,135 @@ impl Gen {
 }
 
 // ---------------------------------------------------------------------
+// Borrowed entry points: one more way to read the same input
+// ---------------------------------------------------------------------
+//
+// Each codec has an owned entry point and a borrowed one under it. The
+// properties below run both over the same bytes, on twin codec states, and
+// require the borrowed one to see exactly what the owned one returns:
+// fields and their order, the error value, the bytes left unconsumed.
+
+/// An HPACK codec pair and its twin, driven through the borrowed entry
+/// points: a `(&str, &str)` list into `encode_into`, `decode_with` out.
+struct HpackTwins {
+    enc: Encoder,
+    dec: Decoder,
+    enc_ref: Encoder,
+    dec_ref: Decoder,
+}
+
+impl HpackTwins {
+    fn with_capacity(capacity: usize) -> HpackTwins {
+        HpackTwins {
+            enc: Encoder::with_capacity(capacity),
+            dec: Decoder::with_capacity(capacity),
+            enc_ref: Encoder::with_capacity(capacity),
+            dec_ref: Decoder::with_capacity(capacity),
+        }
+    }
+
+    /// Encodes `headers` both ways — the blocks must be the same bytes.
+    fn encode(&mut self, headers: &[(String, String)], context: &str) -> Vec<u8> {
+        let block = self.enc.encode(headers);
+        let borrowed: Vec<(&str, &str)> =
+            headers.iter().map(|(n, v)| (n.as_str(), v.as_str())).collect();
+        let mut framed = vec![0xEE; 3];
+        self.enc_ref.encode_into(&borrowed, &mut framed);
+        assert_eq!(framed[..3], [0xEE; 3], "{context}: encode_into appends");
+        assert_eq!(framed[3..], block, "{context}: borrowed and owned lists encode alike");
+        assert_eq!(self.enc_ref.table_size(), self.enc.table_size(), "{context}");
+        block
+    }
+
+    /// Decodes `block` both ways — same fields in the same order or the
+    /// same error, and the same table afterwards.
+    fn decode(&mut self, block: &[u8], context: &str) -> Result<Vec<(String, String)>, HpackError> {
+        let owned = self.dec.decode(block);
+        let mut fields = Vec::new();
+        let borrowed = self
+            .dec_ref
+            .decode_with(block, |n, v| fields.push((n.to_string(), v.to_string())))
+            .map(|()| fields);
+        assert_eq!(borrowed, owned, "{context}: decode_with and decode disagree");
+        assert_eq!(self.dec_ref.table_size(), self.dec.table_size(), "{context}");
+        owned
+    }
+}
+
+fn owned_fields(fields: Fields<'_>) -> Vec<(String, String)> {
+    fields.iter().map(|(n, v)| (n.to_string(), v.to_string())).collect()
+}
+
+/// A request parser and its twin read through `next_ref`.
+#[derive(Default)]
+struct RequestTwins(RequestParser, RequestParser);
+
+impl RequestTwins {
+    fn push(&mut self, bytes: &[u8]) {
+        self.0.push(bytes);
+        self.1.push(bytes);
+    }
+
+    fn next(&mut self, context: &str) -> Result<Option<Request>, H1Error> {
+        let owned = self.0.next_request();
+        let borrowed = self.1.next_ref().map(|view| {
+            view.map(|r| Request {
+                method: r.method.to_string(),
+                target: r.target.to_string(),
+                headers: owned_fields(r.fields),
+                body: r.body.to_vec(),
+            })
+        });
+        assert_eq!(borrowed, owned, "{context}: next_ref and next_request disagree");
+        owned
+    }
+}
+
+/// A response parser and its twin read through `next_ref`.
+#[derive(Default)]
+struct ResponseTwins(ResponseParser, ResponseParser);
+
+impl ResponseTwins {
+    fn push(&mut self, bytes: &[u8]) {
+        self.0.push(bytes);
+        self.1.push(bytes);
+    }
+
+    fn next(&mut self, context: &str) -> Result<Option<Response>, H1Error> {
+        let owned = self.0.next_response();
+        let borrowed = self.1.next_ref().map(|view| {
+            view.map(|r| Response {
+                status: r.status,
+                reason: r.reason.to_string(),
+                headers: owned_fields(r.fields),
+                body: r.body.to_vec(),
+            })
+        });
+        assert_eq!(borrowed, owned, "{context}: next_ref and next_response disagree");
+        owned
+    }
+}
+
+/// A frame decoder and its twin read through `next_ref`.
+#[derive(Default)]
+struct FrameTwins(FrameDecoder, FrameDecoder);
+
+impl FrameTwins {
+    fn push(&mut self, bytes: &[u8]) {
+        self.0.push(bytes);
+        self.1.push(bytes);
+    }
+
+    fn next(&mut self, context: &str) -> Result<Option<Frame>, H2Error> {
+        let owned = self.0.next_frame();
+        let borrowed = self.1.next_ref().map(|view| view.map(|frame| frame.to_owned()));
+        assert_eq!(borrowed, owned, "{context}: next_ref and next_frame disagree");
+        assert_eq!(self.1.buffered(), self.0.buffered(), "{context}: bytes consumed");
+        owned
+    }
+}
+
+// ---------------------------------------------------------------------
 // HPACK
 // ---------------------------------------------------------------------
 
@@ -153,15 +282,15 @@ impl Gen {
 fn hpack_random_header_lists_round_trip() {
     for seed in 0..CASES {
         let mut g = Gen::new(seed);
-        let mut enc = Encoder::new();
-        let mut dec = Decoder::new();
+        let mut hpack = HpackTwins::with_capacity(4096);
         for round in 0..4 {
+            let context = format!("seed {seed} round {round}");
             let headers = g.headers(12);
-            let block = enc.encode(&headers);
-            let decoded = dec
-                .decode(&block)
-                .unwrap_or_else(|e| panic!("seed {seed} round {round}: decode failed: {e}"));
-            assert_eq!(decoded, headers, "seed {seed} round {round}");
+            let block = hpack.encode(&headers, &context);
+            let decoded = hpack
+                .decode(&block, &context)
+                .unwrap_or_else(|e| panic!("{context}: decode failed: {e}"));
+            assert_eq!(decoded, headers, "{context}");
         }
     }
 }
@@ -173,21 +302,21 @@ fn hpack_round_trips_through_dynamic_table_evictions() {
         // Tiny tables (0..=160 octets) force constant eviction churn;
         // entries are ~35-80 octets each (name + value + 32).
         let capacity = (g.below(5) * 40) as usize;
-        let mut enc = Encoder::with_capacity(capacity);
-        let mut dec = Decoder::with_capacity(capacity);
+        let mut hpack = HpackTwins::with_capacity(capacity);
         for round in 0..8 {
+            let context = format!("seed {seed} round {round} cap {capacity}");
             let headers = g.headers(6);
-            let block = enc.encode(&headers);
-            let decoded = dec
-                .decode(&block)
-                .unwrap_or_else(|e| panic!("seed {seed} round {round}: decode failed: {e}"));
-            assert_eq!(decoded, headers, "seed {seed} round {round} cap {capacity}");
+            let block = hpack.encode(&headers, &context);
+            let decoded = hpack
+                .decode(&block, &context)
+                .unwrap_or_else(|e| panic!("{context}: decode failed: {e}"));
+            assert_eq!(decoded, headers, "{context}");
             assert_eq!(
-                enc.table_size(),
-                dec.table_size(),
-                "seed {seed} round {round}: tables diverged"
+                hpack.enc.table_size(),
+                hpack.dec.table_size(),
+                "{context}: tables diverged"
             );
-            assert!(enc.table_size() <= capacity, "seed {seed}: eviction failed");
+            assert!(hpack.enc.table_size() <= capacity, "{context}: eviction failed");
         }
     }
 }
@@ -253,12 +382,12 @@ fn h1_random_requests_round_trip_across_segmentation() {
         }
         let request = Request::new("POST", "/dns-query", headers.clone()).with_body(body.clone());
         let wire = request.encode().concat();
-        let mut parser = RequestParser::new();
+        let mut parser = RequestTwins::default();
         let step = 1 + g.below(40) as usize;
         let mut got = None;
         for chunk in wire.chunks(step) {
             parser.push(chunk);
-            if let Some(req) = parser.next_request().unwrap_or_else(|e| {
+            if let Some(req) = parser.next(&format!("seed {seed}")).unwrap_or_else(|e| {
                 panic!("seed {seed}: parse failed: {e}");
             }) {
                 got = Some(req);
@@ -297,13 +426,13 @@ fn h1_pipelined_random_responses_round_trip() {
             wire.extend(response.encode().concat());
             sent.push(response);
         }
-        let mut parser = ResponseParser::new();
+        let mut parser = ResponseTwins::default();
         let mut got = Vec::new();
         let step = 1 + g.below(64) as usize;
         for chunk in wire.chunks(step) {
             parser.push(chunk);
             while let Some(resp) =
-                parser.next_response().unwrap_or_else(|e| panic!("seed {seed}: {e}"))
+                parser.next(&format!("seed {seed}")).unwrap_or_else(|e| panic!("seed {seed}: {e}"))
             {
                 got.push(resp);
             }
@@ -362,16 +491,17 @@ fn hpack_decoder_is_total_on_mutated_blocks_cold_and_warm() {
         let first = enc.encode(&g.headers(12));
         let second = enc.encode(&g.headers(12));
         // Cold: the corrupted block is the first thing the decoder sees.
+        let context = format!("seed {seed}");
         let block = g.mutate(&first, &second);
-        if let Ok(headers) = Decoder::new().decode(&block) {
+        if let Ok(headers) = HpackTwins::with_capacity(4096).decode(&block, &context) {
             assert!(headers.len() <= block.len(), "seed {seed}: one field per octet at most");
         }
         // Warm: after one valid block the dynamic table is populated, so
         // corrupted indices can reach it.
-        let mut dec = Decoder::new();
-        dec.decode(&first).unwrap_or_else(|e| panic!("seed {seed}: valid block: {e}"));
+        let mut dec = HpackTwins::with_capacity(4096);
+        dec.decode(&first, &context).unwrap_or_else(|e| panic!("seed {seed}: valid block: {e}"));
         let block = g.mutate(&second, &first);
-        if let Ok(headers) = dec.decode(&block) {
+        if let Ok(headers) = dec.decode(&block, &context) {
             assert!(headers.len() <= block.len(), "seed {seed}: one field per octet at most");
         }
     });
@@ -401,12 +531,12 @@ fn h2_frame_decoder_is_total_and_bounded_on_mutated_streams() {
         let stream: Vec<u8> = (0..1 + g.below(4)).flat_map(|_| g.frame().encode()).collect();
         let donor = g.frame().encode();
         let input = g.mutate(&stream, &donor);
-        let mut dec = FrameDecoder::new();
+        let mut dec = FrameTwins::default();
         let step = 1 + g.below(64) as usize;
         let mut frames = 0;
         for chunk in input.chunks(step) {
             dec.push(chunk);
-            frames += drain_bounded(input.len(), seed, || dec.next_frame());
+            frames += drain_bounded(input.len(), seed, || dec.next(&format!("seed {seed}")));
         }
         // Each frame has a 9-octet header.
         assert!(
@@ -428,14 +558,15 @@ fn h1_parsers_are_total_and_bounded_on_mutated_messages() {
         let response = Response::new(200, "OK", headers).with_body(g.bytes(100));
         let (request, response) = (request.encode().concat(), response.encode().concat());
 
+        let context = format!("seed {seed}");
         let input = g.mutate(&request, &response);
-        let mut parser = RequestParser::new();
+        let mut parser = RequestTwins::default();
         parser.push(&input);
-        drain_bounded(input.len(), seed, || parser.next_request());
+        drain_bounded(input.len(), seed, || parser.next(&context));
 
         let input = g.mutate(&response, &request);
-        let mut parser = ResponseParser::new();
+        let mut parser = ResponseTwins::default();
         parser.push(&input);
-        drain_bounded(input.len(), seed, || parser.next_response());
+        drain_bounded(input.len(), seed, || parser.next(&context));
     });
 }
