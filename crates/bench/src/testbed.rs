@@ -111,6 +111,8 @@ impl Testbed {
             self.driver.close(&mut self.sim, client);
         }
         self.driver.run_until_quiescent(&mut self.sim);
+        let stats = self.sim.stats();
+        debug_assert_eq!(stats.events_scheduled, stats.events_popped, "an event was never popped");
         match self.driver.unrouted_wakes() {
             0 => Ok(self.sim),
             n => Err(CellError::UnroutedWakes(n)),
@@ -151,10 +153,9 @@ pub struct MatrixRun {
 }
 
 impl MatrixCell {
-    /// Resolves the workload under `seed` and returns the per-resolution
-    /// means (attribution 0, the persistent-connection setup, is amortised
-    /// across all resolutions — the view the paper's Figure 3 plots).
-    pub fn measure(&self, seed: u64) -> Result<MatrixRun, CellError> {
+    /// Resolves the workload under `seed` and hands back the finished
+    /// simulation.
+    fn simulate(&self, seed: u64) -> Result<Sim, CellError> {
         let mut bed = Testbed::new(seed, &self.cfg, 1, None);
         let mut rng = bed.sim.split_rng(WORKLOAD_STREAM);
         let schedule =
@@ -162,7 +163,14 @@ impl MatrixCell {
         for (at, name) in schedule.take(usize::from(self.resolutions)) {
             bed.resolve_at(at, 0, &name)?;
         }
-        let sim = bed.finish()?;
+        bed.finish()
+    }
+
+    /// Resolves the workload under `seed` and returns the per-resolution
+    /// means (attribution 0, the persistent-connection setup, is amortised
+    /// across all resolutions — the view the paper's Figure 3 plots).
+    pub fn measure(&self, seed: u64) -> Result<MatrixRun, CellError> {
+        let sim = self.simulate(seed)?;
 
         let mut sum = Cost::default();
         let mut steady_bytes = 0u64;
@@ -462,5 +470,25 @@ impl Cell for PageloadCell {
                 ),
             ],
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// On a clean link no RTO ever backs off, so every TCP timer of a run
+    /// waits in a lane and the heap holds only what is in flight.
+    #[test]
+    fn a_clean_matrix_run_keeps_tcp_timers_out_of_the_heap() {
+        for cfg in TransportConfig::matrix() {
+            let label = cfg.label();
+            let tcp = cfg.kind != TransportKind::Do53;
+            let sim = MatrixCell { cfg, resolutions: 20 }.simulate(1).expect("a clean link");
+            let stats = sim.stats();
+            assert_eq!(stats.tcp_timers_popped > 0, tcp, "{label}");
+            assert_eq!(stats.tcp_timers_heaped, 0, "{label}");
+            assert!(stats.heap_peak <= 8, "{label}: heap peak {}", stats.heap_peak);
+        }
     }
 }

@@ -47,7 +47,9 @@ pub mod trace;
 pub use link::{DirLink, LinkConfig};
 pub use packet::{Packet, Proto, TcpFlags, TcpSegMeta, IP_HEADER, TCP_HEADER, UDP_HEADER};
 pub use rng::SimRng;
-pub use sim::{HostId, ListenerId, Side, Sim, SockId, TcpHandle, Wake};
+pub use sim::{EngineStats, HostId, ListenerId, Side, Sim, SockId, TcpHandle, Wake};
 pub use tcp::{Listener, TcpConn};
 pub use time::{SimDuration, SimTime};
-pub use trace::{Cost, CostMeter, Counters, LayerBytes, LayerTag, PacketRecord, TraceLog};
+pub use trace::{
+    Cost, CostMeter, Counters, LayerBytes, LayerTag, PacketRecord, TraceLog, MAX_ATTR,
+};

@@ -78,9 +78,8 @@ pub struct TcpSegMeta {
 /// buffer) and is then *moved*, never copied, through the in-flight slab
 /// into the receiver's buffer. A packet costs no heap allocation beyond
 /// `payload`: its layer composition is the fixed-size [`LayerBytes`], not a
-/// list of ranges, because its only readers
-/// ([`CostMeter::record`](crate::trace::CostMeter::record) and the coverage
-/// check in `Sim::send_packet`) want per-tag sums.
+/// list of ranges, because its only readers (`CostMeter::record` and the
+/// coverage check in `Sim::send_packet`) want per-tag sums.
 #[derive(Debug, Clone)]
 pub struct Packet {
     /// Source host and port.

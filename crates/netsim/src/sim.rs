@@ -1,4 +1,4 @@
-//! The discrete-event simulator core: virtual clock, event heap, hosts,
+//! The discrete-event simulator core: virtual clock, event queue, hosts,
 //! links, UDP sockets and the application wake/poll interface.
 //!
 //! Applications (the DNS clients and servers in `dohmark-doh`) drive the
@@ -12,13 +12,34 @@
 //!
 //! Internal transport events (packet deliveries, TCP timers) are processed
 //! transparently; only application-visible conditions surface as [`Wake`]s.
+//!
+//! # The event queue
+//!
+//! Events fire in `(at, seq)` order, `seq` being the order they were
+//! scheduled in. The queue that keeps that order is three containers: a
+//! `BinaryHeap` for packet deliveries and application timers, and two FIFO
+//! **timer lanes**, one for delayed-ACK timers and one for retransmission
+//! timers. A lane holds only timers armed exactly its one fixed delay
+//! (40 ms, 200 ms) ahead of `now`; the clock never goes back, so they are
+//! born in firing order and a `VecDeque` keeps them sorted for free — the
+//! constant-interval ordered list of Varghese & Lauck's timer schemes
+//! (SOSP '87). A timer armed with any other delay (a backed-off RTO) goes to
+//! the heap like everything else, so it cannot sit at a lane's tail ahead
+//! of the plain timers armed after it. The next event is the least of the
+//! heap's top and the two lane fronts, which is exactly the order one heap
+//! of everything would give.
+//!
+//! It matters because nearly half of all events are TCP timers and, on a
+//! clean link, every retransmission timer among them is cancelled long
+//! before its 200 ms are up: in one heap those dead entries are what makes
+//! every push and pop deep. [`Sim::stats`] counts what went where.
 
 use crate::link::{DirLink, LinkConfig};
 use crate::packet::{Packet, Proto};
 use crate::rng::SimRng;
-use crate::tcp::{Listener, TcpConn};
+use crate::tcp::{Listener, TcpConn, DELACK, INIT_RTO};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{CostMeter, LayerBytes, LayerTag, PacketRecord, TraceLog};
+use crate::trace::{CostMeter, LayerBytes, LayerTag, PacketRecord, TraceLog, MAX_ATTR};
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 
@@ -132,15 +153,22 @@ impl Wake {
     }
 }
 
-/// One entry of the event heap: when, a tie-breaker, and a small kind.
+/// One entry of the event queue: when, a tie-breaker, and a small kind.
 ///
 /// Every `BinaryHeap` sift moves whole entries, so an entry carries no
 /// packet: a delivery names a [`PacketSlab`] slot instead. Order is
 /// `(at, seq)`, and `seq` is drawn in [`Sim::push_event`] at the moment the
-/// event is scheduled. That moment must not move: the per-packet loss,
-/// corruption and jitter draws in `Sim::send_packet` happen in event order,
-/// so reordering two same-instant events changes which packets a lossy link
-/// drops — and with them every report digest.
+/// event is scheduled, before the choice between a timer lane and the heap
+/// and whichever way that choice goes: the order is a property of the
+/// events, not of the container each waits in. That moment must not move:
+/// the per-packet loss, corruption and jitter draws in `Sim::send_packet`
+/// happen in event order, so reordering two same-instant events changes
+/// which packets a lossy link drops — and with them every report digest.
+///
+/// A TCP timer that was cancelled or superseded stays queued and is popped
+/// at its deadline like a live one, to do nothing. Dropping it early would
+/// be visible: a pop moves `now`, and [`Sim::now`] after [`Sim::drain`] is
+/// the deadline of the last event, stale or not.
 #[derive(Debug)]
 pub(crate) struct Ev {
     pub at: SimTime,
@@ -176,6 +204,39 @@ pub(crate) enum EvKind {
     TcpDelack { conn: usize, side: Side, gen: u64 },
     TcpRto { conn: usize, side: Side, gen: u64 },
     AppTimer { token: u64, owner: u64 },
+}
+
+impl EvKind {
+    /// For a TCP timer, its lane in `Sim::lanes` and the one delay every
+    /// entry of that lane was armed with.
+    fn lane(&self) -> Option<(usize, SimDuration)> {
+        match self {
+            EvKind::TcpDelack { .. } => Some((0, DELACK)),
+            EvKind::TcpRto { .. } => Some((1, INIT_RTO)),
+            EvKind::Deliver(_) | EvKind::AppTimer { .. } => None,
+        }
+    }
+}
+
+/// What the event queue did so far, counted unconditionally: every field
+/// is a plain increment on a path that already writes to the [`Sim`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EngineStats {
+    /// Events scheduled: deliveries, TCP timers and application timers.
+    pub events_scheduled: u64,
+    /// Events popped. Equal to `events_scheduled` once the simulation has
+    /// run dry: nothing scheduled is ever dropped unpopped.
+    pub events_popped: u64,
+    /// Popped events that were a delayed-ACK or retransmission timer.
+    pub tcp_timers_popped: u64,
+    /// Of those, the ones that had been cancelled or superseded by the time
+    /// they fired, and did nothing.
+    pub tcp_timers_stale: u64,
+    /// TCP timers armed with another delay than their lane's (a backed-off
+    /// RTO) and so queued in the heap.
+    pub tcp_timers_heaped: u64,
+    /// The most entries the heap held at once.
+    pub heap_peak: u64,
 }
 
 /// Out-of-line storage for the packets in flight, so heap entries stay
@@ -234,10 +295,15 @@ struct UdpSock {
 pub struct Sim {
     now: SimTime,
     heap: BinaryHeap<Reverse<Ev>>,
-    next_seq: u64,
+    /// The timer lanes, indexed by [`EvKind::lane`]: each sorted by
+    /// `(at, seq)` because every entry was pushed at `now` plus the same
+    /// delay.
+    lanes: [VecDeque<Ev>; 2],
+    /// `events_scheduled` doubles as the next event's `seq`.
+    pub(crate) stats: EngineStats,
     packets: PacketSlab,
     hosts: Vec<String>,
-    links: Vec<DirLink>,
+    pub(crate) links: Vec<DirLink>,
     /// `(src host, dst host, index into links)` sorted by `(src, dst)`: a
     /// route lookup is one short binary search, no hashing. An index, once
     /// handed out, stays valid: links are replaced in place, never removed.
@@ -271,7 +337,8 @@ impl Sim {
         Sim {
             now: SimTime::ZERO,
             heap: BinaryHeap::new(),
-            next_seq: 0,
+            lanes: [VecDeque::new(), VecDeque::new()],
+            stats: EngineStats::default(),
             packets: PacketSlab::default(),
             hosts: Vec::new(),
             links: Vec::new(),
@@ -303,8 +370,21 @@ impl Sim {
         self.dropped
     }
 
+    /// Event-queue counts so far.
+    pub fn stats(&self) -> EngineStats {
+        self.stats
+    }
+
     /// Sets the attribution id stamped on subsequently created packets.
+    /// This is where an id enters the simulator, so this is where it is
+    /// held to the [`CostMeter`]'s table bound.
+    ///
+    /// # Panics
+    ///
+    /// If `attr` exceeds [`MAX_ATTR`]; every caller widens a `u16` DNS
+    /// transaction id.
     pub fn set_attr(&mut self, attr: u32) {
+        assert!(attr <= MAX_ATTR, "attribution id {attr} exceeds MAX_ATTR");
         self.attr = attr;
     }
 
@@ -380,10 +460,47 @@ impl Sim {
         self.route(a, b).map(|i| self.links[i].cfg)
     }
 
+    /// Schedules `kind` at `at`. A TCP timer armed exactly its lane's
+    /// delay ahead joins the lane; everything else goes to the heap.
     pub(crate) fn push_event(&mut self, at: SimTime, kind: EvKind) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Reverse(Ev { at, seq, kind }));
+        let seq = self.stats.events_scheduled;
+        self.stats.events_scheduled += 1;
+        let timer = kind.lane();
+        let ev = Ev { at, seq, kind };
+        if let Some((lane, delay)) = timer {
+            if at == self.now + delay {
+                let lane = &mut self.lanes[lane];
+                debug_assert!(lane.back().map_or(true, |last| *last < ev), "a lane out of order");
+                lane.push_back(ev);
+                return;
+            }
+            self.stats.tcp_timers_heaped += 1;
+        }
+        self.heap.push(Reverse(ev));
+        self.stats.heap_peak = self.stats.heap_peak.max(self.heap.len() as u64);
+    }
+
+    /// Pops the least `(at, seq)` among the heap's top and the two lane
+    /// fronts, and moves the clock to it.
+    fn pop_event(&mut self) -> Option<Ev> {
+        let mut least = self.heap.peek().map(|Reverse(ev)| ev);
+        let mut from = None;
+        for (i, lane) in self.lanes.iter().enumerate() {
+            if let Some(front) = lane.front() {
+                if least.map_or(true, |ev| front < ev) {
+                    least = Some(front);
+                    from = Some(i);
+                }
+            }
+        }
+        let ev = match from {
+            Some(lane) => self.lanes[lane].pop_front(),
+            None => self.heap.pop().map(|Reverse(ev)| ev),
+        }?;
+        debug_assert!(ev.at >= self.now, "time must be monotone");
+        self.now = ev.at;
+        self.stats.events_popped += 1;
+        Some(ev)
     }
 
     /// Schedules an application timer at an absolute time. The timer's
@@ -548,9 +665,7 @@ impl Sim {
             if let Some(w) = self.wakes.pop_front() {
                 return Some(w);
             }
-            let Reverse(ev) = self.heap.pop()?;
-            debug_assert!(ev.at >= self.now, "time must be monotone");
-            self.now = ev.at;
+            let ev = self.pop_event()?;
             match ev.kind {
                 EvKind::Deliver(slot) => {
                     let pkt = self.packets.take(slot);
@@ -559,8 +674,14 @@ impl Sim {
                         Proto::Tcp => self.on_tcp_segment(pkt),
                     }
                 }
-                EvKind::TcpDelack { conn, side, gen } => self.on_tcp_delack(conn, side, gen),
-                EvKind::TcpRto { conn, side, gen } => self.on_tcp_rto(conn, side, gen),
+                EvKind::TcpDelack { conn, side, gen } => {
+                    self.stats.tcp_timers_popped += 1;
+                    self.on_tcp_delack(conn, side, gen);
+                }
+                EvKind::TcpRto { conn, side, gen } => {
+                    self.stats.tcp_timers_popped += 1;
+                    self.on_tcp_rto(conn, side, gen);
+                }
                 EvKind::AppTimer { token, owner } => {
                     return Some((Wake::AppTimer { at: self.now, token }, owner));
                 }
@@ -682,10 +803,9 @@ mod tests {
         }
     }
 
-    /// Every byte put on a wire is metered exactly once and lands in exactly
-    /// one layer bucket — retransmitted and dropped packets included.
-    #[test]
-    fn meter_conserves_wire_bytes_over_a_lossy_link() {
+    /// Mixed TCP, UDP and app-timer traffic over a 2 % lossy link, run dry;
+    /// checks the meter against the wire on the way out.
+    fn lossy_mixed_run() -> Sim {
         let mut sim = Sim::new(23);
         let a = sim.add_host("client");
         let b = sim.add_host("server");
@@ -723,6 +843,30 @@ mod tests {
         assert!(total.layers.http_body > written, "nothing was retransmitted");
         assert_eq!(total.bytes, sim.wire_bytes);
         assert_eq!(total.layers.total(), total.bytes);
+        sim
+    }
+
+    /// Every byte put on a wire is metered exactly once and lands in exactly
+    /// one layer bucket — retransmitted and dropped packets included.
+    #[test]
+    fn meter_conserves_wire_bytes_over_a_lossy_link() {
+        lossy_mixed_run();
+    }
+
+    /// Every event scheduled is popped, from whichever container it waited
+    /// in, and a dry simulation holds none.
+    #[test]
+    fn every_scheduled_event_is_popped_by_run_dry() {
+        let sim = lossy_mixed_run();
+        let stats = sim.stats();
+        assert_eq!(stats.events_scheduled, stats.events_popped);
+        assert!(sim.heap.is_empty() && sim.lanes.iter().all(VecDeque::is_empty));
+        // The scenario reaches all three: backed-off RTOs in the heap, and
+        // most timers dead on arrival in a lane.
+        assert!(stats.tcp_timers_heaped > 0, "no RTO backed off");
+        assert!(stats.tcp_timers_popped > stats.tcp_timers_heaped);
+        assert!(stats.tcp_timers_stale > 0 && stats.tcp_timers_stale < stats.tcp_timers_popped);
+        assert!(stats.heap_peak > 0 && stats.heap_peak < stats.events_scheduled);
     }
 
     #[test]
@@ -771,6 +915,66 @@ mod tests {
             tokens.push(token);
         }
         assert_eq!(tokens, (0..10).collect::<Vec<_>>());
+    }
+
+    /// The three containers pop in the order one heap of every `(at, seq)`
+    /// would: seeded random schedules of both timer kinds, backed-off RTOs,
+    /// deliveries and app timers, on a 40 ms grid so that many collide, armed
+    /// while pops move the clock.
+    #[test]
+    fn pop_order_equals_one_plain_heaps() {
+        let mut rng = SimRng::new(0x1a9e5);
+        let (mut in_lanes, mut heaped_timers) = (0, 0);
+        for schedule in 0..1000 {
+            let mut sim = Sim::new(schedule);
+            let mut reference = BinaryHeap::new();
+            for _ in 0..rng.range_u64(10, 60) {
+                for _ in 0..rng.below(5) {
+                    let (conn, side, gen) = (0, Side::Client, 0);
+                    let (delay, kind) = match rng.below(6) {
+                        0 => (DELACK, EvKind::TcpDelack { conn, side, gen }),
+                        1 => (INIT_RTO, EvKind::TcpRto { conn, side, gen }),
+                        2 => (INIT_RTO * (2 << rng.below(3)), EvKind::TcpRto { conn, side, gen }),
+                        3 => (DELACK * rng.below(12), EvKind::Deliver(0)),
+                        4 => (DELACK * rng.below(12), EvKind::AppTimer { token: 0, owner: 0 }),
+                        _ => (SimDuration::from_nanos(rng.below(3)), EvKind::Deliver(0)),
+                    };
+                    let at = sim.now() + delay;
+                    reference.push(Reverse((at, sim.stats.events_scheduled)));
+                    sim.push_event(at, kind);
+                }
+                for _ in 0..rng.below(4) {
+                    let popped = sim.pop_event().map(|ev| (ev.at, ev.seq));
+                    assert_eq!(popped, reference.pop().map(|Reverse(key)| key), "{schedule}");
+                }
+            }
+            in_lanes += sim.lanes.iter().map(VecDeque::len).sum::<usize>();
+            heaped_timers += sim.stats.tcp_timers_heaped;
+            while let Some(Reverse(key)) = reference.pop() {
+                assert_eq!(sim.pop_event().map(|ev| (ev.at, ev.seq)), Some(key), "{schedule}");
+            }
+            assert!(sim.pop_event().is_none());
+            assert_eq!(sim.stats.events_scheduled, sim.stats.events_popped);
+        }
+        assert!(in_lanes > 1000 && heaped_timers > 1000, "{in_lanes} {heaped_timers}");
+    }
+
+    #[test]
+    fn a_timer_that_would_break_a_lanes_order_goes_to_the_heap() {
+        let mut sim = Sim::new(25);
+        let rto = |gen| EvKind::TcpRto { conn: 0, side: Side::Client, gen };
+        sim.push_event(sim.now() + INIT_RTO * 2, rto(1));
+        sim.push_event(sim.now() + INIT_RTO, rto(2));
+        let order: Vec<_> =
+            std::iter::from_fn(|| sim.pop_event()).map(|ev| (ev.at, ev.seq)).collect();
+        assert_eq!(order, vec![(SimTime::ZERO + INIT_RTO, 1), (SimTime::ZERO + INIT_RTO * 2, 0)]);
+        assert_eq!(sim.stats().tcp_timers_heaped, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds MAX_ATTR")]
+    fn an_attribution_id_above_the_bound_is_rejected_where_it_enters() {
+        Sim::new(26).set_attr(MAX_ATTR + 1);
     }
 
     #[test]

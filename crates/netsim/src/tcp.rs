@@ -28,11 +28,11 @@ use std::collections::VecDeque;
 /// Fallback MSS when no link (and hence no MTU) is configured.
 const DEFAULT_MSS: usize = 1460;
 /// Initial retransmission timeout (Linux's minimum RTO, 200 ms).
-const INIT_RTO: SimDuration = SimDuration(200_000_000);
+pub(crate) const INIT_RTO: SimDuration = SimDuration(200_000_000);
 /// Upper bound on the exponentially backed-off RTO (60 s).
 const MAX_RTO: SimDuration = SimDuration(60_000_000_000);
 /// Delayed-ACK timeout (Linux's default, 40 ms).
-const DELACK: SimDuration = SimDuration(40_000_000);
+pub(crate) const DELACK: SimDuration = SimDuration(40_000_000);
 /// Consecutive RTO expiries tolerated before the endpoint gives up.
 pub const MAX_RETRIES: u32 = 6;
 /// Sender window: at most this many MSS-sized segments in flight.
@@ -230,14 +230,16 @@ pub(crate) struct Endpoint {
     failed: bool,
     /// Server side: the listener that will accept this connection.
     listener: Option<ListenerId>,
-    /// The [`Sim::route`] towards the peer, looked up when the first
-    /// segment finds one and kept: a link may be added after `tcp_connect`,
-    /// and once present its index never changes.
+    /// The [`Sim::route`] towards the peer, looked up once where the
+    /// endpoint is made ([`Sim::tcp_path`]) and kept: once present, a
+    /// link's index never changes. Where that found none, each segment
+    /// looks again until one does — a link may be added after
+    /// `tcp_connect`.
     link: Option<usize>,
 }
 
 impl Endpoint {
-    fn new(host: usize, port: u16, mss: usize) -> Endpoint {
+    fn new(host: usize, port: u16, link: Option<usize>, mss: usize) -> Endpoint {
         Endpoint {
             host,
             port,
@@ -261,7 +263,7 @@ impl Endpoint {
             retries: 0,
             failed: false,
             listener: None,
-            link: None,
+            link,
         }
     }
 }
@@ -301,10 +303,11 @@ impl Sim {
     /// handshake completes; data queued before that is sent right after.
     pub fn tcp_connect(&mut self, host: HostId, dst: (HostId, u16)) -> TcpHandle {
         let port = self.alloc_ephemeral();
-        let mss = self.tcp_mss(host, dst.0);
-        let mut client = Endpoint::new(host.0, port, mss);
+        let (link, mss) = self.tcp_path(host, dst.0);
+        let mut client = Endpoint::new(host.0, port, link, mss);
         client.state = TcpState::SynSent;
-        let server = Endpoint::new(dst.0 .0, dst.1, DEFAULT_MSS);
+        // The server side's path is resolved when the SYN reaches it.
+        let server = Endpoint::new(dst.0 .0, dst.1, None, DEFAULT_MSS);
         // The server-side owner is resolved at SYN time from the listener.
         let owners = [self.owner(), 0];
         self.conns.push(TcpConn { ends: [client, server], owners });
@@ -390,11 +393,15 @@ impl Sim {
         &mut self.conns[h.conn].ends[h.side.index()]
     }
 
-    /// MSS for the path `a -> b`: link MTU minus IP and TCP headers.
-    fn tcp_mss(&self, a: HostId, b: HostId) -> usize {
-        self.link_config(a, b)
-            .map(|c| c.mtu.saturating_sub(IP_HEADER + TCP_HEADER).max(1))
-            .unwrap_or(DEFAULT_MSS)
+    /// The route `a -> b` and the MSS its link allows (MTU minus IP and
+    /// TCP headers), from one route lookup; without a link, no route and
+    /// [`DEFAULT_MSS`].
+    fn tcp_path(&self, a: HostId, b: HostId) -> (Option<usize>, usize) {
+        let link = self.route(a, b);
+        let mss = link.map_or(DEFAULT_MSS, |i| {
+            self.links[i].cfg.mtu.saturating_sub(IP_HEADER + TCP_HEADER).max(1)
+        });
+        (link, mss)
     }
 
     /// Builds and transmits one segment from `side` of `conn`.
@@ -573,12 +580,13 @@ impl Sim {
                     self.dropped += 1;
                     return;
                 };
-                let mss = self.tcp_mss(HostId(host), HostId(peer_host));
+                let (link, mss) = self.tcp_path(HostId(host), HostId(peer_host));
                 let listener_owner = self.listeners[lid].owner;
                 {
                     let c = &mut self.conns[conn];
                     c.owners[Side::Server.index()] = listener_owner;
                     let ep = &mut c.ends[Side::Server.index()];
+                    ep.link = link;
                     ep.mss = mss;
                     ep.listener = Some(ListenerId(lid));
                     ep.state = TcpState::SynRcvd;
@@ -810,6 +818,7 @@ impl Sim {
         let fire = {
             let ep = &mut self.conns[conn].ends[side.index()];
             if !ep.delack_armed || ep.delack_gen != gen {
+                self.stats.tcp_timers_stale += 1;
                 false
             } else {
                 ep.delack_armed = false;
@@ -825,6 +834,7 @@ impl Sim {
         let action = {
             let ep = &mut self.conns[conn].ends[side.index()];
             if !ep.rto_armed || ep.rto_gen != gen {
+                self.stats.tcp_timers_stale += 1;
                 RtoAction::Nothing
             } else {
                 ep.rto_armed = false;

@@ -9,7 +9,6 @@
 
 use crate::packet::Packet;
 use crate::time::SimTime;
-use std::collections::BTreeMap;
 
 /// The layers the paper's Figure 5 breaks DoH resolution cost into, plus the
 /// raw DNS payload tag used for the UDP scenarios.
@@ -148,15 +147,22 @@ pub struct Counters {
     pub upstream_bytes: u64,
 }
 
+/// The largest attribution id: ids are DNS transaction ids, 16 bits.
+/// [`Sim::set_attr`](crate::sim::Sim::set_attr) rejects anything above it,
+/// which caps the [`CostMeter`]'s table at 65 536 [`Cost`]s of 64 bytes.
+pub const MAX_ATTR: u32 = u16::MAX as u32;
+
 /// Aggregates packets into per-attribution [`Cost`]s, plus the event
 /// [`Counters`] (cache hits/misses, upstream fetches, …) that application
 /// layers increment so experiments read *all* their measurements from one
 /// instrument.
 #[derive(Debug, Default)]
 pub struct CostMeter {
-    /// Ordered because [`CostMeter::total`] iterates it
-    /// (no-unordered-iteration).
-    by_attr: BTreeMap<u32, Cost>,
+    /// Indexed by attribution id and grown to the highest id recorded, so
+    /// the per-packet [`CostMeter::record`] is one bounds check and
+    /// [`CostMeter::total`] sums in id order. An id in a gap holds the zero
+    /// cost [`CostMeter::cost`] reports for an id never recorded.
+    by_attr: Vec<Cost>,
     /// Application-layer event counts.
     pub counters: Counters,
 }
@@ -167,9 +173,14 @@ impl CostMeter {
         CostMeter::default()
     }
 
-    /// Records one packet.
-    pub fn record(&mut self, pkt: &Packet) {
-        let cost = self.by_attr.entry(pkt.attr).or_default();
+    /// Records one packet. Crate-private: a packet's `attr` has passed
+    /// `Sim::set_attr`'s bound, which an outside caller's need not have.
+    pub(crate) fn record(&mut self, pkt: &Packet) {
+        let id = pkt.attr as usize;
+        if id >= self.by_attr.len() {
+            self.by_attr.resize(id + 1, Cost::default());
+        }
+        let cost = &mut self.by_attr[id];
         cost.packets += 1;
         cost.bytes += pkt.wire_len() as u64;
         cost.layers.add(LayerTag::L4Header, pkt.header_len() as u64);
@@ -178,13 +189,13 @@ impl CostMeter {
 
     /// The cost attributed to `attr`, zero if nothing was recorded.
     pub fn cost(&self, attr: u32) -> Cost {
-        self.by_attr.get(&attr).copied().unwrap_or_default()
+        self.by_attr.get(attr as usize).copied().unwrap_or_default()
     }
 
     /// Sum over every attribution.
     pub fn total(&self) -> Cost {
         let mut total = Cost::default();
-        for c in self.by_attr.values() {
+        for c in &self.by_attr {
             total.bytes += c.bytes;
             total.packets += c.packets;
             total.layers.merge(&c.layers);
@@ -300,15 +311,31 @@ mod tests {
         let mut m = CostMeter::new();
         m.record(&dummy_packet(1, 10));
         m.record(&dummy_packet(2, 20));
+        m.record(&dummy_packet(700, 5));
+        m.record(&dummy_packet(2, 7));
         let t = m.total();
-        assert_eq!(t.packets, 2);
-        assert_eq!(t.layers.dns, 30);
+        assert_eq!(t.packets, 4);
+        assert_eq!(t.layers.dns, 42);
+        // The total is the sum over the ids used, no more.
+        let mut sum = Cost::default();
+        for id in [1, 2, 700] {
+            let c = m.cost(id);
+            sum.bytes += c.bytes;
+            sum.packets += c.packets;
+            sum.layers.merge(&c.layers);
+        }
+        assert_eq!(t, sum);
     }
 
     #[test]
     fn unknown_attr_is_zero_cost() {
-        let m = CostMeter::new();
+        let mut m = CostMeter::new();
         assert_eq!(m.cost(7), Cost::default());
+        // Neither an id in a gap of the table nor one past its end.
+        m.record(&dummy_packet(9, 10));
+        assert_eq!(m.cost(7), Cost::default());
+        assert_eq!(m.cost(10), Cost::default());
+        assert_eq!(m.cost(u32::MAX), Cost::default());
     }
 
     #[test]
