@@ -11,7 +11,7 @@
 
 use dohmark_dns_wire::{Name, Rcode, Rdata, Record, RecordType};
 use dohmark_netsim::{SimDuration, SimTime};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Cache key: query name and type (class is always `IN` here).
 pub type CacheKey = (Name, RecordType);
@@ -44,16 +44,14 @@ struct Entry {
 
 /// The cache: a capacity-capped map with TTL expiry and LRU eviction.
 ///
-/// Determinism: iteration never touches `HashMap` order — eviction picks
-/// the minimum LRU stamp from a `BTreeMap` index, so identical operation
-/// sequences produce identical contents.
+/// Determinism: both tables are `BTreeMap`s, so no order depends on a
+/// hasher — eviction picks the minimum LRU stamp from the recency index,
+/// and identical operation sequences produce identical contents.
 #[derive(Debug)]
 pub struct DnsCache {
     capacity: usize,
-    /// Keyed lookup only (get/insert/remove) — never iterated; ordered
-    /// traversal (eviction) goes through the `lru` index below
-    /// (no-unordered-iteration).
-    entries: HashMap<CacheKey, Entry>,
+    /// The cached answers by key; eviction order comes from `lru` below.
+    entries: BTreeMap<CacheKey, Entry>,
     /// Recency index: stamp → key, oldest first.
     lru: BTreeMap<u64, CacheKey>,
     next_stamp: u64,
@@ -64,7 +62,7 @@ impl DnsCache {
     pub fn new(capacity: usize) -> DnsCache {
         DnsCache {
             capacity: capacity.max(1),
-            entries: HashMap::new(),
+            entries: BTreeMap::new(),
             lru: BTreeMap::new(),
             next_stamp: 0,
         }

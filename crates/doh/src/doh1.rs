@@ -42,7 +42,7 @@ fn tagged(encoded: Encoded) -> Segments {
 /// response per query, answered in request order.
 #[derive(Debug)]
 pub struct Http1 {
-    /// The `host` header value (normally the TLS SNI).
+    /// The `host` header value: the TLS SNI.
     authority: String,
 }
 
@@ -153,18 +153,16 @@ pub type DohH1Client = StreamClient<Http1>;
 pub type DohH1Server = StreamServer<Http1>;
 
 impl DohH1Client {
-    /// A client on `host` for `server`, usually `(resolver, 443)`. The
-    /// `authority` is the `host` header value (normally the TLS SNI).
-    /// Setup attribution follows the same rules as
-    /// [`DotClient::new`](crate::DotClient::new).
+    /// A client on `host` for `server`, usually `(resolver, 443)`, whose
+    /// `host` header is `tls_cfg.sni`. Setup attribution follows the same
+    /// rules as [`DotClient::new`](crate::DotClient::new).
     pub fn new(
         host: HostId,
         server: (HostId, u16),
-        authority: &str,
         tls_cfg: TlsConfig,
         policy: ReusePolicy,
     ) -> DohH1Client {
-        let framing = Http1 { authority: authority.to_string() };
+        let framing = Http1 { authority: tls_cfg.sni.clone() };
         StreamClient::with_framing(framing, host, server, tls_cfg, policy)
     }
 }
@@ -190,7 +188,7 @@ mod tests {
         sim.add_link(stub, resolver, LinkConfig::localhost());
         let server =
             DohH1Server::bind(&mut sim, resolver, 443, h1_tls(), Ipv4Addr::new(192, 0, 2, 7), 300);
-        let client = DohH1Client::new(stub, (resolver, 443), "dns.example.net", h1_tls(), policy);
+        let client = DohH1Client::new(stub, (resolver, 443), h1_tls(), policy);
         (sim, client, server)
     }
 

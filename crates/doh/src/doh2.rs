@@ -33,7 +33,7 @@ use dohmark_httpsim::h2::{self, settings, Frame, FrameDecoder, FrameRef, PREFACE
 use dohmark_httpsim::{decimal, hpack};
 use dohmark_netsim::{HostId, LayerTag, Side};
 use dohmark_tls_model::TlsConfig;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// SETTINGS a browser-like DoH client announces.
 const CLIENT_SETTINGS: [(u16, u32); 4] = [
@@ -68,7 +68,7 @@ fn mgmt(preface: &[u8], frames: &[Frame]) -> Segments {
 /// its own stream, plus the connection management HTTP/2 adds.
 #[derive(Debug)]
 pub struct Http2 {
-    /// The `:authority` pseudo-header (normally the TLS SNI).
+    /// The `:authority` pseudo-header: the TLS SNI.
     authority: String,
 }
 
@@ -81,14 +81,11 @@ pub struct H2Conn {
     /// HPACK for header blocks this end receives.
     decoder: hpack::Decoder,
     /// DATA payloads of streams whose body did not end on its first
-    /// frame. Keyed lookup only (by the arriving frame's stream id) —
-    /// never iterated, so the randomized order is unobservable
-    /// (no-unordered-iteration).
-    bodies: HashMap<u32, Vec<u8>>,
+    /// frame, by stream id.
+    bodies: BTreeMap<u32, Vec<u8>>,
     /// Streams whose HEADERS carried a non-200 `:status`; their DATA is
     /// not a DNS answer (mirrors the h1 client's status check).
-    /// Keyed membership test only — never iterated.
-    failed_streams: HashSet<u32>,
+    failed_streams: BTreeSet<u32>,
     /// Client-preface bytes a server still expects before frames begin.
     preface_left: usize,
     /// Next client-initiated stream id (odd: 1, 3, 5, …).
@@ -129,8 +126,8 @@ impl Framing for Http2 {
             frames: FrameDecoder::new(),
             encoder: hpack::Encoder::new(),
             decoder: hpack::Decoder::new(),
-            bodies: HashMap::new(),
-            failed_streams: HashSet::new(),
+            bodies: BTreeMap::new(),
+            failed_streams: BTreeSet::new(),
             preface_left: if side == Side::Server { PREFACE.len() } else { 0 },
             next_stream_id: 1,
             started: false,
@@ -292,18 +289,16 @@ pub type DohH2Client = StreamClient<Http2>;
 pub type DohH2Server = StreamServer<Http2>;
 
 impl DohH2Client {
-    /// A client on `host` for `server`, usually `(resolver, 443)`. The
-    /// `authority` is the `:authority` pseudo-header (normally the SNI).
-    /// Setup attribution follows the same rules as
-    /// [`DotClient::new`](crate::DotClient::new).
+    /// A client on `host` for `server`, usually `(resolver, 443)`, whose
+    /// `:authority` is `tls_cfg.sni`. Setup attribution follows the same
+    /// rules as [`DotClient::new`](crate::DotClient::new).
     pub fn new(
         host: HostId,
         server: (HostId, u16),
-        authority: &str,
         tls_cfg: TlsConfig,
         policy: ReusePolicy,
     ) -> DohH2Client {
-        let framing = Http2 { authority: authority.to_string() };
+        let framing = Http2 { authority: tls_cfg.sni.clone() };
         StreamClient::with_framing(framing, host, server, tls_cfg, policy)
     }
 }
@@ -330,7 +325,7 @@ mod tests {
         sim.add_link(stub, resolver, LinkConfig::localhost());
         let server =
             DohH2Server::bind(&mut sim, resolver, 443, h2_tls(), Ipv4Addr::new(192, 0, 2, 7), 300);
-        let client = DohH2Client::new(stub, (resolver, 443), "dns.example.net", h2_tls(), policy);
+        let client = DohH2Client::new(stub, (resolver, 443), h2_tls(), policy);
         (sim, client, server)
     }
 
@@ -425,8 +420,7 @@ mod tests {
         let resolver = sim.add_host("resolver");
         sim.add_link(stub, resolver, LinkConfig::localhost());
         let listener = sim.tcp_listen(resolver, 443);
-        let mut client =
-            DohH2Client::new(stub, (resolver, 443), "dns.example.net", h2_tls(), policy);
+        let mut client = DohH2Client::new(stub, (resolver, 443), h2_tls(), policy);
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
         for _ in 0..queries {
             client.send_query(&mut sim, &name);
@@ -501,6 +495,29 @@ mod tests {
         });
         assert!(client.take_response(1).is_none(), "DATA behind an undecodable block");
         assert!(client.take_response(2).is_none(), "the connection is not read any further");
+    }
+
+    #[test]
+    fn a_body_split_over_data_frames_is_reassembled() {
+        // Each answer's body arrives in two DATA frames, only the second
+        // ending the stream: the client buffers the first and decodes the
+        // two halves as one message.
+        let mut client = resolve_against(ReusePolicy::Persistent, 2, |conn, stream_id, body| {
+            let mut headers_frame = Vec::new();
+            h2::write_headers(&mut headers_frame, stream_id, false, |block| {
+                conn.encoder.encode_into(&[(":status", "200")], block);
+            });
+            let (head, tail) = body.split_at(body.len() / 2);
+            let mut data_frames = Vec::new();
+            h2::write_data(&mut data_frames, stream_id, head, false);
+            h2::write_data(&mut data_frames, stream_id, tail, true);
+            vec![(LayerTag::HttpHeader, headers_frame), (LayerTag::HttpBody, data_frames)]
+        });
+        for id in 1..=2u16 {
+            let response = client.take_response(id).expect("a reassembled answer");
+            assert_eq!(response.header.id, id);
+            assert_eq!(response.answers.len(), 1, "id {id}");
+        }
     }
 
     #[test]

@@ -185,16 +185,14 @@ mod tests {
                 let (mut $sim, stub, resolver) = topology();
                 let mut $server =
                     DohH1Server::bind(&mut $sim, resolver, 443, tls.clone(), ANSWER, 60);
-                let mut $client =
-                    DohH1Client::new(stub, (resolver, 443), &tls.sni, tls.clone(), $policy);
+                let mut $client = DohH1Client::new(stub, (resolver, 443), tls.clone(), $policy);
                 $body
             }
             {
                 let (mut $sim, stub, resolver) = topology();
                 let mut $server =
                     DohH2Server::bind(&mut $sim, resolver, 443, tls.clone(), ANSWER, 60);
-                let mut $client =
-                    DohH2Client::new(stub, (resolver, 443), &tls.sni, tls.clone(), $policy);
+                let mut $client = DohH2Client::new(stub, (resolver, 443), tls.clone(), $policy);
                 $body
             }
         }};

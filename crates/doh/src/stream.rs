@@ -18,7 +18,7 @@ use dohmark_tls_model::{
     handshake_flights, record_header, Deframer, Flight, TlsConfig, MAX_PLAINTEXT, RECORD_HEADER,
     ZERO_TAG,
 };
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt::Debug;
 use std::net::Ipv4Addr;
 
@@ -404,13 +404,11 @@ pub struct StreamServer<F: Framing> {
     listener: ListenerId,
     tls_cfg: TlsConfig,
     backend: ServerBackend,
-    /// Keyed lookup only (the wake's own handle) — never iterated, so
-    /// the randomized order is unobservable (no-unordered-iteration).
-    conns: HashMap<TcpHandle, Conn<F>>,
+    /// Open connections, by the handle their wakes name.
+    conns: BTreeMap<TcpHandle, Conn<F>>,
     /// Parked queries: waiter token → the connection and slot expecting
-    /// the answer. Keyed lookup only: drained in the backend's
-    /// completion order.
-    waiters: HashMap<u64, (TcpHandle, F::Slot)>,
+    /// the answer, drained in the backend's completion order.
+    waiters: BTreeMap<u64, (TcpHandle, F::Slot)>,
     next_waiter: u64,
 }
 
@@ -442,8 +440,8 @@ impl<F: Framing> StreamServer<F> {
             listener,
             tls_cfg,
             backend,
-            conns: HashMap::new(),
-            waiters: HashMap::new(),
+            conns: BTreeMap::new(),
+            waiters: BTreeMap::new(),
             next_waiter: 1,
         }
     }

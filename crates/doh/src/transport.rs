@@ -35,7 +35,7 @@ use crate::{
     DotServer, Endpoint, Resolver, ReusePolicy, UdpRetry,
 };
 use dohmark_netsim::{HostId, LinkConfig, Sim};
-use dohmark_tls_model::{TlsConfig, TlsVersion, ALPN_DOT, ALPN_H2, ALPN_HTTP11};
+use dohmark_tls_model::{TlsConfig, ALPN_DOT, ALPN_H2, ALPN_HTTP11};
 use std::net::Ipv4Addr;
 
 /// The four transports of the paper's cost matrix.
@@ -94,8 +94,6 @@ pub struct TransportConfig {
     /// Fresh connection per query vs. one persistent connection
     /// (ignored by Do53, where every query is its own datagram exchange).
     pub reuse: ReusePolicy,
-    /// TLS protocol version for TLS-based transports.
-    pub tls_version: TlsVersion,
     /// Resume a TLS session instead of a full handshake.
     pub resumption: bool,
     /// Link characteristics between stub and resolver.
@@ -125,7 +123,6 @@ impl TransportConfig {
         TransportConfig {
             kind,
             reuse,
-            tls_version: TlsVersion::Tls13,
             resumption: false,
             link: LinkConfig::clean_broadband(),
             udp_retry: None,
@@ -154,11 +151,11 @@ impl TransportConfig {
         format!("{} {}{}", self.kind.label(), self.reuse.label(), resumed)
     }
 
-    /// The TLS configuration this cell implies (`None` for Do53).
+    /// The TLS configuration this cell implies (`None` for Do53): TLS 1.3,
+    /// [`TlsConfig::for_server`]'s default, to [`Self::SNI`].
     pub fn tls(&self) -> Option<TlsConfig> {
         let alpn = self.kind.alpn()?;
         Some(TlsConfig {
-            version: self.tls_version,
             resumption: self.resumption,
             ..TlsConfig::for_server(Self::SNI).alpn(alpn)
         })
@@ -231,11 +228,11 @@ impl TransportConfig {
             }
             TransportKind::DohH1 => {
                 let tls = self.tls().expect("doh uses tls");
-                Box::new(DohH1Client::new(stub, server_addr, Self::SNI, tls, self.reuse))
+                Box::new(DohH1Client::new(stub, server_addr, tls, self.reuse))
             }
             TransportKind::DohH2 => {
                 let tls = self.tls().expect("doh uses tls");
-                Box::new(DohH2Client::new(stub, server_addr, Self::SNI, tls, self.reuse))
+                Box::new(DohH2Client::new(stub, server_addr, tls, self.reuse))
             }
         }
     }

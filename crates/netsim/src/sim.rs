@@ -56,7 +56,7 @@ pub struct SockId(pub(crate) usize);
 pub struct ListenerId(pub(crate) usize);
 
 /// Which end of a TCP connection a handle refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Side {
     /// The initiating end.
     Client,
@@ -82,41 +82,34 @@ impl Side {
 }
 
 /// Application-facing handle to one end of a TCP connection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TcpHandle {
     pub(crate) conn: usize,
     /// Which end this handle drives.
     pub side: Side,
 }
 
-/// Application-visible simulation events.
+/// Application-visible simulation events. A wake is returned at the
+/// instant it happened, so [`Sim::now`] is its time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Wake {
     /// A timer scheduled with [`Sim::schedule_app`] fired.
     AppTimer {
-        /// Fire time.
-        at: SimTime,
         /// Caller-chosen token identifying the timer.
         token: u64,
     },
     /// A UDP socket has at least one datagram queued.
     UdpReadable {
-        /// Delivery time.
-        at: SimTime,
         /// The readable socket.
         sock: SockId,
     },
     /// A `tcp_connect` completed (three-way handshake done, client side).
     TcpConnected {
-        /// Completion time.
-        at: SimTime,
         /// Client-side handle.
         conn: TcpHandle,
     },
     /// A listener produced a new established server-side connection.
     TcpAccepted {
-        /// Completion time.
-        at: SimTime,
         /// The listener that matched.
         listener: ListenerId,
         /// Server-side handle.
@@ -125,32 +118,14 @@ pub enum Wake {
     /// A TCP connection has new bytes readable. May be spurious if an
     /// earlier wake already drained them.
     TcpReadable {
-        /// Delivery time.
-        at: SimTime,
         /// Readable end.
         conn: TcpHandle,
     },
     /// The peer closed its direction (EOF after draining readable bytes).
     TcpFin {
-        /// FIN receipt time.
-        at: SimTime,
         /// End observing the EOF.
         conn: TcpHandle,
     },
-}
-
-impl Wake {
-    /// The simulated time the wake fired.
-    pub fn at(&self) -> SimTime {
-        match *self {
-            Wake::AppTimer { at, .. }
-            | Wake::UdpReadable { at, .. }
-            | Wake::TcpConnected { at, .. }
-            | Wake::TcpAccepted { at, .. }
-            | Wake::TcpReadable { at, .. }
-            | Wake::TcpFin { at, .. } => at,
-        }
-    }
 }
 
 /// One entry of the event queue: when, a tie-breaker, and a small kind.
@@ -642,7 +617,7 @@ impl Sim {
         };
         self.udp[idx].rx.push_back((pkt.src.0, pkt.src.1, pkt.payload));
         let owner = self.udp[idx].owner;
-        self.wakes.push_back((Wake::UdpReadable { at: self.now, sock: SockId(idx) }, owner));
+        self.wakes.push_back((Wake::UdpReadable { sock: SockId(idx) }, owner));
     }
 
     // ------------------------------------------------------------------
@@ -683,7 +658,7 @@ impl Sim {
                     self.on_tcp_rto(conn, side, gen);
                 }
                 EvKind::AppTimer { token, owner } => {
-                    return Some((Wake::AppTimer { at: self.now, token }, owner));
+                    return Some((Wake::AppTimer { token }, owner));
                 }
             }
         }
@@ -715,9 +690,9 @@ mod tests {
         let sb = sim.udp_bind(b, 53);
         sim.udp_send(sa, (b, 53), LayerTag::DnsPayload, vec![1, 2, 3]);
         match sim.next_wake() {
-            Some(Wake::UdpReadable { sock, at }) => {
+            Some(Wake::UdpReadable { sock }) => {
                 assert_eq!(sock, sb);
-                assert_eq!(at, SimTime::ZERO + SimDuration::from_micros(50));
+                assert_eq!(sim.now(), SimTime::ZERO + SimDuration::from_micros(50));
             }
             other => panic!("unexpected wake {other:?}"),
         }
@@ -984,7 +959,7 @@ mod tests {
         assert!(sim.next_wake().is_some());
         sim.schedule_app(SimTime(10), 2); // in the past now
         match sim.next_wake() {
-            Some(Wake::AppTimer { at, token: 2 }) => assert_eq!(at, SimTime(1_000)),
+            Some(Wake::AppTimer { token: 2 }) => assert_eq!(sim.now(), SimTime(1_000)),
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -1050,8 +1025,8 @@ mod tests {
                 sim.udp_send(sa, (b, 53), LayerTag::DnsPayload, vec![i as u8; 20]);
             }
             let mut deliveries = Vec::new();
-            while let Some(w) = sim.next_wake() {
-                deliveries.push(w.at().as_nanos());
+            while sim.next_wake().is_some() {
+                deliveries.push(sim.now().as_nanos());
             }
             (deliveries, sim.dropped_packets())
         };

@@ -608,7 +608,6 @@ impl Sim {
             self.dropped += 1;
             return;
         }
-        let now = self.now();
         let completed = {
             let ep = &mut self.conns[conn].ends[Side::Client.index()];
             if ep.state == TcpState::SynSent {
@@ -627,7 +626,7 @@ impl Sim {
             self.tcp_emit_ack(conn, Side::Client);
             let owner = self.conns[conn].owners[Side::Client.index()];
             self.wakes.push_back((
-                Wake::TcpConnected { at: now, conn: TcpHandle { conn, side: Side::Client } },
+                Wake::TcpConnected { conn: TcpHandle { conn, side: Side::Client } },
                 owner,
             ));
             self.tcp_pump(conn, Side::Client);
@@ -652,7 +651,6 @@ impl Sim {
         if seg.flags.ack {
             self.on_tcp_ack(conn, side, seg.ack);
         }
-        let now = self.now();
         let mut readable = false;
         let mut fin = false;
         let mut ack_now = false;
@@ -701,11 +699,10 @@ impl Sim {
         }
         let owner = self.conns[conn].owners[side.index()];
         if readable {
-            self.wakes
-                .push_back((Wake::TcpReadable { at: now, conn: TcpHandle { conn, side } }, owner));
+            self.wakes.push_back((Wake::TcpReadable { conn: TcpHandle { conn, side } }, owner));
         }
         if fin {
-            self.wakes.push_back((Wake::TcpFin { at: now, conn: TcpHandle { conn, side } }, owner));
+            self.wakes.push_back((Wake::TcpFin { conn: TcpHandle { conn, side } }, owner));
         }
         if ack_now {
             self.tcp_emit_ack(conn, side);
@@ -716,7 +713,6 @@ impl Sim {
 
     /// Cumulative-ACK bookkeeping for the sending direction of `side`.
     fn on_tcp_ack(&mut self, conn: usize, side: Side, ackno: u64) {
-        let now = self.now();
         let mut accepted = None;
         let advanced = {
             let ep = &mut self.conns[conn].ends[side.index()];
@@ -760,10 +756,8 @@ impl Sim {
         }
         if let Some(listener) = accepted {
             let owner = self.conns[conn].owners[side.index()];
-            self.wakes.push_back((
-                Wake::TcpAccepted { at: now, listener, conn: TcpHandle { conn, side } },
-                owner,
-            ));
+            self.wakes
+                .push_back((Wake::TcpAccepted { listener, conn: TcpHandle { conn, side } }, owner));
         }
         // The window slid (or the handshake completed): send more.
         self.tcp_pump(conn, side);

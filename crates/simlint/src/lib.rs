@@ -5,8 +5,8 @@
 //! at any thread count, and the fleet-scale tests pin thousand-client
 //! runs to exact bytes. Runtime tests defend the guarantee after the
 //! fact; simlint rejects the *ingredients* of nondeterminism — wall
-//! clocks, `HashMap` iteration order, stray threads — at lint time,
-//! before they can reach wake ordering or report bytes.
+//! clocks, stray threads, unnamed seeds — at lint time, before they can
+//! reach wake ordering or report bytes.
 //!
 //! # How it works
 //!
@@ -19,9 +19,12 @@
 //! There is one way to run it and it has no options: `cargo test -p
 //! dohmark-simlint`. `tests/self_check.rs` lints the whole workspace
 //! ([`lint_workspace`]) and fails on any finding; `tests/golden.rs` pins
-//! each rule's findings on a fixture corpus. Print and unwrap hygiene is
-//! not here: it is `clippy::print_stdout` / `print_stderr` / `unwrap_used`,
-//! declared at the library crate roots.
+//! each rule's findings on a fixture corpus. What clippy can name is not
+//! here: print and unwrap hygiene is `clippy::print_stdout` /
+//! `print_stderr` / `unwrap_used`, declared at the library crate roots,
+//! and hash-order nondeterminism is designed out — `clippy.toml` bans
+//! `HashMap` and `HashSet` as `disallowed-types`, so every keyed table
+//! is a `BTreeMap` / `BTreeSet`.
 //!
 //! # Suppression
 //!

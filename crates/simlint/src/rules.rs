@@ -11,7 +11,6 @@
 //! marked used; unused or malformed allows become findings themselves).
 
 use crate::lexer::{find_token, has_token, is_ident_char, Line};
-use std::collections::BTreeSet;
 
 /// One lint finding, printed as `file:line rule message`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,12 +77,6 @@ pub const RULES: &[Rule] = &[
         summary: "Instant::now / SystemTime::now / .elapsed() outside benches/ — \
                   simulated code reads time from Sim::now()",
         check: no_wall_clock,
-    },
-    Rule {
-        name: "no-unordered-iteration",
-        summary: "iterating, draining or collecting from a HashMap/HashSet in non-test \
-                  code — keyed lookup is legal, ordered traversal needs BTreeMap or a sort",
-        check: no_unordered_iteration,
     },
     Rule {
         name: "no-thread-outside-sweep",
@@ -234,148 +227,6 @@ fn no_wall_clock(view: &FileView, sink: &mut Sink) {
             );
         }
     }
-}
-
-/// Methods whose call on a hash collection observes its random order.
-const ITER_METHODS: &[&str] = &[
-    "iter",
-    "iter_mut",
-    "into_iter",
-    "keys",
-    "into_keys",
-    "values",
-    "values_mut",
-    "into_values",
-    "drain",
-    "retain",
-];
-
-fn no_unordered_iteration(view: &FileView, sink: &mut Sink) {
-    // Pass 1: names declared (or annotated) as HashMap/HashSet anywhere
-    // in the file's non-test code — fields, lets, parameters.
-    let mut tracked: BTreeSet<String> = BTreeSet::new();
-    for (i, line) in view.lines.iter().enumerate() {
-        if view.test_line(i) {
-            continue;
-        }
-        for ty in ["HashMap", "HashSet"] {
-            let mut from = 0;
-            while let Some(pos) = find_token(&line.code, ty, from) {
-                if let Some(name) = binding_name(&line.code[..pos]) {
-                    tracked.insert(name);
-                }
-                from = pos + ty.len();
-            }
-        }
-    }
-    // Pass 2: order-observing uses of a tracked name.
-    for (i, line) in view.lines.iter().enumerate() {
-        if view.test_line(i) {
-            continue;
-        }
-        for name in &tracked {
-            if let Some(method) = iterating_call(&line.code, name) {
-                sink.report(
-                    i,
-                    "no-unordered-iteration",
-                    format!(
-                        "`{name}` is a HashMap/HashSet; `.{method}()` observes random \
-                         order — use a BTreeMap or sort first"
-                    ),
-                );
-            }
-            if for_loop_over(&line.code, name) {
-                sink.report(
-                    i,
-                    "no-unordered-iteration",
-                    format!(
-                        "`{name}` is a HashMap/HashSet; `for … in` observes random \
-                         order — use a BTreeMap or sort first"
-                    ),
-                );
-            }
-        }
-    }
-}
-
-/// Given the code before a `HashMap`/`HashSet` token, the identifier the
-/// collection is bound to: `conns: HashMap<…>` → `conns`,
-/// `let seen = HashSet::new()` → `seen`. `None` for positions that bind
-/// nothing (return types, turbofish, …).
-fn binding_name(before: &str) -> Option<String> {
-    let mut s = before;
-    // Strip reference sigils and a path prefix: `&mut std::collections::HashMap`.
-    loop {
-        s = s.trim_end();
-        if let Some(stripped) = s.strip_suffix("::") {
-            s = stripped.trim_end_matches(is_ident_char);
-        } else if let Some(stripped) = s.strip_suffix('&') {
-            s = stripped;
-        } else if s.ends_with("mut") && !ends_in_longer_ident(s, "mut") {
-            s = &s[..s.len() - 3];
-        } else {
-            break;
-        }
-    }
-    let s = if let Some(stripped) = s.strip_suffix(':') {
-        // `name: HashMap<…>` — a field, let, or parameter annotation.
-        stripped
-    } else if let Some(stripped) = s.strip_suffix('=') {
-        let stripped = stripped.trim_end();
-        // `name = HashMap::new()`, not `==`, `>=`, `<=`.
-        if stripped.ends_with(['=', '>', '<', '!']) {
-            return None;
-        }
-        stripped
-    } else {
-        return None;
-    };
-    let s = s.trim_end();
-    let name: String = s
-        .chars()
-        .rev()
-        .take_while(|&c| is_ident_char(c))
-        .collect::<Vec<_>>()
-        .into_iter()
-        .rev()
-        .collect();
-    if name.is_empty() || name.chars().next().is_some_and(|c| c.is_ascii_digit()) {
-        None
-    } else {
-        Some(name)
-    }
-}
-
-fn ends_in_longer_ident(s: &str, suffix: &str) -> bool {
-    s.len() > suffix.len()
-        && s[..s.len() - suffix.len()].chars().next_back().is_some_and(is_ident_char)
-}
-
-/// The iterating method, if `code` contains `name.<iter-method>(`.
-fn iterating_call(code: &str, name: &str) -> Option<&'static str> {
-    let mut from = 0;
-    while let Some(pos) = find_token(code, name, from) {
-        let after = code[pos + name.len()..].trim_start();
-        if let Some(rest) = after.strip_prefix('.') {
-            let rest = rest.trim_start();
-            for &m in ITER_METHODS {
-                if let Some(tail) = rest.strip_prefix(m) {
-                    if tail.trim_start().starts_with('(') {
-                        return Some(m);
-                    }
-                }
-            }
-        }
-        from = pos + name.len();
-    }
-    None
-}
-
-/// Is there a `for … in … name` loop header on this line?
-fn for_loop_over(code: &str, name: &str) -> bool {
-    let Some(for_pos) = find_token(code, "for", 0) else { return false };
-    let Some(in_pos) = find_token(code, "in", for_pos + 3) else { return false };
-    find_token(code, name, in_pos + 2).is_some()
 }
 
 fn no_thread_outside_sweep(view: &FileView, sink: &mut Sink) {
@@ -636,38 +487,6 @@ mod tests {
         let src = "use std::time::Instant;\nfn main() { let t = Instant::now(); t.elapsed(); }\n";
         assert!(run("perfbench/benches/main.rs", src).is_empty());
         assert_eq!(run("crates/netsim/src/sim.rs", src).len(), 2);
-    }
-
-    #[test]
-    fn binding_names_are_extracted_from_decl_shapes() {
-        assert_eq!(binding_name("    conns: ").as_deref(), Some("conns"));
-        assert_eq!(binding_name("let seen = ").as_deref(), Some("seen"));
-        assert_eq!(binding_name("let seen: std::collections::").as_deref(), Some("seen"));
-        assert_eq!(binding_name("fn f(m: &mut ").as_deref(), Some("m"));
-        assert_eq!(binding_name("fn f() -> ").as_deref(), None);
-        assert_eq!(binding_name("if x == ").as_deref(), None);
-    }
-
-    #[test]
-    fn keyed_lookup_is_legal_iteration_is_not() {
-        let src = "use std::collections::HashMap;\n\
-                   struct S { conns: HashMap<u32, u32> }\n\
-                   impl S {\n\
-                   fn get(&self) -> Option<&u32> { self.conns.get(&1) }\n\
-                   fn bad(&self) { for c in self.conns.values() { use_it(c); } }\n\
-                   }\n";
-        let found = run("crates/doh/src/x.rs", src);
-        // `.values()` and the `for … in` heuristic both fire on line 5.
-        assert!(found.iter().all(|f| f.line == 5 && f.rule == "no-unordered-iteration"));
-        assert!(!found.is_empty());
-    }
-
-    #[test]
-    fn hash_iteration_in_unit_tests_is_exempt() {
-        let src = "struct S;\n#[cfg(test)]\nmod tests {\n\
-                   fn t() { let seen: std::collections::HashSet<u32> = it.collect(); \
-                   for x in seen.iter() { check(x); } }\n}\n";
-        assert!(run("crates/workload/src/lib.rs", src).is_empty());
     }
 
     #[test]

@@ -605,7 +605,7 @@ mod tests {
             assert!(pair[0].0 <= pair[1].0, "arrival times must be sorted");
         }
         // Every client queries, and the shared universe bounds the names.
-        let clients: std::collections::HashSet<usize> =
+        let clients: std::collections::BTreeSet<usize> =
             a.queries.iter().map(|&(_, c, _)| c).collect();
         assert_eq!(clients.len(), 50);
         assert!(a.distinct_names() <= 30);
