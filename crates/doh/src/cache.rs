@@ -7,7 +7,8 @@
 //! zero). Served answers carry the **remaining** TTL. Negative entries
 //! (NXDOMAIN / NODATA) are cached for `min(SOA TTL, SOA MINIMUM)` per
 //! RFC 2308 §5. A configurable size cap evicts the least-recently-used
-//! entry, deterministically.
+//! entry: the oldest end of a recency list threaded through the entries,
+//! so eviction follows the operation order alone.
 
 use dohmark_dns_wire::{Name, Rcode, Rdata, Record, RecordType};
 use dohmark_netsim::{SimDuration, SimTime};
@@ -33,28 +34,45 @@ pub enum CachedAnswer {
     },
 }
 
+/// Marks the end of the recency list: no older or newer neighbour.
+const NIL: usize = usize::MAX;
+
 #[derive(Debug)]
 struct Entry {
+    /// The key, kept so eviction can drop the index entry.
+    key: CacheKey,
     /// The answer as inserted; [`DnsCache::get`] rewrites its TTLs.
     data: CachedAnswer,
     expires_at: SimTime,
-    /// LRU stamp; also the key into the recency index.
-    stamp: u64,
+    /// The next-older and next-newer slots in the recency list, or [`NIL`].
+    older: usize,
+    newer: usize,
 }
 
 /// The cache: a capacity-capped map with TTL expiry and LRU eviction.
 ///
-/// Determinism: both tables are `BTreeMap`s, so no order depends on a
-/// hasher — eviction picks the minimum LRU stamp from the recency index,
-/// and identical operation sequences produce identical contents.
+/// Entries live in a slab of slots. The only tree is the key index, from
+/// key to slot; recency is a doubly-linked list threaded through the
+/// slots, from `oldest` to `newest`. A hit is one index lookup and an
+/// O(1) relink to the newest end, and eviction takes the oldest slot.
+///
+/// Determinism: eviction takes the list's oldest slot. There is no stamp
+/// or counter: the list's order is the order of hits and inserts, and the
+/// index is a `BTreeMap`, so nothing depends on a hasher. Identical
+/// operation sequences produce identical contents and evict the same
+/// entries, and which slot an entry occupies is never observable.
 #[derive(Debug)]
 pub struct DnsCache {
     capacity: usize,
-    /// The cached answers by key; eviction order comes from `lru` below.
-    entries: BTreeMap<CacheKey, Entry>,
-    /// Recency index: stamp → key, oldest first.
-    lru: BTreeMap<u64, CacheKey>,
-    next_stamp: u64,
+    /// Key → the slot holding its entry.
+    index: BTreeMap<CacheKey, usize>,
+    /// The entries; `None` for a slot on the free list.
+    slots: Vec<Option<Entry>>,
+    /// Slots freed by expiry, reused before the slab grows.
+    free: Vec<usize>,
+    /// The least- and most-recently used slots, or [`NIL`] when empty.
+    oldest: usize,
+    newest: usize,
 }
 
 impl DnsCache {
@@ -62,21 +80,23 @@ impl DnsCache {
     pub fn new(capacity: usize) -> DnsCache {
         DnsCache {
             capacity: capacity.max(1),
-            entries: BTreeMap::new(),
-            lru: BTreeMap::new(),
-            next_stamp: 0,
+            index: BTreeMap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            oldest: NIL,
+            newest: NIL,
         }
     }
 
     /// Live entry count (expired entries linger until looked up or
     /// evicted).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.index.len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.index.is_empty()
     }
 
     /// Looks up `name`/`qtype` at time `now`, refreshing recency on a hit
@@ -84,17 +104,16 @@ impl DnsCache {
     /// are the remaining lifetime (floored to whole seconds).
     pub fn get(&mut self, name: &Name, qtype: RecordType, now: SimTime) -> Option<CachedAnswer> {
         let key = (name.clone(), qtype);
-        let entry = self.entries.get_mut(&key)?;
+        let slot = *self.index.get(&key)?;
+        self.unlink(slot);
+        let entry = self.entry(slot);
         if now >= entry.expires_at {
-            let stamp = entry.stamp;
-            self.entries.remove(&key);
-            self.lru.remove(&stamp);
+            self.index.remove(&key);
+            self.slots[slot] = None;
+            self.free.push(slot);
             return None;
         }
         let remaining = entry.expires_at.duration_since(now).as_secs_f64() as u32;
-        let old_stamp = entry.stamp;
-        entry.stamp = self.next_stamp;
-        self.next_stamp += 1;
         let answer = match &entry.data {
             CachedAnswer::Positive(records) => CachedAnswer::Positive(
                 records.iter().map(|r| Record { ttl: remaining, ..r.clone() }).collect(),
@@ -104,9 +123,7 @@ impl DnsCache {
                 soa: Record { ttl: remaining, ..soa.clone() },
             },
         };
-        let new_stamp = self.next_stamp - 1;
-        self.lru.remove(&old_stamp);
-        self.lru.insert(new_stamp, key);
+        self.link_newest(slot);
         Some(answer)
     }
 
@@ -145,20 +162,63 @@ impl DnsCache {
         if ttl == 0 {
             return;
         }
-        if let Some(old) = self.entries.remove(&key) {
-            self.lru.remove(&old.stamp);
-        } else if self.entries.len() >= self.capacity {
-            // Evict the least-recently-used entry (smallest stamp).
-            if let Some((&stamp, _)) = self.lru.iter().next() {
-                let victim = self.lru.remove(&stamp).expect("stamp just seen");
-                self.entries.remove(&victim);
-            }
-        }
-        let stamp = self.next_stamp;
-        self.next_stamp += 1;
         let expires_at = now + SimDuration::from_secs(u64::from(ttl));
-        self.entries.insert(key.clone(), Entry { data, expires_at, stamp });
-        self.lru.insert(stamp, key);
+        if let Some(&slot) = self.index.get(&key) {
+            // A re-insert replaces the entry in place and makes it newest.
+            self.unlink(slot);
+            let entry = self.entry(slot);
+            entry.data = data;
+            entry.expires_at = expires_at;
+            self.link_newest(slot);
+            return;
+        }
+        let slot = if self.index.len() >= self.capacity {
+            // Evict the least-recently-used entry and take its slot.
+            let victim = self.oldest;
+            self.unlink(victim);
+            let evicted = self.slots[victim].take().expect("the oldest slot holds an entry");
+            self.index.remove(&evicted.key);
+            victim
+        } else if let Some(slot) = self.free.pop() {
+            slot
+        } else {
+            self.slots.push(None);
+            self.slots.len() - 1
+        };
+        self.index.insert(key.clone(), slot);
+        self.slots[slot] = Some(Entry { key, data, expires_at, older: NIL, newer: NIL });
+        self.link_newest(slot);
+    }
+
+    /// The live entry in `slot`.
+    fn entry(&mut self, slot: usize) -> &mut Entry {
+        self.slots[slot].as_mut().expect("an indexed slot holds an entry")
+    }
+
+    /// Takes `slot` out of the recency list, joining its neighbours.
+    fn unlink(&mut self, slot: usize) {
+        let Entry { older, newer, .. } = *self.entry(slot);
+        match older {
+            NIL => self.oldest = newer,
+            older => self.entry(older).newer = newer,
+        }
+        match newer {
+            NIL => self.newest = older,
+            newer => self.entry(newer).older = older,
+        }
+    }
+
+    /// Puts the unlinked `slot` at the newest end of the recency list.
+    fn link_newest(&mut self, slot: usize) {
+        let older = self.newest;
+        let entry = self.entry(slot);
+        entry.older = older;
+        entry.newer = NIL;
+        match older {
+            NIL => self.oldest = slot,
+            older => self.entry(older).newer = slot,
+        }
+        self.newest = slot;
     }
 }
 
@@ -264,5 +324,104 @@ mod tests {
         let mut cache = DnsCache::new(4);
         cache.insert_positive(name("w1"), RecordType::A, vec![a_record("w1", 0)], at(0));
         assert!(cache.is_empty());
+    }
+
+    /// The reference LRU: entries oldest first, a hit moved to the back,
+    /// eviction from the front.
+    struct Reference {
+        capacity: usize,
+        entries: Vec<(CacheKey, CachedAnswer, SimTime)>,
+    }
+
+    impl Reference {
+        fn get(&mut self, key: &CacheKey, now: SimTime) -> Option<CachedAnswer> {
+            let entry = self.entries.remove(self.entries.iter().position(|e| &e.0 == key)?);
+            if now >= entry.2 {
+                return None;
+            }
+            let ttl = entry.2.duration_since(now).as_secs_f64() as u32;
+            let answer = match &entry.1 {
+                CachedAnswer::Positive(records) => CachedAnswer::Positive(
+                    records.iter().map(|r| Record { ttl, ..r.clone() }).collect(),
+                ),
+                CachedAnswer::Negative { rcode, soa } => {
+                    CachedAnswer::Negative { rcode: *rcode, soa: Record { ttl, ..soa.clone() } }
+                }
+            };
+            self.entries.push(entry);
+            Some(answer)
+        }
+
+        fn put(&mut self, key: CacheKey, answer: CachedAnswer, ttl: u32, now: SimTime) {
+            if ttl == 0 {
+                return;
+            }
+            if let Some(at) = self.entries.iter().position(|e| e.0 == key) {
+                self.entries.remove(at);
+            } else if self.entries.len() >= self.capacity {
+                self.entries.remove(0);
+            }
+            self.entries.push((key, answer, now + SimDuration::from_secs(u64::from(ttl))));
+        }
+    }
+
+    /// Seeded runs of inserts and lookups on an advancing whole-second
+    /// clock, so TTL 0, the exact expiry instant, re-inserts of live keys
+    /// and evictions all occur; every lookup and every `len()` must agree
+    /// with the reference.
+    #[test]
+    fn matches_a_reference_lru() {
+        let labels = ["w1", "w2", "w3", "w4", "w5", "w6"];
+        let (mut boundaries, mut live_reinserts) = (0, 0);
+        for capacity in 1..=8 {
+            for seed in 1..=40u64 {
+                let mut rng = dohmark_netsim::SimRng::new(seed);
+                let mut cache = DnsCache::new(capacity);
+                let mut reference = Reference { capacity, entries: Vec::new() };
+                let mut now = 0;
+                for step in 0..200 {
+                    now += rng.below(3);
+                    let label = labels[rng.below(labels.len() as u64) as usize];
+                    let qtype = [RecordType::A, RecordType::Aaaa][rng.below(2) as usize];
+                    let key = (name(label), qtype);
+                    let live = reference.entries.iter().find(|e| e.0 == key).map(|e| e.2);
+                    let ttl = rng.below(7) as u32;
+                    match rng.below(4) {
+                        0 => {
+                            live_reinserts += usize::from(live.is_some_and(|t| at(now) < t));
+                            cache.insert_positive(
+                                name(label),
+                                qtype,
+                                vec![a_record(label, ttl)],
+                                at(now),
+                            );
+                            let answer = CachedAnswer::Positive(vec![a_record(label, ttl)]);
+                            reference.put(key, answer, ttl, at(now));
+                        }
+                        1 => {
+                            let (rcode, minimum) = (Rcode::NxDomain, rng.below(7) as u32);
+                            cache.insert_negative(
+                                name(label),
+                                qtype,
+                                rcode,
+                                soa(ttl, minimum),
+                                at(now),
+                            );
+                            let answer = CachedAnswer::Negative { rcode, soa: soa(ttl, minimum) };
+                            reference.put(key, answer, ttl.min(minimum), at(now));
+                        }
+                        _ => {
+                            boundaries += usize::from(live == Some(at(now)));
+                            let got = cache.get(&name(label), qtype, at(now));
+                            let want = reference.get(&key, at(now));
+                            assert_eq!(got, want, "capacity {capacity} seed {seed} step {step}");
+                        }
+                    }
+                    let len = reference.entries.len();
+                    assert_eq!(cache.len(), len, "capacity {capacity} seed {seed} step {step}");
+                }
+            }
+        }
+        assert!(boundaries > 0 && live_reinserts > 0, "{boundaries} / {live_reinserts}");
     }
 }

@@ -404,8 +404,11 @@ pub struct StreamServer<F: Framing> {
     listener: ListenerId,
     tls_cfg: TlsConfig,
     backend: ServerBackend,
-    /// Open connections, by the handle their wakes name.
-    conns: BTreeMap<TcpHandle, Conn<F>>,
+    /// Open connections at [`TcpHandle::index`] of the handle their wakes
+    /// name; `None` for an index that is closed or not this server's. The
+    /// simulator issues indices densely and never reuses one, so a wake
+    /// finds its connection with one bounds-checked index.
+    conns: Vec<Option<Conn<F>>>,
     /// Parked queries: waiter token → the connection and slot expecting
     /// the answer, drained in the backend's completion order.
     waiters: BTreeMap<u64, (TcpHandle, F::Slot)>,
@@ -440,7 +443,7 @@ impl<F: Framing> StreamServer<F> {
             listener,
             tls_cfg,
             backend,
-            conns: BTreeMap::new(),
+            conns: Vec::new(),
             waiters: BTreeMap::new(),
             next_waiter: 1,
         }
@@ -448,7 +451,7 @@ impl<F: Framing> StreamServer<F> {
 
     /// Established-and-open connection count (for tests and reports).
     pub fn open_connections(&self) -> usize {
-        self.conns.len()
+        self.conns.iter().flatten().count()
     }
 
     /// Writes every response `slot`'s answer releases, each charged to
@@ -469,7 +472,7 @@ impl<F: Framing> Endpoint for StreamServer<F> {
         // resolver whose client hung up mid-recursion).
         for (waiter, response) in self.backend.poll(sim, wake) {
             let Some((handle, slot)) = self.waiters.remove(&waiter) else { continue };
-            if let Some(conn) = self.conns.get_mut(&handle) {
+            if let Some(Some(conn)) = self.conns.get_mut(handle.index()) {
                 Self::respond(conn, sim, slot, response);
             }
         }
@@ -478,10 +481,14 @@ impl<F: Framing> Endpoint for StreamServer<F> {
                 // Setup bytes we send are charged to whatever attribution
                 // the connecting client's setup used (current attr).
                 let conn = Conn::new(handle, &self.tls_cfg, sim.attr());
-                self.conns.insert(handle, conn);
+                let index = handle.index();
+                if index >= self.conns.len() {
+                    self.conns.resize_with(index + 1, || None);
+                }
+                self.conns[index] = Some(conn);
             }
             Wake::TcpReadable { conn: handle, .. } if handle.side == Side::Server => {
-                let Some(conn) = self.conns.get_mut(&handle) else { return };
+                let Some(Some(conn)) = self.conns.get_mut(handle.index()) else { return };
                 let data = sim.tcp_recv(handle);
                 let (queries, _) = conn.receive(sim, &data);
                 for (slot, query) in queries {
@@ -496,7 +503,8 @@ impl<F: Framing> Endpoint for StreamServer<F> {
                 }
             }
             Wake::TcpFin { conn: handle, .. }
-                if handle.side == Side::Server && self.conns.remove(&handle).is_some() =>
+                if handle.side == Side::Server
+                    && self.conns.get_mut(handle.index()).and_then(Option::take).is_some() =>
             {
                 sim.tcp_close(handle);
             }
@@ -508,6 +516,7 @@ impl<F: Framing> Endpoint for StreamServer<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{TransportConfig, TransportKind};
     use dohmark_netsim::SimRng;
     use dohmark_tls_model::seal;
 
@@ -526,6 +535,87 @@ mod tests {
         client.send_query(&mut sim, &name);
         client.last_txn = 65_535;
         client.send_query(&mut sim, &name);
+    }
+
+    /// Clients of one server, every wake handed to every endpoint (each
+    /// ignores handles not its own), run to quiescence at each step.
+    struct Bed<F: Framing> {
+        sim: Sim,
+        server: StreamServer<F>,
+        clients: Vec<StreamClient<F>>,
+        /// The server-side handle of every accepted connection, in order.
+        accepted: Vec<TcpHandle>,
+    }
+
+    impl<F: Framing> Bed<F> {
+        fn pump(&mut self) {
+            while let Some(wake) = self.sim.next_wake() {
+                if let Wake::TcpAccepted { conn, .. } = wake {
+                    self.accepted.push(conn);
+                }
+                for client in &mut self.clients {
+                    client.on_wake(&mut self.sim, &wake);
+                }
+                self.server.on_wake(&mut self.sim, &wake);
+            }
+        }
+
+        /// One query from each client in `who`; every one must be answered.
+        fn resolve(&mut self, who: &[usize]) {
+            let name = Name::parse("abcdefgh.dohmark.test").unwrap();
+            let ids: Vec<u16> =
+                who.iter().map(|&c| self.clients[c].send_query(&mut self.sim, &name)).collect();
+            self.pump();
+            for (&c, id) in who.iter().zip(ids) {
+                assert!(self.clients[c].take_response(id).is_some(), "client {c} query {id}");
+            }
+        }
+    }
+
+    /// The server's table is indexed by connection, so closing connections
+    /// out of index order, reconnecting past the end, and a FIN naming a
+    /// freed slot must all leave `open_connections()` exact.
+    #[test]
+    fn connections_closed_out_of_order_keep_the_table_exact() {
+        type NewClient<F> = fn(HostId, (HostId, u16), TlsConfig, ReusePolicy) -> StreamClient<F>;
+        fn run<F: Framing>(kind: TransportKind, new_client: NewClient<F>) {
+            let cfg = TransportConfig::new(kind, ReusePolicy::Persistent);
+            let tls = cfg.tls().expect("a stream transport");
+            let mut sim = Sim::new(11);
+            let resolver = sim.add_host("resolver");
+            let (answer, ttl) = (TransportConfig::ANSWER, TransportConfig::TTL);
+            let server =
+                StreamServer::bind(&mut sim, resolver, kind.port(), tls.clone(), answer, ttl);
+            let clients = (0..3)
+                .map(|i| {
+                    let stub = sim.add_host(&format!("stub{i}"));
+                    sim.add_link(stub, resolver, cfg.link);
+                    new_client(stub, (resolver, kind.port()), tls.clone(), ReusePolicy::Persistent)
+                })
+                .collect();
+            let mut bed = Bed { sim, server, clients, accepted: Vec::new() };
+            bed.resolve(&[0, 1, 2]);
+            assert_eq!(bed.server.open_connections(), 3, "{kind:?}");
+            // Close in reverse order of index.
+            for open in (0..3).rev() {
+                bed.clients[open].close(&mut bed.sim);
+                bed.pump();
+                assert_eq!(bed.server.open_connections(), open, "{kind:?}: closed {open}");
+            }
+            bed.resolve(&[1]);
+            assert_eq!(bed.server.open_connections(), 1, "{kind:?}: client 1 reconnected");
+            let indices: Vec<usize> = bed.accepted.iter().map(|h| h.index()).collect();
+            assert_eq!(indices, [0, 1, 2, 3], "{kind:?}");
+            // A late FIN for a slot the server already freed is ignored.
+            let stale = Wake::TcpFin { conn: bed.accepted[1] };
+            bed.server.on_wake(&mut bed.sim, &stale);
+            assert_eq!(bed.server.open_connections(), 1, "{kind:?}: stale FIN");
+            bed.resolve(&[1]);
+            assert_eq!(bed.server.open_connections(), 1, "{kind:?}");
+        }
+        run(TransportKind::Dot, crate::DotClient::new);
+        run(TransportKind::DohH1, crate::DohH1Client::new);
+        run(TransportKind::DohH2, crate::DohH2Client::new);
     }
 
     /// The copy-free framing against the reference: same bytes, and every

@@ -56,7 +56,7 @@ pub struct SockId(pub(crate) usize);
 pub struct ListenerId(pub(crate) usize);
 
 /// Which end of a TCP connection a handle refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Side {
     /// The initiating end.
     Client,
@@ -82,11 +82,21 @@ impl Side {
 }
 
 /// Application-facing handle to one end of a TCP connection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TcpHandle {
     pub(crate) conn: usize,
     /// Which end this handle drives.
     pub side: Side,
+}
+
+impl TcpHandle {
+    /// The connection's index in this simulation: both ends share it,
+    /// [`Sim::tcp_connect`] hands them out 0, 1, 2, … in call order, and a
+    /// closed connection keeps its own, so none is ever reused. Dense
+    /// enough to index a per-connection table by.
+    pub fn index(self) -> usize {
+        self.conn
+    }
 }
 
 /// Application-visible simulation events. A wake is returned at the

@@ -930,6 +930,35 @@ mod tests {
         }
     }
 
+    /// The contract `TcpHandle::index` users build on: one index per
+    /// connection, shared by both ends, counted up from 0 and never
+    /// handed out again.
+    #[test]
+    fn tcp_handle_indices_are_dense_shared_and_never_reused() {
+        let (mut sim, a, b) = two_hosts(6, LinkConfig::localhost());
+        sim.tcp_listen(b, 853);
+        let accept = |sim: &mut Sim| match wait_for(sim, |w| matches!(w, Wake::TcpAccepted { .. }))
+        {
+            Wake::TcpAccepted { conn, .. } => conn,
+            _ => unreachable!(),
+        };
+        let first = sim.tcp_connect(a, (b, 853));
+        let second = sim.tcp_connect(a, (b, 853));
+        assert_eq!((first.index(), second.index()), (0, 1));
+        let (first_server, second_server) = (accept(&mut sim), accept(&mut sim));
+        assert_eq!(first_server.index(), first.index());
+        assert_eq!(second_server.index(), second.index());
+        assert_eq!(first_server.side, Side::Server);
+        // Close the first connection at both ends: its index is not freed.
+        sim.tcp_close(first);
+        sim.tcp_close(first_server);
+        sim.drain();
+        assert!(sim.tcp_fin_received(first) && sim.tcp_fin_received(first_server));
+        let third = sim.tcp_connect(a, (b, 853));
+        assert_eq!(third.index(), 2, "a closed connection keeps its index");
+        assert_eq!(accept(&mut sim).index(), 2);
+    }
+
     #[test]
     fn stream_round_trip_preserves_bytes() {
         let (mut sim, a, b) = two_hosts(3, LinkConfig::localhost());
