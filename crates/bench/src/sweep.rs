@@ -151,10 +151,15 @@ impl Cell for SitePagesCell {
         let mut rng = dohmark::netsim::SimRng::new(seed);
         let mut model =
             dohmark::workload::SiteModel::new(&mut rng, &zone, self.sites, self.exponent);
-        let pages: Vec<_> = (0..self.pages).map(|_| model.next_page()).collect();
-        let queries: Vec<f64> = pages.iter().map(|p| p.dns_queries() as f64).collect();
-        let resources: Vec<f64> = pages.iter().map(|p| p.resources.len() as f64).collect();
-        let depths: Vec<f64> = pages.iter().map(|p| p.depth() as f64).collect();
+        let mut queries = Vec::with_capacity(self.pages);
+        let mut resources = Vec::with_capacity(self.pages);
+        let mut depths = Vec::with_capacity(self.pages);
+        for _ in 0..self.pages {
+            let page = model.next_page();
+            queries.push(page.dns_queries() as f64);
+            resources.push(page.resources.len() as f64);
+            depths.push(page.depth() as f64);
+        }
         Ok(CellOutcome {
             identity: vec![
                 ("sites".to_string(), Value::U64(self.sites as u64)),
@@ -173,7 +178,7 @@ impl Cell for SitePagesCell {
                 ),
                 (
                     "max_queries_per_page".to_string(),
-                    Value::U64(pages.iter().map(|p| p.dns_queries()).max().unwrap_or(0) as u64),
+                    Value::U64(queries.iter().copied().fold(0.0, f64::max) as u64),
                 ),
                 (
                     "mean_resources_per_page".to_string(),
@@ -182,9 +187,7 @@ impl Cell for SitePagesCell {
                 ("mean_depth".to_string(), Value::fixed2(crate::stats::mean(&depths))),
                 (
                     "queries_per_page".to_string(),
-                    Value::Array(
-                        pages.iter().map(|p| Value::U64(p.dns_queries() as u64)).collect(),
-                    ),
+                    Value::Array(queries.iter().map(|&q| Value::U64(q as u64)).collect()),
                 ),
             ],
         })

@@ -421,7 +421,7 @@ impl PageloadCell {
         for _ in 0..self.pages {
             let page = model.next_page();
             let client = bed.clients[0];
-            loads.push(load_page(&mut bed.sim, &mut bed.driver, client, &page, &fetch));
+            loads.push(load_page(&mut bed.sim, &mut bed.driver, client, page, &fetch));
         }
         bed.finish()?;
 

@@ -33,6 +33,9 @@
 #![warn(clippy::print_stdout, clippy::print_stderr, clippy::unwrap_used)]
 #![forbid(unsafe_code)]
 
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
+
 use dohmark_dns_wire::Name;
 use dohmark_netsim::{SimDuration, SimRng, SimTime};
 
@@ -154,12 +157,17 @@ impl Iterator for QuerySchedule {
 /// universes and larger exponents concentrate queries on few names and
 /// drive the cache-hit ratio up, which is exactly the knob the
 /// `fig_cache_hit_cost` experiment sweeps.
+///
+/// The cumulative-weight table is built once per `(universe, exponent)`
+/// per process: every sampler (and every [`SiteModel`]) with that key
+/// holds the same immutable table, kept for the life of the process at
+/// 8 bytes per name.
 #[derive(Debug, Clone)]
 pub struct ZipfNames {
     rng: SimRng,
     zone: Name,
     /// Normalised cumulative weights; `cdf[r]` = P(rank ≤ r).
-    cdf: Vec<f64>,
+    cdf: Arc<[f64]>,
 }
 
 impl ZipfNames {
@@ -195,7 +203,27 @@ impl ZipfNames {
 
 /// Normalised cumulative Zipf weights over `universe` ranks:
 /// `cdf[r] = P(rank ≤ r)` with rank `r` weighted `1 / (r + 1)^exponent`.
-fn zipf_cdf(universe: usize, exponent: f64) -> Vec<f64> {
+///
+/// One table per `(universe, exponent)` per process: the first call
+/// builds it, every later call with the same key gets the same `Arc`.
+/// An inserted table is never mutated or evicted. A table costs 8 bytes
+/// per rank — 8 MB at [`SiteModel`]'s 10⁶-site clamp, 80 MB at
+/// [`ZipfNames`]' 10⁷-name clamp.
+fn zipf_cdf(universe: usize, exponent: f64) -> Arc<[f64]> {
+    /// Tables keyed by `(universe, exponent.to_bits())`.
+    type Tables = BTreeMap<(usize, u64), Arc<[f64]>>;
+    static TABLES: Mutex<Tables> = Mutex::new(BTreeMap::new());
+    // A build that panics inserts nothing, so a poisoned map is still whole.
+    let mut tables = TABLES.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    Arc::clone(
+        tables
+            .entry((universe, exponent.to_bits()))
+            .or_insert_with(|| build_zipf_cdf(universe, exponent).into()),
+    )
+}
+
+/// The table [`zipf_cdf`] shares, built afresh.
+fn build_zipf_cdf(universe: usize, exponent: f64) -> Vec<f64> {
     let mut cdf = Vec::with_capacity(universe);
     let mut total = 0.0;
     for rank in 0..universe {
@@ -364,11 +392,18 @@ impl PageSpec {
 /// a handful of domains, the tail stretches to dozens (mean ≈ 8 with the
 /// defaults), and each domain serves a few resources of
 /// lognormal-distributed size.
+///
+/// Each site's page is built once per model, on its first draw by
+/// [`SiteModel::next_page`], and kept: the memo grows with the distinct
+/// ranks drawn, never past `sites` pages. The Zipf table is shared by
+/// every model with the same `(sites, exponent)` in the process.
 #[derive(Debug, Clone)]
 pub struct SiteModel {
     zone: Name,
     /// Normalised cumulative Zipf weights over site ranks.
-    cdf: Vec<f64>,
+    cdf: Arc<[f64]>,
+    /// Pages built so far, by rank: `pages[r] == page_for(r)`.
+    pages: BTreeMap<usize, PageSpec>,
     /// Which site each [`SiteModel::next_page`] visits.
     rank_rng: SimRng,
     /// Parent stream of the per-rank shape streams.
@@ -408,6 +443,7 @@ impl SiteModel {
         SiteModel {
             zone: zone.clone(),
             cdf: zipf_cdf(sites, exponent),
+            pages: BTreeMap::new(),
             rank_rng: rng.split(SiteModel::RANK_STREAM),
             shape_base: rng.split(SiteModel::SHAPE_STREAM),
             mean_extra_domains: 7.0,
@@ -464,10 +500,18 @@ impl SiteModel {
     }
 
     /// Samples the next page visit: a Zipf draw over site ranks, then
-    /// that site's deterministic page.
-    pub fn next_page(&mut self) -> PageSpec {
+    /// that site's deterministic page. The page is built by
+    /// [`SiteModel::page_for`] on the rank's first draw and borrowed from
+    /// the model's memo on every later one, so memory grows with the
+    /// distinct ranks drawn (at most `sites` pages).
+    pub fn next_page(&mut self) -> &PageSpec {
         let u = self.rank_rng.next_f64();
-        self.page_for(zipf_sample(&self.cdf, u))
+        let rank = zipf_sample(&self.cdf, u);
+        if !self.pages.contains_key(&rank) {
+            let page = self.page_for(rank);
+            self.pages.insert(rank, page);
+        }
+        &self.pages[&rank]
     }
 
     fn draw_bytes(&self, rng: &mut SimRng) -> u32 {
@@ -695,8 +739,8 @@ mod tests {
                 }
             }
             assert!(touched.iter().all(|&t| t), "every listed domain serves a resource");
-            assert!(page.depth() <= 5 + 1);
-            for d in page.domains {
+            assert!(page.depth() <= SiteModel::MAX_DEPTH);
+            for d in &page.domains {
                 assert!(d.is_subdomain_of(&zone()));
             }
         }
@@ -719,6 +763,51 @@ mod tests {
         let mut rng3 = SimRng::new(5);
         let model3 = SiteModel::new(&mut rng3, &zone(), 100, 1.0);
         assert_ne!(model1.page_for(0), model3.page_for(0), "different seeds, different shapes");
+    }
+
+    #[test]
+    fn next_page_returns_page_for_of_each_drawn_rank() {
+        for sites in [1, 50, 10_000] {
+            let mut model = SiteModel::new(&mut SimRng::new(21), &zone(), sites, 1.0);
+            let fresh = SiteModel::new(&mut SimRng::new(21), &zone(), sites, 1.0);
+            // The rank stream, recomputed from its own split over a
+            // freshly built table, bypassing both memos.
+            let cdf = build_zipf_cdf(sites, 1.0);
+            let mut rank_rng = SimRng::new(21).split(SiteModel::RANK_STREAM);
+            let mut repeats = 0;
+            let mut seen = std::collections::BTreeSet::new();
+            for _ in 0..2000 {
+                let page = model.next_page();
+                assert_eq!(page.site_rank, zipf_sample(&cdf, rank_rng.next_f64()));
+                assert_eq!(*page, fresh.page_for(page.site_rank), "sites={sites}");
+                repeats += usize::from(!seen.insert(page.site_rank));
+            }
+            assert!(repeats > 0, "sites={sites}: the memo must serve some repeat draws");
+            assert_eq!(model.pages.len(), seen.len(), "sites={sites}: one page per drawn rank");
+        }
+    }
+
+    #[test]
+    fn zipf_tables_are_shared_and_bit_identical_to_a_fresh_build() {
+        // A key no other test uses, so no concurrently running test
+        // shares these tables.
+        let (sites, exponent) = (777, 0.93);
+        let a = SiteModel::new(&mut SimRng::new(1), &zone(), sites, exponent);
+        let b = SiteModel::new(&mut SimRng::new(2), &zone(), sites, exponent);
+        assert!(Arc::ptr_eq(&a.cdf, &b.cdf), "equal (sites, exponent) share one table");
+        let names = ZipfNames::new(SimRng::new(3), &zone(), sites, exponent);
+        assert!(Arc::ptr_eq(&a.cdf, &names.cdf), "ZipfNames draws from the same table");
+
+        let wider = SiteModel::new(&mut SimRng::new(1), &zone(), sites + 1, exponent);
+        let steeper = SiteModel::new(&mut SimRng::new(1), &zone(), sites, exponent + 0.01);
+        assert!(!Arc::ptr_eq(&a.cdf, &wider.cdf) && !Arc::ptr_eq(&a.cdf, &steeper.cdf));
+        assert_eq!(wider.cdf.len(), sites + 1);
+
+        let fresh = build_zipf_cdf(sites, exponent);
+        assert_eq!(a.cdf.len(), fresh.len());
+        for (rank, (shared, built)) in a.cdf.iter().zip(&fresh).enumerate() {
+            assert_eq!(shared.to_bits(), built.to_bits(), "rank {rank}");
+        }
     }
 
     #[test]
