@@ -18,10 +18,11 @@
 //! slice left to right as the caller passed it (sweep results arrive in
 //! seed order regardless of thread count, cf. `sweep::run`), and
 //! [`bootstrap_ci`] sums each resample in draw order of its fixed-seed
-//! RNG. simlint's `no-float-accumulation` rule flags every `+=` /
-//! `.sum()` / `.fold()` in this crate's stats/report layer, so each of
-//! those two carries a `simlint::allow` stating its order — and a new
-//! accumulation, even inside [`mean`], has to state its own.
+//! RNG. Each of those two sums carries a comment stating its order, and a
+//! new accumulation here or in `report` has to state its own. No lint
+//! checks this: `tests/sweep_determinism.rs` (threads 1 vs N
+//! byte-identical) and the report digests in `tests/report_golden.rs`
+//! are what catch an order that leaks.
 
 use dohmark::netsim::SimRng;
 
@@ -39,7 +40,8 @@ const BOOTSTRAP_SEED: u64 = 0xB00757A9;
 /// pin (seed order in sweeps).
 pub fn mean(samples: &[f64]) -> f64 {
     assert!(!samples.is_empty(), "mean of no samples");
-    // simlint::allow(no-float-accumulation): left to right over the slice, whose order callers pin
+    // Sums left to right over the slice, whose order callers pin (seed
+    // order in sweeps; held by tests/sweep_determinism.rs).
     samples.iter().sum::<f64>() / samples.len() as f64
 }
 
@@ -80,7 +82,8 @@ pub fn bootstrap_ci(samples: &[f64], resamples: usize, level: f64, rng: &mut Sim
     let n = samples.len() as u64;
     let means: Vec<f64> = (0..resamples)
         .map(|_| {
-            // simlint::allow(no-float-accumulation): draw order of the seeded `rng`
+            // Sums in the draw order of the seeded `rng` (held by
+            // tests/sweep_determinism.rs).
             let sum: f64 = (0..n).map(|_| samples[rng.below(n) as usize]).sum();
             sum / n as f64
         })

@@ -301,6 +301,8 @@ impl SweepSpec {
     /// otherwise scoped workers pull task indices from a shared atomic
     /// cursor until the grid is exhausted, and the outcomes are
     /// reassembled by index. A panicking cell propagates to the caller.
+    // reason: the one parallel region: seeds fan out to scoped threads and come back in seed order
+    #[allow(clippy::disallowed_methods)]
     pub fn run(&self) -> Result<SweepReport, SweepError> {
         let tasks: Vec<(usize, usize)> = (0..self.cells.len())
             .flat_map(|c| (0..self.seeds.len()).map(move |s| (c, s)))

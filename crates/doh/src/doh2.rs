@@ -410,6 +410,8 @@ mod tests {
     /// hand-rolled server that answers each with whatever `answer` makes
     /// of `(connection, stream id, DNS response bytes)`, and hands the
     /// client back once the simulation is quiet.
+    // reason: the hand-rolled h2 server under test is not a Driver endpoint
+    #[allow(clippy::disallowed_methods)]
     fn resolve_against(
         policy: ReusePolicy,
         queries: usize,

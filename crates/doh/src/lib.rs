@@ -168,6 +168,8 @@ pub(crate) mod testing {
     /// Sends `query` (if any) from `client`, then hands every wake to
     /// `client` and `server` until the response arrives — or, without a
     /// query or an answer, until the simulation runs dry.
+    // reason: a two-endpoint unit-test pump, with no Driver to route through
+    #[allow(clippy::disallowed_methods)]
     pub(crate) fn pump(
         sim: &mut Sim,
         client: &mut dyn Resolver,

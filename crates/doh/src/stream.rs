@@ -548,6 +548,8 @@ mod tests {
     }
 
     impl<F: Framing> Bed<F> {
+        // reason: the test bed drives raw server connections, not Driver endpoints
+        #[allow(clippy::disallowed_methods)]
         fn pump(&mut self) {
             while let Some(wake) = self.sim.next_wake() {
                 if let Wake::TcpAccepted { conn, .. } = wake {

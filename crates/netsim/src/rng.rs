@@ -29,6 +29,19 @@ impl SimRng {
     }
 
     /// Derives an independent child generator; deterministic in `label`.
+    ///
+    /// Conventions (reviewed, not machine-checked):
+    /// - Outside tests, `label` is a named `*_STREAM` constant (or a
+    ///   runtime value such as a client index or a site rank), never a bare
+    ///   literal, so a stream can be found by name.
+    /// - `split` advances `self` by one draw, so the order of `split` calls
+    ///   on one parent is part of every child's stream: reordering two
+    ///   splits, or inserting one, changes the streams after it even under
+    ///   the same labels.
+    /// - A new top-level label goes beside the existing eight
+    ///   (`QuerySchedule`, `FleetSchedule` and `SiteModel`'s
+    ///   `*_STREAM` 1–6 in `workload`, `WORKLOAD_STREAM` / `SITE_STREAM` 7–8
+    ///   in `bench::testbed`) and takes the next free value.
     pub fn split(&mut self, label: u64) -> SimRng {
         let mix = self.next_u64() ^ label.wrapping_mul(0x9E3779B97F4A7C15);
         SimRng::new(mix)

@@ -871,6 +871,8 @@ impl Sim {
 }
 
 #[cfg(test)]
+// reason: TCP tests drive the event loop directly, below any Driver
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use crate::link::LinkConfig;

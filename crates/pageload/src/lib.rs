@@ -276,6 +276,8 @@ impl Loader<'_> {
         }
     }
 
+    // reason: the harness's own fetch timer, unowned, so `Driver::step` hands it back here
+    #[allow(clippy::disallowed_methods)]
     fn start_fetch(&mut self, sim: &mut Sim, r: usize) {
         self.res_state[r] = ResState::Fetching;
         sim.schedule_app_in(self.fetch.fetch_time(self.page.resources[r].bytes), r as u64);

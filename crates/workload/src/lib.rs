@@ -292,10 +292,9 @@ impl FleetSchedule {
             }
         }
         // Deterministic global time order; client index breaks exact
-        // ties, so the key is the whole element and tied entries are
-        // identical tuples — instability cannot reorder observable bytes.
-        // simlint::allow(stable-sort-for-reports): key is the whole element
-        queries.sort_unstable_by_key(|&(at, client)| (at, client));
+        // ties, so equal elements are identical tuples and instability
+        // cannot reorder observable bytes.
+        queries.sort_unstable();
         // Names are drawn in arrival order from the one shared universe:
         // popularity is a property of the *workload*, not of any client.
         let mut names =
