@@ -18,7 +18,7 @@ fn main() {
         SweepSpec::new().cells(
             [100usize, 1_000, 10_000]
                 .into_iter()
-                .map(|sites| Box::new(SitePagesCell { sites, exponent: 1.0, pages: PAGES }) as _),
+                .map(|sites| Box::new(SitePagesCell { sites, pages: PAGES }) as _),
         ),
     );
     let doc = Report::new("fig1_queries_per_page")

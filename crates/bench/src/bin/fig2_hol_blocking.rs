@@ -9,7 +9,8 @@
 //! strictly faster than Do53's. Emits per-cell page-load means with
 //! p5/p95/CI bands as one line of JSON.
 
-use dohmark::doh::{TransportConfig, UdpRetry};
+use dohmark::doh::TransportConfig;
+use dohmark::netsim::tcp::INIT_RTO;
 use dohmark::netsim::LinkConfig;
 use dohmark_bench::{pageload_transports, PageloadCell, Report, SweepArgs, SweepSpec, Value};
 
@@ -45,10 +46,7 @@ fn main() {
     let doc = Report::new("fig2_hol_blocking")
         .meta("pages", Value::U64(PAGES as u64))
         .meta("seeds", Value::U64(args.seeds))
-        .meta(
-            "udp_retry_initial_ms",
-            Value::U64(UdpRetry::standard().initial.as_nanos() / 1_000_000),
-        )
+        .meta("udp_retry_initial_ms", Value::U64(INIT_RTO.as_nanos() / 1_000_000))
         .columns(&[
             "mean_page_load_ms",
             "median_page_load_ms",

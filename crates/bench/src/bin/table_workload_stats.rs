@@ -14,12 +14,8 @@ fn main() {
     let args = SweepArgs::from_env(DEFAULT_SEEDS);
     let shapes: &[(usize, usize)] = &[(16, 1_000), (64, 1_000), (64, 50), (256, 10_000)];
     let sweep = args.run(SweepSpec::new().cells(shapes.iter().map(|&(clients, universe)| {
-        Box::new(WorkloadStatsCell {
-            clients,
-            queries_per_client: QUERIES_PER_CLIENT,
-            universe,
-            exponent: 1.0,
-        }) as _
+        Box::new(WorkloadStatsCell { clients, queries_per_client: QUERIES_PER_CLIENT, universe })
+            as _
     })));
     let doc = Report::new("table_workload_stats")
         .meta("queries_per_client", Value::U64(QUERIES_PER_CLIENT as u64))

@@ -70,7 +70,10 @@ impl SweepArgs {
 
     /// Parses the process arguments over these defaults, printing usage
     /// and exiting on `--help` (status 0) or any parse error (status 2).
-    #[allow(clippy::print_stdout)] // the fig binaries' shared CLI front-end: usage is their stdout
+    #[expect(
+        clippy::print_stdout,
+        reason = "the fig binaries' shared CLI front-end: usage is their stdout"
+    )]
     pub fn from_env(default_seeds: u64) -> SweepArgs {
         match SweepArgs::defaults(default_seeds).parse(std::env::args().skip(1)) {
             Ok(args) => args,
@@ -96,7 +99,10 @@ impl SweepArgs {
         match &self.out {
             Some(path) => std::fs::write(path, format!("{doc}\n"))
                 .unwrap_or_else(|e| fail(&format_args!("writing {path}: {e}"), 1)),
-            #[allow(clippy::print_stdout)] // the report on stdout is this helper's contract
+            #[expect(
+                clippy::print_stdout,
+                reason = "the report on stdout is this helper's contract"
+            )]
             None => println!("{doc}"),
         }
     }
@@ -104,7 +110,7 @@ impl SweepArgs {
 
 /// The fig binaries' one failure exit: `message` on stderr, then `status`
 /// (2 for a usage error, 1 for a run that could not produce its report).
-#[allow(clippy::print_stderr)] // errors go to the invoking fig binary's stderr
+#[expect(clippy::print_stderr, reason = "errors go to the invoking fig binary's stderr")]
 fn fail(message: &dyn std::fmt::Display, status: i32) -> ! {
     eprintln!("{message}");
     std::process::exit(status);

@@ -28,6 +28,7 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::print_stdout, clippy::print_stderr, clippy::unwrap_used)]
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 #![forbid(unsafe_code)]
 
 pub mod cli;
@@ -44,23 +45,17 @@ pub use sweep::{
 };
 pub use testbed::{FleetCell, FleetRun, MatrixCell, MatrixRun, PageloadCell, PageloadRun};
 
-use dohmark::doh::{ReusePolicy, TransportConfig, TransportKind, UdpRetry};
+use dohmark::doh::{ReusePolicy, TransportConfig, TransportKind};
 
 /// The four transport cells the page-load experiments sweep:
-/// [`fleet_transports`] with Do53 given the standard retransmission
-/// policy — on lossy links a retry-less stub would conflate "UDP has no
+/// [`fleet_transports`] with Do53 retransmitting on TCP's RTO schedule —
+/// on lossy links a retry-less stub would conflate "UDP has no
 /// head-of-line blocking" with "a lost datagram loses the page", and the
 /// paper's Figure 2 contrast is about the former.
 pub fn pageload_transports() -> Vec<TransportConfig> {
     fleet_transports()
         .into_iter()
-        .map(|cfg| {
-            if cfg.kind == TransportKind::Do53 {
-                cfg.with_udp_retry(UdpRetry::standard())
-            } else {
-                cfg
-            }
-        })
+        .map(|cfg| if cfg.kind == TransportKind::Do53 { cfg.with_udp_retry() } else { cfg })
         .collect()
 }
 
@@ -202,8 +197,8 @@ mod tests {
         // on the transports with the most moving parts.
         let h2 = TransportConfig::new(TransportKind::DohH2, ReusePolicy::Fresh);
         MatrixCell { cfg: h2, resolutions: 4 }.measure(3).unwrap();
-        let retrying = TransportConfig::new(TransportKind::Do53, ReusePolicy::Fresh)
-            .with_udp_retry(UdpRetry::standard());
+        let retrying =
+            TransportConfig::new(TransportKind::Do53, ReusePolicy::Fresh).with_udp_retry();
         FleetCell::new(retrying.clone(), 8, 16).measure(3).unwrap();
         let lossy = PageloadCell {
             transport: TransportConfig { link: LinkConfig::lossy_wifi(), ..retrying },

@@ -25,6 +25,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
 use crate::report::Value;
+use crate::testbed::{sites_zone, workload_zone, FLEET_MEAN_GAP, ZIPF_EXPONENT};
 
 /// Stable identifier of one sweep cell — keys result rows and stats.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -128,29 +129,27 @@ impl std::error::Error for SweepError {
 }
 
 /// A pure-workload cell for Figure 1: draws `pages` pages from a seeded
-/// [`SiteModel`](dohmark::workload::SiteModel) and reports the
-/// DNS-queries-per-page distribution — no simulator, no transport; the
-/// quantity is a property of the site model alone.
+/// [`SiteModel`](dohmark::workload::SiteModel) with Zipf exponent
+/// [`ZIPF_EXPONENT`] and reports the DNS-queries-per-page distribution —
+/// no simulator, no transport; the quantity is a property of the site
+/// model alone.
 #[derive(Debug, Clone)]
 pub struct SitePagesCell {
     /// Site-model universe (distinct sites).
     pub sites: usize,
-    /// Zipf popularity exponent over site ranks.
-    pub exponent: f64,
     /// Pages sampled per run.
     pub pages: usize,
 }
 
 impl Cell for SitePagesCell {
     fn id(&self) -> CellId {
-        CellId::new(format!("sites={} exponent={:.2}", self.sites, self.exponent))
+        CellId::new(format!("sites={} exponent={ZIPF_EXPONENT:.2}", self.sites))
     }
 
     fn run(&self, seed: u64) -> Result<CellOutcome, CellError> {
-        let zone = dohmark::dns::Name::parse("sites.dohmark.test").expect("static name parses");
         let mut rng = dohmark::netsim::SimRng::new(seed);
         let mut model =
-            dohmark::workload::SiteModel::new(&mut rng, &zone, self.sites, self.exponent);
+            dohmark::workload::SiteModel::new(&mut rng, &sites_zone(), self.sites, ZIPF_EXPONENT);
         let mut queries = Vec::with_capacity(self.pages);
         let mut resources = Vec::with_capacity(self.pages);
         let mut depths = Vec::with_capacity(self.pages);
@@ -163,7 +162,7 @@ impl Cell for SitePagesCell {
         Ok(CellOutcome {
             identity: vec![
                 ("sites".to_string(), Value::U64(self.sites as u64)),
-                ("exponent".to_string(), Value::Fixed(self.exponent, 2)),
+                ("exponent".to_string(), Value::Fixed(ZIPF_EXPONENT, 2)),
                 ("pages".to_string(), Value::U64(self.pages as u64)),
             ],
             fields: vec![
@@ -195,10 +194,11 @@ impl Cell for SitePagesCell {
 }
 
 /// A pure-workload cell for the workload-stats table: generates a seeded
-/// [`FleetSchedule`](dohmark::workload::FleetSchedule) and reports its
-/// Zipf/fleet summary statistics — total and distinct names, the
-/// name-reuse ratio that upper-bounds any cache hit rate, and the
-/// schedule's time span.
+/// [`FleetSchedule`](dohmark::workload::FleetSchedule) of the fleet
+/// experiments' shape ([`FLEET_MEAN_GAP`], [`ZIPF_EXPONENT`], the same
+/// zone) and reports its Zipf/fleet summary statistics — total and
+/// distinct names, the name-reuse ratio that upper-bounds any cache hit
+/// rate, and the schedule's time span.
 #[derive(Debug, Clone)]
 pub struct WorkloadStatsCell {
     /// Fleet size.
@@ -207,8 +207,6 @@ pub struct WorkloadStatsCell {
     pub queries_per_client: usize,
     /// Zipf name-universe size.
     pub universe: usize,
-    /// Zipf popularity exponent.
-    pub exponent: f64,
 }
 
 impl Cell for WorkloadStatsCell {
@@ -218,16 +216,15 @@ impl Cell for WorkloadStatsCell {
 
     fn run(&self, seed: u64) -> Result<CellOutcome, CellError> {
         use dohmark::netsim::{SimDuration, SimTime};
-        let zone = dohmark::dns::Name::parse("dohmark.test").expect("static name parses");
         let mut rng = dohmark::netsim::SimRng::new(seed);
         let schedule = dohmark::workload::FleetSchedule::generate(
             &mut rng,
             self.clients,
-            SimDuration::from_millis(200),
+            FLEET_MEAN_GAP,
             self.queries_per_client,
-            &zone,
+            &workload_zone(),
             self.universe,
-            self.exponent,
+            ZIPF_EXPONENT,
         );
         let total = schedule.len();
         let distinct = schedule.distinct_names();
@@ -238,7 +235,7 @@ impl Cell for WorkloadStatsCell {
                 ("clients".to_string(), Value::U64(self.clients as u64)),
                 ("queries_per_client".to_string(), Value::U64(self.queries_per_client as u64)),
                 ("universe".to_string(), Value::U64(self.universe as u64)),
-                ("exponent".to_string(), Value::Fixed(self.exponent, 2)),
+                ("exponent".to_string(), Value::Fixed(ZIPF_EXPONENT, 2)),
             ],
             fields: vec![
                 ("queries".to_string(), Value::U64(total as u64)),
@@ -301,8 +298,10 @@ impl SweepSpec {
     /// otherwise scoped workers pull task indices from a shared atomic
     /// cursor until the grid is exhausted, and the outcomes are
     /// reassembled by index. A panicking cell propagates to the caller.
-    // reason: the one parallel region: seeds fan out to scoped threads and come back in seed order
-    #[allow(clippy::disallowed_methods)]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one parallel region: seeds fan out to scoped threads and come back in seed order"
+    )]
     pub fn run(&self) -> Result<SweepReport, SweepError> {
         let tasks: Vec<(usize, usize)> = (0..self.cells.len())
             .flat_map(|c| (0..self.seeds.len()).map(move |s| (c, s)))
@@ -325,9 +324,11 @@ impl SweepSpec {
                 done
             };
             thread::scope(|scope| {
-                // `&worker`, not `worker`: the same closure is spawned once
-                // per thread, so it must be borrowed, not moved.
-                #[allow(clippy::needless_borrows_for_generic_args)]
+                #[expect(
+                    clippy::needless_borrows_for_generic_args,
+                    reason = "`&worker`, not `worker`: the closure is spawned once per thread, \
+                              so it must be borrowed, not moved"
+                )]
                 let handles: Vec<_> = (0..self.threads.min(tasks.len().max(1)))
                     .map(|_| scope.spawn(&worker))
                     .collect();

@@ -21,7 +21,7 @@ use dohmark::doh::{
     TransportKind, Zone,
 };
 use dohmark::netsim::{Cost, LayerTag, Sim, SimDuration, SimTime};
-use dohmark::pageload::{load_page, FetchModel, PageLoadResult};
+use dohmark::pageload::{load_page, PageLoadResult};
 use dohmark::workload::{FleetSchedule, QuerySchedule, SiteModel};
 
 /// RNG stream label the harnesses draw their workload from.
@@ -36,6 +36,9 @@ pub const ZIPF_EXPONENT: f64 = 1.0;
 
 /// Fleet resolver cache capacity, in entries: big enough to never evict.
 pub const FLEET_CACHE_CAPACITY: usize = 1 << 16;
+
+/// Mean gap between one fleet client's queries (Poisson arrivals).
+pub const FLEET_MEAN_GAP: SimDuration = SimDuration::from_millis(200);
 
 /// Page-load site-model universe (distinct sites ranked by popularity).
 pub const PAGELOAD_SITES: usize = 1000;
@@ -121,8 +124,13 @@ impl Testbed {
 }
 
 /// The zone the matrix and fleet workloads draw their names under.
-fn workload_zone() -> Name {
+pub(crate) fn workload_zone() -> Name {
     Name::parse("dohmark.test").expect("static zone name parses")
+}
+
+/// The zone the site model names its sites under.
+pub(crate) fn sites_zone() -> Name {
+    Name::parse("sites.dohmark.test").expect("static zone name parses")
 }
 
 /// A transport-matrix cell: one stub resolving a seeded Poisson workload
@@ -250,10 +258,9 @@ pub struct FleetCell {
     /// Size of the shared Zipf name universe — the knob that sets the
     /// cache-hit ratio for a fixed query count.
     pub universe: usize,
-    /// Queries each client issues (Poisson arrivals).
+    /// Queries each client issues (Poisson arrivals, [`FLEET_MEAN_GAP`]
+    /// apart on average).
     pub queries_per_client: usize,
-    /// Mean per-client gap between queries.
-    pub mean_gap: SimDuration,
 }
 
 /// What one (fleet cell × seed) run measured.
@@ -284,16 +291,10 @@ pub struct FleetRun {
 }
 
 impl FleetCell {
-    /// A fleet cell with the defaults the experiments use: 2 queries per
-    /// client at a 200 ms mean per-client gap.
+    /// A fleet cell with the default the experiments use: 2 queries per
+    /// client.
     pub fn new(transport: TransportConfig, clients: usize, universe: usize) -> FleetCell {
-        FleetCell {
-            transport,
-            clients,
-            universe,
-            queries_per_client: 2,
-            mean_gap: SimDuration::from_millis(200),
-        }
+        FleetCell { transport, clients, universe, queries_per_client: 2 }
     }
 
     /// Resolves a seeded [`FleetSchedule`] under `seed`.
@@ -305,7 +306,7 @@ impl FleetCell {
         let schedule = FleetSchedule::generate(
             &mut rng,
             self.clients,
-            self.mean_gap,
+            FLEET_MEAN_GAP,
             self.queries_per_client,
             &zone,
             self.universe,
@@ -412,16 +413,15 @@ impl PageloadCell {
     /// error.
     pub fn measure(&self, seed: u64) -> Result<PageloadRun, CellError> {
         let mut bed = Testbed::new(seed, &self.transport, 1, None);
-        let zone = Name::parse("sites.dohmark.test").expect("static zone name parses");
         let mut site_rng = bed.sim.split_rng(SITE_STREAM);
-        let mut model = SiteModel::new(&mut site_rng, &zone, PAGELOAD_SITES, ZIPF_EXPONENT);
-        let fetch = FetchModel::from_link(&self.transport.link);
+        let mut model = SiteModel::new(&mut site_rng, &sites_zone(), PAGELOAD_SITES, ZIPF_EXPONENT);
 
+        let link = &self.transport.link;
         let mut loads = Vec::with_capacity(self.pages);
         for _ in 0..self.pages {
             let page = model.next_page();
             let client = bed.clients[0];
-            loads.push(load_page(&mut bed.sim, &mut bed.driver, client, page, &fetch));
+            loads.push(load_page(&mut bed.sim, &mut bed.driver, client, page, link));
         }
         bed.finish()?;
 

@@ -3,18 +3,13 @@
 //! resolver must replay bit for bit under the same seed, on every
 //! transport of the matrix.
 
-use dohmark::netsim::SimDuration;
 use dohmark_bench::{fleet_transports, FleetCell};
 
 /// One thousand clients, one query each: big enough to exercise the
 /// registry's addressed dispatch across thousands of handles, small
 /// enough to replay twice per seed in the test suite.
 fn thousand_client_cell(transport: dohmark::doh::TransportConfig) -> FleetCell {
-    FleetCell {
-        queries_per_client: 1,
-        mean_gap: SimDuration::from_millis(100),
-        ..FleetCell::new(transport, 1000, 200)
-    }
+    FleetCell { queries_per_client: 1, ..FleetCell::new(transport, 1000, 200) }
 }
 
 #[test]

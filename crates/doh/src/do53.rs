@@ -11,36 +11,9 @@
 use crate::resolver::ServerBackend;
 use crate::{Endpoint, Resolver};
 use dohmark_dns_wire::{Message, Name, RecordType};
+use dohmark_netsim::tcp::{backoff, INIT_RTO, MAX_RETRIES};
 use dohmark_netsim::{HostId, LayerTag, Sim, SimDuration, SockId, Wake};
 use std::net::Ipv4Addr;
-
-/// Retransmission policy for queries over UDP: resend after `initial`,
-/// doubling the timeout on every retry (capped at [`UdpRetry::max_rto`]),
-/// up to `max_retries` resends — after which the query is abandoned.
-///
-/// The defaults mirror the simulator's TCP loss-recovery constants
-/// (200 ms initial RTO, 6 retries), so a lossy-link comparison between
-/// Do53 and the TCP transports measures head-of-line blocking, not a
-/// difference in how aggressively each side retries.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct UdpRetry {
-    /// Timeout before the first retransmission.
-    pub initial: SimDuration,
-    /// Maximum number of retransmissions per query.
-    pub max_retries: u32,
-}
-
-impl UdpRetry {
-    /// Backoff ceiling, matching TCP's maximum RTO.
-    pub fn max_rto() -> SimDuration {
-        SimDuration::from_secs(60)
-    }
-
-    /// The TCP-mirroring default policy: 200 ms initial, 6 retries.
-    pub fn standard() -> UdpRetry {
-        UdpRetry { initial: SimDuration::from_millis(200), max_retries: 6 }
-    }
-}
 
 /// A Do53 server answering from a pluggable [`ServerBackend`] —
 /// authoritative zone data or a shared caching recursive resolver.
@@ -111,7 +84,7 @@ struct PendingQuery {
     /// it, as a real stub resolver resends from the same source port.
     sock: SockId,
     /// The encoded query, kept for retransmission; empty on a client
-    /// without an [`UdpRetry`], which never sends it again.
+    /// that never retransmits.
     wire: Vec<u8>,
     /// Retransmissions still allowed.
     retries_left: u32,
@@ -120,12 +93,12 @@ struct PendingQuery {
 }
 
 /// A Do53 client multiplexing queries over fresh ephemeral source ports,
-/// optionally retransmitting on an [`UdpRetry`] timeout schedule.
+/// optionally retransmitting on TCP's RTO schedule.
 #[derive(Debug)]
 pub struct Do53Client {
     host: HostId,
     server: (HostId, u16),
-    retry: Option<UdpRetry>,
+    retry: bool,
     /// The transaction id of the latest query (0 before the first).
     last_txn: u16,
     pending: Vec<PendingQuery>,
@@ -133,25 +106,17 @@ pub struct Do53Client {
 }
 
 impl Do53Client {
-    /// A client on `host` querying `server`. No retransmission: a lost
-    /// datagram loses the query, the paper's §3 measurement-client shape.
-    pub fn new(host: HostId, server: (HostId, u16)) -> Do53Client {
-        Do53Client {
-            host,
-            server,
-            retry: None,
-            last_txn: 0,
-            pending: Vec::new(),
-            responses: Vec::new(),
-        }
-    }
-
-    /// A client that retransmits unanswered queries on `retry`'s timeout
-    /// schedule — the stub-resolver shape the page-load experiments need
-    /// on lossy links, where "a lost query never resolves" would conflate
+    /// A client on `host` querying `server`.
+    ///
+    /// Without `retry` a lost datagram loses the query: the paper's §3
+    /// measurement-client shape. With it, an unanswered query is resent
+    /// on TCP's RTO schedule: first after [`INIT_RTO`], then after each
+    /// [`backoff`] of the timeout, at most [`MAX_RETRIES`] times. That is
+    /// the stub-resolver shape the page-load experiments need on lossy
+    /// links, where "a lost query never resolves" would conflate
     /// transport loss behaviour with client give-up behaviour.
-    pub fn with_retry(host: HostId, server: (HostId, u16), retry: UdpRetry) -> Do53Client {
-        Do53Client { retry: Some(retry), ..Do53Client::new(host, server) }
+    pub fn new(host: HostId, server: (HostId, u16), retry: bool) -> Do53Client {
+        Do53Client { host, server, retry, last_txn: 0, pending: Vec::new(), responses: Vec::new() }
     }
 
     /// Handles a retransmission-timer wake. Timers are routed to their
@@ -165,9 +130,7 @@ impl Do53Client {
                 q.retries_left -= 1;
                 sim.set_attr(u32::from(q.id));
                 sim.udp_send(q.sock, self.server, LayerTag::DnsPayload, q.wire.clone());
-                let doubled = SimDuration::from_nanos(q.next_timeout.as_nanos().saturating_mul(2));
-                q.next_timeout =
-                    if doubled > UdpRetry::max_rto() { UdpRetry::max_rto() } else { doubled };
+                q.next_timeout = backoff(q.next_timeout);
                 crate::driver::schedule_endpoint_timer(sim, q.next_timeout, token);
             }
         }
@@ -176,8 +139,7 @@ impl Do53Client {
 
 impl Resolver for Do53Client {
     /// Sends an A query for `name` from a freshly bound ephemeral port,
-    /// arming the first retransmission timer when the client has an
-    /// [`UdpRetry`] policy.
+    /// arming the first retransmission timer when the client retries.
     fn send_query(&mut self, sim: &mut Sim, name: &Name) -> u16 {
         let id = crate::next_txn(&mut self.last_txn);
         debug_assert!(
@@ -189,17 +151,22 @@ impl Resolver for Do53Client {
         sim.set_attr(u32::from(id));
         let query = Message::query(id, name, RecordType::A);
         let wire = query.encode();
-        let kept = if self.retry.is_some() { wire.clone() } else { Vec::new() };
+        let kept = if self.retry { wire.clone() } else { Vec::new() };
         // The send draws its event `seq` before the timer does.
         sim.udp_send(sock, self.server, LayerTag::DnsPayload, wire);
-        let (retries_left, next_timeout) = match self.retry {
-            Some(retry) => {
-                crate::driver::schedule_endpoint_timer(sim, retry.initial, u64::from(id));
-                (retry.max_retries, retry.initial)
-            }
-            None => (0, SimDuration::ZERO),
+        let retries_left = if self.retry {
+            crate::driver::schedule_endpoint_timer(sim, INIT_RTO, u64::from(id));
+            MAX_RETRIES
+        } else {
+            0
         };
-        self.pending.push(PendingQuery { id, sock, wire: kept, retries_left, next_timeout });
+        self.pending.push(PendingQuery {
+            id,
+            sock,
+            wire: kept,
+            retries_left,
+            next_timeout: INIT_RTO,
+        });
         id
     }
 
@@ -246,7 +213,7 @@ impl Endpoint for Do53Client {
 mod tests {
     use super::*;
     use crate::testing::pump;
-    use dohmark_netsim::LinkConfig;
+    use dohmark_netsim::{LinkConfig, SimTime};
     use std::net::Ipv4Addr;
 
     fn setup(seed: u64) -> (Sim, Do53Client, Do53Server) {
@@ -255,7 +222,7 @@ mod tests {
         let resolver = sim.add_host("resolver");
         sim.add_link(stub, resolver, LinkConfig::localhost());
         let server = Do53Server::bind(&mut sim, resolver, 53, Ipv4Addr::new(192, 0, 2, 7), 300);
-        let client = Do53Client::new(stub, (resolver, 53));
+        let client = Do53Client::new(stub, (resolver, 53), false);
         (sim, client, server)
     }
 
@@ -331,7 +298,7 @@ mod tests {
         let resolver = sim.add_host("resolver");
         sim.add_link(stub, resolver, LinkConfig::localhost().loss(1.0));
         let mut server = Do53Server::bind(&mut sim, resolver, 53, Ipv4Addr::new(192, 0, 2, 7), 60);
-        let mut client = Do53Client::new(stub, (resolver, 53));
+        let mut client = Do53Client::new(stub, (resolver, 53), false);
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
         assert!(pump(&mut sim, &mut client, &mut server, Some(&name)).is_none());
     }
@@ -360,7 +327,7 @@ mod tests {
         let resolver = sim.add_host("resolver");
         sim.add_link(stub, resolver, LinkConfig::localhost().loss(0.3));
         let mut server = Do53Server::bind(&mut sim, resolver, 53, Ipv4Addr::new(192, 0, 2, 7), 60);
-        let mut client = Do53Client::with_retry(stub, (resolver, 53), UdpRetry::standard());
+        let mut client = Do53Client::new(stub, (resolver, 53), true);
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
         for id in 1..=8u16 {
             let response = pump(&mut sim, &mut client, &mut server, Some(&name));
@@ -368,18 +335,35 @@ mod tests {
         }
     }
 
+    /// Do53 retries on TCP's own schedule. On a dead link a retrying query
+    /// and a SYN are each sent `1 + MAX_RETRIES` times, and both run dry
+    /// at the same instant: 200 ms · (2⁷ − 1) = 25.4 s. Six doublings
+    /// never reach the 60 s cap, so this does not pin it.
     #[test]
     fn retry_gives_up_after_its_budget_on_a_dead_link() {
-        let mut sim = Sim::new(6);
-        let stub = sim.add_host("stub");
-        let resolver = sim.add_host("resolver");
-        sim.add_link(stub, resolver, LinkConfig::localhost().loss(1.0));
+        let dead_link = || {
+            let mut sim = Sim::new(6);
+            let stub = sim.add_host("stub");
+            let resolver = sim.add_host("resolver");
+            sim.add_link(stub, resolver, LinkConfig::localhost().loss(1.0));
+            (sim, stub, resolver)
+        };
+        let (mut sim, stub, resolver) = dead_link();
         let mut server = Do53Server::bind(&mut sim, resolver, 53, Ipv4Addr::new(192, 0, 2, 7), 60);
-        let mut client = Do53Client::with_retry(stub, (resolver, 53), UdpRetry::standard());
+        let mut client = Do53Client::new(stub, (resolver, 53), true);
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
         assert!(pump(&mut sim, &mut client, &mut server, Some(&name)).is_none());
-        // Original send + 6 retransmissions, every one dropped on the link.
-        assert_eq!(sim.dropped_packets(), 7);
+        let do53 = (sim.meter.total().packets, sim.dropped_packets(), sim.now());
+
+        let (mut sim, stub, resolver) = dead_link();
+        let conn = sim.tcp_connect(stub, (resolver, 853));
+        sim.drain();
+        assert!(sim.tcp_has_failed(conn));
+        let tcp = (sim.meter.total().packets, sim.dropped_packets(), sim.now());
+
+        let sends = 1 + u64::from(MAX_RETRIES);
+        assert_eq!(do53, tcp, "(packets, dropped, ran dry at)");
+        assert_eq!(do53, (sends, sends, SimTime::ZERO + SimDuration::from_millis(25_400)));
     }
 
     #[test]
@@ -390,11 +374,7 @@ mod tests {
         sim.add_link(stub, resolver, LinkConfig::localhost().loss(1.0));
         sim.trace.enable(32);
         let mut server = Do53Server::bind(&mut sim, resolver, 53, Ipv4Addr::new(192, 0, 2, 7), 60);
-        let mut client = Do53Client::with_retry(
-            stub,
-            (resolver, 53),
-            UdpRetry { initial: SimDuration::from_millis(200), max_retries: 2 },
-        );
+        let mut client = Do53Client::new(stub, (resolver, 53), true);
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
         pump(&mut sim, &mut client, &mut server, Some(&name));
         let sources: Vec<String> = sim
@@ -404,7 +384,7 @@ mod tests {
             .filter(|r| r.direction.starts_with("stub"))
             .map(|r| r.direction.clone())
             .collect();
-        assert_eq!(sources.len(), 3, "original + 2 retransmissions");
+        assert_eq!(sources.len(), 1 + MAX_RETRIES as usize, "original + every retransmission");
         assert!(sources.iter().all(|s| s == &sources[0]), "{sources:?}");
     }
 }

@@ -21,11 +21,9 @@
 //! the parser's borrowed view, straight out of its receive buffer.
 
 use crate::stream::{Framing, Segments, StreamClient, StreamServer};
-use crate::ReusePolicy;
 use dohmark_dns_wire::Message;
 use dohmark_httpsim::h1::{self, Encoded, RequestParser, ResponseParser};
-use dohmark_netsim::{HostId, LayerTag, Side};
-use dohmark_tls_model::TlsConfig;
+use dohmark_netsim::{LayerTag, Side};
 use std::collections::VecDeque;
 
 /// The RFC 8484 media type.
@@ -41,10 +39,7 @@ fn tagged(encoded: Encoded) -> Segments {
 /// The DoH/1.1 framing: one `POST /dns-query` request and one `200 OK`
 /// response per query, answered in request order.
 #[derive(Debug)]
-pub struct Http1 {
-    /// The `host` header value: the TLS SNI.
-    authority: String,
-}
+pub struct Http1;
 
 /// The HTTP/1.1 parser of one end: a client reads responses, a server
 /// requests.
@@ -82,12 +77,8 @@ impl Framing for Http1 {
         H1Conn { parser, pipeline: VecDeque::new(), answered: 0 }
     }
 
-    fn encode_query(&self, _conn: &mut H1Conn, query: &Message) -> Segments {
-        let headers = [
-            ("host", self.authority.as_str()),
-            ("accept", DNS_MESSAGE),
-            ("content-type", DNS_MESSAGE),
-        ];
+    fn encode_query(_conn: &mut H1Conn, authority: &str, query: &Message) -> Segments {
+        let headers = [("host", authority), ("accept", DNS_MESSAGE), ("content-type", DNS_MESSAGE)];
         tagged(h1::encode_request("POST", DOH_PATH, &headers, query.encode()))
     }
 
@@ -152,29 +143,14 @@ pub type DohH1Client = StreamClient<Http1>;
 /// shared caching recursive resolver.
 pub type DohH1Server = StreamServer<Http1>;
 
-impl DohH1Client {
-    /// A client on `host` for `server`, usually `(resolver, 443)`, whose
-    /// `host` header is `tls_cfg.sni`. Setup attribution follows the same
-    /// rules as [`DotClient::new`](crate::DotClient::new).
-    pub fn new(
-        host: HostId,
-        server: (HostId, u16),
-        tls_cfg: TlsConfig,
-        policy: ReusePolicy,
-    ) -> DohH1Client {
-        let framing = Http1 { authority: tls_cfg.sni.clone() };
-        StreamClient::with_framing(framing, host, server, tls_cfg, policy)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testing::pump;
-    use crate::Resolver;
+    use crate::{Resolver, ReusePolicy};
     use dohmark_dns_wire::{Name, RecordType};
     use dohmark_netsim::{LinkConfig, Sim};
-    use dohmark_tls_model::{handshake_bytes, ALPN_HTTP11};
+    use dohmark_tls_model::{handshake_bytes, TlsConfig, ALPN_HTTP11};
     use std::net::Ipv4Addr;
 
     fn h1_tls() -> TlsConfig {

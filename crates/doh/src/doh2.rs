@@ -27,12 +27,10 @@
 
 use crate::doh1::{DNS_MESSAGE, DOH_PATH};
 use crate::stream::{Framing, Segments, StreamClient, StreamServer};
-use crate::ReusePolicy;
 use dohmark_dns_wire::Message;
 use dohmark_httpsim::h2::{self, settings, Frame, FrameDecoder, FrameRef, PREFACE};
 use dohmark_httpsim::{decimal, hpack};
-use dohmark_netsim::{HostId, LayerTag, Side};
-use dohmark_tls_model::TlsConfig;
+use dohmark_netsim::{LayerTag, Side};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// SETTINGS a browser-like DoH client announces.
@@ -67,10 +65,7 @@ fn mgmt(preface: &[u8], frames: &[Frame]) -> Segments {
 /// The DoH/2 framing: HPACK-compressed HEADERS + DATA per message on
 /// its own stream, plus the connection management HTTP/2 adds.
 #[derive(Debug)]
-pub struct Http2 {
-    /// The `:authority` pseudo-header: the TLS SNI.
-    authority: String,
-}
+pub struct Http2;
 
 /// One end's HTTP/2 connection state.
 #[derive(Debug)]
@@ -148,13 +143,13 @@ impl Framing for Http2 {
         ))
     }
 
-    fn encode_query(&self, conn: &mut H2Conn, query: &Message) -> Segments {
+    fn encode_query(conn: &mut H2Conn, authority: &str, query: &Message) -> Segments {
         let body = query.encode();
         let mut digits = [0; 20];
         let headers = [
             (":method", "POST"),
             (":scheme", "https"),
-            (":authority", self.authority.as_str()),
+            (":authority", authority),
             (":path", DOH_PATH),
             ("accept", DNS_MESSAGE),
             ("content-type", DNS_MESSAGE),
@@ -288,30 +283,15 @@ pub type DohH2Client = StreamClient<Http2>;
 /// another stream of the same connection.
 pub type DohH2Server = StreamServer<Http2>;
 
-impl DohH2Client {
-    /// A client on `host` for `server`, usually `(resolver, 443)`, whose
-    /// `:authority` is `tls_cfg.sni`. Setup attribution follows the same
-    /// rules as [`DotClient::new`](crate::DotClient::new).
-    pub fn new(
-        host: HostId,
-        server: (HostId, u16),
-        tls_cfg: TlsConfig,
-        policy: ReusePolicy,
-    ) -> DohH2Client {
-        let framing = Http2 { authority: tls_cfg.sni.clone() };
-        StreamClient::with_framing(framing, host, server, tls_cfg, policy)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::stream::TlsStream;
     use crate::testing::pump;
-    use crate::{Endpoint, Resolver};
+    use crate::{Endpoint, Resolver, ReusePolicy};
     use dohmark_dns_wire::{Name, RecordType};
     use dohmark_netsim::{LinkConfig, Sim, Wake};
-    use dohmark_tls_model::{handshake_bytes, ALPN_H2};
+    use dohmark_tls_model::{handshake_bytes, TlsConfig, ALPN_H2};
     use std::net::Ipv4Addr;
 
     fn h2_tls() -> TlsConfig {
@@ -398,10 +378,13 @@ mod tests {
             assert!(client.take_response(id).is_some(), "id {id}");
         }
         // The stream id is the framing's to assign, one per encoded query.
-        let framing = Http2 { authority: "dns.example.net".to_string() };
         let mut conn = Http2::conn(Side::Client);
         for id in 1..=3u16 {
-            framing.encode_query(&mut conn, &Message::query(id, &name, RecordType::A));
+            Http2::encode_query(
+                &mut conn,
+                "dns.example.net",
+                &Message::query(id, &name, RecordType::A),
+            );
         }
         assert_eq!(conn.next_stream_id, 7, "streams 1, 3, 5 were used");
     }
@@ -410,8 +393,10 @@ mod tests {
     /// hand-rolled server that answers each with whatever `answer` makes
     /// of `(connection, stream id, DNS response bytes)`, and hands the
     /// client back once the simulation is quiet.
-    // reason: the hand-rolled h2 server under test is not a Driver endpoint
-    #[allow(clippy::disallowed_methods)]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the hand-rolled h2 server under test is not a Driver endpoint"
+    )]
     fn resolve_against(
         policy: ReusePolicy,
         queries: usize,

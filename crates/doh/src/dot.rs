@@ -4,7 +4,8 @@
 //!
 //! * TCP to port 853 (simulated by `netsim::tcp`, so SYN options, ACKs and
 //!   retransmissions are all charged).
-//! * The TLS handshake flights of the configured [`TlsConfig`], sent as
+//! * The TLS handshake flights of the configured
+//!   [`TlsConfig`](dohmark_tls_model::TlsConfig), sent as
 //!   opaque byte bursts tagged [`LayerTag::Tls`].
 //! * Application data framed into TLS records: the 5-byte
 //!   record header and
@@ -20,8 +21,7 @@
 
 use crate::stream::{Framing, Segments, StreamClient, StreamServer};
 use dohmark_dns_wire::Message;
-use dohmark_netsim::{HostId, LayerTag, Side};
-use dohmark_tls_model::TlsConfig;
+use dohmark_netsim::{LayerTag, Side};
 
 /// Connection-reuse policy of a TLS-based client (DoT or DoH).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,7 +88,7 @@ impl Framing for Dot {
         Vec::new()
     }
 
-    fn encode_query(&self, _rx: &mut Vec<u8>, query: &Message) -> Segments {
+    fn encode_query(_rx: &mut Vec<u8>, _authority: &str, query: &Message) -> Segments {
         prefixed(query)
     }
 
@@ -116,22 +116,6 @@ pub type DotClient = StreamClient<Dot>;
 /// shared caching recursive resolver.
 pub type DotServer = StreamServer<Dot>;
 
-impl DotClient {
-    /// A client on `host` for `server`, usually `(resolver, 853)`.
-    ///
-    /// Under [`ReusePolicy::Persistent`] the TCP+TLS setup bytes are
-    /// attributed to id 0; under [`ReusePolicy::Fresh`] each resolution's
-    /// setup is attributed to its own transaction id.
-    pub fn new(
-        host: HostId,
-        server: (HostId, u16),
-        tls_cfg: TlsConfig,
-        policy: ReusePolicy,
-    ) -> DotClient {
-        StreamClient::with_framing(Dot, host, server, tls_cfg, policy)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,7 +123,7 @@ mod tests {
     use crate::{DohH1Client, DohH1Server, DohH2Client, DohH2Server, Resolver};
     use dohmark_dns_wire::{Name, RecordType};
     use dohmark_netsim::{HostId, LinkConfig, Sim};
-    use dohmark_tls_model::{handshake_bytes, TlsVersion};
+    use dohmark_tls_model::{handshake_bytes, TlsConfig, TlsVersion};
     use std::net::Ipv4Addr;
 
     fn dot_tls() -> TlsConfig {

@@ -50,8 +50,10 @@ pub const ADVANCE_TOKEN: u64 = u64::MAX;
 /// auditable in one place; the timer inherits the owner installed around
 /// the calling endpoint's callback, so the [`Driver`] routes the eventual
 /// [`Wake::AppTimer`] straight back to that endpoint.
-// reason: the blessed wake-scheduling path for endpoints; the timer carries the caller's owner
-#[allow(clippy::disallowed_methods)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the blessed wake-scheduling path for endpoints; the timer carries the caller's owner"
+)]
 pub(crate) fn schedule_endpoint_timer(sim: &mut Sim, delay: SimDuration, token: u64) {
     debug_assert_ne!(token, ADVANCE_TOKEN, "token is reserved for Driver::advance_until");
     sim.schedule_app_in(delay, token);
@@ -166,8 +168,10 @@ impl Driver {
     /// fetch completions) loops over `step` itself: endpoint timers carry
     /// their endpoint's id, so an [`Wake::AppTimer`] that comes back
     /// unrouted is the harness's.
-    // reason: the one place wakes are popped; each is routed to its owner
-    #[allow(clippy::disallowed_methods)]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one place wakes are popped; each is routed to its owner"
+    )]
     pub fn step(&mut self, sim: &mut Sim) -> Option<(Wake, bool)> {
         let (wake, owner) = sim.next_wake_owned()?;
         let routed = owner != 0 && owner as usize <= self.slots.len();
@@ -233,8 +237,10 @@ impl Driver {
     /// (leftover ACKs, FIN teardown, late responses) — the idle time
     /// between two workload arrivals. Uses the reserved [`ADVANCE_TOKEN`]
     /// timer token; wakes due after `at` stay queued.
-    // reason: the driver's own unowned ADVANCE_TOKEN timer, popped back through `step`
-    #[allow(clippy::disallowed_methods)]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the driver's own unowned ADVANCE_TOKEN timer, popped back through `step`"
+    )]
     pub fn advance_until(&mut self, sim: &mut Sim, at: SimTime) {
         let prev = sim.owner();
         sim.set_owner(0);
@@ -249,8 +255,10 @@ impl Driver {
 }
 
 #[cfg(test)]
-// reason: tests arm harness timers directly to check how the driver routes them
-#[allow(clippy::disallowed_methods)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests arm harness timers directly to check how the driver routes them"
+)]
 mod tests {
     use super::*;
     use crate::{DohH2Server, ReusePolicy, TransportConfig, TransportKind};

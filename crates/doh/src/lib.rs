@@ -93,6 +93,7 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::print_stdout, clippy::print_stderr, clippy::unwrap_used)]
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 #![forbid(unsafe_code)]
 
 pub mod cache;
@@ -107,7 +108,7 @@ mod transport;
 pub mod zone;
 
 pub use cache::DnsCache;
-pub use do53::{Do53Client, Do53Server, UdpRetry};
+pub use do53::{Do53Client, Do53Server};
 pub use doh1::{DohH1Client, DohH1Server};
 pub use doh2::{DohH2Client, DohH2Server};
 pub use dot::{DotClient, DotServer, ReusePolicy};
@@ -168,8 +169,10 @@ pub(crate) mod testing {
     /// Sends `query` (if any) from `client`, then hands every wake to
     /// `client` and `server` until the response arrives — or, without a
     /// query or an answer, until the simulation runs dry.
-    // reason: a two-endpoint unit-test pump, with no Driver to route through
-    #[allow(clippy::disallowed_methods)]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a two-endpoint unit-test pump, with no Driver to route through"
+    )]
     pub(crate) fn pump(
         sim: &mut Sim,
         client: &mut dyn Resolver,

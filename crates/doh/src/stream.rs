@@ -46,8 +46,9 @@ pub trait Framing: Debug {
         None
     }
 
-    /// One query as the client writes it.
-    fn encode_query(&self, conn: &mut Self::Conn, query: &Message) -> Segments;
+    /// One query as the client writes it to the server named `authority`
+    /// (the HTTP `host` / `:authority`: the client's TLS SNI).
+    fn encode_query(conn: &mut Self::Conn, authority: &str, query: &Message) -> Segments;
 
     /// One response as the server writes it to `slot`.
     fn encode_response(conn: &mut Self::Conn, slot: Self::Slot, response: &Message) -> Segments;
@@ -252,7 +253,6 @@ impl<F: Framing> Conn<F> {
 /// A client resolving names against one server over TLS, framed by `F`.
 #[derive(Debug)]
 pub struct StreamClient<F: Framing> {
-    framing: F,
     host: HostId,
     server: (HostId, u16),
     tls_cfg: TlsConfig,
@@ -270,15 +270,20 @@ pub struct StreamClient<F: Framing> {
 }
 
 impl<F: Framing> StreamClient<F> {
-    pub(crate) fn with_framing(
-        framing: F,
+    /// A client on `host` for `server`, usually `(resolver, 853)` for DoT
+    /// and `(resolver, 443)` for DoH, whose HTTP `host` / `:authority` is
+    /// `tls_cfg.sni`.
+    ///
+    /// Under [`ReusePolicy::Persistent`] the TCP+TLS setup bytes are
+    /// attributed to id 0; under [`ReusePolicy::Fresh`] each resolution's
+    /// setup is attributed to its own transaction id.
+    pub fn new(
         host: HostId,
         server: (HostId, u16),
         tls_cfg: TlsConfig,
         policy: ReusePolicy,
     ) -> StreamClient<F> {
         StreamClient {
-            framing,
             host,
             server,
             tls_cfg,
@@ -303,7 +308,7 @@ impl<F: Framing> StreamClient<F> {
         }
         for (id, name) in self.queued.drain(..) {
             let query = Message::query(id, &name, RecordType::A);
-            let segments = self.framing.encode_query(&mut conn.codec, &query);
+            let segments = F::encode_query(&mut conn.codec, &self.tls_cfg.sni, &query);
             conn.tls.send_segments(sim, u32::from(id), &segments);
         }
     }
@@ -548,8 +553,10 @@ mod tests {
     }
 
     impl<F: Framing> Bed<F> {
-        // reason: the test bed drives raw server connections, not Driver endpoints
-        #[allow(clippy::disallowed_methods)]
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the test bed drives raw server connections, not Driver endpoints"
+        )]
         fn pump(&mut self) {
             while let Some(wake) = self.sim.next_wake() {
                 if let Wake::TcpAccepted { conn, .. } = wake {

@@ -32,7 +32,7 @@
 use crate::resolver::ServerBackend;
 use crate::{
     Do53Client, Do53Server, DohH1Client, DohH1Server, DohH2Client, DohH2Server, DotClient,
-    DotServer, Endpoint, Resolver, ReusePolicy, UdpRetry,
+    DotServer, Endpoint, Resolver, ReusePolicy,
 };
 use dohmark_netsim::{HostId, LinkConfig, Sim};
 use dohmark_tls_model::{TlsConfig, ALPN_DOT, ALPN_H2, ALPN_HTTP11};
@@ -98,12 +98,12 @@ pub struct TransportConfig {
     pub resumption: bool,
     /// Link characteristics between stub and resolver.
     pub link: LinkConfig,
-    /// Retransmission policy for Do53 (ignored by the TLS transports,
-    /// whose TCP layer already retransmits). `None` — the default —
-    /// models a stub with no application retry, so a lost datagram loses
-    /// the resolution; lossy-link experiments set
-    /// [`UdpRetry::standard`].
-    pub udp_retry: Option<UdpRetry>,
+    /// Whether Do53 resends unanswered queries on TCP's RTO schedule (see
+    /// [`Do53Client::new`]; ignored by the TLS transports, whose TCP layer
+    /// already retransmits). `false` — the default — models a stub with
+    /// no application retry, so a lost datagram loses the resolution;
+    /// lossy-link experiments set it.
+    pub udp_retry: bool,
 }
 
 impl TransportConfig {
@@ -125,7 +125,7 @@ impl TransportConfig {
             reuse,
             resumption: false,
             link: LinkConfig::clean_broadband(),
-            udp_retry: None,
+            udp_retry: false,
         }
     }
 
@@ -136,9 +136,9 @@ impl TransportConfig {
     }
 
     /// Enables Do53 datagram retransmission (builder style); a no-op for
-    /// the TLS transports, which never consult the policy.
-    pub fn with_udp_retry(mut self, retry: UdpRetry) -> TransportConfig {
-        self.udp_retry = Some(retry);
+    /// the TLS transports, which never consult it.
+    pub fn with_udp_retry(mut self) -> TransportConfig {
+        self.udp_retry = true;
         self
     }
 
@@ -218,10 +218,7 @@ impl TransportConfig {
     pub fn build_client(&self, stub: HostId, resolver: HostId) -> Box<dyn Resolver> {
         let server_addr = (resolver, self.kind.port());
         match self.kind {
-            TransportKind::Do53 => match self.udp_retry {
-                Some(retry) => Box::new(Do53Client::with_retry(stub, server_addr, retry)),
-                None => Box::new(Do53Client::new(stub, server_addr)),
-            },
+            TransportKind::Do53 => Box::new(Do53Client::new(stub, server_addr, self.udp_retry)),
             TransportKind::Dot => {
                 let tls = self.tls().expect("dot uses tls");
                 Box::new(DotClient::new(stub, server_addr, tls, self.reuse))

@@ -34,6 +34,7 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::print_stdout, clippy::print_stderr, clippy::unwrap_used)]
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 #![forbid(unsafe_code)]
 
 pub mod link;

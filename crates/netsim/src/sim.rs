@@ -444,11 +444,6 @@ impl Sim {
         self.find_route(src, dst).ok().map(|i| self.routes[i].2)
     }
 
-    /// The configured link from `a` to `b`, if any.
-    pub fn link_config(&self, a: HostId, b: HostId) -> Option<LinkConfig> {
-        self.route(a, b).map(|i| self.links[i].cfg)
-    }
-
     /// Schedules `kind` at `at`. A TCP timer armed exactly its lane's
     /// delay ahead joins the lane; everything else goes to the heap.
     pub(crate) fn push_event(&mut self, at: SimTime, kind: EvKind) {
@@ -501,8 +496,10 @@ impl Sim {
     }
 
     /// Schedules an application timer after a delay.
-    // reason: defined in terms of `schedule_app`, the method it wraps
-    #[allow(clippy::disallowed_methods)]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "defined in terms of `schedule_app`, the method it wraps"
+    )]
     pub fn schedule_app_in(&mut self, delay: SimDuration, token: u64) {
         self.schedule_app(self.now + delay, token);
     }
@@ -642,8 +639,10 @@ impl Sim {
 
     /// Advances the simulation until the next application-visible event and
     /// returns it, or `None` when the simulation has run dry.
-    // reason: defined in terms of `next_wake_owned`, the method it wraps
-    #[allow(clippy::disallowed_methods)]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "defined in terms of `next_wake_owned`, the method it wraps"
+    )]
     pub fn next_wake(&mut self) -> Option<Wake> {
         self.next_wake_owned().map(|(w, _)| w)
     }
@@ -684,16 +683,14 @@ impl Sim {
 
     /// Runs the simulation to quiescence, discarding wakes. Useful to let
     /// in-flight ACK/teardown traffic settle before reading the meter.
-    // reason: discarding wakes is what `drain` is for
-    #[allow(clippy::disallowed_methods)]
+    #[expect(clippy::disallowed_methods, reason = "discarding wakes is what `drain` is for")]
     pub fn drain(&mut self) {
         while self.next_wake().is_some() {}
     }
 }
 
 #[cfg(test)]
-// reason: the event loop's own tests, below any Driver
-#[allow(clippy::disallowed_methods)]
+#[expect(clippy::disallowed_methods, reason = "the event loop's own tests, below any Driver")]
 mod tests {
     use super::*;
 

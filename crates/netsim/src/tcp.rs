@@ -27,16 +27,26 @@ use std::collections::VecDeque;
 
 /// Fallback MSS when no link (and hence no MTU) is configured.
 const DEFAULT_MSS: usize = 1460;
-/// Initial retransmission timeout (Linux's minimum RTO, 200 ms).
-pub(crate) const INIT_RTO: SimDuration = SimDuration(200_000_000);
+/// Initial retransmission timeout (Linux's minimum RTO, 200 ms). Do53's
+/// retransmission timer starts from it too.
+pub const INIT_RTO: SimDuration = SimDuration(200_000_000);
 /// Upper bound on the exponentially backed-off RTO (60 s).
-const MAX_RTO: SimDuration = SimDuration(60_000_000_000);
+pub const MAX_RTO: SimDuration = SimDuration(60_000_000_000);
 /// Delayed-ACK timeout (Linux's default, 40 ms).
 pub(crate) const DELACK: SimDuration = SimDuration(40_000_000);
-/// Consecutive RTO expiries tolerated before the endpoint gives up.
+/// Consecutive RTO expiries tolerated before the endpoint gives up; also
+/// the most times Do53 resends one query.
 pub const MAX_RETRIES: u32 = 6;
 /// Sender window: at most this many MSS-sized segments in flight.
 const WINDOW_SEGS: u64 = 10;
+
+/// The timeout that follows an expired `rto`: doubled, capped at
+/// [`MAX_RTO`]. TCP's RTO and Do53's retransmission timer both back off
+/// by it, so a lossy-link comparison of the two measures head-of-line
+/// blocking, not a difference in how hard each side retries.
+pub fn backoff(rto: SimDuration) -> SimDuration {
+    (rto * 2).min(MAX_RTO)
+}
 
 /// A passive listening socket: SYNs addressed to `(host, port)` are
 /// accepted on behalf of this listener.
@@ -840,7 +850,7 @@ impl Sim {
                     RtoAction::Nothing
                 } else {
                     ep.retries += 1;
-                    ep.rto = (ep.rto * 2).min(MAX_RTO);
+                    ep.rto = backoff(ep.rto);
                     match ep.state {
                         TcpState::SynSent => RtoAction::ResendSyn,
                         TcpState::SynRcvd => RtoAction::ResendSynAck,
@@ -871,8 +881,10 @@ impl Sim {
 }
 
 #[cfg(test)]
-// reason: TCP tests drive the event loop directly, below any Driver
-#[allow(clippy::disallowed_methods)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "TCP tests drive the event loop directly, below any Driver"
+)]
 mod tests {
     use super::*;
     use crate::link::LinkConfig;

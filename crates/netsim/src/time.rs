@@ -46,7 +46,7 @@ impl SimDuration {
     }
 
     /// Builds a duration from milliseconds.
-    pub fn from_millis(ms: u64) -> SimDuration {
+    pub const fn from_millis(ms: u64) -> SimDuration {
         SimDuration(ms * 1_000_000)
     }
 

@@ -16,7 +16,7 @@
 //!   resource triggers one DNS resolution through a registered
 //!   [`Resolver`](dohmark_doh::Resolver) (any transport of the matrix),
 //!   and a resource's fetch starts only once its domain has resolved.
-//! * Resource fetches are modelled analytically by a [`FetchModel`]
+//! * Resource fetches are modelled analytically by [`fetch_time`]
 //!   (one round trip plus serialisation of the resource body) and are
 //!   **identical across DNS transports**, so any page-load-time
 //!   difference between two transports is attributable to DNS alone —
@@ -31,7 +31,7 @@
 //! use dohmark_dns_wire::Name;
 //! use dohmark_doh::{Driver, ReusePolicy, TransportConfig, TransportKind};
 //! use dohmark_netsim::{Sim, SimRng};
-//! use dohmark_pageload::{load_page, FetchModel};
+//! use dohmark_pageload::load_page;
 //! use dohmark_workload::SiteModel;
 //!
 //! const DEMO_SEED: u64 = 42;
@@ -48,49 +48,31 @@
 //! let mut rng = SimRng::new(DEMO_SEED);
 //! let model = SiteModel::new(&mut rng, &zone, 1000, 1.0);
 //! let page = model.page_for(3);
-//! let fetch = FetchModel::from_link(&cfg.link);
-//! let result = load_page(&mut sim, &mut driver, client, &page, &fetch);
+//! let result = load_page(&mut sim, &mut driver, client, &page, &cfg.link);
 //! assert_eq!(result.unresolved, 0);
 //! assert!(result.makespan > dohmark_netsim::SimDuration::ZERO);
 //! ```
 
 #![warn(missing_docs)]
 #![warn(clippy::print_stdout, clippy::print_stderr, clippy::unwrap_used)]
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 #![forbid(unsafe_code)]
 
 use dohmark_doh::{Driver, EndpointId};
 use dohmark_netsim::{LinkConfig, Sim, SimDuration, SimTime, Wake};
 use dohmark_workload::PageSpec;
 
-/// Analytic model of one resource fetch: a request/response round trip on
-/// the access link plus serialisation of the resource body at the link's
-/// bandwidth.
+/// The analytic cost of fetching a `bytes`-long resource over `link`: one
+/// round trip (request out, first byte back) plus serialisation of the
+/// body at the link's bandwidth.
 ///
 /// The model is deliberately DNS-transport-independent — every transport
 /// pays the same fetch cost per resource — so comparing page-load
 /// makespans across [`TransportConfig`](dohmark_doh::TransportConfig)s
 /// isolates the contribution of DNS, which is the paper's Figure 2/6
 /// methodology.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FetchModel {
-    /// One-way propagation delay of the fetch path.
-    pub latency: SimDuration,
-    /// Link used for body serialisation delay.
-    link: LinkConfig,
-}
-
-impl FetchModel {
-    /// A fetch model riding the same access link the DNS traffic uses —
-    /// the usual choice, since stub and content sit behind one last mile.
-    pub fn from_link(link: &LinkConfig) -> FetchModel {
-        FetchModel { latency: link.latency, link: *link }
-    }
-
-    /// Wall-clock cost of fetching a `bytes`-long resource: one round
-    /// trip (request out, first byte back) plus body serialisation.
-    pub fn fetch_time(&self, bytes: u32) -> SimDuration {
-        self.latency + self.latency + self.link.serialise(bytes as usize)
-    }
+pub fn fetch_time(link: &LinkConfig, bytes: u32) -> SimDuration {
+    link.latency + link.latency + link.serialise(bytes as usize)
 }
 
 /// What [`load_page`] measured for one page.
@@ -140,7 +122,9 @@ enum ResState {
 }
 
 /// Loads one page through the registered resolver `client`, returning the
-/// tree's makespan and DNS accounting.
+/// tree's makespan and DNS accounting. Each resource costs its
+/// [`fetch_time`] over `link`: the same access link the DNS traffic uses,
+/// since stub and content sit behind one last mile.
 ///
 /// The engine loops over [`Driver::step`], which routes DNS transport
 /// traffic, TCP timers and Do53 retransmissions to the endpoint owning
@@ -159,7 +143,7 @@ pub fn load_page(
     driver: &mut Driver,
     client: EndpointId,
     page: &PageSpec,
-    fetch: &FetchModel,
+    link: &LinkConfig,
 ) -> PageLoadResult {
     let n = page.resources.len();
     let n_domains = page.domains.len();
@@ -177,7 +161,7 @@ pub fn load_page(
     let mut loader = Loader {
         client,
         page,
-        fetch,
+        link,
         res_state: vec![ResState::Blocked; n],
         dns: vec![DnsState::Idle; n_domains],
         dns_waiters: vec![Vec::new(); n_domains],
@@ -244,7 +228,7 @@ pub fn load_page(
 struct Loader<'a> {
     client: EndpointId,
     page: &'a PageSpec,
-    fetch: &'a FetchModel,
+    link: &'a LinkConfig,
     res_state: Vec<ResState>,
     dns: Vec<DnsState>,
     /// Resources discovered while their domain's query is in flight.
@@ -276,11 +260,13 @@ impl Loader<'_> {
         }
     }
 
-    // reason: the harness's own fetch timer, unowned, so `Driver::step` hands it back here
-    #[allow(clippy::disallowed_methods)]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the harness's own fetch timer, unowned, so `Driver::step` hands it back here"
+    )]
     fn start_fetch(&mut self, sim: &mut Sim, r: usize) {
         self.res_state[r] = ResState::Fetching;
-        sim.schedule_app_in(self.fetch.fetch_time(self.page.resources[r].bytes), r as u64);
+        sim.schedule_app_in(fetch_time(self.link, self.page.resources[r].bytes), r as u64);
     }
 }
 
@@ -288,7 +274,7 @@ impl Loader<'_> {
 mod tests {
     use super::*;
     use dohmark_dns_wire::Name;
-    use dohmark_doh::{ReusePolicy, TransportConfig, TransportKind, UdpRetry};
+    use dohmark_doh::{ReusePolicy, TransportConfig, TransportKind};
     use dohmark_netsim::SimRng;
     use dohmark_workload::{Resource, SiteModel};
 
@@ -327,8 +313,7 @@ mod tests {
         let cfg = TransportConfig::new(TransportKind::Do53, ReusePolicy::Fresh);
         let (mut sim, mut driver, client) = harness(&cfg, TEST_SEED);
         let page = two_domain_page();
-        let fetch = FetchModel::from_link(&cfg.link);
-        let result = load_page(&mut sim, &mut driver, client, &page, &fetch);
+        let result = load_page(&mut sim, &mut driver, client, &page, &cfg.link);
         assert_eq!(result.unresolved, 0);
         assert_eq!(result.resources, 4);
         assert_eq!(result.dns_queries, 2, "one resolution per distinct domain");
@@ -337,9 +322,9 @@ mod tests {
         // The critical path serialises: DNS(d0) + fetch(0), then in
         // parallel fetch(1) and DNS(d1) + fetch(2) + fetch(3).
         let floor = result.dns_wait_max
-            + fetch.fetch_time(10_000)
-            + fetch.fetch_time(20_000)
-            + fetch.fetch_time(1_000);
+            + fetch_time(&cfg.link, 10_000)
+            + fetch_time(&cfg.link, 20_000)
+            + fetch_time(&cfg.link, 1_000);
         assert!(result.makespan >= floor, "{:?} < {floor:?}", result.makespan);
     }
 
@@ -367,10 +352,9 @@ mod tests {
             ],
         };
         let cfg = TransportConfig::new(TransportKind::Do53, ReusePolicy::Fresh);
-        let fetch = FetchModel::from_link(&cfg.link);
         let run = |page: &PageSpec| {
             let (mut sim, mut driver, client) = harness(&cfg, TEST_SEED);
-            load_page(&mut sim, &mut driver, client, page, &fetch)
+            load_page(&mut sim, &mut driver, client, page, &cfg.link)
         };
         let deep = run(&chain);
         let shallow = run(&wide);
@@ -387,8 +371,7 @@ mod tests {
         cfg.link = cfg.link.loss(1.0);
         let (mut sim, mut driver, client) = harness(&cfg, TEST_SEED);
         let page = two_domain_page();
-        let fetch = FetchModel::from_link(&cfg.link);
-        let result = load_page(&mut sim, &mut driver, client, &page, &fetch);
+        let result = load_page(&mut sim, &mut driver, client, &page, &cfg.link);
         assert_eq!(result.unresolved, 4);
         assert_eq!(result.makespan, SimDuration::ZERO);
         // Only d0 was ever discoverable: d1's resources sit behind the
@@ -400,16 +383,14 @@ mod tests {
     fn every_transport_loads_model_pages_deterministically() {
         let zone = Name::parse("sites.dohmark.test").unwrap();
         for kind in TransportKind::ALL {
-            let cfg = TransportConfig::new(kind, ReusePolicy::Persistent)
-                .with_udp_retry(UdpRetry::standard());
+            let cfg = TransportConfig::new(kind, ReusePolicy::Persistent).with_udp_retry();
             let run = || {
                 let (mut sim, mut driver, client) = harness(&cfg, TEST_SEED);
                 let mut rng = SimRng::new(TEST_SEED);
                 let model = SiteModel::new(&mut rng, &zone, 500, 1.0);
-                let fetch = FetchModel::from_link(&cfg.link);
                 [1usize, 5, 17].map(|rank| {
                     let page = model.page_for(rank);
-                    load_page(&mut sim, &mut driver, client, &page, &fetch)
+                    load_page(&mut sim, &mut driver, client, &page, &cfg.link)
                 })
             };
             let first = run();
@@ -426,8 +407,7 @@ mod tests {
     #[test]
     fn fetch_model_charges_round_trip_plus_serialisation() {
         let link = LinkConfig::with_rtt(SimDuration::from_millis(10)).bandwidth_mbps(8);
-        let fetch = FetchModel::from_link(&link);
         // 5 ms out + 5 ms back + 1000 B at 1 B/µs.
-        assert_eq!(fetch.fetch_time(1000), SimDuration::from_millis(11));
+        assert_eq!(fetch_time(&link, 1000), SimDuration::from_millis(11));
     }
 }

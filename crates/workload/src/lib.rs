@@ -1,36 +1,40 @@
 //! Query workload generation for the cost experiments.
 //!
-//! Two generators, both fed exclusively by the simulator's seeded
+//! Every generator is fed exclusively by the simulator's seeded
 //! [`SimRng`] (obtain independent streams with
 //! [`Sim::split_rng`](dohmark_netsim::Sim::split_rng) or
 //! [`SimRng::split`]), so whole experiment suites replay bit-for-bit:
 //!
-//! * [`PoissonArrivals`] — exponentially distributed inter-arrival gaps,
-//!   the paper's §3 controlled query process.
-//! * [`NameGen`] — constant-length random query names under a fixed zone
-//!   (e.g. `k7f2q9xw.dohmark.test.`). The paper uses constant-length
-//!   random prefixes so every query has identical wire size and
+//! * [`QuerySchedule`] — one stub's queries: exponentially distributed
+//!   inter-arrival gaps (the paper's §3 controlled query process) paired
+//!   with constant-length random names under a fixed zone (e.g.
+//!   `k7f2q9xw.dohmark.test.`). The paper uses constant-length random
+//!   prefixes so every query has identical wire size and
 //!   compressibility, making per-resolution byte counts directly
 //!   comparable.
+//! * [`FleetSchedule`] — many stubs' Poisson arrivals drawing names from
+//!   one shared Zipf universe ([`ZipfNames`]).
+//! * [`SiteModel`] — Alexa-like pages, the page-load workload.
 //!
 //! # Example
 //!
 //! ```
 //! use dohmark_dns_wire::Name;
 //! use dohmark_netsim::{SimDuration, SimRng};
-//! use dohmark_workload::{NameGen, PoissonArrivals};
+//! use dohmark_workload::QuerySchedule;
 //!
+//! let zone = Name::parse("dohmark.test").unwrap();
 //! let mut rng = SimRng::new(42);
-//! let mut arrivals = PoissonArrivals::new(rng.split(1), SimDuration::from_millis(50));
-//! let mut names = NameGen::new(rng.split(2), 8, &Name::parse("dohmark.test").unwrap());
-//! let gap = arrivals.next_gap();
-//! let name = names.next_name();
-//! assert_eq!(name.labels().next().unwrap().len(), 8);
-//! assert!(gap.as_nanos() > 0);
+//! let schedule = QuerySchedule::new(&mut rng, SimDuration::from_millis(50), 8, &zone);
+//! let queries: Vec<_> = schedule.take(3).collect();
+//! // Arrivals only move forward, and every name has the same wire length.
+//! assert!(queries.windows(2).all(|pair| pair[0].0 < pair[1].0));
+//! assert!(queries.iter().all(|(_, name)| name.wire_len() == queries[0].1.wire_len()));
 //! ```
 
 #![warn(missing_docs)]
 #![warn(clippy::print_stdout, clippy::print_stderr, clippy::unwrap_used)]
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 #![forbid(unsafe_code)]
 
 use std::collections::BTreeMap;
@@ -39,58 +43,11 @@ use std::sync::{Arc, Mutex};
 use dohmark_dns_wire::Name;
 use dohmark_netsim::{SimDuration, SimRng, SimTime};
 
-/// A Poisson query-arrival process: i.i.d. exponential inter-arrival gaps
-/// with a configurable mean.
-#[derive(Debug, Clone)]
-pub struct PoissonArrivals {
-    rng: SimRng,
-    mean: SimDuration,
-}
-
-impl PoissonArrivals {
-    /// A process with the given mean inter-arrival gap, driven by `rng`
-    /// (pass a [`SimRng::split`] stream so arrivals never perturb other
-    /// randomness).
-    pub fn new(rng: SimRng, mean: SimDuration) -> PoissonArrivals {
-        PoissonArrivals { rng, mean }
-    }
-
-    /// The next inter-arrival gap.
-    pub fn next_gap(&mut self) -> SimDuration {
-        self.rng.exp_duration(self.mean)
-    }
-}
-
-/// Generates query names with a constant-length random first label under a
-/// fixed zone, so every query encodes to exactly the same wire length.
-#[derive(Debug, Clone)]
-pub struct NameGen {
-    rng: SimRng,
-    label_len: usize,
-    zone: Name,
-}
-
-impl NameGen {
-    /// Names of the form `<random label_len chars>.<zone>`.
-    pub fn new(rng: SimRng, label_len: usize, zone: &Name) -> NameGen {
-        NameGen { rng, label_len, zone: zone.clone() }
-    }
-
-    /// The wire length every generated name encodes to (uncompressed).
-    pub fn wire_len(&self) -> usize {
-        self.zone.wire_len() + 1 + self.label_len
-    }
-
-    /// The next random query name.
-    pub fn next_name(&mut self) -> Name {
-        let label = self.rng.alnum_string(self.label_len);
-        self.zone.child(&label).expect("alnum label under a valid zone is valid")
-    }
-}
-
 /// A complete query workload: Poisson arrival times paired with random
 /// names, the `(when, what)` stream every transport-matrix experiment
-/// replays identically across its cells.
+/// replays identically across its cells. Every name has a random
+/// `label_len`-character first label under one zone, so every query
+/// encodes to exactly the same wire length.
 ///
 /// ```
 /// use dohmark_dns_wire::Name;
@@ -106,8 +63,13 @@ impl NameGen {
 /// ```
 #[derive(Debug, Clone)]
 pub struct QuerySchedule {
-    arrivals: PoissonArrivals,
-    names: NameGen,
+    /// Draws the exponential inter-arrival gaps.
+    arrivals: SimRng,
+    mean_gap: SimDuration,
+    /// Draws the random first labels.
+    names: SimRng,
+    label_len: usize,
+    zone: Name,
     at: SimTime,
 }
 
@@ -129,8 +91,11 @@ impl QuerySchedule {
         zone: &Name,
     ) -> QuerySchedule {
         QuerySchedule {
-            arrivals: PoissonArrivals::new(rng.split(QuerySchedule::ARRIVALS_STREAM), mean_gap),
-            names: NameGen::new(rng.split(QuerySchedule::NAMES_STREAM), label_len, zone),
+            arrivals: rng.split(QuerySchedule::ARRIVALS_STREAM),
+            mean_gap,
+            names: rng.split(QuerySchedule::NAMES_STREAM),
+            label_len,
+            zone: zone.clone(),
             at: SimTime::ZERO,
         }
     }
@@ -142,8 +107,9 @@ impl Iterator for QuerySchedule {
     /// The next query: its absolute arrival time and name. Never `None` —
     /// callers `take(n)` what they need.
     fn next(&mut self) -> Option<(SimTime, Name)> {
-        self.at += self.arrivals.next_gap();
-        Some((self.at, self.names.next_name()))
+        self.at += self.arrivals.exp_duration(self.mean_gap);
+        let label = self.names.alnum_string(self.label_len);
+        Some((self.at, self.zone.child(&label).expect("alnum label under a valid zone is valid")))
     }
 }
 
@@ -151,9 +117,10 @@ impl Iterator for QuerySchedule {
 /// the workload shape that makes a shared resolver cache pay off.
 ///
 /// The universe is the deterministic set `w0000000.<zone>` …
-/// `w<N-1>.<zone>` (constant-width labels, so — like [`NameGen`] — every
-/// query encodes to exactly the same wire length). Rank `r` (0-based) is
-/// drawn with probability proportional to `1 / (r + 1)^s`; smaller
+/// `w<N-1>.<zone>` (constant-width labels, so — like a
+/// [`QuerySchedule`]'s — every query encodes to exactly the same wire
+/// length). Rank `r` (0-based) is drawn with probability proportional
+/// to `1 / (r + 1)^s`; smaller
 /// universes and larger exponents concentrate queries on few names and
 /// drive the cache-hit ratio up, which is exactly the knob the
 /// `fig_cache_hit_cost` experiment sweeps.
@@ -172,7 +139,7 @@ pub struct ZipfNames {
 
 impl ZipfNames {
     /// Width of the digit part of every label (`w` + 7 digits = 8 chars,
-    /// matching the experiments' 8-char [`NameGen`] labels).
+    /// matching the experiments' 8-char [`QuerySchedule`] labels).
     const DIGITS: usize = 7;
 
     /// A sampler over `universe` names under `zone` with Zipf exponent
@@ -271,7 +238,6 @@ impl FleetSchedule {
     /// stream are independent splits, so the same seed replays the same
     /// schedule bit for bit regardless of how the caller consumed `rng`
     /// elsewhere.
-    #[allow(clippy::too_many_arguments)]
     pub fn generate(
         rng: &mut SimRng,
         clients: usize,
@@ -284,10 +250,10 @@ impl FleetSchedule {
         let mut arrivals_parent = rng.split(FleetSchedule::ARRIVALS_STREAM);
         let mut queries = Vec::with_capacity(clients * queries_per_client);
         for client in 0..clients {
-            let mut arrivals = PoissonArrivals::new(arrivals_parent.split(client as u64), mean_gap);
+            let mut arrivals = arrivals_parent.split(client as u64);
             let mut at = SimTime::ZERO;
             for _ in 0..queries_per_client {
-                at += arrivals.next_gap();
+                at += arrivals.exp_duration(mean_gap);
                 queries.push((at, client));
             }
         }
@@ -388,8 +354,8 @@ impl PageSpec {
 /// the same site load the identical page.
 ///
 /// The shape distributions target the paper's Figure 1: most pages touch
-/// a handful of domains, the tail stretches to dozens (mean ≈ 8 with the
-/// defaults), and each domain serves a few resources of
+/// a handful of domains, the tail stretches to dozens (mean ≈ 8), and
+/// each domain serves a few resources of
 /// lognormal-distributed size.
 ///
 /// Each site's page is built once per model, on its first draw by
@@ -407,13 +373,6 @@ pub struct SiteModel {
     rank_rng: SimRng,
     /// Parent stream of the per-rank shape streams.
     shape_base: SimRng,
-    /// Mean of the exponential extra-domain count (domains = 1 + extra).
-    mean_extra_domains: f64,
-    /// Mean of the exponential extra-resource count per domain.
-    mean_extra_resources: f64,
-    /// Lognormal (mu, sigma) of per-resource body bytes.
-    bytes_mu: f64,
-    bytes_sigma: f64,
 }
 
 impl SiteModel {
@@ -425,6 +384,14 @@ impl SiteModel {
     /// Hard cap on domains per page — bounds the DNS fan-out (and the
     /// transaction-id budget a harness must reserve per page).
     pub const MAX_DOMAINS: usize = 64;
+    /// Mean of the exponential extra-domain count (domains = 1 + extra).
+    const MEAN_EXTRA_DOMAINS: f64 = 7.0;
+    /// Mean of the exponential extra-resource count per domain.
+    const MEAN_EXTRA_RESOURCES: f64 = 2.0;
+    /// Lognormal mu of per-resource body bytes.
+    const BYTES_MU: f64 = 9.5;
+    /// Lognormal sigma of per-resource body bytes.
+    const BYTES_SIGMA: f64 = 1.0;
     /// Hard cap on resources per domain.
     const MAX_RESOURCES_PER_DOMAIN: usize = 12;
     /// Hard cap on dependency depth; deeper picks re-parent to the root.
@@ -433,8 +400,7 @@ impl SiteModel {
     const BYTES_RANGE: (f64, f64) = (200.0, 2_000_000.0);
 
     /// A model of `sites` sites under `zone` with Zipf popularity
-    /// exponent `exponent` and the default Figure-1-like shape
-    /// distributions. Draws two independent streams
+    /// exponent `exponent` and the Figure-1-like shape distributions. Draws two independent streams
     /// ([`SiteModel::RANK_STREAM`], [`SiteModel::SHAPE_STREAM`]) from
     /// `rng`.
     pub fn new(rng: &mut SimRng, zone: &Name, sites: usize, exponent: f64) -> SiteModel {
@@ -445,10 +411,6 @@ impl SiteModel {
             pages: BTreeMap::new(),
             rank_rng: rng.split(SiteModel::RANK_STREAM),
             shape_base: rng.split(SiteModel::SHAPE_STREAM),
-            mean_extra_domains: 7.0,
-            mean_extra_resources: 2.0,
-            bytes_mu: 9.5,
-            bytes_sigma: 1.0,
         }
     }
 
@@ -458,7 +420,7 @@ impl SiteModel {
         let rank = rank.min(self.cdf.len() - 1);
         let mut rng = self.shape_base.clone().split(rank as u64);
         let extra_domains =
-            (rng.exp_f64(self.mean_extra_domains) as usize).min(SiteModel::MAX_DOMAINS - 1);
+            (rng.exp_f64(SiteModel::MEAN_EXTRA_DOMAINS) as usize).min(SiteModel::MAX_DOMAINS - 1);
         let n_domains = 1 + extra_domains;
         let site = self
             .zone
@@ -475,10 +437,10 @@ impl SiteModel {
             .collect();
 
         let mut resources =
-            vec![Resource { domain: 0, parent: None, bytes: self.draw_bytes(&mut rng) }];
+            vec![Resource { domain: 0, parent: None, bytes: SiteModel::draw_bytes(&mut rng) }];
         let mut depth = vec![0usize];
         for domain in 0..n_domains {
-            let extra = (rng.exp_f64(self.mean_extra_resources) as usize)
+            let extra = (rng.exp_f64(SiteModel::MEAN_EXTRA_RESOURCES) as usize)
                 .min(SiteModel::MAX_RESOURCES_PER_DOMAIN - 1);
             // Domain 0 already serves the root document; every other
             // domain serves at least one resource (that's what makes it
@@ -491,7 +453,7 @@ impl SiteModel {
                 resources.push(Resource {
                     domain,
                     parent: Some(parent),
-                    bytes: self.draw_bytes(&mut rng),
+                    bytes: SiteModel::draw_bytes(&mut rng),
                 });
             }
         }
@@ -513,9 +475,9 @@ impl SiteModel {
         &self.pages[&rank]
     }
 
-    fn draw_bytes(&self, rng: &mut SimRng) -> u32 {
+    fn draw_bytes(rng: &mut SimRng) -> u32 {
         let (lo, hi) = SiteModel::BYTES_RANGE;
-        rng.lognormal(self.bytes_mu, self.bytes_sigma).clamp(lo, hi) as u32
+        rng.lognormal(SiteModel::BYTES_MU, SiteModel::BYTES_SIGMA).clamp(lo, hi) as u32
     }
 }
 
@@ -527,12 +489,17 @@ mod tests {
         Name::parse("dohmark.test").unwrap()
     }
 
+    /// A schedule under `seed` with the given mean gap and label length.
+    fn schedule(seed: u64, mean_gap_ms: u64, label_len: usize) -> QuerySchedule {
+        let mean_gap = SimDuration::from_millis(mean_gap_ms);
+        QuerySchedule::new(&mut SimRng::new(seed), mean_gap, label_len, &zone())
+    }
+
     #[test]
     fn arrivals_have_roughly_the_configured_mean() {
-        let mut arrivals = PoissonArrivals::new(SimRng::new(1), SimDuration::from_millis(50));
-        let n = 20_000u64;
-        let total: u64 = (0..n).map(|_| arrivals.next_gap().as_nanos()).sum();
-        let mean = total / n;
+        let n = 20_000;
+        let (last, _) = schedule(1, 50, 8).nth(n - 1).unwrap();
+        let mean = last.as_nanos() / n as u64;
         let target = SimDuration::from_millis(50).as_nanos();
         assert!(
             (mean as i64 - target as i64).unsigned_abs() < target / 20,
@@ -541,21 +508,10 @@ mod tests {
     }
 
     #[test]
-    fn arrival_streams_replay_bit_for_bit() {
-        let gaps = |seed: u64| {
-            let mut a = PoissonArrivals::new(SimRng::new(seed), SimDuration::from_millis(10));
-            (0..100).map(|_| a.next_gap()).collect::<Vec<_>>()
-        };
-        assert_eq!(gaps(7), gaps(7));
-        assert_ne!(gaps(7), gaps(8));
-    }
-
-    #[test]
     fn names_have_constant_wire_length() {
-        let mut names = NameGen::new(SimRng::new(3), 8, &zone());
-        let expected = names.wire_len();
-        for _ in 0..50 {
-            let n = names.next_name();
+        // A length byte and the 8-char label in front of the zone.
+        let expected = zone().wire_len() + 1 + 8;
+        for (_, n) in schedule(3, 50, 8).take(50) {
             assert_eq!(n.wire_len(), expected);
             assert_eq!(n.labels().next().unwrap().len(), 8);
             assert!(n.is_subdomain_of(&zone()));
@@ -563,45 +519,34 @@ mod tests {
     }
 
     #[test]
-    fn name_streams_replay_bit_for_bit() {
-        let names = |seed: u64| {
-            let mut g = NameGen::new(SimRng::new(seed), 10, &zone());
-            (0..20).map(|_| g.next_name().to_string()).collect::<Vec<_>>()
-        };
-        assert_eq!(names(5), names(5));
-        assert_ne!(names(5), names(6));
-    }
-
-    #[test]
     fn schedule_is_monotone_and_replays_bit_for_bit() {
-        let take = |seed: u64| {
-            let mut rng = SimRng::new(seed);
-            QuerySchedule::new(&mut rng, SimDuration::from_millis(50), 8, &zone())
-                .take(50)
-                .collect::<Vec<_>>()
-        };
+        let take = |seed: u64| schedule(seed, 50, 8).take(50).collect::<Vec<_>>();
         let a = take(3);
         assert_eq!(a, take(3));
-        assert_ne!(a, take(4));
+        let (at_a, names_a): (Vec<_>, Vec<_>) = a.iter().cloned().unzip();
+        let (at_b, names_b): (Vec<_>, Vec<_>) = take(4).into_iter().unzip();
+        assert_ne!(at_a, at_b, "another seed, other arrivals");
+        assert_ne!(names_a, names_b, "another seed, other names");
         for pair in a.windows(2) {
             assert!(pair[0].0 < pair[1].0, "arrival times must increase");
         }
     }
 
     #[test]
-    fn schedule_matches_its_component_generators() {
-        // QuerySchedule must be a drop-in for the hand-rolled
-        // arrivals+names pairing the examples used before it existed.
-        let mut rng1 = SimRng::new(11);
-        let schedule = QuerySchedule::new(&mut rng1, SimDuration::from_millis(10), 8, &zone());
-        let mut rng2 = SimRng::new(11);
-        let mut arrivals = PoissonArrivals::new(rng2.split(1), SimDuration::from_millis(10));
-        let mut names = NameGen::new(rng2.split(2), 8, &zone());
-        let mut at = dohmark_netsim::SimTime::ZERO;
+    fn split_streams_are_independent() {
+        // Gaps and names each come from their own split of the parent:
+        // a stream that never drew a name spells the arrivals, and one
+        // that never drew a gap spells the names.
+        let mut parent = SimRng::new(9);
+        let mean_gap = SimDuration::from_millis(10);
+        let schedule = QuerySchedule::new(&mut parent.clone(), mean_gap, 8, &zone());
+        let mut arrivals = parent.split(QuerySchedule::ARRIVALS_STREAM);
+        let mut names = parent.split(QuerySchedule::NAMES_STREAM);
+        let mut at = SimTime::ZERO;
         for (got_at, got_name) in schedule.take(20) {
-            at += arrivals.next_gap();
+            at += arrivals.exp_duration(mean_gap);
             assert_eq!(got_at, at);
-            assert_eq!(got_name, names.next_name());
+            assert_eq!(got_name, zone().child(&names.alnum_string(8)).unwrap());
         }
     }
 
@@ -697,24 +642,6 @@ mod tests {
         let schedule = FleetSchedule { queries, clients: spelled.len() };
         assert_eq!(schedule.distinct_names(), 6);
         assert_eq!(FleetSchedule { queries: Vec::new(), clients: 0 }.distinct_names(), 0);
-    }
-
-    #[test]
-    fn split_streams_are_independent() {
-        // Consuming arrivals must not change the names drawn, because both
-        // come from independent split streams of one parent.
-        let mut parent1 = SimRng::new(9);
-        let _unused_arrivals_stream = parent1.split(1);
-        let mut names1 = NameGen::new(parent1.split(2), 8, &zone());
-        let mut parent2 = SimRng::new(9);
-        let mut arrivals = PoissonArrivals::new(parent2.split(1), SimDuration::from_millis(1));
-        for _ in 0..100 {
-            arrivals.next_gap();
-        }
-        let mut names2 = NameGen::new(parent2.split(2), 8, &zone());
-        for _ in 0..10 {
-            assert_eq!(names1.next_name(), names2.next_name());
-        }
     }
 
     #[test]

@@ -6,8 +6,10 @@
 use dohmark::dns::{Message, Name, RecordType};
 use dohmark::netsim::{LayerTag, LinkConfig, Sim, Wake};
 
-// reason: the demo shows the raw event loop, one layer below the Driver
-#[allow(clippy::disallowed_methods)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the demo shows the raw event loop, one layer below the Driver"
+)]
 fn main() {
     // 1. A real RFC 1035 query, byte for byte.
     let name = Name::parse("example.com.").expect("valid name");
