@@ -166,8 +166,7 @@ impl MatrixCell {
     fn simulate(&self, seed: u64) -> Result<Sim, CellError> {
         let mut bed = Testbed::new(seed, &self.cfg, 1, None);
         let mut rng = bed.sim.split_rng(WORKLOAD_STREAM);
-        let schedule =
-            QuerySchedule::new(&mut rng, SimDuration::from_millis(50), 8, &workload_zone());
+        let schedule = QuerySchedule::new(&mut rng, &workload_zone());
         for (at, name) in schedule.take(usize::from(self.resolutions)) {
             bed.resolve_at(at, 0, &name)?;
         }

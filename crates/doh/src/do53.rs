@@ -196,9 +196,8 @@ impl Endpoint for Do53Client {
                     if response.header.id == self.pending[idx].id {
                         self.pending.remove(idx);
                         self.responses.push(response);
-                        // The query's ephemeral socket has served its purpose;
-                        // closing it keeps a long-running client from aliasing
-                        // wrapped ephemeral ports onto dead sockets.
+                        // The query's ephemeral socket has served its
+                        // purpose; closing it frees its port.
                         sim.udp_close(*sock);
                         break;
                     }
@@ -253,20 +252,36 @@ mod tests {
         }
     }
 
+    /// A resolver that never answers: a plain socket on its port keeps
+    /// every query that reaches it, for the test to read.
+    struct Silent(SockId);
+
+    impl Endpoint for Silent {
+        fn on_wake(&mut self, _: &mut Sim, _: &Wake) {}
+    }
+
+    /// A clean link to a [`Silent`] resolver on port 53.
+    fn silent_setup(seed: u64, retry: bool) -> (Sim, Do53Client, Silent) {
+        let mut sim = Sim::new(seed);
+        let stub = sim.add_host("stub");
+        let resolver = sim.add_host("resolver");
+        sim.add_link(stub, resolver, LinkConfig::localhost());
+        let silent = Silent(sim.udp_bind(resolver, 53));
+        (sim, Do53Client::new(stub, (resolver, 53), retry), silent)
+    }
+
+    /// The source port of every query `silent` has received, in order.
+    fn source_ports(sim: &mut Sim, silent: &Silent) -> Vec<u16> {
+        std::iter::from_fn(|| sim.udp_recv(silent.0)).map(|(_, port, _)| port).collect()
+    }
+
     #[test]
     fn each_query_uses_a_fresh_source_port() {
-        let (mut sim, mut client, mut server) = setup(3);
-        sim.trace.enable(100);
+        let (mut sim, mut client, mut silent) = silent_setup(3, false);
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-        pump(&mut sim, &mut client, &mut server, Some(&name)).unwrap();
-        pump(&mut sim, &mut client, &mut server, Some(&name)).unwrap();
-        let sources: Vec<String> = sim
-            .trace
-            .records()
-            .iter()
-            .filter(|r| r.direction.starts_with("stub"))
-            .map(|r| r.direction.clone())
-            .collect();
+        assert!(pump(&mut sim, &mut client, &mut silent, Some(&name)).is_none());
+        assert!(pump(&mut sim, &mut client, &mut silent, Some(&name)).is_none());
+        let sources = source_ports(&mut sim, &silent);
         assert_eq!(sources.len(), 2);
         assert_ne!(sources[0], sources[1], "source ports must differ");
     }
@@ -274,16 +289,14 @@ mod tests {
     #[test]
     fn client_closes_its_ephemeral_socket_after_the_response() {
         let (mut sim, mut client, mut server) = setup(5);
-        sim.trace.enable(16);
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-        pump(&mut sim, &mut client, &mut server, Some(&name)).unwrap();
-        sim.drain();
+        let id = client.send_query(&mut sim, &name);
+        let port = sim.udp_local_port(client.pending[0].sock);
+        pump(&mut sim, &mut client, &mut server, None);
+        assert!(client.take_response(id).is_some());
         let dropped_before = sim.dropped_packets();
         // A stray duplicate response to the query's (now closed) source
         // port must be dropped, not queued on the dead socket.
-        let query_src = sim.trace.records()[0].direction.clone();
-        let port: u16 =
-            query_src.split("->").next().unwrap().rsplit(':').next().unwrap().parse().unwrap();
         let stub = dohmark_netsim::HostId(0);
         let resolver_sock = sim.udp_bind(dohmark_netsim::HostId(1), 0);
         sim.udp_send(resolver_sock, (stub, port), LayerTag::DnsPayload, vec![0; 12]);
@@ -368,23 +381,11 @@ mod tests {
 
     #[test]
     fn retransmissions_reuse_the_original_source_port() {
-        let mut sim = Sim::new(7);
-        let stub = sim.add_host("stub");
-        let resolver = sim.add_host("resolver");
-        sim.add_link(stub, resolver, LinkConfig::localhost().loss(1.0));
-        sim.trace.enable(32);
-        let mut server = Do53Server::bind(&mut sim, resolver, 53, Ipv4Addr::new(192, 0, 2, 7), 60);
-        let mut client = Do53Client::new(stub, (resolver, 53), true);
+        let (mut sim, mut client, mut silent) = silent_setup(7, true);
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-        pump(&mut sim, &mut client, &mut server, Some(&name));
-        let sources: Vec<String> = sim
-            .trace
-            .records()
-            .iter()
-            .filter(|r| r.direction.starts_with("stub"))
-            .map(|r| r.direction.clone())
-            .collect();
+        assert!(pump(&mut sim, &mut client, &mut silent, Some(&name)).is_none());
+        let sources = source_ports(&mut sim, &silent);
         assert_eq!(sources.len(), 1 + MAX_RETRIES as usize, "original + every retransmission");
-        assert!(sources.iter().all(|s| s == &sources[0]), "{sources:?}");
+        assert!(sources.iter().all(|&port| port == sources[0]), "{sources:?}");
     }
 }

@@ -42,7 +42,7 @@ use dohmark_netsim::{Sim, SimDuration, SimTime, Wake};
 
 /// Token [`Driver::advance_until`] reserves for its internal timer;
 /// application timers must use other values.
-pub const ADVANCE_TOKEN: u64 = u64::MAX;
+const ADVANCE_TOKEN: u64 = u64::MAX;
 
 /// Arms an application timer on behalf of an endpoint — the blessed wake
 /// scheduling path for endpoint re-arm logic (retransmission timeouts,
@@ -64,14 +64,6 @@ pub(crate) fn schedule_endpoint_timer(sim: &mut Sim, delay: SimDuration, token: 
 /// `0` is reserved for "unowned".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EndpointId(u64);
-
-impl EndpointId {
-    /// The raw ownership id (what [`Sim::owner`] reports inside this
-    /// endpoint's callbacks).
-    pub fn as_u64(self) -> u64 {
-        self.0
-    }
-}
 
 /// Registered endpoints keep their concrete capability: plain endpoints
 /// only receive wakes, resolvers additionally issue queries.
@@ -235,8 +227,9 @@ impl Driver {
 
     /// Advances the simulation to time `at`, routing wakes seen on the way
     /// (leftover ACKs, FIN teardown, late responses) — the idle time
-    /// between two workload arrivals. Uses the reserved [`ADVANCE_TOKEN`]
-    /// timer token; wakes due after `at` stay queued.
+    /// between two workload arrivals. It arms an unowned application timer
+    /// at `at` under a token reserved for it (`u64::MAX`, which endpoint
+    /// timers may not use); wakes due after `at` stay queued.
     #[expect(
         clippy::disallowed_methods,
         reason = "the driver's own unowned ADVANCE_TOKEN timer, popped back through `step`"

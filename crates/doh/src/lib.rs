@@ -112,7 +112,7 @@ pub use do53::{Do53Client, Do53Server};
 pub use doh1::{DohH1Client, DohH1Server};
 pub use doh2::{DohH2Client, DohH2Server};
 pub use dot::{DotClient, DotServer, ReusePolicy};
-pub use driver::{Driver, EndpointId, ADVANCE_TOKEN};
+pub use driver::{Driver, EndpointId};
 pub use resolver::{RecursiveResolver, ServerBackend};
 pub use transport::{TransportConfig, TransportKind};
 pub use zone::Zone;

@@ -1,10 +1,11 @@
 //! Deterministic discrete-event network simulator.
 //!
 //! This crate provides the measurement substrate of the reproduction: a
-//! virtual clock ([`time`]), point-to-point links with latency, bandwidth,
-//! jitter and fault injection ([`link`]), simulated UDP datagrams and a
-//! byte-stream TCP model ([`tcp`]), and per-layer byte/packet accounting
-//! ([`trace`]) behind the paper's Figures 3–5.
+//! virtual clock ([`SimTime`], [`SimDuration`]), point-to-point links with
+//! latency, bandwidth, jitter and fault injection ([`LinkConfig`]),
+//! simulated UDP datagrams and a byte-stream TCP model ([`tcp`]), all
+//! driven through [`Sim`], and per-layer byte/packet accounting
+//! ([`CostMeter`]) behind the paper's Figures 3–5.
 //!
 //! Everything is bit-for-bit reproducible: the only randomness comes from
 //! the seeded [`SimRng`], events at equal times fire in FIFO order, and no
@@ -37,20 +38,17 @@
 #![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 #![forbid(unsafe_code)]
 
-pub mod link;
-pub mod packet;
-pub mod rng;
-pub mod sim;
+mod link;
+mod packet;
+mod rng;
+mod sim;
 pub mod tcp;
-pub mod time;
-pub mod trace;
+mod time;
+mod trace;
 
-pub use link::{DirLink, LinkConfig};
-pub use packet::{Packet, Proto, TcpFlags, TcpSegMeta, IP_HEADER, TCP_HEADER, UDP_HEADER};
+pub use link::LinkConfig;
+pub use packet::{IP_HEADER, TCP_HEADER, UDP_HEADER};
 pub use rng::SimRng;
 pub use sim::{EngineStats, HostId, ListenerId, Side, Sim, SockId, TcpHandle, Wake};
-pub use tcp::{Listener, TcpConn};
 pub use time::{SimDuration, SimTime};
-pub use trace::{
-    Cost, CostMeter, Counters, LayerBytes, LayerTag, PacketRecord, TraceLog, MAX_ATTR,
-};
+pub use trace::{Cost, CostMeter, Counters, LayerBytes, LayerTag, MAX_ATTR};

@@ -46,26 +46,10 @@ impl LinkConfig {
     /// A LAN/university-uplink-like path with the given round-trip time.
     ///
     /// The one-way latency is `ceil(rtt / 2)`: flooring would make the two
-    /// directions of a symmetric link sum to `rtt - 1` ns for odd RTTs. Use
-    /// [`LinkConfig::with_rtt_pair`] when an odd round trip must be matched
-    /// exactly.
+    /// directions of a symmetric link sum to `rtt - 1` ns for odd RTTs.
     pub fn with_rtt(rtt: SimDuration) -> LinkConfig {
         let half_up = SimDuration::from_nanos(rtt.as_nanos().div_ceil(2));
         LinkConfig { latency: half_up, ..LinkConfig::default() }
-    }
-
-    /// Per-direction configs whose one-way latencies sum exactly to `rtt`;
-    /// the forward direction carries the extra nanosecond of an odd RTT.
-    /// Feed the pair to [`add_link_asymmetric`].
-    ///
-    /// [`add_link_asymmetric`]: ../sim/struct.Sim.html#method.add_link_asymmetric
-    pub fn with_rtt_pair(rtt: SimDuration) -> (LinkConfig, LinkConfig) {
-        let forward = SimDuration::from_nanos(rtt.as_nanos().div_ceil(2));
-        let reverse = SimDuration::from_nanos(rtt.as_nanos() / 2);
-        (
-            LinkConfig { latency: forward, ..LinkConfig::default() },
-            LinkConfig { latency: reverse, ..LinkConfig::default() },
-        )
     }
 
     /// The clean access-network profile the transport-matrix experiments
@@ -140,22 +124,22 @@ impl LinkConfig {
 
 /// Runtime state of one link direction.
 #[derive(Debug)]
-pub struct DirLink {
+pub(crate) struct DirLink {
     /// Static configuration.
-    pub cfg: LinkConfig,
+    pub(crate) cfg: LinkConfig,
     /// When the transmitter becomes free (FIFO serialisation).
-    pub busy_until: SimTime,
+    busy_until: SimTime,
 }
 
 impl DirLink {
     /// Creates an idle link direction.
-    pub fn new(cfg: LinkConfig) -> DirLink {
+    pub(crate) fn new(cfg: LinkConfig) -> DirLink {
         DirLink { cfg, busy_until: SimTime::ZERO }
     }
 
     /// Computes the arrival time of a packet of `bytes` handed to the
     /// transmitter at `now`, updating the transmitter-busy horizon.
-    pub fn schedule(&mut self, now: SimTime, bytes: usize, jitter: SimDuration) -> SimTime {
+    pub(crate) fn schedule(&mut self, now: SimTime, bytes: usize, jitter: SimDuration) -> SimTime {
         let start = if self.busy_until > now { self.busy_until } else { now };
         let done = start + self.cfg.serialise(bytes);
         self.busy_until = done;
@@ -215,16 +199,6 @@ mod tests {
         let rtt = SimDuration::from_nanos(7_000_001);
         let cfg = LinkConfig::with_rtt(rtt);
         assert_eq!(cfg.latency, SimDuration::from_nanos(3_500_001));
-    }
-
-    #[test]
-    fn rtt_pair_sums_exactly_for_odd_rtts() {
-        for rtt_ns in [1u64, 21, 999_999_999, 1_000_000_000] {
-            let rtt = SimDuration::from_nanos(rtt_ns);
-            let (fwd, rev) = LinkConfig::with_rtt_pair(rtt);
-            assert_eq!(fwd.latency + rev.latency, rtt, "rtt {rtt_ns} ns");
-            assert!(fwd.latency.as_nanos() - rev.latency.as_nanos() <= 1);
-        }
     }
 
     #[test]

@@ -35,13 +35,18 @@
 //! every push and pop deep. [`Sim::stats`] counts what went where.
 
 use crate::link::{DirLink, LinkConfig};
-use crate::packet::{Packet, Proto};
+use crate::packet::Packet;
 use crate::rng::SimRng;
 use crate::tcp::{Listener, TcpConn, DELACK, INIT_RTO};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{CostMeter, LayerBytes, LayerTag, PacketRecord, TraceLog, MAX_ATTR};
+use crate::trace::{CostMeter, LayerBytes, LayerTag, MAX_ATTR};
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, VecDeque};
+
+/// The first ephemeral port; the range runs from here to 65 535.
+const EPHEMERAL_BASE: u16 = 40_000;
+/// How many ephemeral ports there are.
+const EPHEMERAL_PORTS: usize = (u16::MAX - EPHEMERAL_BASE) as usize + 1;
 
 /// Identifier of a simulated host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -303,8 +308,6 @@ pub struct Sim {
     pub(crate) wakes: VecDeque<(Wake, u64)>,
     /// Per-attribution byte/packet accounting.
     pub meter: CostMeter,
-    /// Optional tcpdump-style packet log.
-    pub trace: TraceLog,
     rng: SimRng,
     attr: u32,
     owner: u64,
@@ -334,11 +337,10 @@ impl Sim {
             conns: Vec::new(),
             wakes: VecDeque::new(),
             meter: CostMeter::new(),
-            trace: TraceLog::new(),
             rng: SimRng::new(seed),
             attr: 0,
             owner: 0,
-            next_ephemeral: 40_000,
+            next_ephemeral: EPHEMERAL_BASE,
             dropped: 0,
             #[cfg(any(test, debug_assertions))]
             wire_bytes: 0,
@@ -506,7 +508,7 @@ impl Sim {
 
     pub(crate) fn alloc_ephemeral(&mut self) -> u16 {
         let p = self.next_ephemeral;
-        self.next_ephemeral = if p == u16::MAX { 40_000 } else { p + 1 };
+        self.next_ephemeral = if p == u16::MAX { EPHEMERAL_BASE } else { p + 1 };
         p
     }
 
@@ -516,9 +518,16 @@ impl Sim {
 
     /// Binds a UDP socket on `host`. Port 0 selects an ephemeral port —
     /// this is how the paper's §3 UDP client multiplexes queries over many
-    /// independent source ports.
+    /// independent source ports. The ephemeral counter wraps, and skips any
+    /// port an open socket on `host` still holds: a socket left open (a
+    /// query that was never answered) never shares its port with a later
+    /// one, so it cannot take that one's datagrams.
+    ///
+    /// # Panics
+    ///
+    /// If every ephemeral port on `host` is held by an open socket.
     pub fn udp_bind(&mut self, host: HostId, port: u16) -> SockId {
-        let port = if port == 0 { self.alloc_ephemeral() } else { port };
+        let port = if port == 0 { self.free_ephemeral_udp(host) } else { port };
         let owner = self.owner;
         self.udp.push(UdpSock { host: host.0, port, rx: VecDeque::new(), owner });
         let sock = self.udp.len() - 1;
@@ -526,14 +535,26 @@ impl Sim {
         SockId(sock)
     }
 
-    /// Closes a UDP socket: queued datagrams are discarded and later
-    /// arrivals no longer match it. Long-running clients that bind an
-    /// ephemeral socket per query must close them, or a wrapped ephemeral
-    /// port would alias a dead socket and swallow responses.
+    /// Closes a UDP socket: queued datagrams are discarded, later arrivals
+    /// no longer match it, and an ephemeral port it held is free again.
     pub fn udp_close(&mut self, sock: SockId) {
         let s = &mut self.udp[sock.0];
         s.rx.clear();
         self.udp_open.remove(&(s.host, s.port, sock.0));
+    }
+
+    /// The next ephemeral port that no open socket on `host` holds.
+    fn free_ephemeral_udp(&mut self, host: HostId) -> u16 {
+        for _ in 0..EPHEMERAL_PORTS {
+            let port = self.alloc_ephemeral();
+            if self.open_sock(host.0, port).is_none() {
+                return port;
+            }
+        }
+        panic!(
+            "all {EPHEMERAL_PORTS} ephemeral UDP ports on host {:?} are bound",
+            self.hosts[host.0]
+        );
     }
 
     /// The local port of a UDP socket.
@@ -547,8 +568,7 @@ impl Sim {
         let src_sock = &self.udp[sock.0];
         let src = (HostId(src_sock.host), src_sock.port);
         let layers = LayerBytes::of(tag, payload.len() as u64);
-        let pkt =
-            Packet { src, dst, proto: Proto::Udp, seg: None, layers, payload, attr: self.attr };
+        let pkt = Packet { src, dst, seg: None, layers, payload, attr: self.attr };
         let link = self.route(src.0, dst.0);
         self.send_packet(pkt, link);
     }
@@ -587,21 +607,7 @@ impl Sim {
         let corrupted = !lost && self.rng.chance(cfg.corrupt);
         // Corrupted TCP segments fail the checksum at the receiver and are
         // discarded there: identical to a drop for the state machine.
-        let effective_drop = lost || (corrupted && pkt.proto == Proto::Tcp);
-        if self.trace.is_enabled() {
-            self.trace.push(PacketRecord {
-                at: self.now,
-                direction: format!(
-                    "{}:{}->{}:{}",
-                    self.hosts[pkt.src.0 .0], pkt.src.1, self.hosts[pkt.dst.0 .0], pkt.dst.1
-                ),
-                wire_len: pkt.wire_len(),
-                attr: pkt.attr,
-                summary: pkt.summary(),
-                dropped: effective_drop,
-            });
-        }
-        if effective_drop {
+        if lost || (corrupted && pkt.seg.is_some()) {
             self.dropped += 1;
             return;
         }
@@ -620,11 +626,13 @@ impl Sim {
         self.push_event(arrival, EvKind::Deliver(slot));
     }
 
+    /// The earliest-bound open socket on `(host, port)`.
+    fn open_sock(&self, host: usize, port: u16) -> Option<usize> {
+        self.udp_open.range((host, port, 0)..=(host, port, usize::MAX)).next().map(|s| s.2)
+    }
+
     fn deliver_udp(&mut self, pkt: Packet) {
-        let (host, port) = (pkt.dst.0 .0, pkt.dst.1);
-        let Some(&(_, _, idx)) =
-            self.udp_open.range((host, port, 0)..=(host, port, usize::MAX)).next()
-        else {
+        let Some(idx) = self.open_sock(pkt.dst.0 .0, pkt.dst.1) else {
             self.dropped += 1;
             return;
         };
@@ -661,9 +669,9 @@ impl Sim {
             match ev.kind {
                 EvKind::Deliver(slot) => {
                     let pkt = self.packets.take(slot);
-                    match pkt.proto {
-                        Proto::Udp => self.deliver_udp(pkt),
-                        Proto::Tcp => self.on_tcp_segment(pkt),
+                    match pkt.seg {
+                        None => self.deliver_udp(pkt),
+                        Some(seg) => self.on_tcp_segment(seg, pkt.dst, pkt.payload),
                     }
                 }
                 EvKind::TcpDelack { conn, side, gen } => {
@@ -776,6 +784,31 @@ mod tests {
         sim.udp_close(first); // closing twice changes nothing
         assert_eq!(receiver(&mut sim), second);
         assert_eq!(sim.dropped_packets(), 0);
+    }
+
+    /// A socket left open keeps its port however often the ephemeral
+    /// counter wraps past it, so it cannot take a later socket's datagrams.
+    #[test]
+    fn an_ephemeral_bind_skips_a_port_still_open() {
+        let (mut sim, a, _) = two_hosts(27);
+        let kept = sim.udp_bind(a, 0);
+        for _ in 1..EPHEMERAL_PORTS {
+            let sock = sim.udp_bind(a, 0);
+            sim.udp_close(sock);
+        }
+        let next = sim.udp_bind(a, 0);
+        assert_ne!(sim.udp_local_port(next), sim.udp_local_port(kept));
+    }
+
+    #[test]
+    #[should_panic(expected = "ephemeral UDP ports on host \"client\" are bound")]
+    fn binding_every_ephemeral_port_of_a_host_panics_naming_it() {
+        let (mut sim, a, b) = two_hosts(28);
+        for _ in 0..EPHEMERAL_PORTS {
+            sim.udp_bind(a, 0);
+        }
+        sim.udp_bind(b, 0); // another host's ports are its own
+        sim.udp_bind(a, 0);
     }
 
     #[test]

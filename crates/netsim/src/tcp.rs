@@ -19,7 +19,7 @@
 //! [`Sim::tcp_close`], with readiness delivered through
 //! [`Wake`] events.
 
-use crate::packet::{Packet, Proto, TcpFlags, TcpSegMeta, IP_HEADER, TCP_HEADER};
+use crate::packet::{Packet, TcpFlags, TcpSegMeta, IP_HEADER, TCP_HEADER, TCP_SYN_OPTIONS};
 use crate::sim::{EvKind, HostId, ListenerId, Side, Sim, TcpHandle, Wake};
 use crate::time::SimDuration;
 use crate::trace::{LayerBytes, LayerTag};
@@ -51,7 +51,7 @@ pub fn backoff(rto: SimDuration) -> SimDuration {
 /// A passive listening socket: SYNs addressed to `(host, port)` are
 /// accepted on behalf of this listener.
 #[derive(Debug)]
-pub struct Listener {
+pub(crate) struct Listener {
     pub(crate) host: usize,
     pub(crate) port: u16,
     /// Wake-ownership id stamped at `tcp_listen` time; accepted server-side
@@ -280,7 +280,7 @@ impl Endpoint {
 
 /// A simulated TCP connection: a client endpoint and a server endpoint.
 #[derive(Debug)]
-pub struct TcpConn {
+pub(crate) struct TcpConn {
     pub(crate) ends: [Endpoint; 2],
     /// Wake-ownership ids per side: the client side is stamped at
     /// `tcp_connect`, the server side at SYN time from its listener.
@@ -452,9 +452,9 @@ impl Sim {
             self.conns[conn].ends[side.index()].link = found;
             found
         });
-        let options_len = if flags.syn { crate::packet::TCP_SYN_OPTIONS } else { 0 };
+        let options_len = if flags.syn { TCP_SYN_OPTIONS } else { 0 };
         let seg = Some(TcpSegMeta { conn, seq, ack, flags, options_len });
-        self.send_packet(Packet { src, dst, proto: Proto::Tcp, seg, layers, payload, attr }, link);
+        self.send_packet(Packet { src, dst, seg, layers, payload, attr }, link);
     }
 
     fn tcp_emit_syn(&mut self, conn: usize) {
@@ -536,28 +536,15 @@ impl Sim {
     // Segment reception (called from the event loop)
     // ------------------------------------------------------------------
 
-    pub(crate) fn on_tcp_segment(&mut self, pkt: Packet) {
-        let Some(seg) = pkt.seg else {
-            self.dropped += 1;
-            return;
-        };
-        if seg.conn >= self.conns.len() {
-            self.dropped += 1;
-            return;
-        }
+    pub(crate) fn on_tcp_segment(&mut self, seg: TcpSegMeta, dst: (HostId, u16), payload: Vec<u8>) {
         let side = {
             let server = &self.conns[seg.conn].ends[Side::Server.index()];
-            if server.host == pkt.dst.0 .0 && server.port == pkt.dst.1 {
+            if server.host == dst.0 .0 && server.port == dst.1 {
                 Side::Server
             } else {
                 Side::Client
             }
         };
-        if seg.flags.rst {
-            // We never emit RSTs; tolerate one defensively by killing the end.
-            self.conns[seg.conn].ends[side.index()].state = TcpState::Closed;
-            return;
-        }
         if seg.flags.syn {
             if seg.flags.ack {
                 self.on_tcp_synack(seg.conn, side, &seg);
@@ -566,7 +553,7 @@ impl Sim {
             }
             return;
         }
-        self.on_tcp_established_segment(seg.conn, side, &seg, pkt.payload);
+        self.on_tcp_established_segment(seg.conn, side, &seg, payload);
     }
 
     /// A client SYN arriving at the server side of `conn`.
@@ -1006,23 +993,19 @@ mod tests {
     #[test]
     fn segments_respect_the_link_mss() {
         let (mut sim, a, b) = two_hosts(4, LinkConfig::localhost());
-        sim.trace.enable(1000);
         sim.tcp_listen(b, 853);
         let client = sim.tcp_connect(a, (b, 853));
         wait_for(&mut sim, |w| matches!(w, Wake::TcpConnected { .. }));
-        // 4000 B at MSS 1460 (MTU 1500) → segments of 1460, 1460, 1080.
+        // 4000 B at MSS 1460 (MTU 1500) → segments of 1460, 1460, 1080,
+        // each read on its own wake.
         sim.tcp_send(client, LayerTag::DnsPayload, &[0xDB; 4000]);
-        sim.drain();
-        let data_lens: Vec<usize> = sim
-            .trace
-            .records()
-            .iter()
-            .filter(|r| r.wire_len > TCP_HEADER + IP_HEADER + crate::packet::TCP_SYN_OPTIONS)
-            .map(|r| r.wire_len - (TCP_HEADER + IP_HEADER))
-            .collect();
+        let mut data_lens = Vec::new();
+        while let Some(wake) = sim.next_wake() {
+            if let Wake::TcpReadable { conn } = wake {
+                data_lens.push(sim.tcp_recv(conn).len());
+            }
+        }
         assert_eq!(data_lens, vec![1460, 1460, 1080]);
-        // No packet ever exceeds the MTU.
-        assert!(sim.trace.records().iter().all(|r| r.wire_len <= 1500));
         let total = sim.meter.total();
         assert_eq!(total.layers.dns, 4000);
         // Raw DNS over TCP: every non-payload byte is transport header.
@@ -1102,7 +1085,7 @@ mod tests {
     }
 
     #[test]
-    fn identical_seeds_give_identical_costs_and_traces() {
+    fn identical_seeds_give_identical_costs_and_wakes() {
         let run = |seed: u64| {
             let mut sim = Sim::new(seed);
             let a = sim.add_host("client");
@@ -1112,22 +1095,19 @@ mod tests {
                 b,
                 LinkConfig::localhost().loss(0.2).jitter(SimDuration::from_micros(200)),
             );
-            sim.trace.enable(10_000);
             sim.tcp_listen(b, 853);
             let client = sim.tcp_connect(a, (b, 853));
             sim.set_attr(1);
             sim.tcp_send(client, LayerTag::DnsPayload, &[9; 5000]);
-            sim.drain();
-            let cost = sim.meter.cost(1);
-            (cost.bytes, cost.packets, sim.trace.dump())
+            let mut wakes = Vec::new();
+            while let Some(wake) = sim.next_wake() {
+                wakes.push((wake, sim.now()));
+            }
+            let costs = (sim.meter.cost(0), sim.meter.cost(1));
+            (wakes, costs, sim.stats(), sim.dropped_packets())
         };
-        let (b1, p1, t1) = run(1234);
-        let (b2, p2, t2) = run(1234);
-        assert_eq!(b1, b2);
-        assert_eq!(p1, p2);
-        assert_eq!(t1, t2, "traces must be byte-identical");
-        let (_, _, t3) = run(1235);
-        assert_ne!(t1, t3, "different seeds must diverge");
+        assert_eq!(run(1234), run(1234));
+        assert_ne!(run(1234).0, run(1235).0, "different seeds must diverge");
     }
 
     #[test]
@@ -1253,7 +1233,6 @@ mod tests {
     #[test]
     fn vectored_send_coalesces_ranges_into_one_segment() {
         let (mut sim, a, b) = two_hosts(12, LinkConfig::localhost());
-        sim.trace.enable(100);
         sim.tcp_listen(b, 853);
         let client = sim.tcp_connect(a, (b, 853));
         wait_for(&mut sim, |w| matches!(w, Wake::TcpConnected { .. }));

@@ -8,7 +8,6 @@
 //! it.
 
 use crate::packet::Packet;
-use crate::time::SimTime;
 
 /// The layers the paper's Figure 5 breaks DoH resolution cost into, plus the
 /// raw DNS payload tag used for the UDP scenarios.
@@ -204,86 +203,14 @@ impl CostMeter {
     }
 }
 
-/// One packet as seen on the wire, for debugging dumps and assertions.
-#[derive(Debug, Clone)]
-pub struct PacketRecord {
-    /// Simulated send time.
-    pub at: SimTime,
-    /// Human-readable direction, e.g. `"client->server"`.
-    pub direction: String,
-    /// Total size on the wire.
-    pub wire_len: usize,
-    /// Attribution id.
-    pub attr: u32,
-    /// Summary of flags/payload, e.g. `"SYN"`, `"ACK len=120"`.
-    pub summary: String,
-    /// Whether the packet was dropped by fault injection.
-    pub dropped: bool,
-}
-
-/// A bounded in-memory packet log (tcpdump-style, optional).
-#[derive(Debug, Default)]
-pub struct TraceLog {
-    records: Vec<PacketRecord>,
-    enabled: bool,
-    cap: usize,
-}
-
-impl TraceLog {
-    /// A disabled log (the default; enable for debugging).
-    pub fn new() -> TraceLog {
-        TraceLog { records: Vec::new(), enabled: false, cap: 100_000 }
-    }
-
-    /// Enables recording, keeping at most `cap` packets.
-    pub fn enable(&mut self, cap: usize) {
-        self.enabled = true;
-        self.cap = cap;
-    }
-
-    /// Whether recording is on. Callers check this before building a
-    /// [`PacketRecord`], so a disabled log costs a branch and no
-    /// formatting.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Appends a record if enabled and under the cap.
-    pub fn push(&mut self, rec: PacketRecord) {
-        if self.enabled && self.records.len() < self.cap {
-            self.records.push(rec);
-        }
-    }
-
-    /// The recorded packets.
-    pub fn records(&self) -> &[PacketRecord] {
-        &self.records
-    }
-
-    /// Renders the log in a tcpdump-like text format.
-    pub fn dump(&self) -> String {
-        let mut out = String::new();
-        for r in &self.records {
-            let drop = if r.dropped { " [DROPPED]" } else { "" };
-            out.push_str(&format!(
-                "{} {} {} bytes attr={} {}{}\n",
-                r.at, r.direction, r.wire_len, r.attr, r.summary, drop
-            ));
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::{Packet, Proto};
 
     fn dummy_packet(attr: u32, payload: usize) -> Packet {
         Packet {
             src: (crate::sim::HostId(0), 1000),
             dst: (crate::sim::HostId(1), 53),
-            proto: Proto::Udp,
             seg: None,
             payload: vec![0; payload],
             layers: LayerBytes::of(LayerTag::DnsPayload, payload as u64),
@@ -348,33 +275,6 @@ mod tests {
         b.merge(&a);
         assert_eq!(b.tls, 8);
         assert_eq!(b.total(), 15);
-    }
-
-    #[test]
-    fn trace_log_respects_enable_and_cap() {
-        let mut log = TraceLog::new();
-        log.push(PacketRecord {
-            at: SimTime::ZERO,
-            direction: "a->b".into(),
-            wire_len: 40,
-            attr: 0,
-            summary: "SYN".into(),
-            dropped: false,
-        });
-        assert!(log.records().is_empty());
-        log.enable(2);
-        for _ in 0..5 {
-            log.push(PacketRecord {
-                at: SimTime::ZERO,
-                direction: "a->b".into(),
-                wire_len: 40,
-                attr: 0,
-                summary: "ACK".into(),
-                dropped: false,
-            });
-        }
-        assert_eq!(log.records().len(), 2);
-        assert!(log.dump().contains("ACK"));
     }
 
     #[test]

@@ -20,12 +20,12 @@
 //!
 //! ```
 //! use dohmark_dns_wire::Name;
-//! use dohmark_netsim::{SimDuration, SimRng};
+//! use dohmark_netsim::SimRng;
 //! use dohmark_workload::QuerySchedule;
 //!
 //! let zone = Name::parse("dohmark.test").unwrap();
 //! let mut rng = SimRng::new(42);
-//! let schedule = QuerySchedule::new(&mut rng, SimDuration::from_millis(50), 8, &zone);
+//! let schedule = QuerySchedule::new(&mut rng, &zone);
 //! let queries: Vec<_> = schedule.take(3).collect();
 //! // Arrivals only move forward, and every name has the same wire length.
 //! assert!(queries.windows(2).all(|pair| pair[0].0 < pair[1].0));
@@ -46,17 +46,17 @@ use dohmark_netsim::{SimDuration, SimRng, SimTime};
 /// A complete query workload: Poisson arrival times paired with random
 /// names, the `(when, what)` stream every transport-matrix experiment
 /// replays identically across its cells. Every name has a random
-/// `label_len`-character first label under one zone, so every query
-/// encodes to exactly the same wire length.
+/// [`QuerySchedule::LABEL_LEN`]-character first label under one zone, so
+/// every query encodes to exactly the same wire length.
 ///
 /// ```
 /// use dohmark_dns_wire::Name;
-/// use dohmark_netsim::{SimDuration, SimRng};
+/// use dohmark_netsim::SimRng;
 /// use dohmark_workload::QuerySchedule;
 ///
 /// let mut rng = SimRng::new(42);
 /// let zone = Name::parse("dohmark.test").unwrap();
-/// let mut schedule = QuerySchedule::new(&mut rng, SimDuration::from_millis(50), 8, &zone);
+/// let mut schedule = QuerySchedule::new(&mut rng, &zone);
 /// let (at, name) = schedule.next().unwrap();
 /// assert!(at.as_nanos() > 0);
 /// assert!(name.is_subdomain_of(&zone));
@@ -65,10 +65,8 @@ use dohmark_netsim::{SimDuration, SimRng, SimTime};
 pub struct QuerySchedule {
     /// Draws the exponential inter-arrival gaps.
     arrivals: SimRng,
-    mean_gap: SimDuration,
     /// Draws the random first labels.
     names: SimRng,
-    label_len: usize,
     zone: Name,
     at: SimTime,
 }
@@ -79,22 +77,19 @@ impl QuerySchedule {
     pub const ARRIVALS_STREAM: u64 = 1;
     /// See [`QuerySchedule::ARRIVALS_STREAM`].
     pub const NAMES_STREAM: u64 = 2;
+    /// Mean of the exponential inter-arrival gaps.
+    pub const MEAN_GAP: SimDuration = SimDuration::from_millis(50);
+    /// Characters in every name's random first label.
+    pub const LABEL_LEN: usize = 8;
 
     /// A schedule drawing both streams from `rng` (labels
     /// [`QuerySchedule::ARRIVALS_STREAM`] / [`QuerySchedule::NAMES_STREAM`]):
-    /// exponential gaps with mean `mean_gap`, names
-    /// `<label_len random chars>.<zone>`.
-    pub fn new(
-        rng: &mut SimRng,
-        mean_gap: SimDuration,
-        label_len: usize,
-        zone: &Name,
-    ) -> QuerySchedule {
+    /// exponential gaps with mean [`QuerySchedule::MEAN_GAP`], names
+    /// `<LABEL_LEN random chars>.<zone>`.
+    pub fn new(rng: &mut SimRng, zone: &Name) -> QuerySchedule {
         QuerySchedule {
             arrivals: rng.split(QuerySchedule::ARRIVALS_STREAM),
-            mean_gap,
             names: rng.split(QuerySchedule::NAMES_STREAM),
-            label_len,
             zone: zone.clone(),
             at: SimTime::ZERO,
         }
@@ -107,8 +102,8 @@ impl Iterator for QuerySchedule {
     /// The next query: its absolute arrival time and name. Never `None` —
     /// callers `take(n)` what they need.
     fn next(&mut self) -> Option<(SimTime, Name)> {
-        self.at += self.arrivals.exp_duration(self.mean_gap);
-        let label = self.names.alnum_string(self.label_len);
+        self.at += self.arrivals.exp_duration(QuerySchedule::MEAN_GAP);
+        let label = self.names.alnum_string(QuerySchedule::LABEL_LEN);
         Some((self.at, self.zone.child(&label).expect("alnum label under a valid zone is valid")))
     }
 }
@@ -139,7 +134,7 @@ pub struct ZipfNames {
 
 impl ZipfNames {
     /// Width of the digit part of every label (`w` + 7 digits = 8 chars,
-    /// matching the experiments' 8-char [`QuerySchedule`] labels).
+    /// matching [`QuerySchedule::LABEL_LEN`]).
     const DIGITS: usize = 7;
 
     /// A sampler over `universe` names under `zone` with Zipf exponent
@@ -489,16 +484,15 @@ mod tests {
         Name::parse("dohmark.test").unwrap()
     }
 
-    /// A schedule under `seed` with the given mean gap and label length.
-    fn schedule(seed: u64, mean_gap_ms: u64, label_len: usize) -> QuerySchedule {
-        let mean_gap = SimDuration::from_millis(mean_gap_ms);
-        QuerySchedule::new(&mut SimRng::new(seed), mean_gap, label_len, &zone())
+    /// A schedule under `seed`.
+    fn schedule(seed: u64) -> QuerySchedule {
+        QuerySchedule::new(&mut SimRng::new(seed), &zone())
     }
 
     #[test]
     fn arrivals_have_roughly_the_configured_mean() {
         let n = 20_000;
-        let (last, _) = schedule(1, 50, 8).nth(n - 1).unwrap();
+        let (last, _) = schedule(1).nth(n - 1).unwrap();
         let mean = last.as_nanos() / n as u64;
         let target = SimDuration::from_millis(50).as_nanos();
         assert!(
@@ -511,7 +505,7 @@ mod tests {
     fn names_have_constant_wire_length() {
         // A length byte and the 8-char label in front of the zone.
         let expected = zone().wire_len() + 1 + 8;
-        for (_, n) in schedule(3, 50, 8).take(50) {
+        for (_, n) in schedule(3).take(50) {
             assert_eq!(n.wire_len(), expected);
             assert_eq!(n.labels().next().unwrap().len(), 8);
             assert!(n.is_subdomain_of(&zone()));
@@ -520,7 +514,7 @@ mod tests {
 
     #[test]
     fn schedule_is_monotone_and_replays_bit_for_bit() {
-        let take = |seed: u64| schedule(seed, 50, 8).take(50).collect::<Vec<_>>();
+        let take = |seed: u64| schedule(seed).take(50).collect::<Vec<_>>();
         let a = take(3);
         assert_eq!(a, take(3));
         let (at_a, names_a): (Vec<_>, Vec<_>) = a.iter().cloned().unzip();
@@ -538,13 +532,12 @@ mod tests {
         // a stream that never drew a name spells the arrivals, and one
         // that never drew a gap spells the names.
         let mut parent = SimRng::new(9);
-        let mean_gap = SimDuration::from_millis(10);
-        let schedule = QuerySchedule::new(&mut parent.clone(), mean_gap, 8, &zone());
+        let schedule = QuerySchedule::new(&mut parent.clone(), &zone());
         let mut arrivals = parent.split(QuerySchedule::ARRIVALS_STREAM);
         let mut names = parent.split(QuerySchedule::NAMES_STREAM);
         let mut at = SimTime::ZERO;
         for (got_at, got_name) in schedule.take(20) {
-            at += arrivals.exp_duration(mean_gap);
+            at += arrivals.exp_duration(QuerySchedule::MEAN_GAP);
             assert_eq!(got_at, at);
             assert_eq!(got_name, zone().child(&names.alnum_string(8)).unwrap());
         }
