@@ -277,6 +277,17 @@ fn persistent_connections_amortise_toward_do53() {
 ///   h2 climbs steeper at only 13 of 32 seeds);
 /// * the jittered presets (`lossy_wifi`, `mobile_3g`), whose per-packet
 ///   jitter reorders segments, so they measure reordering, not loss.
+///
+/// The claim rests on Do53 and TCP sharing `netsim::tcp::INIT_RTO` as
+/// their first retransmission timeout. Perturbing either side flips it,
+/// with the interval below zero at 1, 2 and 4 % loss alike, and this is
+/// the only claim in this file that either perturbation flips:
+/// * Do53's first retry at 1 s (TCP's RTO kept at 200 ms): at 2 % Do53
+///   climbs +260.2 ms against DoH-h2's +66.1 (contrast −194.1 ms,
+///   CI [−259.2, −131.7]);
+/// * TCP's RTO at 100 ms (Do53's first retry kept at 200 ms): at 2 %
+///   DoH-h2 climbs +32.5 ms against Do53's +47.7 (contrast −15.2 ms,
+///   CI [−27.1, −4.1]).
 #[test]
 fn fig2_doh_h2_climbs_steeper_than_do53_under_loss() {
     let clean = LinkConfig::clean_broadband();

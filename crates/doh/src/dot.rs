@@ -123,7 +123,7 @@ mod tests {
     use crate::{DohH1Client, DohH1Server, DohH2Client, DohH2Server, Resolver};
     use dohmark_dns_wire::{Name, RecordType};
     use dohmark_netsim::{HostId, LinkConfig, Sim};
-    use dohmark_tls_model::{handshake_bytes, TlsConfig, TlsVersion};
+    use dohmark_tls_model::{handshake_bytes, TlsConfig};
     use std::net::Ipv4Addr;
 
     fn dot_tls() -> TlsConfig {
@@ -202,8 +202,8 @@ mod tests {
 
     #[test]
     fn a_flight_larger_than_the_zero_block_is_sent_whole() {
-        // An 11 kB chain: the server's flight is several zero blocks long.
-        let tls = TlsConfig { cert_chain: vec![6000, 5000], ..dot_tls() };
+        // An 11 kB SNI: the client's first flight is several zero blocks long.
+        let tls = TlsConfig { sni: "a".repeat(11_000), ..dot_tls() };
         let mut sim = Sim::new(13);
         let stub = sim.add_host("stub");
         let resolver = sim.add_host("resolver");
@@ -347,28 +347,6 @@ mod tests {
                 assert_eq!(server.open_connections(), 0);
             }
         );
-    }
-
-    #[test]
-    fn tls12_and_resumption_configs_work_end_to_end() {
-        for cfg in [
-            TlsConfig { version: TlsVersion::Tls12, ..dot_tls() },
-            TlsConfig { resumption: true, ..dot_tls() },
-            TlsConfig { version: TlsVersion::Tls12, resumption: true, ..dot_tls() },
-        ] {
-            for_each_framing!(
-                4,
-                LinkConfig::localhost(),
-                cfg.clone(),
-                ReusePolicy::Fresh,
-                |sim, client, server, name| {
-                    let response = pump(&mut sim, &mut client, &mut server, Some(&name));
-                    assert!(response.is_some(), "no response for {cfg:?}");
-                    sim.drain();
-                    assert!(sim.meter.cost(1).layers.tls >= handshake_bytes(&cfg) as u64);
-                }
-            );
-        }
     }
 
     #[test]

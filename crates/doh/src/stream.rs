@@ -92,7 +92,7 @@ static ZERO_BLOCK: [u8; 4096] = [0; 4096];
 #[derive(Debug)]
 pub(crate) struct TlsStream {
     handle: TcpHandle,
-    flights: Vec<Flight>,
+    flights: [Flight; 3],
     /// Index of the next flight not yet fully sent/received.
     next_flight: usize,
     /// Bytes of the currently awaited inbound flight already received.

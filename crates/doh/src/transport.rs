@@ -151,8 +151,8 @@ impl TransportConfig {
         format!("{} {}{}", self.kind.label(), self.reuse.label(), resumed)
     }
 
-    /// The TLS configuration this cell implies (`None` for Do53): TLS 1.3,
-    /// [`TlsConfig::for_server`]'s default, to [`Self::SNI`].
+    /// The TLS configuration this cell implies (`None` for Do53): its
+    /// kind's ALPN offer to [`Self::SNI`], resumed when the cell is.
     pub fn tls(&self) -> Option<TlsConfig> {
         let alpn = self.kind.alpn()?;
         Some(TlsConfig {
@@ -239,6 +239,7 @@ impl TransportConfig {
 mod tests {
     use super::*;
     use dohmark_dns_wire::Name;
+    use dohmark_netsim::SimDuration;
 
     #[test]
     fn matrix_covers_every_kind_and_reuse_mode() {
@@ -282,6 +283,45 @@ mod tests {
         }
     }
 
+    /// On a lossless, unjittered, unserialised link a resolution costs
+    /// whole round trips: one for Do53 and for a query on an established
+    /// persistent connection; three for every query that opens one, full
+    /// or resumed (TCP handshake, then TLS 1.3's ClientHello ↔ server
+    /// flight, then the client's Finished with the query ↔ the answer).
+    #[test]
+    fn every_matrix_cell_resolves_in_whole_round_trips_on_a_clean_link() {
+        for rtt in [SimDuration::from_millis(14), SimDuration::from_millis(100)] {
+            for cell in TransportConfig::matrix() {
+                let cfg = TransportConfig { link: LinkConfig::with_rtt(rtt), ..cell };
+                let mut sim = Sim::new(3);
+                let stub = sim.add_host("stub");
+                let resolver = sim.add_host("resolver");
+                sim.add_link(stub, resolver, cfg.link);
+                let mut driver = crate::Driver::new();
+                driver.register(&mut sim, |sim| cfg.build_server(sim, resolver));
+                let client =
+                    driver.register_resolver(&mut sim, |_| cfg.build_client(stub, resolver));
+                let name = Name::parse("abcdefgh.dohmark.test").unwrap();
+                for query in 1..=3u64 {
+                    driver.run_until_quiescent(&mut sim);
+                    let start = sim.now();
+                    driver.resolve(&mut sim, client, &name).unwrap();
+                    let round_trips = match cfg.kind {
+                        TransportKind::Do53 => 1,
+                        _ if cfg.reuse == ReusePolicy::Persistent && query > 1 => 1,
+                        _ => 3,
+                    };
+                    assert_eq!(
+                        sim.now() - start,
+                        rtt * round_trips,
+                        "{} query {query} at {rtt}",
+                        cfg.label()
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn each_tls_kind_offers_exactly_its_own_alpn() {
         for (kind, alpn) in [
@@ -290,7 +330,7 @@ mod tests {
             (TransportKind::DohH2, ALPN_H2),
         ] {
             let cfg = TransportConfig::new(kind, ReusePolicy::Fresh);
-            assert_eq!(cfg.tls().unwrap().alpn, [alpn], "{kind:?}");
+            assert_eq!(cfg.tls().unwrap().alpn, Some(alpn), "{kind:?}");
         }
         assert!(TransportConfig::new(TransportKind::Do53, ReusePolicy::Fresh).tls().is_none());
     }

@@ -9,6 +9,14 @@ pub struct LinkConfig {
     /// One-way propagation delay.
     pub latency: SimDuration,
     /// Uniform random extra delay in `[0, jitter]` added per packet.
+    ///
+    /// It is drawn for each packet independently and added after the FIFO
+    /// transmitter (`DirLink::schedule`), so a packet's jitter does not
+    /// hold back the ones behind it. Jitter larger than the gap between two
+    /// packets therefore reorders them, as Linux netem's per-packet delay
+    /// jitter does. This is intended and stays: links reorder, and what a
+    /// reordered TCP segment costs is the receiver's business (see the
+    /// [`tcp`](crate::tcp) module docs).
     pub jitter: SimDuration,
     /// Bits per second; `None` models an un-serialised (infinite) link.
     pub bandwidth_bps: Option<u64>,

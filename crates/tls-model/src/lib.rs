@@ -1,15 +1,16 @@
-//! TLS 1.2/1.3 handshake and record-layer **byte model**.
+//! TLS 1.3 handshake and record-layer **byte model**.
 //!
 //! This crate counts bytes; it performs no cryptography. It reproduces the
 //! two quantities the paper's cost accounting needs from TLS:
 //!
 //! 1. **Handshake transcripts** — [`handshake_flights`] turns a
-//!    [`TlsConfig`] (protocol version, SNI hostname, ALPN protocols,
-//!    certificate-chain sizes, session resumption) into an ordered list of
-//!    [`Flight`]s with realistic byte counts, built from the per-message
-//!    size formulas of RFC 5246/8446. Certificate bytes dominate a full
-//!    handshake; resumption removes them, which is exactly the
-//!    fresh-vs-resumed contrast the paper measures.
+//!    [`TlsConfig`] (SNI hostname, ALPN offer, session resumption) into
+//!    the three [`Flight`]s of a TLS 1.3 handshake with realistic byte
+//!    counts, built from the per-message size formulas of RFC 8446. The
+//!    certificate chain, signature and ticket sizes are fixed constants.
+//!    Certificate bytes dominate a full handshake; PSK resumption removes
+//!    them, which is exactly the fresh-vs-resumed contrast the paper
+//!    measures.
 //! 2. **Record framing** — every application write is wrapped into records
 //!    of at most [`MAX_PLAINTEXT`] bytes, each costing [`RECORD_HEADER`] +
 //!    [`AEAD_TAG`] bytes of overhead. [`seal`] produces on-wire records
@@ -26,8 +27,8 @@
 //!
 //! Deliberate simplifications, chosen to keep counts deterministic without
 //! changing any qualitative result: the AEAD overhead is a uniform 16-byte
-//! tag (no TLS 1.2 explicit IV), NewSessionTicket issuance is not modelled,
-//! and TLS 1.3 0-RTT is out of scope.
+//! tag, NewSessionTicket issuance is not modelled, and TLS 1.3 0-RTT is out
+//! of scope.
 //!
 //! # Example
 //!
@@ -65,49 +66,35 @@ const HS_HEADER: usize = 4;
 /// A ChangeCipherSpec record: header + 1 payload byte.
 const CCS_RECORD: usize = RECORD_HEADER + 1;
 
-/// Which TLS protocol version the handshake model follows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TlsVersion {
-    /// TLS 1.2 (RFC 5246): 2-RTT full handshake, 1-RTT session-ID resumption.
-    Tls12,
-    /// TLS 1.3 (RFC 8446): 1-RTT full handshake, PSK resumption.
-    Tls13,
-}
+/// DER sizes of the server certificate chain, leaf first: 1 200 + 1 100 B,
+/// a typical leaf + intermediate pair (~2.3 kB total).
+const CERT_CHAIN: [usize; 2] = [1200, 1100];
+/// CertificateVerify signature length: 256 B, an RSA-2048 signature
+/// (ECDSA-P256 would be about 72 B).
+const SIGNATURE_LEN: usize = 256;
+/// PSK identity (session ticket) length offered on resumption: 128 B. The
+/// ticket is opaque to the client (RFC 8446 §4.6.1); 128 B models a
+/// server-encrypted session state.
+const TICKET_LEN: usize = 128;
+/// EncryptedExtensions: a fixed 10-byte body, whatever ALPN protocol is
+/// selected. RFC 8446 §4.2 carries the server's ALPN echo here, so a real
+/// message grows with the protocol name; the model leaves that out, since
+/// counting it would move every TLS byte count the reports pin.
+const ENCRYPTED_EXTENSIONS: usize = HS_HEADER + 10;
+/// Finished: the 32-byte HMAC-SHA256 verify data.
+const FINISHED: usize = HS_HEADER + 32;
 
-/// Parameters of a modelled TLS connection.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Parameters of a modelled TLS 1.3 connection.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TlsConfig {
-    /// Protocol version to model.
-    pub version: TlsVersion,
     /// Server name sent in the SNI extension (its length is on the wire).
     pub sni: String,
-    /// ALPN protocol names offered by the client (e.g. `"dot"`, `"h2"`).
-    pub alpn: Vec<String>,
-    /// DER sizes of the server certificate chain, leaf first. The default
-    /// models a typical leaf + intermediate pair (~2.3 kB total).
-    pub cert_chain: Vec<usize>,
-    /// Server signature length (CertificateVerify / ServerKeyExchange);
-    /// 256 models RSA-2048, 72 would model ECDSA-P256.
-    pub signature_len: usize,
-    /// Resume a previous session (TLS 1.3 PSK / TLS 1.2 session ID),
-    /// eliding the certificate chain and signature.
+    /// ALPN protocol the client offers (e.g. [`ALPN_DOT`], [`ALPN_H2`]),
+    /// if any.
+    pub alpn: Option<&'static str>,
+    /// Resume a previous session with a PSK, eliding the certificate
+    /// chain and signature.
     pub resumption: bool,
-    /// PSK identity (session-ticket) length offered on TLS 1.3 resumption.
-    pub ticket_len: usize,
-}
-
-impl Default for TlsConfig {
-    fn default() -> TlsConfig {
-        TlsConfig {
-            version: TlsVersion::Tls13,
-            sni: String::new(),
-            alpn: Vec::new(),
-            cert_chain: vec![1200, 1100],
-            signature_len: 256,
-            resumption: false,
-            ticket_len: 128,
-        }
-    }
 }
 
 impl TlsConfig {
@@ -116,9 +103,9 @@ impl TlsConfig {
         TlsConfig { sni: sni.to_string(), ..TlsConfig::default() }
     }
 
-    /// Adds an ALPN offer (builder style).
-    pub fn alpn(mut self, protocol: &str) -> TlsConfig {
-        self.alpn.push(protocol.to_string());
+    /// Sets the ALPN offer (builder style).
+    pub fn alpn(mut self, protocol: &'static str) -> TlsConfig {
+        self.alpn = Some(protocol);
         self
     }
 }
@@ -130,8 +117,6 @@ pub struct Flight {
     pub from_client: bool,
     /// Total wire bytes of the flight, record framing included.
     pub bytes: usize,
-    /// The handshake messages the flight carries, for reports.
-    pub label: &'static str,
 }
 
 /// Total plaintext-record length: payload plus one 5-byte header per
@@ -156,114 +141,53 @@ fn client_hello(cfg: &TlsConfig) -> usize {
         // type+len (4) + list len (2) + entry type (1) + name len (2).
         body += 9 + cfg.sni.len();
     }
-    if !cfg.alpn.is_empty() {
-        body += 6 + cfg.alpn.iter().map(|p| 1 + p.len()).sum::<usize>();
+    if let Some(protocol) = cfg.alpn {
+        // type+len (4) + list len (2) + name len (1).
+        body += 7 + protocol.len();
     }
-    body += match cfg.version {
-        // supported_versions, x25519 key_share, supported_groups,
-        // signature_algorithms, psk_key_exchange_modes.
-        TlsVersion::Tls13 => 7 + 42 + 12 + 22 + 6,
-        // supported_groups, signature_algorithms, ec_point_formats,
-        // extended_master_secret, renegotiation_info, session_ticket.
-        TlsVersion::Tls12 => 12 + 22 + 6 + 4 + 5 + 4,
-    };
-    if cfg.version == TlsVersion::Tls13 && cfg.resumption {
+    // supported_versions, x25519 key_share, supported_groups,
+    // signature_algorithms, psk_key_exchange_modes.
+    body += 7 + 42 + 12 + 22 + 6;
+    if cfg.resumption {
         // pre_shared_key: one identity (ticket + 4-byte obfuscated age)
         // plus one 32-byte binder, with the nested length prefixes.
-        body += 47 + cfg.ticket_len;
+        body += 47 + TICKET_LEN;
     }
     HS_HEADER + body
 }
 
-/// Certificate message size for the chain (TLS 1.3 shape: request context,
-/// list length, then per-entry 3-byte length + DER + 2-byte extensions).
-fn certificate(cfg: &TlsConfig) -> usize {
-    HS_HEADER + 4 + cfg.cert_chain.iter().map(|der| 5 + der).sum::<usize>()
+/// Certificate message size for the chain (request context, list length,
+/// then per-entry 3-byte length + DER + 2-byte extensions).
+fn certificate() -> usize {
+    HS_HEADER + 4 + CERT_CHAIN.iter().map(|der| 5 + der).sum::<usize>()
 }
 
-/// Computes the ordered handshake flights for `cfg`.
+/// Computes the handshake flights for `cfg`: ClientHello,
+/// ServerHello..Finished, then the client's Finished. Full and resumed
+/// handshakes have this one shape; resumption only shrinks the first two.
 ///
-/// Alternating bursts, client first. Application data may flow once every
-/// flight has been delivered (no False Start / 0-RTT modelling).
-pub fn handshake_flights(cfg: &TlsConfig) -> Vec<Flight> {
-    let ch = plain_records(client_hello(cfg));
-    match (cfg.version, cfg.resumption) {
-        (TlsVersion::Tls13, false) => {
-            // ServerHello: fixed fields + supported_versions + key_share.
-            let sh = plain_records(HS_HEADER + 72 + 6 + 40);
-            let encrypted = (HS_HEADER + 10) // EncryptedExtensions
-                + certificate(cfg)
-                + (HS_HEADER + 4 + cfg.signature_len) // CertificateVerify
-                + (HS_HEADER + 32); // Finished
-            vec![
-                Flight { from_client: true, bytes: ch, label: "ClientHello" },
-                Flight {
-                    from_client: false,
-                    bytes: sh + CCS_RECORD + sealed_records(encrypted),
-                    label: "ServerHello..Finished",
-                },
-                Flight {
-                    from_client: true,
-                    bytes: CCS_RECORD + sealed_records(HS_HEADER + 32),
-                    label: "Finished",
-                },
-            ]
-        }
-        (TlsVersion::Tls13, true) => {
-            let sh = plain_records(HS_HEADER + 72 + 6 + 40 + 6); // + pre_shared_key
-            let encrypted = (HS_HEADER + 10) + (HS_HEADER + 32); // EE + Finished
-            vec![
-                Flight { from_client: true, bytes: ch, label: "ClientHello(PSK)" },
-                Flight {
-                    from_client: false,
-                    bytes: sh + CCS_RECORD + sealed_records(encrypted),
-                    label: "ServerHello..Finished",
-                },
-                Flight {
-                    from_client: true,
-                    bytes: CCS_RECORD + sealed_records(HS_HEADER + 32),
-                    label: "Finished",
-                },
-            ]
-        }
-        (TlsVersion::Tls12, false) => {
-            // ServerHello with renegotiation_info, EMS, session_ticket and
-            // ALPN echo; then Certificate, ECDHE ServerKeyExchange (curve
-            // info + 32-byte point + signature), ServerHelloDone.
-            let alpn_echo = cfg.alpn.first().map(|p| 9 + p.len()).unwrap_or(0);
-            let server = (HS_HEADER + 70 + alpn_echo)
-                + certificate(cfg)
-                + (HS_HEADER + 40 + cfg.signature_len)
-                + HS_HEADER;
-            // ClientKeyExchange: 1-byte length + 32-byte ECDHE point.
-            let cke = plain_records(HS_HEADER + 33);
-            let fin = sealed_records(HS_HEADER + 12);
-            vec![
-                Flight { from_client: true, bytes: ch, label: "ClientHello" },
-                Flight {
-                    from_client: false,
-                    bytes: plain_records(server),
-                    label: "ServerHello..HelloDone",
-                },
-                Flight {
-                    from_client: true,
-                    bytes: cke + CCS_RECORD + fin,
-                    label: "ClientKeyExchange+Finished",
-                },
-                Flight { from_client: false, bytes: CCS_RECORD + fin, label: "Finished" },
-            ]
-        }
-        (TlsVersion::Tls12, true) => {
-            let alpn_echo = cfg.alpn.first().map(|p| 9 + p.len()).unwrap_or(0);
-            let sh = plain_records(HS_HEADER + 70 + alpn_echo);
-            let fin = sealed_records(HS_HEADER + 12);
-            vec![
-                Flight { from_client: true, bytes: ch, label: "ClientHello(session-id)" },
-                Flight { from_client: false, bytes: sh + CCS_RECORD + fin, label: "Finished" },
-                Flight { from_client: true, bytes: CCS_RECORD + fin, label: "Finished" },
-            ]
-        }
-    }
+/// Application data may flow once every flight has been delivered (no
+/// 0-RTT modelling).
+pub fn handshake_flights(cfg: &TlsConfig) -> [Flight; 3] {
+    // ServerHello: fixed fields + supported_versions + key_share, and
+    // pre_shared_key when resuming.
+    let (server_hello, encrypted) = if cfg.resumption {
+        (HS_HEADER + 72 + 6 + 40 + 6, ENCRYPTED_EXTENSIONS + FINISHED)
+    } else {
+        let certificate_verify = HS_HEADER + 4 + SIGNATURE_LEN;
+        (
+            HS_HEADER + 72 + 6 + 40,
+            ENCRYPTED_EXTENSIONS + certificate() + certificate_verify + FINISHED,
+        )
+    };
+    [
+        Flight { from_client: true, bytes: plain_records(client_hello(cfg)) },
+        Flight {
+            from_client: false,
+            bytes: plain_records(server_hello) + CCS_RECORD + sealed_records(encrypted),
+        },
+        Flight { from_client: true, bytes: CCS_RECORD + sealed_records(FINISHED) },
+    ]
 }
 
 /// Total handshake bytes over all flights.
@@ -404,12 +328,7 @@ mod tests {
 
     #[test]
     fn flights_alternate_and_start_with_the_client() {
-        for cfg in [
-            dot_config(),
-            TlsConfig { resumption: true, ..dot_config() },
-            TlsConfig { version: TlsVersion::Tls12, ..dot_config() },
-            TlsConfig { version: TlsVersion::Tls12, resumption: true, ..dot_config() },
-        ] {
+        for cfg in [dot_config(), TlsConfig { resumption: true, ..dot_config() }] {
             let flights = handshake_flights(&cfg);
             assert!(flights[0].from_client, "{cfg:?}");
             assert!(flights.iter().all(|f| f.bytes > 0));
@@ -420,17 +339,9 @@ mod tests {
     }
 
     #[test]
-    fn tls13_is_one_round_trip_shorter_than_tls12() {
-        assert_eq!(handshake_flights(&dot_config()).len(), 3);
-        let tls12 = TlsConfig { version: TlsVersion::Tls12, ..dot_config() };
-        assert_eq!(handshake_flights(&tls12).len(), 4);
-    }
-
-    #[test]
     fn certificates_dominate_a_full_handshake() {
-        let cfg = dot_config();
-        let chain: usize = cfg.cert_chain.iter().sum();
-        let total = handshake_bytes(&cfg);
+        let chain: usize = CERT_CHAIN.iter().sum();
+        let total = handshake_bytes(&dot_config());
         assert!(total > chain, "handshake {total} must carry the {chain}-byte chain");
         // Within the right order of magnitude of a real TLS 1.3 handshake.
         assert!((2000..8000).contains(&total), "total {total}");
@@ -438,13 +349,10 @@ mod tests {
 
     #[test]
     fn resumption_elides_the_certificate_chain() {
-        for version in [TlsVersion::Tls12, TlsVersion::Tls13] {
-            let full = TlsConfig { version, ..dot_config() };
-            let resumed = TlsConfig { resumption: true, ..full.clone() };
-            let saved = handshake_bytes(&full) as i64 - handshake_bytes(&resumed) as i64;
-            let chain: i64 = full.cert_chain.iter().sum::<usize>() as i64;
-            assert!(saved >= chain, "{version:?}: saved {saved} < chain {chain}");
-        }
+        let resumed = TlsConfig { resumption: true, ..dot_config() };
+        let saved = handshake_bytes(&dot_config()) - handshake_bytes(&resumed);
+        let chain: usize = CERT_CHAIN.iter().sum();
+        assert!(saved >= chain, "saved {saved} < chain {chain}");
     }
 
     #[test]
@@ -453,7 +361,7 @@ mod tests {
         let with_sni = TlsConfig { sni: "a".repeat(30), ..base.clone() };
         assert_eq!(handshake_bytes(&with_sni), handshake_bytes(&base) + 9 + 30);
         let with_alpn = base.clone().alpn("dot");
-        // Client offer + TLS 1.3 has no plaintext ALPN echo in ServerHello.
+        // Client offer only: the model's EncryptedExtensions is fixed-size.
         assert_eq!(handshake_bytes(&with_alpn), handshake_bytes(&base) + 6 + 4);
     }
 

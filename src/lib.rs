@@ -9,9 +9,9 @@
 //!   reports are written with.
 //! * [`netsim`] — deterministic discrete-event network simulator with
 //!   simulated UDP and TCP and per-layer cost accounting.
-//! * [`tls`] — TLS 1.2/1.3 handshake and record-layer byte model:
-//!   configurable flights (SNI, ALPN, certificate chain, resumption) and
-//!   record framing/deframing.
+//! * [`tls`] — TLS 1.3 handshake and record-layer byte model: the three
+//!   handshake flights (SNI, ALPN, PSK resumption) and record
+//!   framing/deframing.
 //! * [`http`] — byte-accurate HTTP codecs: HPACK (static + dynamic table
 //!   with eviction, Huffman coding), HTTP/2 framing and HTTP/1.1
 //!   request/response text.
