@@ -535,11 +535,12 @@ impl Sim {
         SockId(sock)
     }
 
-    /// Closes a UDP socket: queued datagrams are discarded, later arrivals
-    /// no longer match it, and an ephemeral port it held is free again.
+    /// Closes a UDP socket: queued datagrams and their storage are
+    /// discarded, later arrivals no longer match it, and an ephemeral port
+    /// it held is free again.
     pub fn udp_close(&mut self, sock: SockId) {
         let s = &mut self.udp[sock.0];
-        s.rx.clear();
+        s.rx = VecDeque::new();
         self.udp_open.remove(&(s.host, s.port, sock.0));
     }
 
@@ -747,6 +748,7 @@ mod tests {
         sim.next_wake();
         sim.udp_close(old);
         assert!(sim.udp_recv(old).is_none(), "queued datagrams are discarded on close");
+        assert_eq!(sim.udp[old.0].rx.capacity(), 0, "and their storage with them");
         // Datagrams to the dead socket's port are dropped…
         sim.udp_send(sa, (b, 53), LayerTag::DnsPayload, vec![2]);
         assert!(sim.next_wake().is_none());

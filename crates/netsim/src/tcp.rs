@@ -99,6 +99,12 @@ struct Segment {
 /// [`TaggedBuf::advance`] only moves the offset, compacting when the dead
 /// prefix outgrows the live bytes — so each byte is moved at most once more
 /// over its lifetime.
+///
+/// A drained buffer keeps its storage only up to one segment
+/// ([`TaggedBuf::release_above`]): a write that fits one segment, as every
+/// steady-state DNS message does, reuses it without allocating, while a
+/// multi-segment burst such as the TLS server flight is given back once it
+/// is acknowledged instead of staying with the connection for its life.
 #[derive(Debug, Default)]
 struct TaggedBuf {
     data: Vec<u8>,
@@ -146,6 +152,14 @@ impl TaggedBuf {
             }
             left -= front.len;
             self.ranges.pop_front();
+        }
+    }
+
+    /// Gives back the storage of a drained buffer whose capacity exceeds
+    /// `keep` bytes; a non-empty or smaller buffer keeps what it has.
+    fn release_above(&mut self, keep: usize) {
+        if self.len() == 0 && self.data.capacity() > keep {
+            *self = TaggedBuf::default();
         }
     }
 
@@ -230,6 +244,9 @@ pub(crate) struct Endpoint {
     snd_nxt: u64,
     /// Stream sequence of `sndbuf[0]`; only unacknowledged bytes are kept.
     buf_base: u64,
+    /// Unacknowledged bytes. Once an ACK drains it, it keeps at most `mss`
+    /// bytes of storage, so a handshake flight is not carried for the
+    /// connection's life.
     sndbuf: TaggedBuf,
     fin_queued: bool,
     fin_seq: Option<u64>,
@@ -732,6 +749,7 @@ impl Sim {
                 let data_end = new_una.min(ep.buf_base + ep.sndbuf.len() as u64);
                 if data_end > data_start {
                     ep.sndbuf.advance((data_end - data_start) as usize);
+                    ep.sndbuf.release_above(ep.mss);
                     ep.buf_base = data_end;
                 }
                 ep.snd_una = new_una;
@@ -1019,6 +1037,29 @@ mod tests {
         assert_eq!(total.layers.dns, 4000);
         // Raw DNS over TCP: every non-payload byte is transport header.
         assert_eq!(total.bytes, total.layers.dns + total.layers.l4_header);
+    }
+
+    #[test]
+    fn a_drained_send_buffer_keeps_at_most_one_segment() {
+        let (mut sim, a, b) = two_hosts(4, LinkConfig::localhost());
+        sim.tcp_listen(b, 853);
+        let client = sim.tcp_connect(a, (b, 853));
+        wait_for(&mut sim, |w| matches!(w, Wake::TcpConnected { .. }));
+        let sndbuf =
+            |sim: &Sim| (sim.ep(client).sndbuf.len(), sim.ep(client).sndbuf.data.capacity());
+        // A burst of three segments, like a TLS server flight: once it is
+        // acknowledged, its storage goes with it.
+        sim.tcp_send(client, LayerTag::Tls, &[1; 3000]);
+        sim.drain();
+        let (len, cap) = sndbuf(&sim);
+        assert_eq!(len, 0, "everything was acknowledged");
+        assert!(cap <= sim.ep(client).mss, "a drained buffer kept {cap} B");
+        // A write that fits one segment keeps its storage for the next one.
+        sim.tcp_send(client, LayerTag::DnsPayload, &[2; 200]);
+        sim.drain();
+        let (len, cap) = sndbuf(&sim);
+        assert_eq!(len, 0);
+        assert!(cap > 0, "a one-segment buffer is reused, not reallocated per write");
     }
 
     #[test]
