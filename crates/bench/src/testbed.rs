@@ -476,18 +476,31 @@ impl Cell for PageloadCell {
 mod tests {
     use super::*;
 
-    /// On a clean link no RTO ever backs off, so every TCP timer of a run
-    /// waits in a lane and the heap holds only what is in flight.
+    /// On a clean link a TCP timer is only re-armed while its first event is
+    /// queued, so a fresh or resumed cell pops one event per timer per
+    /// endpoint per connection: 2 × 2 for each of its 20 connections.
     #[test]
-    fn a_clean_matrix_run_keeps_tcp_timers_out_of_the_heap() {
+    fn a_clean_matrix_run_pops_one_event_per_tcp_timer() {
         for cfg in TransportConfig::matrix() {
-            let label = cfg.label();
-            let tcp = cfg.kind != TransportKind::Do53;
+            let (label, tcp) = (cfg.label(), cfg.kind != TransportKind::Do53);
+            let fresh = cfg.reuse == ReusePolicy::Fresh;
             let sim = MatrixCell { cfg, resolutions: 20 }.simulate(1).expect("a clean link");
-            let stats = sim.stats();
-            assert_eq!(stats.tcp_timers_popped > 0, tcp, "{label}");
-            assert_eq!(stats.tcp_timers_heaped, 0, "{label}");
-            assert!(stats.heap_peak <= 8, "{label}: heap peak {}", stats.heap_peak);
+            let popped = sim.stats().tcp_timers_popped;
+            assert_eq!(popped > 0, tcp, "{label}");
+            assert!(!(tcp && fresh) || popped == 20 * 2 * 2, "{label}: {popped}");
+        }
+    }
+
+    /// A clean link loses and reorders nothing, so no RTO of a matrix cell
+    /// ever expires.
+    #[test]
+    fn no_clean_matrix_cell_fires_an_rto() {
+        for cfg in TransportConfig::matrix() {
+            assert_eq!(cfg.link, dohmark::netsim::LinkConfig::clean_broadband());
+            for seed in 1..=20 {
+                let sim = MatrixCell { cfg: cfg.clone(), resolutions: 20 }.simulate(seed).unwrap();
+                assert_eq!(sim.stats().tcp_rtos_fired, 0, "{} seed {seed}", cfg.label());
+            }
         }
     }
 }

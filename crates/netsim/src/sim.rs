@@ -15,29 +15,19 @@
 //!
 //! # The event queue
 //!
-//! Events fire in `(at, seq)` order, `seq` being the order they were
-//! scheduled in. The queue that keeps that order is three containers: a
-//! `BinaryHeap` for packet deliveries and application timers, and two FIFO
-//! **timer lanes**, one for delayed-ACK timers and one for retransmission
-//! timers. A lane holds only timers armed exactly its one fixed delay
-//! (40 ms, 200 ms) ahead of `now`; the clock never goes back, so they are
-//! born in firing order and a `VecDeque` keeps them sorted for free — the
-//! constant-interval ordered list of Varghese & Lauck's timer schemes
-//! (SOSP '87). A timer armed with any other delay (a backed-off RTO) goes to
-//! the heap like everything else, so it cannot sit at a lane's tail ahead
-//! of the plain timers armed after it. The next event is the least of the
-//! heap's top and the two lane fronts, which is exactly the order one heap
-//! of everything would give.
-//!
-//! It matters because nearly half of all events are TCP timers and, on a
-//! clean link, every retransmission timer among them is cancelled long
-//! before its 200 ms are up: in one heap those dead entries are what makes
-//! every push and pop deep. [`Sim::stats`] counts what went where.
+//! Events wait in one `BinaryHeap` and fire in `(at, seq)` order, `seq`
+//! being drawn from a counter when an event is scheduled. That moment must
+//! not move: the per-packet loss, corruption and jitter draws in
+//! `Sim::send_packet` happen in event order, so reordering two
+//! same-instant events changes which packets a lossy link drops, and with
+//! them every report digest. A TCP timer draws a `seq` at every arm too,
+//! but queues at most one event at a time (see `netsim::tcp`).
+//! [`Sim::stats`] counts what the heap did.
 
 use crate::link::{DirLink, LinkConfig};
 use crate::packet::Packet;
 use crate::rng::SimRng;
-use crate::tcp::{Listener, TcpConn, DELACK, INIT_RTO};
+use crate::tcp::{Listener, TcpConn, TimerKind};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{CostMeter, LayerBytes, LayerTag, MAX_ATTR};
 use std::cmp::Reverse;
@@ -61,7 +51,7 @@ pub struct SockId(pub(crate) usize);
 pub struct ListenerId(pub(crate) usize);
 
 /// Which end of a TCP connection a handle refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Side {
     /// The initiating end.
     Client,
@@ -147,19 +137,12 @@ pub enum Wake {
 ///
 /// Every `BinaryHeap` sift moves whole entries, so an entry carries no
 /// packet: a delivery names a [`PacketSlab`] slot instead. Order is
-/// `(at, seq)`, and `seq` is drawn in [`Sim::push_event`] at the moment the
-/// event is scheduled, before the choice between a timer lane and the heap
-/// and whichever way that choice goes: the order is a property of the
-/// events, not of the container each waits in. That moment must not move:
-/// the per-packet loss, corruption and jitter draws in `Sim::send_packet`
-/// happen in event order, so reordering two same-instant events changes
-/// which packets a lossy link drops — and with them every report digest.
+/// `(at, seq)`; see the module docs for where `seq` comes from.
 ///
-/// A TCP timer that was cancelled or superseded stays queued and is popped
-/// at its deadline like a live one, to do nothing. Dropping it early would
-/// be visible: a pop moves `now`, and [`Sim::now`] after [`Sim::drain`] is
-/// the deadline of the last event, stale or not.
-#[derive(Debug)]
+/// A TCP timer re-armed later is not queued again, so [`Sim::now`] after
+/// [`Sim::drain`] can end before the last deadline a timer was armed for.
+/// A cancelled timer's queued event still pops, to do nothing.
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct Ev {
     pub at: SimTime,
     pub seq: u64,
@@ -169,62 +152,33 @@ pub(crate) struct Ev {
 // With a `Packet` inline an entry would be ~176 bytes.
 const _: () = assert!(std::mem::size_of::<Ev>() <= 40);
 
-impl PartialEq for Ev {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Ev {}
-impl PartialOrd for Ev {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Ev {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
 /// What an [`Ev`] does; `Deliver` names the [`PacketSlab`] slot of the
-/// packet that arrives.
-#[derive(Debug)]
+/// packet that arrives. No two entries share a `seq`, so the derived order
+/// never compares kinds.
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum EvKind {
     Deliver(u32),
-    TcpDelack { conn: usize, side: Side, gen: u64 },
-    TcpRto { conn: usize, side: Side, gen: u64 },
+    TcpTimer { conn: usize, side: Side, kind: TimerKind },
     AppTimer { token: u64, owner: u64 },
-}
-
-impl EvKind {
-    /// For a TCP timer, its lane in `Sim::lanes` and the one delay every
-    /// entry of that lane was armed with.
-    fn lane(&self) -> Option<(usize, SimDuration)> {
-        match self {
-            EvKind::TcpDelack { .. } => Some((0, DELACK)),
-            EvKind::TcpRto { .. } => Some((1, INIT_RTO)),
-            EvKind::Deliver(_) | EvKind::AppTimer { .. } => None,
-        }
-    }
 }
 
 /// What the event queue did so far, counted unconditionally: every field
 /// is a plain increment on a path that already writes to the [`Sim`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Events scheduled: deliveries, TCP timers and application timers.
+    /// Events queued, TCP timer events queued again included. Not the `seq`
+    /// counter: a TCP timer arm draws a `seq` even when it queues nothing.
     pub events_scheduled: u64,
     /// Events popped. Equal to `events_scheduled` once the simulation has
     /// run dry: nothing scheduled is ever dropped unpopped.
     pub events_popped: u64,
-    /// Popped events that were a delayed-ACK or retransmission timer.
+    /// Popped events that were a delayed-ACK or retransmission timer's.
     pub tcp_timers_popped: u64,
-    /// Of those, the ones that had been cancelled or superseded by the time
-    /// they fired, and did nothing.
+    /// Of those, the ones that fired nothing: their timer was cancelled, had
+    /// an earlier event queued since, or is due later (queued again).
     pub tcp_timers_stale: u64,
-    /// TCP timers armed with another delay than their lane's (a backed-off
-    /// RTO) and so queued in the heap.
-    pub tcp_timers_heaped: u64,
+    /// Retransmission timers that expired.
+    pub tcp_rtos_fired: u64,
     /// The most entries the heap held at once.
     pub heap_peak: u64,
 }
@@ -285,11 +239,8 @@ struct UdpSock {
 pub struct Sim {
     now: SimTime,
     heap: BinaryHeap<Reverse<Ev>>,
-    /// The timer lanes, indexed by [`EvKind::lane`]: each sorted by
-    /// `(at, seq)` because every entry was pushed at `now` plus the same
-    /// delay.
-    lanes: [VecDeque<Ev>; 2],
-    /// `events_scheduled` doubles as the next event's `seq`.
+    /// The next `seq` to draw.
+    next_seq: u64,
     pub(crate) stats: EngineStats,
     packets: PacketSlab,
     hosts: Vec<String>,
@@ -325,7 +276,7 @@ impl Sim {
         Sim {
             now: SimTime::ZERO,
             heap: BinaryHeap::new(),
-            lanes: [VecDeque::new(), VecDeque::new()],
+            next_seq: 0,
             stats: EngineStats::default(),
             packets: PacketSlab::default(),
             hosts: Vec::new(),
@@ -446,43 +397,29 @@ impl Sim {
         self.find_route(src, dst).ok().map(|i| self.routes[i].2)
     }
 
-    /// Schedules `kind` at `at`. A TCP timer armed exactly its lane's
-    /// delay ahead joins the lane; everything else goes to the heap.
+    /// Draws the next `seq`: every scheduled event and every TCP timer arm
+    /// takes one.
+    pub(crate) fn draw_seq(&mut self) -> u64 {
+        self.next_seq += 1;
+        self.next_seq - 1
+    }
+
+    /// Schedules `kind` at `at`, after everything scheduled so far.
     pub(crate) fn push_event(&mut self, at: SimTime, kind: EvKind) {
-        let seq = self.stats.events_scheduled;
+        let seq = self.draw_seq();
+        self.push_at(at, seq, kind);
+    }
+
+    /// Queues `kind` under a key drawn earlier: a TCP timer's deadline.
+    pub(crate) fn push_at(&mut self, at: SimTime, seq: u64, kind: EvKind) {
         self.stats.events_scheduled += 1;
-        let timer = kind.lane();
-        let ev = Ev { at, seq, kind };
-        if let Some((lane, delay)) = timer {
-            if at == self.now + delay {
-                let lane = &mut self.lanes[lane];
-                debug_assert!(lane.back().map_or(true, |last| *last < ev), "a lane out of order");
-                lane.push_back(ev);
-                return;
-            }
-            self.stats.tcp_timers_heaped += 1;
-        }
-        self.heap.push(Reverse(ev));
+        self.heap.push(Reverse(Ev { at, seq, kind }));
         self.stats.heap_peak = self.stats.heap_peak.max(self.heap.len() as u64);
     }
 
-    /// Pops the least `(at, seq)` among the heap's top and the two lane
-    /// fronts, and moves the clock to it.
-    fn pop_event(&mut self) -> Option<Ev> {
-        let mut least = self.heap.peek().map(|Reverse(ev)| ev);
-        let mut from = None;
-        for (i, lane) in self.lanes.iter().enumerate() {
-            if let Some(front) = lane.front() {
-                if least.map_or(true, |ev| front < ev) {
-                    least = Some(front);
-                    from = Some(i);
-                }
-            }
-        }
-        let ev = match from {
-            Some(lane) => self.lanes[lane].pop_front(),
-            None => self.heap.pop().map(|Reverse(ev)| ev),
-        }?;
+    /// Pops the least `(at, seq)` and moves the clock to it.
+    pub(crate) fn pop_event(&mut self) -> Option<Ev> {
+        let Reverse(ev) = self.heap.pop()?;
         debug_assert!(ev.at >= self.now, "time must be monotone");
         self.now = ev.at;
         self.stats.events_popped += 1;
@@ -667,27 +604,30 @@ impl Sim {
                 return Some(w);
             }
             let ev = self.pop_event()?;
-            match ev.kind {
-                EvKind::Deliver(slot) => {
-                    let pkt = self.packets.take(slot);
-                    match pkt.seg {
-                        None => self.deliver_udp(pkt),
-                        Some(seg) => self.on_tcp_segment(seg, pkt.dst, pkt.payload),
-                    }
-                }
-                EvKind::TcpDelack { conn, side, gen } => {
-                    self.stats.tcp_timers_popped += 1;
-                    self.on_tcp_delack(conn, side, gen);
-                }
-                EvKind::TcpRto { conn, side, gen } => {
-                    self.stats.tcp_timers_popped += 1;
-                    self.on_tcp_rto(conn, side, gen);
-                }
-                EvKind::AppTimer { token, owner } => {
-                    return Some((Wake::AppTimer { token }, owner));
-                }
+            if let Some(wake) = self.process(ev) {
+                return Some(wake);
             }
         }
+    }
+
+    /// Does what a popped event does, and returns the wake of an
+    /// application timer; any other wake is queued in `wakes`.
+    pub(crate) fn process(&mut self, ev: Ev) -> Option<(Wake, u64)> {
+        match ev.kind {
+            EvKind::Deliver(slot) => {
+                let pkt = self.packets.take(slot);
+                match pkt.seg {
+                    None => self.deliver_udp(pkt),
+                    Some(seg) => self.on_tcp_segment(seg, pkt.dst, pkt.payload),
+                }
+            }
+            EvKind::TcpTimer { conn, side, kind } => {
+                self.stats.tcp_timers_popped += 1;
+                self.on_tcp_timer(conn, side, kind, (ev.at, ev.seq));
+            }
+            EvKind::AppTimer { token, owner } => return Some((Wake::AppTimer { token }, owner)),
+        }
+        None
     }
 
     /// Runs the simulation to quiescence, discarding wakes. Useful to let
@@ -702,6 +642,7 @@ impl Sim {
 #[expect(clippy::disallowed_methods, reason = "the event loop's own tests, below any Driver")]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn two_hosts(seed: u64) -> (Sim, HostId, HostId) {
         let mut sim = Sim::new(seed);
@@ -882,18 +823,18 @@ mod tests {
         lossy_mixed_run();
     }
 
-    /// Every event scheduled is popped, from whichever container it waited
-    /// in, and a dry simulation holds none.
+    /// Every event scheduled is popped, re-queued TCP timers included, and a
+    /// dry simulation holds none.
     #[test]
     fn every_scheduled_event_is_popped_by_run_dry() {
         let sim = lossy_mixed_run();
         let stats = sim.stats();
         assert_eq!(stats.events_scheduled, stats.events_popped);
-        assert!(sim.heap.is_empty() && sim.lanes.iter().all(VecDeque::is_empty));
-        // The scenario reaches all three: backed-off RTOs in the heap, and
-        // most timers dead on arrival in a lane.
-        assert!(stats.tcp_timers_heaped > 0, "no RTO backed off");
-        assert!(stats.tcp_timers_popped > stats.tcp_timers_heaped);
+        assert!(sim.heap.is_empty());
+        // The scenario reaches both kinds of timer pop: RTOs that fire, and
+        // events that fire nothing.
+        assert!(stats.tcp_rtos_fired > 0, "no RTO fired");
+        assert!(stats.tcp_timers_popped > stats.tcp_rtos_fired);
         assert!(stats.tcp_timers_stale > 0 && stats.tcp_timers_stale < stats.tcp_timers_popped);
         assert!(stats.heap_peak > 0 && stats.heap_peak < stats.events_scheduled);
     }
@@ -946,58 +887,85 @@ mod tests {
         assert_eq!(tokens, (0..10).collect::<Vec<_>>());
     }
 
-    /// The three containers pop in the order one heap of every `(at, seq)`
-    /// would: seeded random schedules of both timer kinds, backed-off RTOs,
-    /// deliveries and app timers, on a 40 ms grid so that many collide, armed
-    /// while pops move the clock.
+    /// The heap pops what one plain heap holding every event at its own key
+    /// pops, when timers are queued as `netsim::tcp` queues them: a seeded
+    /// mix of events scheduled where they happen and timers whose deadline
+    /// `(at, seq)` is drawn at the arm, with one earlier event queued for it
+    /// that, once popped, queues the timer again under its deadline
+    /// ([`Sim::push_at`]). The reference holds the deadline from the arm on,
+    /// and the timer's early events are left out of the comparison.
     #[test]
     fn pop_order_equals_one_plain_heaps() {
         let mut rng = SimRng::new(0x1a9e5);
-        let (mut in_lanes, mut heaped_timers) = (0, 0);
+        let ms = SimDuration::from_millis;
+        let timer = || EvKind::TcpTimer { conn: 0, side: Side::Client, kind: TimerKind::Rto };
+        let (mut requeued, mut plain) = (0, 0);
         for schedule in 0..1000 {
             let mut sim = Sim::new(schedule);
             let mut reference = BinaryHeap::new();
+            // A timer's early event, by its key, and the deadline it holds.
+            let mut early = BTreeMap::new();
+            // Pops up to and including the next event the reference holds.
+            let mut pop =
+                |sim: &mut Sim, reference: &mut BinaryHeap<_>, early: &mut BTreeMap<_, _>| loop {
+                    let ev = sim.pop_event().expect("the heap ran dry before its reference");
+                    let key = (ev.at, ev.seq);
+                    if let Some((at, seq)) = early.remove(&key) {
+                        sim.push_at(at, seq, ev.kind);
+                        requeued += 1;
+                        continue;
+                    }
+                    assert_eq!(reference.pop(), Some(Reverse(key)), "schedule {schedule}");
+                    plain += 1;
+                    break;
+                };
             for _ in 0..rng.range_u64(10, 60) {
                 for _ in 0..rng.below(5) {
-                    let (conn, side, gen) = (0, Side::Client, 0);
-                    let (delay, kind) = match rng.below(6) {
-                        0 => (DELACK, EvKind::TcpDelack { conn, side, gen }),
-                        1 => (INIT_RTO, EvKind::TcpRto { conn, side, gen }),
-                        2 => (INIT_RTO * (2 << rng.below(3)), EvKind::TcpRto { conn, side, gen }),
-                        3 => (DELACK * rng.below(12), EvKind::Deliver(0)),
-                        4 => (DELACK * rng.below(12), EvKind::AppTimer { token: 0, owner: 0 }),
-                        _ => (SimDuration::from_nanos(rng.below(3)), EvKind::Deliver(0)),
-                    };
-                    let at = sim.now() + delay;
-                    reference.push(Reverse((at, sim.stats.events_scheduled)));
-                    sim.push_event(at, kind);
+                    let at = sim.now() + ms(40 * rng.below(12));
+                    if rng.chance(0.5) {
+                        reference.push(Reverse((at, sim.next_seq)));
+                        sim.push_event(at, EvKind::AppTimer { token: 0, owner: 0 });
+                    } else {
+                        let queued = (at, sim.next_seq);
+                        sim.push_event(at, timer());
+                        let deadline = (at + ms(40 * rng.below(12)), sim.draw_seq());
+                        early.insert(queued, deadline);
+                        reference.push(Reverse(deadline));
+                    }
                 }
-                for _ in 0..rng.below(4) {
-                    let popped = sim.pop_event().map(|ev| (ev.at, ev.seq));
-                    assert_eq!(popped, reference.pop().map(|Reverse(key)| key), "{schedule}");
+                for _ in 0..rng.below(4).min(reference.len() as u64) {
+                    pop(&mut sim, &mut reference, &mut early);
                 }
             }
-            in_lanes += sim.lanes.iter().map(VecDeque::len).sum::<usize>();
-            heaped_timers += sim.stats.tcp_timers_heaped;
-            while let Some(Reverse(key)) = reference.pop() {
-                assert_eq!(sim.pop_event().map(|ev| (ev.at, ev.seq)), Some(key), "{schedule}");
+            while !reference.is_empty() {
+                pop(&mut sim, &mut reference, &mut early);
             }
-            assert!(sim.pop_event().is_none());
+            assert!(sim.pop_event().is_none(), "schedule {schedule}");
             assert_eq!(sim.stats.events_scheduled, sim.stats.events_popped);
         }
-        assert!(in_lanes > 1000 && heaped_timers > 1000, "{in_lanes} {heaped_timers}");
+        assert!(requeued > 1000 && plain > 1000, "{requeued} {plain}");
     }
 
+    /// A timer queued again under a deadline drawn before other events pops
+    /// by that key, not by when it was queued: after an event due earlier,
+    /// and before one due at the same instant whose `seq` came later.
     #[test]
     fn a_timer_that_would_break_a_lanes_order_goes_to_the_heap() {
         let mut sim = Sim::new(25);
-        let rto = |gen| EvKind::TcpRto { conn: 0, side: Side::Client, gen };
-        sim.push_event(sim.now() + INIT_RTO * 2, rto(1));
-        sim.push_event(sim.now() + INIT_RTO, rto(2));
+        let ms = |n| SimTime::ZERO + SimDuration::from_millis(n);
+        let timer = || EvKind::TcpTimer { conn: 0, side: Side::Client, kind: TimerKind::Rto };
+        sim.push_event(ms(200), timer());
+        let deadline = sim.draw_seq();
+        sim.schedule_app(ms(400), 1);
+        sim.schedule_app(ms(300), 2);
+        let ev = sim.pop_event().unwrap();
+        assert_eq!((ev.at, ev.seq), (ms(200), 0));
+        sim.push_at(ms(400), deadline, ev.kind);
         let order: Vec<_> =
             std::iter::from_fn(|| sim.pop_event()).map(|ev| (ev.at, ev.seq)).collect();
-        assert_eq!(order, vec![(SimTime::ZERO + INIT_RTO, 1), (SimTime::ZERO + INIT_RTO * 2, 0)]);
-        assert_eq!(sim.stats().tcp_timers_heaped, 1);
+        assert_eq!(order, vec![(ms(300), 3), (ms(400), 1), (ms(400), 2)]);
+        assert_eq!(sim.stats().events_scheduled, 4);
+        assert_eq!(sim.stats().events_popped, 4);
     }
 
     #[test]

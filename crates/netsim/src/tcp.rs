@@ -30,7 +30,7 @@
 
 use crate::packet::{Packet, TcpFlags, TcpSegMeta, IP_HEADER, TCP_HEADER, TCP_SYN_OPTIONS};
 use crate::sim::{EvKind, HostId, ListenerId, Side, Sim, TcpHandle, Wake};
-use crate::time::SimDuration;
+use crate::time::{SimDuration, SimTime};
 use crate::trace::{LayerBytes, LayerTag};
 use std::collections::VecDeque;
 
@@ -228,6 +228,36 @@ enum TcpState {
     Closed,
 }
 
+/// Which of an endpoint's two timers an event is for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum TimerKind {
+    Delack,
+    Rto,
+}
+
+/// An event key `(at, seq)`, ordered as the event queue orders them.
+type Key = (SimTime, u64);
+
+/// A key after every real one: an unarmed timer's deadline, and the
+/// queued key of a timer with nothing queued.
+const NEVER: Key = (SimTime(u64::MAX), u64::MAX);
+
+/// One delayed-ACK or retransmission timer: its deadline, and the key of
+/// the one event queued for it ([`NEVER`] for none). An arm draws the
+/// deadline's `seq`, as an event scheduled then would. While the timer is
+/// armed its event is queued at or before the deadline, and one that pops
+/// early is queued again under the deadline, so the timer fires at the
+/// `(at, seq)` an event queued at its arm would.
+#[derive(Debug, Clone, Copy)]
+struct Timer {
+    deadline: Key,
+    queued: Key,
+}
+
+impl Timer {
+    const IDLE: Timer = Timer { deadline: NEVER, queued: NEVER };
+}
+
 /// One end of a TCP connection.
 ///
 /// Sequence numbering is deterministic: both sides use ISN 0, the SYN
@@ -254,14 +284,14 @@ pub(crate) struct Endpoint {
     rcv_nxt: u64,
     rcvbuf: Vec<u8>,
     fin_rcvd: bool,
-    // Delayed-ACK machinery.
+    /// Segments received since the last ACK went out.
     ack_pending: u32,
-    delack_armed: bool,
-    delack_gen: u64,
+    /// By [`TimerKind`]: the delayed ACK, due [`DELACK`] after a first
+    /// unacknowledged segment unless an ACK goes out first, and the RTO,
+    /// running `rto` long while sent data is unacknowledged.
+    timers: [Timer; 2],
     // Retransmission machinery.
     rto: SimDuration,
-    rto_armed: bool,
-    rto_gen: u64,
     retries: u32,
     failed: bool,
     /// Server side: the listener that will accept this connection.
@@ -291,11 +321,8 @@ impl Endpoint {
             rcvbuf: Vec::new(),
             fin_rcvd: false,
             ack_pending: 0,
-            delack_armed: false,
-            delack_gen: 0,
+            timers: [Timer::IDLE; 2],
             rto: INIT_RTO,
-            rto_armed: false,
-            rto_gen: 0,
             retries: 0,
             failed: false,
             listener: None,
@@ -311,15 +338,6 @@ pub(crate) struct TcpConn {
     /// Wake-ownership ids per side: the client side is stamped at
     /// `tcp_connect`, the server side at SYN time from its listener.
     pub(crate) owners: [u64; 2],
-}
-
-/// What an RTO expiry decided to do, resolved outside the borrow of the
-/// endpoint that made the decision.
-enum RtoAction {
-    Nothing,
-    ResendSyn,
-    ResendSynAck,
-    GoBackN,
 }
 
 impl Sim {
@@ -349,7 +367,7 @@ impl Sim {
         self.conns.push(TcpConn { ends: [client, server], owners });
         let conn = self.conns.len() - 1;
         self.tcp_emit_syn(conn);
-        self.tcp_arm_rto(conn, Side::Client);
+        self.tcp_arm(conn, Side::Client, TimerKind::Rto);
         TcpHandle { conn, side: Side::Client }
     }
 
@@ -467,7 +485,7 @@ impl Sim {
                 // Anything carrying an ACK satisfies a pending delayed ACK.
                 let ep = &mut c.ends[side.index()];
                 ep.ack_pending = 0;
-                ep.delack_armed = false;
+                ep.timers[TimerKind::Delack as usize].deadline = NEVER;
             }
             let s = &c.ends[side.index()];
             let d = &c.ends[side.peer().index()];
@@ -554,7 +572,7 @@ impl Sim {
                     self.tcp_emit(conn, side, flags, seq, None);
                 }
             }
-            self.tcp_arm_rto(conn, side);
+            self.tcp_arm(conn, side, TimerKind::Rto);
         }
     }
 
@@ -616,7 +634,7 @@ impl Sim {
                     ep.rcv_nxt = seg.seq + 1;
                 }
                 self.tcp_emit_synack(conn);
-                self.tcp_arm_rto(conn, Side::Server);
+                self.tcp_arm(conn, Side::Server, TimerKind::Rto);
             }
             // Our SYN-ACK was lost; the client retransmitted its SYN.
             TcpState::SynRcvd => self.tcp_emit_synack(conn),
@@ -645,7 +663,7 @@ impl Sim {
             }
         };
         if completed {
-            self.tcp_cancel_rto(conn, Side::Client);
+            self.tcp_cancel(conn, Side::Client, TimerKind::Rto);
             self.tcp_emit_ack(conn, Side::Client);
             let owner = self.conns[conn].owners[Side::Client.index()];
             self.wakes.push_back((
@@ -730,7 +748,7 @@ impl Sim {
         if ack_now {
             self.tcp_emit_ack(conn, side);
         } else if need_delack {
-            self.tcp_arm_delack(conn, side);
+            self.tcp_arm(conn, side, TimerKind::Delack);
         }
     }
 
@@ -773,10 +791,10 @@ impl Sim {
             let ep = &self.conns[conn].ends[side.index()];
             ep.snd_una < ep.snd_nxt
         };
+        // Restart the RTO from now, or stop it.
+        self.tcp_cancel(conn, side, TimerKind::Rto);
         if outstanding {
-            self.tcp_restart_rto(conn, side);
-        } else {
-            self.tcp_cancel_rto(conn, side);
+            self.tcp_arm(conn, side, TimerKind::Rto);
         }
         if let Some(listener) = accepted {
             let owner = self.conns[conn].owners[side.index()];
@@ -791,106 +809,83 @@ impl Sim {
     // Timers (called from the event loop)
     // ------------------------------------------------------------------
 
-    /// Arms the retransmission timer if it is not already running.
-    fn tcp_arm_rto(&mut self, conn: usize, side: Side) {
-        let now = self.now();
-        let (at, gen) = {
-            let ep = &mut self.conns[conn].ends[side.index()];
-            if ep.rto_armed {
-                return;
+    fn timer(&mut self, conn: usize, side: Side, kind: TimerKind) -> &mut Timer {
+        &mut self.conns[conn].ends[side.index()].timers[kind as usize]
+    }
+
+    /// Arms `kind` to fire [`DELACK`] or the endpoint's `rto` from now,
+    /// unless it is already armed. An event is queued only if none is
+    /// queued at or before the deadline.
+    fn tcp_arm(&mut self, conn: usize, side: Side, kind: TimerKind) {
+        let ep = &self.conns[conn].ends[side.index()];
+        if ep.timers[kind as usize].deadline != NEVER {
+            return;
+        }
+        let delay = if kind == TimerKind::Rto { ep.rto } else { DELACK };
+        let key = (self.now() + delay, self.draw_seq());
+        let timer = self.timer(conn, side, kind);
+        timer.deadline = key;
+        if timer.queued > key {
+            timer.queued = key;
+            self.push_at(key.0, key.1, EvKind::TcpTimer { conn, side, kind });
+        }
+    }
+
+    fn tcp_cancel(&mut self, conn: usize, side: Side, kind: TimerKind) {
+        self.timer(conn, side, kind).deadline = NEVER;
+    }
+
+    /// A timer's event popped at `key`: it fires the timer at its deadline,
+    /// is queued again under a later one, and otherwise does nothing.
+    pub(crate) fn on_tcp_timer(&mut self, conn: usize, side: Side, kind: TimerKind, key: Key) {
+        let timer = self.timer(conn, side, kind);
+        if timer.queued != key {
+            self.stats.tcp_timers_stale += 1;
+        } else if timer.deadline == key {
+            *timer = Timer::IDLE;
+            match kind {
+                // Armed at a first unacknowledged segment, and cancelled by
+                // any ACK sent since: there is always one to send.
+                TimerKind::Delack => self.tcp_emit_ack(conn, side),
+                TimerKind::Rto => self.on_tcp_rto(conn, side),
             }
-            ep.rto_armed = true;
-            ep.rto_gen += 1;
-            (now + ep.rto, ep.rto_gen)
-        };
-        self.push_event(at, EvKind::TcpRto { conn, side, gen });
+        } else {
+            debug_assert!(timer.deadline > key, "a timer's event popped after its deadline");
+            let (at, seq) = timer.deadline;
+            timer.queued = timer.deadline;
+            self.stats.tcp_timers_stale += 1;
+            if (at, seq) != NEVER {
+                self.push_at(at, seq, EvKind::TcpTimer { conn, side, kind });
+            }
+        }
     }
 
-    /// Restarts the retransmission timer from now (new data was ACKed).
-    fn tcp_restart_rto(&mut self, conn: usize, side: Side) {
-        self.conns[conn].ends[side.index()].rto_armed = false;
-        self.tcp_arm_rto(conn, side);
-    }
-
-    fn tcp_cancel_rto(&mut self, conn: usize, side: Side) {
+    fn on_tcp_rto(&mut self, conn: usize, side: Side) {
+        self.stats.tcp_rtos_fired += 1;
         let ep = &mut self.conns[conn].ends[side.index()];
-        ep.rto_armed = false;
-        ep.rto_gen += 1;
-    }
-
-    fn tcp_arm_delack(&mut self, conn: usize, side: Side) {
-        let at = self.now() + DELACK;
-        let gen = {
-            let ep = &mut self.conns[conn].ends[side.index()];
-            if ep.delack_armed {
+        if ep.snd_una >= ep.snd_nxt {
+            return;
+        }
+        if ep.retries >= MAX_RETRIES {
+            ep.failed = true;
+            ep.state = TcpState::Closed;
+            return;
+        }
+        ep.retries += 1;
+        ep.rto = backoff(ep.rto);
+        match ep.state {
+            TcpState::SynSent => self.tcp_emit_syn(conn),
+            TcpState::SynRcvd => self.tcp_emit_synack(conn),
+            // Go-back-N: rewind and resend from the first unacknowledged
+            // byte; the pump re-arms the timer.
+            TcpState::Established | TcpState::FinWait => {
+                ep.snd_nxt = ep.snd_una;
+                self.tcp_pump(conn, side);
                 return;
             }
-            ep.delack_armed = true;
-            ep.delack_gen += 1;
-            ep.delack_gen
-        };
-        self.push_event(at, EvKind::TcpDelack { conn, side, gen });
-    }
-
-    pub(crate) fn on_tcp_delack(&mut self, conn: usize, side: Side, gen: u64) {
-        let fire = {
-            let ep = &mut self.conns[conn].ends[side.index()];
-            if !ep.delack_armed || ep.delack_gen != gen {
-                self.stats.tcp_timers_stale += 1;
-                false
-            } else {
-                ep.delack_armed = false;
-                ep.ack_pending > 0
-            }
-        };
-        if fire {
-            self.tcp_emit_ack(conn, side);
+            TcpState::Idle | TcpState::Closed => return,
         }
-    }
-
-    pub(crate) fn on_tcp_rto(&mut self, conn: usize, side: Side, gen: u64) {
-        let action = {
-            let ep = &mut self.conns[conn].ends[side.index()];
-            if !ep.rto_armed || ep.rto_gen != gen {
-                self.stats.tcp_timers_stale += 1;
-                RtoAction::Nothing
-            } else {
-                ep.rto_armed = false;
-                if ep.snd_una >= ep.snd_nxt {
-                    RtoAction::Nothing
-                } else if ep.retries >= MAX_RETRIES {
-                    ep.failed = true;
-                    ep.state = TcpState::Closed;
-                    RtoAction::Nothing
-                } else {
-                    ep.retries += 1;
-                    ep.rto = backoff(ep.rto);
-                    match ep.state {
-                        TcpState::SynSent => RtoAction::ResendSyn,
-                        TcpState::SynRcvd => RtoAction::ResendSynAck,
-                        TcpState::Established | TcpState::FinWait => {
-                            // Go-back-N: rewind and resend from the first
-                            // unacknowledged byte.
-                            ep.snd_nxt = ep.snd_una;
-                            RtoAction::GoBackN
-                        }
-                        TcpState::Idle | TcpState::Closed => RtoAction::Nothing,
-                    }
-                }
-            }
-        };
-        match action {
-            RtoAction::Nothing => {}
-            RtoAction::ResendSyn => {
-                self.tcp_emit_syn(conn);
-                self.tcp_arm_rto(conn, side);
-            }
-            RtoAction::ResendSynAck => {
-                self.tcp_emit_synack(conn);
-                self.tcp_arm_rto(conn, side);
-            }
-            RtoAction::GoBackN => self.tcp_pump(conn, side),
-        }
+        self.tcp_arm(conn, side, TimerKind::Rto);
     }
 }
 
@@ -1127,11 +1122,115 @@ mod tests {
         sim.tcp_send(client, LayerTag::DnsPayload, &[1; 100]);
         sim.drain();
         // 3 handshake + 1 data + 1 delayed ACK; the 200 ms RTO never fired
-        // (draining still pops the stale timer event, so `now` ends past it).
+        // (draining still pops its cancelled event, so `now` ends past both).
         assert_eq!(sim.meter.total().packets, 5);
         assert!(sim.now() - sent_at >= DELACK, "ACK arrived before the delack timeout");
         let client_ep = &sim.conns[client.conn].ends[Side::Client.index()];
         assert_eq!(client_ep.retries, 0, "the data segment was retransmitted");
+    }
+
+    /// Both timers of both ends fire at the `(at, seq)` of a reference that
+    /// queues one event `(now + delay, seq)` per arm and fires it only if
+    /// no cancel or later arm of its timer came between. Seeded random arm /
+    /// restart / cancel sequences, with RTOs backed off and reset so that a
+    /// re-arm can fall before the queued event, are interleaved with UDP
+    /// deliveries and application timers on a 40 ms grid, so that many keys
+    /// share an instant; each application timer that pops runs a few steps.
+    #[test]
+    fn timers_fire_where_one_event_per_arm_would() {
+        let mut rng = crate::rng::SimRng::new(0x7153);
+        let (mut fired, mut requeued, mut superseded) = (0, 0, 0);
+        for schedule in 0..1000 {
+            // No serialisation and no jitter: a datagram lands `DELACK` on.
+            let link = LinkConfig { latency: DELACK, ..LinkConfig::default() };
+            let (mut sim, a, b) = two_hosts(schedule, link);
+            let sock = sim.udp_bind(a, 0);
+            sim.udp_bind(b, 53);
+            // A connection from `a` to itself, where no link goes: its ACKs
+            // are dropped unsent, and an idle endpoint's RTO resends nothing.
+            let ends = [1, 2].map(|port| Endpoint::new(a.0, port, None, DEFAULT_MSS));
+            sim.conns.push(TcpConn { ends, owners: [0, 0] });
+            // The reference's events, a timer's tagged with its `(side, kind)`,
+            // and the key of each timer's live arm.
+            let mut queue: std::collections::BTreeMap<Key, Option<(usize, usize)>> =
+                [((SimTime::ZERO, 0), None)].into();
+            let (mut seq, mut live, mut ticks) = (1, [[None; 2]; 2], rng.range_u64(20, 80));
+            sim.schedule_app(SimTime::ZERO, 0);
+            while let Some(ev) = sim.pop_event() {
+                let key = (ev.at, ev.seq);
+                let timer = match ev.kind {
+                    EvKind::TcpTimer { side, kind, .. } => Some((side.index(), kind as usize)),
+                    _ => None,
+                };
+                // A timer re-armed before its queued event leaves this one behind.
+                superseded += usize::from(
+                    timer.is_some_and(|(s, k)| sim.conns[0].ends[s].timers[k].queued != key),
+                );
+                let stats = sim.stats;
+                let app = sim.process(ev).is_some();
+                requeued += sim.stats.events_scheduled - stats.events_scheduled;
+                if sim.stats.tcp_timers_stale > stats.tcp_timers_stale {
+                    continue;
+                }
+                let want = loop {
+                    match queue.pop_first() {
+                        Some((key, Some((s, k)))) if live[s][k] == Some(key) => {
+                            live[s][k] = None;
+                            break Some((key, Some((s, k))));
+                        }
+                        Some((_, Some(_))) => {}
+                        other => break other,
+                    }
+                };
+                assert_eq!(Some((key, timer)), want, "schedule {schedule}");
+                fired += usize::from(timer.is_some());
+                if !app {
+                    continue;
+                }
+                let now = sim.now();
+                ticks = ticks.saturating_sub(1);
+                // Arm, cancel, restart, an application timer or a datagram;
+                // the last step keeps the run going while ticks are left.
+                for step in (0..=rng.below(5)).rev() {
+                    let side = if rng.chance(0.5) { Side::Client } else { Side::Server };
+                    let kind = if rng.chance(0.5) { TimerKind::Delack } else { TimerKind::Rto };
+                    let (s, k) = (side.index(), kind as usize);
+                    let rto = [INIT_RTO, INIT_RTO * 2, INIT_RTO * 8, DELACK * rng.below(12)]
+                        [rng.below(4) as usize];
+                    sim.conns[0].ends[s].rto = rto;
+                    let delay = if kind == TimerKind::Rto { rto } else { DELACK };
+                    let later = now + DELACK * rng.below(12);
+                    let op = if step == 0 && ticks > 0 { 3 } else { rng.below(5) };
+                    if matches!(op, 1 | 2) {
+                        sim.tcp_cancel(0, side, kind);
+                        live[s][k] = None;
+                    }
+                    match op {
+                        0 | 2 => sim.tcp_arm(0, side, kind),
+                        3 => sim.schedule_app(later, 0),
+                        4 => sim.udp_send(sock, (b, 53), LayerTag::DnsPayload, vec![0; 8]),
+                        _ => {}
+                    }
+                    let (at, timer) = match op {
+                        0 | 2 if live[s][k].is_none() => (now + delay, Some((s, k))),
+                        3 => (later, None),
+                        4 => (now + DELACK, None),
+                        _ => continue,
+                    };
+                    if timer.is_some() {
+                        live[s][k] = Some((at, seq));
+                    }
+                    queue.insert((at, seq), timer);
+                    seq += 1;
+                }
+            }
+            assert_eq!(live, [[None; 2]; 2], "schedule {schedule}: a timer never fired");
+            assert_eq!(sim.stats.events_scheduled, sim.stats.events_popped, "schedule {schedule}");
+        }
+        assert!(
+            fired > 5000 && requeued > 1000 && superseded > 1000,
+            "{fired} {requeued} {superseded}"
+        );
     }
 
     #[test]
