@@ -1,9 +1,11 @@
 //! Figure 2 — TCP head-of-line blocking under packet loss.
 //!
-//! Loads the same page workload through every transport over a loss
-//! ladder (the clean default, 1/2/4% iid loss, and the named lossy-WiFi
-//! and mobile-3G presets). On Do53, lost datagrams cost one retransmission
-//! timeout each and queries are independent; on the TCP transports a lost
+//! Loads the same page workload through the four transports of
+//! `fleet_transports` over a loss ladder (the clean default, 1/2/4% iid
+//! loss, and the named lossy-WiFi and mobile-3G presets). On Do53, a lost
+//! datagram costs one retransmission timeout — the stub resends on TCP's
+//! RTO schedule, first after the report's `udp_retry_initial_ms` — and
+//! queries are independent; on the TCP transports a lost
 //! segment stalls the whole connection — DoH-h2 multiplexes every query
 //! onto one such connection, so its page-load time climbs with loss
 //! faster than Do53's. Over seeds 1–32 that contrast is resolved at 2 % and
@@ -14,7 +16,7 @@
 use dohmark::doh::TransportConfig;
 use dohmark::netsim::tcp::INIT_RTO;
 use dohmark::netsim::LinkConfig;
-use dohmark_bench::{pageload_transports, PageloadCell, Report, SweepArgs, SweepSpec, Value};
+use dohmark_bench::{fleet_transports, PageloadCell, Report, SweepArgs, SweepSpec, Value};
 
 const DEFAULT_SEEDS: u64 = 5;
 const PAGES: usize = 8;
@@ -35,7 +37,7 @@ fn links() -> Vec<(&'static str, LinkConfig)> {
 fn main() {
     let args = SweepArgs::from_env(DEFAULT_SEEDS);
     let mut spec = SweepSpec::new();
-    for transport in pageload_transports() {
+    for transport in fleet_transports() {
         for (label, link) in links() {
             spec = spec.cell(PageloadCell {
                 transport: TransportConfig { link, ..transport.clone() },

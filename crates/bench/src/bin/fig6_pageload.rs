@@ -7,7 +7,7 @@
 //! the paper's headline "DoH barely moves page-load time" result, because
 //! DNS wait is a small slice of the dependency-tree makespan.
 
-use dohmark_bench::{pageload_transports, PageloadCell, Report, SweepArgs, SweepSpec, Value};
+use dohmark_bench::{fleet_transports, PageloadCell, Report, SweepArgs, SweepSpec, Value};
 
 const DEFAULT_SEEDS: u64 = 10;
 const PAGES: usize = 20;
@@ -15,7 +15,7 @@ const PAGES: usize = 20;
 fn main() {
     let args = SweepArgs::from_env(DEFAULT_SEEDS);
     let mut spec = SweepSpec::new();
-    for transport in pageload_transports() {
+    for transport in fleet_transports() {
         let link_label = "clean_broadband".to_string();
         spec = spec.cell(PageloadCell { transport, link_label, pages: PAGES });
     }

@@ -29,6 +29,7 @@
 #![warn(missing_docs)]
 #![warn(clippy::print_stdout, clippy::print_stderr, clippy::unwrap_used)]
 #![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 pub mod cli;
@@ -47,21 +48,12 @@ pub use testbed::{FleetCell, FleetRun, MatrixCell, MatrixRun, PageloadCell, Page
 
 use dohmark::doh::{ReusePolicy, TransportConfig, TransportKind};
 
-/// The four transport cells the page-load experiments sweep:
-/// [`fleet_transports`] with Do53 retransmitting on TCP's RTO schedule —
-/// on lossy links a retry-less stub would conflate "UDP has no
-/// head-of-line blocking" with "a lost datagram loses the page", and the
-/// paper's Figure 2 contrast is about the former.
-pub fn pageload_transports() -> Vec<TransportConfig> {
-    fleet_transports()
-        .into_iter()
-        .map(|cfg| if cfg.kind == TransportKind::Do53 { cfg.with_udp_retry() } else { cfg })
-        .collect()
-}
-
-/// The four transport cells the fleet experiments sweep: Do53 plus the
-/// three encrypted transports on persistent connections (the deployment
-/// shape a stub keeps to its recursive resolver).
+/// The four transport cells the fleet and page-load experiments sweep:
+/// Do53 plus the three encrypted transports on persistent connections (the
+/// deployment shape a stub keeps to its recursive resolver). Do53 resends
+/// an unanswered query on TCP's RTO schedule, so on a lossy link the
+/// page-load contrast is "UDP has no head-of-line blocking", not "a lost
+/// datagram loses the page".
 pub fn fleet_transports() -> Vec<TransportConfig> {
     vec![
         TransportConfig::new(TransportKind::Do53, ReusePolicy::Fresh),
@@ -197,11 +189,10 @@ mod tests {
         // on the transports with the most moving parts.
         let h2 = TransportConfig::new(TransportKind::DohH2, ReusePolicy::Fresh);
         MatrixCell { cfg: h2, resolutions: 4 }.measure(3).unwrap();
-        let retrying =
-            TransportConfig::new(TransportKind::Do53, ReusePolicy::Fresh).with_udp_retry();
-        FleetCell::new(retrying.clone(), 8, 16).measure(3).unwrap();
+        let do53 = TransportConfig::new(TransportKind::Do53, ReusePolicy::Fresh);
+        FleetCell::new(do53.clone(), 8, 16).measure(3).unwrap();
         let lossy = PageloadCell {
-            transport: TransportConfig { link: LinkConfig::lossy_wifi(), ..retrying },
+            transport: TransportConfig { link: LinkConfig::lossy_wifi(), ..do53 },
             link_label: "lossy_wifi".to_string(),
             pages: 3,
         };

@@ -16,18 +16,13 @@
 //! claim is asserted on `stats::summarize(..).ci95`, the bootstrap interval
 //! the reports print. Each test's doc names the presets it covers and the
 //! margin measured over seeds 1–32 on a release build.
-//!
-//! The matrix's Do53 has no retry, so on the lossy presets it loses a
-//! resolution at 8 (`lossy_wifi`) and 9 (`mobile_3g`) of the 32 seeds: the
-//! matrix claims leave it out there.
 
 use std::ops::RangeInclusive;
 
 use dohmark::doh::{ReusePolicy, TransportConfig, TransportKind};
 use dohmark::netsim::LinkConfig;
 use dohmark_bench::{
-    fleet_transports, pageload_transports, stats, FleetCell, FleetRun, MatrixCell, MatrixRun,
-    PageloadCell, PageloadRun,
+    fleet_transports, stats, FleetCell, FleetRun, MatrixCell, MatrixRun, PageloadCell, PageloadRun,
 };
 
 use ReusePolicy::{Fresh, Persistent};
@@ -54,14 +49,9 @@ fn cell(link: LinkConfig, kind: TransportKind, reuse: ReusePolicy) -> TransportC
     TransportConfig { link, ..TransportConfig::new(kind, reuse) }
 }
 
-/// The matrix cells a claim covers on `link`: all ten on a lossless link,
-/// the nine stream cells on a lossy one.
+/// The ten matrix cells on `link`.
 fn matrix_on(link: LinkConfig) -> Vec<TransportConfig> {
-    TransportConfig::matrix()
-        .into_iter()
-        .filter(|cfg| link.loss == 0.0 || cfg.kind != Do53)
-        .map(|cfg| TransportConfig { link, ..cfg })
-        .collect()
+    TransportConfig::matrix().into_iter().map(|cfg| TransportConfig { link, ..cfg }).collect()
 }
 
 /// `cfg`'s matrix runs, one per seed in seed order.
@@ -125,7 +115,7 @@ fn page_loads(transport: &TransportConfig, link: LinkConfig) -> Vec<f64> {
 }
 
 fn pageload_transport(kind: TransportKind) -> TransportConfig {
-    pageload_transports()
+    fleet_transports()
         .into_iter()
         .find(|cfg| cfg.kind == kind)
         .expect("every kind is a page-load transport")
@@ -152,14 +142,14 @@ fn do53_is_the_cheapest_cell() {
 /// Figures 3–4: a cold DoH-h2 resolution (TCP + full TLS handshake + the
 /// h2 preface and SETTINGS) costs the most bytes and packets.
 ///
-/// Scope: all ten cells on `clean_broadband`; the nine stream cells on
-/// `lossy_wifi` and `mobile_3g`. Measured: on the clean link it holds at
-/// every seed, the runner-up being cold DoH-h1 (405 B and 7 packets
-/// less). On each lossy preset it holds in bytes at 31 of 32 seeds (one
-/// seed's retransmissions put cold DoH-h1 above it) and in packets at
-/// every seed. The tightest intervals: over cold DoH-h1, [625, 828] B
-/// (`lossy_wifi`) and [508, 790] B (`mobile_3g`); over resumed DoH-h2,
-/// [2.2, 3.1] and [2.1, 2.9] packets.
+/// Scope: all ten cells on all three presets. Measured: on the clean link
+/// it holds at every seed, the runner-up being cold DoH-h1 (405 B and 7
+/// packets less). On each lossy preset it holds in bytes at 31 of 32
+/// seeds (one seed's retransmissions put cold DoH-h1 above it) and in
+/// packets at every seed. The tightest intervals: over cold DoH-h1,
+/// [625, 828] B (`lossy_wifi`) and [508, 790] B (`mobile_3g`); over
+/// resumed DoH-h2, [2.2, 3.1] and [2.1, 2.9] packets. Do53 sits at least
+/// 4784 B and 24 packets below it on either lossy preset.
 #[test]
 fn cold_doh_h2_costs_the_most_bytes_and_packets() {
     for (preset, link) in presets() {
@@ -312,7 +302,7 @@ fn fig2_doh_h2_climbs_steeper_than_do53_under_loss() {
 #[test]
 fn page_load_rises_with_loss_on_every_transport() {
     let clean = LinkConfig::clean_broadband();
-    for cfg in pageload_transports() {
+    for cfg in fleet_transports() {
         let means = [0.0, 0.03, 0.08].map(|loss| stats::mean(&page_loads(&cfg, clean.loss(loss))));
         assert!(means.windows(2).all(|w| w[0] < w[1]), "{}: {means:?}", cfg.label());
     }
@@ -330,8 +320,7 @@ fn page_load_rises_with_loss_on_every_transport() {
 #[test]
 fn fig6_transports_sit_in_a_narrow_band_at_zero_loss() {
     let link = LinkConfig::clean_broadband();
-    let loads: Vec<Vec<f64>> =
-        pageload_transports().iter().map(|cfg| page_loads(cfg, link)).collect();
+    let loads: Vec<Vec<f64>> = fleet_transports().iter().map(|cfg| page_loads(cfg, link)).collect();
     let means: Vec<f64> = loads.iter().map(|samples| stats::mean(samples)).collect();
     let lo = means.iter().copied().fold(f64::INFINITY, f64::min);
     let hi = means.iter().copied().fold(0.0, f64::max);

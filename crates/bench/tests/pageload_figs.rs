@@ -5,13 +5,13 @@
 
 use dohmark::doh::TransportConfig;
 use dohmark::netsim::LinkConfig;
-use dohmark_bench::{pageload_transports, PageloadCell, Report, SweepSpec, Value};
+use dohmark_bench::{fleet_transports, PageloadCell, Report, SweepSpec, Value};
 
 #[test]
 fn pageload_sweep_renders_byte_identically_across_thread_counts() {
     let render = |threads: usize| {
         let mut spec = SweepSpec::new();
-        for transport in pageload_transports() {
+        for transport in fleet_transports() {
             for (label, loss) in [("clean_broadband", 0.0), ("loss_2pct", 0.02)] {
                 let link = LinkConfig::clean_broadband().loss(loss);
                 spec = spec.cell(PageloadCell {

@@ -15,7 +15,7 @@ use dohmark_netsim::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 
 /// Cache key: query name and type (class is always `IN` here).
-pub type CacheKey = (Name, RecordType);
+pub(crate) type CacheKey = (Name, RecordType);
 
 /// A cached answer. What the cache stores carries the TTLs it was
 /// inserted with; what a hit yields has them decremented to the remaining
@@ -90,12 +90,14 @@ impl DnsCache {
 
     /// Live entry count (expired entries linger until looked up or
     /// evicted).
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.index.len()
     }
 
     /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.index.is_empty()
     }
 
@@ -142,7 +144,7 @@ impl DnsCache {
 
     /// Caches a negative answer for `min(SOA TTL, SOA MINIMUM)` seconds —
     /// the RFC 2308 §5 negative-caching TTL.
-    pub fn insert_negative(
+    pub(crate) fn insert_negative(
         &mut self,
         name: Name,
         qtype: RecordType,

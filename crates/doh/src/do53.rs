@@ -2,9 +2,9 @@
 //!
 //! The client binds a **fresh ephemeral source port per query** (as the
 //! paper's measurement client does, so OS-level demultiplexing never
-//! correlates resolutions) and the server answers every well-formed query
-//! with a fixed A record, mirroring the paper's controlled resolver.
-//! Query and response bytes are tagged
+//! correlates resolutions) and resends an unanswered query from that port
+//! on TCP's RTO schedule; the server answers every well-formed query from
+//! its [`ServerBackend`]. Query and response bytes are tagged
 //! [`LayerTag::DnsPayload`](dohmark_netsim::LayerTag) and attributed to the
 //! DNS transaction id.
 
@@ -13,12 +13,11 @@ use crate::{Endpoint, Resolver};
 use dohmark_dns_wire::{Message, Name, RecordType};
 use dohmark_netsim::tcp::{backoff, INIT_RTO, MAX_RETRIES};
 use dohmark_netsim::{HostId, LayerTag, Sim, SimDuration, SockId, Wake};
-use std::net::Ipv4Addr;
 
 /// A Do53 server answering from a pluggable [`ServerBackend`] —
 /// authoritative zone data or a shared caching recursive resolver.
 #[derive(Debug)]
-pub struct Do53Server {
+pub(crate) struct Do53Server {
     sock: SockId,
     backend: ServerBackend,
 }
@@ -34,14 +33,13 @@ fn waiter_addr(token: u64) -> (HostId, u16) {
 }
 
 impl Do53Server {
-    /// Binds the server on `(host, port)` answering every query with one
-    /// fixed A record `answer`/`ttl` — the paper's §3 echo resolver.
-    pub fn bind(sim: &mut Sim, host: HostId, port: u16, answer: Ipv4Addr, ttl: u32) -> Do53Server {
-        Do53Server::bind_with(sim, host, port, ServerBackend::fixed(answer, ttl))
-    }
-
     /// Binds the server on `(host, port)` answering from `backend`.
-    pub fn bind_with(sim: &mut Sim, host: HostId, port: u16, backend: ServerBackend) -> Do53Server {
+    pub(crate) fn bind(
+        sim: &mut Sim,
+        host: HostId,
+        port: u16,
+        backend: ServerBackend,
+    ) -> Do53Server {
         let sock = sim.udp_bind(host, port);
         Do53Server { sock, backend }
     }
@@ -83,8 +81,7 @@ struct PendingQuery {
     /// The ephemeral socket the reply arrives on; retransmissions reuse
     /// it, as a real stub resolver resends from the same source port.
     sock: SockId,
-    /// The encoded query, kept for retransmission; empty on a client
-    /// that never retransmits.
+    /// The encoded query, kept for retransmission.
     wire: Vec<u8>,
     /// Retransmissions still allowed.
     retries_left: u32,
@@ -93,12 +90,11 @@ struct PendingQuery {
 }
 
 /// A Do53 client multiplexing queries over fresh ephemeral source ports,
-/// optionally retransmitting on TCP's RTO schedule.
+/// retransmitting on TCP's RTO schedule.
 #[derive(Debug)]
-pub struct Do53Client {
+pub(crate) struct Do53Client {
     host: HostId,
     server: (HostId, u16),
-    retry: bool,
     /// The transaction id of the latest query (0 before the first).
     last_txn: u16,
     pending: Vec<PendingQuery>,
@@ -108,15 +104,14 @@ pub struct Do53Client {
 impl Do53Client {
     /// A client on `host` querying `server`.
     ///
-    /// Without `retry` a lost datagram loses the query: the paper's §3
-    /// measurement-client shape. With it, an unanswered query is resent
-    /// on TCP's RTO schedule: first after [`INIT_RTO`], then after each
-    /// [`backoff`] of the timeout, at most [`MAX_RETRIES`] times. That is
-    /// the stub-resolver shape the page-load experiments need on lossy
-    /// links, where "a lost query never resolves" would conflate
-    /// transport loss behaviour with client give-up behaviour.
-    pub fn new(host: HostId, server: (HostId, u16), retry: bool) -> Do53Client {
-        Do53Client { host, server, retry, last_txn: 0, pending: Vec::new(), responses: Vec::new() }
+    /// An unanswered query is resent from its own source port, as a stub
+    /// resolver does (RFC 1035 §4.2.1), on TCP's RTO schedule: first after
+    /// [`INIT_RTO`], then after each [`backoff`] of the timeout, at most
+    /// [`MAX_RETRIES`] times. So a lost datagram costs a Do53 resolution
+    /// what a lost segment costs a TCP-based one, and lossy-link results
+    /// compare transport loss behaviour, not client give-up behaviour.
+    pub(crate) fn new(host: HostId, server: (HostId, u16)) -> Do53Client {
+        Do53Client { host, server, last_txn: 0, pending: Vec::new(), responses: Vec::new() }
     }
 
     /// Handles a retransmission-timer wake. Timers are routed to their
@@ -138,8 +133,8 @@ impl Do53Client {
 }
 
 impl Resolver for Do53Client {
-    /// Sends an A query for `name` from a freshly bound ephemeral port,
-    /// arming the first retransmission timer when the client retries.
+    /// Sends an A query for `name` from a freshly bound ephemeral port and
+    /// arms its first retransmission timer.
     fn send_query(&mut self, sim: &mut Sim, name: &Name) -> u16 {
         let id = crate::next_txn(&mut self.last_txn);
         debug_assert!(
@@ -151,20 +146,14 @@ impl Resolver for Do53Client {
         sim.set_attr(u32::from(id));
         let query = Message::query(id, name, RecordType::A);
         let wire = query.encode();
-        let kept = if self.retry { wire.clone() } else { Vec::new() };
         // The send draws its event `seq` before the timer does.
-        sim.udp_send(sock, self.server, LayerTag::DnsPayload, wire);
-        let retries_left = if self.retry {
-            crate::driver::schedule_endpoint_timer(sim, INIT_RTO, u64::from(id));
-            MAX_RETRIES
-        } else {
-            0
-        };
+        sim.udp_send(sock, self.server, LayerTag::DnsPayload, wire.clone());
+        crate::driver::schedule_endpoint_timer(sim, INIT_RTO, u64::from(id));
         self.pending.push(PendingQuery {
             id,
             sock,
-            wire: kept,
-            retries_left,
+            wire,
+            retries_left: MAX_RETRIES,
             next_timeout: INIT_RTO,
         });
         id
@@ -215,13 +204,18 @@ mod tests {
     use dohmark_netsim::{LinkConfig, SimTime};
     use std::net::Ipv4Addr;
 
+    /// A Do53 server on `(resolver, 53)` echoing 192.0.2.7 under `ttl`.
+    fn echo_server(sim: &mut Sim, resolver: HostId, ttl: u32) -> Do53Server {
+        Do53Server::bind(sim, resolver, 53, ServerBackend::fixed(Ipv4Addr::new(192, 0, 2, 7), ttl))
+    }
+
     fn setup(seed: u64) -> (Sim, Do53Client, Do53Server) {
         let mut sim = Sim::new(seed);
         let stub = sim.add_host("stub");
         let resolver = sim.add_host("resolver");
         sim.add_link(stub, resolver, LinkConfig::localhost());
-        let server = Do53Server::bind(&mut sim, resolver, 53, Ipv4Addr::new(192, 0, 2, 7), 300);
-        let client = Do53Client::new(stub, (resolver, 53), false);
+        let server = echo_server(&mut sim, resolver, 300);
+        let client = Do53Client::new(stub, (resolver, 53));
         (sim, client, server)
     }
 
@@ -261,13 +255,13 @@ mod tests {
     }
 
     /// A clean link to a [`Silent`] resolver on port 53.
-    fn silent_setup(seed: u64, retry: bool) -> (Sim, Do53Client, Silent) {
+    fn silent_setup(seed: u64) -> (Sim, Do53Client, Silent) {
         let mut sim = Sim::new(seed);
         let stub = sim.add_host("stub");
         let resolver = sim.add_host("resolver");
         sim.add_link(stub, resolver, LinkConfig::localhost());
         let silent = Silent(sim.udp_bind(resolver, 53));
-        (sim, Do53Client::new(stub, (resolver, 53), retry), silent)
+        (sim, Do53Client::new(stub, (resolver, 53)), silent)
     }
 
     /// The source port of every query `silent` has received, in order.
@@ -277,13 +271,14 @@ mod tests {
 
     #[test]
     fn each_query_uses_a_fresh_source_port() {
-        let (mut sim, mut client, mut silent) = silent_setup(3, false);
+        let (mut sim, mut client, mut silent) = silent_setup(3);
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
         assert!(pump(&mut sim, &mut client, &mut silent, Some(&name)).is_none());
         assert!(pump(&mut sim, &mut client, &mut silent, Some(&name)).is_none());
-        let sources = source_ports(&mut sim, &silent);
-        assert_eq!(sources.len(), 2);
-        assert_ne!(sources[0], sources[1], "source ports must differ");
+        let mut sources = source_ports(&mut sim, &silent);
+        assert_eq!(sources.len(), 2 * (1 + MAX_RETRIES as usize), "each query and its resends");
+        sources.dedup();
+        assert_eq!(sources.len(), 2, "one source port per query: {sources:?}");
     }
 
     #[test]
@@ -310,8 +305,8 @@ mod tests {
         let stub = sim.add_host("stub");
         let resolver = sim.add_host("resolver");
         sim.add_link(stub, resolver, LinkConfig::localhost().loss(1.0));
-        let mut server = Do53Server::bind(&mut sim, resolver, 53, Ipv4Addr::new(192, 0, 2, 7), 60);
-        let mut client = Do53Client::new(stub, (resolver, 53), false);
+        let mut server = echo_server(&mut sim, resolver, 60);
+        let mut client = Do53Client::new(stub, (resolver, 53));
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
         assert!(pump(&mut sim, &mut client, &mut server, Some(&name)).is_none());
     }
@@ -331,16 +326,16 @@ mod tests {
 
     #[test]
     fn retry_recovers_a_lossy_resolution() {
-        // At 30% iid loss a retry-less stub fails whole resolutions; the
-        // retransmitting client recovers every one of a batch, because a
-        // per-attempt success chance of ~0.49 over 7 transmissions leaves
+        // At 30% iid loss one datagram exchange fails about half the time;
+        // the retransmitting client recovers every one of a batch, because
+        // a per-attempt success chance of ~0.49 over 7 transmissions leaves
         // a failure probability under 1%.
         let mut sim = Sim::new(11);
         let stub = sim.add_host("stub");
         let resolver = sim.add_host("resolver");
         sim.add_link(stub, resolver, LinkConfig::localhost().loss(0.3));
-        let mut server = Do53Server::bind(&mut sim, resolver, 53, Ipv4Addr::new(192, 0, 2, 7), 60);
-        let mut client = Do53Client::new(stub, (resolver, 53), true);
+        let mut server = echo_server(&mut sim, resolver, 60);
+        let mut client = Do53Client::new(stub, (resolver, 53));
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
         for id in 1..=8u16 {
             let response = pump(&mut sim, &mut client, &mut server, Some(&name));
@@ -348,10 +343,10 @@ mod tests {
         }
     }
 
-    /// Do53 retries on TCP's own schedule. On a dead link a retrying query
-    /// and a SYN are each sent `1 + MAX_RETRIES` times, and both run dry
-    /// at the same instant: 200 ms · (2⁷ − 1) = 25.4 s. Six doublings
-    /// never reach the 60 s cap, so this does not pin it.
+    /// Do53 retries on TCP's own schedule. On a dead link a query and a SYN
+    /// are each sent `1 + MAX_RETRIES` times, and both run dry at the same
+    /// instant: 200 ms · (2⁷ − 1) = 25.4 s. Six doublings never reach the
+    /// 60 s cap, so this does not pin it.
     #[test]
     fn retry_gives_up_after_its_budget_on_a_dead_link() {
         let dead_link = || {
@@ -362,8 +357,8 @@ mod tests {
             (sim, stub, resolver)
         };
         let (mut sim, stub, resolver) = dead_link();
-        let mut server = Do53Server::bind(&mut sim, resolver, 53, Ipv4Addr::new(192, 0, 2, 7), 60);
-        let mut client = Do53Client::new(stub, (resolver, 53), true);
+        let mut server = echo_server(&mut sim, resolver, 60);
+        let mut client = Do53Client::new(stub, (resolver, 53));
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
         assert!(pump(&mut sim, &mut client, &mut server, Some(&name)).is_none());
         let do53 = (sim.meter.total().packets, sim.dropped_packets(), sim.now());
@@ -381,7 +376,7 @@ mod tests {
 
     #[test]
     fn retransmissions_reuse_the_original_source_port() {
-        let (mut sim, mut client, mut silent) = silent_setup(7, true);
+        let (mut sim, mut client, mut silent) = silent_setup(7);
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
         assert!(pump(&mut sim, &mut client, &mut silent, Some(&name)).is_none());
         let sources = source_ports(&mut sim, &silent);

@@ -27,9 +27,9 @@ use dohmark_netsim::{LayerTag, Side};
 use std::collections::VecDeque;
 
 /// The RFC 8484 media type.
-pub const DNS_MESSAGE: &str = "application/dns-message";
+pub(crate) const DNS_MESSAGE: &str = "application/dns-message";
 /// The conventional DoH endpoint path.
-pub const DOH_PATH: &str = "/dns-query";
+pub(crate) const DOH_PATH: &str = "/dns-query";
 
 /// Header text tagged `HttpHeader`, the body `HttpBody`.
 fn tagged(encoded: Encoded) -> Segments {
@@ -39,7 +39,7 @@ fn tagged(encoded: Encoded) -> Segments {
 /// The DoH/1.1 framing: one `POST /dns-query` request and one `200 OK`
 /// response per query, answered in request order.
 #[derive(Debug)]
-pub struct Http1;
+pub(crate) struct Http1;
 
 /// The HTTP/1.1 parser of one end: a client reads responses, a server
 /// requests.
@@ -51,7 +51,7 @@ enum H1Parser {
 
 /// Per-connection DoH/1.1 state.
 #[derive(Debug)]
-pub struct H1Conn {
+pub(crate) struct H1Conn {
     parser: H1Parser,
     /// The server's answers in request order, `None` while still pending
     /// — HTTP/1.1 has no stream multiplexing, so responses must go out
@@ -136,18 +136,18 @@ impl Framing for Http1 {
 }
 
 /// A DoH client speaking HTTP/1.1 to one resolver.
-pub type DohH1Client = StreamClient<Http1>;
+pub(crate) type DohH1Client = StreamClient<Http1>;
 
 /// A DoH/1.1 server answering from a pluggable
 /// [`ServerBackend`](crate::ServerBackend) — authoritative zone data or a
 /// shared caching recursive resolver.
-pub type DohH1Server = StreamServer<Http1>;
+pub(crate) type DohH1Server = StreamServer<Http1>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testing::pump;
-    use crate::{Resolver, ReusePolicy};
+    use crate::{Resolver, ReusePolicy, ServerBackend};
     use dohmark_dns_wire::{Name, RecordType};
     use dohmark_netsim::{LinkConfig, Sim};
     use dohmark_tls_model::{handshake_bytes, TlsConfig, ALPN_HTTP11};
@@ -162,8 +162,8 @@ mod tests {
         let stub = sim.add_host("stub");
         let resolver = sim.add_host("resolver");
         sim.add_link(stub, resolver, LinkConfig::localhost());
-        let server =
-            DohH1Server::bind(&mut sim, resolver, 443, h1_tls(), Ipv4Addr::new(192, 0, 2, 7), 300);
+        let backend = ServerBackend::fixed(Ipv4Addr::new(192, 0, 2, 7), 300);
+        let server = DohH1Server::bind(&mut sim, resolver, 443, h1_tls(), backend);
         let client = DohH1Client::new(stub, (resolver, 443), h1_tls(), policy);
         (sim, client, server)
     }

@@ -65,11 +65,11 @@ fn mgmt(preface: &[u8], frames: &[Frame]) -> Segments {
 /// The DoH/2 framing: HPACK-compressed HEADERS + DATA per message on
 /// its own stream, plus the connection management HTTP/2 adds.
 #[derive(Debug)]
-pub struct Http2;
+pub(crate) struct Http2;
 
 /// One end's HTTP/2 connection state.
 #[derive(Debug)]
-pub struct H2Conn {
+pub(crate) struct H2Conn {
     frames: FrameDecoder,
     /// HPACK for header blocks this end sends.
     encoder: hpack::Encoder,
@@ -274,21 +274,21 @@ impl Framing for Http2 {
 }
 
 /// A DoH client speaking HTTP/2 to one resolver.
-pub type DohH2Client = StreamClient<Http2>;
+pub(crate) type DohH2Client = StreamClient<Http2>;
 
 /// A DoH/2 server answering from a pluggable
 /// [`ServerBackend`](crate::ServerBackend) — authoritative zone data or a
 /// shared caching recursive resolver. Streams multiplex, so — unlike h1 —
 /// a stream parked on an upstream fetch never blocks a cache hit on
 /// another stream of the same connection.
-pub type DohH2Server = StreamServer<Http2>;
+pub(crate) type DohH2Server = StreamServer<Http2>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::stream::TlsStream;
     use crate::testing::pump;
-    use crate::{Endpoint, Resolver, ReusePolicy};
+    use crate::{Endpoint, Resolver, ReusePolicy, ServerBackend};
     use dohmark_dns_wire::{Name, RecordType};
     use dohmark_netsim::{LinkConfig, Sim, Wake};
     use dohmark_tls_model::{handshake_bytes, TlsConfig, ALPN_H2};
@@ -303,8 +303,8 @@ mod tests {
         let stub = sim.add_host("stub");
         let resolver = sim.add_host("resolver");
         sim.add_link(stub, resolver, LinkConfig::localhost());
-        let server =
-            DohH2Server::bind(&mut sim, resolver, 443, h2_tls(), Ipv4Addr::new(192, 0, 2, 7), 300);
+        let backend = ServerBackend::fixed(Ipv4Addr::new(192, 0, 2, 7), 300);
+        let server = DohH2Server::bind(&mut sim, resolver, 443, h2_tls(), backend);
         let client = DohH2Client::new(stub, (resolver, 443), h2_tls(), policy);
         (sim, client, server)
     }

@@ -14,37 +14,14 @@
 //!   counts as DNS — is tagged
 //!   [`LayerTag::DnsPayload`](dohmark_netsim::LayerTag).
 //!
-//! The [`ReusePolicy`] decides whether each resolution pays the full
-//! TCP+TLS setup ([`ReusePolicy::Fresh`], the paper's cold case) or shares
-//! one long-lived connection ([`ReusePolicy::Persistent`], which amortises
+//! The [`ReusePolicy`](crate::ReusePolicy) decides whether each resolution
+//! pays the full TCP+TLS setup (`Fresh`, the paper's cold case) or shares
+//! one long-lived connection (`Persistent`, which amortises
 //! the handshake to near-zero per-resolution overhead).
 
 use crate::stream::{Framing, Segments, StreamClient, StreamServer};
 use dohmark_dns_wire::Message;
 use dohmark_netsim::{LayerTag, Side};
-
-/// Connection-reuse policy of a TLS-based client (DoT or DoH).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReusePolicy {
-    /// Open a fresh connection per query and close it after the response —
-    /// every resolution pays the whole TCP + TLS handshake (the paper's
-    /// cold-connection case).
-    Fresh,
-    /// Keep one connection open and pipeline all queries over it — the
-    /// handshake is paid once and amortised (the paper's persistent case).
-    Persistent,
-}
-
-impl ReusePolicy {
-    /// Short lowercase label (`fresh` / `persistent`) used in cell labels
-    /// and result-table keys.
-    pub fn label(self) -> &'static str {
-        match self {
-            ReusePolicy::Fresh => "fresh",
-            ReusePolicy::Persistent => "persistent",
-        }
-    }
-}
 
 /// Extracts complete RFC 7766 2-byte-length-prefixed DNS messages from
 /// the front of `buf`; undecodable payloads are skipped, exactly like a
@@ -78,7 +55,7 @@ fn prefixed(message: &Message) -> Segments {
 /// Its per-connection state is the length-prefix reassembly buffer, and
 /// a response goes to the connection as a whole.
 #[derive(Debug)]
-pub struct Dot;
+pub(crate) struct Dot;
 
 impl Framing for Dot {
     type Conn = Vec<u8>;
@@ -109,18 +86,20 @@ impl Framing for Dot {
 }
 
 /// A DoT client resolving names against one server.
-pub type DotClient = StreamClient<Dot>;
+pub(crate) type DotClient = StreamClient<Dot>;
 
 /// A DoT server answering from a pluggable
 /// [`ServerBackend`](crate::ServerBackend) — authoritative zone data or a
 /// shared caching recursive resolver.
-pub type DotServer = StreamServer<Dot>;
+pub(crate) type DotServer = StreamServer<Dot>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::doh1::{DohH1Client, DohH1Server};
+    use crate::doh2::{DohH2Client, DohH2Server};
     use crate::testing::pump;
-    use crate::{DohH1Client, DohH1Server, DohH2Client, DohH2Server, Resolver};
+    use crate::{Resolver, ReusePolicy, ServerBackend};
     use dohmark_dns_wire::{Name, RecordType};
     use dohmark_netsim::{HostId, LinkConfig, Sim};
     use dohmark_tls_model::{handshake_bytes, TlsConfig};
@@ -130,14 +109,17 @@ mod tests {
         TlsConfig::for_server("dns.example.net").alpn("dot")
     }
 
-    const ANSWER: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 7);
+    /// The echo backend every test server answers from.
+    fn echo(ttl: u32) -> ServerBackend {
+        ServerBackend::fixed(Ipv4Addr::new(192, 0, 2, 7), ttl)
+    }
 
     fn setup(seed: u64, policy: ReusePolicy) -> (Sim, DotClient, DotServer) {
         let mut sim = Sim::new(seed);
         let stub = sim.add_host("stub");
         let resolver = sim.add_host("resolver");
         sim.add_link(stub, resolver, LinkConfig::localhost());
-        let server = DotServer::bind(&mut sim, resolver, 853, dot_tls(), ANSWER, 300);
+        let server = DotServer::bind(&mut sim, resolver, 853, dot_tls(), echo(300));
         let client = DotClient::new(stub, (resolver, 853), dot_tls(), policy);
         (sim, client, server)
     }
@@ -160,22 +142,21 @@ mod tests {
             let tls: TlsConfig = $tls;
             {
                 let (mut $sim, stub, resolver) = topology();
-                let mut $server =
-                    DotServer::bind(&mut $sim, resolver, 853, tls.clone(), ANSWER, 60);
+                let mut $server = DotServer::bind(&mut $sim, resolver, 853, tls.clone(), echo(60));
                 let mut $client = DotClient::new(stub, (resolver, 853), tls.clone(), $policy);
                 $body
             }
             {
                 let (mut $sim, stub, resolver) = topology();
                 let mut $server =
-                    DohH1Server::bind(&mut $sim, resolver, 443, tls.clone(), ANSWER, 60);
+                    DohH1Server::bind(&mut $sim, resolver, 443, tls.clone(), echo(60));
                 let mut $client = DohH1Client::new(stub, (resolver, 443), tls.clone(), $policy);
                 $body
             }
             {
                 let (mut $sim, stub, resolver) = topology();
                 let mut $server =
-                    DohH2Server::bind(&mut $sim, resolver, 443, tls.clone(), ANSWER, 60);
+                    DohH2Server::bind(&mut $sim, resolver, 443, tls.clone(), echo(60));
                 let mut $client = DohH2Client::new(stub, (resolver, 443), tls.clone(), $policy);
                 $body
             }
@@ -208,7 +189,7 @@ mod tests {
         let stub = sim.add_host("stub");
         let resolver = sim.add_host("resolver");
         sim.add_link(stub, resolver, LinkConfig::localhost());
-        let mut server = DotServer::bind(&mut sim, resolver, 853, tls.clone(), ANSWER, 300);
+        let mut server = DotServer::bind(&mut sim, resolver, 853, tls.clone(), echo(300));
         let mut client = DotClient::new(stub, (resolver, 853), tls.clone(), ReusePolicy::Fresh);
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
         pump(&mut sim, &mut client, &mut server, Some(&name)).unwrap();

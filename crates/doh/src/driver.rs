@@ -254,7 +254,8 @@ impl Driver {
 )]
 mod tests {
     use super::*;
-    use crate::{DohH2Server, ReusePolicy, TransportConfig, TransportKind};
+    use crate::doh2::DohH2Server;
+    use crate::{ReusePolicy, ServerBackend, TransportConfig, TransportKind};
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -282,14 +283,8 @@ mod tests {
         let mut server = None;
         driver.register(&mut sim, |sim| {
             let tls = cfg.tls().expect("doh uses tls");
-            let bound = DohH2Server::bind(
-                sim,
-                resolver,
-                443,
-                tls,
-                TransportConfig::ANSWER,
-                TransportConfig::TTL,
-            );
+            let backend = ServerBackend::fixed(TransportConfig::ANSWER, TransportConfig::TTL);
+            let bound = DohH2Server::bind(sim, resolver, 443, tls, backend);
             let shared = Rc::new(RefCell::new(bound));
             server = Some(shared.clone());
             Box::new(Shared(shared))

@@ -1,36 +1,49 @@
 //! Simulated DNS transports — Do53, DoT and DoH over HTTP/1.1 and
 //! HTTP/2 — with per-resolution cost attribution.
 //!
-//! This crate drives `dohmark-netsim` with protocol-faithful DNS message
-//! exchanges — every byte the [`CostMeter`](dohmark_netsim::CostMeter)
-//! records is a byte the corresponding real transport would put on the
-//! wire:
+//! The public surface is a transport matrix and a registry: a
+//! [`TransportConfig`] names one cell ([`TransportKind`] × [`ReusePolicy`]
+//! × TLS resumption, plus the link) and builds that cell's server and
+//! client; the [`Driver`] registers them as [`Endpoint`]s and
+//! [`Resolver`]s under [`EndpointId`]s and routes every wake to its owner.
+//! A server answers from a [`ServerBackend`]: a fixed echo record, a
+//! synthetic authoritative [`Zone`], or a [`RecursiveResolver`] whose
+//! [`DnsCache`] (RFC 2308 positive and negative entries) is shared by all
+//! of that server's clients. The per-transport clients and servers are
+//! private: experiments iterate over configs, never over concrete types.
 //!
-//! * [`do53`] — classic DNS over UDP, the paper's §3 baseline. The client
-//!   sends each query from a **fresh ephemeral source port** and matches
-//!   responses by transaction id.
-//! * [`dot`] — DNS over TLS (RFC 7858): messages carry the RFC 7766
-//!   2-byte length prefix and travel inside TLS application-data records
-//!   over simulated TCP, with handshake bytes taken from the
+//! Every byte the [`CostMeter`](dohmark_netsim::CostMeter) records is a
+//! byte the real transport would put on the wire:
+//!
+//! * Do53 — classic DNS over UDP, the paper's §3 baseline. The client
+//!   sends each query from a **fresh ephemeral source port**, matches
+//!   responses by transaction id, and resends an unanswered query on
+//!   TCP's RTO schedule (RFC 1035 §4.2.1).
+//! * DoT — DNS over TLS (RFC 7858): messages carry the RFC 7766 2-byte
+//!   length prefix and travel inside TLS application-data records over
+//!   simulated TCP, with handshake bytes taken from the
 //!   `dohmark-tls-model` flight model.
-//! * [`doh1`] — DNS over HTTPS on HTTP/1.1: `POST /dns-query` request
-//!   text and `200 OK` response text from `dohmark-httpsim::h1`, header
-//!   bytes tagged `HttpHeader` and bodies `HttpBody`.
-//! * [`doh2`] — DNS over HTTPS on HTTP/2: connection preface, SETTINGS /
-//!   WINDOW_UPDATE / GOAWAY management frames (tagged `HttpMgmt`), and
-//!   per-query HEADERS + DATA frames with real HPACK header compression —
-//!   on a persistent connection the dynamic table shrinks header bytes
-//!   after the first query, exactly the effect the paper measures.
+//! * DoH/1.1 — `POST /dns-query` request text and `200 OK` response text
+//!   from `dohmark-httpsim::h1`, header bytes tagged `HttpHeader` and
+//!   bodies `HttpBody`.
+//! * DoH/2 — connection preface, SETTINGS / WINDOW_UPDATE / GOAWAY
+//!   management frames (tagged `HttpMgmt`), and per-query HEADERS + DATA
+//!   frames with real HPACK header compression — on a persistent
+//!   connection the dynamic table shrinks header bytes after the first
+//!   query, exactly the effect the paper measures.
 //!
-//! # The unified transport API: a registry with addressed wake routing
+//! DoT, DoH/1.1 and DoH/2 share one client and one server state machine —
+//! connect, TLS flights, flush queued queries, deframe, close — and differ
+//! only in how a DNS message is framed inside the TLS byte stream, so
+//! every cost difference between them is attributable to that framing.
 //!
-//! Every client implements [`Resolver`] and every server [`Endpoint`], so
-//! experiments iterate over [`TransportConfig`]s instead of naming
-//! concrete types. Endpoints live in a [`Driver`] registry: each is
-//! registered under an [`EndpointId`], the netsim layer stamps every
-//! socket/connection/timer the endpoint creates with that id, and the
-//! driver routes each wake **only to its owner** — O(1) dispatch that
-//! scales from the original echo pair to thousand-client topologies.
+//! # Registering a cell with the driver
+//!
+//! Endpoints live in a [`Driver`] registry: each is registered under an
+//! [`EndpointId`], the netsim layer stamps every socket, connection and
+//! timer the endpoint creates with that id, and the driver routes each
+//! wake **only to its owner** — O(1) dispatch that scales from one
+//! stub/resolver pair to thousand-client topologies.
 //! [`TransportConfig::build_server`] / [`TransportConfig::build_client`]
 //! are the factories to register:
 //!
@@ -57,24 +70,6 @@
 //! [`Driver::step`], which pops one wake and routes it; a harness with
 //! timers of its own (the page-load engine) loops over `step` itself.
 //!
-//! # One connection skeleton, three framings
-//!
-//! DoT, DoH/1.1 and DoH/2 share one client and one server state machine
-//! ([`stream`]): connect, TLS flights, flush queued queries, deframe,
-//! close. Each transport contributes only a [`stream::Framing`] — how a
-//! DNS message is laid out inside the TLS byte stream — so every cost
-//! difference between them is attributable to that framing.
-//!
-//! # Servers answer from pluggable backends
-//!
-//! Every transport server answers from a [`ServerBackend`]: the classic
-//! `bind(...)` constructors keep the paper's fixed-echo behaviour
-//! ([`Zone::fixed`]), while `bind_with(...)` accepts a synthetic
-//! authoritative [`Zone`] or a [`RecursiveResolver`] — a TTL-driven
-//! positive/negative cache (RFC 2308) shared by all client sessions of
-//! that server, fetching misses from a Do53 upstream and exposing
-//! hit/miss counters through the cost meter.
-//!
 //! # Attribution
 //!
 //! Each client draws its own DNS transaction ids — 1, 2, … in send order,
@@ -94,27 +89,24 @@
 #![warn(missing_docs)]
 #![warn(clippy::print_stdout, clippy::print_stderr, clippy::unwrap_used)]
 #![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 pub mod cache;
-pub mod do53;
-pub mod doh1;
-pub mod doh2;
-pub mod dot;
+mod do53;
+mod doh1;
+mod doh2;
+mod dot;
 mod driver;
-pub mod resolver;
-pub mod stream;
+mod resolver;
+mod stream;
 mod transport;
 pub mod zone;
 
 pub use cache::DnsCache;
-pub use do53::{Do53Client, Do53Server};
-pub use doh1::{DohH1Client, DohH1Server};
-pub use doh2::{DohH2Client, DohH2Server};
-pub use dot::{DotClient, DotServer, ReusePolicy};
 pub use driver::{Driver, EndpointId};
 pub use resolver::{RecursiveResolver, ServerBackend};
-pub use transport::{TransportConfig, TransportKind};
+pub use transport::{ReusePolicy, TransportConfig, TransportKind};
 pub use zone::Zone;
 
 use dohmark_dns_wire::{Message, Name};

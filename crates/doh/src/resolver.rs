@@ -76,7 +76,12 @@ impl RecursiveResolver {
     /// Answers `query` from the cache, or parks it (returning `None`)
     /// behind an upstream fetch whose completion [`Self::poll`] will
     /// surface with `waiter` attached.
-    pub fn resolve(&mut self, sim: &mut Sim, query: &Message, waiter: u64) -> Option<Message> {
+    pub(crate) fn resolve(
+        &mut self,
+        sim: &mut Sim,
+        query: &Message,
+        waiter: u64,
+    ) -> Option<Message> {
         let Some(q) = query.question() else {
             return Some(Message::response(query, Rcode::FormErr, Vec::new()));
         };
@@ -122,7 +127,7 @@ impl RecursiveResolver {
     /// Ingests upstream responses if `wake` is for the resolver's upstream
     /// socket; returns the unparked `(waiter, response)` pairs, each
     /// response carrying its own stub query's transaction id.
-    pub fn poll(&mut self, sim: &mut Sim, wake: &Wake) -> Vec<(u64, Message)> {
+    pub(crate) fn poll(&mut self, sim: &mut Sim, wake: &Wake) -> Vec<(u64, Message)> {
         let Wake::UdpReadable { sock, .. } = wake else { return Vec::new() };
         if *sock != self.sock {
             return Vec::new();
@@ -187,19 +192,24 @@ pub enum ServerBackend {
     /// response.
     Authoritative(Zone),
     /// Answer from the cache or recurse upstream — queries may park until
-    /// [`ServerBackend::poll`] surfaces them.
+    /// the upstream answer arrives.
     Recursive(RecursiveResolver),
 }
 
 impl ServerBackend {
     /// The backend byte-compatible with the legacy fixed-echo servers.
-    pub fn fixed(answer: std::net::Ipv4Addr, ttl: u32) -> ServerBackend {
+    pub(crate) fn fixed(answer: std::net::Ipv4Addr, ttl: u32) -> ServerBackend {
         ServerBackend::Authoritative(Zone::fixed(answer, ttl))
     }
 
     /// Answers `query` now, or returns `None` to park it; parked queries
     /// resurface from [`ServerBackend::poll`] tagged with `waiter`.
-    pub fn answer(&mut self, sim: &mut Sim, query: &Message, waiter: u64) -> Option<Message> {
+    pub(crate) fn answer(
+        &mut self,
+        sim: &mut Sim,
+        query: &Message,
+        waiter: u64,
+    ) -> Option<Message> {
         match self {
             ServerBackend::Authoritative(zone) => Some(zone.answer(query)),
             ServerBackend::Recursive(resolver) => resolver.resolve(sim, query, waiter),
@@ -208,7 +218,7 @@ impl ServerBackend {
 
     /// Feeds a wake to the backend (upstream socket traffic for recursive
     /// backends); returns completed `(waiter, response)` pairs.
-    pub fn poll(&mut self, sim: &mut Sim, wake: &Wake) -> Vec<(u64, Message)> {
+    pub(crate) fn poll(&mut self, sim: &mut Sim, wake: &Wake) -> Vec<(u64, Message)> {
         match self {
             ServerBackend::Authoritative(_) => Vec::new(),
             ServerBackend::Recursive(resolver) => resolver.poll(sim, wake),

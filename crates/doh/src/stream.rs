@@ -6,8 +6,7 @@
 //! flush queued queries → deframe → one-shot close or FIN) and
 //! [`StreamServer`] (accept → TLS flights → deframe → answer from a
 //! [`ServerBackend`], parking queries a recursive backend cannot answer
-//! yet). A transport is a [`Framing`]: [`Dot`](crate::dot::Dot),
-//! [`Http1`](crate::doh1::Http1) or [`Http2`](crate::doh2::Http2). Any
+//! yet). A transport is a [`Framing`]: `Dot`, `Http1` or `Http2`. Any
 //! cost difference between two of them is therefore the framing's.
 
 use crate::resolver::ServerBackend;
@@ -20,16 +19,15 @@ use dohmark_tls_model::{
 };
 use std::collections::BTreeMap;
 use std::fmt::Debug;
-use std::net::Ipv4Addr;
 
 /// One write: byte segments sealed together into TLS records, each
 /// charged to its own layer — which is how the cost meter can split a
 /// DoH message into header, body and TLS framing.
-pub type Segments = Vec<(LayerTag, Vec<u8>)>;
+pub(crate) type Segments = Vec<(LayerTag, Vec<u8>)>;
 
 /// How one transport frames DNS messages inside the TLS byte stream —
 /// everything [`StreamClient`] and [`StreamServer`] do not already do.
-pub trait Framing: Debug {
+pub(crate) trait Framing: Debug {
     /// Per-connection codec state of either end: reassembly buffers,
     /// HPACK tables, stream bookkeeping.
     type Conn: Debug;
@@ -252,7 +250,7 @@ impl<F: Framing> Conn<F> {
 
 /// A client resolving names against one server over TLS, framed by `F`.
 #[derive(Debug)]
-pub struct StreamClient<F: Framing> {
+pub(crate) struct StreamClient<F: Framing> {
     host: HostId,
     server: (HostId, u16),
     tls_cfg: TlsConfig,
@@ -277,7 +275,7 @@ impl<F: Framing> StreamClient<F> {
     /// Under [`ReusePolicy::Persistent`] the TCP+TLS setup bytes are
     /// attributed to id 0; under [`ReusePolicy::Fresh`] each resolution's
     /// setup is attributed to its own transaction id.
-    pub fn new(
+    pub(crate) fn new(
         host: HostId,
         server: (HostId, u16),
         tls_cfg: TlsConfig,
@@ -297,7 +295,8 @@ impl<F: Framing> StreamClient<F> {
     }
 
     /// Whether the client currently holds an established connection.
-    pub fn is_connected(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_connected(&self) -> bool {
         self.conn.as_ref().is_some_and(|c| c.tls.established)
     }
 
@@ -405,7 +404,7 @@ impl<F: Framing> Endpoint for StreamClient<F> {
 /// [`ServerBackend`] — authoritative zone data or a shared caching
 /// recursive resolver.
 #[derive(Debug)]
-pub struct StreamServer<F: Framing> {
+pub(crate) struct StreamServer<F: Framing> {
     listener: ListenerId,
     tls_cfg: TlsConfig,
     backend: ServerBackend,
@@ -421,22 +420,10 @@ pub struct StreamServer<F: Framing> {
 }
 
 impl<F: Framing> StreamServer<F> {
-    /// Listens on `(host, port)` answering every query with one fixed A
-    /// record `answer`/`ttl`. The TLS config must match the clients' (both
-    /// ends of the byte model derive flight sizes from it).
-    pub fn bind(
-        sim: &mut Sim,
-        host: HostId,
-        port: u16,
-        tls_cfg: TlsConfig,
-        answer: Ipv4Addr,
-        ttl: u32,
-    ) -> StreamServer<F> {
-        StreamServer::bind_with(sim, host, port, tls_cfg, ServerBackend::fixed(answer, ttl))
-    }
-
-    /// Listens on `(host, port)` answering from `backend`.
-    pub fn bind_with(
+    /// Listens on `(host, port)` answering from `backend`. The TLS config
+    /// must match the clients' (both ends of the byte model derive flight
+    /// sizes from it).
+    pub(crate) fn bind(
         sim: &mut Sim,
         host: HostId,
         port: u16,
@@ -454,8 +441,9 @@ impl<F: Framing> StreamServer<F> {
         }
     }
 
-    /// Established-and-open connection count (for tests and reports).
-    pub fn open_connections(&self) -> usize {
+    /// Established-and-open connection count.
+    #[cfg(test)]
+    pub(crate) fn open_connections(&self) -> usize {
         self.conns.iter().flatten().count()
     }
 
@@ -535,7 +523,8 @@ mod tests {
         let (stub, resolver) = (sim.add_host("stub"), sim.add_host("resolver"));
         // No link: query 1 stays queued behind a connection that never opens.
         let tls = TlsConfig::for_server("dns.example.net");
-        let mut client = crate::DotClient::new(stub, (resolver, 853), tls, ReusePolicy::Persistent);
+        let mut client =
+            crate::dot::DotClient::new(stub, (resolver, 853), tls, ReusePolicy::Persistent);
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
         client.send_query(&mut sim, &name);
         client.last_txn = 65_535;
@@ -592,9 +581,8 @@ mod tests {
             let tls = cfg.tls().expect("a stream transport");
             let mut sim = Sim::new(11);
             let resolver = sim.add_host("resolver");
-            let (answer, ttl) = (TransportConfig::ANSWER, TransportConfig::TTL);
-            let server =
-                StreamServer::bind(&mut sim, resolver, kind.port(), tls.clone(), answer, ttl);
+            let backend = ServerBackend::fixed(TransportConfig::ANSWER, TransportConfig::TTL);
+            let server = StreamServer::bind(&mut sim, resolver, kind.port(), tls.clone(), backend);
             let clients = (0..3)
                 .map(|i| {
                     let stub = sim.add_host(&format!("stub{i}"));
@@ -622,9 +610,9 @@ mod tests {
             bed.resolve(&[1]);
             assert_eq!(bed.server.open_connections(), 1, "{kind:?}");
         }
-        run(TransportKind::Dot, crate::DotClient::new);
-        run(TransportKind::DohH1, crate::DohH1Client::new);
-        run(TransportKind::DohH2, crate::DohH2Client::new);
+        run(TransportKind::Dot, crate::dot::DotClient::new);
+        run(TransportKind::DohH1, crate::doh1::DohH1Client::new);
+        run(TransportKind::DohH2, crate::doh2::DohH2Client::new);
     }
 
     /// The copy-free framing against the reference: same bytes, and every

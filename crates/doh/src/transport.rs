@@ -1,14 +1,15 @@
-//! The unified transport configuration and factory behind the paper's
-//! transport matrix.
+//! The transport configuration behind the paper's transport matrix: the
+//! one way into a transport.
 //!
-//! A [`TransportConfig`] names one cell of the matrix — transport kind ×
-//! [`ReusePolicy`] × TLS resumption — plus the link between stub and
-//! resolver; what the resolver is called and answers is the same in every
-//! cell ([`TransportConfig::SNI`], [`TransportConfig::ANSWER`]).
-//! [`TransportConfig::build_server`] / [`TransportConfig::build_client`]
-//! are [`Driver`](crate::Driver) registration factories, so experiment
-//! harnesses iterate over configs instead of naming concrete client/server
-//! types:
+//! A [`TransportConfig`] names one cell of the matrix — [`TransportKind`]
+//! × [`ReusePolicy`] × TLS resumption — plus the link between stub and
+//! resolver. Everything else is fixed: the resolver's name and its echo
+//! answer are the same in every cell, each kind speaks on its well-known
+//! port with its own ALPN offer, and Do53 always resends an unanswered
+//! query on TCP's RTO schedule. [`TransportConfig::build_server`] /
+//! [`TransportConfig::build_client`] are [`Driver`](crate::Driver)
+//! registration factories, and the clients and servers they box are
+//! private to this crate, so experiment harnesses iterate over configs:
 //!
 //! ```
 //! use dohmark_dns_wire::Name;
@@ -29,11 +30,12 @@
 //! }
 //! ```
 
+use crate::do53::{Do53Client, Do53Server};
+use crate::doh1::{DohH1Client, DohH1Server};
+use crate::doh2::{DohH2Client, DohH2Server};
+use crate::dot::{DotClient, DotServer};
 use crate::resolver::ServerBackend;
-use crate::{
-    Do53Client, Do53Server, DohH1Client, DohH1Server, DohH2Client, DohH2Server, DotClient,
-    DotServer, Endpoint, Resolver, ReusePolicy,
-};
+use crate::{Endpoint, Resolver};
 use dohmark_netsim::{HostId, LinkConfig, Sim};
 use dohmark_tls_model::{TlsConfig, ALPN_DOT, ALPN_H2, ALPN_HTTP11};
 use std::net::Ipv4Addr;
@@ -67,7 +69,7 @@ impl TransportKind {
     }
 
     /// The well-known server port (53 / 853 / 443).
-    pub fn port(self) -> u16 {
+    pub(crate) fn port(self) -> u16 {
         match self {
             TransportKind::Do53 => 53,
             TransportKind::Dot => 853,
@@ -76,12 +78,35 @@ impl TransportKind {
     }
 
     /// The ALPN protocol the client offers, if the transport runs on TLS.
-    pub fn alpn(self) -> Option<&'static str> {
+    pub(crate) fn alpn(self) -> Option<&'static str> {
         match self {
             TransportKind::Do53 => None,
             TransportKind::Dot => Some(ALPN_DOT),
             TransportKind::DohH1 => Some(ALPN_HTTP11),
             TransportKind::DohH2 => Some(ALPN_H2),
+        }
+    }
+}
+
+/// Connection-reuse policy of a TLS-based client (DoT or DoH).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReusePolicy {
+    /// Open a fresh connection per query and close it after the response —
+    /// every resolution pays the whole TCP + TLS handshake (the paper's
+    /// cold-connection case).
+    Fresh,
+    /// Keep one connection open and pipeline all queries over it — the
+    /// handshake is paid once and amortised (the paper's persistent case).
+    Persistent,
+}
+
+impl ReusePolicy {
+    /// Short lowercase label (`fresh` / `persistent`) used in cell labels
+    /// and result-table keys.
+    pub fn label(self) -> &'static str {
+        match self {
+            ReusePolicy::Fresh => "fresh",
+            ReusePolicy::Persistent => "persistent",
         }
     }
 }
@@ -98,47 +123,29 @@ pub struct TransportConfig {
     pub resumption: bool,
     /// Link characteristics between stub and resolver.
     pub link: LinkConfig,
-    /// Whether Do53 resends unanswered queries on TCP's RTO schedule (see
-    /// [`Do53Client::new`]; ignored by the TLS transports, whose TCP layer
-    /// already retransmits). `false` — the default — models a stub with
-    /// no application retry, so a lost datagram loses the resolution;
-    /// lossy-link experiments set it.
-    pub udp_retry: bool,
 }
 
 impl TransportConfig {
     /// The resolver's server name: the TLS SNI and the HTTP
     /// `host`/`:authority` value.
-    pub const SNI: &'static str = "dns.example.net";
+    pub(crate) const SNI: &'static str = "dns.example.net";
     /// The A record [`TransportConfig::build_server`] answers every query
     /// with.
-    pub const ANSWER: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 1);
-    /// That answer's TTL, in seconds.
+    pub(crate) const ANSWER: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 1);
+    /// The TTL of the echo answer [`TransportConfig::build_server`] gives
+    /// every query, in seconds.
     pub const TTL: u32 = 300;
 
     /// A matrix cell with the defaults the examples use: TLS 1.3, no
     /// resumption and the [`LinkConfig::clean_broadband`] link
     /// (14 ms/50 Mbit s⁻¹).
     pub fn new(kind: TransportKind, reuse: ReusePolicy) -> TransportConfig {
-        TransportConfig {
-            kind,
-            reuse,
-            resumption: false,
-            link: LinkConfig::clean_broadband(),
-            udp_retry: false,
-        }
+        TransportConfig { kind, reuse, resumption: false, link: LinkConfig::clean_broadband() }
     }
 
     /// Enables TLS session resumption (builder style).
     pub fn resumed(mut self) -> TransportConfig {
         self.resumption = true;
-        self
-    }
-
-    /// Enables Do53 datagram retransmission (builder style); a no-op for
-    /// the TLS transports, which never consult it.
-    pub fn with_udp_retry(mut self) -> TransportConfig {
-        self.udp_retry = true;
         self
     }
 
@@ -153,7 +160,7 @@ impl TransportConfig {
 
     /// The TLS configuration this cell implies (`None` for Do53): its
     /// kind's ALPN offer to [`Self::SNI`], resumed when the cell is.
-    pub fn tls(&self) -> Option<TlsConfig> {
+    pub(crate) fn tls(&self) -> Option<TlsConfig> {
         let alpn = self.kind.alpn()?;
         Some(TlsConfig {
             resumption: self.resumption,
@@ -174,8 +181,8 @@ impl TransportConfig {
         cells
     }
 
-    /// Builds this cell's server on `host`, answering every query with
-    /// [`Self::ANSWER`] under [`Self::TTL`]. Designed as a
+    /// Builds this cell's server on `host`, answering every query with one
+    /// fixed A record under [`Self::TTL`]. Designed as a
     /// [`Driver::register`](crate::Driver::register) factory, so handles
     /// it binds get the registering endpoint's owner id.
     pub fn build_server(&self, sim: &mut Sim, host: HostId) -> Box<dyn Endpoint> {
@@ -193,18 +200,18 @@ impl TransportConfig {
     ) -> Box<dyn Endpoint> {
         let port = self.kind.port();
         match self.kind {
-            TransportKind::Do53 => Box::new(Do53Server::bind_with(sim, host, port, backend)),
+            TransportKind::Do53 => Box::new(Do53Server::bind(sim, host, port, backend)),
             TransportKind::Dot => {
                 let tls = self.tls().expect("dot uses tls");
-                Box::new(DotServer::bind_with(sim, host, port, tls, backend))
+                Box::new(DotServer::bind(sim, host, port, tls, backend))
             }
             TransportKind::DohH1 => {
                 let tls = self.tls().expect("doh uses tls");
-                Box::new(DohH1Server::bind_with(sim, host, port, tls, backend))
+                Box::new(DohH1Server::bind(sim, host, port, tls, backend))
             }
             TransportKind::DohH2 => {
                 let tls = self.tls().expect("doh uses tls");
-                Box::new(DohH2Server::bind_with(sim, host, port, tls, backend))
+                Box::new(DohH2Server::bind(sim, host, port, tls, backend))
             }
         }
     }
@@ -218,7 +225,7 @@ impl TransportConfig {
     pub fn build_client(&self, stub: HostId, resolver: HostId) -> Box<dyn Resolver> {
         let server_addr = (resolver, self.kind.port());
         match self.kind {
-            TransportKind::Do53 => Box::new(Do53Client::new(stub, server_addr, self.udp_retry)),
+            TransportKind::Do53 => Box::new(Do53Client::new(stub, server_addr)),
             TransportKind::Dot => {
                 let tls = self.tls().expect("dot uses tls");
                 Box::new(DotClient::new(stub, server_addr, tls, self.reuse))

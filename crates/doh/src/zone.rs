@@ -32,7 +32,7 @@ pub struct Zone {
 impl Zone {
     /// The echo zone of the paper's controlled experiment: every query —
     /// whatever the name — gets one A record `answer` with `ttl`.
-    pub fn fixed(answer: Ipv4Addr, ttl: u32) -> Zone {
+    pub(crate) fn fixed(answer: Ipv4Addr, ttl: u32) -> Zone {
         Zone { origin: Name::root(), ttl, negative_ttl: ttl.min(60), mode: ZoneMode::Fixed(answer) }
     }
 
@@ -48,7 +48,7 @@ impl Zone {
     /// negative answers. Its TTL and `minimum` are both the configured
     /// negative TTL, so caches obeying RFC 2308's `min(SOA TTL, MINIMUM)`
     /// rule see exactly that value.
-    pub fn soa_record(&self) -> Record {
+    pub(crate) fn soa_record(&self) -> Record {
         let mname = self.origin.child("ns1").unwrap_or_else(|_| self.origin.clone());
         let rname = self.origin.child("hostmaster").unwrap_or_else(|_| self.origin.clone());
         Record::new(

@@ -62,13 +62,13 @@ pub mod settings {
 
 /// Frame-type codes (§6).
 mod frame_type {
-    pub const DATA: u8 = 0x0;
-    pub const HEADERS: u8 = 0x1;
-    pub const RST_STREAM: u8 = 0x3;
-    pub const SETTINGS: u8 = 0x4;
-    pub const PING: u8 = 0x6;
-    pub const GOAWAY: u8 = 0x7;
-    pub const WINDOW_UPDATE: u8 = 0x8;
+    pub(super) const DATA: u8 = 0x0;
+    pub(super) const HEADERS: u8 = 0x1;
+    pub(super) const RST_STREAM: u8 = 0x3;
+    pub(super) const SETTINGS: u8 = 0x4;
+    pub(super) const PING: u8 = 0x6;
+    pub(super) const GOAWAY: u8 = 0x7;
+    pub(super) const WINDOW_UPDATE: u8 = 0x8;
 }
 
 const FLAG_END_STREAM: u8 = 0x1;

@@ -68,6 +68,7 @@
 #![warn(missing_docs)]
 #![warn(clippy::print_stdout, clippy::print_stderr, clippy::unwrap_used)]
 #![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 mod buf;

@@ -56,6 +56,7 @@
 #![warn(missing_docs)]
 #![warn(clippy::print_stdout, clippy::print_stderr, clippy::unwrap_used)]
 #![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 use dohmark_doh::{Driver, EndpointId};
@@ -136,8 +137,9 @@ enum ResState {
 ///
 /// The loop ends when every resource is fetched or the simulation runs
 /// dry; in the latter case still-gated resources are counted as
-/// `unresolved` (a lost resolution on a retry-less transport starves its
-/// domain and that domain's whole dependency subtree).
+/// `unresolved` (a resolution whose transport gave up — every Do53 resend
+/// or every SYN lost — starves its domain and that domain's whole
+/// dependency subtree).
 pub fn load_page(
     sim: &mut Sim,
     driver: &mut Driver,
@@ -365,8 +367,9 @@ mod tests {
 
     #[test]
     fn lost_resolution_starves_the_domain_subtree() {
-        // A dead link with a retry-less stub: nothing ever resolves, so
-        // the root never fetches and the whole tree is unresolved.
+        // A dead link: the stub's query and each of its resends are lost,
+        // nothing ever resolves, so the root never fetches and the whole
+        // tree is unresolved.
         let mut cfg = TransportConfig::new(TransportKind::Do53, ReusePolicy::Fresh);
         cfg.link = cfg.link.loss(1.0);
         let (mut sim, mut driver, client) = harness(&cfg, TEST_SEED);
@@ -383,7 +386,7 @@ mod tests {
     fn every_transport_loads_model_pages_deterministically() {
         let zone = Name::parse("sites.dohmark.test").unwrap();
         for kind in TransportKind::ALL {
-            let cfg = TransportConfig::new(kind, ReusePolicy::Persistent).with_udp_retry();
+            let cfg = TransportConfig::new(kind, ReusePolicy::Persistent);
             let run = || {
                 let (mut sim, mut driver, client) = harness(&cfg, TEST_SEED);
                 let mut rng = SimRng::new(TEST_SEED);

@@ -35,6 +35,7 @@
 #![warn(missing_docs)]
 #![warn(clippy::print_stdout, clippy::print_stderr, clippy::unwrap_used)]
 #![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 use std::collections::BTreeMap;
@@ -46,8 +47,8 @@ use dohmark_netsim::{SimDuration, SimRng, SimTime};
 /// A complete query workload: Poisson arrival times paired with random
 /// names, the `(when, what)` stream every transport-matrix experiment
 /// replays identically across its cells. Every name has a random
-/// [`QuerySchedule::LABEL_LEN`]-character first label under one zone, so
-/// every query encodes to exactly the same wire length.
+/// 8-character first label under one zone, so every query encodes to
+/// exactly the same wire length.
 ///
 /// ```
 /// use dohmark_dns_wire::Name;
@@ -78,14 +79,14 @@ impl QuerySchedule {
     /// See [`QuerySchedule::ARRIVALS_STREAM`].
     pub const NAMES_STREAM: u64 = 2;
     /// Mean of the exponential inter-arrival gaps.
-    pub const MEAN_GAP: SimDuration = SimDuration::from_millis(50);
+    const MEAN_GAP: SimDuration = SimDuration::from_millis(50);
     /// Characters in every name's random first label.
-    pub const LABEL_LEN: usize = 8;
+    const LABEL_LEN: usize = 8;
 
     /// A schedule drawing both streams from `rng` (labels
     /// [`QuerySchedule::ARRIVALS_STREAM`] / [`QuerySchedule::NAMES_STREAM`]):
-    /// exponential gaps with mean [`QuerySchedule::MEAN_GAP`], names
-    /// `<LABEL_LEN random chars>.<zone>`.
+    /// exponential gaps with a 50 ms mean, names
+    /// `<8 random alphanumeric chars>.<zone>`.
     pub fn new(rng: &mut SimRng, zone: &Name) -> QuerySchedule {
         QuerySchedule {
             arrivals: rng.split(QuerySchedule::ARRIVALS_STREAM),
@@ -146,7 +147,7 @@ impl ZipfNames {
     }
 
     /// The `rank`-th (0-based, most popular first) name of the universe.
-    pub fn name_for(&self, rank: usize) -> Name {
+    fn name_for(&self, rank: usize) -> Name {
         let label = format!("w{rank:0width$}", width = ZipfNames::DIGITS);
         self.zone.child(&label).expect("fixed-width label under a valid zone is valid")
     }
@@ -378,7 +379,7 @@ impl SiteModel {
 
     /// Hard cap on domains per page — bounds the DNS fan-out (and the
     /// transaction-id budget a harness must reserve per page).
-    pub const MAX_DOMAINS: usize = 64;
+    const MAX_DOMAINS: usize = 64;
     /// Mean of the exponential extra-domain count (domains = 1 + extra).
     const MEAN_EXTRA_DOMAINS: f64 = 7.0;
     /// Mean of the exponential extra-resource count per domain.
