@@ -3,49 +3,6 @@
 use crate::error::{DnsError, Result};
 use crate::wire::{Reader, Writer};
 
-/// DNS operation codes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Opcode {
-    /// Standard query (the only opcode this study generates).
-    Query,
-    /// Inverse query (obsolete).
-    IQuery,
-    /// Server status request.
-    Status,
-    /// Zone change notification.
-    Notify,
-    /// Dynamic update.
-    Update,
-    /// Any opcode not otherwise modelled.
-    Other(u8),
-}
-
-impl Opcode {
-    /// The 4-bit wire value.
-    pub fn to_u8(self) -> u8 {
-        match self {
-            Opcode::Query => 0,
-            Opcode::IQuery => 1,
-            Opcode::Status => 2,
-            Opcode::Notify => 4,
-            Opcode::Update => 5,
-            Opcode::Other(v) => v & 0x0F,
-        }
-    }
-
-    /// Decodes the 4-bit wire value.
-    pub fn from_u8(v: u8) -> Opcode {
-        match v & 0x0F {
-            0 => Opcode::Query,
-            1 => Opcode::IQuery,
-            2 => Opcode::Status,
-            4 => Opcode::Notify,
-            5 => Opcode::Update,
-            other => Opcode::Other(other),
-        }
-    }
-}
-
 /// DNS response codes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rcode {
@@ -67,7 +24,7 @@ pub enum Rcode {
 
 impl Rcode {
     /// The 4-bit wire value.
-    pub fn to_u8(self) -> u8 {
+    pub(crate) fn to_u8(self) -> u8 {
         match self {
             Rcode::NoError => 0,
             Rcode::FormErr => 1,
@@ -80,7 +37,7 @@ impl Rcode {
     }
 
     /// Decodes the 4-bit wire value.
-    pub fn from_u8(v: u8) -> Rcode {
+    pub(crate) fn from_u8(v: u8) -> Rcode {
         match v & 0x0F {
             0 => Rcode::NoError,
             1 => Rcode::FormErr,
@@ -100,8 +57,9 @@ pub struct Header {
     pub id: u16,
     /// `true` for responses, `false` for queries (QR bit).
     pub response: bool,
-    /// Operation code.
-    pub opcode: Opcode,
+    /// Operation code, the 4-bit wire value: 0 (standard query) is the
+    /// only one this study sends.
+    pub opcode: u8,
     /// Authoritative answer (AA).
     pub authoritative: bool,
     /// Truncation (TC) — set when a UDP answer did not fit.
@@ -128,14 +86,14 @@ pub struct Header {
 
 impl Header {
     /// Size of the header on the wire.
-    pub const WIRE_LEN: usize = 12;
+    pub(crate) const WIRE_LEN: usize = 12;
 
     /// A recursive query header with the given transaction id.
-    pub fn new_query(id: u16) -> Header {
+    pub(crate) fn new_query(id: u16) -> Header {
         Header {
             id,
             response: false,
-            opcode: Opcode::Query,
+            opcode: 0,
             authoritative: false,
             truncated: false,
             recursion_desired: true,
@@ -151,7 +109,7 @@ impl Header {
     }
 
     /// A response header answering `query`.
-    pub fn new_response(query: &Header, rcode: Rcode) -> Header {
+    pub(crate) fn new_response(query: &Header, rcode: Rcode) -> Header {
         Header {
             id: query.id,
             response: true,
@@ -171,13 +129,13 @@ impl Header {
     }
 
     /// Encodes the 12-byte header.
-    pub fn encode(&self, w: &mut Writer) {
+    pub(crate) fn encode(&self, w: &mut Writer) {
         w.u16(self.id);
         let mut flags: u16 = 0;
         if self.response {
             flags |= 1 << 15;
         }
-        flags |= (self.opcode.to_u8() as u16) << 11;
+        flags |= u16::from(self.opcode & 0x0F) << 11;
         if self.authoritative {
             flags |= 1 << 10;
         }
@@ -205,13 +163,13 @@ impl Header {
     }
 
     /// Decodes the 12-byte header.
-    pub fn decode(r: &mut Reader<'_>) -> Result<Header> {
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Header> {
         let id = r.u16("header id")?;
         let flags = r.u16("header flags")?;
         let header = Header {
             id,
             response: flags & (1 << 15) != 0,
-            opcode: Opcode::from_u8(((flags >> 11) & 0x0F) as u8),
+            opcode: ((flags >> 11) & 0x0F) as u8,
             authoritative: flags & (1 << 10) != 0,
             truncated: flags & (1 << 9) != 0,
             recursion_desired: flags & (1 << 8) != 0,
@@ -228,7 +186,7 @@ impl Header {
     }
 
     /// Guards against absurd section counts before allocating.
-    pub fn validate_counts(&self, message_len: usize) -> Result<()> {
+    pub(crate) fn validate_counts(&self, message_len: usize) -> Result<()> {
         // The smallest possible record is a root-name question: 5 bytes;
         // a count that cannot possibly fit flags a hostile message early.
         let total = self.qdcount as usize
@@ -286,9 +244,15 @@ mod tests {
     #[test]
     fn opcode_and_rcode_round_trip_all_values() {
         for v in 0..16u8 {
-            assert_eq!(Opcode::from_u8(v).to_u8(), v);
+            let mut h = Header::new_query(1);
+            h.opcode = v;
+            assert_eq!(round_trip(&h), h);
             assert_eq!(Rcode::from_u8(v).to_u8(), v);
         }
+        // Only the low four bits reach the wire.
+        let mut h = Header::new_query(1);
+        h.opcode = 0x15;
+        assert_eq!(round_trip(&h).opcode, 0x05);
     }
 
     #[test]

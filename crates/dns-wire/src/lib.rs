@@ -1,11 +1,15 @@
 //! Byte-accurate DNS wireformat (RFC 1035) codec.
 //!
-//! This crate implements the DNS message format from first principles:
-//! domain names with RFC 1035 pointer compression, the 12-byte header,
-//! questions, resource records with typed RDATA (A, AAAA, CNAME, NS, PTR,
-//! SOA, MX, TXT, SRV and EDNS0 OPT), and complete message encode/decode.
-//! [`jsontext`] is the JSON text codec the figure reports are written and
-//! validated with.
+//! Its surface is [`Message`] — a [`Header`] (with its [`Rcode`]),
+//! [`Question`]s and [`Record`]s — built with [`Message::query`] or
+//! [`Message::response`] and put on the wire with [`Message::encode`] and
+//! [`Message::decode`]; a record's [`RecordType`] and typed [`Rdata`]
+//! ([`SoaRdata`] for a negative answer's SOA); domain [`Name`]s, written
+//! with RFC 1035 pointer compression to a [`Writer`] and read back from a
+//! [`Reader`]; and [`DnsError`] with its [`Result`]. RDATA is typed for A,
+//! AAAA, CNAME, SOA, MX and TXT; any other type is [`Rdata::Unknown`], its
+//! bytes kept verbatim (RFC 3597 §5). [`jsontext`] is the JSON text codec
+//! the figure reports are written and validated with.
 //!
 //! Every byte produced by [`Message::encode`] is real wire data: the
 //! overhead figures of the reproduced paper are computed over these bytes.
@@ -28,18 +32,19 @@
 #![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
-pub mod error;
-pub mod header;
+mod error;
+mod header;
 pub mod jsontext;
-pub mod message;
-pub mod name;
-pub mod rdata;
-pub mod record;
-pub mod wire;
+mod message;
+mod name;
+mod rdata;
+mod record;
+mod wire;
 
 pub use error::{DnsError, Result};
-pub use header::{Header, Opcode, Rcode};
+pub use header::{Header, Rcode};
 pub use message::{Message, Question};
 pub use name::Name;
-pub use rdata::{Rdata, SoaRdata, SrvRdata};
-pub use record::{Record, RecordClass, RecordType};
+pub use rdata::{Rdata, SoaRdata};
+pub use record::{Record, RecordType};
+pub use wire::{Reader, Writer};

@@ -4,7 +4,7 @@ use crate::error::{DnsError, Result};
 use crate::header::{Header, Rcode};
 use crate::name::Name;
 use crate::rdata::Rdata;
-use crate::record::{Record, RecordClass, RecordType};
+use crate::record::{Record, RecordType, CLASS_IN};
 use crate::wire::{Reader, Writer};
 
 /// One entry of the question section (RFC 1035 §4.1.2).
@@ -14,27 +14,27 @@ pub struct Question {
     pub name: Name,
     /// Queried type.
     pub qtype: RecordType,
-    /// Queried class.
-    pub qclass: RecordClass,
+    /// Queried class, the 16-bit wire value.
+    pub qclass: u16,
 }
 
 impl Question {
     /// An `IN`-class question.
-    pub fn new(name: Name, qtype: RecordType) -> Question {
-        Question { name, qtype, qclass: RecordClass::In }
+    pub(crate) fn new(name: Name, qtype: RecordType) -> Question {
+        Question { name, qtype, qclass: CLASS_IN }
     }
 
     fn encode(&self, w: &mut Writer) {
         self.name.encode(w);
         w.u16(self.qtype.to_u16());
-        w.u16(self.qclass.to_u16());
+        w.u16(self.qclass);
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Question> {
         Ok(Question {
             name: Name::decode(r)?,
             qtype: RecordType::from_u16(r.u16("question type")?),
-            qclass: RecordClass::from_u16(r.u16("question class")?),
+            qclass: r.u16("question class")?,
         })
     }
 }
@@ -50,7 +50,7 @@ pub struct Message {
     pub answers: Vec<Record>,
     /// Authority section.
     pub authorities: Vec<Record>,
-    /// Additional section (including the EDNS0 OPT pseudo-record).
+    /// Additional section.
     pub additionals: Vec<Record>,
 }
 
@@ -87,17 +87,6 @@ impl Message {
             .map(|q| vec![Record::new(q.name.clone(), ttl, Rdata::A(addr))])
             .unwrap_or_default();
         Message::response(query, Rcode::NoError, answers)
-    }
-
-    /// Appends an EDNS0 OPT record advertising `udp_payload_size`.
-    pub fn with_edns0(mut self, udp_payload_size: u16) -> Message {
-        self.additionals.push(Record {
-            name: Name::root(),
-            class: RecordClass::Other(udp_payload_size),
-            ttl: 0,
-            rdata: Rdata::Opt(Vec::new()),
-        });
-        self
     }
 
     /// The first question, if any.
@@ -143,7 +132,7 @@ impl Message {
     }
 
     /// Decodes a message from the reader's position, leaving trailing bytes.
-    pub fn decode_from(r: &mut Reader<'_>) -> Result<Message> {
+    pub(crate) fn decode_from(r: &mut Reader<'_>) -> Result<Message> {
         let header = Header::decode(r)?;
         header.validate_counts(r.message().len())?;
         let mut questions = Vec::with_capacity(header.qdcount as usize);
@@ -197,11 +186,19 @@ mod tests {
         resp.authorities.push(Record::new(
             Name::parse("example.com").unwrap(),
             3600,
-            Rdata::Ns(Name::parse("ns1.example.com").unwrap()),
+            Rdata::Cname(Name::parse("cdn.example.net").unwrap()),
         ));
-        resp = resp.with_edns0(4096);
+        // An EDNS0 OPT record (RFC 6891 §6.1.2): root owner, class = the
+        // UDP payload size, no options; the codec keeps its RDATA opaque.
+        resp.additionals.push(Record {
+            name: Name::root(),
+            class: 4096,
+            ttl: 0,
+            rdata: Rdata::Unknown { rtype: 41, data: Vec::new() },
+        });
         let wire = resp.encode();
         let back = Message::decode(&wire).unwrap();
+        assert_eq!((&back.authorities, &back.additionals), (&resp.authorities, &resp.additionals));
         assert_eq!(back.header.ancount, 1);
         assert_eq!(back.header.nscount, 1);
         assert_eq!(back.header.arcount, 1);

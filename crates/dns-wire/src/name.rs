@@ -5,15 +5,15 @@ use crate::wire::{Reader, Writer};
 use std::fmt;
 
 /// Maximum length of a single label, per RFC 1035 §2.3.4.
-pub const MAX_LABEL_LEN: usize = 63;
+pub(crate) const MAX_LABEL_LEN: usize = 63;
 /// Maximum length of a name on the wire, per RFC 1035 §2.3.4.
-pub const MAX_NAME_LEN: usize = 255;
+pub(crate) const MAX_NAME_LEN: usize = 255;
 
 /// A fully-qualified domain name.
 ///
 /// Stored as its uncompressed wire form in one buffer: length-prefixed
 /// labels, lower-cased once on the way in, terminated by the root octet,
-/// at most [`MAX_NAME_LEN`] octets. The root name is `[0]`. Comparison and
+/// at most 255 octets (RFC 1035 §2.3.4). The root name is `[0]`. Comparison and
 /// hashing are slice operations on that buffer and therefore
 /// case-insensitive, as RFC 1035 §2.3.3 requires. `Ord` is the byte order
 /// of the wire form — a total order consistent with `Eq`, *not* RFC 4034

@@ -25,23 +25,9 @@ pub struct SoaRdata {
     pub minimum: u32,
 }
 
-/// SRV record fields (RFC 2782).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SrvRdata {
-    /// Priority (lower preferred).
-    pub priority: u16,
-    /// Weight for equal priorities.
-    pub weight: u16,
-    /// Service port.
-    pub port: u16,
-    /// Target host.
-    pub target: Name,
-}
-
-/// Typed record data.
-///
-/// The `Opt` variant is the EDNS0 pseudo-record payload; its options are kept
-/// as raw `(code, data)` pairs because the study only needs their size.
+/// Typed record data for the types the study's resolutions carry. RDATA of
+/// any other type is [`Rdata::Unknown`]: opaque bytes, re-encoded verbatim
+/// (RFC 3597 §5).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Rdata {
     /// IPv4 address.
@@ -50,10 +36,6 @@ pub enum Rdata {
     Aaaa(Ipv6Addr),
     /// Alias target.
     Cname(Name),
-    /// Name-server host.
-    Ns(Name),
-    /// Reverse pointer target.
-    Ptr(Name),
     /// Mail exchange: preference and host.
     Mx {
         /// Preference (lower preferred).
@@ -65,10 +47,6 @@ pub enum Rdata {
     Txt(Vec<String>),
     /// Start of authority.
     Soa(SoaRdata),
-    /// Service location.
-    Srv(SrvRdata),
-    /// EDNS0 options as raw `(code, data)` pairs.
-    Opt(Vec<(u16, Vec<u8>)>),
     /// Unrecognised record data kept verbatim.
     Unknown {
         /// The wire record type.
@@ -80,18 +58,14 @@ pub enum Rdata {
 
 impl Rdata {
     /// The wire record type this RDATA belongs to.
-    pub fn rtype(&self) -> RecordType {
+    pub(crate) fn rtype(&self) -> RecordType {
         match self {
             Rdata::A(_) => RecordType::A,
             Rdata::Aaaa(_) => RecordType::Aaaa,
             Rdata::Cname(_) => RecordType::Cname,
-            Rdata::Ns(_) => RecordType::Ns,
-            Rdata::Ptr(_) => RecordType::Ptr,
             Rdata::Mx { .. } => RecordType::Mx,
             Rdata::Txt(_) => RecordType::Txt,
             Rdata::Soa(_) => RecordType::Soa,
-            Rdata::Srv(_) => RecordType::Srv,
-            Rdata::Opt(_) => RecordType::Opt,
             Rdata::Unknown { rtype, .. } => RecordType::from_u16(*rtype),
         }
     }
@@ -101,11 +75,11 @@ impl Rdata {
     /// Names inside RDATA are *not* compressed, matching RFC 3597's rule
     /// that compression must not be used for types unknown to intermediaries
     /// and modern-server practice for the classic types as well.
-    pub fn encode(&self, w: &mut Writer) {
+    pub(crate) fn encode(&self, w: &mut Writer) {
         match self {
             Rdata::A(addr) => w.bytes(&addr.octets()),
             Rdata::Aaaa(addr) => w.bytes(&addr.octets()),
-            Rdata::Cname(n) | Rdata::Ns(n) | Rdata::Ptr(n) => Self::encode_name_plain(n, w),
+            Rdata::Cname(n) => Self::encode_name_plain(n, w),
             Rdata::Mx { preference, exchange } => {
                 w.u16(*preference);
                 Self::encode_name_plain(exchange, w);
@@ -126,19 +100,6 @@ impl Rdata {
                 w.u32(soa.expire);
                 w.u32(soa.minimum);
             }
-            Rdata::Srv(srv) => {
-                w.u16(srv.priority);
-                w.u16(srv.weight);
-                w.u16(srv.port);
-                Self::encode_name_plain(&srv.target, w);
-            }
-            Rdata::Opt(options) => {
-                for (code, data) in options {
-                    w.u16(*code);
-                    w.u16(data.len() as u16);
-                    w.bytes(data);
-                }
-            }
             Rdata::Unknown { data, .. } => w.bytes(data),
         }
     }
@@ -150,8 +111,7 @@ impl Rdata {
     }
 
     /// Decodes RDATA of type `rtype` spanning exactly `rdlength` bytes.
-    pub fn decode(rtype: RecordType, r: &mut Reader<'_>, rdlength: usize) -> Result<Rdata> {
-        let end = r.position() + rdlength;
+    pub(crate) fn decode(rtype: RecordType, r: &mut Reader<'_>, rdlength: usize) -> Result<Rdata> {
         let rdata = match rtype {
             RecordType::A => {
                 let b = r.bytes(4, "A rdata")?;
@@ -164,12 +124,11 @@ impl Rdata {
                 Rdata::Aaaa(Ipv6Addr::from(o))
             }
             RecordType::Cname => Rdata::Cname(Name::decode(r)?),
-            RecordType::Ns => Rdata::Ns(Name::decode(r)?),
-            RecordType::Ptr => Rdata::Ptr(Name::decode(r)?),
             RecordType::Mx => {
                 Rdata::Mx { preference: r.u16("MX preference")?, exchange: Name::decode(r)? }
             }
             RecordType::Txt => {
+                let end = r.position() + rdlength;
                 let mut strings = Vec::new();
                 while r.position() < end {
                     let len = r.u8("TXT length")? as usize;
@@ -190,24 +149,6 @@ impl Rdata {
                 expire: r.u32("SOA expire")?,
                 minimum: r.u32("SOA minimum")?,
             }),
-            RecordType::Srv => Rdata::Srv(SrvRdata {
-                priority: r.u16("SRV priority")?,
-                weight: r.u16("SRV weight")?,
-                port: r.u16("SRV port")?,
-                target: Name::decode(r)?,
-            }),
-            RecordType::Opt => {
-                let mut options = Vec::new();
-                while r.position() < end {
-                    let code = r.u16("OPT code")?;
-                    let len = r.u16("OPT length")? as usize;
-                    if r.position() + len > end {
-                        return Err(DnsError::Truncated { context: "OPT option" });
-                    }
-                    options.push((code, r.bytes(len, "OPT data")?.to_vec()));
-                }
-                Rdata::Opt(options)
-            }
             other => Rdata::Unknown {
                 rtype: other.to_u16(),
                 data: r.bytes(rdlength, "unknown rdata")?.to_vec(),
@@ -241,8 +182,6 @@ mod tests {
     fn name_bearing_rdata_round_trips() {
         let n = Name::parse("target.example.net").unwrap();
         round_trip(Rdata::Cname(n.clone()));
-        round_trip(Rdata::Ns(n.clone()));
-        round_trip(Rdata::Ptr(n.clone()));
         round_trip(Rdata::Mx { preference: 10, exchange: n });
     }
 
@@ -266,26 +205,20 @@ mod tests {
     }
 
     #[test]
-    fn srv_round_trips() {
-        round_trip(Rdata::Srv(SrvRdata {
-            priority: 0,
-            weight: 5,
-            port: 443,
-            target: Name::parse("doh.example.org").unwrap(),
-        }));
-    }
-
-    #[test]
-    fn opt_round_trips() {
-        round_trip(Rdata::Opt(vec![(8, vec![0, 1, 16, 0, 1, 2, 3, 4]), (10, vec![9; 8])]));
-        round_trip(Rdata::Opt(vec![]));
-    }
-
-    #[test]
     fn unknown_type_preserves_bytes() {
         round_trip(Rdata::Unknown { rtype: 99, data: vec![1, 2, 3, 4, 5] });
         // A type with a name but no typed arm takes the same path: CAA.
         round_trip(Rdata::Unknown { rtype: 257, data: b"\x80\x05issuepki.goog".to_vec() });
+        // So do NS, PTR, SRV and OPT: their bytes pass through untouched,
+        // a name inside them neither read nor decompressed.
+        let target = b"\x03doh\x07example\x03org\0";
+        round_trip(Rdata::Unknown { rtype: 2, data: target.to_vec() });
+        round_trip(Rdata::Unknown { rtype: 12, data: b"\x01a\xC0\x0C".to_vec() });
+        round_trip(Rdata::Unknown {
+            rtype: 33,
+            data: [&[0, 0, 0, 5, 1, 187][..], target].concat(),
+        });
+        round_trip(Rdata::Unknown { rtype: 41, data: vec![0, 8, 0, 12, 1, 2] });
     }
 
     #[test]
@@ -294,13 +227,6 @@ mod tests {
         let wire = [10u8, b'a', b'b'];
         let mut r = Reader::new(&wire);
         assert!(Rdata::decode(RecordType::Txt, &mut r, wire.len()).is_err());
-    }
-
-    #[test]
-    fn truncated_opt_option_is_an_error() {
-        let wire = [0u8, 8, 0, 12, 1, 2];
-        let mut r = Reader::new(&wire);
-        assert!(Rdata::decode(RecordType::Opt, &mut r, wire.len()).is_err());
     }
 
     #[test]

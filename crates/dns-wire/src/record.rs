@@ -1,142 +1,68 @@
-//! Resource records, record types and classes (RFC 1035 §3.2, §4.1.3).
+//! Resource records and record types (RFC 1035 §3.2, §4.1.3).
 
 use crate::error::{DnsError, Result};
 use crate::name::Name;
 use crate::rdata::Rdata;
 use crate::wire::{Reader, Writer};
-use std::fmt;
 
-/// DNS record types relevant to the study's traffic mix.
+/// DNS record types the study's resolutions carry; any other type is
+/// [`RecordType::Unknown`], its RDATA kept verbatim (RFC 3597 §5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum RecordType {
     /// IPv4 address.
     A,
-    /// Authoritative name server.
-    Ns,
     /// Canonical name (alias) — ubiquitous in CDN redirection.
     Cname,
     /// Start of authority.
     Soa,
-    /// Domain name pointer (reverse DNS).
-    Ptr,
     /// Mail exchange.
     Mx,
     /// Free-form text.
     Txt,
     /// IPv6 address.
     Aaaa,
-    /// Service location (RFC 2782).
-    Srv,
-    /// EDNS0 pseudo-record (RFC 6891).
-    Opt,
-    /// Certification Authority Authorization (RFC 6844) — probed in Table 2.
-    Caa,
-    /// HTTPS service binding (RFC 9460) — seen in modern browser traffic.
-    Https,
-    /// Any type not otherwise modelled.
+    /// Any type not otherwise modelled, by its wire value.
     Unknown(u16),
 }
 
 impl RecordType {
     /// The 16-bit wire value.
-    pub fn to_u16(self) -> u16 {
+    pub(crate) fn to_u16(self) -> u16 {
         match self {
             RecordType::A => 1,
-            RecordType::Ns => 2,
             RecordType::Cname => 5,
             RecordType::Soa => 6,
-            RecordType::Ptr => 12,
             RecordType::Mx => 15,
             RecordType::Txt => 16,
             RecordType::Aaaa => 28,
-            RecordType::Srv => 33,
-            RecordType::Opt => 41,
-            RecordType::Https => 65,
-            RecordType::Caa => 257,
             RecordType::Unknown(v) => v,
         }
     }
 
     /// Decodes the 16-bit wire value.
-    pub fn from_u16(v: u16) -> RecordType {
+    pub(crate) fn from_u16(v: u16) -> RecordType {
         match v {
             1 => RecordType::A,
-            2 => RecordType::Ns,
             5 => RecordType::Cname,
             6 => RecordType::Soa,
-            12 => RecordType::Ptr,
             15 => RecordType::Mx,
             16 => RecordType::Txt,
             28 => RecordType::Aaaa,
-            33 => RecordType::Srv,
-            41 => RecordType::Opt,
-            65 => RecordType::Https,
-            257 => RecordType::Caa,
             other => RecordType::Unknown(other),
         }
     }
 }
 
-impl fmt::Display for RecordType {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            RecordType::A => "A",
-            RecordType::Ns => "NS",
-            RecordType::Cname => "CNAME",
-            RecordType::Soa => "SOA",
-            RecordType::Ptr => "PTR",
-            RecordType::Mx => "MX",
-            RecordType::Txt => "TXT",
-            RecordType::Aaaa => "AAAA",
-            RecordType::Srv => "SRV",
-            RecordType::Opt => "OPT",
-            RecordType::Https => "HTTPS",
-            RecordType::Caa => "CAA",
-            RecordType::Unknown(v) => return write!(f, "TYPE{v}"),
-        };
-        f.write_str(s)
-    }
-}
-
-/// DNS classes. Only `IN` occurs in real resolution traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RecordClass {
-    /// The Internet class.
-    In,
-    /// Chaos (used for server identification queries).
-    Ch,
-    /// Any class not otherwise modelled (includes OPT's UDP-size reuse).
-    Other(u16),
-}
-
-impl RecordClass {
-    /// The 16-bit wire value.
-    pub fn to_u16(self) -> u16 {
-        match self {
-            RecordClass::In => 1,
-            RecordClass::Ch => 3,
-            RecordClass::Other(v) => v,
-        }
-    }
-
-    /// Decodes the 16-bit wire value.
-    pub fn from_u16(v: u16) -> RecordClass {
-        match v {
-            1 => RecordClass::In,
-            3 => RecordClass::Ch,
-            other => RecordClass::Other(other),
-        }
-    }
-}
+/// The Internet class, the only one real resolution traffic carries.
+pub(crate) const CLASS_IN: u16 = 1;
 
 /// A resource record: owner name, type, class, TTL and typed RDATA.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Record {
     /// Owner name.
     pub name: Name,
-    /// Class (`IN` in practice). For OPT records this field carries the
-    /// requestor's UDP payload size instead.
-    pub class: RecordClass,
+    /// Class, the 16-bit wire value (1, `IN`, in practice).
+    pub class: u16,
     /// Time to live in seconds.
     pub ttl: u32,
     /// Typed record data. The record type on the wire is derived from this.
@@ -146,19 +72,19 @@ pub struct Record {
 impl Record {
     /// Builds an `IN`-class record.
     pub fn new(name: Name, ttl: u32, rdata: Rdata) -> Record {
-        Record { name, class: RecordClass::In, ttl, rdata }
+        Record { name, class: CLASS_IN, ttl, rdata }
     }
 
     /// The wire record type implied by the RDATA.
-    pub fn rtype(&self) -> RecordType {
+    pub(crate) fn rtype(&self) -> RecordType {
         self.rdata.rtype()
     }
 
     /// Encodes the record, back-patching RDLENGTH.
-    pub fn encode(&self, w: &mut Writer) {
+    pub(crate) fn encode(&self, w: &mut Writer) {
         self.name.encode(w);
         w.u16(self.rtype().to_u16());
-        w.u16(self.class.to_u16());
+        w.u16(self.class);
         w.u32(self.ttl);
         let rdlength_at = w.len();
         w.u16(0);
@@ -169,10 +95,10 @@ impl Record {
     }
 
     /// Decodes one record.
-    pub fn decode(r: &mut Reader<'_>) -> Result<Record> {
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Record> {
         let name = Name::decode(r)?;
         let rtype = RecordType::from_u16(r.u16("record type")?);
-        let class = RecordClass::from_u16(r.u16("record class")?);
+        let class = r.u16("record class")?;
         let ttl = r.u32("record ttl")?;
         let rdlength = r.u16("rdlength")? as usize;
         if r.remaining() < rdlength {
@@ -197,27 +123,16 @@ mod tests {
     fn record_type_round_trip() {
         for t in [
             RecordType::A,
-            RecordType::Ns,
             RecordType::Cname,
             RecordType::Soa,
-            RecordType::Ptr,
             RecordType::Mx,
             RecordType::Txt,
             RecordType::Aaaa,
-            RecordType::Srv,
-            RecordType::Opt,
-            RecordType::Https,
-            RecordType::Caa,
+            RecordType::Unknown(2),
+            RecordType::Unknown(41),
             RecordType::Unknown(999),
         ] {
             assert_eq!(RecordType::from_u16(t.to_u16()), t);
-        }
-    }
-
-    #[test]
-    fn record_class_round_trip() {
-        for c in [RecordClass::In, RecordClass::Ch, RecordClass::Other(4096)] {
-            assert_eq!(RecordClass::from_u16(c.to_u16()), c);
         }
     }
 
@@ -237,13 +152,6 @@ mod tests {
         assert_eq!(&wire[wire.len() - 6..wire.len() - 4], &[0, 4]);
         let back = Record::decode(&mut Reader::new(&wire)).unwrap();
         assert_eq!(back, rec);
-    }
-
-    #[test]
-    fn display_of_types() {
-        assert_eq!(RecordType::A.to_string(), "A");
-        assert_eq!(RecordType::Caa.to_string(), "CAA");
-        assert_eq!(RecordType::Unknown(250).to_string(), "TYPE250");
     }
 
     #[test]

@@ -19,7 +19,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Current offset from the start of the message.
-    pub fn position(&self) -> usize {
+    pub(crate) fn position(&self) -> usize {
         self.pos
     }
 
@@ -33,22 +33,22 @@ impl<'a> Reader<'a> {
     }
 
     /// Bytes remaining after the cursor.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
     /// Whether the cursor has consumed the entire buffer.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.remaining() == 0
     }
 
     /// The full underlying message buffer.
-    pub fn message(&self) -> &'a [u8] {
+    pub(crate) fn message(&self) -> &'a [u8] {
         self.buf
     }
 
     /// Reads one octet.
-    pub fn u8(&mut self, context: &'static str) -> Result<u8> {
+    pub(crate) fn u8(&mut self, context: &'static str) -> Result<u8> {
         if self.pos >= self.buf.len() {
             return Err(DnsError::Truncated { context });
         }
@@ -58,14 +58,14 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a big-endian `u16`.
-    pub fn u16(&mut self, context: &'static str) -> Result<u16> {
+    pub(crate) fn u16(&mut self, context: &'static str) -> Result<u16> {
         let hi = self.u8(context)?;
         let lo = self.u8(context)?;
         Ok(u16::from_be_bytes([hi, lo]))
     }
 
     /// Reads a big-endian `u32`.
-    pub fn u32(&mut self, context: &'static str) -> Result<u32> {
+    pub(crate) fn u32(&mut self, context: &'static str) -> Result<u32> {
         let a = self.u8(context)?;
         let b = self.u8(context)?;
         let c = self.u8(context)?;
@@ -74,7 +74,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads exactly `n` bytes.
-    pub fn bytes(&mut self, n: usize, context: &'static str) -> Result<&'a [u8]> {
+    pub(crate) fn bytes(&mut self, n: usize, context: &'static str) -> Result<&'a [u8]> {
         if self.remaining() < n {
             return Err(DnsError::Truncated { context });
         }
@@ -102,7 +102,7 @@ impl Writer {
     }
 
     /// Creates a writer that never emits compression pointers.
-    pub fn uncompressed() -> Self {
+    pub(crate) fn uncompressed() -> Self {
         Writer { compress: false, ..Writer::new() }
     }
 
@@ -122,17 +122,17 @@ impl Writer {
     }
 
     /// Appends one octet.
-    pub fn u8(&mut self, v: u8) {
+    pub(crate) fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// Appends a big-endian `u16`.
-    pub fn u16(&mut self, v: u16) {
+    pub(crate) fn u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
     /// Appends a big-endian `u32`.
-    pub fn u32(&mut self, v: u32) {
+    pub(crate) fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
@@ -143,7 +143,7 @@ impl Writer {
 
     /// Overwrites the big-endian `u16` at `offset` (used for RDLENGTH
     /// back-patching after the RDATA is known).
-    pub fn patch_u16(&mut self, offset: usize, v: u16) {
+    pub(crate) fn patch_u16(&mut self, offset: usize, v: u16) {
         self.buf[offset..offset + 2].copy_from_slice(&v.to_be_bytes());
     }
 
@@ -159,7 +159,7 @@ impl Writer {
     /// the figures are computed over these bytes and every report digest
     /// pins them — so a faster index must still return the
     /// earliest-registered match.
-    pub fn find_suffix(&self, suffix: &[u8]) -> Option<usize> {
+    pub(crate) fn find_suffix(&self, suffix: &[u8]) -> Option<usize> {
         self.name_offsets.iter().map(|&off| usize::from(off)).find(|&off| self.name_at(off, suffix))
     }
 
@@ -199,7 +199,7 @@ impl Writer {
     /// ones (see [`Writer::find_suffix`]). Offsets past `0x3FFF` are
     /// unreachable by a 14-bit pointer and are silently discarded, as is
     /// everything on an uncompressed writer.
-    pub fn register_suffix(&mut self, offset: usize) {
+    pub(crate) fn register_suffix(&mut self, offset: usize) {
         if self.compress && offset < 0x4000 {
             self.name_offsets.push(offset as u16);
         }

@@ -68,7 +68,7 @@ impl fmt::Display for H1Error {
 impl std::error::Error for H1Error {}
 
 /// Case-insensitive header lookup over `(name, value)` pairs.
-pub fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
+fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
     headers.iter().find(|(n, _)| n.eq_ignore_ascii_case(name)).map(|(_, v)| v.as_str())
 }
 
@@ -84,7 +84,7 @@ pub struct Encoded {
 
 impl Encoded {
     /// Total wire length.
-    pub fn wire_len(&self) -> usize {
+    fn wire_len(&self) -> usize {
         self.head.len() + self.body.len()
     }
 

@@ -56,8 +56,6 @@ pub mod settings {
     pub const INITIAL_WINDOW_SIZE: u16 = 0x4;
     /// Largest frame payload the sender accepts.
     pub const MAX_FRAME_SIZE: u16 = 0x5;
-    /// Advisory maximum header-list size.
-    pub const MAX_HEADER_LIST_SIZE: u16 = 0x6;
 }
 
 /// Frame-type codes (§6).

@@ -69,10 +69,10 @@ use std::sync::OnceLock;
 pub const DEFAULT_TABLE_SIZE: usize = 4096;
 
 /// Per-entry bookkeeping overhead added to name + value lengths (§4.1).
-pub const ENTRY_OVERHEAD: usize = 32;
+pub(crate) const ENTRY_OVERHEAD: usize = 32;
 
 /// The RFC 7541 Appendix A static table (1-indexed).
-pub const STATIC_TABLE: [(&str, &str); 61] = [
+pub(crate) const STATIC_TABLE: [(&str, &str); 61] = [
     (":authority", ""),
     (":method", "GET"),
     (":method", "POST"),
@@ -604,7 +604,8 @@ impl Encoder {
     }
 
     /// Number of dynamic-table entries.
-    pub fn table_entries(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn table_entries(&self) -> usize {
         self.table.entries.len()
     }
 

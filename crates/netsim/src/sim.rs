@@ -366,7 +366,7 @@ impl Sim {
     }
 
     /// Connects two hosts with distinct per-direction characteristics.
-    pub fn add_link_asymmetric(
+    pub(crate) fn add_link_asymmetric(
         &mut self,
         a: HostId,
         b: HostId,

@@ -416,12 +416,14 @@ impl Sim {
     }
 
     /// Whether the handshake has completed and the endpoint has not closed.
-    pub fn tcp_is_established(&self, conn: TcpHandle) -> bool {
+    #[cfg(test)]
+    pub(crate) fn tcp_is_established(&self, conn: TcpHandle) -> bool {
         self.ep(conn).state == TcpState::Established
     }
 
     /// Whether the peer's FIN has been processed (EOF after draining).
-    pub fn tcp_fin_received(&self, conn: TcpHandle) -> bool {
+    #[cfg(test)]
+    pub(crate) fn tcp_fin_received(&self, conn: TcpHandle) -> bool {
         self.ep(conn).fin_rcvd
     }
 
@@ -431,7 +433,8 @@ impl Sim {
     }
 
     /// The local port of this end of the connection.
-    pub fn tcp_local_port(&self, conn: TcpHandle) -> u16 {
+    #[cfg(test)]
+    pub(crate) fn tcp_local_port(&self, conn: TcpHandle) -> u16 {
         self.ep(conn).port
     }
 
