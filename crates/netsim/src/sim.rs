@@ -950,7 +950,7 @@ mod tests {
     /// by that key, not by when it was queued: after an event due earlier,
     /// and before one due at the same instant whose `seq` came later.
     #[test]
-    fn a_timer_that_would_break_a_lanes_order_goes_to_the_heap() {
+    fn a_requeued_timer_pops_by_its_deadline_key() {
         let mut sim = Sim::new(25);
         let ms = |n| SimTime::ZERO + SimDuration::from_millis(n);
         let timer = || EvKind::TcpTimer { conn: 0, side: Side::Client, kind: TimerKind::Rto };
