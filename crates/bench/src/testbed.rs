@@ -116,6 +116,11 @@ impl Testbed {
         self.driver.run_until_quiescent(&mut self.sim);
         let stats = self.sim.stats();
         debug_assert_eq!(stats.events_scheduled, stats.events_popped, "an event was never popped");
+        debug_assert_eq!(
+            stats.wire_bytes,
+            self.sim.meter.total().bytes,
+            "the meter and the links disagree on the bytes sent"
+        );
         match self.driver.unrouted_wakes() {
             0 => Ok(self.sim),
             n => Err(CellError::UnroutedWakes(n)),

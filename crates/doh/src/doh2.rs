@@ -423,8 +423,7 @@ mod tests {
                 }
                 Wake::TcpReadable { conn: handle, .. } if handle.side == Side::Server => {
                     let Some((tls, conn)) = server_conn.as_mut() else { continue };
-                    let data = sim.tcp_recv(handle);
-                    let plaintext = tls.advance(&mut sim, &data);
+                    let plaintext = tls.read(&mut sim);
                     let (queries, _) = Http2::decode(conn, &plaintext, &mut Vec::new());
                     for (stream_id, query) in queries {
                         let body =

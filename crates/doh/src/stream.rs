@@ -87,12 +87,20 @@ static ZERO_BLOCK: [u8; 4096] = [0; 4096];
 /// One endpoint's view of a TLS connection: drives the
 /// `dohmark-tls-model` handshake flights over a simulated TCP
 /// connection, then seals and deframes application data as TLS records.
+///
+/// It reads through [`Sim::tcp_read`], on the bytes borrowed in place from
+/// the peer's send buffer: a received flight is only counted and a record
+/// is deframed from there, so no received byte is copied before its
+/// plaintext is.
 #[derive(Debug)]
 pub(crate) struct TlsStream {
     handle: TcpHandle,
     flights: [Flight; 3],
-    /// Index of the next flight not yet fully sent/received.
+    /// Index of the next flight not yet fully received or due to send.
     next_flight: usize,
+    /// Index of the first flight of ours not yet handed to TCP: flights
+    /// from here up to `next_flight` that are ours are due.
+    unsent: usize,
     /// Bytes of the currently awaited inbound flight already received.
     flight_rx: usize,
     /// Attribution for connection setup bytes this endpoint sends.
@@ -107,6 +115,7 @@ impl TlsStream {
             handle,
             flights: handshake_flights(cfg),
             next_flight: 0,
+            unsent: 0,
             flight_rx: 0,
             setup_attr,
             established: false,
@@ -114,41 +123,59 @@ impl TlsStream {
         }
     }
 
-    /// Drives the handshake with `incoming` stream bytes (possibly empty),
-    /// sending our flights when it is our turn; surplus bytes after
-    /// establishment flow through the record deframer. Returns the
-    /// deframed application plaintext, in order.
-    pub(crate) fn advance(&mut self, sim: &mut Sim, mut incoming: &[u8]) -> Vec<u8> {
+    /// Reads what the connection has received (possibly nothing) and
+    /// drives the handshake with it: sends each of our flights that the
+    /// read made due, and passes the bytes after the last flight through
+    /// the record deframer. Returns the deframed application plaintext, in
+    /// order.
+    pub(crate) fn read(&mut self, sim: &mut Sim) -> Vec<u8> {
+        let plaintext = sim.tcp_read(self.handle, |incoming| self.take(incoming));
+        self.send_due_flights(sim);
+        plaintext
+    }
+
+    /// Whether `flight` is this endpoint's to send.
+    fn ours(&self, flight: &Flight) -> bool {
+        flight.from_client == (self.handle.side == Side::Client)
+    }
+
+    /// Counts `incoming` against the flights we await, marking ours due as
+    /// their turn comes; returns the plaintext deframed from any bytes
+    /// after the last flight.
+    fn take(&mut self, mut incoming: &[u8]) -> Vec<u8> {
         while !self.established {
-            let Some(flight) = self.flights.get(self.next_flight) else {
+            let Some(&flight) = self.flights.get(self.next_flight) else {
                 self.established = true;
                 break;
             };
-            if flight.from_client == (self.handle.side == Side::Client) {
-                // Our turn: emit the flight as opaque handshake bytes, in
-                // one write so it segments as one.
-                sim.set_attr(self.setup_attr);
-                let parts: Vec<(LayerTag, &[u8])> = chunk_lens(flight.bytes, ZERO_BLOCK.len())
-                    .map(|len| (LayerTag::Tls, &ZERO_BLOCK[..len]))
-                    .collect();
-                sim.tcp_send_vectored(self.handle, &parts);
-                self.next_flight += 1;
-            } else {
-                let need = flight.bytes - self.flight_rx;
-                let take = need.min(incoming.len());
+            if !self.ours(&flight) {
+                let take = (flight.bytes - self.flight_rx).min(incoming.len());
                 self.flight_rx += take;
                 incoming = &incoming[take..];
-                if self.flight_rx == flight.bytes {
-                    self.flight_rx = 0;
-                    self.next_flight += 1;
-                } else {
+                if self.flight_rx < flight.bytes {
                     return Vec::new(); // need more bytes
                 }
+                self.flight_rx = 0;
             }
+            // Ours is due: sent once the read is over.
+            self.next_flight += 1;
         }
         let mut plaintext = Vec::new();
         self.deframer.deframe_into(incoming, &mut plaintext);
         plaintext
+    }
+
+    /// Sends each flight of ours that [`TlsStream::take`] made due, as
+    /// opaque handshake bytes in one write so that it segments as one.
+    fn send_due_flights(&mut self, sim: &mut Sim) {
+        for flight in self.flights[self.unsent..self.next_flight].iter().filter(|f| self.ours(f)) {
+            sim.set_attr(self.setup_attr);
+            let parts: Vec<(LayerTag, &[u8])> = chunk_lens(flight.bytes, ZERO_BLOCK.len())
+                .map(|len| (LayerTag::Tls, &ZERO_BLOCK[..len]))
+                .collect();
+            sim.tcp_send_vectored(self.handle, &parts);
+        }
+        self.unsent = self.next_flight;
     }
 
     /// Seals the concatenation of `segments` into TLS records and queues
@@ -229,11 +256,11 @@ impl<F: Framing> Conn<F> {
         Conn { tls: TlsStream::new(handle, cfg, setup_attr), codec: F::conn(handle.side) }
     }
 
-    /// Feeds received stream bytes through TLS and the framing, writing
-    /// the control traffic the framing owes the peer; returns what
+    /// Reads the received stream bytes through TLS and the framing,
+    /// writing the control traffic the framing owes the peer; returns what
     /// [`Framing::decode`] did.
-    fn receive(&mut self, sim: &mut Sim, data: &[u8]) -> (Vec<(F::Slot, Message)>, usize) {
-        let plaintext = self.tls.advance(sim, data);
+    fn receive(&mut self, sim: &mut Sim) -> (Vec<(F::Slot, Message)>, usize) {
+        let plaintext = self.tls.read(sim);
         let mut control = Vec::new();
         let decoded = F::decode(&mut self.codec, &plaintext, &mut control);
         for segments in &control {
@@ -369,10 +396,11 @@ impl<F: Framing> Endpoint for StreamClient<F> {
     fn on_wake(&mut self, sim: &mut Sim, wake: &Wake) {
         let Some(conn) = self.conn.as_mut() else { return };
         let handle = conn.tls.handle;
-        let data = match *wake {
-            // TCP is up: kick off the TLS handshake (ClientHello).
-            Wake::TcpConnected { conn: h, .. } if h == handle => Vec::new(),
-            Wake::TcpReadable { conn: h, .. } if h == handle => sim.tcp_recv(handle),
+        match *wake {
+            // TCP is up: a read, of nothing yet, kicks off the TLS
+            // handshake (ClientHello).
+            Wake::TcpConnected { conn: h, .. } | Wake::TcpReadable { conn: h, .. }
+                if h == handle => {}
             Wake::TcpFin { conn: h, .. } if h == handle => {
                 // Server closed on us; drop the connection state so the
                 // next query reconnects.
@@ -381,9 +409,9 @@ impl<F: Framing> Endpoint for StreamClient<F> {
                 return;
             }
             _ => return,
-        };
+        }
         let was_established = conn.tls.established;
-        let (responses, completed) = conn.receive(sim, &data);
+        let (responses, completed) = conn.receive(sim);
         self.inflight = self.inflight.saturating_sub(completed);
         self.responses.extend(responses.into_iter().map(|(_, response)| response));
         if !was_established && conn.tls.established {
@@ -482,8 +510,7 @@ impl<F: Framing> Endpoint for StreamServer<F> {
             }
             Wake::TcpReadable { conn: handle, .. } if handle.side == Side::Server => {
                 let Some(Some(conn)) = self.conns.get_mut(handle.index()) else { return };
-                let data = sim.tcp_recv(handle);
-                let (queries, _) = conn.receive(sim, &data);
+                let (queries, _) = conn.receive(sim);
                 for (slot, query) in queries {
                     let waiter = self.next_waiter;
                     self.next_waiter += 1;

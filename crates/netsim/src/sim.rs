@@ -25,7 +25,7 @@
 //! [`Sim::stats`] counts what the heap did.
 
 use crate::link::{DirLink, LinkConfig};
-use crate::packet::Packet;
+use crate::packet::{Body, Packet};
 use crate::rng::SimRng;
 use crate::tcp::{Listener, TcpConn, TimerKind};
 use crate::time::{SimDuration, SimTime};
@@ -120,8 +120,8 @@ pub enum Wake {
         /// Server-side handle.
         conn: TcpHandle,
     },
-    /// A TCP connection has new bytes readable. May be spurious if an
-    /// earlier wake already drained them.
+    /// A TCP connection has new bytes for [`Sim::tcp_read`]. May be
+    /// spurious if an earlier read already consumed them.
     TcpReadable {
         /// Readable end.
         conn: TcpHandle,
@@ -149,7 +149,7 @@ pub(crate) struct Ev {
     pub kind: EvKind,
 }
 
-// With a `Packet` inline an entry would be ~176 bytes.
+// With a `Packet` inline an entry would be over three times as large.
 const _: () = assert!(std::mem::size_of::<Ev>() <= 40);
 
 /// What an [`Ev`] does; `Deliver` names the [`PacketSlab`] slot of the
@@ -181,11 +181,17 @@ pub struct EngineStats {
     pub tcp_rtos_fired: u64,
     /// The most entries the heap held at once.
     pub heap_peak: u64,
+    /// Bytes put on links: the sum of every transmitted packet's wire
+    /// length, headers included, dropped packets too. Counted apart from
+    /// the [`CostMeter`], whose total it equals on a run that conserves
+    /// what it meters.
+    pub wire_bytes: u64,
 }
 
 /// Out-of-line storage for the packets in flight, so heap entries stay
 /// small. A slot is taken when a packet is put on a link and freed when it
-/// is delivered; the payload `Vec` is moved in and out, never copied. Free
+/// is delivered. A slot holds no payload bytes for a TCP segment, and moves
+/// a UDP datagram's payload `Vec` in and out without copying it. Free
 /// slots are chained through the slots themselves, so the slab is one
 /// allocation, and at its high-water mark it makes none.
 #[derive(Debug, Default)]
@@ -264,10 +270,6 @@ pub struct Sim {
     owner: u64,
     next_ephemeral: u16,
     pub(crate) dropped: u64,
-    /// Sum of `wire_len()` over every packet put on a link, counted apart
-    /// from the meter so a test can hold the two against each other.
-    #[cfg(any(test, debug_assertions))]
-    wire_bytes: u64,
 }
 
 impl Sim {
@@ -293,8 +295,6 @@ impl Sim {
             owner: 0,
             next_ephemeral: EPHEMERAL_BASE,
             dropped: 0,
-            #[cfg(any(test, debug_assertions))]
-            wire_bytes: 0,
         }
     }
 
@@ -506,7 +506,7 @@ impl Sim {
         let src_sock = &self.udp[sock.0];
         let src = (HostId(src_sock.host), src_sock.port);
         let layers = LayerBytes::of(tag, payload.len() as u64);
-        let pkt = Packet { src, dst, seg: None, layers, payload, attr: self.attr };
+        let pkt = Packet { src, dst, body: Body::Datagram(payload), layers, attr: self.attr };
         let link = self.route(src.0, dst.0);
         self.send_packet(pkt, link);
     }
@@ -526,7 +526,7 @@ impl Sim {
     pub(crate) fn send_packet(&mut self, mut pkt: Packet, link: Option<usize>) {
         debug_assert_eq!(
             pkt.layers.total(),
-            pkt.payload.len() as u64,
+            pkt.payload_len() as u64,
             "layer bytes must cover the payload exactly"
         );
         debug_assert_eq!(link, self.route(pkt.src.0, pkt.dst.0), "a stale cached route");
@@ -537,22 +537,21 @@ impl Sim {
         let cfg = self.links[link].cfg;
         // Every transmitted packet consumes wire bytes, delivered or not.
         self.meter.record(&pkt);
-        #[cfg(any(test, debug_assertions))]
-        {
-            self.wire_bytes += pkt.wire_len() as u64;
-        }
+        self.stats.wire_bytes += pkt.wire_len() as u64;
         let lost = self.rng.chance(cfg.loss);
         let corrupted = !lost && self.rng.chance(cfg.corrupt);
         // Corrupted TCP segments fail the checksum at the receiver and are
         // discarded there: identical to a drop for the state machine.
-        if lost || (corrupted && pkt.seg.is_some()) {
+        if lost || (corrupted && matches!(pkt.body, Body::Segment(_))) {
             self.dropped += 1;
             return;
         }
-        if corrupted && !pkt.payload.is_empty() {
-            // Flip one byte of a UDP datagram; decoders must tolerate it.
-            let idx = self.rng.below(pkt.payload.len() as u64) as usize;
-            pkt.payload[idx] ^= 0xFF;
+        if let Body::Datagram(payload) = &mut pkt.body {
+            if corrupted && !payload.is_empty() {
+                // Flip one byte of a UDP datagram; decoders must tolerate it.
+                let idx = self.rng.below(payload.len() as u64) as usize;
+                payload[idx] ^= 0xFF;
+            }
         }
         let jitter = if cfg.jitter > SimDuration::ZERO {
             SimDuration::from_nanos(self.rng.range_u64(0, cfg.jitter.as_nanos()))
@@ -569,12 +568,12 @@ impl Sim {
         self.udp_open.range((host, port, 0)..=(host, port, usize::MAX)).next().map(|s| s.2)
     }
 
-    fn deliver_udp(&mut self, pkt: Packet) {
-        let Some(idx) = self.open_sock(pkt.dst.0 .0, pkt.dst.1) else {
+    fn deliver_udp(&mut self, src: (HostId, u16), dst: (HostId, u16), payload: Vec<u8>) {
+        let Some(idx) = self.open_sock(dst.0 .0, dst.1) else {
             self.dropped += 1;
             return;
         };
-        self.udp[idx].rx.push_back((pkt.src.0, pkt.src.1, pkt.payload));
+        self.udp[idx].rx.push_back((src.0, src.1, payload));
         let owner = self.udp[idx].owner;
         self.wakes.push_back((Wake::UdpReadable { sock: SockId(idx) }, owner));
     }
@@ -616,9 +615,9 @@ impl Sim {
         match ev.kind {
             EvKind::Deliver(slot) => {
                 let pkt = self.packets.take(slot);
-                match pkt.seg {
-                    None => self.deliver_udp(pkt),
-                    Some(seg) => self.on_tcp_segment(seg, pkt.dst, pkt.payload),
+                match pkt.body {
+                    Body::Datagram(payload) => self.deliver_udp(pkt.src, pkt.dst, payload),
+                    Body::Segment(seg) => self.on_tcp_segment(seg, pkt.dst),
                 }
             }
             EvKind::TcpTimer { conn, side, kind } => {
@@ -811,7 +810,7 @@ mod tests {
         assert!(sim.dropped_packets() > 0, "the link lost nothing");
         let total = sim.meter.total();
         assert!(total.layers.http_body > written, "nothing was retransmitted");
-        assert_eq!(total.bytes, sim.wire_bytes);
+        assert_eq!(total.bytes, sim.stats().wire_bytes);
         assert_eq!(total.layers.total(), total.bytes);
         sim
     }

@@ -23,12 +23,21 @@
 //! including on retransmission, which is how a lossy link visibly inflates
 //! the paper's per-resolution costs.
 //!
+//! A segment carries no bytes. The sender's write is the one copy a payload
+//! byte makes, into the endpoint's send buffer; a segment names its bytes
+//! by `seq` and length, with their per-layer counts and attribution, and
+//! its arrival only moves the receiver's `rcv_nxt`. The application reads
+//! with [`Sim::tcp_read`], which hands it the unread in-order bytes as one
+//! slice borrowed from the peer's send buffer. So a sender keeps each byte
+//! until the peer has both acknowledged and read it, and a go-back-N
+//! retransmission copies nothing either.
+//!
 //! The application-facing API lives on [`Sim`]: [`Sim::tcp_listen`],
-//! [`Sim::tcp_connect`], [`Sim::tcp_send`], [`Sim::tcp_recv`] and
-//! [`Sim::tcp_close`], with readiness delivered through
-//! [`Wake`] events.
+//! [`Sim::tcp_connect`], [`Sim::tcp_send`], [`Sim::tcp_read`] (or
+//! [`Sim::tcp_recv`], which copies what it reads) and [`Sim::tcp_close`],
+//! with readiness delivered through [`Wake`] events.
 
-use crate::packet::{Packet, TcpFlags, TcpSegMeta, IP_HEADER, TCP_HEADER, TCP_SYN_OPTIONS};
+use crate::packet::{Body, Packet, TcpFlags, TcpSegMeta, IP_HEADER, TCP_HEADER, TCP_SYN_OPTIONS};
 use crate::sim::{EvKind, HostId, ListenerId, Side, Sim, TcpHandle, Wake};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{LayerBytes, LayerTag};
@@ -76,11 +85,13 @@ struct TaggedRange {
     len: u32,
 }
 
-/// One segment's worth of a [`TaggedBuf`], as [`TaggedBuf::slice`] cut it.
+/// One segment's worth of a [`TaggedBuf`], as [`TaggedBuf::slice`] describes
+/// it: everything a segment carries about its payload except the bytes.
 #[derive(Debug)]
 struct Segment {
-    bytes: Vec<u8>,
-    /// `bytes` split by the tag each was written under.
+    /// Payload length.
+    len: u32,
+    /// The payload split by the tag each byte was written under.
     layers: LayerBytes,
     /// Attribution of the first byte: the whole packet is charged to it.
     attr: u32,
@@ -92,19 +103,22 @@ struct Segment {
 /// each byte was written under, so retransmitted segments reproduce the
 /// exact layer breakdown of the original transmission.
 ///
-/// The bytes are one contiguous `Vec` whose acknowledged prefix is dead:
-/// [`TaggedBuf::push`] is the one copy a byte makes on its way in,
-/// [`TaggedBuf::slice`] is the one `memcpy` per transmission (go-back-N
-/// re-slices the same bytes under the same tags), and
-/// [`TaggedBuf::advance`] only moves the offset, compacting when the dead
-/// prefix outgrows the live bytes — so each byte is moved at most once more
-/// over its lifetime.
+/// The bytes are one contiguous `Vec` whose released prefix is dead:
+/// [`TaggedBuf::push`] is the one copy a byte makes on its way in. A
+/// transmission copies nothing: [`TaggedBuf::slice`] only sums the tags of
+/// the bytes a segment stands for (go-back-N describes the same bytes under
+/// the same tags again), and the receiver's [`Sim::tcp_read`] borrows them in
+/// place through [`TaggedBuf::bytes`]. So the sender keeps a byte until the
+/// peer has both acknowledged and read it. [`TaggedBuf::advance`] only moves
+/// the offset, compacting when the dead prefix outgrows the live bytes — so
+/// each byte is moved at most once more over its lifetime.
 ///
 /// A drained buffer keeps its storage only up to one segment
 /// ([`TaggedBuf::release_above`]): a write that fits one segment, as every
 /// steady-state DNS message does, reuses it without allocating, while a
 /// multi-segment burst such as the TLS server flight is given back once it
-/// is acknowledged instead of staying with the connection for its life.
+/// is acknowledged and read instead of staying with the connection for its
+/// life.
 #[derive(Debug, Default)]
 struct TaggedBuf {
     data: Vec<u8>,
@@ -133,7 +147,7 @@ impl TaggedBuf {
         self.ranges.push_back(TaggedRange { tag, attr, len: bytes.len() as u32 });
     }
 
-    /// Drops `n` bytes from the front (they were cumulatively ACKed).
+    /// Drops `n` bytes from the front (the peer acknowledged and read them).
     fn advance(&mut self, n: usize) {
         debug_assert!(n <= self.len());
         self.head += n;
@@ -163,11 +177,15 @@ impl TaggedBuf {
         }
     }
 
-    /// Copies `len` bytes starting `off` bytes into the buffer, summing
-    /// per tag the ranges that cover exactly those bytes.
+    /// The `len` bytes starting `off` bytes into the buffer, in place.
+    fn bytes(&self, off: usize, len: usize) -> &[u8] {
+        &self.data[self.head + off..self.head + off + len]
+    }
+
+    /// Describes the segment of `len` bytes starting `off` bytes into the
+    /// buffer, summing per tag the ranges that cover exactly those bytes.
     fn slice(&self, off: usize, len: usize) -> Segment {
         debug_assert!(off + len <= self.len());
-        let bytes = self.data[self.head + off..self.head + off + len].to_vec();
         let mut layers = LayerBytes::default();
         let mut attr = None;
         let mut mixed_attr = false;
@@ -184,7 +202,7 @@ impl TaggedBuf {
                 break;
             }
         }
-        Segment { bytes, layers, attr: attr.unwrap_or(0), mixed_attr }
+        Segment { len: len as u32, layers, attr: attr.unwrap_or(0), mixed_attr }
     }
 
     /// Bytes from `off` to the end of the contiguous run of ranges that
@@ -272,17 +290,22 @@ pub(crate) struct Endpoint {
     // Send direction.
     snd_una: u64,
     snd_nxt: u64,
-    /// Stream sequence of `sndbuf[0]`; only unacknowledged bytes are kept.
+    /// Stream sequence of `sndbuf[0]`.
     buf_base: u64,
-    /// Unacknowledged bytes. Once an ACK drains it, it keeps at most `mss`
-    /// bytes of storage, so a handshake flight is not carried for the
-    /// connection's life.
+    /// Written bytes that the peer has not both acknowledged and read: a
+    /// retransmission describes them from here, and the peer's
+    /// [`Sim::tcp_read`] borrows them from here. Once drained, it keeps at
+    /// most `mss` bytes of storage, so a handshake flight is not carried
+    /// for the connection's life.
     sndbuf: TaggedBuf,
     fin_queued: bool,
     fin_seq: Option<u64>,
     // Receive direction.
     rcv_nxt: u64,
-    rcvbuf: Vec<u8>,
+    /// Stream sequence of the first byte the application has not read. The
+    /// bytes from here up to `rcv_nxt` (less a received FIN) are still in the
+    /// peer's `sndbuf`.
+    rcv_read: u64,
     fin_rcvd: bool,
     /// Segments received since the last ACK went out.
     ack_pending: u32,
@@ -318,7 +341,7 @@ impl Endpoint {
             fin_queued: false,
             fin_seq: None,
             rcv_nxt: 0,
-            rcvbuf: Vec::new(),
+            rcv_read: 1,
             fin_rcvd: false,
             ack_pending: 0,
             timers: [Timer::IDLE; 2],
@@ -327,6 +350,17 @@ impl Endpoint {
             failed: false,
             listener: None,
             link,
+        }
+    }
+
+    /// Drops the send-buffer bytes that the peer has both acknowledged
+    /// (below `snd_una`) and read (below `read`, its `rcv_read`).
+    fn release(&mut self, read: u64) {
+        let keep_from = self.snd_una.min(read).min(self.buf_base + self.sndbuf.len() as u64);
+        if keep_from > self.buf_base {
+            self.sndbuf.advance((keep_from - self.buf_base) as usize);
+            self.sndbuf.release_above(self.mss);
+            self.buf_base = keep_from;
         }
     }
 }
@@ -397,9 +431,33 @@ impl Sim {
         self.tcp_pump(conn.conn, conn.side);
     }
 
-    /// Drains and returns all bytes received in order so far.
+    /// Hands the bytes received in order and not yet read to `f` as one
+    /// slice, borrowed in place from the peer's send buffer, then consumes
+    /// them; `f` sees an empty slice when there are none. Returns what `f`
+    /// returns. A read sends nothing: it only lets the peer release bytes
+    /// it already has acknowledged.
+    pub fn tcp_read<R>(&mut self, conn: TcpHandle, f: impl FnOnce(&[u8]) -> R) -> R {
+        let [client, server] = &mut self.conns[conn.conn].ends;
+        let (ep, peer) = match conn.side {
+            Side::Client => (client, server),
+            Side::Server => (server, client),
+        };
+        // A received FIN takes the sequence number after the last byte.
+        let end = ep.rcv_nxt - u64::from(ep.fin_rcvd);
+        if end <= ep.rcv_read {
+            return f(&[]);
+        }
+        let off = (ep.rcv_read - peer.buf_base) as usize;
+        let read = f(peer.sndbuf.bytes(off, (end - ep.rcv_read) as usize));
+        ep.rcv_read = end;
+        peer.release(end);
+        read
+    }
+
+    /// Drains and returns all bytes received in order so far: a
+    /// [`Sim::tcp_read`] that copies them out.
     pub fn tcp_recv(&mut self, conn: TcpHandle) -> Vec<u8> {
-        std::mem::take(&mut self.ep_mut(conn).rcvbuf)
+        self.tcp_read(conn, <[u8]>::to_vec)
     }
 
     /// Closes the sending direction: a FIN follows any still-queued data.
@@ -480,7 +538,7 @@ impl Sim {
             "a segment must never span attribution boundaries"
         );
         let attr = data.as_ref().map_or(self.attr(), |d| d.attr);
-        let (payload, layers) = data.map(|d| (d.bytes, d.layers)).unwrap_or_default();
+        let (len, layers) = data.map(|d| (d.len, d.layers)).unwrap_or_default();
         let (src, dst, ack, link) = {
             let c = &mut self.conns[conn];
             let ack = if flags.ack { c.ends[side.index()].rcv_nxt } else { 0 };
@@ -500,8 +558,8 @@ impl Sim {
             found
         });
         let options_len = if flags.syn { TCP_SYN_OPTIONS } else { 0 };
-        let seg = Some(TcpSegMeta { conn, seq, ack, flags, options_len });
-        self.send_packet(Packet { src, dst, seg, layers, payload, attr }, link);
+        let body = Body::Segment(TcpSegMeta { conn, seq, ack, len, flags, options_len });
+        self.send_packet(Packet { src, dst, body, layers, attr }, link);
     }
 
     fn tcp_emit_syn(&mut self, conn: usize) {
@@ -583,7 +641,7 @@ impl Sim {
     // Segment reception (called from the event loop)
     // ------------------------------------------------------------------
 
-    pub(crate) fn on_tcp_segment(&mut self, seg: TcpSegMeta, dst: (HostId, u16), payload: Vec<u8>) {
+    pub(crate) fn on_tcp_segment(&mut self, seg: TcpSegMeta, dst: (HostId, u16)) {
         let side = {
             let server = &self.conns[seg.conn].ends[Side::Server.index()];
             if server.host == dst.0 .0 && server.port == dst.1 {
@@ -600,7 +658,7 @@ impl Sim {
             }
             return;
         }
-        self.on_tcp_established_segment(seg.conn, side, &seg, payload);
+        self.on_tcp_established_segment(seg.conn, side, &seg);
     }
 
     /// A client SYN arriving at the server side of `conn`.
@@ -681,13 +739,7 @@ impl Sim {
     }
 
     /// ACK / data / FIN processing on an engaged endpoint.
-    fn on_tcp_established_segment(
-        &mut self,
-        conn: usize,
-        side: Side,
-        seg: &TcpSegMeta,
-        payload: Vec<u8>,
-    ) {
+    fn on_tcp_established_segment(&mut self, conn: usize, side: Side, seg: &TcpSegMeta) {
         if self.conns[conn].ends[side.index()].state == TcpState::Idle {
             self.dropped += 1;
             return;
@@ -701,7 +753,7 @@ impl Sim {
         let mut need_delack = false;
         {
             let ep = &mut self.conns[conn].ends[side.index()];
-            let len = payload.len() as u64;
+            let len = u64::from(seg.len);
             let seg_end = seg.seq + len;
             if len > 0 {
                 if seg.seq > ep.rcv_nxt {
@@ -711,14 +763,8 @@ impl Sim {
                     // Pure duplicate (our ACK was probably lost).
                     ack_now = true;
                 } else {
-                    // In order, possibly overlapping already-received bytes.
-                    let skip = (ep.rcv_nxt - seg.seq) as usize;
-                    if skip == 0 && ep.rcvbuf.is_empty() {
-                        // The usual case: the payload is moved, not copied.
-                        ep.rcvbuf = payload;
-                    } else {
-                        ep.rcvbuf.extend_from_slice(&payload[skip..]);
-                    }
+                    // In order, possibly overlapping already-received bytes:
+                    // they become readable where the sender keeps them.
                     ep.rcv_nxt = seg_end;
                     readable = true;
                     ep.ack_pending += 1;
@@ -759,6 +805,7 @@ impl Sim {
     fn on_tcp_ack(&mut self, conn: usize, side: Side, ackno: u64) {
         let mut accepted = None;
         let advanced = {
+            let read = self.conns[conn].ends[side.peer().index()].rcv_read;
             let ep = &mut self.conns[conn].ends[side.index()];
             if ackno <= ep.snd_una {
                 false
@@ -766,14 +813,8 @@ impl Sim {
                 // Old in-flight segments can be ACKed after a go-back-N
                 // rewind, so the ACK may run past snd_nxt; trust it.
                 let new_una = ackno;
-                let data_start = ep.snd_una.max(ep.buf_base);
-                let data_end = new_una.min(ep.buf_base + ep.sndbuf.len() as u64);
-                if data_end > data_start {
-                    ep.sndbuf.advance((data_end - data_start) as usize);
-                    ep.sndbuf.release_above(ep.mss);
-                    ep.buf_base = data_end;
-                }
                 ep.snd_una = new_una;
+                ep.release(read);
                 ep.snd_nxt = ep.snd_nxt.max(new_una);
                 ep.retries = 0;
                 ep.rto = INIT_RTO;
@@ -1045,19 +1086,95 @@ mod tests {
         wait_for(&mut sim, |w| matches!(w, Wake::TcpConnected { .. }));
         let sndbuf =
             |sim: &Sim| (sim.ep(client).sndbuf.len(), sim.ep(client).sndbuf.data.capacity());
+        // The sender keeps a byte until the server has read it too.
+        let run_dry_reading = |sim: &mut Sim| {
+            while let Some(wake) = sim.next_wake() {
+                if let Wake::TcpReadable { conn } = wake {
+                    sim.tcp_read(conn, |_| ());
+                }
+            }
+        };
         // A burst of three segments, like a TLS server flight: once it is
-        // acknowledged, its storage goes with it.
+        // acknowledged and read, its storage goes with it.
         sim.tcp_send(client, LayerTag::Tls, &[1; 3000]);
-        sim.drain();
+        run_dry_reading(&mut sim);
         let (len, cap) = sndbuf(&sim);
         assert_eq!(len, 0, "everything was acknowledged");
         assert!(cap <= sim.ep(client).mss, "a drained buffer kept {cap} B");
         // A write that fits one segment keeps its storage for the next one.
         sim.tcp_send(client, LayerTag::DnsPayload, &[2; 200]);
-        sim.drain();
+        run_dry_reading(&mut sim);
         let (len, cap) = sndbuf(&sim);
         assert_eq!(len, 0);
         assert!(cap > 0, "a one-segment buffer is reused, not reallocated per write");
+    }
+
+    /// Reads that come late see the stream that was written. On a lossy,
+    /// jittered (so reordering) link, both ends write random-sized, randomly
+    /// tagged chunks at random instants, then close, and read at random
+    /// instants of their own — often after the ACK for the bytes returned,
+    /// and after a go-back-N rewind. What each end reads, concatenated, is
+    /// what the other wrote; and once the run is dry and everything is read,
+    /// both send buffers are empty and keep at most one MSS of storage.
+    #[test]
+    fn late_reads_see_the_written_stream() {
+        const TAGS: [LayerTag; 4] =
+            [LayerTag::Tls, LayerTag::HttpHeader, LayerTag::HttpBody, LayerTag::DnsPayload];
+        let ms = SimDuration::from_millis;
+        let (mut acked_first, mut after_rto) = (0, 0);
+        for seed in 1..=30u64 {
+            let mut rng = crate::rng::SimRng::new(0x1a7e ^ seed);
+            let (mut sim, a, b) = two_hosts(seed, LinkConfig::lossy_wifi().loss(0.05));
+            sim.tcp_listen(b, 853);
+            let client = sim.tcp_connect(a, (b, 853));
+            let ends = [client, TcpHandle { conn: client.conn, side: Side::Server }];
+            // Tokens: `side * 3 + {0: write, 1: read, 2: close}`.
+            for side in 0..2u64 {
+                for _ in 0..rng.range_u64(10, 40) {
+                    sim.schedule_app(SimTime::ZERO + ms(rng.below(2000)), side * 3);
+                    sim.schedule_app(SimTime::ZERO + ms(rng.below(3000)), side * 3 + 1);
+                }
+                sim.schedule_app(SimTime::ZERO + ms(2000), side * 3 + 2);
+            }
+            let (mut written, mut read) = ([Vec::new(), Vec::new()], [Vec::new(), Vec::new()]);
+            let mut rtos_seen = [0; 2];
+            let mut late_read = |sim: &mut Sim, side: usize, read: &mut [Vec<u8>; 2]| {
+                let (ep, peer) = (sim.ep(ends[side]), sim.ep(ends[1 - side]));
+                if ep.rcv_nxt - u64::from(ep.fin_rcvd) > ep.rcv_read {
+                    acked_first += usize::from(peer.snd_una > ep.rcv_read);
+                    after_rto += usize::from(sim.stats.tcp_rtos_fired > rtos_seen[side]);
+                }
+                rtos_seen[side] = sim.stats.tcp_rtos_fired;
+                sim.tcp_read(ends[side], |bytes| read[side].extend_from_slice(bytes));
+            };
+            while let Some(wake) = sim.next_wake() {
+                let Wake::AppTimer { token } = wake else { continue };
+                let side = (token / 3) as usize;
+                match token % 3 {
+                    0 => {
+                        let len = if rng.chance(0.2) { rng.below(5000) } else { rng.below(200) };
+                        let chunk: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+                        sim.set_attr(rng.below(3) as u32);
+                        sim.tcp_send(ends[side], TAGS[rng.below(4) as usize], &chunk);
+                        written[side].extend_from_slice(&chunk);
+                    }
+                    1 => late_read(&mut sim, side, &mut read),
+                    _ => sim.tcp_close(ends[side]),
+                }
+            }
+            for side in 0..2 {
+                late_read(&mut sim, side, &mut read);
+            }
+            for side in 0..2 {
+                assert!(!sim.tcp_has_failed(ends[side]), "seed {seed}: side {side} gave up");
+                assert!(read[side] == written[1 - side], "seed {seed}: side {side} misread");
+                let ep = sim.ep(ends[side]);
+                let cap = ep.sndbuf.data.capacity();
+                assert!(ep.sndbuf.len() == 0, "seed {seed}: side {side} kept bytes");
+                assert!(cap <= ep.mss, "seed {seed}: side {side} kept {cap} B");
+            }
+        }
+        assert!(acked_first > 250 && after_rto > 200, "{acked_first} {after_rto}");
     }
 
     #[test]
@@ -1289,7 +1406,8 @@ mod tests {
 
         // Across the attribution boundary on purpose (the pump never does).
         let seg = buf.slice(12, 10);
-        assert_eq!(seg.bytes, [vec![2; 3], vec![3; 7]].concat());
+        assert_eq!(buf.bytes(12, 10), [vec![2; 3], vec![3; 7]].concat());
+        assert_eq!(seg.len, 10);
         assert_eq!((seg.layers.tls, seg.layers.http_body, seg.layers.total()), (3, 7, 10));
         assert_eq!(seg.attr, 1, "the first byte's attribution");
         assert!(seg.mixed_attr);
@@ -1298,7 +1416,7 @@ mod tests {
         buf.advance(15);
         assert_eq!(buf.len(), 20);
         let seg = buf.slice(0, 20);
-        assert_eq!(seg.bytes, vec![3; 20]);
+        assert_eq!(buf.bytes(0, 20), vec![3; 20]);
         assert_eq!((seg.layers.http_body, seg.layers.total()), (20, 20));
         assert_eq!((seg.attr, seg.mixed_attr), (2, false));
     }
@@ -1323,7 +1441,8 @@ mod tests {
                 let seg = buf.slice(off, len);
                 let want = &model[off..off + len];
                 let bytes: Vec<u8> = want.iter().map(|b| b.0).collect();
-                assert_eq!(seg.bytes, bytes, "seed {seed}: bytes of slice({off}, {len})");
+                assert_eq!(buf.bytes(off, len), bytes, "seed {seed}: bytes at ({off}, {len})");
+                assert_eq!(seg.len as usize, len, "seed {seed}: len of slice({off}, {len})");
                 for tag in LayerTag::ALL {
                     let n = want.iter().filter(|b| b.1 == tag).count() as u64;
                     assert_eq!(seg.layers.get(tag), n, "seed {seed}: {tag:?} of ({off}, {len})");

@@ -211,8 +211,7 @@ mod tests {
         Packet {
             src: (crate::sim::HostId(0), 1000),
             dst: (crate::sim::HostId(1), 53),
-            seg: None,
-            payload: vec![0; payload],
+            body: crate::packet::Body::Datagram(vec![0; payload]),
             layers: LayerBytes::of(LayerTag::DnsPayload, payload as u64),
             attr,
         }
