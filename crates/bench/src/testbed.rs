@@ -17,8 +17,7 @@ use crate::stats;
 use crate::sweep::{Cell, CellError, CellId, CellOutcome};
 use dohmark::dns::Name;
 use dohmark::doh::{
-    Driver, EndpointId, RecursiveResolver, ReusePolicy, ServerBackend, TransportConfig,
-    TransportKind, Zone,
+    Driver, EndpointId, ReusePolicy, ServerBackend, TransportConfig, TransportKind, Zone,
 };
 use dohmark::netsim::{Cost, LayerTag, Sim, SimDuration, SimTime};
 use dohmark::pageload::{load_page, PageLoadResult};
@@ -34,9 +33,6 @@ pub const SITE_STREAM: u64 = 8;
 /// page-load site ranks.
 pub const ZIPF_EXPONENT: f64 = 1.0;
 
-/// Fleet resolver cache capacity, in entries: big enough to never evict.
-pub const FLEET_CACHE_CAPACITY: usize = 1 << 16;
-
 /// Mean gap between one fleet client's queries (Poisson arrivals).
 pub const FLEET_MEAN_GAP: SimDuration = SimDuration::from_millis(200);
 
@@ -44,8 +40,8 @@ pub const FLEET_MEAN_GAP: SimDuration = SimDuration::from_millis(200);
 pub const PAGELOAD_SITES: usize = 1000;
 
 /// One run's simulated world: a resolver host serving `cfg`'s transport,
-/// `clients` stub hosts each on its own link to it, everything registered
-/// in one [`Driver`] for addressed wake routing.
+/// `clients` stub hosts each on its own link to it, every endpoint built
+/// by one [`Driver`] for addressed wake routing.
 struct Testbed {
     sim: Sim,
     driver: Driver,
@@ -54,9 +50,9 @@ struct Testbed {
 
 impl Testbed {
     /// Builds the topology. With a `recursive_zone` the resolver is a
-    /// caching [`RecursiveResolver`] fetching misses from a plain-Do53
-    /// authoritative upstream for that zone; without one it answers from
-    /// `cfg`'s fixed backend.
+    /// caching recursive resolver fetching misses from a plain-Do53
+    /// authoritative upstream for that zone; without one it is the echo
+    /// resolver.
     fn new(
         seed: u64,
         cfg: &TransportConfig,
@@ -66,31 +62,23 @@ impl Testbed {
         let mut sim = Sim::new(seed);
         let resolver = sim.add_host("resolver");
         let mut driver = Driver::new();
-        if let Some(zone) = recursive_zone {
-            let upstream = sim.add_host("upstream");
-            sim.add_link(resolver, upstream, cfg.link);
-            driver.register(&mut sim, |sim| {
-                let backend = ServerBackend::Authoritative(Zone::synth(
-                    zone.clone(),
-                    TransportConfig::TTL,
-                    60,
-                ));
-                TransportConfig::new(TransportKind::Do53, ReusePolicy::Fresh)
-                    .build_server_with(sim, upstream, backend)
-            });
-            driver.register(&mut sim, |sim| {
-                let recursive =
-                    RecursiveResolver::new(sim, resolver, (upstream, 53), FLEET_CACHE_CAPACITY);
-                cfg.build_server_with(sim, resolver, ServerBackend::Recursive(recursive))
-            });
-        } else {
-            driver.register(&mut sim, |sim| cfg.build_server(sim, resolver));
-        }
+        let backend = match recursive_zone {
+            Some(zone) => {
+                let upstream = sim.add_host("upstream");
+                sim.add_link(resolver, upstream, cfg.link);
+                let do53 = TransportConfig::new(TransportKind::Do53, ReusePolicy::Fresh);
+                let zone = Zone::synth(zone.clone(), TransportConfig::TTL, 60);
+                driver.serve(&mut sim, &do53, upstream, ServerBackend::Authoritative(zone));
+                ServerBackend::Recursive { upstream }
+            }
+            None => ServerBackend::echo(),
+        };
+        driver.serve(&mut sim, cfg, resolver, backend);
         let clients = (0..clients)
             .map(|i| {
                 let stub = sim.add_host(&format!("stub{i}"));
                 sim.add_link(stub, resolver, cfg.link);
-                driver.register_resolver(&mut sim, |_| cfg.build_client(stub, resolver))
+                driver.connect(&mut sim, cfg, stub, resolver)
             })
             .collect();
         Testbed { sim, driver, clients }
@@ -108,7 +96,7 @@ impl Testbed {
 
     /// Closes every client, runs the simulation to quiescence and hands
     /// the [`Sim`] back for its meter — unless a wake of the run reached
-    /// no registered endpoint.
+    /// no endpoint.
     fn finish(mut self) -> Result<Sim, CellError> {
         for &client in &self.clients {
             self.driver.close(&mut self.sim, client);

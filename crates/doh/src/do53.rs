@@ -8,28 +8,20 @@
 //! [`LayerTag::DnsPayload`](dohmark_netsim::LayerTag) and attributed to the
 //! DNS transaction id.
 
-use crate::resolver::ServerBackend;
+use crate::resolver::{Backend, ServerBackend};
 use crate::{Endpoint, Resolver};
 use dohmark_dns_wire::{Message, Name, RecordType};
 use dohmark_netsim::tcp::{backoff, INIT_RTO, MAX_RETRIES};
 use dohmark_netsim::{HostId, LayerTag, Sim, SimDuration, SockId, Wake};
 
 /// A Do53 server answering from a pluggable [`ServerBackend`] —
-/// authoritative zone data or a shared caching recursive resolver.
+/// authoritative zone data or a shared caching recursive resolver. A
+/// query parked on an upstream fetch waits with the `(host, port)` its
+/// answer goes back to.
 #[derive(Debug)]
 pub(crate) struct Do53Server {
     sock: SockId,
-    backend: ServerBackend,
-}
-
-/// Packs a parked query's return address into a waiter token: Do53 needs
-/// no table — the token *is* the `(host, port)` pair.
-fn waiter_token(host: HostId, port: u16) -> u64 {
-    ((host.0 as u64) << 16) | u64::from(port)
-}
-
-fn waiter_addr(token: u64) -> (HostId, u16) {
-    (HostId((token >> 16) as usize), (token & 0xFFFF) as u16)
+    backend: Backend<(HostId, u16)>,
 }
 
 impl Do53Server {
@@ -40,6 +32,7 @@ impl Do53Server {
         port: u16,
         backend: ServerBackend,
     ) -> Do53Server {
+        let backend = backend.start(sim, host);
         let sock = sim.udp_bind(host, port);
         Do53Server { sock, backend }
     }
@@ -54,8 +47,8 @@ impl Endpoint for Do53Server {
     fn on_wake(&mut self, sim: &mut Sim, wake: &Wake) {
         // Upstream completions first: a recursive backend may have parked
         // queries waiting on the wake we are handling.
-        for (waiter, response) in self.backend.poll(sim, wake) {
-            self.send_response(sim, waiter_addr(waiter), &response);
+        for (src, response) in self.backend.poll(sim, wake) {
+            self.send_response(sim, src, &response);
         }
         let Wake::UdpReadable { sock, .. } = wake else { return };
         if *sock != self.sock {
@@ -65,9 +58,9 @@ impl Endpoint for Do53Server {
             // Corrupted datagrams that no longer parse are dropped, exactly
             // like a real resolver would drop them.
             let Ok(query) = Message::decode(&data) else { continue };
-            let waiter = waiter_token(src_host, src_port);
-            if let Some(response) = self.backend.answer(sim, &query, waiter) {
-                self.send_response(sim, (src_host, src_port), &response);
+            let src = (src_host, src_port);
+            if let Some(response) = self.backend.answer(sim, &query, src) {
+                self.send_response(sim, src, &response);
             }
         }
     }
@@ -202,11 +195,10 @@ mod tests {
     use super::*;
     use crate::testing::pump;
     use dohmark_netsim::{LinkConfig, SimTime};
-    use std::net::Ipv4Addr;
 
-    /// A Do53 server on `(resolver, 53)` echoing 192.0.2.7 under `ttl`.
-    fn echo_server(sim: &mut Sim, resolver: HostId, ttl: u32) -> Do53Server {
-        Do53Server::bind(sim, resolver, 53, ServerBackend::fixed(Ipv4Addr::new(192, 0, 2, 7), ttl))
+    /// The echo Do53 server on `(resolver, 53)`.
+    fn echo_server(sim: &mut Sim, resolver: HostId) -> Do53Server {
+        Do53Server::bind(sim, resolver, 53, ServerBackend::echo())
     }
 
     fn setup(seed: u64) -> (Sim, Do53Client, Do53Server) {
@@ -214,7 +206,7 @@ mod tests {
         let stub = sim.add_host("stub");
         let resolver = sim.add_host("resolver");
         sim.add_link(stub, resolver, LinkConfig::localhost());
-        let server = echo_server(&mut sim, resolver, 300);
+        let server = echo_server(&mut sim, resolver);
         let client = Do53Client::new(stub, (resolver, 53));
         (sim, client, server)
     }
@@ -305,7 +297,7 @@ mod tests {
         let stub = sim.add_host("stub");
         let resolver = sim.add_host("resolver");
         sim.add_link(stub, resolver, LinkConfig::localhost().loss(1.0));
-        let mut server = echo_server(&mut sim, resolver, 60);
+        let mut server = echo_server(&mut sim, resolver);
         let mut client = Do53Client::new(stub, (resolver, 53));
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
         assert!(pump(&mut sim, &mut client, &mut server, Some(&name)).is_none());
@@ -334,7 +326,7 @@ mod tests {
         let stub = sim.add_host("stub");
         let resolver = sim.add_host("resolver");
         sim.add_link(stub, resolver, LinkConfig::localhost().loss(0.3));
-        let mut server = echo_server(&mut sim, resolver, 60);
+        let mut server = echo_server(&mut sim, resolver);
         let mut client = Do53Client::new(stub, (resolver, 53));
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
         for id in 1..=8u16 {
@@ -357,7 +349,7 @@ mod tests {
             (sim, stub, resolver)
         };
         let (mut sim, stub, resolver) = dead_link();
-        let mut server = echo_server(&mut sim, resolver, 60);
+        let mut server = echo_server(&mut sim, resolver);
         let mut client = Do53Client::new(stub, (resolver, 53));
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
         assert!(pump(&mut sim, &mut client, &mut server, Some(&name)).is_none());

@@ -151,7 +151,6 @@ mod tests {
     use dohmark_dns_wire::{Name, RecordType};
     use dohmark_netsim::{LinkConfig, Sim};
     use dohmark_tls_model::{handshake_bytes, TlsConfig, ALPN_HTTP11};
-    use std::net::Ipv4Addr;
 
     fn h1_tls() -> TlsConfig {
         TlsConfig::for_server("dns.example.net").alpn(ALPN_HTTP11)
@@ -162,8 +161,7 @@ mod tests {
         let stub = sim.add_host("stub");
         let resolver = sim.add_host("resolver");
         sim.add_link(stub, resolver, LinkConfig::localhost());
-        let backend = ServerBackend::fixed(Ipv4Addr::new(192, 0, 2, 7), 300);
-        let server = DohH1Server::bind(&mut sim, resolver, 443, h1_tls(), backend);
+        let server = DohH1Server::bind(&mut sim, resolver, 443, h1_tls(), ServerBackend::echo());
         let client = DohH1Client::new(stub, (resolver, 443), h1_tls(), policy);
         (sim, client, server)
     }

@@ -303,8 +303,7 @@ mod tests {
         let stub = sim.add_host("stub");
         let resolver = sim.add_host("resolver");
         sim.add_link(stub, resolver, LinkConfig::localhost());
-        let backend = ServerBackend::fixed(Ipv4Addr::new(192, 0, 2, 7), 300);
-        let server = DohH2Server::bind(&mut sim, resolver, 443, h2_tls(), backend);
+        let server = DohH2Server::bind(&mut sim, resolver, 443, h2_tls(), ServerBackend::echo());
         let client = DohH2Client::new(stub, (resolver, 443), h2_tls(), policy);
         (sim, client, server)
     }

@@ -103,15 +103,9 @@ mod tests {
     use dohmark_dns_wire::{Name, RecordType};
     use dohmark_netsim::{HostId, LinkConfig, Sim};
     use dohmark_tls_model::{handshake_bytes, TlsConfig};
-    use std::net::Ipv4Addr;
 
     fn dot_tls() -> TlsConfig {
         TlsConfig::for_server("dns.example.net").alpn("dot")
-    }
-
-    /// The echo backend every test server answers from.
-    fn echo(ttl: u32) -> ServerBackend {
-        ServerBackend::fixed(Ipv4Addr::new(192, 0, 2, 7), ttl)
     }
 
     fn setup(seed: u64, policy: ReusePolicy) -> (Sim, DotClient, DotServer) {
@@ -119,7 +113,7 @@ mod tests {
         let stub = sim.add_host("stub");
         let resolver = sim.add_host("resolver");
         sim.add_link(stub, resolver, LinkConfig::localhost());
-        let server = DotServer::bind(&mut sim, resolver, 853, dot_tls(), echo(300));
+        let server = DotServer::bind(&mut sim, resolver, 853, dot_tls(), ServerBackend::echo());
         let client = DotClient::new(stub, (resolver, 853), dot_tls(), policy);
         (sim, client, server)
     }
@@ -142,21 +136,22 @@ mod tests {
             let tls: TlsConfig = $tls;
             {
                 let (mut $sim, stub, resolver) = topology();
-                let mut $server = DotServer::bind(&mut $sim, resolver, 853, tls.clone(), echo(60));
+                let mut $server =
+                    DotServer::bind(&mut $sim, resolver, 853, tls.clone(), ServerBackend::echo());
                 let mut $client = DotClient::new(stub, (resolver, 853), tls.clone(), $policy);
                 $body
             }
             {
                 let (mut $sim, stub, resolver) = topology();
                 let mut $server =
-                    DohH1Server::bind(&mut $sim, resolver, 443, tls.clone(), echo(60));
+                    DohH1Server::bind(&mut $sim, resolver, 443, tls.clone(), ServerBackend::echo());
                 let mut $client = DohH1Client::new(stub, (resolver, 443), tls.clone(), $policy);
                 $body
             }
             {
                 let (mut $sim, stub, resolver) = topology();
                 let mut $server =
-                    DohH2Server::bind(&mut $sim, resolver, 443, tls.clone(), echo(60));
+                    DohH2Server::bind(&mut $sim, resolver, 443, tls.clone(), ServerBackend::echo());
                 let mut $client = DohH2Client::new(stub, (resolver, 443), tls.clone(), $policy);
                 $body
             }
@@ -189,7 +184,8 @@ mod tests {
         let stub = sim.add_host("stub");
         let resolver = sim.add_host("resolver");
         sim.add_link(stub, resolver, LinkConfig::localhost());
-        let mut server = DotServer::bind(&mut sim, resolver, 853, tls.clone(), echo(300));
+        let mut server =
+            DotServer::bind(&mut sim, resolver, 853, tls.clone(), ServerBackend::echo());
         let mut client = DotClient::new(stub, (resolver, 853), tls.clone(), ReusePolicy::Fresh);
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
         pump(&mut sim, &mut client, &mut server, Some(&name)).unwrap();

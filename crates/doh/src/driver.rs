@@ -1,5 +1,5 @@
-//! Addressed wake routing: the [`Driver`] registry that scales topologies
-//! from one echo pair to thousands of endpoints.
+//! Addressed wake routing: the [`Driver`], which builds every endpoint and
+//! scales topologies from one echo pair to thousands of endpoints.
 //!
 //! The netsim layer stamps every socket, listener, connection and timer
 //! with the **owner id** current at creation time ([`Sim::set_owner`])
@@ -10,16 +10,19 @@
 //! every loop in this crate, and the page-load engine's, is a loop over
 //! it.
 //!
-//! Endpoints are registered through a closure so that every handle they
-//! create during construction (server listeners, resolver upstream
-//! sockets) is stamped with their [`EndpointId`]; the driver re-installs
-//! the owner before every callback, so handles created *later* (reconnects
+//! The driver builds every endpoint itself — a server in
+//! [`Driver::serve`], a client in [`Driver::connect`] — with the new
+//! endpoint's [`EndpointId`] installed as the owner, so every handle it
+//! creates while being built (a server's socket or listener, a recursive
+//! resolver's upstream socket) is stamped with that id. It re-installs the
+//! owner before every callback, so handles created *later* (reconnects
 //! after a FIN, fresh per-query sockets, accepted server connections via
-//! the listener's owner) inherit the right id too.
+//! the listener's owner) inherit the right id too. No code outside this
+//! module assigns an owner.
 //!
 //! ```
 //! use dohmark_dns_wire::Name;
-//! use dohmark_doh::{Driver, ReusePolicy, TransportConfig, TransportKind};
+//! use dohmark_doh::{Driver, ReusePolicy, ServerBackend, TransportConfig, TransportKind};
 //! use dohmark_netsim::Sim;
 //!
 //! let mut sim = Sim::new(42);
@@ -28,17 +31,16 @@
 //! let resolver = sim.add_host("resolver");
 //! sim.add_link(stub, resolver, cfg.link);
 //! let mut driver = Driver::new();
-//! let server = driver.register(&mut sim, |sim| cfg.build_server(sim, resolver));
-//! let client = driver.register_resolver(&mut sim, |_| cfg.build_client(stub, resolver));
+//! driver.serve(&mut sim, &cfg, resolver, ServerBackend::echo());
+//! let client = driver.connect(&mut sim, &cfg, stub, resolver);
 //! let name = Name::parse("example.com").unwrap();
 //! let response = driver.resolve(&mut sim, client, &name).unwrap();
 //! assert_eq!(response.header.id, 1, "the client's first transaction id");
-//! # let _ = server;
 //! ```
 
-use crate::{Endpoint, Resolver};
+use crate::{Endpoint, Resolver, ServerBackend, TransportConfig};
 use dohmark_dns_wire::{Message, Name};
-use dohmark_netsim::{Sim, SimDuration, SimTime, Wake};
+use dohmark_netsim::{HostId, Sim, SimDuration, SimTime, Wake};
 
 /// Token [`Driver::advance_until`] reserves for its internal timer;
 /// application timers must use other values.
@@ -59,14 +61,14 @@ pub(crate) fn schedule_endpoint_timer(sim: &mut Sim, delay: SimDuration, token: 
     sim.schedule_app_in(delay, token);
 }
 
-/// Identifier of an endpoint registered with a [`Driver`]. Doubles as the
-/// netsim wake-ownership id the endpoint's handles are stamped with; id
-/// `0` is reserved for "unowned".
+/// Identifier of an endpoint a [`Driver`] built. Doubles as the netsim
+/// wake-ownership id the endpoint's handles are stamped with; id `0` is
+/// reserved for "unowned".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EndpointId(u64);
 
-/// Registered endpoints keep their concrete capability: plain endpoints
-/// only receive wakes, resolvers additionally issue queries.
+/// Endpoints keep their concrete capability: servers only receive wakes,
+/// clients additionally issue queries.
 enum Slot {
     Endpoint(Box<dyn Endpoint>),
     Resolver(Box<dyn Resolver>),
@@ -81,7 +83,8 @@ impl Slot {
     }
 }
 
-/// An [`EndpointId`]-keyed endpoint registry with addressed wake dispatch.
+/// The endpoints of one simulation, keyed by [`EndpointId`], with addressed
+/// wake dispatch.
 ///
 /// See the crate-level docs for the routing model. All loop methods
 /// ([`Driver::resolve`], [`Driver::run_until_quiescent`],
@@ -93,21 +96,22 @@ pub struct Driver {
 }
 
 impl Driver {
-    /// An empty registry.
+    /// A driver with no endpoints.
     pub fn new() -> Driver {
         Driver::default()
     }
 
     /// Wakes nobody consumed: their owner was unknown to this driver
-    /// (owner 0 or an id it never issued) — nonzero values usually mean
-    /// an endpoint was built outside [`Driver::register`]. Unowned timers
-    /// are not counted: they belong to the harness that armed them and
-    /// [`Driver::step`] hands them back.
+    /// (owner 0 or an id it never issued) — a handle created outside the
+    /// driver's endpoints. Unowned timers are not counted: they belong to
+    /// the harness that armed them and [`Driver::step`] hands them back.
     pub fn unrouted_wakes(&self) -> u64 {
         self.unrouted
     }
 
-    fn register_slot(&mut self, sim: &mut Sim, build: impl FnOnce(&mut Sim) -> Slot) -> EndpointId {
+    /// Builds the next endpoint with its id installed as the simulator's
+    /// owner, so every handle `build` creates is stamped with it.
+    fn add(&mut self, sim: &mut Sim, build: impl FnOnce(&mut Sim) -> Slot) -> EndpointId {
         let id = EndpointId(self.slots.len() as u64 + 1);
         let prev = sim.owner();
         sim.set_owner(id.0);
@@ -117,25 +121,31 @@ impl Driver {
         id
     }
 
-    /// Registers an endpoint (typically a server). The `build` closure runs
-    /// with the new id installed as the simulator's owner, so every handle
-    /// it creates (listeners, sockets) is stamped with it.
-    pub fn register(
+    /// Serves `cfg`'s transport on `host`, at its well-known port,
+    /// answering from `backend`. A [`ServerBackend::Recursive`] resolver
+    /// binds its upstream socket before the server binds its own socket or
+    /// listener.
+    pub fn serve(
         &mut self,
         sim: &mut Sim,
-        build: impl FnOnce(&mut Sim) -> Box<dyn Endpoint>,
+        cfg: &TransportConfig,
+        host: HostId,
+        backend: ServerBackend,
     ) -> EndpointId {
-        self.register_slot(sim, |sim| Slot::Endpoint(build(sim)))
+        self.add(sim, |sim| Slot::Endpoint(cfg.server(sim, host, backend)))
     }
 
-    /// [`Driver::register`] for clients, keeping the [`Resolver`] API
-    /// ([`Driver::send_query`] / [`Driver::take_response`]) available.
-    pub fn register_resolver(
+    /// A client of `cfg`'s transport on `stub`, querying the server on
+    /// `resolver`: the id [`Driver::send_query`], [`Driver::resolve`] and
+    /// [`Driver::close`] take.
+    pub fn connect(
         &mut self,
         sim: &mut Sim,
-        build: impl FnOnce(&mut Sim) -> Box<dyn Resolver>,
+        cfg: &TransportConfig,
+        stub: HostId,
+        resolver: HostId,
     ) -> EndpointId {
-        self.register_slot(sim, |sim| Slot::Resolver(build(sim)))
+        self.add(sim, |_| Slot::Resolver(cfg.client(stub, resolver)))
     }
 
     fn slot_mut(&mut self, id: EndpointId) -> &mut Slot {
@@ -178,9 +188,9 @@ impl Driver {
         Some((wake, routed))
     }
 
-    /// Starts a resolution on the registered client `id` without driving
-    /// the loop and returns the transaction (and attribution) id the
-    /// client drew for it; pair with [`Driver::run_until_quiescent`] /
+    /// Starts a resolution on client `id` without driving the loop and
+    /// returns the transaction (and attribution) id the client drew for
+    /// it; pair with [`Driver::run_until_quiescent`] /
     /// [`Driver::take_response`] to overlap many in-flight resolutions.
     pub fn send_query(&mut self, sim: &mut Sim, id: EndpointId, name: &Name) -> u16 {
         let prev = sim.owner();
@@ -255,12 +265,12 @@ impl Driver {
 mod tests {
     use super::*;
     use crate::doh2::DohH2Server;
-    use crate::{ReusePolicy, ServerBackend, TransportConfig, TransportKind};
+    use crate::{ReusePolicy, TransportKind};
     use std::cell::RefCell;
     use std::rc::Rc;
 
-    /// Registers a concrete server while the test keeps a handle on it,
-    /// for the assertions a boxed slot hides.
+    /// A concrete server the test keeps a handle on, for the assertions a
+    /// boxed slot hides.
     struct Shared(Rc<RefCell<DohH2Server>>);
 
     impl Endpoint for Shared {
@@ -281,17 +291,16 @@ mod tests {
         sim.add_link(stub, resolver, cfg.link);
         let mut driver = Driver::new();
         let mut server = None;
-        driver.register(&mut sim, |sim| {
+        driver.add(&mut sim, |sim| {
             let tls = cfg.tls().expect("doh uses tls");
-            let backend = ServerBackend::fixed(TransportConfig::ANSWER, TransportConfig::TTL);
-            let bound = DohH2Server::bind(sim, resolver, 443, tls, backend);
+            let bound = DohH2Server::bind(sim, resolver, 443, tls, ServerBackend::echo());
             let shared = Rc::new(RefCell::new(bound));
             server = Some(shared.clone());
-            Box::new(Shared(shared))
+            Slot::Endpoint(Box::new(Shared(shared)))
         });
         let server = server.expect("the build closure ran");
-        let a = driver.register_resolver(&mut sim, |_| cfg.build_client(stub, resolver));
-        let b = driver.register_resolver(&mut sim, |_| cfg.build_client(stub, resolver));
+        let a = driver.connect(&mut sim, &cfg, stub, resolver);
+        let b = driver.connect(&mut sim, &cfg, stub, resolver);
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
 
         driver.resolve(&mut sim, a, &name).expect("session A resolves");
@@ -317,11 +326,11 @@ mod tests {
             let mut sim = Sim::new(3);
             let resolver = sim.add_host("resolver");
             let mut driver = Driver::new();
-            driver.register(&mut sim, |sim| cfg.build_server(sim, resolver));
+            driver.serve(&mut sim, &cfg, resolver, ServerBackend::echo());
             let clients = ["stub0", "stub1"].map(|host| {
                 let stub = sim.add_host(host);
                 sim.add_link(stub, resolver, cfg.link);
-                driver.register_resolver(&mut sim, |_| cfg.build_client(stub, resolver))
+                driver.connect(&mut sim, &cfg, stub, resolver)
             });
             let names = ["left", "right"].map(|l| Name::parse(&format!("{l}.test")).unwrap());
             // Ids are per client: each one's first query is id 1.

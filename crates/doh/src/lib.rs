@@ -1,16 +1,17 @@
 //! Simulated DNS transports — Do53, DoT and DoH over HTTP/1.1 and
 //! HTTP/2 — with per-resolution cost attribution.
 //!
-//! The public surface is a transport matrix and a registry: a
+//! The public surface is a transport matrix and a driver: a
 //! [`TransportConfig`] names one cell ([`TransportKind`] × [`ReusePolicy`]
-//! × TLS resumption, plus the link) and builds that cell's server and
-//! client; the [`Driver`] registers them as [`Endpoint`]s and
-//! [`Resolver`]s under [`EndpointId`]s and routes every wake to its owner.
-//! A server answers from a [`ServerBackend`]: a fixed echo record, a
-//! synthetic authoritative [`Zone`], or a [`RecursiveResolver`] whose
-//! [`DnsCache`] (RFC 2308 positive and negative entries) is shared by all
-//! of that server's clients. The per-transport clients and servers are
-//! private: experiments iterate over configs, never over concrete types.
+//! × TLS resumption, plus the link), and the [`Driver`] builds that cell's
+//! server ([`Driver::serve`]) and clients ([`Driver::connect`]) under
+//! [`EndpointId`]s and routes every wake to its owner. A server answers
+//! from a [`ServerBackend`]: the fixed echo record
+//! ([`ServerBackend::echo`]), a synthetic authoritative [`Zone`], or a
+//! caching recursive resolver whose [`DnsCache`] (RFC 2308 positive and
+//! negative entries) is shared by all of that server's clients. The
+//! per-transport clients and servers are private: experiments iterate
+//! over configs, never over concrete types.
 //!
 //! Every byte the [`CostMeter`](dohmark_netsim::CostMeter) records is a
 //! byte the real transport would put on the wire:
@@ -37,19 +38,18 @@
 //! only in how a DNS message is framed inside the TLS byte stream, so
 //! every cost difference between them is attributable to that framing.
 //!
-//! # Registering a cell with the driver
+//! # Serving and connecting a cell
 //!
-//! Endpoints live in a [`Driver`] registry: each is registered under an
-//! [`EndpointId`], the netsim layer stamps every socket, connection and
+//! The [`Driver`] builds every endpoint itself, each under a new
+//! [`EndpointId`]: the netsim layer stamps every socket, connection and
 //! timer the endpoint creates with that id, and the driver routes each
 //! wake **only to its owner** — O(1) dispatch that scales from one
-//! stub/resolver pair to thousand-client topologies.
-//! [`TransportConfig::build_server`] / [`TransportConfig::build_client`]
-//! are the factories to register:
+//! stub/resolver pair to thousand-client topologies. A caller names a
+//! cell, hosts and a backend, never an endpoint:
 //!
 //! ```
 //! use dohmark_dns_wire::Name;
-//! use dohmark_doh::{Driver, ReusePolicy, TransportConfig, TransportKind};
+//! use dohmark_doh::{Driver, ReusePolicy, ServerBackend, TransportConfig, TransportKind};
 //! use dohmark_netsim::Sim;
 //!
 //! let mut sim = Sim::new(42);
@@ -58,22 +58,35 @@
 //! let resolver = sim.add_host("resolver");
 //! sim.add_link(stub, resolver, cfg.link);
 //! let mut driver = Driver::new();
-//! let _server = driver.register(&mut sim, |sim| cfg.build_server(sim, resolver));
-//! let client = driver.register_resolver(&mut sim, |_| cfg.build_client(stub, resolver));
+//! driver.serve(&mut sim, &cfg, resolver, ServerBackend::echo());
+//! let client = driver.connect(&mut sim, &cfg, stub, resolver);
 //! let name = Name::parse("example.com").unwrap();
 //! let response = driver.resolve(&mut sim, client, &name).unwrap();
 //! assert_eq!(response.answers.len(), 1);
 //! ```
+//!
+//! A recursive server is two `serve` calls: a Do53 server for the
+//! upstream's [`Zone`], then the cell's server with
+//! [`ServerBackend::Recursive`] naming that upstream host.
 //!
 //! [`Driver::resolve`], [`Driver::run_until_quiescent`] and
 //! [`Driver::advance_until`] are loops over one primitive,
 //! [`Driver::step`], which pops one wake and routes it; a harness with
 //! timers of its own (the page-load engine) loops over `step` itself.
 //!
+//! # Surface
+//!
+//! Everything public: [`TransportConfig`], [`TransportKind`] and
+//! [`ReusePolicy`] name a cell; [`Driver`] and [`EndpointId`] serve,
+//! connect, resolve, step and close it; [`ServerBackend`] says what a
+//! server answers from; [`Zone`] and [`DnsCache`], also reachable through
+//! the [`zone`] and [`cache`] modules, are the answer data and the
+//! resolver's cache.
+//!
 //! # Attribution
 //!
 //! Each client draws its own DNS transaction ids — 1, 2, … in send order,
-//! wrapping past 65 535 back to 1 — and [`Resolver::send_query`] returns
+//! wrapping past 65 535 back to 1 — and [`Driver::send_query`] returns
 //! the one it drew. That id doubles as the simulator attribution id:
 //! clients call [`Sim::set_attr`](dohmark_netsim::Sim::set_attr) before
 //! writing query bytes and servers set it from the decoded query id before
@@ -105,7 +118,7 @@ pub mod zone;
 
 pub use cache::DnsCache;
 pub use driver::{Driver, EndpointId};
-pub use resolver::{RecursiveResolver, ServerBackend};
+pub use resolver::ServerBackend;
 pub use transport::{ReusePolicy, TransportConfig, TransportKind};
 pub use zone::Zone;
 
@@ -118,7 +131,7 @@ use dohmark_netsim::{Sim, Wake};
 /// (sockets, listeners, connections and timers it created), with the
 /// endpoint's id installed as the simulator owner for the duration of
 /// the call.
-pub trait Endpoint {
+pub(crate) trait Endpoint {
     /// Reacts to one wake on a handle this endpoint owns.
     fn on_wake(&mut self, sim: &mut Sim, wake: &Wake);
 }
@@ -126,7 +139,7 @@ pub trait Endpoint {
 /// A transport client that can start a resolution, surface its result and
 /// tear its connections down — the unified client API every transport
 /// (Do53, DoT, DoH-h1, DoH-h2) implements and [`Driver::resolve`] drives.
-pub trait Resolver: Endpoint {
+pub(crate) trait Resolver: Endpoint {
     /// Starts an A-record resolution for `name` and returns the
     /// transaction (and attribution) id this client drew for it.
     fn send_query(&mut self, sim: &mut Sim, name: &Name) -> u16;
@@ -136,11 +149,8 @@ pub trait Resolver: Endpoint {
 
     /// Initiates a graceful teardown of any open transport state (TCP
     /// FIN, HTTP/2 GOAWAY); in-flight wakes still need to be drained with
-    /// [`Driver::run_until_quiescent`] afterwards. Default: nothing to
-    /// tear down.
-    fn close(&mut self, sim: &mut Sim) {
-        let _ = sim;
-    }
+    /// [`Driver::run_until_quiescent`] afterwards.
+    fn close(&mut self, sim: &mut Sim);
 }
 
 /// Advances a client's transaction-id counter and returns the new id:

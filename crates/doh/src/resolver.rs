@@ -1,6 +1,6 @@
-//! The caching recursive resolver and the [`ServerBackend`] abstraction
-//! that lets every transport server (Do53, DoT, DoH-h1, DoH-h2) serve
-//! either authoritative [`Zone`] answers or cached/recursive ones.
+//! The caching recursive resolver, and [`ServerBackend`]: the data that
+//! tells a transport server (Do53, DoT, DoH-h1, DoH-h2) to serve either
+//! authoritative [`Zone`] answers or cached/recursive ones.
 //!
 //! A [`RecursiveResolver`] sits behind one transport server and is shared
 //! by **all** client sessions of that server: answers fetched for one stub
@@ -19,55 +19,51 @@
 //! header bytes, both directions).
 
 use crate::cache::{CachedAnswer, DnsCache};
+use crate::transport::{TransportConfig, TransportKind};
 use crate::zone::Zone;
 use dohmark_dns_wire::{Message, Name, Rcode, Rdata, Record, RecordType};
 use dohmark_netsim::{HostId, LayerTag, Sim, SockId, Wake, IP_HEADER, UDP_HEADER};
 
+/// The resolver's cache capacity, in entries: more than any experiment
+/// ever holds, so nothing is evicted.
+const CACHE_CAPACITY: usize = 1 << 16;
+
 /// One outstanding upstream fetch, with every stub query waiting on it.
 #[derive(Debug)]
-struct PendingFetch {
+struct PendingFetch<W> {
     key: (Name, RecordType),
     /// Transaction id on the upstream wire, from the resolver's own
     /// counter: stub ids are unique per stub only, so two stubs' queries
     /// may carry the same one.
     upstream_id: u16,
-    /// Parked stub queries: the transport-level waiter token and the
-    /// original query (whose header id the answer must echo).
-    waiters: Vec<(u64, Message)>,
+    /// Parked stub queries: where each one's answer goes, and the original
+    /// query (whose header id the answer must echo).
+    waiters: Vec<(W, Message)>,
 }
 
 /// A caching recursive resolver: TTL-driven positive/negative cache
-/// (RFC 2308) in front of one Do53 upstream.
+/// (RFC 2308) in front of one Do53 upstream. `W` is where a parked query's
+/// answer goes: a datagram's return address for Do53, a connection and
+/// slot for the stream transports.
 #[derive(Debug)]
-pub struct RecursiveResolver {
+pub(crate) struct RecursiveResolver<W> {
     sock: SockId,
     upstream: (HostId, u16),
     cache: DnsCache,
     /// The transaction id of the latest upstream query (0 before the first).
     last_upstream_txn: u16,
-    pending: Vec<PendingFetch>,
+    pending: Vec<PendingFetch<W>>,
 }
 
-impl RecursiveResolver {
-    /// A resolver on `host` (its upstream socket bound to an ephemeral
-    /// port there) querying the authoritative server at `upstream`, with a
-    /// cache of at most `cache_capacity` entries.
-    ///
-    /// Bind-time matters for wake routing: construct this inside the
-    /// enclosing server's [`Driver::register`](crate::Driver::register)
-    /// closure so the upstream socket is stamped with the server's
-    /// endpoint id.
-    pub fn new(
-        sim: &mut Sim,
-        host: HostId,
-        upstream: (HostId, u16),
-        cache_capacity: usize,
-    ) -> RecursiveResolver {
+impl<W> RecursiveResolver<W> {
+    /// A resolver on `host`, its upstream socket bound to an ephemeral port
+    /// there, querying the authoritative server at `upstream`.
+    fn new(sim: &mut Sim, host: HostId, upstream: (HostId, u16)) -> RecursiveResolver<W> {
         let sock = sim.udp_bind(host, 0);
         RecursiveResolver {
             sock,
             upstream,
-            cache: DnsCache::new(cache_capacity),
+            cache: DnsCache::new(CACHE_CAPACITY),
             last_upstream_txn: 0,
             pending: Vec::new(),
         }
@@ -76,12 +72,7 @@ impl RecursiveResolver {
     /// Answers `query` from the cache, or parks it (returning `None`)
     /// behind an upstream fetch whose completion [`Self::poll`] will
     /// surface with `waiter` attached.
-    pub(crate) fn resolve(
-        &mut self,
-        sim: &mut Sim,
-        query: &Message,
-        waiter: u64,
-    ) -> Option<Message> {
+    fn resolve(&mut self, sim: &mut Sim, query: &Message, waiter: W) -> Option<Message> {
         let Some(q) = query.question() else {
             return Some(Message::response(query, Rcode::FormErr, Vec::new()));
         };
@@ -127,7 +118,7 @@ impl RecursiveResolver {
     /// Ingests upstream responses if `wake` is for the resolver's upstream
     /// socket; returns the unparked `(waiter, response)` pairs, each
     /// response carrying its own stub query's transaction id.
-    pub(crate) fn poll(&mut self, sim: &mut Sim, wake: &Wake) -> Vec<(u64, Message)> {
+    fn poll(&mut self, sim: &mut Sim, wake: &Wake) -> Vec<(W, Message)> {
         let Wake::UdpReadable { sock, .. } = wake else { return Vec::new() };
         if *sock != self.sock {
             return Vec::new();
@@ -156,7 +147,7 @@ impl RecursiveResolver {
     /// their minimum record TTL, NXDOMAIN/NODATA under the RFC 2308
     /// `min(SOA TTL, MINIMUM)` — uncacheable responses (no SOA, ServFail)
     /// are forwarded but not stored.
-    fn cache_upstream(&mut self, sim: &mut Sim, fetch: &PendingFetch, upstream: &Message) {
+    fn cache_upstream(&mut self, sim: &mut Sim, fetch: &PendingFetch<W>, upstream: &Message) {
         let (name, qtype) = fetch.key.clone();
         let now = sim.now();
         match upstream.header.rcode {
@@ -183,45 +174,69 @@ fn find_soa(records: &[Record]) -> Option<&Record> {
     records.iter().find(|r| matches!(r.rdata, Rdata::Soa(_)))
 }
 
-/// The answer source behind a transport server: authoritative zone data
-/// (the classic fixed-echo servers) or a shared caching recursive
-/// resolver.
+/// The answer source behind a transport server, as plain data: the
+/// [`Driver`](crate::Driver) starts the live source when it serves.
 #[derive(Debug)]
 pub enum ServerBackend {
     /// Answer directly from zone data — every query gets an immediate
     /// response.
     Authoritative(Zone),
-    /// Answer from the cache or recurse upstream — queries may park until
-    /// the upstream answer arrives.
-    Recursive(RecursiveResolver),
+    /// A caching recursive resolver on the server's host: answer from its
+    /// cache, or fetch the answer over Do53 from the authoritative server
+    /// on `upstream` (port 53) — queries may park until it arrives. Its
+    /// cache is shared by every client of the server.
+    Recursive {
+        /// The host whose Do53 server answers the resolver's cache misses.
+        upstream: HostId,
+    },
 }
 
 impl ServerBackend {
-    /// The backend byte-compatible with the legacy fixed-echo servers.
-    pub(crate) fn fixed(answer: std::net::Ipv4Addr, ttl: u32) -> ServerBackend {
-        ServerBackend::Authoritative(Zone::fixed(answer, ttl))
+    /// The paper's controlled echo resolver: every query, whatever its
+    /// name, gets one fixed A record under [`TransportConfig::TTL`].
+    pub fn echo() -> ServerBackend {
+        ServerBackend::Authoritative(Zone::fixed(TransportConfig::ANSWER, TransportConfig::TTL))
     }
 
-    /// Answers `query` now, or returns `None` to park it; parked queries
-    /// resurface from [`ServerBackend::poll`] tagged with `waiter`.
-    pub(crate) fn answer(
-        &mut self,
-        sim: &mut Sim,
-        query: &Message,
-        waiter: u64,
-    ) -> Option<Message> {
+    /// The live answer source of a server on `host`. A recursive one binds
+    /// its upstream socket now, so a server starts its backend before it
+    /// binds its own socket or listener: the order every report was pinned
+    /// with.
+    pub(crate) fn start<W>(self, sim: &mut Sim, host: HostId) -> Backend<W> {
         match self {
-            ServerBackend::Authoritative(zone) => Some(zone.answer(query)),
-            ServerBackend::Recursive(resolver) => resolver.resolve(sim, query, waiter),
+            ServerBackend::Authoritative(zone) => Backend::Authoritative(zone),
+            ServerBackend::Recursive { upstream } => {
+                let upstream = (upstream, TransportKind::Do53.port());
+                Backend::Recursive(RecursiveResolver::new(sim, host, upstream))
+            }
+        }
+    }
+}
+
+/// A running server's answer source; a parked query's answer goes to a
+/// `W`.
+#[derive(Debug)]
+pub(crate) enum Backend<W> {
+    Authoritative(Zone),
+    Recursive(RecursiveResolver<W>),
+}
+
+impl<W> Backend<W> {
+    /// Answers `query` now, or returns `None` to park it; parked queries
+    /// resurface from [`Backend::poll`] with `waiter` attached.
+    pub(crate) fn answer(&mut self, sim: &mut Sim, query: &Message, waiter: W) -> Option<Message> {
+        match self {
+            Backend::Authoritative(zone) => Some(zone.answer(query)),
+            Backend::Recursive(resolver) => resolver.resolve(sim, query, waiter),
         }
     }
 
     /// Feeds a wake to the backend (upstream socket traffic for recursive
     /// backends); returns completed `(waiter, response)` pairs.
-    pub(crate) fn poll(&mut self, sim: &mut Sim, wake: &Wake) -> Vec<(u64, Message)> {
+    pub(crate) fn poll(&mut self, sim: &mut Sim, wake: &Wake) -> Vec<(W, Message)> {
         match self {
-            ServerBackend::Authoritative(_) => Vec::new(),
-            ServerBackend::Recursive(resolver) => resolver.poll(sim, wake),
+            Backend::Authoritative(_) => Vec::new(),
+            Backend::Recursive(resolver) => resolver.poll(sim, wake),
         }
     }
 }
@@ -246,22 +261,14 @@ mod tests {
         let upstream = sim.add_host("upstream");
         sim.add_link(resolver, upstream, cfg.link.jitter(SimDuration::from_millis(5)));
         let mut driver = Driver::new();
-        driver.register(&mut sim, |sim| {
-            let zone = Zone::synth(Name::parse("dohmark.test").unwrap(), 300, 60);
-            TransportConfig::new(TransportKind::Do53, ReusePolicy::Fresh).build_server_with(
-                sim,
-                upstream,
-                ServerBackend::Authoritative(zone),
-            )
-        });
-        driver.register(&mut sim, |sim| {
-            let recursive = RecursiveResolver::new(sim, resolver, (upstream, 53), 64);
-            cfg.build_server_with(sim, resolver, ServerBackend::Recursive(recursive))
-        });
+        let do53 = TransportConfig::new(TransportKind::Do53, ReusePolicy::Fresh);
+        let zone = Zone::synth(Name::parse("dohmark.test").unwrap(), 300, 60);
+        driver.serve(&mut sim, &do53, upstream, ServerBackend::Authoritative(zone));
+        driver.serve(&mut sim, &cfg, resolver, ServerBackend::Recursive { upstream });
         let stubs = ["stub0", "stub1"].map(|host| {
             let stub = sim.add_host(host);
             sim.add_link(stub, resolver, cfg.link);
-            driver.register_resolver(&mut sim, |_| cfg.build_client(stub, resolver))
+            driver.connect(&mut sim, &cfg, stub, resolver)
         });
         (sim, driver, stubs)
     }
@@ -315,6 +322,40 @@ mod tests {
             assert_eq!(sim.meter.counters.upstream_queries, 2, "{kind:?} seed {seed}");
             assert_eq!(sim.meter.counters.coalesced_queries, 0, "{kind:?} seed {seed}");
             assert_eq!(driver.unrouted_wakes(), 0, "{kind:?} seed {seed}");
+        }
+    }
+
+    /// A stub that hangs up while its query waits on an upstream fetch:
+    /// the answer comes back to a server with nowhere to send it (a closed
+    /// connection; for Do53, a closed port, where the datagram is dropped),
+    /// and it must still reach the cache and wake no one it should not.
+    #[test]
+    fn a_stub_hanging_up_mid_recursion_loses_only_its_own_answer() {
+        for kind in TransportKind::ALL {
+            let (mut sim, mut driver, [stub, other]) = two_stubs(kind, 7);
+            driver.resolve(&mut sim, stub, &name("warm")).expect("opens the connection");
+            let upstream_queries = sim.meter.counters.upstream_queries;
+            let miss = driver.send_query(&mut sim, stub, &name("late"));
+            while sim.meter.counters.upstream_queries == upstream_queries {
+                driver.step(&mut sim).expect("the miss reaches the resolver");
+            }
+            let (upstream_bytes, dropped) =
+                (sim.meter.counters.upstream_bytes, sim.dropped_packets());
+            driver.close(&mut sim, stub);
+            driver.run_until_quiescent(&mut sim);
+            assert!(driver.take_response(stub, miss).is_none(), "{kind:?}: answered after close");
+            assert_eq!(driver.unrouted_wakes(), 0, "{kind:?}");
+            assert!(
+                sim.meter.counters.upstream_bytes > upstream_bytes,
+                "{kind:?}: no upstream answer"
+            );
+            if kind == TransportKind::Do53 {
+                assert_eq!(sim.dropped_packets(), dropped + 1, "the answer to the closed port");
+            }
+            // The server serves on, and the late answer was cached.
+            let hits = sim.meter.counters.cache_hit;
+            driver.resolve(&mut sim, other, &name("late")).expect("another stub still resolves");
+            assert_eq!(sim.meter.counters.cache_hit, hits + 1, "{kind:?}");
         }
     }
 

@@ -9,7 +9,7 @@
 //! yet). A transport is a [`Framing`]: `Dot`, `Http1` or `Http2`. Any
 //! cost difference between two of them is therefore the framing's.
 
-use crate::resolver::ServerBackend;
+use crate::resolver::{Backend, ServerBackend};
 use crate::{Endpoint, Resolver, ReusePolicy};
 use dohmark_dns_wire::{Message, Name, RecordType};
 use dohmark_netsim::{HostId, LayerTag, ListenerId, Side, Sim, TcpHandle, Wake};
@@ -17,7 +17,6 @@ use dohmark_tls_model::{
     handshake_flights, record_header, Deframer, Flight, TlsConfig, MAX_PLAINTEXT, RECORD_HEADER,
     ZERO_TAG,
 };
-use std::collections::BTreeMap;
 use std::fmt::Debug;
 
 /// One write: byte segments sealed together into TLS records, each
@@ -430,21 +429,18 @@ impl<F: Framing> Endpoint for StreamClient<F> {
 
 /// A server answering over TLS, framed by `F`, from a pluggable
 /// [`ServerBackend`] — authoritative zone data or a shared caching
-/// recursive resolver.
+/// recursive resolver. A query parked on an upstream fetch waits with the
+/// connection and slot its answer goes to.
 #[derive(Debug)]
 pub(crate) struct StreamServer<F: Framing> {
     listener: ListenerId,
     tls_cfg: TlsConfig,
-    backend: ServerBackend,
+    backend: Backend<(TcpHandle, F::Slot)>,
     /// Open connections at [`TcpHandle::index`] of the handle their wakes
     /// name; `None` for an index that is closed or not this server's. The
     /// simulator issues indices densely and never reuses one, so a wake
     /// finds its connection with one bounds-checked index.
     conns: Vec<Option<Conn<F>>>,
-    /// Parked queries: waiter token → the connection and slot expecting
-    /// the answer, drained in the backend's completion order.
-    waiters: BTreeMap<u64, (TcpHandle, F::Slot)>,
-    next_waiter: u64,
 }
 
 impl<F: Framing> StreamServer<F> {
@@ -458,15 +454,9 @@ impl<F: Framing> StreamServer<F> {
         tls_cfg: TlsConfig,
         backend: ServerBackend,
     ) -> StreamServer<F> {
+        let backend = backend.start(sim, host);
         let listener = sim.tcp_listen(host, port);
-        StreamServer {
-            listener,
-            tls_cfg,
-            backend,
-            conns: Vec::new(),
-            waiters: BTreeMap::new(),
-            next_waiter: 1,
-        }
+        StreamServer { listener, tls_cfg, backend, conns: Vec::new() }
     }
 
     /// Established-and-open connection count.
@@ -491,8 +481,7 @@ impl<F: Framing> Endpoint for StreamServer<F> {
         // recursive backend go out on the connection they arrived on
         // (silently dropped if that connection is gone — like a real
         // resolver whose client hung up mid-recursion).
-        for (waiter, response) in self.backend.poll(sim, wake) {
-            let Some((handle, slot)) = self.waiters.remove(&waiter) else { continue };
+        for ((handle, slot), response) in self.backend.poll(sim, wake) {
             if let Some(Some(conn)) = self.conns.get_mut(handle.index()) {
                 Self::respond(conn, sim, slot, response);
             }
@@ -512,13 +501,8 @@ impl<F: Framing> Endpoint for StreamServer<F> {
                 let Some(Some(conn)) = self.conns.get_mut(handle.index()) else { return };
                 let (queries, _) = conn.receive(sim);
                 for (slot, query) in queries {
-                    let waiter = self.next_waiter;
-                    self.next_waiter += 1;
-                    match self.backend.answer(sim, &query, waiter) {
-                        Some(response) => Self::respond(conn, sim, slot, response),
-                        None => {
-                            self.waiters.insert(waiter, (handle, slot));
-                        }
+                    if let Some(response) = self.backend.answer(sim, &query, (handle, slot)) {
+                        Self::respond(conn, sim, slot, response);
                     }
                 }
             }
@@ -608,8 +592,8 @@ mod tests {
             let tls = cfg.tls().expect("a stream transport");
             let mut sim = Sim::new(11);
             let resolver = sim.add_host("resolver");
-            let backend = ServerBackend::fixed(TransportConfig::ANSWER, TransportConfig::TTL);
-            let server = StreamServer::bind(&mut sim, resolver, kind.port(), tls.clone(), backend);
+            let echo = ServerBackend::echo();
+            let server = StreamServer::bind(&mut sim, resolver, kind.port(), tls.clone(), echo);
             let clients = (0..3)
                 .map(|i| {
                     let stub = sim.add_host(&format!("stub{i}"));

@@ -6,14 +6,15 @@
 //! resolver. Everything else is fixed: the resolver's name and its echo
 //! answer are the same in every cell, each kind speaks on its well-known
 //! port with its own ALPN offer, and Do53 always resends an unanswered
-//! query on TCP's RTO schedule. [`TransportConfig::build_server`] /
-//! [`TransportConfig::build_client`] are [`Driver`](crate::Driver)
-//! registration factories, and the clients and servers they box are
-//! private to this crate, so experiment harnesses iterate over configs:
+//! query on TCP's RTO schedule. The [`Driver`](crate::Driver) builds a
+//! cell's server ([`Driver::serve`](crate::Driver::serve)) and clients
+//! ([`Driver::connect`](crate::Driver::connect)) from its config; the
+//! per-transport types behind them are private to this crate, so
+//! experiment harnesses iterate over configs:
 //!
 //! ```
 //! use dohmark_dns_wire::Name;
-//! use dohmark_doh::{Driver, TransportConfig};
+//! use dohmark_doh::{Driver, ServerBackend, TransportConfig};
 //! use dohmark_netsim::Sim;
 //!
 //! for cfg in TransportConfig::matrix() {
@@ -22,8 +23,8 @@
 //!     let resolver = sim.add_host("resolver");
 //!     sim.add_link(stub, resolver, cfg.link);
 //!     let mut driver = Driver::new();
-//!     driver.register(&mut sim, |sim| cfg.build_server(sim, resolver));
-//!     let client = driver.register_resolver(&mut sim, |_| cfg.build_client(stub, resolver));
+//!     driver.serve(&mut sim, &cfg, resolver, ServerBackend::echo());
+//!     let client = driver.connect(&mut sim, &cfg, stub, resolver);
 //!     let name = Name::parse("example.com").unwrap();
 //!     let response = driver.resolve(&mut sim, client, &name);
 //!     assert!(response.is_ok(), "{} failed", cfg.label());
@@ -129,11 +130,10 @@ impl TransportConfig {
     /// The resolver's server name: the TLS SNI and the HTTP
     /// `host`/`:authority` value.
     pub(crate) const SNI: &'static str = "dns.example.net";
-    /// The A record [`TransportConfig::build_server`] answers every query
-    /// with.
+    /// The A record [`ServerBackend::echo`] answers every query with.
     pub(crate) const ANSWER: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 1);
-    /// The TTL of the echo answer [`TransportConfig::build_server`] gives
-    /// every query, in seconds.
+    /// The TTL of the answer [`ServerBackend::echo`] gives every query, in
+    /// seconds.
     pub const TTL: u32 = 300;
 
     /// A matrix cell with the defaults the examples use: TLS 1.3, no
@@ -181,18 +181,10 @@ impl TransportConfig {
         cells
     }
 
-    /// Builds this cell's server on `host`, answering every query with one
-    /// fixed A record under [`Self::TTL`]. Designed as a
-    /// [`Driver::register`](crate::Driver::register) factory, so handles
-    /// it binds get the registering endpoint's owner id.
-    pub fn build_server(&self, sim: &mut Sim, host: HostId) -> Box<dyn Endpoint> {
-        self.build_server_with(sim, host, ServerBackend::fixed(Self::ANSWER, Self::TTL))
-    }
-
-    /// [`TransportConfig::build_server`] with an explicit backend — a
-    /// synthetic [`Zone`](crate::Zone) or a shared caching
-    /// [`RecursiveResolver`](crate::RecursiveResolver).
-    pub fn build_server_with(
+    /// This cell's server on `host`, at the transport's well-known port,
+    /// answering from `backend`. The handles it binds take the owner id
+    /// current in `sim`.
+    pub(crate) fn server(
         &self,
         sim: &mut Sim,
         host: HostId,
@@ -216,13 +208,10 @@ impl TransportConfig {
         }
     }
 
-    /// Builds this cell's client on `stub`, querying the server on
-    /// `resolver` at the transport's well-known port. Clients bind their
-    /// handles lazily (at the first query), so this needs no simulator —
-    /// but register it through
-    /// [`Driver::register_resolver`](crate::Driver::register_resolver) so
-    /// those lazy handles get the right owner id.
-    pub fn build_client(&self, stub: HostId, resolver: HostId) -> Box<dyn Resolver> {
+    /// This cell's client on `stub`, querying the server on `resolver` at
+    /// the transport's well-known port. Clients bind their handles lazily,
+    /// at the first query.
+    pub(crate) fn client(&self, stub: HostId, resolver: HostId) -> Box<dyn Resolver> {
         let server_addr = (resolver, self.kind.port());
         match self.kind {
             TransportKind::Do53 => Box::new(Do53Client::new(stub, server_addr)),
@@ -278,8 +267,8 @@ mod tests {
             let resolver = sim.add_host("resolver");
             sim.add_link(stub, resolver, cfg.link);
             let mut driver = crate::Driver::new();
-            driver.register(&mut sim, |sim| cfg.build_server(sim, resolver));
-            let client = driver.register_resolver(&mut sim, |_| cfg.build_client(stub, resolver));
+            driver.serve(&mut sim, &cfg, resolver, ServerBackend::echo());
+            let client = driver.connect(&mut sim, &cfg, stub, resolver);
             let name = Name::parse("abcdefgh.dohmark.test").unwrap();
             for id in 1..=2u16 {
                 let response = driver.resolve(&mut sim, client, &name);
@@ -305,9 +294,8 @@ mod tests {
                 let resolver = sim.add_host("resolver");
                 sim.add_link(stub, resolver, cfg.link);
                 let mut driver = crate::Driver::new();
-                driver.register(&mut sim, |sim| cfg.build_server(sim, resolver));
-                let client =
-                    driver.register_resolver(&mut sim, |_| cfg.build_client(stub, resolver));
+                driver.serve(&mut sim, &cfg, resolver, ServerBackend::echo());
+                let client = driver.connect(&mut sim, &cfg, stub, resolver);
                 let name = Name::parse("abcdefgh.dohmark.test").unwrap();
                 for query in 1..=3u64 {
                     driver.run_until_quiescent(&mut sim);
@@ -350,8 +338,8 @@ mod tests {
             let resolver = sim.add_host("resolver");
             sim.add_link(stub, resolver, cfg.link);
             let mut driver = crate::Driver::new();
-            driver.register(&mut sim, |sim| cfg.build_server(sim, resolver));
-            let client = driver.register_resolver(&mut sim, |_| cfg.build_client(stub, resolver));
+            driver.serve(&mut sim, cfg, resolver, ServerBackend::echo());
+            let client = driver.connect(&mut sim, cfg, stub, resolver);
             let name = Name::parse("abcdefgh.dohmark.test").unwrap();
             driver.resolve(&mut sim, client, &name).unwrap();
             driver.run_until_quiescent(&mut sim);

@@ -162,8 +162,8 @@ pub(crate) enum EvKind {
     AppTimer { token: u64, owner: u64 },
 }
 
-/// What the event queue did so far, counted unconditionally: every field
-/// is a plain increment on a path that already writes to the [`Sim`].
+/// What the engine did so far, counted unconditionally: every field is a
+/// plain increment on a path that already writes to the [`Sim`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Events queued, TCP timer events queued again included. Not the `seq`
@@ -186,6 +186,9 @@ pub struct EngineStats {
     /// the [`CostMeter`], whose total it equals on a run that conserves
     /// what it meters.
     pub wire_bytes: u64,
+    /// Packets dropped: lost or corrupted on a link, sent with no route, or
+    /// arriving where no open socket, listener or connection takes them.
+    pub dropped: u64,
 }
 
 /// Out-of-line storage for the packets in flight, so heap entries stay
@@ -269,7 +272,6 @@ pub struct Sim {
     attr: u32,
     owner: u64,
     next_ephemeral: u16,
-    pub(crate) dropped: u64,
 }
 
 impl Sim {
@@ -294,7 +296,6 @@ impl Sim {
             attr: 0,
             owner: 0,
             next_ephemeral: EPHEMERAL_BASE,
-            dropped: 0,
         }
     }
 
@@ -303,12 +304,12 @@ impl Sim {
         self.now
     }
 
-    /// Packets dropped by fault injection or missing routes so far.
+    /// Packets dropped so far: [`EngineStats::dropped`].
     pub fn dropped_packets(&self) -> u64 {
-        self.dropped
+        self.stats.dropped
     }
 
-    /// Event-queue counts so far.
+    /// Engine counts so far.
     pub fn stats(&self) -> EngineStats {
         self.stats
     }
@@ -531,7 +532,7 @@ impl Sim {
         );
         debug_assert_eq!(link, self.route(pkt.src.0, pkt.dst.0), "a stale cached route");
         let Some(link) = link else {
-            self.dropped += 1;
+            self.stats.dropped += 1;
             return;
         };
         let cfg = self.links[link].cfg;
@@ -543,7 +544,7 @@ impl Sim {
         // Corrupted TCP segments fail the checksum at the receiver and are
         // discarded there: identical to a drop for the state machine.
         if lost || (corrupted && matches!(pkt.body, Body::Segment(_))) {
-            self.dropped += 1;
+            self.stats.dropped += 1;
             return;
         }
         if let Body::Datagram(payload) = &mut pkt.body {
@@ -570,7 +571,7 @@ impl Sim {
 
     fn deliver_udp(&mut self, src: (HostId, u16), dst: (HostId, u16), payload: Vec<u8>) {
         let Some(idx) = self.open_sock(dst.0 .0, dst.1) else {
-            self.dropped += 1;
+            self.stats.dropped += 1;
             return;
         };
         self.udp[idx].rx.push_back((src.0, src.1, payload));

@@ -664,7 +664,7 @@ impl Sim {
     /// A client SYN arriving at the server side of `conn`.
     fn on_tcp_syn(&mut self, conn: usize, side: Side, seg: &TcpSegMeta) {
         if side != Side::Server {
-            self.dropped += 1;
+            self.stats.dropped += 1;
             return;
         }
         let state = self.conns[conn].ends[Side::Server.index()].state;
@@ -679,7 +679,7 @@ impl Sim {
                     self.listeners.iter().position(|l| l.host == host && l.port == port)
                 else {
                     // Nothing is listening; the client retries, then fails.
-                    self.dropped += 1;
+                    self.stats.dropped += 1;
                     return;
                 };
                 let (link, mss) = self.tcp_path(HostId(host), HostId(peer_host));
@@ -707,7 +707,7 @@ impl Sim {
     /// The server SYN-ACK arriving at the client side of `conn`.
     fn on_tcp_synack(&mut self, conn: usize, side: Side, seg: &TcpSegMeta) {
         if side != Side::Client {
-            self.dropped += 1;
+            self.stats.dropped += 1;
             return;
         }
         let completed = {
@@ -741,7 +741,7 @@ impl Sim {
     /// ACK / data / FIN processing on an engaged endpoint.
     fn on_tcp_established_segment(&mut self, conn: usize, side: Side, seg: &TcpSegMeta) {
         if self.conns[conn].ends[side.index()].state == TcpState::Idle {
-            self.dropped += 1;
+            self.stats.dropped += 1;
             return;
         }
         if seg.flags.ack {

@@ -13,9 +13,9 @@
 //! * [`load_page`] walks the tree the way a browser does: a resource
 //!   becomes *discoverable* when its parent finishes (you cannot request
 //!   what you have not parsed), each domain's **first** discoverable
-//!   resource triggers one DNS resolution through a registered
-//!   [`Resolver`](dohmark_doh::Resolver) (any transport of the matrix),
-//!   and a resource's fetch starts only once its domain has resolved.
+//!   resource triggers one DNS resolution through a client the
+//!   [`Driver`] connected (any transport of the matrix), and a
+//!   resource's fetch starts only once its domain has resolved.
 //! * Resource fetches are modelled analytically by [`fetch_time`]
 //!   (one round trip plus serialisation of the resource body) and are
 //!   **identical across DNS transports**, so any page-load-time
@@ -29,7 +29,7 @@
 //!
 //! ```
 //! use dohmark_dns_wire::Name;
-//! use dohmark_doh::{Driver, ReusePolicy, TransportConfig, TransportKind};
+//! use dohmark_doh::{Driver, ReusePolicy, ServerBackend, TransportConfig, TransportKind};
 //! use dohmark_netsim::{Sim, SimRng};
 //! use dohmark_pageload::load_page;
 //! use dohmark_workload::SiteModel;
@@ -41,8 +41,8 @@
 //! let resolver = sim.add_host("resolver");
 //! sim.add_link(stub, resolver, cfg.link);
 //! let mut driver = Driver::new();
-//! driver.register(&mut sim, |sim| cfg.build_server(sim, resolver));
-//! let client = driver.register_resolver(&mut sim, |_| cfg.build_client(stub, resolver));
+//! driver.serve(&mut sim, &cfg, resolver, ServerBackend::echo());
+//! let client = driver.connect(&mut sim, &cfg, stub, resolver);
 //!
 //! let zone = Name::parse("sites.dohmark.test").unwrap();
 //! let mut rng = SimRng::new(DEMO_SEED);
@@ -122,7 +122,7 @@ enum ResState {
     Done,
 }
 
-/// Loads one page through the registered resolver `client`, returning the
+/// Loads one page through the driver's client `client`, returning the
 /// tree's makespan and DNS accounting. Each resource costs its
 /// [`fetch_time`] over `link`: the same access link the DNS traffic uses,
 /// since stub and content sit behind one last mile.
@@ -276,7 +276,7 @@ impl Loader<'_> {
 mod tests {
     use super::*;
     use dohmark_dns_wire::Name;
-    use dohmark_doh::{ReusePolicy, TransportConfig, TransportKind};
+    use dohmark_doh::{ReusePolicy, ServerBackend, TransportConfig, TransportKind};
     use dohmark_netsim::SimRng;
     use dohmark_workload::{Resource, SiteModel};
 
@@ -305,8 +305,8 @@ mod tests {
         let resolver = sim.add_host("resolver");
         sim.add_link(stub, resolver, cfg.link);
         let mut driver = Driver::new();
-        driver.register(&mut sim, |sim| cfg.build_server(sim, resolver));
-        let client = driver.register_resolver(&mut sim, |_| cfg.build_client(stub, resolver));
+        driver.serve(&mut sim, cfg, resolver, ServerBackend::echo());
+        let client = driver.connect(&mut sim, cfg, stub, resolver);
         (sim, driver, client)
     }
 

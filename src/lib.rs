@@ -17,9 +17,9 @@
 //!   request/response text.
 //! * [`doh`] — simulated DNS transports behind one unified API: UDP Do53,
 //!   DoT, and DoH over HTTP/1.1 and HTTP/2, each resolution attributed in
-//!   the cost meter. A `doh::TransportConfig` (kind × reuse × TLS
-//!   resumption) builds a boxed `Resolver` and `Endpoint` to register in
-//!   a `doh::Driver`, so experiments iterate the whole transport matrix.
+//!   the cost meter. A [`doh::Driver`] serves and connects any
+//!   [`doh::TransportConfig`] (kind × reuse × TLS resumption), so
+//!   experiments iterate the whole transport matrix.
 //! * [`survey`] — the DoH provider landscape survey, paper Tables 1–2
 //!   (planned).
 //! * [`workload`] — seeded Poisson query arrivals, Zipf name universes,
@@ -27,8 +27,9 @@
 //!   (`SiteModel`) whose pages feed the page-load engine.
 //! * [`pageload`] — the browser page-load engine, Figures 1, 2 and 6:
 //!   pages as dependency trees of resources over several domains, each
-//!   fetch gated on resolving its domain through any [`doh::Resolver`],
-//!   page-load time as the simulated makespan from `pageload::load_page`.
+//!   fetch gated on resolving its domain through any client a
+//!   [`doh::Driver`] connects, page-load time as the simulated makespan
+//!   from `pageload::load_page`.
 //!
 //! ## Quickstart
 //!
