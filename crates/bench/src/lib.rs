@@ -214,6 +214,21 @@ mod tests {
     }
 
     #[test]
+    fn a_fleet_on_a_lossy_link_resolves_every_query() {
+        // The resolver's upstream leg shares the stubs' 5 % lossy link; a
+        // lost upstream datagram is resent, not left pending for good.
+        let lossy = LinkConfig::clean_broadband().loss(0.05);
+        for cfg in fleet_transports() {
+            let label = cfg.label();
+            let fleet = FleetCell::new(TransportConfig { link: lossy, ..cfg }, 50, 40);
+            for seed in 1..=10 {
+                let run = fleet.measure(seed);
+                assert!(run.is_ok(), "{label} seed {seed}: {run:?}");
+            }
+        }
+    }
+
+    #[test]
     fn a_fleet_past_the_old_global_id_space_resolves_every_query() {
         // 66,000 resolutions in one run: more than a single 16-bit id space
         // holds, and 33,000 per client — nowhere near wrapping either one's.

@@ -19,7 +19,7 @@ use dohmark::dns::Name;
 use dohmark::doh::{
     Driver, EndpointId, ReusePolicy, ServerBackend, TransportConfig, TransportKind, Zone,
 };
-use dohmark::netsim::{Cost, LayerTag, Sim, SimDuration, SimTime};
+use dohmark::netsim::{Cost, HostId, LayerTag, Sim, SimDuration, SimTime};
 use dohmark::pageload::{load_page, PageLoadResult};
 use dohmark::workload::{FleetSchedule, QuerySchedule, SiteModel};
 
@@ -46,6 +46,8 @@ struct Testbed {
     sim: Sim,
     driver: Driver,
     clients: Vec<EndpointId>,
+    /// The resolver's and its upstream's hosts, when it is recursive.
+    upstream_leg: Option<(HostId, HostId)>,
 }
 
 impl Testbed {
@@ -62,16 +64,16 @@ impl Testbed {
         let mut sim = Sim::new(seed);
         let resolver = sim.add_host("resolver");
         let mut driver = Driver::new();
-        let backend = match recursive_zone {
+        let (backend, upstream_leg) = match recursive_zone {
             Some(zone) => {
                 let upstream = sim.add_host("upstream");
                 sim.add_link(resolver, upstream, cfg.link);
                 let do53 = TransportConfig::new(TransportKind::Do53, ReusePolicy::Fresh);
                 let zone = Zone::synth(zone.clone(), TransportConfig::TTL, 60);
                 driver.serve(&mut sim, &do53, upstream, ServerBackend::Authoritative(zone));
-                ServerBackend::Recursive { upstream }
+                (ServerBackend::Recursive { upstream }, Some((resolver, upstream)))
             }
-            None => ServerBackend::echo(),
+            None => (ServerBackend::echo(), None),
         };
         driver.serve(&mut sim, cfg, resolver, backend);
         let clients = (0..clients)
@@ -81,7 +83,7 @@ impl Testbed {
                 driver.connect(&mut sim, cfg, stub, resolver)
             })
             .collect();
-        Testbed { sim, driver, clients }
+        Testbed { sim, driver, clients, upstream_leg }
     }
 
     /// Advances the simulation to `at`, then resolves `name` from client
@@ -270,8 +272,10 @@ pub struct FleetRun {
     pub hit_ratio: f64,
     /// Upstream fetches the resolver issued (after coalescing).
     pub upstream_queries: u64,
-    /// Bytes spent on the resolver-to-upstream leg (payload + IP/UDP
-    /// headers, both directions).
+    /// Bytes put on the resolver-to-upstream links, both directions:
+    /// payload and IP/UDP headers, resends and lost packets included, as
+    /// in `total_bytes`, so `total_bytes - upstream_bytes` is the stub leg
+    /// under loss too.
     pub upstream_bytes: u64,
     /// All bytes the simulation put on any wire.
     pub total_bytes: u64,
@@ -307,11 +311,13 @@ impl FleetCell {
         for (at, client, name) in &schedule.queries {
             bed.resolve_at(*at, *client, name)?;
         }
+        let (resolver, upstream) = bed.upstream_leg.expect("a fleet's resolver is recursive");
         let sim = bed.finish()?;
 
         let cache_hits = sim.meter.counters.cache_hit + sim.meter.counters.cache_negative_hit;
         let cache_misses = sim.meter.counters.cache_miss;
-        let upstream_bytes = sim.meter.counters.upstream_bytes;
+        let upstream_bytes =
+            sim.link_bytes(resolver, upstream) + sim.link_bytes(upstream, resolver);
         let total_bytes = sim.meter.total().bytes;
         let n = queries as f64;
         Ok(FleetRun {

@@ -32,9 +32,7 @@ impl Do53Server {
         port: u16,
         backend: ServerBackend,
     ) -> Do53Server {
-        let backend = backend.start(sim, host);
-        let sock = sim.udp_bind(host, port);
-        Do53Server { sock, backend }
+        Do53Server { sock: sim.udp_bind(host, port), backend: backend.start(host) }
     }
 
     fn send_response(&mut self, sim: &mut Sim, dst: (HostId, u16), response: &Message) {
@@ -83,7 +81,8 @@ struct PendingQuery {
 }
 
 /// A Do53 client multiplexing queries over fresh ephemeral source ports,
-/// retransmitting on TCP's RTO schedule.
+/// retransmitting on TCP's RTO schedule: a stub's Do53 transport, and the
+/// upstream of every [`RecursiveResolver`](crate::resolver::RecursiveResolver).
 #[derive(Debug)]
 pub(crate) struct Do53Client {
     host: HostId,
@@ -107,6 +106,32 @@ impl Do53Client {
         Do53Client { host, server, last_txn: 0, pending: Vec::new(), responses: Vec::new() }
     }
 
+    /// Sends a `qtype` query for `name` from a freshly bound ephemeral
+    /// port, arms its first retransmission timer and returns the
+    /// transaction (and attribution) id it drew.
+    pub(crate) fn send(&mut self, sim: &mut Sim, name: &Name, qtype: RecordType) -> u16 {
+        let id = crate::next_txn(&mut self.last_txn);
+        debug_assert!(
+            !self.pending.iter().any(|q| q.id == id)
+                && !self.responses.iter().any(|m| m.header.id == id),
+            "transaction id {id} redrawn while its query is still outstanding"
+        );
+        let sock = sim.udp_bind(self.host, 0);
+        sim.set_attr(u32::from(id));
+        let wire = Message::query(id, name, qtype).encode();
+        // The send draws its event `seq` before the timer does.
+        sim.udp_send(sock, self.server, LayerTag::DnsPayload, wire.clone());
+        crate::driver::schedule_endpoint_timer(sim, INIT_RTO, u64::from(id));
+        self.pending.push(PendingQuery {
+            id,
+            sock,
+            wire,
+            retries_left: MAX_RETRIES,
+            next_timeout: INIT_RTO,
+        });
+        id
+    }
+
     /// Handles a retransmission-timer wake. Timers are routed to their
     /// owner, so the token is simply the transaction id it was armed for.
     fn on_retry_timer(&mut self, sim: &mut Sim, token: u64) {
@@ -126,30 +151,8 @@ impl Do53Client {
 }
 
 impl Resolver for Do53Client {
-    /// Sends an A query for `name` from a freshly bound ephemeral port and
-    /// arms its first retransmission timer.
     fn send_query(&mut self, sim: &mut Sim, name: &Name) -> u16 {
-        let id = crate::next_txn(&mut self.last_txn);
-        debug_assert!(
-            !self.pending.iter().any(|q| q.id == id)
-                && !self.responses.iter().any(|m| m.header.id == id),
-            "transaction id {id} redrawn while its query is still outstanding"
-        );
-        let sock = sim.udp_bind(self.host, 0);
-        sim.set_attr(u32::from(id));
-        let query = Message::query(id, name, RecordType::A);
-        let wire = query.encode();
-        // The send draws its event `seq` before the timer does.
-        sim.udp_send(sock, self.server, LayerTag::DnsPayload, wire.clone());
-        crate::driver::schedule_endpoint_timer(sim, INIT_RTO, u64::from(id));
-        self.pending.push(PendingQuery {
-            id,
-            sock,
-            wire,
-            retries_left: MAX_RETRIES,
-            next_timeout: INIT_RTO,
-        });
-        id
+        self.send(sim, name, RecordType::A)
     }
 
     fn take_response(&mut self, id: u16) -> Option<Message> {

@@ -13,12 +13,13 @@
 //! The driver builds every endpoint itself — a server in
 //! [`Driver::serve`], a client in [`Driver::connect`] — with the new
 //! endpoint's [`EndpointId`] installed as the owner, so every handle it
-//! creates while being built (a server's socket or listener, a recursive
-//! resolver's upstream socket) is stamped with that id. It re-installs the
-//! owner before every callback, so handles created *later* (reconnects
-//! after a FIN, fresh per-query sockets, accepted server connections via
-//! the listener's owner) inherit the right id too. No code outside this
-//! module assigns an owner.
+//! creates while being built (a server's socket or listener) is stamped
+//! with that id. It re-installs the owner before every callback, so
+//! handles created *later* (reconnects after a FIN, fresh per-query
+//! sockets — a recursive resolver's upstream fetches among them — and
+//! their resend timers, accepted server connections via the listener's
+//! owner) inherit the right id too. No code outside this module assigns an
+//! owner.
 //!
 //! ```
 //! use dohmark_dns_wire::Name;
@@ -59,6 +60,16 @@ const ADVANCE_TOKEN: u64 = u64::MAX;
 pub(crate) fn schedule_endpoint_timer(sim: &mut Sim, delay: SimDuration, token: u64) {
     debug_assert_ne!(token, ADVANCE_TOKEN, "token is reserved for Driver::advance_until");
     sim.schedule_app_in(delay, token);
+}
+
+/// Runs `f` with `owner` installed as the simulator's owner, then puts
+/// the previous owner back.
+fn with_owner<T>(sim: &mut Sim, owner: u64, f: impl FnOnce(&mut Sim) -> T) -> T {
+    let prev = sim.owner();
+    sim.set_owner(owner);
+    let out = f(sim);
+    sim.set_owner(prev);
+    out
 }
 
 /// Identifier of an endpoint a [`Driver`] built. Doubles as the netsim
@@ -113,18 +124,15 @@ impl Driver {
     /// owner, so every handle `build` creates is stamped with it.
     fn add(&mut self, sim: &mut Sim, build: impl FnOnce(&mut Sim) -> Slot) -> EndpointId {
         let id = EndpointId(self.slots.len() as u64 + 1);
-        let prev = sim.owner();
-        sim.set_owner(id.0);
-        let slot = build(sim);
-        sim.set_owner(prev);
+        let slot = with_owner(sim, id.0, build);
         self.slots.push(slot);
         id
     }
 
     /// Serves `cfg`'s transport on `host`, at its well-known port,
     /// answering from `backend`. A [`ServerBackend::Recursive`] resolver
-    /// binds its upstream socket before the server binds its own socket or
-    /// listener.
+    /// binds nothing now: each upstream fetch binds its own socket, under
+    /// this server's id.
     pub fn serve(
         &mut self,
         sim: &mut Sim,
@@ -178,10 +186,8 @@ impl Driver {
         let (wake, owner) = sim.next_wake_owned()?;
         let routed = owner != 0 && owner as usize <= self.slots.len();
         if routed {
-            let prev = sim.owner();
-            sim.set_owner(owner);
-            self.slots[owner as usize - 1].on_wake(sim, &wake);
-            sim.set_owner(prev);
+            let slot = &mut self.slots[owner as usize - 1];
+            with_owner(sim, owner, |sim| slot.on_wake(sim, &wake));
         } else if owner != 0 || !matches!(wake, Wake::AppTimer { .. }) {
             self.unrouted += 1;
         }
@@ -193,11 +199,7 @@ impl Driver {
     /// it; pair with [`Driver::run_until_quiescent`] /
     /// [`Driver::take_response`] to overlap many in-flight resolutions.
     pub fn send_query(&mut self, sim: &mut Sim, id: EndpointId, name: &Name) -> u16 {
-        let prev = sim.owner();
-        sim.set_owner(id.0);
-        let txn = self.resolver_mut(id).send_query(sim, name);
-        sim.set_owner(prev);
-        txn
+        with_owner(sim, id.0, |sim| self.resolver_mut(id).send_query(sim, name))
     }
 
     /// Removes and returns client `id`'s response to transaction `txn`.
@@ -207,10 +209,7 @@ impl Driver {
 
     /// Initiates a graceful teardown of client `id`'s transport state.
     pub fn close(&mut self, sim: &mut Sim, id: EndpointId) {
-        let prev = sim.owner();
-        sim.set_owner(id.0);
-        self.resolver_mut(id).close(sim);
-        sim.set_owner(prev);
+        with_owner(sim, id.0, |sim| self.resolver_mut(id).close(sim));
     }
 
     /// Sends one query from client `id` and runs the simulation — routing
@@ -245,10 +244,7 @@ impl Driver {
         reason = "the driver's own unowned ADVANCE_TOKEN timer, popped back through `step`"
     )]
     pub fn advance_until(&mut self, sim: &mut Sim, at: SimTime) {
-        let prev = sim.owner();
-        sim.set_owner(0);
-        sim.schedule_app(at, ADVANCE_TOKEN);
-        sim.set_owner(prev);
+        with_owner(sim, 0, |sim| sim.schedule_app(at, ADVANCE_TOKEN));
         while let Some((wake, routed)) = self.step(sim) {
             if !routed && matches!(wake, Wake::AppTimer { token: ADVANCE_TOKEN, .. }) {
                 return;

@@ -97,7 +97,9 @@
 //! setup (TCP handshake + TLS flights + HTTP/2 preface and SETTINGS) is
 //! charged to the id current when the connection was opened: the
 //! resolution's own id for fresh connections, id 0 — which no query ever
-//! draws — for persistent ones.
+//! draws — for persistent ones. A recursive resolver's upstream exchange is
+//! metered under the id its own upstream Do53 client drew, in both
+//! directions, not under the id of the stub query that missed the cache.
 
 #![warn(missing_docs)]
 #![warn(clippy::print_stdout, clippy::print_stderr, clippy::unwrap_used)]

@@ -9,20 +9,25 @@
 //! queries its upstream authoritative server over plain Do53 (the common
 //! deployment shape: encrypted stub-to-recursive, UDP recursive-to-
 //! authoritative), coalescing concurrent identical questions into one
-//! upstream fetch.
+//! upstream fetch. The upstream is a [`Do53Client`], the stubs' own Do53
+//! client: each fetch goes out from a fresh source port (RFC 5452 §9.2)
+//! and is resent on TCP's RTO schedule (RFC 1035 §4.2.1), so a lost
+//! upstream datagram delays a fetch rather than losing it.
 //!
-//! All measurements flow through the one instrument experiments already
-//! read, the [`CostMeter`](dohmark_netsim::CostMeter)'s typed
+//! The resolver's events flow through the one instrument experiments
+//! already read, the [`CostMeter`](dohmark_netsim::CostMeter)'s typed
 //! [`Counters`](dohmark_netsim::Counters): `cache_hit`,
-//! `cache_negative_hit`, `cache_miss`, `coalesced_queries`,
-//! `upstream_queries` and `upstream_bytes` (upstream payload + IP/UDP
-//! header bytes, both directions).
+//! `cache_negative_hit`, `cache_miss`, `coalesced_queries` and
+//! `upstream_queries`. The upstream leg's bytes are the simulator's to
+//! count: [`Sim::link_bytes`] over the resolver↔upstream link pair.
 
 use crate::cache::{CachedAnswer, DnsCache};
+use crate::do53::Do53Client;
 use crate::transport::{TransportConfig, TransportKind};
 use crate::zone::Zone;
+use crate::{Endpoint, Resolver};
 use dohmark_dns_wire::{Message, Name, Rcode, Rdata, Record, RecordType};
-use dohmark_netsim::{HostId, LayerTag, Sim, SockId, Wake, IP_HEADER, UDP_HEADER};
+use dohmark_netsim::{HostId, Sim, Wake};
 
 /// The resolver's cache capacity, in entries: more than any experiment
 /// ever holds, so nothing is evicted.
@@ -32,9 +37,9 @@ const CACHE_CAPACITY: usize = 1 << 16;
 #[derive(Debug)]
 struct PendingFetch<W> {
     key: (Name, RecordType),
-    /// Transaction id on the upstream wire, from the resolver's own
-    /// counter: stub ids are unique per stub only, so two stubs' queries
-    /// may carry the same one.
+    /// The transaction id the upstream [`Do53Client`] drew for the fetch,
+    /// which its answer is taken by: stub ids are unique per stub only, so
+    /// two stubs' queries may carry the same one.
     upstream_id: u16,
     /// Parked stub queries: where each one's answer goes, and the original
     /// query (whose header id the answer must echo).
@@ -47,28 +52,12 @@ struct PendingFetch<W> {
 /// slot for the stream transports.
 #[derive(Debug)]
 pub(crate) struct RecursiveResolver<W> {
-    sock: SockId,
-    upstream: (HostId, u16),
+    upstream: Do53Client,
     cache: DnsCache,
-    /// The transaction id of the latest upstream query (0 before the first).
-    last_upstream_txn: u16,
     pending: Vec<PendingFetch<W>>,
 }
 
 impl<W> RecursiveResolver<W> {
-    /// A resolver on `host`, its upstream socket bound to an ephemeral port
-    /// there, querying the authoritative server at `upstream`.
-    fn new(sim: &mut Sim, host: HostId, upstream: (HostId, u16)) -> RecursiveResolver<W> {
-        let sock = sim.udp_bind(host, 0);
-        RecursiveResolver {
-            sock,
-            upstream,
-            cache: DnsCache::new(CACHE_CAPACITY),
-            last_upstream_txn: 0,
-            pending: Vec::new(),
-        }
-    }
-
     /// Answers `query` from the cache, or parks it (returning `None`)
     /// behind an upstream fetch whose completion [`Self::poll`] will
     /// surface with `waiter` attached.
@@ -98,15 +87,8 @@ impl<W> RecursiveResolver<W> {
             fetch.waiters.push((waiter, query.clone()));
             return None;
         }
-        // Fetch upstream under the resolver's own transaction id, the
-        // query's bytes attributed to the resolution that triggered it
-        // (the upstream server meters its answer under the id it decodes).
-        let upstream_id = crate::next_txn(&mut self.last_upstream_txn);
-        let encoded = Message::query(upstream_id, &key.0, qtype).encode();
-        sim.set_attr(u32::from(query.header.id));
         sim.meter.counters.upstream_queries += 1;
-        sim.meter.counters.upstream_bytes += (encoded.len() + IP_HEADER + UDP_HEADER) as u64;
-        sim.udp_send(self.sock, self.upstream, LayerTag::DnsPayload, encoded);
+        let upstream_id = self.upstream.send(sim, &key.0, qtype);
         self.pending.push(PendingFetch {
             key,
             upstream_id,
@@ -115,23 +97,20 @@ impl<W> RecursiveResolver<W> {
         None
     }
 
-    /// Ingests upstream responses if `wake` is for the resolver's upstream
-    /// socket; returns the unparked `(waiter, response)` pairs, each
-    /// response carrying its own stub query's transaction id.
+    /// Hands `wake` to the upstream client (its sockets' answers, its
+    /// resend timers), then returns the `(waiter, response)` pairs of
+    /// every fetch it answered, each response carrying its own stub
+    /// query's transaction id.
     fn poll(&mut self, sim: &mut Sim, wake: &Wake) -> Vec<(W, Message)> {
-        let Wake::UdpReadable { sock, .. } = wake else { return Vec::new() };
-        if *sock != self.sock {
-            return Vec::new();
-        }
+        self.upstream.on_wake(sim, wake);
         let mut completed = Vec::new();
-        while let Some((_, _, data)) = sim.udp_recv(self.sock) {
-            let Ok(upstream) = Message::decode(&data) else { continue };
-            let Some(idx) = self.pending.iter().position(|f| f.upstream_id == upstream.header.id)
-            else {
+        let mut i = 0;
+        while i < self.pending.len() {
+            let Some(upstream) = self.upstream.take_response(self.pending[i].upstream_id) else {
+                i += 1;
                 continue;
             };
-            let fetch = self.pending.remove(idx);
-            sim.meter.counters.upstream_bytes += (data.len() + IP_HEADER + UDP_HEADER) as u64;
+            let fetch = self.pending.remove(i);
             self.cache_upstream(sim, &fetch, &upstream);
             for (waiter, stub_query) in fetch.waiters {
                 let mut response =
@@ -198,17 +177,16 @@ impl ServerBackend {
         ServerBackend::Authoritative(Zone::fixed(TransportConfig::ANSWER, TransportConfig::TTL))
     }
 
-    /// The live answer source of a server on `host`. A recursive one binds
-    /// its upstream socket now, so a server starts its backend before it
-    /// binds its own socket or listener: the order every report was pinned
-    /// with.
-    pub(crate) fn start<W>(self, sim: &mut Sim, host: HostId) -> Backend<W> {
+    /// The live answer source of a server on `host`: a recursive one
+    /// fetches from `upstream`'s Do53 server, from `host`.
+    pub(crate) fn start<W>(self, host: HostId) -> Backend<W> {
         match self {
             ServerBackend::Authoritative(zone) => Backend::Authoritative(zone),
-            ServerBackend::Recursive { upstream } => {
-                let upstream = (upstream, TransportKind::Do53.port());
-                Backend::Recursive(RecursiveResolver::new(sim, host, upstream))
-            }
+            ServerBackend::Recursive { upstream } => Backend::Recursive(RecursiveResolver {
+                upstream: Do53Client::new(host, (upstream, TransportKind::Do53.port())),
+                cache: DnsCache::new(CACHE_CAPACITY),
+                pending: Vec::new(),
+            }),
         }
     }
 }
@@ -231,8 +209,8 @@ impl<W> Backend<W> {
         }
     }
 
-    /// Feeds a wake to the backend (upstream socket traffic for recursive
-    /// backends); returns completed `(waiter, response)` pairs.
+    /// Feeds a wake to the backend (a recursive one's upstream answers and
+    /// resend timers); returns completed `(waiter, response)` pairs.
     pub(crate) fn poll(&mut self, sim: &mut Sim, wake: &Wake) -> Vec<(W, Message)> {
         match self {
             Backend::Authoritative(_) => Vec::new(),
@@ -271,6 +249,12 @@ mod tests {
             driver.connect(&mut sim, &cfg, stub, resolver)
         });
         (sim, driver, stubs)
+    }
+
+    /// Bytes the upstream has sent the resolver: [`two_stubs`] adds their
+    /// hosts first, in that order.
+    fn upstream_answer_bytes(sim: &Sim) -> u64 {
+        sim.link_bytes(HostId(1), HostId(0))
     }
 
     /// Sends `names[i]` from stub `i` before driving anything — both
@@ -339,16 +323,12 @@ mod tests {
             while sim.meter.counters.upstream_queries == upstream_queries {
                 driver.step(&mut sim).expect("the miss reaches the resolver");
             }
-            let (upstream_bytes, dropped) =
-                (sim.meter.counters.upstream_bytes, sim.dropped_packets());
+            let (upstream_bytes, dropped) = (upstream_answer_bytes(&sim), sim.dropped_packets());
             driver.close(&mut sim, stub);
             driver.run_until_quiescent(&mut sim);
             assert!(driver.take_response(stub, miss).is_none(), "{kind:?}: answered after close");
             assert_eq!(driver.unrouted_wakes(), 0, "{kind:?}");
-            assert!(
-                sim.meter.counters.upstream_bytes > upstream_bytes,
-                "{kind:?}: no upstream answer"
-            );
+            assert!(upstream_answer_bytes(&sim) > upstream_bytes, "{kind:?}: no upstream answer");
             if kind == TransportKind::Do53 {
                 assert_eq!(sim.dropped_packets(), dropped + 1, "the answer to the closed port");
             }

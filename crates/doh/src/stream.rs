@@ -454,9 +454,8 @@ impl<F: Framing> StreamServer<F> {
         tls_cfg: TlsConfig,
         backend: ServerBackend,
     ) -> StreamServer<F> {
-        let backend = backend.start(sim, host);
         let listener = sim.tcp_listen(host, port);
-        StreamServer { listener, tls_cfg, backend, conns: Vec::new() }
+        StreamServer { listener, tls_cfg, backend: backend.start(host), conns: Vec::new() }
     }
 
     /// Established-and-open connection count.

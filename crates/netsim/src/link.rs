@@ -137,12 +137,15 @@ pub(crate) struct DirLink {
     pub(crate) cfg: LinkConfig,
     /// When the transmitter becomes free (FIFO serialisation).
     busy_until: SimTime,
+    /// Wire bytes put on this direction, headers and lost packets
+    /// included: [`Sim::link_bytes`](crate::Sim::link_bytes).
+    pub(crate) bytes: u64,
 }
 
 impl DirLink {
-    /// Creates an idle link direction.
+    /// Creates an idle link direction that has carried nothing.
     pub(crate) fn new(cfg: LinkConfig) -> DirLink {
-        DirLink { cfg, busy_until: SimTime::ZERO }
+        DirLink { cfg, busy_until: SimTime::ZERO, bytes: 0 }
     }
 
     /// Computes the arrival time of a packet of `bytes` handed to the

@@ -184,7 +184,7 @@ pub struct EngineStats {
     /// Bytes put on links: the sum of every transmitted packet's wire
     /// length, headers included, dropped packets too. Counted apart from
     /// the [`CostMeter`], whose total it equals on a run that conserves
-    /// what it meters.
+    /// what it meters. [`Sim::link_bytes`] splits it by link direction.
     pub wire_bytes: u64,
     /// Packets dropped: lost or corrupted on a link, sent with no route, or
     /// arriving where no open socket, listener or connection takes them.
@@ -382,15 +382,28 @@ impl Sim {
         self.routes.binary_search_by_key(&(src.0, dst.0), |r| (r.0, r.1))
     }
 
-    /// Installs (or replaces, keeping its index) the link `src -> dst`.
+    /// Installs (or replaces, keeping its index and its byte count) the
+    /// link `src -> dst`.
     fn set_dir_link(&mut self, src: HostId, dst: HostId, cfg: LinkConfig) {
         match self.find_route(src, dst) {
-            Ok(i) => self.links[self.routes[i].2] = DirLink::new(cfg),
+            Ok(i) => {
+                let link = &mut self.links[self.routes[i].2];
+                let bytes = link.bytes;
+                *link = DirLink::new(cfg);
+                link.bytes = bytes;
+            }
             Err(i) => {
                 self.routes.insert(i, (src.0, dst.0, self.links.len()));
                 self.links.push(DirLink::new(cfg));
             }
         }
+    }
+
+    /// Wire bytes put on the link `src -> dst` so far, headers and lost
+    /// packets included; 0 if no such link is configured. Summed over
+    /// every configured direction, it is [`EngineStats::wire_bytes`].
+    pub fn link_bytes(&self, src: HostId, dst: HostId) -> u64 {
+        self.route(src, dst).map_or(0, |link| self.links[link].bytes)
     }
 
     /// Index into `links` of the link `src -> dst`, if one is configured.
@@ -538,7 +551,9 @@ impl Sim {
         let cfg = self.links[link].cfg;
         // Every transmitted packet consumes wire bytes, delivered or not.
         self.meter.record(&pkt);
-        self.stats.wire_bytes += pkt.wire_len() as u64;
+        let wire_len = pkt.wire_len() as u64;
+        self.stats.wire_bytes += wire_len;
+        self.links[link].bytes += wire_len;
         let lost = self.rng.chance(cfg.loss);
         let corrupted = !lost && self.rng.chance(cfg.corrupt);
         // Corrupted TCP segments fail the checksum at the receiver and are
@@ -821,6 +836,29 @@ mod tests {
     #[test]
     fn meter_conserves_wire_bytes_over_a_lossy_link() {
         lossy_mixed_run();
+    }
+
+    /// Each link direction counts the bytes put on it, lost packets
+    /// included, and re-adding a link (healing it) keeps the count.
+    #[test]
+    fn link_bytes_sum_to_the_wire_bytes_over_a_lossy_run() {
+        let mut sim = lossy_mixed_run();
+        let (a, b) = (HostId(0), HostId(1));
+        let both = |sim: &Sim| [sim.link_bytes(a, b), sim.link_bytes(b, a)];
+        let [ab, ba] = both(&sim);
+        assert!(ab > 0 && ba > 0, "{ab} {ba}");
+        assert_eq!(ab + ba, sim.stats().wire_bytes, "the dropped packets' bytes too");
+        let c = sim.add_host("unlinked");
+        assert_eq!([sim.link_bytes(a, c), sim.link_bytes(c, a), sim.link_bytes(a, a)], [0; 3]);
+
+        sim.add_link(a, b, LinkConfig::localhost());
+        assert_eq!(both(&sim), [ab, ba], "a re-added link keeps its count");
+        let sock = sim.udp_bind(a, 0);
+        sim.udp_send(sock, (b, 53), LayerTag::DnsPayload, vec![0; 33]);
+        sim.drain();
+        let datagram = (33 + crate::IP_HEADER + crate::UDP_HEADER) as u64;
+        assert_eq!(both(&sim), [ab + datagram, ba]);
+        assert_eq!(ab + datagram + ba, sim.stats().wire_bytes);
     }
 
     /// Every event scheduled is popped, re-queued TCP timers included, and a

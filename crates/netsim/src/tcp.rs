@@ -46,7 +46,8 @@ use std::collections::VecDeque;
 /// Fallback MSS when no link (and hence no MTU) is configured.
 const DEFAULT_MSS: usize = 1460;
 /// Initial retransmission timeout (Linux's minimum RTO, 200 ms). Do53's
-/// retransmission timer starts from it too.
+/// retransmission timer starts from it too, on the stubs' queries and on a
+/// recursive resolver's upstream fetches alike.
 pub const INIT_RTO: SimDuration = SimDuration(200_000_000);
 /// Upper bound on the exponentially backed-off RTO (60 s).
 pub const MAX_RTO: SimDuration = SimDuration(60_000_000_000);

@@ -142,8 +142,6 @@ pub struct Counters {
     pub coalesced_queries: u64,
     /// Queries sent to the upstream authoritative server.
     pub upstream_queries: u64,
-    /// Upstream payload + IP/UDP header bytes, both directions.
-    pub upstream_bytes: u64,
 }
 
 /// The largest attribution id: ids are DNS transaction ids, 16 bits.
