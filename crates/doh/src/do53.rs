@@ -101,7 +101,9 @@ impl Do53Client {
     /// [`INIT_RTO`], then after each [`backoff`] of the timeout, at most
     /// [`MAX_RETRIES`] times. So a lost datagram costs a Do53 resolution
     /// what a lost segment costs a TCP-based one, and lossy-link results
-    /// compare transport loss behaviour, not client give-up behaviour.
+    /// compare transport loss behaviour, not client give-up behaviour. A
+    /// query still unanswered when its last resend times out ends there:
+    /// it is no longer [pending](Self::is_pending) and its socket closes.
     pub(crate) fn new(host: HostId, server: (HostId, u16)) -> Do53Client {
         Do53Client { host, server, last_txn: 0, pending: Vec::new(), responses: Vec::new() }
     }
@@ -132,21 +134,33 @@ impl Do53Client {
         id
     }
 
+    /// Whether query `id` still waits for its answer: sent, not answered,
+    /// and not given up on.
+    pub(crate) fn is_pending(&self, id: u16) -> bool {
+        self.pending.iter().any(|q| q.id == id)
+    }
+
     /// Handles a retransmission-timer wake. Timers are routed to their
     /// owner, so the token is simply the transaction id it was armed for.
     fn on_retry_timer(&mut self, sim: &mut Sim, token: u64) {
         // A stale timer for an already-answered query finds no pending
         // entry and falls through silently — each fire rearms at most
         // one successor, so chains die with their query.
-        if let Some(q) = self.pending.iter_mut().find(|q| u64::from(q.id) == token) {
-            if q.retries_left > 0 {
-                q.retries_left -= 1;
-                sim.set_attr(u32::from(q.id));
-                sim.udp_send(q.sock, self.server, LayerTag::DnsPayload, q.wire.clone());
-                q.next_timeout = backoff(q.next_timeout);
-                crate::driver::schedule_endpoint_timer(sim, q.next_timeout, token);
-            }
+        let Some(idx) = self.pending.iter().position(|q| u64::from(q.id) == token) else {
+            return;
+        };
+        let q = &mut self.pending[idx];
+        if q.retries_left == 0 {
+            // The last resend went unanswered too: the query ends here.
+            sim.udp_close(q.sock);
+            self.pending.remove(idx);
+            return;
         }
+        q.retries_left -= 1;
+        sim.set_attr(u32::from(q.id));
+        sim.udp_send(q.sock, self.server, LayerTag::DnsPayload, q.wire.clone());
+        q.next_timeout = backoff(q.next_timeout);
+        crate::driver::schedule_endpoint_timer(sim, q.next_timeout, token);
     }
 }
 
@@ -356,6 +370,7 @@ mod tests {
         let mut client = Do53Client::new(stub, (resolver, 53));
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
         assert!(pump(&mut sim, &mut client, &mut server, Some(&name)).is_none());
+        assert!(client.pending.is_empty(), "the query ends when its last resend times out");
         let do53 = (sim.meter.total().packets, sim.dropped_packets(), sim.now());
 
         let (mut sim, stub, resolver) = dead_link();

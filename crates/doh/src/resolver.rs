@@ -12,7 +12,10 @@
 //! upstream fetch. The upstream is a [`Do53Client`], the stubs' own Do53
 //! client: each fetch goes out from a fresh source port (RFC 5452 §9.2)
 //! and is resent on TCP's RTO schedule (RFC 1035 §4.2.1), so a lost
-//! upstream datagram delays a fetch rather than losing it.
+//! upstream datagram delays a fetch rather than losing it. A dead upstream
+//! means SERVFAIL: once the client gives up on a fetch, every query waiting
+//! on it is answered [`Rcode::ServFail`], nothing is cached, and the next
+//! miss for the name fetches afresh.
 //!
 //! The resolver's events flow through the one instrument experiments
 //! already read, the [`CostMeter`](dohmark_netsim::CostMeter)'s typed
@@ -99,23 +102,31 @@ impl<W> RecursiveResolver<W> {
 
     /// Hands `wake` to the upstream client (its sockets' answers, its
     /// resend timers), then returns the `(waiter, response)` pairs of
-    /// every fetch it answered, each response carrying its own stub
-    /// query's transaction id.
+    /// every fetch that ended, each response carrying its own stub query's
+    /// transaction id: the upstream's answer, or SERVFAIL for a fetch the
+    /// client gave up on.
     fn poll(&mut self, sim: &mut Sim, wake: &Wake) -> Vec<(W, Message)> {
         self.upstream.on_wake(sim, wake);
         let mut completed = Vec::new();
         let mut i = 0;
         while i < self.pending.len() {
-            let Some(upstream) = self.upstream.take_response(self.pending[i].upstream_id) else {
+            let id = self.pending[i].upstream_id;
+            let upstream = self.upstream.take_response(id);
+            if upstream.is_none() && self.upstream.is_pending(id) {
                 i += 1;
                 continue;
-            };
+            }
             let fetch = self.pending.remove(i);
-            self.cache_upstream(sim, &fetch, &upstream);
+            let (rcode, answers, authorities) = match &upstream {
+                Some(upstream) => {
+                    self.cache_upstream(sim, &fetch, upstream);
+                    (upstream.header.rcode, &upstream.answers[..], &upstream.authorities[..])
+                }
+                None => (Rcode::ServFail, &[][..], &[][..]),
+            };
             for (waiter, stub_query) in fetch.waiters {
-                let mut response =
-                    Message::response(&stub_query, upstream.header.rcode, upstream.answers.clone());
-                response.authorities = upstream.authorities.clone();
+                let mut response = Message::response(&stub_query, rcode, answers.to_vec());
+                response.authorities = authorities.to_vec();
                 completed.push((waiter, response));
             }
         }
@@ -231,13 +242,19 @@ mod tests {
 
     /// Two stubs, each on its own link to a recursive resolver speaking
     /// `kind`, which fetches misses from a Do53 authoritative upstream
-    /// over a link whose jitter lets upstream answers overtake each other.
-    fn two_stubs(kind: TransportKind, seed: u64) -> (Sim, Driver, [EndpointId; 2]) {
+    /// over a link whose jitter lets upstream answers overtake each other,
+    /// and which drops each packet with probability `upstream_loss`.
+    fn two_stubs(
+        kind: TransportKind,
+        seed: u64,
+        upstream_loss: f64,
+    ) -> (Sim, Driver, [EndpointId; 2]) {
         let cfg = TransportConfig::new(kind, ReusePolicy::Persistent);
         let mut sim = Sim::new(seed);
         let resolver = sim.add_host("resolver");
         let upstream = sim.add_host("upstream");
-        sim.add_link(resolver, upstream, cfg.link.jitter(SimDuration::from_millis(5)));
+        let link = cfg.link.jitter(SimDuration::from_millis(5)).loss(upstream_loss);
+        sim.add_link(resolver, upstream, link);
         let mut driver = Driver::new();
         let do53 = TransportConfig::new(TransportKind::Do53, ReusePolicy::Fresh);
         let zone = Zone::synth(Name::parse("dohmark.test").unwrap(), 300, 60);
@@ -265,7 +282,7 @@ mod tests {
         seed: u64,
         names: [&Name; 2],
     ) -> (Sim, Driver, [Message; 2]) {
-        let (mut sim, mut driver, stubs) = two_stubs(kind, seed);
+        let (mut sim, mut driver, stubs) = two_stubs(kind, seed, 0.0);
         for (stub, name) in stubs.into_iter().zip(names) {
             assert_eq!(driver.send_query(&mut sim, stub, name), 1, "{kind:?}");
         }
@@ -316,7 +333,7 @@ mod tests {
     #[test]
     fn a_stub_hanging_up_mid_recursion_loses_only_its_own_answer() {
         for kind in TransportKind::ALL {
-            let (mut sim, mut driver, [stub, other]) = two_stubs(kind, 7);
+            let (mut sim, mut driver, [stub, other]) = two_stubs(kind, 7, 0.0);
             driver.resolve(&mut sim, stub, &name("warm")).expect("opens the connection");
             let upstream_queries = sim.meter.counters.upstream_queries;
             let miss = driver.send_query(&mut sim, stub, &name("late"));
@@ -342,7 +359,7 @@ mod tests {
     #[test]
     fn only_http1_holds_a_cache_hit_behind_a_parked_miss() {
         for kind in TransportKind::ALL {
-            let (mut sim, mut driver, [stub, _]) = two_stubs(kind, 7);
+            let (mut sim, mut driver, [stub, _]) = two_stubs(kind, 7, 0.0);
             let (cached, uncached) = (name("cached"), name("uncached"));
             driver.resolve(&mut sim, stub, &cached).expect("warms the cache");
             // Back to back on the one connection: a miss, which parks on
@@ -365,6 +382,31 @@ mod tests {
             } else {
                 assert!(hit_at < miss_at, "{kind:?}: {hit_at:?} not before {miss_at:?}");
             }
+        }
+    }
+
+    /// A fetch whose upstream never answers ends when the upstream client
+    /// gives up on it: its waiters get SERVFAIL and nothing is cached, so
+    /// the next miss for the name fetches again instead of waiting on the
+    /// dead fetch for good.
+    #[test]
+    fn a_dead_upstream_fails_its_fetch_and_the_next_miss_fetches_again() {
+        for kind in TransportKind::ALL {
+            let (mut sim, mut driver, [stub, _]) = two_stubs(kind, 7, 1.0);
+            let dead = name("dead");
+            let answer = driver.resolve(&mut sim, stub, &dead);
+            // A Do53 stub gives up on its own query about one RTT before
+            // the resolver's SERVFAIL arrives.
+            if kind != TransportKind::Do53 {
+                let answer = answer.expect("a dead upstream is answered");
+                assert_eq!(answer.header.rcode, Rcode::ServFail, "{kind:?}");
+            }
+            driver.run_until_quiescent(&mut sim);
+            let upstream_queries = sim.meter.counters.upstream_queries;
+            driver.send_query(&mut sim, stub, &dead);
+            driver.run_until_quiescent(&mut sim);
+            assert_eq!(sim.meter.counters.upstream_queries, upstream_queries + 1, "{kind:?}");
+            assert_eq!(driver.unrouted_wakes(), 0, "{kind:?}");
         }
     }
 }

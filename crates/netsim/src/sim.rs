@@ -470,9 +470,9 @@ impl Sim {
     /// Binds a UDP socket on `host`. Port 0 selects an ephemeral port —
     /// this is how the paper's §3 UDP client multiplexes queries over many
     /// independent source ports. The ephemeral counter wraps, and skips any
-    /// port an open socket on `host` still holds: a socket left open (a
-    /// query that was never answered) never shares its port with a later
-    /// one, so it cannot take that one's datagrams.
+    /// port an open socket on `host` still holds: a socket a harness keeps
+    /// open for as long as the counter takes to wrap never shares its port
+    /// with a later one, so it cannot take that one's datagrams.
     ///
     /// # Panics
     ///

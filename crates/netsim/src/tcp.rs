@@ -21,7 +21,11 @@
 //! so headers are charged to [`LayerTag::L4Header`] per packet and payload
 //! bytes keep the [`LayerTag`] (and attribution) they were written with —
 //! including on retransmission, which is how a lossy link visibly inflates
-//! the paper's per-resolution costs.
+//! the paper's per-resolution costs. The sender cuts each segment in one
+//! walk of its send buffer: at most one MSS, ending where the attribution
+//! of its first byte does, so a packet never carries two resolutions'
+//! bytes. [`Sim::tcp_close`] fixes the FIN's sequence number at the end of
+//! the stream written so far; the FIN goes out once the data before it has.
 //!
 //! A segment carries no bytes. The sender's write is the one copy a payload
 //! byte makes, into the endpoint's send buffer; a segment names its bytes
@@ -86,7 +90,7 @@ struct TaggedRange {
     len: u32,
 }
 
-/// One segment's worth of a [`TaggedBuf`], as [`TaggedBuf::slice`] describes
+/// One segment's worth of a [`TaggedBuf`], as [`TaggedBuf::segment`] cuts
 /// it: everything a segment carries about its payload except the bytes.
 #[derive(Debug)]
 struct Segment {
@@ -94,10 +98,9 @@ struct Segment {
     len: u32,
     /// The payload split by the tag each byte was written under.
     layers: LayerBytes,
-    /// Attribution of the first byte: the whole packet is charged to it.
+    /// The attribution every payload byte was written under: the packet is
+    /// charged to it.
     attr: u32,
-    /// Whether a later byte was written under another attribution.
-    mixed_attr: bool,
 }
 
 /// A FIFO byte buffer that remembers which [`LayerTag`] and attribution
@@ -106,9 +109,9 @@ struct Segment {
 ///
 /// The bytes are one contiguous `Vec` whose released prefix is dead:
 /// [`TaggedBuf::push`] is the one copy a byte makes on its way in. A
-/// transmission copies nothing: [`TaggedBuf::slice`] only sums the tags of
-/// the bytes a segment stands for (go-back-N describes the same bytes under
-/// the same tags again), and the receiver's [`Sim::tcp_read`] borrows them in
+/// transmission copies nothing: [`TaggedBuf::segment`] only sums the tags of
+/// the bytes a segment stands for (go-back-N cuts the same bytes under the
+/// same tags again), and the receiver's [`Sim::tcp_read`] borrows them in
 /// place through [`TaggedBuf::bytes`]. So the sender keeps a byte until the
 /// peer has both acknowledged and read it. [`TaggedBuf::advance`] only moves
 /// the offset, compacting when the dead prefix outgrows the live bytes — so
@@ -183,50 +186,31 @@ impl TaggedBuf {
         &self.data[self.head + off..self.head + off + len]
     }
 
-    /// Describes the segment of `len` bytes starting `off` bytes into the
-    /// buffer, summing per tag the ranges that cover exactly those bytes.
-    fn slice(&self, off: usize, len: usize) -> Segment {
-        debug_assert!(off + len <= self.len());
-        let mut layers = LayerBytes::default();
-        let mut attr = None;
-        let mut mixed_attr = false;
-        let (start, end) = (off, off + len);
+    /// Cuts the segment that starts `off` bytes into the buffer, in one walk
+    /// over the ranges: at most `max` bytes, ending where the first byte's
+    /// attribution run does. So a packet never mixes two resolutions' bytes:
+    /// `CostMeter` charges a whole packet to one attribution.
+    fn segment(&self, off: usize, max: usize) -> Segment {
+        let mut seg = Segment { len: 0, layers: LayerBytes::default(), attr: 0 };
         let mut cursor = 0usize;
-        for r in &self.ranges {
-            let r_end = cursor + r.len as usize;
-            if r_end > start && cursor < end {
-                layers.add(r.tag, (r_end.min(end) - cursor.max(start)) as u64);
-                mixed_attr |= *attr.get_or_insert(r.attr) != r.attr;
-            }
-            cursor = r_end;
-            if cursor >= end {
-                break;
-            }
-        }
-        Segment { len: len as u32, layers, attr: attr.unwrap_or(0), mixed_attr }
-    }
-
-    /// Bytes from `off` to the end of the contiguous run of ranges that
-    /// share one attribution. Segments are capped at this length so a
-    /// single packet never mixes two resolutions' bytes — `CostMeter`
-    /// charges a whole packet to one attribution.
-    fn attr_run_len(&self, off: usize) -> usize {
-        let mut cursor = 0usize;
-        let mut attr: Option<u32> = None;
-        let mut len = 0usize;
         for r in &self.ranges {
             let r_end = cursor + r.len as usize;
             if r_end > off {
-                match attr {
-                    None => attr = Some(r.attr),
-                    Some(a) if a != r.attr => break,
-                    Some(_) => {}
+                if seg.len == 0 {
+                    seg.attr = r.attr;
+                } else if r.attr != seg.attr {
+                    break;
                 }
-                len += r_end - cursor.max(off);
+                let n = (r_end - cursor.max(off)).min(max - seg.len as usize);
+                seg.layers.add(r.tag, n as u64);
+                seg.len += n as u32;
+                if seg.len as usize == max {
+                    break;
+                }
             }
             cursor = r_end;
         }
-        len
+        seg
     }
 }
 
@@ -299,7 +283,8 @@ pub(crate) struct Endpoint {
     /// most `mss` bytes of storage, so a handshake flight is not carried
     /// for the connection's life.
     sndbuf: TaggedBuf,
-    fin_queued: bool,
+    /// Sequence number of our FIN, fixed by [`Sim::tcp_close`] at the end of
+    /// the stream written so far: nothing can be written after it.
     fin_seq: Option<u64>,
     // Receive direction.
     rcv_nxt: u64,
@@ -339,7 +324,6 @@ impl Endpoint {
             snd_nxt: 0,
             buf_base: 1,
             sndbuf: TaggedBuf::default(),
-            fin_queued: false,
             fin_seq: None,
             rcv_nxt: 0,
             rcv_read: 1,
@@ -421,8 +405,8 @@ impl Sim {
         let attr = self.attr();
         {
             let ep = self.ep_mut(conn);
-            debug_assert!(!ep.fin_queued, "tcp_send after tcp_close");
-            if ep.fin_queued || ep.failed {
+            debug_assert!(ep.fin_seq.is_none(), "tcp_send after tcp_close");
+            if ep.fin_seq.is_some() || ep.failed {
                 return;
             }
             for (tag, data) in parts {
@@ -464,13 +448,11 @@ impl Sim {
     /// Closes the sending direction: a FIN follows any still-queued data.
     /// Receiving remains possible (half-close).
     pub fn tcp_close(&mut self, conn: TcpHandle) {
-        {
-            let ep = self.ep_mut(conn);
-            if ep.fin_queued || matches!(ep.state, TcpState::Closed) {
-                return;
-            }
-            ep.fin_queued = true;
+        let ep = self.ep_mut(conn);
+        if ep.fin_seq.is_some() || ep.state == TcpState::Closed {
+            return;
         }
+        ep.fin_seq = Some(ep.buf_base + ep.sndbuf.len() as u64);
         self.tcp_pump(conn.conn, conn.side);
     }
 
@@ -523,8 +505,8 @@ impl Sim {
     /// Builds and transmits one segment from `side` of `conn`.
     ///
     /// Pure control segments (`data` is `None`) are attributed to the
-    /// current [`Sim::attr`]; data segments keep the attribution of their
-    /// first payload byte, so retransmissions stay charged to the
+    /// current [`Sim::attr`]; data segments keep the attribution their
+    /// payload was written under, so retransmissions stay charged to the
     /// resolution that wrote the bytes.
     fn tcp_emit(
         &mut self,
@@ -534,10 +516,6 @@ impl Sim {
         seq: u64,
         data: Option<Segment>,
     ) {
-        debug_assert!(
-            !data.as_ref().is_some_and(|d| d.mixed_attr),
-            "a segment must never span attribution boundaries"
-        );
         let attr = data.as_ref().map_or(self.attr(), |d| d.attr);
         let (len, layers) = data.map(|d| (d.len, d.layers)).unwrap_or_default();
         let (src, dst, ack, link) = {
@@ -586,54 +564,27 @@ impl Sim {
     /// the in-flight window allows.
     fn tcp_pump(&mut self, conn: usize, side: Side) {
         loop {
-            enum Emit {
-                Data { seq: u64, data: Segment },
-                Fin { seq: u64 },
-            }
-            let emit = {
+            let (flags, seq, data) = {
                 let ep = &mut self.conns[conn].ends[side.index()];
                 if !matches!(ep.state, TcpState::Established | TcpState::FinWait) {
                     return;
                 }
+                let seq = ep.snd_nxt;
                 let buf_end = ep.buf_base + ep.sndbuf.len() as u64;
-                let window_end = ep.snd_una + WINDOW_SEGS * ep.mss as u64;
-                if ep.snd_nxt < buf_end && ep.snd_nxt < window_end {
-                    let off = (ep.snd_nxt - ep.buf_base) as usize;
-                    let len = (buf_end - ep.snd_nxt)
-                        .min(ep.mss as u64)
-                        .min(ep.sndbuf.attr_run_len(off) as u64)
-                        as usize;
-                    let data = ep.sndbuf.slice(off, len);
-                    let seq = ep.snd_nxt;
-                    ep.snd_nxt += len as u64;
-                    Emit::Data { seq, data }
-                } else if ep.fin_seq == Some(ep.snd_nxt)
-                    || (ep.fin_queued
-                        && ep.fin_seq.is_none()
-                        && ep.snd_nxt == buf_end
-                        && ep.state == TcpState::Established)
-                {
-                    if ep.fin_seq.is_none() {
-                        ep.fin_seq = Some(ep.snd_nxt);
-                        ep.state = TcpState::FinWait;
-                    }
-                    let seq = ep.snd_nxt;
+                if seq < buf_end && seq < ep.snd_una + WINDOW_SEGS * ep.mss as u64 {
+                    let data = ep.sndbuf.segment((seq - ep.buf_base) as usize, ep.mss);
+                    ep.snd_nxt += u64::from(data.len);
+                    (TcpFlags { ack: true, ..Default::default() }, seq, Some(data))
+                } else if ep.fin_seq == Some(seq) {
+                    // The first FIN, or one resent after a go-back-N rewind.
+                    ep.state = TcpState::FinWait;
                     ep.snd_nxt += 1;
-                    Emit::Fin { seq }
+                    (TcpFlags { fin: true, ack: true, ..Default::default() }, seq, None)
                 } else {
                     return;
                 }
             };
-            match emit {
-                Emit::Data { seq, data } => {
-                    let flags = TcpFlags { ack: true, ..Default::default() };
-                    self.tcp_emit(conn, side, flags, seq, Some(data));
-                }
-                Emit::Fin { seq } => {
-                    let flags = TcpFlags { fin: true, ack: true, ..Default::default() };
-                    self.tcp_emit(conn, side, flags, seq, None);
-                }
-            }
+            self.tcp_emit(conn, side, flags, seq, data);
             self.tcp_arm(conn, side, TimerKind::Rto);
         }
     }
@@ -1115,8 +1066,10 @@ mod tests {
     /// tagged chunks at random instants, then close, and read at random
     /// instants of their own — often after the ACK for the bytes returned,
     /// and after a go-back-N rewind. What each end reads, concatenated, is
-    /// what the other wrote; and once the run is dry and everything is read,
-    /// both send buffers are empty and keep at most one MSS of storage.
+    /// what the other wrote. Once the run is dry and everything is read, both
+    /// send buffers are empty and keep at most one MSS of storage, each end
+    /// has seen the peer's FIN exactly once, and each endpoint is closed
+    /// with its own FIN acknowledged.
     #[test]
     fn late_reads_see_the_written_stream() {
         const TAGS: [LayerTag; 4] =
@@ -1138,7 +1091,7 @@ mod tests {
                 sim.schedule_app(SimTime::ZERO + ms(2000), side * 3 + 2);
             }
             let (mut written, mut read) = ([Vec::new(), Vec::new()], [Vec::new(), Vec::new()]);
-            let mut rtos_seen = [0; 2];
+            let (mut rtos_seen, mut fins) = ([0; 2], [0; 2]);
             let mut late_read = |sim: &mut Sim, side: usize, read: &mut [Vec<u8>; 2]| {
                 let (ep, peer) = (sim.ep(ends[side]), sim.ep(ends[1 - side]));
                 if ep.rcv_nxt - u64::from(ep.fin_rcvd) > ep.rcv_read {
@@ -1149,7 +1102,14 @@ mod tests {
                 sim.tcp_read(ends[side], |bytes| read[side].extend_from_slice(bytes));
             };
             while let Some(wake) = sim.next_wake() {
-                let Wake::AppTimer { token } = wake else { continue };
+                let token = match wake {
+                    Wake::AppTimer { token } => token,
+                    Wake::TcpFin { conn } => {
+                        fins[conn.side.index()] += 1;
+                        continue;
+                    }
+                    _ => continue,
+                };
                 let side = (token / 3) as usize;
                 match token % 3 {
                     0 => {
@@ -1173,6 +1133,10 @@ mod tests {
                 let cap = ep.sndbuf.data.capacity();
                 assert!(ep.sndbuf.len() == 0, "seed {seed}: side {side} kept bytes");
                 assert!(cap <= ep.mss, "seed {seed}: side {side} kept {cap} B");
+                assert_eq!(fins[side], 1, "seed {seed}: side {side} saw {} FINs", fins[side]);
+                assert_eq!(ep.state, TcpState::Closed, "seed {seed}: side {side}");
+                let fin = ep.fin_seq.expect("closed at 2 s");
+                assert!(ep.snd_una > fin, "seed {seed}: side {side}'s FIN is unacknowledged");
             }
         }
         assert!(acked_first > 250 && after_rto > 200, "{acked_first} {after_rto}");
@@ -1397,33 +1361,35 @@ mod tests {
     }
 
     #[test]
-    fn tagged_buf_tracks_ranges_through_push_advance_slice() {
+    fn tagged_buf_tracks_ranges_through_push_advance_segment() {
         let mut buf = TaggedBuf::default();
         buf.push(LayerTag::Tls, 1, &[1; 10]);
         buf.push(LayerTag::Tls, 1, &[2; 5]); // coalesces with the previous
         buf.push(LayerTag::HttpBody, 2, &[3; 20]);
-        assert_eq!(buf.len(), 35);
-        assert_eq!(buf.ranges.len(), 2);
+        buf.push(LayerTag::HttpHeader, 2, &[4; 6]);
+        assert_eq!(buf.len(), 41);
+        assert_eq!(buf.ranges.len(), 3);
 
-        // Across the attribution boundary on purpose (the pump never does).
-        let seg = buf.slice(12, 10);
-        assert_eq!(buf.bytes(12, 10), [vec![2; 3], vec![3; 7]].concat());
-        assert_eq!(seg.len, 10);
-        assert_eq!((seg.layers.tls, seg.layers.http_body, seg.layers.total()), (3, 7, 10));
-        assert_eq!(seg.attr, 1, "the first byte's attribution");
-        assert!(seg.mixed_attr);
-        assert_eq!(buf.attr_run_len(12), 3);
+        // A segment ends where its first byte's attribution run does...
+        let seg = buf.segment(12, 10);
+        assert_eq!(buf.bytes(12, 3), [2; 3]);
+        assert_eq!((seg.len, seg.attr), (3, 1));
+        assert_eq!((seg.layers.tls, seg.layers.total()), (3, 3));
+        // ...or after `max` bytes, summing every tag it crosses.
+        let seg = buf.segment(30, 8);
+        assert_eq!((seg.len, seg.attr), (8, 2));
+        assert_eq!((seg.layers.http_body, seg.layers.http_header), (5, 3));
 
         buf.advance(15);
-        assert_eq!(buf.len(), 20);
-        let seg = buf.slice(0, 20);
-        assert_eq!(buf.bytes(0, 20), vec![3; 20]);
-        assert_eq!((seg.layers.http_body, seg.layers.total()), (20, 20));
-        assert_eq!((seg.attr, seg.mixed_attr), (2, false));
+        assert_eq!(buf.len(), 26);
+        let seg = buf.segment(0, 1460);
+        assert_eq!(buf.bytes(0, 26), [vec![3; 20], vec![4; 6]].concat());
+        assert_eq!((seg.len, seg.attr), (26, 2));
+        assert_eq!((seg.layers.http_body, seg.layers.http_header), (20, 6));
     }
 
-    /// Random `push` / `advance` / `slice` / `attr_run_len` sequences
-    /// against a model that keeps `(byte, tag, attr)` per byte.
+    /// Random `push` / `advance` / `segment` sequences against a model that
+    /// keeps `(byte, tag, attr)` per byte.
     #[test]
     fn tagged_buf_matches_a_naive_per_byte_model() {
         const TAGS: [LayerTag; 4] =
@@ -1432,27 +1398,25 @@ mod tests {
             let mut rng = crate::rng::SimRng::new(seed);
             let mut buf = TaggedBuf::default();
             let mut model: Vec<(u8, LayerTag, u32)> = Vec::new();
-            // A slice taken earlier that a go-back-N rewind would cut again.
+            // A segment cut earlier that a go-back-N rewind would cut again.
             let mut sent: Option<(usize, usize)> = None;
             let mut compactions = 0;
-            let check_slice = |buf: &TaggedBuf,
-                               model: &[(u8, LayerTag, u32)],
-                               off: usize,
-                               len: usize| {
-                let seg = buf.slice(off, len);
+            let check_segment = |buf: &TaggedBuf,
+                                 model: &[(u8, LayerTag, u32)],
+                                 off: usize,
+                                 max: usize| {
+                let seg = buf.segment(off, max);
+                let run = model[off..].iter().take_while(|b| b.2 == model[off].2).count();
+                let len = max.min(run);
                 let want = &model[off..off + len];
                 let bytes: Vec<u8> = want.iter().map(|b| b.0).collect();
+                assert_eq!(seg.len as usize, len, "seed {seed}: len of segment({off}, {max})");
                 assert_eq!(buf.bytes(off, len), bytes, "seed {seed}: bytes at ({off}, {len})");
-                assert_eq!(seg.len as usize, len, "seed {seed}: len of slice({off}, {len})");
                 for tag in LayerTag::ALL {
                     let n = want.iter().filter(|b| b.1 == tag).count() as u64;
-                    assert_eq!(seg.layers.get(tag), n, "seed {seed}: {tag:?} of ({off}, {len})");
+                    assert_eq!(seg.layers.get(tag), n, "seed {seed}: {tag:?} of ({off}, {max})");
                 }
-                if let Some(first) = want.first() {
-                    assert_eq!(seg.attr, first.2, "seed {seed}: attr of ({off}, {len})");
-                    let mixed = want.iter().any(|b| b.2 != first.2);
-                    assert_eq!(seg.mixed_attr, mixed, "seed {seed}: mixed ({off}, {len})");
-                }
+                assert_eq!(seg.attr, model[off].2, "seed {seed}: attr of ({off}, {max})");
             };
             for _ in 0..400 {
                 match rng.below(10) {
@@ -1472,26 +1436,24 @@ mod tests {
                         buf.advance(n);
                         model.drain(..n);
                         compactions += usize::from(buf.head < dead_before);
-                        sent = sent.and_then(|(off, len)| Some((off.checked_sub(n)?, len)));
+                        sent = sent.and_then(|(off, max)| Some((off.checked_sub(n)?, max)));
                     }
                     6..=7 if !model.is_empty() => {
                         let off = rng.below(model.len() as u64) as usize;
-                        let len = rng.below((model.len() - off) as u64 + 1) as usize;
-                        check_slice(&buf, &model, off, len);
-                        sent = Some((off, len));
+                        let max = 1 + rng.below((model.len() - off) as u64) as usize;
+                        check_segment(&buf, &model, off, max);
+                        sent = Some((off, max));
                     }
+                    // What the pump cuts at the link's MSS.
                     8 if !model.is_empty() => {
                         let off = rng.below(model.len() as u64) as usize;
-                        let run = model[off..].iter().take_while(|b| b.2 == model[off].2).count();
-                        assert_eq!(buf.attr_run_len(off), run, "seed {seed}: run at {off}");
-                        // What the pump cuts never mixes attributions.
-                        assert!(!buf.slice(off, run.min(1460)).mixed_attr, "seed {seed}");
+                        check_segment(&buf, &model, off, 1460);
                     }
-                    // The rewind: later pushes and ACKs of earlier bytes
-                    // leave a retransmission identical to the original.
+                    // The rewind: after later pushes and ACKs of earlier
+                    // bytes, cutting the same bytes again still matches.
                     _ => {
-                        if let Some((off, len)) = sent {
-                            check_slice(&buf, &model, off, len);
+                        if let Some((off, max)) = sent {
+                            check_segment(&buf, &model, off, max);
                         }
                     }
                 }
