@@ -60,10 +60,12 @@ pub(crate) struct RecursiveResolver<W> {
     pending: Vec<PendingFetch<W>>,
 }
 
-impl<W> RecursiveResolver<W> {
+impl<W: PartialEq> RecursiveResolver<W> {
     /// Answers `query` from the cache, or parks it (returning `None`)
     /// behind an upstream fetch whose completion [`Self::poll`] will
-    /// surface with `waiter` attached.
+    /// surface with `waiter` attached. A resend of a query already parked
+    /// on the fetch (same waiter, same transaction id) is dropped: the
+    /// fetch answers it once, and no counter moves.
     fn resolve(&mut self, sim: &mut Sim, query: &Message, waiter: W) -> Option<Message> {
         let Some(q) = query.question() else {
             return Some(Message::response(query, Rcode::FormErr, Vec::new()));
@@ -82,9 +84,14 @@ impl<W> RecursiveResolver<W> {
             }
             None => {}
         }
-        sim.meter.counters.cache_miss += 1;
         let key = (qname, qtype);
-        if let Some(fetch) = self.pending.iter_mut().find(|f| f.key == key) {
+        let fetch = self.pending.iter_mut().find(|f| f.key == key);
+        let parked = |(w, q): &(W, Message)| *w == waiter && q.header.id == query.header.id;
+        if fetch.as_ref().is_some_and(|f| f.waiters.iter().any(parked)) {
+            return None;
+        }
+        sim.meter.counters.cache_miss += 1;
+        if let Some(fetch) = fetch {
             // An identical question is already in flight: coalesce.
             sim.meter.counters.coalesced_queries += 1;
             fetch.waiters.push((waiter, query.clone()));
@@ -210,7 +217,7 @@ pub(crate) enum Backend<W> {
     Recursive(RecursiveResolver<W>),
 }
 
-impl<W> Backend<W> {
+impl<W: PartialEq> Backend<W> {
     /// Answers `query` now, or returns `None` to park it; parked queries
     /// resurface from [`Backend::poll`] with `waiter` attached.
     pub(crate) fn answer(&mut self, sim: &mut Sim, query: &Message, waiter: W) -> Option<Message> {
@@ -402,6 +409,10 @@ mod tests {
                 assert_eq!(answer.header.rcode, Rcode::ServFail, "{kind:?}");
             }
             driver.run_until_quiescent(&mut sim);
+            // A Do53 stub resends its query while the fetch is pending:
+            // the resends are dropped, not counted as more misses.
+            assert_eq!(sim.meter.counters.cache_miss, 1, "{kind:?}");
+            assert_eq!(sim.meter.counters.coalesced_queries, 0, "{kind:?}");
             let upstream_queries = sim.meter.counters.upstream_queries;
             driver.send_query(&mut sim, stub, &dead);
             driver.run_until_quiescent(&mut sim);

@@ -32,7 +32,7 @@ pub(crate) trait Framing: Debug {
     type Conn: Debug;
     /// Where on a connection a response goes: nowhere in particular
     /// (DoT), a position in the request order (h1), a stream id (h2).
-    type Slot: Copy + Debug;
+    type Slot: Copy + Debug + PartialEq;
 
     /// Fresh codec state for a connection seen from `side`.
     fn conn(side: Side) -> Self::Conn;

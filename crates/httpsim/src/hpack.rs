@@ -2,12 +2,19 @@
 //!
 //! This is a functional encoder/decoder pair, not a byte-count
 //! approximation: header blocks produced by [`Encoder::encode`] decode
-//! back to the original header list with [`Decoder::decode`], across the
-//! full representation space — indexed lookups against the RFC 7541
-//! Appendix A static table, a dynamic table with size-based eviction
-//! (entry size = name + value + 32 octets, §4.1), literal representations
-//! with and without indexing, dynamic-table size updates, and Huffman
-//! string coding.
+//! back to the original header list with [`Decoder::decode`] — indexed
+//! lookups against the RFC 7541 Appendix A static table, a dynamic table
+//! with size-based eviction (entry size = name + value + 32 octets, §4.1),
+//! literal representations with and without indexing, and Huffman string
+//! coding.
+//!
+//! The encoder's table keeps the capacity it was made with. Both ends of a
+//! DoH/2 connection announce `SETTINGS_HEADER_TABLE_SIZE` =
+//! [`DEFAULT_TABLE_SIZE`], so there is no size to change, and the encoder
+//! emits no dynamic-table size update (§6.3). The decoder reads what a
+//! peer may send: it applies each size update it receives, evicting down
+//! to the new capacity, and rejects one above the capacity it was made
+//! with (§4.2).
 //!
 //! HPACK's dynamic table is *the* reason the paper finds persistent DoH
 //! connections amortise header bytes so well: the first request on a
@@ -497,7 +504,7 @@ struct DynTable {
     entries: std::collections::VecDeque<Entry>,
     /// Sum of entry sizes (name + value + 32 each).
     size: usize,
-    /// Current capacity (≤ `max_size`).
+    /// Current capacity (a decoder's stays ≤ its `max_capacity`).
     capacity: usize,
 }
 
@@ -524,11 +531,6 @@ impl DynTable {
         self.evict_to(self.capacity - size);
         self.size += size;
         self.entries.push_front(entry);
-    }
-
-    fn set_capacity(&mut self, capacity: usize) {
-        self.capacity = capacity;
-        self.evict_to(capacity);
     }
 
     /// Resolves an index against the static then dynamic table.
@@ -567,12 +569,12 @@ fn find_field<'a>(
     None
 }
 
-/// A stateful HPACK encoder for one direction of one connection.
+/// A stateful HPACK encoder for one direction of one connection. Its
+/// table keeps the capacity it was made with, so it never emits a
+/// dynamic-table size update (§6.3).
 #[derive(Debug)]
 pub struct Encoder {
     table: DynTable,
-    /// Capacity change to announce in the next header block (§6.3).
-    pending_capacity: Option<usize>,
 }
 
 impl Default for Encoder {
@@ -589,13 +591,7 @@ impl Encoder {
 
     /// An encoder with an explicit dynamic-table capacity.
     pub fn with_capacity(capacity: usize) -> Encoder {
-        Encoder { table: DynTable::new(capacity), pending_capacity: None }
-    }
-
-    /// Schedules a dynamic-table capacity change; the size-update
-    /// instruction is emitted at the start of the next header block.
-    pub fn set_capacity(&mut self, capacity: usize) {
-        self.pending_capacity = Some(capacity);
+        Encoder { table: DynTable::new(capacity) }
     }
 
     /// Current dynamic-table occupancy in octets (for tests and reports).
@@ -624,10 +620,6 @@ impl Encoder {
         headers: &[(N, V)],
         out: &mut Vec<u8>,
     ) {
-        if let Some(capacity) = self.pending_capacity.take() {
-            encode_int(out, 0x20, 5, capacity);
-            self.table.set_capacity(capacity);
-        }
         for (name, value) in headers {
             self.encode_header(out, name.as_ref(), value.as_ref());
         }
@@ -669,7 +661,8 @@ impl Encoder {
 #[derive(Debug)]
 pub struct Decoder {
     table: DynTable,
-    /// Upper bound a size update may set (SETTINGS_HEADER_TABLE_SIZE).
+    /// Upper bound a size update from the peer's encoder may set
+    /// (SETTINGS_HEADER_TABLE_SIZE).
     max_capacity: usize,
     /// The literal strings of the field being decoded, name first.
     scratch: Vec<u8>,
@@ -727,7 +720,8 @@ impl Decoder {
                 if capacity > self.max_capacity {
                     return Err(HpackError::TableSizeExceeded);
                 }
-                self.table.set_capacity(capacity);
+                self.table.capacity = capacity;
+                self.table.evict_to(capacity);
             } else {
                 // Literal: with incremental indexing (01), without
                 // indexing (0000) or never indexed (0001).
@@ -1057,16 +1051,19 @@ mod tests {
     }
 
     #[test]
-    fn size_update_is_emitted_and_applied() {
+    fn a_received_size_update_is_applied() {
         let mut enc = Encoder::new();
         let mut dec = Decoder::new();
         dec.decode(&enc.encode(&[h("x-a", "1"), h("x-b", "2")])).unwrap();
         assert!(dec.table_size() > 0);
-        enc.set_capacity(0);
-        let block = enc.encode(&[h("x-c", "3")]);
-        assert_eq!(block[0] & 0xE0, 0x20, "block must start with a size update");
-        dec.decode(&block).unwrap();
-        assert_eq!(enc.table_size(), 0);
+        // A peer's encoder shrinking its table to 0, then inserting one
+        // field into the emptied table: the field is evicted at once.
+        let mut block = Vec::new();
+        encode_int(&mut block, 0x20, 5, 0);
+        let fields = Encoder::new().encode(&[h("x-c", "3")]);
+        assert_eq!(fields[0] & 0xC0, 0x40, "a literal with incremental indexing");
+        block.extend(fields);
+        assert_eq!(dec.decode(&block).unwrap(), vec![h("x-c", "3")]);
         assert_eq!(dec.table_size(), 0);
     }
 

@@ -5,9 +5,10 @@
 //! runs over — it performs no I/O and holds no connection state beyond
 //! what the encodings themselves require:
 //!
-//! * [`h1`] — HTTP/1.1 request/response text: start lines, header fields,
-//!   `content-length` and chunked body framing, with incremental parsers
-//!   that tolerate arbitrary stream segmentation and odd header casing.
+//! * [`h1`] — HTTP/1.1 request/response text: start lines, header fields
+//!   and `content-length` body framing, with incremental parsers that
+//!   tolerate arbitrary stream segmentation and odd header casing and
+//!   refuse a head that names a transfer coding.
 //! * [`h2`] — HTTP/2 framing: the connection preface and DATA / HEADERS /
 //!   SETTINGS / WINDOW_UPDATE / PING / GOAWAY / RST_STREAM frames with
 //!   their RFC 9113 layouts, plus a streaming [`h2::FrameDecoder`].
@@ -25,6 +26,25 @@
 //! [`h1::RequestParser::next_ref`]) of which the owned results
 //! (`decode`, `next_frame`, `next_request`) are copies. A message crosses
 //! this crate without a heap allocation per header, string or frame.
+//!
+//! # Surface
+//!
+//! What the workspace's transports, its benchmark and this crate's
+//! property tests name, and nothing else. [`h1`]: the writers
+//! [`h1::encode_request`] / [`h1::encode_response`] and their
+//! [`h1::Encoded`], the [`h1::RequestParser`] / [`h1::ResponseParser`]
+//! with their borrowed [`h1::RequestRef`] / [`h1::ResponseRef`] and
+//! [`h1::Fields`], and the owned [`h1::Request`], which the benchmark's
+//! layer run encodes and reads back through
+//! [`h1::RequestParser::next_request`]. [`h2`]: [`h2::Frame`] and its
+//! borrowed [`h2::FrameRef`], the writers [`h2::write_headers`] /
+//! [`h2::write_data`], the [`h2::FrameDecoder`], the connection
+//! [`h2::PREFACE`] and the [`h2::settings`] identifiers. [`hpack`]: the
+//! [`hpack::Encoder`] / [`hpack::Decoder`] pair, whose `with_capacity`
+//! constructors and `table_size` the eviction tests use, and
+//! [`hpack::huffman_encode`] / [`hpack::huffman_decode`], which the
+//! property tests drive. [`decimal`] writes a `content-length` without a
+//! `String`. Each module has one error type.
 //!
 //! The `dohmark-doh` crate layers these codecs over simulated TLS/TCP and
 //! tags the resulting bytes `HttpHeader` / `HttpBody` / `HttpMgmt` so the
