@@ -9,11 +9,43 @@ pub(crate) const MAX_LABEL_LEN: usize = 63;
 /// Maximum length of a name on the wire, per RFC 1035 §2.3.4.
 pub(crate) const MAX_NAME_LEN: usize = 255;
 
+/// Each octet a label may hold — an ASCII letter or digit, `-` or `_` —
+/// mapped to its lower case, and every other octet to 0 (never a label
+/// octet itself): one lookup checks an octet and lower-cases it.
+const LABEL_OCTETS: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut octet = 0;
+    while octet < table.len() {
+        let b = octet as u8;
+        if b.is_ascii_alphanumeric() || b == b'-' || b == b'_' {
+            table[octet] = b.to_ascii_lowercase();
+        }
+        octet += 1;
+    }
+    table
+};
+
+/// Writes `label` into `out` (of its length) through [`LABEL_OCTETS`],
+/// validated and lower-cased in one pass; the first octet a label may not
+/// hold is the error.
+fn lower_label(label: &[u8], out: &mut [u8]) -> Result<()> {
+    for (slot, &b) in out.iter_mut().zip(label) {
+        *slot = LABEL_OCTETS[usize::from(b)];
+        if *slot == 0 {
+            return Err(DnsError::InvalidLabel(b));
+        }
+    }
+    Ok(())
+}
+
 /// A fully-qualified domain name.
 ///
 /// Stored as its uncompressed wire form in one buffer: length-prefixed
 /// labels, lower-cased once on the way in, terminated by the root octet,
-/// at most 255 octets (RFC 1035 §2.3.4). The root name is `[0]`. Comparison and
+/// at most 255 octets (RFC 1035 §2.3.4). The root name is `[0]`. Every
+/// label octet that comes in — parsed, built or decoded — goes through one
+/// 256-entry table, `LABEL_OCTETS`, which checks it and lower-cases it in
+/// the same lookup. Comparison and
 /// hashing are slice operations on that buffer and therefore
 /// case-insensitive, as RFC 1035 §2.3.3 requires. `Ord` is the byte order
 /// of the wire form — a total order consistent with `Eq`, *not* RFC 4034
@@ -67,30 +99,19 @@ impl Name {
         Self::checked(wire)
     }
 
-    fn validate_label(label: &[u8]) -> Result<()> {
+    /// Appends `label` to `wire`: length-prefixed, then each octet
+    /// validated and lower-cased through [`LABEL_OCTETS`].
+    fn push_label(wire: &mut Vec<u8>, label: &[u8]) -> Result<()> {
         if label.is_empty() {
             return Err(DnsError::InvalidLabel(b'.'));
         }
         if label.len() > MAX_LABEL_LEN {
             return Err(DnsError::LabelTooLong(label.len()));
         }
-        for &b in label {
-            let ok = b.is_ascii_alphanumeric() || b == b'-' || b == b'_';
-            if !ok {
-                return Err(DnsError::InvalidLabel(b));
-            }
-        }
-        Ok(())
-    }
-
-    /// Appends `label` to `wire`: validated, length-prefixed, lower-cased.
-    fn push_label(wire: &mut Vec<u8>, label: &[u8]) -> Result<()> {
-        Self::validate_label(label)?;
         wire.push(label.len() as u8);
         let start = wire.len();
-        wire.extend_from_slice(label);
-        wire[start..].make_ascii_lowercase();
-        Ok(())
+        wire.resize(start + label.len(), 0);
+        lower_label(label, &mut wire[start..])
     }
 
     /// Wraps a complete wire form, refusing one over the length limit.
@@ -185,7 +206,9 @@ impl Name {
     /// are rejected.
     pub fn decode(r: &mut Reader<'_>) -> Result<Name> {
         // Filled on the stack so the name is one exact-size allocation.
-        let mut wire = [0u8; MAX_NAME_LEN];
+        // One label of room past the limit: a label's octets are judged
+        // before the name's length is.
+        let mut wire = [0u8; MAX_NAME_LEN + MAX_LABEL_LEN];
         // Octets of `wire` filled; the root octet is not among them.
         let mut filled = 0usize;
         // Position to restore once the first pointer is followed.
@@ -201,14 +224,12 @@ impl Name {
                         break;
                     }
                     let raw = r.bytes(len as usize, "name label")?;
-                    Self::validate_label(raw)?;
                     let end = filled + 1 + raw.len();
+                    lower_label(raw, &mut wire[filled + 1..end])?;
                     if end + 1 > MAX_NAME_LEN {
                         return Err(DnsError::NameTooLong(end + 1));
                     }
                     wire[filled] = len;
-                    wire[filled + 1..end].copy_from_slice(raw);
-                    wire[filled + 1..end].make_ascii_lowercase();
                     filled = end;
                 }
                 0xC0 => {
@@ -429,6 +450,62 @@ mod tests {
     fn bad_characters_are_rejected() {
         assert!(Name::parse("exa mple.com").is_err());
         assert!(Name::parse("exa\u{e9}mple.com").is_err());
+    }
+
+    /// The label rule as it read before the table.
+    fn label_octet(b: u8) -> bool {
+        b.is_ascii_alphanumeric() || b == b'-' || b == b'_'
+    }
+
+    #[test]
+    fn label_table_checks_and_lowers_every_octet() {
+        for b in 0..=255u8 {
+            let lowered = if label_octet(b) { b.to_ascii_lowercase() } else { 0 };
+            assert_eq!(LABEL_OCTETS[usize::from(b)], lowered, "{b:#04x}");
+        }
+    }
+
+    /// Every octet a label may not hold, at every position of a 63-octet
+    /// label with a second bad octet behind it, is the error of `decode`,
+    /// `parse`, `from_labels` and `child` — also where the label would take
+    /// a decoded name past 255 octets, since a label is judged first.
+    #[test]
+    fn the_first_invalid_octet_is_the_error_wherever_it_sits() {
+        let valid = b"Ab-_9".repeat(13)[..MAX_LABEL_LEN].to_vec();
+        let full = [&[63u8][..], &valid].concat().repeat(3);
+        for b in (0..=255u8).filter(|&b| !label_octet(b)) {
+            for at in 0..MAX_LABEL_LEN {
+                let mut label = valid.clone();
+                label[at] = b;
+                if at + 1 < MAX_LABEL_LEN {
+                    label[MAX_LABEL_LEN - 1] = b'*';
+                }
+                let want = Err(DnsError::InvalidLabel(b));
+                for prefix in [&[][..], &full[..]] {
+                    let wire = [prefix, &[63], &label, &[0]].concat();
+                    assert_eq!(Name::decode(&mut Reader::new(&wire)), want, "{b:#04x} at {at}");
+                }
+                if b.is_ascii() && b != b'.' {
+                    let text = std::str::from_utf8(&label).unwrap();
+                    assert_eq!(Name::parse(&format!("www.{text}.example")), want, "{b:#04x}");
+                    assert_eq!(Name::from_labels(["www", text]), want, "{b:#04x}");
+                    assert_eq!(Name::root().child(text), want, "{b:#04x}");
+                }
+            }
+        }
+        // The valid label itself: lower-cased, and over the limit on the
+        // fourth.
+        let wire = [&full[..], &[0]].concat();
+        let name = Name::decode(&mut Reader::new(&wire)).unwrap();
+        let lowered = String::from_utf8(valid.to_ascii_lowercase()).unwrap();
+        assert!(name.labels().all(|label| label == lowered), "{name}");
+        let wire = [&full[..], &[63], &valid, &[0]].concat();
+        assert_eq!(Name::decode(&mut Reader::new(&wire)), Err(DnsError::NameTooLong(257)));
+        // A multi-octet character is refused at its first octet, and a
+        // label's length is judged before its octets.
+        assert_eq!(Name::parse("exa\u{e9}mple.com"), Err(DnsError::InvalidLabel(0xC3)));
+        assert_eq!(Name::parse(&"*".repeat(64)), Err(DnsError::LabelTooLong(64)));
+        assert_eq!(Name::root().child(""), Err(DnsError::InvalidLabel(b'.')));
     }
 
     #[test]

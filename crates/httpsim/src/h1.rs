@@ -28,11 +28,15 @@
 //! [`Encoded`] as it is. [`Request::encode`] is [`encode_request`]
 //! applied to the struct's fields.
 //!
-//! Reading: there is one parser. When a head is complete it is validated
-//! where it lies in the receive buffer — UTF-8, the start line, a colon in
-//! every field line, no `transfer-encoding` — and its first
-//! `content-length` read: the body is that many bytes right behind the
-//! head, or none. Nothing is copied: a finished message is handed out as a
+//! Reading: there is one parser. The end of a head is found by a byte
+//! scan for each `\n` of the blank line. A complete head is then checked
+//! once where it lies in the receive buffer — UTF-8, then one walk over its
+//! lines: the start line, a colon in every field line, no
+//! `transfer-encoding` — and its first `content-length` read: the body is
+//! that many bytes right behind the head, or none. The finished message is
+//! cut from that same pass, so the head is not read again (unless its body
+//! arrived in a later push).
+//! Nothing is copied: a finished message is handed out as a
 //! [`RequestRef`] / [`ResponseRef`] whose strings and body are slices of
 //! that buffer, valid until the parser is touched again.
 //! [`RequestParser::next_request`] builds the owned [`Request`] from that
@@ -200,24 +204,57 @@ impl Request {
 // Incremental parsing
 // ---------------------------------------------------------------------
 
+/// `text` split at the first `sep`, an ASCII octet found by a byte scan:
+/// `str::split_once` without its searcher, for the short lines of a head.
+fn split_at_octet(text: &str, sep: u8) -> Option<(&str, &str)> {
+    let at = text.bytes().position(|b| b == sep)?;
+    Some((&text[..at], &text[at + 1..]))
+}
+
 /// `METHOD target HTTP/1.x` → `(method, target)`.
 fn request_line(line: &str) -> Result<(&str, &str), H1Error> {
-    let mut parts = line.splitn(3, ' ');
-    match (parts.next(), parts.next(), parts.next()) {
-        (Some(method), Some(target), Some(v)) if v.starts_with("HTTP/1.") => Ok((method, target)),
-        _ => Err(H1Error::BadStartLine(line.to_string())),
+    let bad = || H1Error::BadStartLine(line.to_string());
+    let (method, rest) = split_at_octet(line, b' ').ok_or_else(bad)?;
+    let (target, version) = split_at_octet(rest, b' ').ok_or_else(bad)?;
+    if !version.starts_with("HTTP/1.") {
+        return Err(bad());
     }
+    Ok((method, target))
 }
 
 /// `HTTP/1.x code reason` → `(code, reason)`; the reason may be missing.
 fn status_line(line: &str) -> Result<(u16, &str), H1Error> {
-    let mut parts = line.splitn(3, ' ');
-    let version = parts.next().unwrap_or_default();
-    let status = parts.next().and_then(|s| s.parse::<u16>().ok());
-    match (version.starts_with("HTTP/1."), status) {
-        (true, Some(status)) => Ok((status, parts.next().unwrap_or_default())),
-        _ => Err(H1Error::BadStartLine(line.to_string())),
+    let bad = || H1Error::BadStartLine(line.to_string());
+    let (version, rest) = split_at_octet(line, b' ').ok_or_else(bad)?;
+    let (status, reason) = split_at_octet(rest, b' ').unwrap_or((rest, ""));
+    match status.parse() {
+        Ok(status) if version.starts_with("HTTP/1.") => Ok((status, reason)),
+        _ => Err(bad()),
     }
+}
+
+/// `text` cut at its first `\r\n`: the line before it and the text behind
+/// it, or all of `text` and `None`. Each `\n` is found by a byte scan, and
+/// the byte before it checked.
+fn cut_line(text: &str) -> (&str, Option<&str>) {
+    let bytes = text.as_bytes();
+    let mut from = 0;
+    while let Some(at) = bytes[from..].iter().position(|&b| b == b'\n') {
+        let at = from + at;
+        if at > 0 && bytes[at - 1] == b'\r' {
+            return (&text[..at - 1], Some(&text[at + 1..]));
+        }
+        from = at + 1;
+    }
+    (text, None)
+}
+
+/// A field line split at its first colon, both sides trimmed; a line
+/// without one is the error.
+fn field_line(line: &str) -> Result<(&str, &str), H1Error> {
+    let (name, value) =
+        split_at_octet(line, b':').ok_or_else(|| H1Error::BadHeader(line.to_string()))?;
+    Ok((name.trim(), value.trim()))
 }
 
 /// The header-field lines of a head, between the start line and the blank
@@ -226,13 +263,15 @@ fn status_line(line: &str) -> Result<(u16, &str), H1Error> {
 pub struct Fields<'a>(&'a str);
 
 impl<'a> Fields<'a> {
-    /// Each line split at its first colon, both sides trimmed; a line
-    /// without one is the error.
-    fn lines(self) -> impl Iterator<Item = Result<(&'a str, &'a str), H1Error>> {
-        self.0.split("\r\n").filter(|line| !line.is_empty()).map(|line| {
-            let (name, value) =
-                line.split_once(':').ok_or_else(|| H1Error::BadHeader(line.to_string()))?;
-            Ok((name.trim(), value.trim()))
+    /// The lines in order, blank ones skipped.
+    fn lines(self) -> impl Iterator<Item = &'a str> {
+        let mut rest = Some(self.0);
+        std::iter::from_fn(move || loop {
+            let (line, next) = cut_line(rest?);
+            rest = next;
+            if !line.is_empty() {
+                return Some(line);
+            }
         })
     }
 
@@ -240,19 +279,12 @@ impl<'a> Fields<'a> {
     /// casing.
     pub fn iter(self) -> impl Iterator<Item = (&'a str, &'a str)> {
         // A parser hands out only lines it has checked.
-        self.lines().flatten()
+        self.lines().flat_map(field_line)
     }
 
     fn to_owned(self) -> Vec<(String, String)> {
         self.iter().map(|(name, value)| (name.to_string(), value.to_string())).collect()
     }
-}
-
-/// A head (without its blank line) cut into its start line and its field
-/// lines.
-fn cut_head(head: &str) -> (&str, Fields<'_>) {
-    let (start_line, fields) = head.split_once("\r\n").unwrap_or((head, ""));
-    (start_line, Fields(fields))
 }
 
 /// A complete request as it lies in a [`RequestParser`].
@@ -281,6 +313,62 @@ pub struct ResponseRef<'a> {
     pub body: &'a [u8],
 }
 
+/// Where `\r\n\r\n` first starts at or after `from`: a byte scan for each
+/// `\n`, then a look at the three bytes before it.
+fn blank_line(bytes: &[u8], from: usize) -> Option<usize> {
+    let mut at = from + 3;
+    while at < bytes.len() {
+        let end = at + bytes[at..].iter().position(|&b| b == b'\n')?;
+        if bytes[end - 3..end] == *b"\r\n\r" {
+            return Some(end - 3);
+        }
+        at = end + 1;
+    }
+    None
+}
+
+/// A head that passed [`scan_head`]: its start line as read by the
+/// parser's line reader, its field lines, and the length of its body.
+struct Head<'a, L> {
+    line: L,
+    fields: Fields<'a>,
+    body: usize,
+}
+
+/// Validates a complete head (without its blank line) where it lies:
+/// UTF-8 first (the check that yields the `&str` every view borrows), then
+/// one walk over its lines — the start line through `start`, each field
+/// line's colon, any `transfer-encoding`, and the first `content-length`
+/// (the body's length; 0 without one). The first failure in that order is
+/// the error.
+fn scan_head<'a, L>(
+    head: &'a [u8],
+    start: fn(&'a str) -> Result<L, H1Error>,
+) -> Result<Head<'a, L>, H1Error> {
+    let head = std::str::from_utf8(head).map_err(|_| H1Error::BadEncoding)?;
+    let (start_line, fields) = cut_line(head);
+    let line = start(start_line)?;
+    let fields = Fields(fields.unwrap_or_default());
+    let mut content_length = None;
+    for field in fields.lines() {
+        let (name, value) = field_line(field)?;
+        if name.eq_ignore_ascii_case("transfer-encoding") {
+            return Err(H1Error::TransferCoding(value.to_string()));
+        }
+        if name.eq_ignore_ascii_case("content-length") {
+            content_length.get_or_insert(value);
+        }
+    }
+    let body = match content_length {
+        None => 0,
+        Some(value) => match value.parse() {
+            Ok(len) if len < MAX_DECLARED => len,
+            _ => return Err(H1Error::BadContentLength(value.to_string())),
+        },
+    };
+    Ok(Head { line, fields, body })
+}
+
 /// Where the parser is in the message at the front of its buffer. Offsets
 /// count from the first pending byte; nothing of a message is consumed
 /// before all of it has arrived.
@@ -294,101 +382,64 @@ enum ParseState {
 }
 
 /// A finished message: `(start line, field lines, body)`.
-type Parsed<'a> = (&'a str, Fields<'a>, &'a [u8]);
+type Parsed<'a, L> = (L, Fields<'a>, &'a [u8]);
 
 /// Streaming parser core shared by [`RequestParser`] and
-/// [`ResponseParser`].
+/// [`ResponseParser`], which differ only in how they read a start line.
 #[derive(Debug)]
 struct Parser {
-    /// Whether start lines are request lines (else status lines).
-    requests: bool,
     buf: StreamBuf,
     state: ParseState,
 }
 
-fn find(haystack: &[u8], needle: &[u8]) -> Option<usize> {
-    haystack.windows(needle.len()).position(|w| w == needle)
-}
-
 impl Parser {
-    fn new(requests: bool) -> Parser {
-        Parser { requests, buf: StreamBuf::default(), state: ParseState::Head { scanned: 0 } }
-    }
-
-    /// Validates a complete head (without its blank line) where it lies
-    /// and returns the length of its body: the first `content-length`, or
-    /// 0 without one.
-    fn scan_head(&self, head: &[u8]) -> Result<usize, H1Error> {
-        let head = std::str::from_utf8(head).map_err(|_| H1Error::BadEncoding)?;
-        let (start_line, fields) = cut_head(head);
-        if self.requests {
-            request_line(start_line)?;
-        } else {
-            status_line(start_line)?;
-        }
-        let mut content_length = None;
-        for field in fields.lines() {
-            let (name, value) = field?;
-            if name.eq_ignore_ascii_case("transfer-encoding") {
-                return Err(H1Error::TransferCoding(value.to_string()));
-            }
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length.get_or_insert(value);
-            }
-        }
-        let Some(value) = content_length else { return Ok(0) };
-        match value.parse() {
-            Ok(len) if len < MAX_DECLARED => Ok(len),
-            _ => Err(H1Error::BadContentLength(value.to_string())),
-        }
-    }
-
-    /// Advances the state machine over the pending bytes. A finished
-    /// message is `(head length, whole length)`, and the state is back at
-    /// `Head` for whatever follows it.
-    fn poll(&mut self) -> Result<Option<(usize, usize)>, H1Error> {
-        let next_head = ParseState::Head { scanned: 0 };
-        loop {
-            let pending = self.buf.pending();
-            match self.state {
-                ParseState::Head { scanned } => {
-                    let Some(at) = find(&pending[scanned..], b"\r\n\r\n") else {
-                        self.state = ParseState::Head { scanned: pending.len().saturating_sub(3) };
-                        return Ok(None);
-                    };
-                    let head = scanned + at + 4;
-                    match self.scan_head(&pending[..head - 4]) {
-                        Ok(len) => self.state = ParseState::Body { head, len },
-                        Err(bad) => {
-                            // Past the bad head, the stream may go on.
-                            self.state = next_head;
-                            self.buf.consume(head);
-                            return Err(bad);
-                        }
-                    }
-                }
-                ParseState::Body { head, len } => {
-                    // `len` is below MAX_DECLARED, so the sum cannot
-                    // overflow.
-                    if pending.len() < head + len {
-                        return Ok(None);
-                    }
-                    self.state = next_head;
-                    return Ok(Some((head, head + len)));
-                }
-            }
-        }
+    fn new() -> Parser {
+        Parser { buf: StreamBuf::default(), state: ParseState::Head { scanned: 0 } }
     }
 
     /// Pops the next complete message, if one has fully arrived, as a
-    /// view of the parser's buffer.
-    fn next_message(&mut self) -> Result<Option<Parsed<'_>>, H1Error> {
-        let Some((head, whole)) = self.poll()? else { return Ok(None) };
-        let message = self.buf.consume(whole);
-        let text = std::str::from_utf8(&message[..head - 4])
-            .expect("the head was validated when it arrived");
-        let (start_line, fields) = cut_head(text);
-        Ok(Some((start_line, fields, &message[head..])))
+    /// view of the parser's buffer, its start line read by `start`.
+    ///
+    /// A head is scanned once, when it is complete, and the view is cut
+    /// from that scan. Only a head whose body is still on its way is
+    /// scanned again, once the body is in: the state between two calls is
+    /// offsets, not views of the buffer that `push` may move. After a bad
+    /// head the state is back at `Head`, and the stream may go on behind
+    /// it.
+    fn next_message<'a, L>(
+        &'a mut self,
+        start: fn(&'a str) -> Result<L, H1Error>,
+    ) -> Result<Option<Parsed<'a, L>>, H1Error> {
+        let pending = self.buf.pending();
+        let head = match self.state {
+            ParseState::Head { scanned } => match blank_line(pending, scanned) {
+                Some(at) => at + 4,
+                None => {
+                    self.state = ParseState::Head { scanned: pending.len().saturating_sub(3) };
+                    return Ok(None);
+                }
+            },
+            // `len` is below MAX_DECLARED, so the sum cannot overflow.
+            ParseState::Body { head, len } if pending.len() < head + len => return Ok(None),
+            ParseState::Body { head, .. } => head,
+        };
+        let next_head = ParseState::Head { scanned: 0 };
+        match scan_head(&pending[..head - 4], start) {
+            Err(bad) => {
+                self.state = next_head;
+                self.buf.consume(head);
+                Err(bad)
+            }
+            Ok(parsed) if pending.len() < head + parsed.body => {
+                self.state = ParseState::Body { head, len: parsed.body };
+                Ok(None)
+            }
+            Ok(Head { line, fields, body }) => {
+                self.state = next_head;
+                let message = self.buf.consume(head + body);
+                Ok(Some((line, fields, &message[head..])))
+            }
+        }
     }
 }
 
@@ -407,7 +458,7 @@ impl Default for RequestParser {
 impl RequestParser {
     /// An empty parser.
     pub fn new() -> RequestParser {
-        RequestParser { inner: Parser::new(true) }
+        RequestParser { inner: Parser::new() }
     }
 
     /// Appends received stream bytes.
@@ -418,10 +469,13 @@ impl RequestParser {
     /// Pops the next complete request, if one has fully arrived, as a
     /// view of the parser's buffer.
     pub fn next_ref(&mut self) -> Result<Option<RequestRef<'_>>, H1Error> {
-        let Some((start_line, fields, body)) = self.inner.next_message()? else { return Ok(None) };
-        let (method, target) =
-            request_line(start_line).expect("the head was validated when it arrived");
-        Ok(Some(RequestRef { method, target, fields, body }))
+        let parsed = self.inner.next_message(request_line)?;
+        Ok(parsed.map(|((method, target), fields, body)| RequestRef {
+            method,
+            target,
+            fields,
+            body,
+        }))
     }
 
     /// [`RequestParser::next_ref`], the request copied out of the buffer.
@@ -450,7 +504,7 @@ impl Default for ResponseParser {
 impl ResponseParser {
     /// An empty parser.
     pub fn new() -> ResponseParser {
-        ResponseParser { inner: Parser::new(false) }
+        ResponseParser { inner: Parser::new() }
     }
 
     /// Appends received stream bytes.
@@ -461,10 +515,13 @@ impl ResponseParser {
     /// Pops the next complete response, if one has fully arrived, as a
     /// view of the parser's buffer.
     pub fn next_ref(&mut self) -> Result<Option<ResponseRef<'_>>, H1Error> {
-        let Some((start_line, fields, body)) = self.inner.next_message()? else { return Ok(None) };
-        let (status, reason) =
-            status_line(start_line).expect("the head was validated when it arrived");
-        Ok(Some(ResponseRef { status, reason, fields, body }))
+        let parsed = self.inner.next_message(status_line)?;
+        Ok(parsed.map(|((status, reason), fields, body)| ResponseRef {
+            status,
+            reason,
+            fields,
+            body,
+        }))
     }
 }
 
@@ -659,5 +716,187 @@ mod tests {
             let held = parser.inner.buf.held();
             assert!(held <= 2 * (largest + CHUNK), "{held} bytes held after {parsed} messages");
         }
+    }
+
+    /// SplitMix64, as in `hpack`'s tests: `below(n)` draws from `0..n`.
+    fn rng(seed: u64) -> impl FnMut(u64) -> u64 {
+        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15);
+        move |n| {
+            state = state.wrapping_add(0x9E3779B97F4A7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+            (z ^ (z >> 31)) % n
+        }
+    }
+
+    #[test]
+    fn blank_line_search_agrees_with_a_window_compare() {
+        let window = |bytes: &[u8], from: usize| {
+            let at = bytes[from..].windows(4).position(|w| w == b"\r\n\r\n")?;
+            Some(from + at)
+        };
+        for seed in 0..2048u64 {
+            let mut below = rng(seed);
+            // Mostly line ends, so that near misses (`\r\n\r`, `\n\r\n`,
+            // `\r\r\n`) are common.
+            let bytes: Vec<u8> =
+                (0..below(48)).map(|_| [b'\r', b'\n', b'a', b':'][below(4) as usize]).collect();
+            for from in 0..=bytes.len() {
+                assert_eq!(blank_line(&bytes, from), window(&bytes, from), "{bytes:?} from {from}");
+            }
+        }
+    }
+
+    /// What one parser hands out, owned: each message or error in order.
+    fn drain(parser: &mut RequestParser, out: &mut Vec<Result<Request, H1Error>>) {
+        loop {
+            match parser.next_request() {
+                Ok(None) => return,
+                Ok(Some(request)) => out.push(Ok(request)),
+                Err(bad) => out.push(Err(bad)),
+            }
+        }
+    }
+
+    /// A pipelined stream of good and bad heads, cut in two at every
+    /// point: the head-end search resumes where it stopped, a head whose
+    /// body is still missing waits for it, and each cut reads exactly what
+    /// the whole stream reads.
+    #[test]
+    fn every_cut_of_a_pipelined_stream_parses_alike() {
+        let mut wire = doh_request(b"first").encode().concat();
+        wire.extend(b"GET / HTTP/1.1\r\nno colon\r\n\r\n");
+        wire.extend(
+            encode_request("GET", "/", &[("Transfer-Encoding", "chunked")], Vec::new()).concat(),
+        );
+        wire.extend(b"\r\n\r\nGET /x HTTP/1.0\r\n\r\n");
+        wire.extend(doh_request(&[b'\r', b'\n', b'\r', b'\n', 0]).encode().concat());
+        wire.extend(b"POST / HTTP/1.1\r\ncontent-length: 3\r\n\r\nab");
+        let mut whole = Vec::new();
+        let mut parser = RequestParser::new();
+        parser.push(&wire);
+        drain(&mut parser, &mut whole);
+        assert_eq!(whole.iter().filter(|message| message.is_ok()).count(), 3, "{whole:?}");
+        assert_eq!(whole.len(), 6, "{whole:?}");
+        for cut in 0..=wire.len() {
+            let mut got = Vec::new();
+            let mut parser = RequestParser::new();
+            parser.push(&wire[..cut]);
+            drain(&mut parser, &mut got);
+            parser.push(&wire[cut..]);
+            drain(&mut parser, &mut got);
+            assert_eq!(got, whole, "cut at {cut}");
+        }
+    }
+
+    /// A head as the tests compare it: the start line's parts joined by a
+    /// space, the fields, the body's length.
+    type HeadParts<'a> = (String, Vec<(&'a str, &'a str)>, usize);
+
+    /// The head validation the single pass replaced: `str` splitting on
+    /// `"\r\n"`, `splitn` on the start line, a trimmed `split_once` per
+    /// field line. It returns the start line's parts, the fields, and the
+    /// body's length.
+    fn split_head(head: &[u8], requests: bool) -> Result<HeadParts<'_>, H1Error> {
+        let head = std::str::from_utf8(head).map_err(|_| H1Error::BadEncoding)?;
+        let (start_line, fields) = head.split_once("\r\n").unwrap_or((head, ""));
+        let bad_start = || H1Error::BadStartLine(start_line.to_string());
+        let mut parts = start_line.splitn(3, ' ');
+        let line = if requests {
+            match (parts.next(), parts.next(), parts.next()) {
+                (Some(method), Some(target), Some(v)) if v.starts_with("HTTP/1.") => {
+                    format!("{method} {target}")
+                }
+                _ => return Err(bad_start()),
+            }
+        } else {
+            let version = parts.next().unwrap_or_default();
+            let status = parts.next().and_then(|s| s.parse::<u16>().ok());
+            match (version.starts_with("HTTP/1."), status) {
+                (true, Some(status)) => format!("{status} {}", parts.next().unwrap_or_default()),
+                _ => return Err(bad_start()),
+            }
+        };
+        let mut pairs = Vec::new();
+        let mut content_length = None;
+        for line in fields.split("\r\n").filter(|line| !line.is_empty()) {
+            let (name, value) =
+                line.split_once(':').ok_or_else(|| H1Error::BadHeader(line.to_string()))?;
+            let (name, value) = (name.trim(), value.trim());
+            if name.eq_ignore_ascii_case("transfer-encoding") {
+                return Err(H1Error::TransferCoding(value.to_string()));
+            }
+            if name.eq_ignore_ascii_case("content-length") {
+                content_length.get_or_insert(value);
+            }
+            pairs.push((name, value));
+        }
+        let Some(value) = content_length else { return Ok((line, pairs, 0)) };
+        match value.parse() {
+            Ok(len) if len < MAX_DECLARED => Ok((line, pairs, len)),
+            _ => Err(H1Error::BadContentLength(value.to_string())),
+        }
+    }
+
+    /// Seeded heads spliced from the pieces a head is made of, and from
+    /// those that trip each rule — non-UTF-8 bytes, bare `\r` and `\n`,
+    /// Unicode and ASCII white space around names and values, signed and
+    /// overlong lengths: the single pass returns what the `str` splitting
+    /// returns, value or error, for request and status lines alike.
+    #[test]
+    fn scan_head_agrees_with_str_splitting() {
+        const PIECES: [&[u8]; 24] = [
+            b"\r\n",
+            b"\r\n",
+            b"\r\n",
+            b"\r",
+            b"\n",
+            b" ",
+            b" ",
+            b":",
+            b":",
+            b"\t",
+            b"\x0b",
+            "\u{a0}".as_bytes(),
+            "\u{85}".as_bytes(),
+            b"\xff",
+            b"HTTP/1.1",
+            b"HTTP/1.",
+            b"GET",
+            b"200",
+            b"+7",
+            b"99999999999999999999",
+            b"content-length",
+            b"Transfer-Encoding",
+            b"x-a",
+            b"OK",
+        ];
+        let mut seen = [0usize; 2];
+        for seed in 0..20_000u64 {
+            let mut below = rng(seed);
+            let requests = seed % 2 == 0;
+            let mut head: Vec<u8> = match (requests, below(3)) {
+                (_, 0) => Vec::new(),
+                (true, _) => b"POST /dns-query HTTP/1.1\r\n".to_vec(),
+                (false, _) => b"HTTP/1.1 200 OK\r\n".to_vec(),
+            };
+            for _ in 0..below(16) {
+                head.extend_from_slice(PIECES[below(PIECES.len() as u64) as usize]);
+            }
+            let expected = split_head(&head, requests);
+            seen[usize::from(expected.is_ok())] += 1;
+            let got = if requests {
+                scan_head(&head, request_line).map(|h| {
+                    (format!("{} {}", h.line.0, h.line.1), h.fields.iter().collect(), h.body)
+                })
+            } else {
+                scan_head(&head, status_line).map(|h| {
+                    (format!("{} {}", h.line.0, h.line.1), h.fields.iter().collect(), h.body)
+                })
+            };
+            assert_eq!(got, expected, "seed {seed}: {:?}", String::from_utf8_lossy(&head));
+        }
+        assert!(seen.iter().all(|&n| n > 1000), "valid and invalid heads both drawn: {seen:?}");
     }
 }

@@ -8,6 +8,11 @@
 //! literal representations with and without indexing, and Huffman string
 //! coding.
 //!
+//! The encoder looks a field up without walking the static table: a
+//! `match` on the name yields the name's adjacent entries in Appendix A,
+//! and only those are compared with the value (see [`Encoder`]). Dynamic
+//! entries are compared in place, name length first.
+//!
 //! The encoder's table keeps the capacity it was made with. Both ends of a
 //! DoH/2 connection announce `SETTINGS_HEADER_TABLE_SIZE` =
 //! [`DEFAULT_TABLE_SIZE`], so there is no size to change, and the encoder
@@ -69,6 +74,7 @@
 //! only table written by hand.
 
 use std::fmt;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// Default dynamic-table capacity, the SETTINGS_HEADER_TABLE_SIZE initial
@@ -495,6 +501,16 @@ impl Entry {
     fn field(&self) -> (&str, &str) {
         self.text.split_at(self.name_len)
     }
+
+    /// Whether the entry's name is `name`: its length, then its bytes.
+    fn has_name(&self, name: &str) -> bool {
+        self.name_len == name.len() && self.text.as_bytes()[..self.name_len] == *name.as_bytes()
+    }
+
+    /// Whether the value behind the entry's name is `value`.
+    fn has_value(&self, value: &str) -> bool {
+        self.text.as_bytes()[self.name_len..] == *value.as_bytes()
+    }
 }
 
 /// The dynamic table both endpoints of a direction maintain in lockstep.
@@ -542,36 +558,110 @@ impl DynTable {
         };
         field.ok_or(HpackError::BadIndex(index))
     }
+
+    /// The index of the newest entry that is exactly `(name, value)`; the
+    /// newest whose name is `name` on the way to it goes into `name_index`
+    /// unless one is there already. Entries are compared in place.
+    fn find(&self, name: &str, value: &str, name_index: &mut Option<usize>) -> Option<usize> {
+        for (entry, index) in self.entries.iter().zip(STATIC_TABLE.len() + 1..) {
+            if entry.has_name(name) {
+                if entry.has_value(value) {
+                    return Some(index);
+                }
+                name_index.get_or_insert(index);
+            }
+        }
+        None
+    }
 }
 
 // ---------------------------------------------------------------------
 // Encoder
 // ---------------------------------------------------------------------
 
-/// The index of the first of `fields` — indexed from `first` — that is
-/// exactly `(name, value)`; the first whose name matches on the way to it
-/// goes into `name_index` unless one is there already.
-fn find_field<'a>(
-    fields: impl Iterator<Item = (&'a str, &'a str)>,
-    first: usize,
-    name: &str,
-    value: &str,
-    name_index: &mut Option<usize>,
-) -> Option<usize> {
-    for ((n, v), index) in fields.zip(first..) {
-        if n == name {
-            if v == value {
-                return Some(index);
-            }
-            name_index.get_or_insert(index);
-        }
-    }
-    None
+/// The 1-based indices of the static table's entries named `name`, found
+/// by one `match`: Appendix A lists a name's entries next to each other,
+/// so they are one range, empty for a name the table lacks.
+fn static_names(name: &str) -> Range<usize> {
+    let (first, count) = match name {
+        ":authority" => (1, 1),
+        ":method" => (2, 2),
+        ":path" => (4, 2),
+        ":scheme" => (6, 2),
+        ":status" => (8, 7),
+        "accept-charset" => (15, 1),
+        "accept-encoding" => (16, 1),
+        "accept-language" => (17, 1),
+        "accept-ranges" => (18, 1),
+        "accept" => (19, 1),
+        "access-control-allow-origin" => (20, 1),
+        "age" => (21, 1),
+        "allow" => (22, 1),
+        "authorization" => (23, 1),
+        "cache-control" => (24, 1),
+        "content-disposition" => (25, 1),
+        "content-encoding" => (26, 1),
+        "content-language" => (27, 1),
+        "content-length" => (28, 1),
+        "content-location" => (29, 1),
+        "content-range" => (30, 1),
+        "content-type" => (31, 1),
+        "cookie" => (32, 1),
+        "date" => (33, 1),
+        "etag" => (34, 1),
+        "expect" => (35, 1),
+        "expires" => (36, 1),
+        "from" => (37, 1),
+        "host" => (38, 1),
+        "if-match" => (39, 1),
+        "if-modified-since" => (40, 1),
+        "if-none-match" => (41, 1),
+        "if-range" => (42, 1),
+        "if-unmodified-since" => (43, 1),
+        "last-modified" => (44, 1),
+        "link" => (45, 1),
+        "location" => (46, 1),
+        "max-forwards" => (47, 1),
+        "proxy-authenticate" => (48, 1),
+        "proxy-authorization" => (49, 1),
+        "range" => (50, 1),
+        "referer" => (51, 1),
+        "refresh" => (52, 1),
+        "retry-after" => (53, 1),
+        "server" => (54, 1),
+        "set-cookie" => (55, 1),
+        "strict-transport-security" => (56, 1),
+        "transfer-encoding" => (57, 1),
+        "user-agent" => (58, 1),
+        "vary" => (59, 1),
+        "via" => (60, 1),
+        "www-authenticate" => (61, 1),
+        _ => (1, 0),
+    };
+    first..first + count
+}
+
+/// `(exact, name)` in the static table: the index of the entry that is
+/// exactly `(name, value)`, and the lowest index whose name is `name` (what
+/// a literal names when no entry is exact). Only the name's own entries
+/// are compared.
+fn find_static(name: &str, value: &str) -> (Option<usize>, Option<usize>) {
+    let mut run = static_names(name);
+    let name_index = (!run.is_empty()).then_some(run.start);
+    (run.find(|&index| STATIC_TABLE[index - 1].1 == value), name_index)
 }
 
 /// A stateful HPACK encoder for one direction of one connection. Its
 /// table keeps the capacity it was made with, so it never emits a
 /// dynamic-table size update (§6.3).
+///
+/// A field is looked up in two steps. One `match` on its name gives the
+/// static entries of that name (Appendix A keeps them adjacent), and only
+/// those are compared with its value. Then the dynamic entries are walked
+/// newest first, each compared where it lies: its name's length, its
+/// name's bytes, then the value's bytes behind them. A field found whole
+/// is one indexed instruction; otherwise it is a literal with incremental
+/// indexing that names the lowest index holding its name, if any.
 #[derive(Debug)]
 pub struct Encoder {
     table: DynTable,
@@ -629,11 +719,8 @@ impl Encoder {
         // The lowest index that matches the whole field, and on the way
         // to it the lowest whose name matches: the static table first,
         // then the dynamic entries, newest first.
-        let mut name_index = None;
-        let statics = STATIC_TABLE.iter().copied();
-        let dynamics = self.table.entries.iter().map(Entry::field);
-        let exact = find_field(statics, 1, name, value, &mut name_index)
-            .or_else(|| find_field(dynamics, STATIC_TABLE.len() + 1, name, value, &mut name_index));
+        let (exact, mut name_index) = find_static(name, value);
+        let exact = exact.or_else(|| self.table.find(name, value, &mut name_index));
         if let Some(index) = exact {
             // Exact match → one indexed instruction.
             encode_int(out, 0x80, 7, index);
@@ -963,6 +1050,136 @@ mod tests {
             for text in ["", "0", " ", ":"] {
                 let input = octets(&format!("{}{hole}", bits_of(text)));
                 assert_eq!(huffman_decode(&input), Err(HpackError::BadHuffman), "{text:?} {hole}");
+            }
+        }
+    }
+
+    /// The lookup the name `match` replaced: every entry of `fields`,
+    /// indexed from `first`, compared in turn. It returns the first entry
+    /// that is exactly `(name, value)`; the first whose name matches on the
+    /// way to it goes into `name_index` unless one is there already.
+    fn scan_fields<'a>(
+        fields: impl Iterator<Item = (&'a str, &'a str)>,
+        first: usize,
+        name: &str,
+        value: &str,
+        name_index: &mut Option<usize>,
+    ) -> Option<usize> {
+        for ((n, v), index) in fields.zip(first..) {
+            if n == name {
+                if v == value {
+                    return Some(index);
+                }
+                name_index.get_or_insert(index);
+            }
+        }
+        None
+    }
+
+    /// The encoder as it was before the name `match`: both tables walked
+    /// entry by entry, each dynamic entry split into its name and value.
+    struct ScanEncoder {
+        table: DynTable,
+    }
+
+    impl ScanEncoder {
+        fn encode(&mut self, headers: &[(String, String)]) -> Vec<u8> {
+            let mut out = Vec::new();
+            for (name, value) in headers {
+                let mut name_index = None;
+                let statics = STATIC_TABLE.iter().copied();
+                let dynamics = self.table.entries.iter().map(Entry::field);
+                let exact = scan_fields(statics, 1, name, value, &mut name_index).or_else(|| {
+                    scan_fields(dynamics, STATIC_TABLE.len() + 1, name, value, &mut name_index)
+                });
+                if let Some(index) = exact {
+                    encode_int(&mut out, 0x80, 7, index);
+                    continue;
+                }
+                match name_index {
+                    Some(index) => encode_int(&mut out, 0x40, 6, index),
+                    None => {
+                        out.push(0x40);
+                        encode_string(&mut out, name);
+                    }
+                }
+                encode_string(&mut out, value);
+                self.table.insert(Entry::new(name, value));
+            }
+            out
+        }
+    }
+
+    /// For every static name with its own values, another entry's value
+    /// and a value of no entry, and for names the table lacks, the name
+    /// `match` and its run give the `(exact, name)` indices of the scan.
+    #[test]
+    fn static_lookup_agrees_with_the_full_table_scan() {
+        let mut names: Vec<&str> = STATIC_TABLE.iter().map(|&(name, _)| name).collect();
+        names.dedup();
+        assert_eq!(names.len(), 52, "Appendix A keeps each name's entries adjacent");
+        let foreign_names =
+            ["", ":Method", "Content-Length", "x-round", "accept ", "content", ":statu", "vias"];
+        let mut values: Vec<&str> = STATIC_TABLE.iter().map(|&(_, value)| value).collect();
+        values.extend(["application/dns-message", "201", "get", " ", "/index.htm"]);
+        for name in names.iter().chain(&foreign_names) {
+            for value in &values {
+                let mut scanned = None;
+                let exact = scan_fields(STATIC_TABLE.iter().copied(), 1, name, value, &mut scanned);
+                // The name index counts only where no entry is exact: the
+                // scan stops at an exact entry before it records the name.
+                let (found, name_index) = find_static(name, value);
+                assert_eq!(found, exact, "{name:?}: {value:?}");
+                if exact.is_none() {
+                    assert_eq!(name_index, scanned, "{name:?}: {value:?}");
+                }
+            }
+            let run = static_names(name);
+            assert!(run.clone().all(|index| STATIC_TABLE[index - 1].0 == *name), "{name:?}");
+            let count = STATIC_TABLE.iter().filter(|&&(n, _)| n == *name).count();
+            assert_eq!(run.len(), count, "{name:?}");
+        }
+    }
+
+    /// Over seeded header lists that repeat static names, static fields
+    /// and earlier fields, and under tables small enough to evict, the
+    /// encoder writes the blocks the full-scan encoder writes.
+    #[test]
+    fn encoder_blocks_equal_the_full_scan_encoders() {
+        let names = [":method", ":path", ":status", "accept", "content-length", "x-dns", "X-Dns"];
+        let values = ["GET", "POST", "/", "200", "404", "", "gzip, deflate", "33", "a"];
+        for seed in 0..512u64 {
+            let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15);
+            let mut below = |n: u64| splitmix(&mut state) % n;
+            let capacity = [0, 40, 64, 100, 256, DEFAULT_TABLE_SIZE][below(6) as usize];
+            let mut enc = Encoder::with_capacity(capacity);
+            let mut reference = ScanEncoder { table: DynTable::new(capacity) };
+            let mut seen: Vec<(String, String)> = Vec::new();
+            for block in 0..below(12) {
+                let headers: Vec<(String, String)> = (0..below(10))
+                    .map(|_| match below(4) {
+                        0 if !seen.is_empty() => seen[below(seen.len() as u64) as usize].clone(),
+                        1 => {
+                            let (name, value) = STATIC_TABLE[below(61) as usize];
+                            (name.to_string(), value.to_string())
+                        }
+                        _ => {
+                            let name = names[below(names.len() as u64) as usize].to_string();
+                            let value = match below(3) {
+                                0 => values[below(values.len() as u64) as usize].to_string(),
+                                _ => format!("v{}", below(8)),
+                            };
+                            (name, value)
+                        }
+                    })
+                    .collect();
+                assert_eq!(
+                    enc.encode(&headers),
+                    reference.encode(&headers),
+                    "seed {seed}: {block}"
+                );
+                assert_eq!(enc.table_size(), reference.table.size, "seed {seed}: {block}");
+                seen.extend(headers);
             }
         }
     }

@@ -235,6 +235,37 @@ impl PacketSlab {
     }
 }
 
+/// The links out of one host, as `(dst host, index into links)`: the first
+/// one installed inline, since most hosts (a fleet's stubs) have only that
+/// one and so need no allocation of their own, and any more in `rest`,
+/// sorted by destination.
+#[derive(Debug, Default)]
+struct Routes {
+    first: Option<(usize, usize)>,
+    rest: Vec<(usize, usize)>,
+}
+
+impl Routes {
+    /// The index into links of the link to `dst`, if there is one: the
+    /// inline route, else one binary search.
+    fn get(&self, dst: usize) -> Option<usize> {
+        match self.first {
+            Some((to, link)) if to == dst => Some(link),
+            _ => self.rest.binary_search_by_key(&dst, |&(to, _)| to).ok().map(|i| self.rest[i].1),
+        }
+    }
+
+    /// Adds the link `link` to `dst`, which has none yet.
+    fn add(&mut self, dst: usize, link: usize) {
+        if self.first.is_none() {
+            self.first = Some((dst, link));
+        } else {
+            let at = self.rest.partition_point(|&(to, _)| to < dst);
+            self.rest.insert(at, (dst, link));
+        }
+    }
+}
+
 #[derive(Debug)]
 struct UdpSock {
     host: usize,
@@ -254,10 +285,11 @@ pub struct Sim {
     packets: PacketSlab,
     hosts: Vec<String>,
     pub(crate) links: Vec<DirLink>,
-    /// `(src host, dst host, index into links)` sorted by `(src, dst)`: a
-    /// route lookup is one short binary search, no hashing. An index, once
-    /// handed out, stays valid: links are replaced in place, never removed.
-    routes: Vec<(usize, usize, usize)>,
+    /// The routes out of each host, indexed by its `HostId`. A lookup is a
+    /// short search in one host's routes, no hashing, and installing a link
+    /// touches no other host's. An index, once handed out, stays valid:
+    /// links are replaced in place, never removed.
+    routes: Vec<Routes>,
     udp: Vec<UdpSock>,
     /// The open sockets as `(host, port, sock)`: the first entry in a
     /// `(host, port)` range is the earliest-bound open socket, which is
@@ -378,22 +410,21 @@ impl Sim {
         self.set_dir_link(b, a, b_to_a);
     }
 
-    fn find_route(&self, src: HostId, dst: HostId) -> Result<usize, usize> {
-        self.routes.binary_search_by_key(&(src.0, dst.0), |r| (r.0, r.1))
-    }
-
     /// Installs (or replaces, keeping its index and its byte count) the
     /// link `src -> dst`.
     fn set_dir_link(&mut self, src: HostId, dst: HostId, cfg: LinkConfig) {
-        match self.find_route(src, dst) {
-            Ok(i) => {
-                let link = &mut self.links[self.routes[i].2];
+        if self.routes.len() <= src.0 {
+            self.routes.resize_with(src.0 + 1, Routes::default);
+        }
+        match self.routes[src.0].get(dst.0) {
+            Some(link) => {
+                let link = &mut self.links[link];
                 let bytes = link.bytes;
                 *link = DirLink::new(cfg);
                 link.bytes = bytes;
             }
-            Err(i) => {
-                self.routes.insert(i, (src.0, dst.0, self.links.len()));
+            None => {
+                self.routes[src.0].add(dst.0, self.links.len());
                 self.links.push(DirLink::new(cfg));
             }
         }
@@ -408,7 +439,7 @@ impl Sim {
 
     /// Index into `links` of the link `src -> dst`, if one is configured.
     pub(crate) fn route(&self, src: HostId, dst: HostId) -> Option<usize> {
-        self.find_route(src, dst).ok().map(|i| self.routes[i].2)
+        self.routes.get(src.0)?.get(dst.0)
     }
 
     /// Draws the next `seq`: every scheduled event and every TCP timer arm
@@ -859,6 +890,39 @@ mod tests {
         let datagram = (33 + crate::IP_HEADER + crate::UDP_HEADER) as u64;
         assert_eq!(both(&sim), [ab + datagram, ba]);
         assert_eq!(ab + datagram + ba, sim.stats().wire_bytes);
+    }
+
+    /// A fleet's star of links, installed hub-first and in shuffled order:
+    /// each direction routes to the link index it was given when installed,
+    /// a re-added link keeps it, and an absent direction has no route.
+    #[test]
+    fn routes_keep_their_link_index_in_any_install_order() {
+        let mut sim = Sim::new(5);
+        let hub = sim.add_host("resolver");
+        let spokes: Vec<HostId> = (0..40).map(|i| sim.add_host(&format!("stub{i}"))).collect();
+        let mut order = spokes.clone();
+        let mut rng = SimRng::new(9);
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        let mut given = Vec::new();
+        for &spoke in &order {
+            sim.add_link(hub, spoke, LinkConfig::localhost());
+            given.push((spoke, sim.links.len() - 2));
+        }
+        sim.add_link(spokes[7], spokes[3], LinkConfig::localhost());
+        for &spoke in order.iter().rev().step_by(3) {
+            sim.add_link(spoke, hub, LinkConfig::localhost().loss(0.5));
+        }
+        assert_eq!(sim.links.len(), 2 * order.len() + 2, "a re-added link is no new link");
+        for &(spoke, link) in &given {
+            assert_eq!(sim.route(hub, spoke), Some(link));
+            assert_eq!(sim.route(spoke, hub), Some(link + 1));
+        }
+        assert_eq!(sim.route(spokes[7], spokes[3]), Some(2 * order.len()));
+        assert_eq!(sim.route(spokes[3], spokes[8]), None);
+        assert_eq!(sim.route(hub, hub), None);
+        assert_eq!(sim.route(HostId(999), hub), None);
     }
 
     /// Every event scheduled is popped, re-queued TCP timers included, and a

@@ -102,9 +102,9 @@ pub struct PageLoadResult {
 enum DnsState {
     /// No discoverable resource has needed this domain yet.
     Idle,
-    /// Query sent at the recorded time under the recorded transaction id;
-    /// resources queue behind it.
-    InFlight(SimTime, u16),
+    /// Query sent (its time and transaction id are in
+    /// `Loader::in_flight`); resources queue behind it.
+    InFlight,
     /// Answer in hand; fetches on this domain start immediately.
     Resolved,
 }
@@ -167,6 +167,7 @@ pub fn load_page(
         res_state: vec![ResState::Blocked; n],
         dns: vec![DnsState::Idle; n_domains],
         dns_waiters: vec![Vec::new(); n_domains],
+        in_flight: Vec::with_capacity(n_domains),
         done: 0,
         dns_queries: 0,
     };
@@ -196,11 +197,13 @@ pub fn load_page(
         }
         // A DNS-transport wake (UDP/TCP readability, retransmission
         // timers, teardown) went to its endpoint: check whether any
-        // in-flight resolution just completed.
-        for d in 0..n_domains {
-            let DnsState::InFlight(sent, txn) = loader.dns[d] else { continue };
+        // in-flight resolution just completed. `retain` visits them in
+        // domain order, so two answers on one wake start their fetches in
+        // that order.
+        let mut in_flight = std::mem::take(&mut loader.in_flight);
+        in_flight.retain(|&(d, sent, txn)| {
             if driver.take_response(client, txn).is_none() {
-                continue;
+                return true;
             }
             let wait = sim.now() - sent;
             dns_wait_total = dns_wait_total + wait;
@@ -211,7 +214,9 @@ pub fn load_page(
             for r in std::mem::take(&mut loader.dns_waiters[d]) {
                 loader.start_fetch(sim, r);
             }
-        }
+            false
+        });
+        loader.in_flight = in_flight;
     }
 
     PageLoadResult {
@@ -235,6 +240,9 @@ struct Loader<'a> {
     dns: Vec<DnsState>,
     /// Resources discovered while their domain's query is in flight.
     dns_waiters: Vec<Vec<usize>>,
+    /// `(domain, sent at, transaction id)` of each query in flight, in
+    /// domain-index order: all a wake has to check.
+    in_flight: Vec<(usize, SimTime, u16)>,
     done: u32,
     dns_queries: u32,
 }
@@ -248,7 +256,7 @@ impl Loader<'_> {
         let d = self.page.resources[r].domain;
         match self.dns[d] {
             DnsState::Resolved => self.start_fetch(sim, r),
-            DnsState::InFlight(..) => {
+            DnsState::InFlight => {
                 self.res_state[r] = ResState::WaitingDns;
                 self.dns_waiters[d].push(r);
             }
@@ -256,7 +264,9 @@ impl Loader<'_> {
                 self.res_state[r] = ResState::WaitingDns;
                 self.dns_waiters[d].push(r);
                 let txn = driver.send_query(sim, self.client, &self.page.domains[d]);
-                self.dns[d] = DnsState::InFlight(sim.now(), txn);
+                self.dns[d] = DnsState::InFlight;
+                let at = self.in_flight.partition_point(|&(other, ..)| other < d);
+                self.in_flight.insert(at, (d, sim.now(), txn));
                 self.dns_queries += 1;
             }
         }
