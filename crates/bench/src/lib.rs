@@ -25,6 +25,19 @@
 //!
 //! Wall-clock measurement lives outside the workspace, in `perfbench/`
 //! (the repo benchmark).
+//!
+//! # Surface
+//!
+//! What the fig binaries, the bench tests and `perfbench` name. A binary
+//! parses its [`SweepArgs`], runs a [`SweepSpec`] of [`Cell`]s and renders
+//! the [`SweepReport`] as a [`Report`] of [`Value`]s. The simulated cells
+//! are [`MatrixCell`], [`FleetCell`] and [`PageloadCell`], each with a
+//! `measure` that returns its [`MatrixRun`], [`FleetRun`] or
+//! [`PageloadRun`]; [`SitePagesCell`] and [`WorkloadStatsCell`] run no
+//! simulator, and [`fleet_transports`] lists the transports of the fleet
+//! and page-load sweeps. A failed run is a [`CellError`] inside a
+//! [`SweepError`]; a [`CellId`] names a cell and a [`CellOutcome`] holds
+//! its row. [`stats::summarize`] computes the report bands.
 
 #![warn(missing_docs)]
 #![warn(clippy::print_stdout, clippy::print_stderr, clippy::unwrap_used)]

@@ -6,9 +6,8 @@
 //! (the boundary is exclusive, like a real resolver decrementing TTLs to
 //! zero). Served answers carry the **remaining** TTL. Negative entries
 //! (NXDOMAIN / NODATA) are cached for `min(SOA TTL, SOA MINIMUM)` per
-//! RFC 2308 §5. A configurable size cap evicts the least-recently-used
-//! entry: the oldest end of a recency list threaded through the entries,
-//! so eviction follows the operation order alone.
+//! RFC 2308 §5. A size cap keeps memory finite: a new key that finds the
+//! cache full first drops the smallest key.
 
 use dohmark_dns_wire::{Name, Rcode, Rdata, Record, RecordType};
 use dohmark_netsim::{SimDuration, SimTime};
@@ -34,89 +33,52 @@ pub enum CachedAnswer {
     },
 }
 
-/// Marks the end of the recency list: no older or newer neighbour.
-const NIL: usize = usize::MAX;
-
-#[derive(Debug)]
-struct Entry {
-    /// The key, kept so eviction can drop the index entry.
-    key: CacheKey,
-    /// The answer as inserted; [`DnsCache::get`] rewrites its TTLs.
-    data: CachedAnswer,
-    expires_at: SimTime,
-    /// The next-older and next-newer slots in the recency list, or [`NIL`].
-    older: usize,
-    newer: usize,
-}
-
-/// The cache: a capacity-capped map with TTL expiry and LRU eviction.
+/// The cache: a map from key to answer and expiry, capped at a size.
 ///
-/// Entries live in a slab of slots. The only tree is the key index, from
-/// key to slot; recency is a doubly-linked list threaded through the
-/// slots, from `oldest` to `newest`. A hit is one index lookup and an
-/// O(1) relink to the newest end, and eviction takes the oldest slot.
-///
-/// Determinism: eviction takes the list's oldest slot. There is no stamp
-/// or counter: the list's order is the order of hits and inserts, and the
-/// index is a `BTreeMap`, so nothing depends on a hasher. Identical
-/// operation sequences produce identical contents and evict the same
-/// entries, and which slot an entry occupies is never observable.
+/// A hit reorders nothing. A re-insert replaces its entry in place; a new
+/// key in a full cache first drops the smallest key, so the contents
+/// follow from the operation sequence alone, and nothing depends on a
+/// hasher. No experiment fills the cache (see the resolver's capacity), so
+/// which entry the cap drops never reaches a report.
 #[derive(Debug)]
 pub struct DnsCache {
     capacity: usize,
-    /// Key → the slot holding its entry.
-    index: BTreeMap<CacheKey, usize>,
-    /// The entries; `None` for a slot on the free list.
-    slots: Vec<Option<Entry>>,
-    /// Slots freed by expiry, reused before the slab grows.
-    free: Vec<usize>,
-    /// The least- and most-recently used slots, or [`NIL`] when empty.
-    oldest: usize,
-    newest: usize,
+    /// Key → the answer as inserted and its expiry instant;
+    /// [`DnsCache::get`] rewrites the TTLs.
+    entries: BTreeMap<CacheKey, (CachedAnswer, SimTime)>,
 }
 
 impl DnsCache {
     /// A cache holding at most `capacity` entries (min 1).
     pub fn new(capacity: usize) -> DnsCache {
-        DnsCache {
-            capacity: capacity.max(1),
-            index: BTreeMap::new(),
-            slots: Vec::new(),
-            free: Vec::new(),
-            oldest: NIL,
-            newest: NIL,
-        }
+        DnsCache { capacity: capacity.max(1), entries: BTreeMap::new() }
     }
 
     /// Live entry count (expired entries linger until looked up or
-    /// evicted).
+    /// dropped by the cap).
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.index.len()
+        self.entries.len()
     }
 
     /// Whether the cache is empty.
     #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.entries.is_empty()
     }
 
-    /// Looks up `name`/`qtype` at time `now`, refreshing recency on a hit
-    /// and dropping an entry it finds expired. TTLs in the returned records
-    /// are the remaining lifetime (floored to whole seconds).
+    /// Looks up `name`/`qtype` at time `now`, dropping an entry it finds
+    /// expired. TTLs in the returned records are the remaining lifetime
+    /// (floored to whole seconds).
     pub fn get(&mut self, name: &Name, qtype: RecordType, now: SimTime) -> Option<CachedAnswer> {
         let key = (name.clone(), qtype);
-        let slot = *self.index.get(&key)?;
-        self.unlink(slot);
-        let entry = self.entry(slot);
-        if now >= entry.expires_at {
-            self.index.remove(&key);
-            self.slots[slot] = None;
-            self.free.push(slot);
+        let (data, expires_at) = self.entries.get(&key)?;
+        if now >= *expires_at {
+            self.entries.remove(&key);
             return None;
         }
-        let remaining = entry.expires_at.duration_since(now).as_secs_f64() as u32;
-        let answer = match &entry.data {
+        let remaining = expires_at.duration_since(now).as_secs_f64() as u32;
+        Some(match data {
             CachedAnswer::Positive(records) => CachedAnswer::Positive(
                 records.iter().map(|r| Record { ttl: remaining, ..r.clone() }).collect(),
             ),
@@ -124,9 +86,7 @@ impl DnsCache {
                 rcode: *rcode,
                 soa: Record { ttl: remaining, ..soa.clone() },
             },
-        };
-        self.link_newest(slot);
-        Some(answer)
+        })
     }
 
     /// Caches a positive answer under the records' minimum TTL. TTL-0
@@ -164,63 +124,10 @@ impl DnsCache {
         if ttl == 0 {
             return;
         }
-        let expires_at = now + SimDuration::from_secs(u64::from(ttl));
-        if let Some(&slot) = self.index.get(&key) {
-            // A re-insert replaces the entry in place and makes it newest.
-            self.unlink(slot);
-            let entry = self.entry(slot);
-            entry.data = data;
-            entry.expires_at = expires_at;
-            self.link_newest(slot);
-            return;
+        if self.entries.len() >= self.capacity && !self.entries.contains_key(&key) {
+            self.entries.pop_first();
         }
-        let slot = if self.index.len() >= self.capacity {
-            // Evict the least-recently-used entry and take its slot.
-            let victim = self.oldest;
-            self.unlink(victim);
-            let evicted = self.slots[victim].take().expect("the oldest slot holds an entry");
-            self.index.remove(&evicted.key);
-            victim
-        } else if let Some(slot) = self.free.pop() {
-            slot
-        } else {
-            self.slots.push(None);
-            self.slots.len() - 1
-        };
-        self.index.insert(key.clone(), slot);
-        self.slots[slot] = Some(Entry { key, data, expires_at, older: NIL, newer: NIL });
-        self.link_newest(slot);
-    }
-
-    /// The live entry in `slot`.
-    fn entry(&mut self, slot: usize) -> &mut Entry {
-        self.slots[slot].as_mut().expect("an indexed slot holds an entry")
-    }
-
-    /// Takes `slot` out of the recency list, joining its neighbours.
-    fn unlink(&mut self, slot: usize) {
-        let Entry { older, newer, .. } = *self.entry(slot);
-        match older {
-            NIL => self.oldest = newer,
-            older => self.entry(older).newer = newer,
-        }
-        match newer {
-            NIL => self.newest = older,
-            newer => self.entry(newer).older = older,
-        }
-    }
-
-    /// Puts the unlinked `slot` at the newest end of the recency list.
-    fn link_newest(&mut self, slot: usize) {
-        let older = self.newest;
-        let entry = self.entry(slot);
-        entry.older = older;
-        entry.newer = NIL;
-        match older {
-            NIL => self.oldest = slot,
-            older => self.entry(older).newer = slot,
-        }
-        self.newest = slot;
+        self.entries.insert(key, (data, now + SimDuration::from_secs(u64::from(ttl))));
     }
 }
 
@@ -293,17 +200,18 @@ mod tests {
     }
 
     #[test]
-    fn capacity_evicts_the_least_recently_used_entry() {
+    fn a_full_cache_drops_its_smallest_key() {
+        assert!((name("w1"), RecordType::A) < (name("w2"), RecordType::A));
         let mut cache = DnsCache::new(2);
-        cache.insert_positive(name("w1"), RecordType::A, vec![a_record("w1", 300)], at(0));
-        cache.insert_positive(name("w2"), RecordType::A, vec![a_record("w2", 300)], at(1));
-        // Touch w1 so w2 becomes the LRU victim.
+        cache.insert_positive(name("w2"), RecordType::A, vec![a_record("w2", 300)], at(0));
+        cache.insert_positive(name("w1"), RecordType::A, vec![a_record("w1", 300)], at(1));
+        // A hit reorders nothing: w1 stays first in line.
         assert!(cache.get(&name("w1"), RecordType::A, at(2)).is_some());
         cache.insert_positive(name("w3"), RecordType::A, vec![a_record("w3", 300)], at(3));
         assert_eq!(cache.len(), 2);
-        assert!(cache.get(&name("w1"), RecordType::A, at(4)).is_some(), "w1 was touched");
+        assert!(cache.get(&name("w1"), RecordType::A, at(4)).is_none(), "w1 was the smallest");
+        assert!(cache.get(&name("w2"), RecordType::A, at(4)).is_some(), "w2 stays");
         assert!(cache.get(&name("w3"), RecordType::A, at(4)).is_some(), "w3 just arrived");
-        assert!(cache.get(&name("w2"), RecordType::A, at(4)).is_none(), "w2 was evicted");
     }
 
     #[test]
@@ -328,42 +236,50 @@ mod tests {
         assert!(cache.is_empty());
     }
 
-    /// The reference LRU: entries oldest first, a hit moved to the back,
-    /// eviction from the front.
+    /// The reference cache: entries in a list, a hit left where it is,
+    /// and the entry with the smallest key dropped when a new key finds the
+    /// list full.
     struct Reference {
         capacity: usize,
         entries: Vec<(CacheKey, CachedAnswer, SimTime)>,
+        evictions: usize,
     }
 
     impl Reference {
         fn get(&mut self, key: &CacheKey, now: SimTime) -> Option<CachedAnswer> {
-            let entry = self.entries.remove(self.entries.iter().position(|e| &e.0 == key)?);
-            if now >= entry.2 {
+            let at = self.entries.iter().position(|e| &e.0 == key)?;
+            let (_, answer, expires_at) = &self.entries[at];
+            if now >= *expires_at {
+                self.entries.remove(at);
                 return None;
             }
-            let ttl = entry.2.duration_since(now).as_secs_f64() as u32;
-            let answer = match &entry.1 {
+            let ttl = expires_at.duration_since(now).as_secs_f64() as u32;
+            Some(match answer {
                 CachedAnswer::Positive(records) => CachedAnswer::Positive(
                     records.iter().map(|r| Record { ttl, ..r.clone() }).collect(),
                 ),
                 CachedAnswer::Negative { rcode, soa } => {
                     CachedAnswer::Negative { rcode: *rcode, soa: Record { ttl, ..soa.clone() } }
                 }
-            };
-            self.entries.push(entry);
-            Some(answer)
+            })
         }
 
         fn put(&mut self, key: CacheKey, answer: CachedAnswer, ttl: u32, now: SimTime) {
             if ttl == 0 {
                 return;
             }
-            if let Some(at) = self.entries.iter().position(|e| e.0 == key) {
-                self.entries.remove(at);
-            } else if self.entries.len() >= self.capacity {
-                self.entries.remove(0);
+            let entry = (key, answer, now + SimDuration::from_secs(u64::from(ttl)));
+            if let Some(at) = self.entries.iter().position(|e| e.0 == entry.0) {
+                self.entries[at] = entry;
+                return;
             }
-            self.entries.push((key, answer, now + SimDuration::from_secs(u64::from(ttl))));
+            if self.entries.len() >= self.capacity {
+                let smallest = (0..self.entries.len())
+                    .min_by(|&i, &j| self.entries[i].0.cmp(&self.entries[j].0));
+                self.entries.remove(smallest.expect("a full list is not empty"));
+                self.evictions += 1;
+            }
+            self.entries.push(entry);
         }
     }
 
@@ -372,14 +288,14 @@ mod tests {
     /// and evictions all occur; every lookup and every `len()` must agree
     /// with the reference.
     #[test]
-    fn matches_a_reference_lru() {
+    fn matches_a_reference_model() {
         let labels = ["w1", "w2", "w3", "w4", "w5", "w6"];
-        let (mut boundaries, mut live_reinserts) = (0, 0);
+        let (mut boundaries, mut live_reinserts, mut evictions) = (0, 0, 0);
         for capacity in 1..=8 {
             for seed in 1..=40u64 {
                 let mut rng = dohmark_netsim::SimRng::new(seed);
                 let mut cache = DnsCache::new(capacity);
-                let mut reference = Reference { capacity, entries: Vec::new() };
+                let mut reference = Reference { capacity, entries: Vec::new(), evictions: 0 };
                 let mut now = 0;
                 for step in 0..200 {
                     now += rng.below(3);
@@ -422,8 +338,10 @@ mod tests {
                     let len = reference.entries.len();
                     assert_eq!(cache.len(), len, "capacity {capacity} seed {seed} step {step}");
                 }
+                evictions += reference.evictions;
             }
         }
-        assert!(boundaries > 0 && live_reinserts > 0, "{boundaries} / {live_reinserts}");
+        let counts = format!("{boundaries} / {live_reinserts} / {evictions}");
+        assert!(boundaries > 0 && live_reinserts > 0 && evictions > 0, "{counts}");
     }
 }

@@ -53,8 +53,8 @@ impl Endpoint for Do53Server {
             return;
         }
         while let Some((src_host, src_port, data)) = sim.udp_recv(self.sock) {
-            // Corrupted datagrams that no longer parse are dropped, exactly
-            // like a real resolver would drop them.
+            // A datagram that does not parse is dropped, as a real
+            // resolver drops it.
             let Ok(query) = Message::decode(&data) else { continue };
             let src = (src_host, src_port);
             if let Some(response) = self.backend.answer(sim, &query, src) {
@@ -211,6 +211,7 @@ impl Endpoint for Do53Client {
 mod tests {
     use super::*;
     use crate::testing::pump;
+    use dohmark_dns_wire::Rcode;
     use dohmark_netsim::{LinkConfig, SimTime};
 
     /// The echo Do53 server on `(resolver, 53)`.
@@ -306,6 +307,48 @@ mod tests {
         sim.udp_send(resolver_sock, (stub, port), LayerTag::DnsPayload, vec![0; 12]);
         sim.drain();
         assert_eq!(sim.dropped_packets(), dropped_before + 1);
+    }
+
+    /// Datagrams that do not decode are skipped on both sides. The server
+    /// answers nothing to garbage and still answers the query behind it.
+    /// A client skips garbage and a well-formed response with another id
+    /// that reach its pending socket, and still takes its own answer.
+    #[test]
+    fn undecodable_and_foreign_datagrams_are_skipped() {
+        let (mut sim, mut client, mut server) = setup(8);
+        let (stub, resolver) = (HostId(0), HostId(1));
+        let name = Name::parse("abcdefgh.dohmark.test").unwrap();
+        let garbage = vec![0xFF; 7];
+        assert!(Message::decode(&garbage).is_err());
+
+        // Server side: the garbage is delivered, and answered with nothing.
+        let stray = sim.udp_bind(stub, 0);
+        sim.udp_send(stray, (resolver, 53), LayerTag::DnsPayload, garbage.clone());
+        assert!(pump(&mut sim, &mut client, &mut server, None).is_none());
+        assert_eq!((sim.meter.total().packets, sim.dropped_packets()), (1, 0));
+        assert!(sim.udp_recv(stray).is_none(), "the server answered garbage");
+        let response = pump(&mut sim, &mut client, &mut server, Some(&name)).unwrap();
+        assert_eq!(response.answers.len(), 1);
+
+        // Client side: both strays leave the resolver with the query in
+        // flight, so they reach the pending socket before the answer does.
+        let packets = sim.meter.total().packets;
+        let id = client.send_query(&mut sim, &name);
+        let port = sim.udp_local_port(client.pending[0].sock);
+        let foreign = Message::response(
+            &Message::query(id + 1, &name, RecordType::A),
+            Rcode::NoError,
+            Vec::new(),
+        );
+        let from = sim.udp_bind(resolver, 0);
+        sim.udp_send(from, (stub, port), LayerTag::DnsPayload, garbage);
+        sim.udp_send(from, (stub, port), LayerTag::DnsPayload, foreign.encode());
+        assert!(pump(&mut sim, &mut client, &mut server, None).is_none());
+        assert_eq!(sim.meter.total().packets, packets + 4, "query, strays, answer: no resend");
+        assert_eq!(sim.dropped_packets(), 0, "both strays reached the open socket");
+        let answer = client.take_response(id).expect("the client took its own answer");
+        assert_eq!((answer.header.id, answer.answers.len()), (id, 1));
+        assert!(client.take_response(id + 1).is_none(), "the foreign response was skipped");
     }
 
     #[test]

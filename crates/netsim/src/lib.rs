@@ -2,12 +2,12 @@
 //!
 //! This crate provides the measurement substrate of the reproduction: a
 //! virtual clock ([`SimTime`], [`SimDuration`]), point-to-point links with
-//! latency, bandwidth, jitter and fault injection ([`LinkConfig`]),
-//! simulated UDP datagrams and a byte-stream TCP model ([`tcp`]), all
-//! driven through [`Sim`], and per-layer byte/packet accounting
-//! ([`CostMeter`]) behind the paper's Figures 3–5. A datagram's payload is
-//! moved from sender to receiver; a TCP segment carries no bytes, and the
-//! receiver reads the sender's send buffer in place ([`Sim::tcp_read`]).
+//! latency, bandwidth, jitter and loss ([`LinkConfig`]), simulated UDP
+//! datagrams and a byte-stream TCP model ([`tcp`]), all driven through
+//! [`Sim`], and per-layer byte/packet accounting ([`CostMeter`]) behind
+//! the paper's Figures 3–5. A datagram's payload is moved from sender to
+//! receiver; a TCP segment carries no bytes, and the receiver reads the
+//! sender's send buffer in place ([`Sim::tcp_read`]).
 //! [`Sim::stats`] counts what the engine did ([`EngineStats`]), the bytes
 //! put on links included.
 //!

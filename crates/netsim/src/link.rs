@@ -1,5 +1,5 @@
 //! Point-to-point links: propagation delay, serialisation, jitter and
-//! fault injection.
+//! loss.
 
 use crate::time::{SimDuration, SimTime};
 
@@ -22,13 +22,6 @@ pub struct LinkConfig {
     pub bandwidth_bps: Option<u64>,
     /// Probability that a packet is silently dropped.
     pub loss: f64,
-    /// Probability that a packet is corrupted in flight. Corrupted TCP
-    /// segments are discarded by the receiver's checksum (modelled as a
-    /// drop after accounting); corrupted UDP datagrams are delivered with a
-    /// flipped byte so decoders must cope.
-    pub corrupt: f64,
-    /// Maximum transmission unit; TCP derives its MSS as `mtu - 40`.
-    pub mtu: usize,
 }
 
 impl Default for LinkConfig {
@@ -38,8 +31,6 @@ impl Default for LinkConfig {
             jitter: SimDuration::ZERO,
             bandwidth_bps: None,
             loss: 0.0,
-            corrupt: 0.0,
-            mtu: 1500,
         }
     }
 }
@@ -99,12 +90,6 @@ impl LinkConfig {
     /// Sets an iid loss probability.
     pub fn loss(mut self, p: f64) -> LinkConfig {
         self.loss = p;
-        self
-    }
-
-    /// Sets an iid corruption probability.
-    pub fn corrupt(mut self, p: f64) -> LinkConfig {
-        self.corrupt = p;
         self
     }
 

@@ -17,12 +17,11 @@
 //!
 //! Events wait in one `BinaryHeap` and fire in `(at, seq)` order, `seq`
 //! being drawn from a counter when an event is scheduled. That moment must
-//! not move: the per-packet loss, corruption and jitter draws in
-//! `Sim::send_packet` happen in event order, so reordering two
-//! same-instant events changes which packets a lossy link drops, and with
-//! them every report digest. A TCP timer draws a `seq` at every arm too,
-//! but queues at most one event at a time (see `netsim::tcp`).
-//! [`Sim::stats`] counts what the heap did.
+//! not move: the per-packet loss and jitter draws in `Sim::send_packet`
+//! happen in event order, so reordering two same-instant events changes
+//! which packets a lossy link drops, and with them every report digest. A
+//! TCP timer draws a `seq` at every arm too, but queues at most one event
+//! at a time (see `netsim::tcp`). [`Sim::stats`] counts what the heap did.
 
 use crate::link::{DirLink, LinkConfig};
 use crate::packet::{Body, Packet};
@@ -186,8 +185,8 @@ pub struct EngineStats {
     /// the [`CostMeter`], whose total it equals on a run that conserves
     /// what it meters. [`Sim::link_bytes`] splits it by link direction.
     pub wire_bytes: u64,
-    /// Packets dropped: lost or corrupted on a link, sent with no route, or
-    /// arriving where no open socket, listener or connection takes them.
+    /// Packets dropped: lost on a link, sent with no route, or arriving
+    /// where no open socket, listener or connection takes them.
     pub dropped: u64,
 }
 
@@ -568,7 +567,7 @@ impl Sim {
     /// Puts `pkt` on `link` (its [`Sim::route`], resolved by the caller so
     /// a TCP endpoint can look it up once per connection): meters it,
     /// draws its fate, and schedules the delivery.
-    pub(crate) fn send_packet(&mut self, mut pkt: Packet, link: Option<usize>) {
+    pub(crate) fn send_packet(&mut self, pkt: Packet, link: Option<usize>) {
         debug_assert_eq!(
             pkt.layers.total(),
             pkt.payload_len() as u64,
@@ -585,20 +584,9 @@ impl Sim {
         let wire_len = pkt.wire_len() as u64;
         self.stats.wire_bytes += wire_len;
         self.links[link].bytes += wire_len;
-        let lost = self.rng.chance(cfg.loss);
-        let corrupted = !lost && self.rng.chance(cfg.corrupt);
-        // Corrupted TCP segments fail the checksum at the receiver and are
-        // discarded there: identical to a drop for the state machine.
-        if lost || (corrupted && matches!(pkt.body, Body::Segment(_))) {
+        if self.rng.chance(cfg.loss) {
             self.stats.dropped += 1;
             return;
-        }
-        if let Body::Datagram(payload) = &mut pkt.body {
-            if corrupted && !payload.is_empty() {
-                // Flip one byte of a UDP datagram; decoders must tolerate it.
-                let idx = self.rng.below(payload.len() as u64) as usize;
-                payload[idx] ^= 0xFF;
-            }
         }
         let jitter = if cfg.jitter > SimDuration::ZERO {
             SimDuration::from_nanos(self.rng.range_u64(0, cfg.jitter.as_nanos()))
@@ -1116,20 +1104,6 @@ mod tests {
         assert_eq!(sim.dropped_packets(), 1);
         // Dropped packets still consumed wire bytes.
         assert_eq!(sim.meter.cost(0).packets, 1);
-    }
-
-    #[test]
-    fn corrupted_udp_is_delivered_mangled() {
-        let mut sim = Sim::new(8);
-        let a = sim.add_host("a");
-        let b = sim.add_host("b");
-        sim.add_link(a, b, LinkConfig::localhost().corrupt(1.0));
-        let sa = sim.udp_bind(a, 0);
-        let sb = sim.udp_bind(b, 53);
-        sim.udp_send(sa, (b, 53), LayerTag::DnsPayload, vec![0xAA; 8]);
-        assert!(matches!(sim.next_wake(), Some(Wake::UdpReadable { .. })));
-        let (_, _, data) = sim.udp_recv(sb).unwrap();
-        assert_eq!(data.iter().filter(|&&b| b != 0xAA).count(), 1);
     }
 
     #[test]

@@ -5,7 +5,10 @@
 //! accounting depends on — the three-way handshake (with SYN option
 //! bytes), MSS-bounded segmentation, cumulative and delayed ACKs, timeout
 //! retransmission with exponential backoff (go-back-N), and FIN teardown.
-//! It omits congestion-window dynamics, SACK and timestamps.
+//! It omits congestion-window dynamics, SACK and timestamps. The MSS is
+//! one constant, 1 460 bytes: an Ethernet MTU of 1 500 less the 20-byte IP
+//! and TCP headers, since every link the experiments build is an Ethernet
+//! path.
 //!
 //! Not every omission is invisible. The receiver discards any segment
 //! above `rcv_nxt` (answering with an immediate duplicate ACK) instead of
@@ -47,8 +50,9 @@ use crate::time::{SimDuration, SimTime};
 use crate::trace::{LayerBytes, LayerTag};
 use std::collections::VecDeque;
 
-/// Fallback MSS when no link (and hence no MTU) is configured.
-const DEFAULT_MSS: usize = 1460;
+/// The maximum segment size of every connection: an Ethernet MTU of
+/// 1 500 bytes less the IP and TCP headers, 1 460 bytes.
+const MSS: usize = 1500 - IP_HEADER - TCP_HEADER;
 /// Initial retransmission timeout (Linux's minimum RTO, 200 ms). Do53's
 /// retransmission timer starts from it too, on the stubs' queries and on a
 /// recursive resolver's upstream fetches alike.
@@ -271,7 +275,6 @@ pub(crate) struct Endpoint {
     host: usize,
     port: u16,
     state: TcpState,
-    mss: usize,
     // Send direction.
     snd_una: u64,
     snd_nxt: u64,
@@ -280,7 +283,7 @@ pub(crate) struct Endpoint {
     /// Written bytes that the peer has not both acknowledged and read: a
     /// retransmission describes them from here, and the peer's
     /// [`Sim::tcp_read`] borrows them from here. Once drained, it keeps at
-    /// most `mss` bytes of storage, so a handshake flight is not carried
+    /// most [`MSS`] bytes of storage, so a handshake flight is not carried
     /// for the connection's life.
     sndbuf: TaggedBuf,
     /// Sequence number of our FIN, fixed by [`Sim::tcp_close`] at the end of
@@ -306,20 +309,18 @@ pub(crate) struct Endpoint {
     /// Server side: the listener that will accept this connection.
     listener: Option<ListenerId>,
     /// The [`Sim::route`] towards the peer, looked up once where the
-    /// endpoint is made ([`Sim::tcp_path`]) and kept: once present, a
-    /// link's index never changes. Where that found none, each segment
-    /// looks again until one does — a link may be added after
-    /// `tcp_connect`.
+    /// endpoint is made and kept: once present, a link's index never
+    /// changes. Where that found none, each segment looks again until one
+    /// does — a link may be added after `tcp_connect`.
     link: Option<usize>,
 }
 
 impl Endpoint {
-    fn new(host: usize, port: u16, link: Option<usize>, mss: usize) -> Endpoint {
+    fn new(host: usize, port: u16, link: Option<usize>) -> Endpoint {
         Endpoint {
             host,
             port,
             state: TcpState::Idle,
-            mss,
             snd_una: 0,
             snd_nxt: 0,
             buf_base: 1,
@@ -344,7 +345,7 @@ impl Endpoint {
         let keep_from = self.snd_una.min(read).min(self.buf_base + self.sndbuf.len() as u64);
         if keep_from > self.buf_base {
             self.sndbuf.advance((keep_from - self.buf_base) as usize);
-            self.sndbuf.release_above(self.mss);
+            self.sndbuf.release_above(MSS);
             self.buf_base = keep_from;
         }
     }
@@ -376,11 +377,10 @@ impl Sim {
     /// handshake completes; data queued before that is sent right after.
     pub fn tcp_connect(&mut self, host: HostId, dst: (HostId, u16)) -> TcpHandle {
         let port = self.alloc_ephemeral();
-        let (link, mss) = self.tcp_path(host, dst.0);
-        let mut client = Endpoint::new(host.0, port, link, mss);
+        let mut client = Endpoint::new(host.0, port, self.route(host, dst.0));
         client.state = TcpState::SynSent;
         // The server side's path is resolved when the SYN reaches it.
-        let server = Endpoint::new(dst.0 .0, dst.1, None, DEFAULT_MSS);
+        let server = Endpoint::new(dst.0 .0, dst.1, None);
         // The server-side owner is resolved at SYN time from the listener.
         let owners = [self.owner(), 0];
         self.conns.push(TcpConn { ends: [client, server], owners });
@@ -491,17 +491,6 @@ impl Sim {
         &mut self.conns[h.conn].ends[h.side.index()]
     }
 
-    /// The route `a -> b` and the MSS its link allows (MTU minus IP and
-    /// TCP headers), from one route lookup; without a link, no route and
-    /// [`DEFAULT_MSS`].
-    fn tcp_path(&self, a: HostId, b: HostId) -> (Option<usize>, usize) {
-        let link = self.route(a, b);
-        let mss = link.map_or(DEFAULT_MSS, |i| {
-            self.links[i].cfg.mtu.saturating_sub(IP_HEADER + TCP_HEADER).max(1)
-        });
-        (link, mss)
-    }
-
     /// Builds and transmits one segment from `side` of `conn`.
     ///
     /// Pure control segments (`data` is `None`) are attributed to the
@@ -571,8 +560,8 @@ impl Sim {
                 }
                 let seq = ep.snd_nxt;
                 let buf_end = ep.buf_base + ep.sndbuf.len() as u64;
-                if seq < buf_end && seq < ep.snd_una + WINDOW_SEGS * ep.mss as u64 {
-                    let data = ep.sndbuf.segment((seq - ep.buf_base) as usize, ep.mss);
+                if seq < buf_end && seq < ep.snd_una + WINDOW_SEGS * MSS as u64 {
+                    let data = ep.sndbuf.segment((seq - ep.buf_base) as usize, MSS);
                     ep.snd_nxt += u64::from(data.len);
                     (TcpFlags { ack: true, ..Default::default() }, seq, Some(data))
                 } else if ep.fin_seq == Some(seq) {
@@ -634,14 +623,13 @@ impl Sim {
                     self.stats.dropped += 1;
                     return;
                 };
-                let (link, mss) = self.tcp_path(HostId(host), HostId(peer_host));
+                let link = self.route(HostId(host), HostId(peer_host));
                 let listener_owner = self.listeners[lid].owner;
                 {
                     let c = &mut self.conns[conn];
                     c.owners[Side::Server.index()] = listener_owner;
                     let ep = &mut c.ends[Side::Server.index()];
                     ep.link = link;
-                    ep.mss = mss;
                     ep.listener = Some(ListenerId(lid));
                     ep.state = TcpState::SynRcvd;
                     ep.rcv_nxt = seg.seq + 1;
@@ -1009,12 +997,12 @@ mod tests {
     }
 
     #[test]
-    fn segments_respect_the_link_mss() {
+    fn segments_are_at_most_one_mss() {
         let (mut sim, a, b) = two_hosts(4, LinkConfig::localhost());
         sim.tcp_listen(b, 853);
         let client = sim.tcp_connect(a, (b, 853));
         wait_for(&mut sim, |w| matches!(w, Wake::TcpConnected { .. }));
-        // 4000 B at MSS 1460 (MTU 1500) → segments of 1460, 1460, 1080,
+        // 4000 B at the 1460 B MSS → segments of 1460, 1460, 1080,
         // each read on its own wake.
         sim.tcp_send(client, LayerTag::DnsPayload, &[0xDB; 4000]);
         let mut data_lens = Vec::new();
@@ -1052,7 +1040,7 @@ mod tests {
         run_dry_reading(&mut sim);
         let (len, cap) = sndbuf(&sim);
         assert_eq!(len, 0, "everything was acknowledged");
-        assert!(cap <= sim.ep(client).mss, "a drained buffer kept {cap} B");
+        assert!(cap <= MSS, "a drained buffer kept {cap} B");
         // A write that fits one segment keeps its storage for the next one.
         sim.tcp_send(client, LayerTag::DnsPayload, &[2; 200]);
         run_dry_reading(&mut sim);
@@ -1132,7 +1120,7 @@ mod tests {
                 let ep = sim.ep(ends[side]);
                 let cap = ep.sndbuf.data.capacity();
                 assert!(ep.sndbuf.len() == 0, "seed {seed}: side {side} kept bytes");
-                assert!(cap <= ep.mss, "seed {seed}: side {side} kept {cap} B");
+                assert!(cap <= MSS, "seed {seed}: side {side} kept {cap} B");
                 assert_eq!(fins[side], 1, "seed {seed}: side {side} saw {} FINs", fins[side]);
                 assert_eq!(ep.state, TcpState::Closed, "seed {seed}: side {side}");
                 let fin = ep.fin_seq.expect("closed at 2 s");
@@ -1233,7 +1221,7 @@ mod tests {
             sim.udp_bind(b, 53);
             // A connection from `a` to itself, where no link goes: its ACKs
             // are dropped unsent, and an idle endpoint's RTO resends nothing.
-            let ends = [1, 2].map(|port| Endpoint::new(a.0, port, None, DEFAULT_MSS));
+            let ends = [1, 2].map(|port| Endpoint::new(a.0, port, None));
             sim.conns.push(TcpConn { ends, owners: [0, 0] });
             // The reference's events, a timer's tagged with its `(side, kind)`,
             // and the key of each timer's live arm.
@@ -1444,10 +1432,10 @@ mod tests {
                         check_segment(&buf, &model, off, max);
                         sent = Some((off, max));
                     }
-                    // What the pump cuts at the link's MSS.
+                    // What the pump cuts at the MSS.
                     8 if !model.is_empty() => {
                         let off = rng.below(model.len() as u64) as usize;
-                        check_segment(&buf, &model, off, 1460);
+                        check_segment(&buf, &model, off, MSS);
                     }
                     // The rewind: after later pushes and ACKs of earlier
                     // bytes, cutting the same bytes again still matches.

@@ -27,6 +27,14 @@
 //!   [`netsim`](dohmark_netsim) event loop, pumped one wake at a time by
 //!   [`Driver::step`](dohmark_doh::Driver::step).
 //!
+//! # Surface
+//!
+//! [`load_page`] and its [`PageLoadResult`], which `dohmark-bench`'s
+//! page-load cell and the `dohmark` facade name, and [`fetch_time`], the
+//! analytic fetch model `load_page` charges every resource.
+//!
+//! # Example
+//!
 //! ```
 //! use dohmark_dns_wire::Name;
 //! use dohmark_doh::{Driver, ReusePolicy, ServerBackend, TransportConfig, TransportKind};

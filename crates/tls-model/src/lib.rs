@@ -30,6 +30,17 @@
 //! tag, NewSessionTicket issuance is not modelled, and TLS 1.3 0-RTT is out
 //! of scope.
 //!
+//! # Surface
+//!
+//! What the transports in `dohmark-doh` and the benchmark name. The
+//! handshake: a [`TlsConfig`] (from [`TlsConfig::for_server`], offering
+//! [`ALPN_DOT`], [`ALPN_HTTP11`] or [`ALPN_H2`] through
+//! [`TlsConfig::alpn`]), its three [`Flight`]s from [`handshake_flights`],
+//! and their total, [`handshake_bytes`]. The records: the sizes
+//! [`RECORD_HEADER`], [`AEAD_TAG`] and [`MAX_PLAINTEXT`], the transports'
+//! [`record_header`] and [`ZERO_TAG`], the reference [`seal`] with its
+//! [`SealedRecord`]s, and the [`Deframer`].
+//!
 //! # Example
 //!
 //! ```

@@ -16,6 +16,14 @@
 //!   one shared Zipf universe ([`ZipfNames`]).
 //! * [`SiteModel`] — Alexa-like pages, the page-load workload.
 //!
+//! # Surface
+//!
+//! Those three and what they yield, which `dohmark-bench`'s cells name:
+//! [`QuerySchedule`] feeds the transport-matrix cell; [`FleetSchedule`],
+//! with the [`ZipfNames`] it draws from, feeds the fleet cell; and
+//! [`SiteModel`], with its [`PageSpec`]s of [`Resource`]s, feeds the
+//! page-load cell, Figure 1 and the workload table.
+//!
 //! # Example
 //!
 //! ```
