@@ -264,7 +264,7 @@ pub struct FleetRun {
     pub queries: usize,
     /// Distinct names actually queried — the compulsory-miss floor.
     pub distinct_names: usize,
-    /// Cache hits (positive + negative) at the recursive resolver.
+    /// Cache hits at the recursive resolver.
     pub cache_hits: u64,
     /// Cache misses at the recursive resolver.
     pub cache_misses: u64,
@@ -314,7 +314,7 @@ impl FleetCell {
         let (resolver, upstream) = bed.upstream_leg.expect("a fleet's resolver is recursive");
         let sim = bed.finish()?;
 
-        let cache_hits = sim.meter.counters.cache_hit + sim.meter.counters.cache_negative_hit;
+        let cache_hits = sim.meter.counters.cache_hit;
         let cache_misses = sim.meter.counters.cache_miss;
         let upstream_bytes =
             sim.link_bytes(resolver, upstream) + sim.link_bytes(upstream, resolver);

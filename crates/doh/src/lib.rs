@@ -8,10 +8,9 @@
 //! [`EndpointId`]s and routes every wake to its owner. A server answers
 //! from a [`ServerBackend`]: the fixed echo record
 //! ([`ServerBackend::echo`]), a synthetic authoritative [`Zone`], or a
-//! caching recursive resolver whose [`DnsCache`] (RFC 2308 positive and
-//! negative entries) is shared by all of that server's clients. The
-//! per-transport clients and servers are private: experiments iterate
-//! over configs, never over concrete types.
+//! caching recursive resolver whose [`DnsCache`] is shared by all of that
+//! server's clients. The per-transport clients and servers are private:
+//! experiments iterate over configs, never over concrete types.
 //!
 //! Every byte the [`CostMeter`](dohmark_netsim::CostMeter) records is a
 //! byte the real transport would put on the wire:

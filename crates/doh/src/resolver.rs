@@ -19,17 +19,16 @@
 //!
 //! The resolver's events flow through the one instrument experiments
 //! already read, the [`CostMeter`](dohmark_netsim::CostMeter)'s typed
-//! [`Counters`](dohmark_netsim::Counters): `cache_hit`,
-//! `cache_negative_hit`, `cache_miss`, `coalesced_queries` and
-//! `upstream_queries`. The upstream leg's bytes are the simulator's to
+//! [`Counters`](dohmark_netsim::Counters): `cache_hit`, `cache_miss`,
+//! `coalesced_queries` and `upstream_queries`. The upstream leg's bytes are the simulator's to
 //! count: [`Sim::link_bytes`] over the resolver↔upstream link pair.
 
-use crate::cache::{CachedAnswer, DnsCache};
+use crate::cache::DnsCache;
 use crate::do53::Do53Client;
 use crate::transport::{TransportConfig, TransportKind};
 use crate::zone::Zone;
 use crate::{Endpoint, Resolver};
-use dohmark_dns_wire::{Message, Name, Rcode, Rdata, Record, RecordType};
+use dohmark_dns_wire::{Message, Name, Rcode, RecordType};
 use dohmark_netsim::{HostId, Sim, Wake};
 
 /// The resolver's cache capacity, in entries: a bound on memory that no
@@ -51,8 +50,9 @@ struct PendingFetch<W> {
     waiters: Vec<(W, Message)>,
 }
 
-/// A caching recursive resolver: TTL-driven positive/negative cache
-/// (RFC 2308) in front of one Do53 upstream. `W` is where a parked query's
+/// A caching recursive resolver: a TTL-driven cache of positive answers in
+/// front of one Do53 upstream; negative answers (RFC 2308) are forwarded
+/// and not stored. `W` is where a parked query's
 /// answer goes: a datagram's return address for Do53, a connection and
 /// slot for the stream transports.
 #[derive(Debug)]
@@ -72,21 +72,11 @@ impl<W: PartialEq> RecursiveResolver<W> {
         let Some(q) = query.question() else {
             return Some(Message::response(query, Rcode::FormErr, Vec::new()));
         };
-        let (qname, qtype) = (q.name.clone(), q.qtype);
-        match self.cache.get(&qname, qtype, sim.now()) {
-            Some(CachedAnswer::Positive(records)) => {
-                sim.meter.counters.cache_hit += 1;
-                return Some(Message::response(query, Rcode::NoError, records));
-            }
-            Some(CachedAnswer::Negative { rcode, soa }) => {
-                sim.meter.counters.cache_negative_hit += 1;
-                let mut m = Message::response(query, rcode, Vec::new());
-                m.authorities.push(soa);
-                return Some(m);
-            }
-            None => {}
+        if let Some(records) = self.cache.get(&q.name, q.qtype, sim.now()) {
+            sim.meter.counters.cache_hit += 1;
+            return Some(Message::response(query, Rcode::NoError, records));
         }
-        let key = (qname, qtype);
+        let key = (q.name.clone(), q.qtype);
         let fetch = self.pending.iter_mut().find(|f| f.key == key);
         let parked = |(w, q): &(W, Message)| *w == waiter && q.header.id == query.header.id;
         if fetch.as_ref().is_some_and(|f| f.waiters.iter().any(parked)) {
@@ -100,7 +90,7 @@ impl<W: PartialEq> RecursiveResolver<W> {
             return None;
         }
         sim.meter.counters.upstream_queries += 1;
-        let upstream_id = self.upstream.send(sim, &key.0, qtype);
+        let upstream_id = self.upstream.send(sim, &key.0, key.1);
         self.pending.push(PendingFetch {
             key,
             upstream_id,
@@ -142,35 +132,15 @@ impl<W: PartialEq> RecursiveResolver<W> {
         completed
     }
 
-    /// Stores `upstream`'s outcome in the cache: positive answers under
-    /// their minimum record TTL, NXDOMAIN/NODATA under the RFC 2308
-    /// `min(SOA TTL, MINIMUM)` — uncacheable responses (no SOA, ServFail)
-    /// are forwarded but not stored.
+    /// Stores `upstream`'s answer in the cache under its minimum record
+    /// TTL when it is positive (NOERROR with answers); any other response
+    /// (NXDOMAIN, NODATA, SERVFAIL) is forwarded but not stored.
     fn cache_upstream(&mut self, sim: &mut Sim, fetch: &PendingFetch<W>, upstream: &Message) {
-        let (name, qtype) = fetch.key.clone();
-        let now = sim.now();
-        match upstream.header.rcode {
-            Rcode::NoError if !upstream.answers.is_empty() => {
-                self.cache.insert_positive(name, qtype, upstream.answers.clone(), now);
-            }
-            Rcode::NoError | Rcode::NxDomain => {
-                if let Some(soa) = find_soa(&upstream.authorities) {
-                    self.cache.insert_negative(
-                        name,
-                        qtype,
-                        upstream.header.rcode,
-                        soa.clone(),
-                        now,
-                    );
-                }
-            }
-            _ => {}
+        if upstream.header.rcode == Rcode::NoError && !upstream.answers.is_empty() {
+            let (name, qtype) = fetch.key.clone();
+            self.cache.insert_positive(name, qtype, upstream.answers.clone(), sim.now());
         }
     }
-}
-
-fn find_soa(records: &[Record]) -> Option<&Record> {
-    records.iter().find(|r| matches!(r.rdata, Rdata::Soa(_)))
 }
 
 /// The answer source behind a transport server, as plain data: the
@@ -243,6 +213,7 @@ impl<W: PartialEq> Backend<W> {
 mod tests {
     use super::*;
     use crate::{Driver, EndpointId, ReusePolicy, TransportConfig, TransportKind};
+    use dohmark_dns_wire::Rdata;
     use dohmark_netsim::{SimDuration, SimTime};
 
     fn name(label: &str) -> Name {
@@ -390,6 +361,27 @@ mod tests {
                 assert!(hit_at >= miss_at, "{hit_at:?} before {miss_at:?}");
             } else {
                 assert!(hit_at < miss_at, "{kind:?}: {hit_at:?} not before {miss_at:?}");
+            }
+        }
+    }
+
+    /// An NXDOMAIN from the upstream reaches the stub with its SOA, and is
+    /// not stored: asking again is another miss and another fetch.
+    #[test]
+    fn a_negative_upstream_answer_is_forwarded_and_not_cached() {
+        for kind in TransportKind::ALL {
+            let (mut sim, mut driver, [stub, _]) = two_stubs(kind, 7, 0.0);
+            let foreign = Name::parse("other.example").unwrap();
+            for round in 1..=2 {
+                let answer = driver.resolve(&mut sim, stub, &foreign).expect("answered");
+                assert_eq!(answer.header.rcode, Rcode::NxDomain, "{kind:?} round {round}");
+                assert!(answer.answers.is_empty(), "{kind:?} round {round}");
+                assert_eq!(answer.authorities.len(), 1, "{kind:?} round {round}");
+                assert!(matches!(answer.authorities[0].rdata, Rdata::Soa(_)), "{kind:?}");
+                let counters = sim.meter.counters;
+                assert_eq!(counters.cache_miss, round, "{kind:?} round {round}");
+                assert_eq!(counters.upstream_queries, round, "{kind:?} round {round}");
+                assert_eq!(counters.cache_hit, 0, "{kind:?} round {round}");
             }
         }
     }

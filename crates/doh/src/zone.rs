@@ -12,10 +12,10 @@ enum ZoneMode {
     /// controlled echo resolver (byte-compatible with the old
     /// `Message::fixed_a_response` servers).
     Fixed(Ipv4Addr),
-    /// Synthesise a deterministic per-name A record for names under the
-    /// zone origin; answer NXDOMAIN (with the SOA in the authority
-    /// section, per RFC 2308) for names outside it or whose first label
-    /// starts with `nx`, and NODATA for non-A queries.
+    /// Synthesise a deterministic per-name A record for A queries under
+    /// the zone origin; answer NXDOMAIN for names outside it and NODATA
+    /// for non-A queries, each with the SOA in the authority section
+    /// (RFC 2308 §3).
     Synth,
 }
 
@@ -36,10 +36,10 @@ impl Zone {
         Zone { origin: Name::root(), ttl, negative_ttl: ttl.min(60), mode: ZoneMode::Fixed(answer) }
     }
 
-    /// A synthetic zone rooted at `origin`: names under it resolve to a
-    /// deterministic per-name address with `ttl`; everything else (and
-    /// `nx*` labels) is NXDOMAIN with `negative_ttl` as the RFC 2308 SOA
-    /// minimum.
+    /// A synthetic zone rooted at `origin`: an A query for a name under
+    /// it gets a deterministic per-name address with `ttl`; other types
+    /// get NODATA and names outside it NXDOMAIN, both with `negative_ttl`
+    /// as the RFC 2308 SOA minimum.
     pub fn synth(origin: Name, ttl: u32, negative_ttl: u32) -> Zone {
         Zone { origin, ttl, negative_ttl, mode: ZoneMode::Synth }
     }
@@ -94,9 +94,7 @@ impl Zone {
         match self.mode {
             ZoneMode::Fixed(addr) => Message::fixed_a_response(query, addr, self.ttl),
             ZoneMode::Synth => {
-                let nx = !q.name.is_subdomain_of(&self.origin)
-                    || q.name.labels().next().is_some_and(|l| l.starts_with("nx"));
-                if nx {
+                if !q.name.is_subdomain_of(&self.origin) {
                     let mut m = Message::response(query, Rcode::NxDomain, Vec::new());
                     m.authorities.push(self.soa_record());
                     m
@@ -146,17 +144,16 @@ mod tests {
     }
 
     #[test]
-    fn nx_labels_and_foreign_names_get_nxdomain_with_soa() {
+    fn foreign_names_get_nxdomain_with_soa() {
         let zone = Zone::synth(origin(), 300, 45);
-        for name in [origin().child("nxdead01").unwrap(), Name::parse("other.example").unwrap()] {
-            let resp = zone.answer(&Message::query(2, &name, RecordType::A));
-            assert_eq!(resp.header.rcode, Rcode::NxDomain);
-            assert!(resp.answers.is_empty());
-            assert_eq!(resp.authorities.len(), 1, "SOA must ride in the authority section");
-            let soa = &resp.authorities[0];
-            assert_eq!(soa.ttl, 45);
-            assert!(matches!(&soa.rdata, Rdata::Soa(s) if s.minimum == 45));
-        }
+        let name = Name::parse("other.example").unwrap();
+        let resp = zone.answer(&Message::query(2, &name, RecordType::A));
+        assert_eq!(resp.header.rcode, Rcode::NxDomain);
+        assert!(resp.answers.is_empty());
+        assert_eq!(resp.authorities.len(), 1, "SOA must ride in the authority section");
+        let soa = &resp.authorities[0];
+        assert_eq!(soa.ttl, 45);
+        assert!(matches!(&soa.rdata, Rdata::Soa(s) if s.minimum == 45));
     }
 
     #[test]

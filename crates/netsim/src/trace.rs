@@ -134,8 +134,6 @@ pub struct Cost {
 pub struct Counters {
     /// Stub queries answered from a positive cache entry.
     pub cache_hit: u64,
-    /// Stub queries answered from a negative (RFC 2308) cache entry.
-    pub cache_negative_hit: u64,
     /// Stub queries the cache could not answer.
     pub cache_miss: u64,
     /// Cache misses parked behind an identical fetch already in flight.

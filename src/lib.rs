@@ -20,8 +20,8 @@
 //!   the cost meter. A [`doh::Driver`] serves and connects any
 //!   [`doh::TransportConfig`] (kind × reuse × TLS resumption), so
 //!   experiments iterate the whole transport matrix.
-//! * [`survey`] — the DoH provider landscape survey, paper Tables 1–2
-//!   (planned).
+//! * [`survey`] — an empty placeholder crate (no provider survey); its
+//!   deletion waits for ROADMAP item 3b.
 //! * [`workload`] — seeded Poisson query arrivals, Zipf name universes,
 //!   multi-client fleet schedules, and the Alexa-like site model
 //!   (`SiteModel`) whose pages feed the page-load engine.
