@@ -50,149 +50,72 @@ impl Rcode {
     }
 }
 
-/// The fixed DNS header.
+/// QR: the message is a response.
+const QR: u16 = 1 << 15;
+/// The 4-bit OPCODE field.
+const OPCODE: u16 = 0xF << 11;
+/// RD: recursion desired.
+const RD: u16 = 1 << 8;
+/// RA: recursion available.
+const RA: u16 = 1 << 7;
+/// CD: checking disabled (RFC 4035 §3.2.2).
+const CD: u16 = 1 << 4;
+/// The 4-bit RCODE field, which [`Header::rcode`] holds instead.
+const RCODE: u16 = 0xF;
+
+/// The fixed DNS header less its four section counts, which are the
+/// lengths of the [`Message`](crate::Message)'s sections: its encoder
+/// writes them and its decoder reads its sections by them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Header {
     /// Transaction identifier echoed by the server.
     pub id: u16,
-    /// `true` for responses, `false` for queries (QR bit).
-    pub response: bool,
-    /// Operation code, the 4-bit wire value: 0 (standard query) is the
-    /// only one this study sends.
-    pub opcode: u8,
-    /// Authoritative answer (AA).
-    pub authoritative: bool,
-    /// Truncation (TC) — set when a UDP answer did not fit.
-    pub truncated: bool,
-    /// Recursion desired (RD).
-    pub recursion_desired: bool,
-    /// Recursion available (RA).
-    pub recursion_available: bool,
-    /// Authenticated data (AD, RFC 4035).
-    pub authentic_data: bool,
-    /// Checking disabled (CD, RFC 4035).
-    pub checking_disabled: bool,
+    /// The second header word without its RCODE nibble: QR, OPCODE, AA,
+    /// TC, RD, RA, Z, AD and CD at their wire positions.
+    pub flags: u16,
     /// Response code.
     pub rcode: Rcode,
-    /// Entries in the question section.
-    pub qdcount: u16,
-    /// Entries in the answer section.
-    pub ancount: u16,
-    /// Entries in the authority section.
-    pub nscount: u16,
-    /// Entries in the additional section.
-    pub arcount: u16,
 }
 
 impl Header {
     /// Size of the header on the wire.
     pub(crate) const WIRE_LEN: usize = 12;
 
-    /// A recursive query header with the given transaction id.
+    /// A recursive query header (RD set) with the given transaction id.
     pub(crate) fn new_query(id: u16) -> Header {
-        Header {
-            id,
-            response: false,
-            opcode: 0,
-            authoritative: false,
-            truncated: false,
-            recursion_desired: true,
-            recursion_available: false,
-            authentic_data: false,
-            checking_disabled: false,
-            rcode: Rcode::NoError,
-            qdcount: 0,
-            ancount: 0,
-            nscount: 0,
-            arcount: 0,
-        }
+        Header { id, flags: RD, rcode: Rcode::NoError }
     }
 
-    /// A response header answering `query`.
+    /// A response header answering `query`: QR and RA set, and the
+    /// query's OPCODE, RD and CD echoed.
     pub(crate) fn new_response(query: &Header, rcode: Rcode) -> Header {
-        Header {
-            id: query.id,
-            response: true,
-            opcode: query.opcode,
-            authoritative: false,
-            truncated: false,
-            recursion_desired: query.recursion_desired,
-            recursion_available: true,
-            authentic_data: false,
-            checking_disabled: query.checking_disabled,
-            rcode,
-            qdcount: 0,
-            ancount: 0,
-            nscount: 0,
-            arcount: 0,
-        }
+        Header { id: query.id, flags: QR | RA | (query.flags & (OPCODE | RD | CD)), rcode }
     }
 
-    /// Encodes the 12-byte header.
-    pub(crate) fn encode(&self, w: &mut Writer) {
+    /// Encodes the 12-byte header, with `counts` the lengths of the
+    /// question, answer, authority and additional sections.
+    pub(crate) fn encode(&self, counts: [u16; 4], w: &mut Writer) {
         w.u16(self.id);
-        let mut flags: u16 = 0;
-        if self.response {
-            flags |= 1 << 15;
+        w.u16((self.flags & !RCODE) | u16::from(self.rcode.to_u8()));
+        for count in counts {
+            w.u16(count);
         }
-        flags |= u16::from(self.opcode & 0x0F) << 11;
-        if self.authoritative {
-            flags |= 1 << 10;
-        }
-        if self.truncated {
-            flags |= 1 << 9;
-        }
-        if self.recursion_desired {
-            flags |= 1 << 8;
-        }
-        if self.recursion_available {
-            flags |= 1 << 7;
-        }
-        if self.authentic_data {
-            flags |= 1 << 5;
-        }
-        if self.checking_disabled {
-            flags |= 1 << 4;
-        }
-        flags |= self.rcode.to_u8() as u16;
-        w.u16(flags);
-        w.u16(self.qdcount);
-        w.u16(self.ancount);
-        w.u16(self.nscount);
-        w.u16(self.arcount);
     }
 
-    /// Decodes the 12-byte header.
-    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Header> {
+    /// Decodes the 12-byte header and its four section counts.
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<(Header, [u16; 4])> {
         let id = r.u16("header id")?;
-        let flags = r.u16("header flags")?;
-        let header = Header {
-            id,
-            response: flags & (1 << 15) != 0,
-            opcode: ((flags >> 11) & 0x0F) as u8,
-            authoritative: flags & (1 << 10) != 0,
-            truncated: flags & (1 << 9) != 0,
-            recursion_desired: flags & (1 << 8) != 0,
-            recursion_available: flags & (1 << 7) != 0,
-            authentic_data: flags & (1 << 5) != 0,
-            checking_disabled: flags & (1 << 4) != 0,
-            rcode: Rcode::from_u8((flags & 0x0F) as u8),
-            qdcount: r.u16("qdcount")?,
-            ancount: r.u16("ancount")?,
-            nscount: r.u16("nscount")?,
-            arcount: r.u16("arcount")?,
-        };
-        Ok(header)
+        let word = r.u16("header flags")?;
+        let header = Header { id, flags: word & !RCODE, rcode: Rcode::from_u8(word as u8) };
+        let counts = [r.u16("qdcount")?, r.u16("ancount")?, r.u16("nscount")?, r.u16("arcount")?];
+        Ok((header, counts))
     }
 
     /// Guards against absurd section counts before allocating.
-    pub(crate) fn validate_counts(&self, message_len: usize) -> Result<()> {
+    pub(crate) fn validate_counts(counts: [u16; 4], message_len: usize) -> Result<()> {
         // The smallest possible record is a root-name question: 5 bytes;
         // a count that cannot possibly fit flags a hostile message early.
-        let total = self.qdcount as usize
-            + self.ancount as usize
-            + self.nscount as usize
-            + self.arcount as usize;
+        let total: usize = counts.iter().map(|&c| usize::from(c)).sum();
         if total * 5 > message_len.saturating_sub(Header::WIRE_LEN) {
             return Err(DnsError::CountMismatch { section: "total" });
         }
@@ -204,55 +127,66 @@ impl Header {
 mod tests {
     use super::*;
 
-    fn round_trip(h: &Header) -> Header {
+    /// AA, TC, Z and AD: the flags a response does not take from its query.
+    const AA_TC_Z_AD: u16 = 0x0660;
+
+    fn encode(h: &Header, counts: [u16; 4]) -> Vec<u8> {
         let mut w = Writer::new();
-        h.encode(&mut w);
+        h.encode(counts, &mut w);
         let buf = w.finish();
         assert_eq!(buf.len(), Header::WIRE_LEN);
-        Header::decode(&mut Reader::new(&buf)).unwrap()
+        buf
+    }
+
+    fn round_trip(h: &Header, counts: [u16; 4]) -> (Header, [u16; 4]) {
+        Header::decode(&mut Reader::new(&encode(h, counts))).unwrap()
     }
 
     #[test]
     fn query_header_round_trip() {
         let h = Header::new_query(0xABCD);
-        assert_eq!(round_trip(&h), h);
+        assert_eq!(encode(&h, [1, 0, 0, 0]), [0xAB, 0xCD, 0x01, 0x00, 0, 1, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(round_trip(&h, [1, 0, 0, 0]), (h, [1, 0, 0, 0]));
     }
 
     #[test]
     fn response_header_round_trip_with_all_flags() {
-        let mut h = Header::new_response(&Header::new_query(7), Rcode::NxDomain);
-        h.authoritative = true;
-        h.truncated = true;
-        h.authentic_data = true;
-        h.checking_disabled = true;
-        h.ancount = 3;
-        h.nscount = 1;
-        h.arcount = 2;
-        assert_eq!(round_trip(&h), h);
+        // Bits 4–15 of the second word are flags, Z (bit 6) included.
+        let counts = [1, 3, 1, 2];
+        for bit in 4..16 {
+            let h = Header { id: 7, flags: 1 << bit, rcode: Rcode::NxDomain };
+            assert_eq!(round_trip(&h, counts), (h, counts), "bit {bit}");
+        }
+        let all = Header { id: 7, flags: !RCODE, rcode: Rcode::NxDomain };
+        assert_eq!(encode(&all, counts)[2..], [0xFF, 0xF3, 0, 1, 0, 3, 0, 1, 0, 2]);
+        assert_eq!(round_trip(&all, counts), (all, counts));
     }
 
     #[test]
     fn response_echoes_id_and_rd() {
-        let q = Header::new_query(42);
-        let r = Header::new_response(&q, Rcode::NoError);
-        assert_eq!(r.id, 42);
-        assert!(r.response);
-        assert!(r.recursion_desired);
-        assert!(r.recursion_available);
+        // And the opcode and CD; QR and RA are set, and the query's AA,
+        // TC, Z and AD stay behind.
+        for opcode in 0..16u16 {
+            for echoed in [0, RD, CD, RD | CD] {
+                let flags = (opcode << 11) | echoed;
+                let query = Header { id: 42, flags: flags | AA_TC_Z_AD, rcode: Rcode::NoError };
+                let expected = Header { id: 42, flags: QR | RA | flags, rcode: Rcode::ServFail };
+                assert_eq!(Header::new_response(&query, Rcode::ServFail), expected);
+            }
+        }
     }
 
     #[test]
     fn opcode_and_rcode_round_trip_all_values() {
         for v in 0..16u8 {
-            let mut h = Header::new_query(1);
-            h.opcode = v;
-            assert_eq!(round_trip(&h), h);
+            let h = Header { id: 1, flags: u16::from(v) << 11, rcode: Rcode::from_u8(v) };
+            assert_eq!(round_trip(&h, [0; 4]).0, h);
             assert_eq!(Rcode::from_u8(v).to_u8(), v);
         }
-        // Only the low four bits reach the wire.
-        let mut h = Header::new_query(1);
-        h.opcode = 0x15;
-        assert_eq!(round_trip(&h).opcode, 0x05);
+        // Only `rcode` reaches the RCODE nibble, never the low bits of
+        // `flags`.
+        let h = Header { id: 1, flags: RD | RCODE, rcode: Rcode::NoError };
+        assert_eq!(encode(&h, [0; 4])[2..4], [0x01, 0x00]);
     }
 
     #[test]
@@ -264,13 +198,8 @@ mod tests {
     #[test]
     fn qr_bit_distinguishes_query_from_response() {
         let q = Header::new_query(1);
-        let mut w = Writer::new();
-        q.encode(&mut w);
-        let buf = w.finish();
-        assert_eq!(buf[2] & 0x80, 0);
+        assert_eq!(encode(&q, [0; 4])[2] & 0x80, 0);
         let r = Header::new_response(&q, Rcode::NoError);
-        let mut w2 = Writer::new();
-        r.encode(&mut w2);
-        assert_eq!(w2.finish()[2] & 0x80, 0x80);
+        assert_eq!(encode(&r, [0; 4])[2..4], [0x81, 0x80]);
     }
 }

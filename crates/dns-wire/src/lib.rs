@@ -1,15 +1,18 @@
 //! Byte-accurate DNS wireformat (RFC 1035) codec.
 //!
-//! Its surface is [`Message`] — a [`Header`] (with its [`Rcode`]),
-//! [`Question`]s and [`Record`]s — built with [`Message::query`] or
-//! [`Message::response`] and put on the wire with [`Message::encode`] and
-//! [`Message::decode`]; a record's [`RecordType`] and typed [`Rdata`]
-//! ([`SoaRdata`] for a negative answer's SOA); domain [`Name`]s, written
-//! with RFC 1035 pointer compression to a [`Writer`] and read back from a
-//! [`Reader`]; and [`DnsError`] with its [`Result`]. RDATA is typed for A,
-//! AAAA, CNAME, SOA, MX and TXT; any other type is [`Rdata::Unknown`], its
-//! bytes kept verbatim (RFC 3597 §5). [`jsontext`] is the JSON text codec
-//! the figure reports are written and validated with.
+//! Its surface is [`Message`] — a [`Header`] (its id, flags word and
+//! [`Rcode`]), [`Question`]s and [`Record`]s — built with
+//! [`Message::query`] or [`Message::response`] and put on the wire with
+//! [`Message::encode`] and [`Message::decode`]; a record's [`RecordType`]
+//! and typed [`Rdata`] ([`SoaRdata`] for a negative answer's SOA); domain
+//! [`Name`]s, written with RFC 1035 pointer compression to a [`Writer`]
+//! and read back from a [`Reader`]; and [`DnsError`] with its [`Result`].
+//! The four section counts of the wire header belong to the message, not
+//! to its [`Header`]: encoding writes the sections' lengths, and decoding
+//! reads the sections by them. RDATA is typed for A, AAAA, CNAME, SOA, MX
+//! and TXT; any other type is [`Rdata::Unknown`], its bytes kept verbatim
+//! (RFC 3597 §5). [`jsontext`] is the JSON text codec the figure reports
+//! are written and validated with.
 //!
 //! Every byte produced by [`Message::encode`] is real wire data: the
 //! overhead figures of the reproduced paper are computed over these bytes.
@@ -24,6 +27,7 @@
 //! let back = Message::decode(&wire).unwrap();
 //! assert_eq!(back.header.id, 0x1234);
 //! assert_eq!(back.questions[0].name.to_string(), "example.com.");
+//! assert_eq!(back, query);
 //! ```
 
 #![warn(missing_docs)]

@@ -104,7 +104,6 @@ pub(crate) struct TlsStream {
     flight_rx: usize,
     /// Attribution for connection setup bytes this endpoint sends.
     setup_attr: u32,
-    established: bool,
     deframer: Deframer,
 }
 
@@ -117,7 +116,6 @@ impl TlsStream {
             unsent: 0,
             flight_rx: 0,
             setup_attr,
-            established: false,
             deframer: Deframer::new(),
         }
     }
@@ -133,6 +131,11 @@ impl TlsStream {
         plaintext
     }
 
+    /// Whether every handshake flight has been received or made due.
+    fn established(&self) -> bool {
+        self.next_flight == self.flights.len()
+    }
+
     /// Whether `flight` is this endpoint's to send.
     fn ours(&self, flight: &Flight) -> bool {
         flight.from_client == (self.handle.side == Side::Client)
@@ -142,11 +145,7 @@ impl TlsStream {
     /// their turn comes; returns the plaintext deframed from any bytes
     /// after the last flight.
     fn take(&mut self, mut incoming: &[u8]) -> Vec<u8> {
-        while !self.established {
-            let Some(&flight) = self.flights.get(self.next_flight) else {
-                self.established = true;
-                break;
-            };
+        while let Some(&flight) = self.flights.get(self.next_flight) {
             if !self.ours(&flight) {
                 let take = (flight.bytes - self.flight_rx).min(incoming.len());
                 self.flight_rx += take;
@@ -323,12 +322,12 @@ impl<F: Framing> StreamClient<F> {
     /// Whether the client currently holds an established connection.
     #[cfg(test)]
     pub(crate) fn is_connected(&self) -> bool {
-        self.conn.as_ref().is_some_and(|c| c.tls.established)
+        self.conn.as_ref().is_some_and(|c| c.tls.established())
     }
 
     fn flush(&mut self, sim: &mut Sim) {
         let Some(conn) = self.conn.as_mut() else { return };
-        if !conn.tls.established {
+        if !conn.tls.established() {
             return;
         }
         for (id, name) in self.queued.drain(..) {
@@ -409,11 +408,11 @@ impl<F: Framing> Endpoint for StreamClient<F> {
             }
             _ => return,
         }
-        let was_established = conn.tls.established;
+        let was_established = conn.tls.established();
         let (responses, completed) = conn.receive(sim);
         self.inflight = self.inflight.saturating_sub(completed);
         self.responses.extend(responses.into_iter().map(|(_, response)| response));
-        if !was_established && conn.tls.established {
+        if !was_established && conn.tls.established() {
             if let Some(preamble) = F::preamble(&mut conn.codec) {
                 conn.send_setup(sim, &preamble);
             }

@@ -13,19 +13,17 @@ enum ZoneMode {
     /// `Message::fixed_a_response` servers).
     Fixed(Ipv4Addr),
     /// Synthesise a deterministic per-name A record for A queries under
-    /// the zone origin; answer NXDOMAIN for names outside it and NODATA
-    /// for non-A queries, each with the SOA in the authority section
-    /// (RFC 2308 §3).
-    Synth,
+    /// `origin`; answer NXDOMAIN for names outside it and NODATA for
+    /// non-A queries, each with the SOA in the authority section
+    /// (RFC 2308 §3), whose TTL and `minimum` are `negative_ttl`.
+    Synth { origin: Name, negative_ttl: u32 },
 }
 
 /// An authoritative zone: the answer source servers consult instead of a
 /// hard-coded echo response.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Zone {
-    origin: Name,
     ttl: u32,
-    negative_ttl: u32,
     mode: ZoneMode,
 }
 
@@ -33,7 +31,7 @@ impl Zone {
     /// The echo zone of the paper's controlled experiment: every query —
     /// whatever the name — gets one A record `answer` with `ttl`.
     pub(crate) fn fixed(answer: Ipv4Addr, ttl: u32) -> Zone {
-        Zone { origin: Name::root(), ttl, negative_ttl: ttl.min(60), mode: ZoneMode::Fixed(answer) }
+        Zone { ttl, mode: ZoneMode::Fixed(answer) }
     }
 
     /// A synthetic zone rooted at `origin`: an A query for a name under
@@ -41,19 +39,19 @@ impl Zone {
     /// get NODATA and names outside it NXDOMAIN, both with `negative_ttl`
     /// as the RFC 2308 SOA minimum.
     pub fn synth(origin: Name, ttl: u32, negative_ttl: u32) -> Zone {
-        Zone { origin, ttl, negative_ttl, mode: ZoneMode::Synth }
+        Zone { ttl, mode: ZoneMode::Synth { origin, negative_ttl } }
     }
 
-    /// The zone's SOA record, as served in the authority section of
-    /// negative answers. Its TTL and `minimum` are both the configured
-    /// negative TTL, so caches obeying RFC 2308's `min(SOA TTL, MINIMUM)`
-    /// rule see exactly that value.
-    pub(crate) fn soa_record(&self) -> Record {
-        let mname = self.origin.child("ns1").unwrap_or_else(|_| self.origin.clone());
-        let rname = self.origin.child("hostmaster").unwrap_or_else(|_| self.origin.clone());
+    /// The SOA record of a synthetic zone at `origin`, as served in the
+    /// authority section of negative answers. Its TTL and `minimum` are
+    /// both `negative_ttl`, so caches obeying RFC 2308's
+    /// `min(SOA TTL, MINIMUM)` rule see exactly that value.
+    fn soa_record(origin: &Name, negative_ttl: u32) -> Record {
+        let mname = origin.child("ns1").unwrap_or_else(|_| origin.clone());
+        let rname = origin.child("hostmaster").unwrap_or_else(|_| origin.clone());
         Record::new(
-            self.origin.clone(),
-            self.negative_ttl,
+            origin.clone(),
+            negative_ttl,
             Rdata::Soa(SoaRdata {
                 mname,
                 rname,
@@ -61,7 +59,7 @@ impl Zone {
                 refresh: 7_200,
                 retry: 900,
                 expire: 1_209_600,
-                minimum: self.negative_ttl,
+                minimum: negative_ttl,
             }),
         )
     }
@@ -91,17 +89,17 @@ impl Zone {
         let Some(q) = query.question() else {
             return Message::response(query, Rcode::FormErr, Vec::new());
         };
-        match self.mode {
-            ZoneMode::Fixed(addr) => Message::fixed_a_response(query, addr, self.ttl),
-            ZoneMode::Synth => {
-                if !q.name.is_subdomain_of(&self.origin) {
+        match &self.mode {
+            ZoneMode::Fixed(addr) => Message::fixed_a_response(query, *addr, self.ttl),
+            ZoneMode::Synth { origin, negative_ttl } => {
+                if !q.name.is_subdomain_of(origin) {
                     let mut m = Message::response(query, Rcode::NxDomain, Vec::new());
-                    m.authorities.push(self.soa_record());
+                    m.authorities.push(Zone::soa_record(origin, *negative_ttl));
                     m
                 } else if q.qtype != RecordType::A {
                     // NODATA: the name exists, the type does not.
                     let mut m = Message::response(query, Rcode::NoError, Vec::new());
-                    m.authorities.push(self.soa_record());
+                    m.authorities.push(Zone::soa_record(origin, *negative_ttl));
                     m
                 } else {
                     let addr = Zone::synth_addr(&q.name);
@@ -124,11 +122,19 @@ mod tests {
     #[test]
     fn fixed_zone_matches_the_legacy_echo_response() {
         let zone = Zone::fixed(Ipv4Addr::new(192, 0, 2, 1), 300);
-        let query = Message::query(7, &Name::parse("anything.example").unwrap(), RecordType::A);
-        assert_eq!(
-            zone.answer(&query),
-            Message::fixed_a_response(&query, Ipv4Addr::new(192, 0, 2, 1), 300)
-        );
+        // Whatever the name or type, the echo zone answers with its one A
+        // record and no authority section.
+        for (name, qtype) in [
+            ("anything.example", RecordType::A),
+            ("anything.example", RecordType::Aaaa),
+            (".", RecordType::A),
+        ] {
+            let query = Message::query(7, &Name::parse(name).unwrap(), qtype);
+            let answer = zone.answer(&query);
+            assert_eq!(answer, Message::fixed_a_response(&query, Ipv4Addr::new(192, 0, 2, 1), 300));
+            assert_eq!(answer.answers.len(), 1, "{name} {qtype:?}");
+            assert!(answer.authorities.is_empty(), "{name} {qtype:?}");
+        }
     }
 
     #[test]

@@ -97,8 +97,6 @@ pub struct PageLoadResult {
     pub dns_wait_total: SimDuration,
     /// The slowest single domain resolution.
     pub dns_wait_max: SimDuration,
-    /// Total resources in the page.
-    pub resources: u32,
     /// Resources that never completed because their domain's resolution
     /// was lost (and, transitively, their whole subtree): the simulation
     /// ran dry with them still gated.
@@ -232,7 +230,6 @@ pub fn load_page(
         dns_queries: loader.dns_queries,
         dns_wait_total,
         dns_wait_max,
-        resources: n as u32,
         unresolved: n as u32 - loader.done,
     }
 }
@@ -334,8 +331,7 @@ mod tests {
         let (mut sim, mut driver, client) = harness(&cfg, TEST_SEED);
         let page = two_domain_page();
         let result = load_page(&mut sim, &mut driver, client, &page, &cfg.link);
-        assert_eq!(result.unresolved, 0);
-        assert_eq!(result.resources, 4);
+        assert_eq!(result.unresolved, 0, "all of the page's resources loaded");
         assert_eq!(result.dns_queries, 2, "one resolution per distinct domain");
         assert!(result.dns_wait_total >= result.dns_wait_max);
         assert!(result.dns_wait_max > SimDuration::ZERO);
@@ -411,16 +407,16 @@ mod tests {
                 let model = SiteModel::new(&mut rng, &zone, 500, 1.0);
                 [1usize, 5, 17].map(|rank| {
                     let page = model.page_for(rank);
-                    load_page(&mut sim, &mut driver, client, &page, &cfg.link)
+                    (page.domains.len(), load_page(&mut sim, &mut driver, client, &page, &cfg.link))
                 })
             };
             let first = run();
             let second = run();
             assert_eq!(first, second, "{kind:?} not deterministic");
-            for r in &first {
+            for (domains, r) in &first {
                 assert_eq!(r.unresolved, 0, "{kind:?}: {r:?}");
                 assert!(r.makespan > SimDuration::ZERO);
-                assert!(r.dns_queries >= 1 && r.resources >= 1);
+                assert!((1..=*domains).contains(&(r.dns_queries as usize)), "{kind:?}: {r:?}");
             }
         }
     }

@@ -222,8 +222,6 @@ pub struct FleetSchedule {
     /// The merged query stream: `(arrival time, client index, name)`,
     /// sorted by time (ties broken by client index).
     pub queries: Vec<(SimTime, usize, Name)>,
-    /// The fleet size the schedule was generated for.
-    pub clients: usize,
 }
 
 impl FleetSchedule {
@@ -271,7 +269,7 @@ impl FleetSchedule {
             ZipfNames::new(rng.split(FleetSchedule::ZIPF_STREAM), zone, universe, exponent);
         let queries =
             queries.into_iter().map(|(at, client)| (at, client, names.next_name())).collect();
-        FleetSchedule { queries, clients }
+        FleetSchedule { queries }
     }
 
     /// Total query count.
@@ -590,7 +588,6 @@ mod tests {
         assert_eq!(a.queries, gen(9).queries, "same seed, same schedule");
         assert_ne!(a.queries, gen(10).queries);
         assert_eq!(a.len(), 50 * 4);
-        assert_eq!(a.clients, 50);
         for pair in a.queries.windows(2) {
             assert!(pair[0].0 <= pair[1].0, "arrival times must be sorted");
         }
@@ -641,9 +638,9 @@ mod tests {
             .enumerate()
             .map(|(i, s)| (SimTime::ZERO, i, Name::parse(s).unwrap()))
             .collect();
-        let schedule = FleetSchedule { queries, clients: spelled.len() };
+        let schedule = FleetSchedule { queries };
         assert_eq!(schedule.distinct_names(), 6);
-        assert_eq!(FleetSchedule { queries: Vec::new(), clients: 0 }.distinct_names(), 0);
+        assert_eq!(FleetSchedule { queries: Vec::new() }.distinct_names(), 0);
     }
 
     #[test]
