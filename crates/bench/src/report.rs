@@ -13,6 +13,8 @@
 //! written with fixed precision — so a report is byte-identical no matter
 //! how many worker threads produced the sweep.
 
+use std::fmt::Write as _;
+
 use crate::stats::{summarize, Summary};
 use crate::sweep::SweepReport;
 
@@ -50,14 +52,13 @@ impl Value {
         }
     }
 
-    /// Appends this value's JSON text to `out`.
+    /// Appends this value's JSON text to `out`. Numbers are formatted
+    /// straight into `out`.
     pub fn write(&self, out: &mut String) {
         match self {
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::U64(v) => out.push_str(&v.to_string()),
-            Value::Fixed(v, precision) => {
-                out.push_str(&format!("{v:.precision$}"));
-            }
+            Value::U64(v) => push_fmt(out, format_args!("{v}")),
+            Value::Fixed(v, precision) => push_fmt(out, format_args!("{v:.precision$}")),
             Value::Str(s) => dohmark::dns::jsontext::write_escaped(out, s),
             Value::Array(items) => {
                 out.push('[');
@@ -78,16 +79,26 @@ impl Value {
     }
 }
 
+/// Appends formatted text to `out`, with no `String` of its own.
+fn push_fmt(out: &mut String, number: std::fmt::Arguments<'_>) {
+    out.write_fmt(number).expect("writing to a String cannot fail");
+}
+
 /// Writes `key: value` pairs without the surrounding braces.
 fn write_pairs(out: &mut String, pairs: &[(String, Value)]) {
     for (i, (key, value)) in pairs.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
-        dohmark::dns::jsontext::write_escaped(out, key);
-        out.push_str(": ");
-        value.write(out);
+        write_pair(out, key, value);
     }
+}
+
+/// Writes one `key: value` pair.
+fn write_pair(out: &mut String, key: &str, value: &Value) {
+    dohmark::dns::jsontext::write_escaped(out, key);
+    out.push_str(": ");
+    value.write(out);
 }
 
 /// Builder for one experiment's single-line JSON report.
@@ -170,26 +181,28 @@ impl Report {
             }
             out.push_str("{\"cell\": ");
             dohmark::dns::jsontext::write_escaped(&mut out, entry.cell.as_str());
-            out.push_str(&format!(", \"seed\": {}", entry.seed));
-            if !entry.outcome.identity.is_empty() {
+            push_fmt(&mut out, format_args!(", \"seed\": {}", entry.seed));
+            for (key, value) in &entry.outcome.identity {
                 out.push_str(", ");
-                write_pairs(&mut out, &entry.outcome.identity);
+                write_pair(&mut out, key, value);
             }
-            let selected: Vec<(String, Value)> = match &self.columns {
-                None => entry.outcome.fields.clone(),
-                Some(names) => names
-                    .iter()
-                    .map(|name| {
+            // The selected columns, written from the row in place.
+            match &self.columns {
+                None => {
+                    for (key, value) in &entry.outcome.fields {
+                        out.push_str(", ");
+                        write_pair(&mut out, key, value);
+                    }
+                }
+                Some(names) => {
+                    for name in names {
                         let value = entry.outcome.field(name).unwrap_or_else(|| {
                             panic!("cell {} has no column {name:?}", entry.cell)
                         });
-                        (name.clone(), value.clone())
-                    })
-                    .collect(),
-            };
-            if !selected.is_empty() {
-                out.push_str(", ");
-                write_pairs(&mut out, &selected);
+                        out.push_str(", ");
+                        write_pair(&mut out, name, value);
+                    }
+                }
             }
             out.push('}');
         }
@@ -223,9 +236,12 @@ fn write_summary(out: &mut String, cell: &str, metric: &str, s: &Summary) {
     dohmark::dns::jsontext::write_escaped(out, cell);
     out.push_str(", \"metric\": ");
     dohmark::dns::jsontext::write_escaped(out, metric);
-    out.push_str(&format!(
-        ", \"n\": {}, \"mean\": {:.4}, \"median\": {:.4}, \"p5\": {:.4}, \"p95\": {:.4}, \
-         \"p99\": {:.4}, \"ci95_lo\": {:.4}, \"ci95_hi\": {:.4}}}",
-        s.n, s.mean, s.median, s.p5, s.p95, s.p99, s.ci95.0, s.ci95.1
-    ));
+    push_fmt(
+        out,
+        format_args!(
+            ", \"n\": {}, \"mean\": {:.4}, \"median\": {:.4}, \"p5\": {:.4}, \"p95\": {:.4}, \
+             \"p99\": {:.4}, \"ci95_lo\": {:.4}, \"ci95_hi\": {:.4}}}",
+            s.n, s.mean, s.median, s.p5, s.p95, s.p99, s.ci95.0, s.ci95.1
+        ),
+    );
 }

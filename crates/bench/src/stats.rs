@@ -2,7 +2,8 @@
 //!
 //! Every figure harness reports per-cell distributions over seeds, so the
 //! aggregation lives here once: [`mean`], [`median`], [`percentile`] (the
-//! linear-interpolation definition below) and a seeded, deterministic
+//! linear-interpolation definition below), [`percentiles`] (several from
+//! one sort) and a seeded, deterministic
 //! [`bootstrap_ci`]. [`summarize`] bundles them into the [`Summary`] the
 //! report builder renders per (cell, metric).
 //!
@@ -52,15 +53,25 @@ pub fn mean(samples: &[f64]) -> f64 {
 /// `percentile(xs, 100.0)` the maximum, and a single sample is every
 /// percentile of itself.
 pub fn percentile(samples: &[f64], p: f64) -> f64 {
+    let [value] = percentiles(samples, [p]);
+    value
+}
+
+/// Each [`percentile`] of `ps`, in order, from one sort of the samples:
+/// `percentiles(xs, [50.0, 95.0])` is `[median(xs), percentile(xs, 95.0)]`
+/// bit for bit.
+pub fn percentiles<const N: usize>(samples: &[f64], ps: [f64; N]) -> [f64; N] {
     assert!(!samples.is_empty(), "percentile of no samples");
-    assert!((0.0..=100.0).contains(&p), "percentile {p} out of range");
     let mut sorted = samples.to_vec();
     sorted.sort_by(f64::total_cmp);
-    let rank = p / 100.0 * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    let frac = rank - lo as f64;
-    sorted[lo] + frac * (sorted[hi] - sorted[lo])
+    ps.map(|p| {
+        assert!((0.0..=100.0).contains(&p), "percentile {p} out of range");
+        let rank = p / 100.0 * (sorted.len() - 1) as f64;
+        let lo = rank.floor() as usize;
+        let hi = rank.ceil() as usize;
+        let frac = rank - lo as f64;
+        sorted[lo] + frac * (sorted[hi] - sorted[lo])
+    })
 }
 
 /// The 50th [`percentile`].
@@ -74,7 +85,7 @@ pub fn median(samples: &[f64]) -> f64 {
 /// means. Deterministic in the caller's `rng` state.
 ///
 /// Order-audited: each resample sums in the draw order of `rng`, and the
-/// resample means are then ranked by [`percentile`]'s total-order sort —
+/// resample means are then ranked by [`percentiles`]' total-order sort —
 /// no accumulation depends on anything but the (seeded) draw sequence.
 pub fn bootstrap_ci(samples: &[f64], resamples: usize, level: f64, rng: &mut SimRng) -> (f64, f64) {
     assert!(!samples.is_empty(), "bootstrap of no samples");
@@ -89,7 +100,8 @@ pub fn bootstrap_ci(samples: &[f64], resamples: usize, level: f64, rng: &mut Sim
         })
         .collect();
     let tail = 100.0 * (1.0 - level) / 2.0;
-    (percentile(&means, tail), percentile(&means, 100.0 - tail))
+    let [lo, hi] = percentiles(&means, [tail, 100.0 - tail]);
+    (lo, hi)
 }
 
 /// Per-(cell, metric) distribution summary over a sweep's seeds.
@@ -117,13 +129,14 @@ pub struct Summary {
 /// summaries regardless of sweep thread count.
 pub fn summarize(samples: &[f64]) -> Summary {
     let mut rng = SimRng::new(BOOTSTRAP_SEED);
+    let [median, p5, p95, p99] = percentiles(samples, [50.0, 5.0, 95.0, 99.0]);
     Summary {
         n: samples.len(),
         mean: mean(samples),
-        median: median(samples),
-        p5: percentile(samples, 5.0),
-        p95: percentile(samples, 95.0),
-        p99: percentile(samples, 99.0),
+        median,
+        p5,
+        p95,
+        p99,
         ci95: bootstrap_ci(samples, BOOTSTRAP_RESAMPLES, 0.95, &mut rng),
     }
 }

@@ -159,6 +159,7 @@ impl Cell for SitePagesCell {
             resources.push(page.resources.len() as f64);
             depths.push(page.depth() as f64);
         }
+        let [median, p95] = crate::stats::percentiles(&queries, [50.0, 95.0]);
         Ok(CellOutcome {
             identity: vec![
                 ("sites".to_string(), Value::U64(self.sites as u64)),
@@ -167,14 +168,8 @@ impl Cell for SitePagesCell {
             ],
             fields: vec![
                 ("mean_queries_per_page".to_string(), Value::fixed2(crate::stats::mean(&queries))),
-                (
-                    "median_queries_per_page".to_string(),
-                    Value::fixed2(crate::stats::median(&queries)),
-                ),
-                (
-                    "p95_queries_per_page".to_string(),
-                    Value::fixed2(crate::stats::percentile(&queries, 95.0)),
-                ),
+                ("median_queries_per_page".to_string(), Value::fixed2(median)),
+                ("p95_queries_per_page".to_string(), Value::fixed2(p95)),
                 (
                     "max_queries_per_page".to_string(),
                     Value::U64(queries.iter().copied().fold(0.0, f64::max) as u64),

@@ -442,6 +442,7 @@ impl Cell for PageloadCell {
 
     fn run(&self, seed: u64) -> Result<CellOutcome, CellError> {
         let run = self.measure(seed)?;
+        let [median, p95] = stats::percentiles(&run.page_load_ms, [50.0, 95.0]);
         Ok(CellOutcome {
             identity: vec![
                 ("transport".to_string(), Value::Str(self.transport.kind.label().to_string())),
@@ -451,14 +452,8 @@ impl Cell for PageloadCell {
             ],
             fields: vec![
                 ("mean_page_load_ms".to_string(), Value::fixed2(run.mean_page_load_ms)),
-                (
-                    "median_page_load_ms".to_string(),
-                    Value::fixed2(stats::median(&run.page_load_ms)),
-                ),
-                (
-                    "p95_page_load_ms".to_string(),
-                    Value::fixed2(stats::percentile(&run.page_load_ms, 95.0)),
-                ),
+                ("median_page_load_ms".to_string(), Value::fixed2(median)),
+                ("p95_page_load_ms".to_string(), Value::fixed2(p95)),
                 ("mean_dns_queries".to_string(), Value::fixed2(run.mean_dns_queries)),
                 ("mean_dns_wait_ms".to_string(), Value::fixed2(run.mean_dns_wait_ms)),
                 ("unresolved".to_string(), Value::U64(run.unresolved)),

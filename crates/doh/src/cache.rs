@@ -11,10 +11,58 @@
 
 use dohmark_dns_wire::{Name, Record, RecordType};
 use dohmark_netsim::{SimDuration, SimTime};
+use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 /// Cache key: query name and type (class is always `IN` here).
 pub(crate) type CacheKey = (Name, RecordType);
+
+/// A `(name, type)` pair the map is probed with, owned or borrowed alike:
+/// a [`CacheKey`] borrows as one, so [`DnsCache::get`] looks a name up
+/// without cloning it. Views compare as their tuples, in [`CacheKey`]'s
+/// order.
+trait KeyView {
+    fn view(&self) -> (&Name, RecordType);
+}
+
+impl KeyView for CacheKey {
+    fn view(&self) -> (&Name, RecordType) {
+        (&self.0, self.1)
+    }
+}
+
+impl KeyView for (&Name, RecordType) {
+    fn view(&self) -> (&Name, RecordType) {
+        *self
+    }
+}
+
+impl<'a> Borrow<dyn KeyView + 'a> for CacheKey {
+    fn borrow(&self) -> &(dyn KeyView + 'a) {
+        self
+    }
+}
+
+impl PartialEq for dyn KeyView + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.view() == other.view()
+    }
+}
+
+impl Eq for dyn KeyView + '_ {}
+
+impl PartialOrd for dyn KeyView + '_ {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for dyn KeyView + '_ {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.view().cmp(&other.view())
+    }
+}
 
 /// The cache: a map from key to answer records and expiry, capped at a
 /// size.
@@ -58,10 +106,10 @@ impl DnsCache {
     /// expired. TTLs in the returned records are the remaining lifetime
     /// (floored to whole seconds).
     pub fn get(&mut self, name: &Name, qtype: RecordType, now: SimTime) -> Option<Vec<Record>> {
-        let key = (name.clone(), qtype);
-        let (records, expires_at) = self.entries.get(&key)?;
+        let key: &dyn KeyView = &(name, qtype);
+        let (records, expires_at) = self.entries.get(key)?;
         if now >= *expires_at {
-            self.entries.remove(&key);
+            self.entries.remove(key);
             return None;
         }
         let remaining = expires_at.duration_since(now).as_secs_f64() as u32;

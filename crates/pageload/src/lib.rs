@@ -139,7 +139,8 @@ enum ResState {
 /// armed here, outside any endpoint callback, so they are exactly the
 /// unowned timers that come back; their token is the resource index.
 /// Each domain is resolved under the transaction id `client` draws for it,
-/// in discovery order.
+/// in discovery order, and named by [`PageSpec::domain`] when its query is
+/// sent.
 ///
 /// The loop ends when every resource is fetched or the simulation runs
 /// dry; in the latter case still-gated resources are counted as
@@ -154,7 +155,7 @@ pub fn load_page(
     link: &LinkConfig,
 ) -> PageLoadResult {
     let n = page.resources.len();
-    let n_domains = page.domains.len();
+    let n_domains = page.domains;
 
     // The dependency tree, inverted: children[r] lists the resources that
     // become discoverable when r finishes.
@@ -268,7 +269,7 @@ impl Loader<'_> {
             DnsState::Idle => {
                 self.res_state[r] = ResState::WaitingDns;
                 self.dns_waiters[d].push(r);
-                let txn = driver.send_query(sim, self.client, &self.page.domains[d]);
+                let txn = driver.send_query(sim, self.client, &self.page.domain(d));
                 self.dns[d] = DnsState::InFlight;
                 let at = self.in_flight.partition_point(|&(other, ..)| other < d);
                 self.in_flight.insert(at, (d, sim.now(), txn));
@@ -300,11 +301,10 @@ mod tests {
     /// A hand-built two-domain page: root HTML on d0 with two children,
     /// one of which pulls a third-party resource on d1 with its own child.
     fn two_domain_page() -> PageSpec {
-        let d0 = Name::parse("s1.sites.dohmark.test").unwrap();
-        let d1 = Name::parse("d1.s1.sites.dohmark.test").unwrap();
         PageSpec {
             site_rank: 1,
-            domains: vec![d0, d1],
+            site: Name::parse("s1.sites.dohmark.test").unwrap(),
+            domains: 2,
             resources: vec![
                 Resource { domain: 0, parent: None, bytes: 10_000 },
                 Resource { domain: 0, parent: Some(0), bytes: 5_000 },
@@ -348,10 +348,11 @@ mod tests {
     fn makespan_respects_dependency_chains_over_width() {
         // A 3-deep chain must take at least 3 fetch round trips; 3
         // siblings of the same sizes fan out and finish sooner.
-        let d0 = Name::parse("s2.sites.dohmark.test").unwrap();
+        let site = Name::parse("s2.sites.dohmark.test").unwrap();
         let chain = PageSpec {
             site_rank: 2,
-            domains: vec![d0.clone()],
+            site: site.clone(),
+            domains: 1,
             resources: vec![
                 Resource { domain: 0, parent: None, bytes: 1_000 },
                 Resource { domain: 0, parent: Some(0), bytes: 1_000 },
@@ -360,7 +361,8 @@ mod tests {
         };
         let wide = PageSpec {
             site_rank: 2,
-            domains: vec![d0],
+            site,
+            domains: 1,
             resources: vec![
                 Resource { domain: 0, parent: None, bytes: 1_000 },
                 Resource { domain: 0, parent: Some(0), bytes: 1_000 },
@@ -407,7 +409,7 @@ mod tests {
                 let model = SiteModel::new(&mut rng, &zone, 500, 1.0);
                 [1usize, 5, 17].map(|rank| {
                     let page = model.page_for(rank);
-                    (page.domains.len(), load_page(&mut sim, &mut driver, client, &page, &cfg.link))
+                    (page.domains, load_page(&mut sim, &mut driver, client, &page, &cfg.link))
                 })
             };
             let first = run();

@@ -14,7 +14,9 @@
 //!   comparable.
 //! * [`FleetSchedule`] — many stubs' Poisson arrivals drawing names from
 //!   one shared Zipf universe ([`ZipfNames`]).
-//! * [`SiteModel`] — Alexa-like pages, the page-load workload.
+//! * [`SiteModel`] — Alexa-like pages, the page-load workload. A
+//!   [`PageSpec`] holds its site's name, a domain count and its resources;
+//!   [`PageSpec::domain`] names a domain when a query needs it.
 //!
 //! # Surface
 //!
@@ -22,7 +24,9 @@
 //! [`QuerySchedule`] feeds the transport-matrix cell; [`FleetSchedule`],
 //! with the [`ZipfNames`] it draws from, feeds the fleet cell; and
 //! [`SiteModel`], with its [`PageSpec`]s of [`Resource`]s, feeds the
-//! page-load cell, Figure 1 and the workload table.
+//! page-load cell, which names each domain through [`PageSpec::domain`] as
+//! it queries it, and Figure 1, which only counts. The workload table
+//! reads a [`FleetSchedule`].
 //!
 //! # Example
 //!
@@ -156,8 +160,7 @@ impl ZipfNames {
 
     /// The `rank`-th (0-based, most popular first) name of the universe.
     fn name_for(&self, rank: usize) -> Name {
-        let label = format!("w{rank:0width$}", width = ZipfNames::DIGITS);
-        self.zone.child(&label).expect("fixed-width label under a valid zone is valid")
+        numbered_child(&self.zone, b'w', rank, ZipfNames::DIGITS)
     }
 
     /// The wire length every sampled name encodes to (uncompressed).
@@ -170,6 +173,27 @@ impl ZipfNames {
         let u = self.rng.next_f64();
         self.name_for(zipf_sample(&self.cdf, u))
     }
+}
+
+/// The child `<prefix><n>.<parent>` of `parent`, `n` written in decimal and
+/// zero-padded to at least `width` digits: `w0000042`, `s7`, `d3`. The
+/// label is spelled in a stack buffer, so the name is the one allocation.
+fn numbered_child(parent: &Name, prefix: u8, mut n: usize, width: usize) -> Name {
+    // The prefix and `usize::MAX`'s 20 digits.
+    let mut buf = [0u8; 21];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 && buf.len() - at >= width {
+            break;
+        }
+    }
+    at -= 1;
+    buf[at] = prefix;
+    let label = std::str::from_utf8(&buf[at..]).expect("a letter and digits are ASCII");
+    parent.child(label).expect("a short numbered label under a valid name is valid")
 }
 
 /// Normalised cumulative Zipf weights over `universe` ranks:
@@ -298,8 +322,8 @@ impl FleetSchedule {
 /// page's domains, startable only once its parent resource finished.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Resource {
-    /// Index into [`PageSpec::domains`] — the domain the fetch needs a
-    /// DNS answer for.
+    /// The domain the fetch needs a DNS answer for: an index below
+    /// [`PageSpec::domains`], named by [`PageSpec::domain`].
     pub domain: usize,
     /// Index of the resource that references this one (`None` only for
     /// the root document, resource 0). Always an *earlier* index, so the
@@ -311,16 +335,21 @@ pub struct Resource {
 
 /// One page load: the domains it touches and the dependency tree of
 /// resources spread over them. A browser with a per-page DNS cache
-/// issues exactly one resolution per entry of `domains` — the paper's
-/// Figure 1 "DNS queries per page" quantity.
+/// issues exactly one resolution per domain — the paper's Figure 1
+/// "DNS queries per page" quantity.
+///
+/// A page stores its site's name once; [`PageSpec::domain`] names each
+/// domain from it when a query needs the name.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PageSpec {
     /// Popularity rank of the site this page belongs to (0 = most
     /// popular). The page shape is a deterministic function of the rank.
     pub site_rank: usize,
-    /// Distinct domains the page's resources fan out over; index 0 is
-    /// the primary domain serving the root document.
-    pub domains: Vec<Name>,
+    /// The site's own name: domain 0, the primary domain serving the root
+    /// document, and the parent of every other domain.
+    pub site: Name,
+    /// How many distinct domains the page's resources fan out over.
+    pub domains: usize,
     /// The dependency tree in topological (discovery) order; resource 0
     /// is the root document on domain 0.
     pub resources: Vec<Resource>,
@@ -329,18 +358,36 @@ pub struct PageSpec {
 impl PageSpec {
     /// DNS resolutions a per-page-cached browser issues: one per domain.
     pub fn dns_queries(&self) -> usize {
-        self.domains.len()
+        self.domains
     }
 
-    /// Depth of the dependency tree (the root document is depth 0).
-    pub fn depth(&self) -> usize {
-        let mut depth = vec![0usize; self.resources.len()];
-        for (i, r) in self.resources.iter().enumerate() {
-            if let Some(p) = r.parent {
-                depth[i] = depth[p] + 1;
-            }
+    /// The name of domain `d` (below [`PageSpec::domains`]): the site
+    /// itself for 0, `d<d>.<site>` for every other.
+    pub fn domain(&self, d: usize) -> Name {
+        assert!(d < self.domains, "domain {d} of a {}-domain page", self.domains);
+        if d == 0 {
+            self.site.clone()
+        } else {
+            numbered_child(&self.site, b'd', d, 1)
         }
-        depth.into_iter().max().unwrap_or(0)
+    }
+
+    /// Depth of the dependency tree (the root document is depth 0): the
+    /// most parent hops from any resource to a root. Panics on a parent
+    /// that is not an earlier resource, which could make a cycle.
+    pub fn depth(&self) -> usize {
+        (0..self.resources.len())
+            .map(|mut r| {
+                let mut hops = 0;
+                while let Some(parent) = self.resources[r].parent {
+                    assert!(parent < r, "resource {r}'s parent {parent} is not earlier");
+                    r = parent;
+                    hops += 1;
+                }
+                hops
+            })
+            .max()
+            .unwrap_or(0)
     }
 }
 
@@ -396,6 +443,10 @@ impl SiteModel {
     const BYTES_SIGMA: f64 = 1.0;
     /// Hard cap on resources per domain.
     const MAX_RESOURCES_PER_DOMAIN: usize = 12;
+    /// Resource slots a page reserves per domain: the mean count, 1 +
+    /// [`SiteModel::MEAN_EXTRA_RESOURCES`], not the cap, since the memo
+    /// keeps every page. About four pages in five fit without growing.
+    const RESERVED_RESOURCES_PER_DOMAIN: usize = 3;
     /// Hard cap on dependency depth; deeper picks re-parent to the root.
     const MAX_DEPTH: usize = 5;
     /// Body-size clamp, in bytes.
@@ -419,29 +470,27 @@ impl SiteModel {
     /// The page of the `rank`-th most popular site — a pure function of
     /// the model seed and `rank`.
     pub fn page_for(&self, rank: usize) -> PageSpec {
-        let rank = rank.min(self.cdf.len() - 1);
-        let mut rng = self.shape_base.clone().split(rank as u64);
+        SiteModel::build_page(&self.zone, &self.shape_base, rank.min(self.cdf.len() - 1))
+    }
+
+    /// The page of site `rank` under `zone`, its shape drawn from the
+    /// rank's split of `shape_base`. Its allocations are the site's name
+    /// and the resource list, which one page in five grows.
+    fn build_page(zone: &Name, shape_base: &SimRng, rank: usize) -> PageSpec {
+        let mut rng = shape_base.clone().split(rank as u64);
         let extra_domains =
             (rng.exp_f64(SiteModel::MEAN_EXTRA_DOMAINS) as usize).min(SiteModel::MAX_DOMAINS - 1);
-        let n_domains = 1 + extra_domains;
-        let site = self
-            .zone
-            .child(&format!("s{rank}"))
-            .expect("short numeric label under a valid zone is valid");
-        let domains: Vec<Name> = (0..n_domains)
-            .map(|d| {
-                if d == 0 {
-                    site.clone()
-                } else {
-                    site.child(&format!("d{d}")).expect("short numeric label is valid")
-                }
-            })
-            .collect();
+        let domains = 1 + extra_domains;
 
-        let mut resources =
-            vec![Resource { domain: 0, parent: None, bytes: SiteModel::draw_bytes(&mut rng) }];
-        let mut depth = vec![0usize];
-        for domain in 0..n_domains {
+        let mut resources = Vec::with_capacity(domains * SiteModel::RESERVED_RESOURCES_PER_DOMAIN);
+        resources.push(Resource {
+            domain: 0,
+            parent: None,
+            bytes: SiteModel::draw_bytes(&mut rng),
+        });
+        // Each resource's depth, by index: no page holds more resources.
+        let mut depth = [0u8; SiteModel::MAX_DOMAINS * SiteModel::MAX_RESOURCES_PER_DOMAIN];
+        for domain in 0..domains {
             let extra = (rng.exp_f64(SiteModel::MEAN_EXTRA_RESOURCES) as usize)
                 .min(SiteModel::MAX_RESOURCES_PER_DOMAIN - 1);
             // Domain 0 already serves the root document; every other
@@ -450,8 +499,9 @@ impl SiteModel {
             let count = if domain == 0 { extra } else { 1 + extra };
             for _ in 0..count {
                 let pick = rng.below(resources.len() as u64) as usize;
-                let parent = if depth[pick] >= SiteModel::MAX_DEPTH { 0 } else { pick };
-                depth.push(depth[parent] + 1);
+                let parent =
+                    if usize::from(depth[pick]) >= SiteModel::MAX_DEPTH { 0 } else { pick };
+                depth[resources.len()] = depth[parent] + 1;
                 resources.push(Resource {
                     domain,
                     parent: Some(parent),
@@ -459,7 +509,8 @@ impl SiteModel {
                 });
             }
         }
-        PageSpec { site_rank: rank, domains, resources }
+        let site = numbered_child(zone, b's', rank, 1);
+        PageSpec { site_rank: rank, site, domains, resources }
     }
 
     /// Samples the next page visit: a Zipf draw over site ranks, then
@@ -470,11 +521,8 @@ impl SiteModel {
     pub fn next_page(&mut self) -> &PageSpec {
         let u = self.rank_rng.next_f64();
         let rank = zipf_sample(&self.cdf, u);
-        if !self.pages.contains_key(&rank) {
-            let page = self.page_for(rank);
-            self.pages.insert(rank, page);
-        }
-        &self.pages[&rank]
+        let (zone, shape_base) = (&self.zone, &self.shape_base);
+        self.pages.entry(rank).or_insert_with(|| SiteModel::build_page(zone, shape_base, rank))
     }
 
     fn draw_bytes(rng: &mut SimRng) -> u32 {
@@ -649,11 +697,11 @@ mod tests {
         let mut model = SiteModel::new(&mut rng, &zone(), 200, 1.0);
         for _ in 0..50 {
             let page = model.next_page();
-            assert!(!page.domains.is_empty() && page.domains.len() <= SiteModel::MAX_DOMAINS);
-            assert_eq!(page.dns_queries(), page.domains.len());
+            assert!((1..=SiteModel::MAX_DOMAINS).contains(&page.domains));
+            assert_eq!(page.dns_queries(), page.domains);
             assert_eq!(page.resources[0].parent, None, "resource 0 is the root document");
             assert_eq!(page.resources[0].domain, 0);
-            let mut touched = vec![false; page.domains.len()];
+            let mut touched = vec![false; page.domains];
             for (i, r) in page.resources.iter().enumerate() {
                 touched[r.domain] = true;
                 assert!(r.bytes >= 200);
@@ -665,10 +713,96 @@ mod tests {
             }
             assert!(touched.iter().all(|&t| t), "every listed domain serves a resource");
             assert!(page.depth() <= SiteModel::MAX_DEPTH);
-            for d in &page.domains {
-                assert!(d.is_subdomain_of(&zone()));
+            for d in 0..page.domains {
+                assert!(page.domain(d).is_subdomain_of(&zone()));
             }
         }
+    }
+
+    #[test]
+    fn page_domains_are_the_names_format_spells() {
+        for sites in [1, 100, 10_000] {
+            for seed in 1..=4 {
+                let mut model = SiteModel::new(&mut SimRng::new(seed), &zone(), sites, 1.0);
+                for _ in 0..200 {
+                    let page = model.next_page();
+                    let rank = page.site_rank;
+                    let mut names = Vec::with_capacity(page.domains);
+                    for d in 0..page.domains {
+                        let spelled = match d {
+                            0 => format!("s{rank}.dohmark.test"),
+                            _ => format!("d{d}.s{rank}.dohmark.test"),
+                        };
+                        let name = page.domain(d);
+                        assert_eq!(
+                            name,
+                            Name::parse(&spelled).unwrap(),
+                            "sites={sites} seed={seed}"
+                        );
+                        assert!(name.is_subdomain_of(&zone()) && name != zone());
+                        names.push(name);
+                    }
+                    assert_eq!(page.site, names[0]);
+                    names.sort();
+                    names.dedup();
+                    assert_eq!(names.len(), page.domains, "sites={sites} seed={seed} rank={rank}");
+                }
+            }
+        }
+        let z = ZipfNames::new(SimRng::new(1), &zone(), 10_000_000, 1.0);
+        for rank in [0, 7, 42, 1_234_567, 9_999_999] {
+            assert_eq!(z.name_for(rank), zone().child(&format!("w{rank:07}")).unwrap());
+        }
+    }
+
+    /// Depth by a vector of per-resource depths, as a reference.
+    fn reference_depth(page: &PageSpec) -> usize {
+        let mut depth = vec![0usize; page.resources.len()];
+        for (i, r) in page.resources.iter().enumerate() {
+            if let Some(p) = r.parent {
+                depth[i] = depth[p] + 1;
+            }
+        }
+        depth.into_iter().max().unwrap_or(0)
+    }
+
+    #[test]
+    fn depth_matches_a_vector_reference() {
+        let mut deepest = 0;
+        for seed in 1..=8 {
+            let model = SiteModel::new(&mut SimRng::new(seed), &zone(), 1000, 1.0);
+            for rank in 0..200 {
+                let page = model.page_for(rank);
+                assert_eq!(page.depth(), reference_depth(&page), "seed {seed} rank {rank}");
+                deepest = deepest.max(page.depth());
+            }
+        }
+        assert_eq!(deepest, SiteModel::MAX_DEPTH, "some model page reaches the depth cap");
+
+        // Hand-built pages past the cap: one chain (stride 1), and two
+        // interleaved chains from two roots (stride 2).
+        let site = zone().child("s0").unwrap();
+        let hand_built =
+            |resources| PageSpec { site_rank: 0, site: site.clone(), domains: 1, resources };
+        for len in [0, 1, 2, SiteModel::MAX_DEPTH + 1, 3 * SiteModel::MAX_DEPTH, 200] {
+            for stride in [1, 2] {
+                let chain = (0..len).map(|i| Resource {
+                    domain: 0,
+                    parent: i.checked_sub(stride),
+                    bytes: 1,
+                });
+                let page = hand_built(chain.collect());
+                assert_eq!(page.depth(), reference_depth(&page), "len {len} stride {stride}");
+                assert_eq!(
+                    page.depth(),
+                    len.saturating_sub(1) / stride,
+                    "len {len} stride {stride}"
+                );
+            }
+        }
+        let cycle = [None, Some(2), Some(1)].map(|parent| Resource { domain: 0, parent, bytes: 1 });
+        let page = hand_built(cycle.to_vec());
+        assert!(std::panic::catch_unwind(|| page.depth()).is_err(), "a cycle panics, not hangs");
     }
 
     #[test]
