@@ -33,14 +33,17 @@ pub struct SweepArgs {
 impl SweepArgs {
     /// The defaults a binary starts from: `seeds` per cell, one thread,
     /// stdout.
-    pub fn defaults(seeds: u64) -> SweepArgs {
+    pub(crate) fn defaults(seeds: u64) -> SweepArgs {
         SweepArgs { seeds, threads: 1, out: None }
     }
 
     /// Parses flags over these defaults. Returns `Err(message)` on an
     /// unknown flag, a missing value, or a malformed number; `--help` is
     /// reported as an error carrying the usage text.
-    pub fn parse(mut self, args: impl IntoIterator<Item = String>) -> Result<SweepArgs, String> {
+    pub(crate) fn parse(
+        mut self,
+        args: impl IntoIterator<Item = String>,
+    ) -> Result<SweepArgs, String> {
         let mut args = args.into_iter();
         while let Some(flag) = args.next() {
             let mut value =

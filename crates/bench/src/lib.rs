@@ -1,9 +1,10 @@
 //! Experiment harnesses reproducing the paper's figures and tables.
 //!
 //! The crate is organised around the sweep API every figure binary sits
-//! on:
+//! on. Its modules are private except [`stats`]; the root re-exports
+//! below are the one path to each item.
 //!
-//! * [`sweep`] — the parallel sweep runner. A [`Cell`] is
+//! * `sweep` — the parallel sweep runner. A [`Cell`] is
 //!   one experiment configuration runnable under any seed;
 //!   [`SweepSpec`] fans a (cell × seed) grid out over
 //!   `std::thread` scoped workers pulling from a shared cursor; the
@@ -11,16 +12,16 @@
 //!   (cell, seed) order, so `threads = 1` and `threads = N` render
 //!   byte-identical reports — and a failed run surfaces as the first
 //!   [`SweepError`] in that same order.
-//! * [`testbed`] — the three simulated cells feeding the sweeps
+//! * `testbed` — the three simulated cells feeding the sweeps
 //!   ([`MatrixCell`], [`FleetCell`], [`PageloadCell`]) and the one testbed
 //!   they all run on.
 //! * [`stats`] — per-cell aggregation over seeds: mean, median,
 //!   p5/p95/p99 percentiles and deterministic bootstrap 95% CI bands.
-//! * [`report`] — the one shared jsontext emitter (the workspace has no
+//! * `report` — the one shared jsontext emitter (the workspace has no
 //!   serde): harnesses pick an experiment name, metadata, measurement
 //!   columns and stats metrics; rows and bands render as a single line
 //!   of JSON parseable by `dns-wire::jsontext`.
-//! * [`cli`] — the `--seeds N --threads N --out PATH` flags every fig
+//! * `cli` — the `--seeds N --threads N --out PATH` flags every fig
 //!   binary accepts, and the one exit path of a failed sweep.
 //!
 //! Wall-clock measurement lives outside the workspace, in `perfbench/`
@@ -29,15 +30,16 @@
 //! # Surface
 //!
 //! What the fig binaries, the bench tests and `perfbench` name. A binary
-//! parses its [`SweepArgs`], runs a [`SweepSpec`] of [`Cell`]s and renders
-//! the [`SweepReport`] as a [`Report`] of [`Value`]s. The simulated cells
-//! are [`MatrixCell`], [`FleetCell`] and [`PageloadCell`], each with a
-//! `measure` that returns its [`MatrixRun`], [`FleetRun`] or
-//! [`PageloadRun`]; [`SitePagesCell`] and [`WorkloadStatsCell`] run no
-//! simulator, and [`fleet_transports`] lists the transports of the fleet
-//! and page-load sweeps. A failed run is a [`CellError`] inside a
-//! [`SweepError`]; a [`CellId`] names a cell and a [`CellOutcome`] holds
-//! its row. [`stats::summarize`] computes the report bands.
+//! reads its [`SweepArgs`] with `from_env`, runs a [`SweepSpec`] of
+//! [`Cell`]s and renders the [`SweepReport`] as a [`Report`] of
+//! [`Value`]s. The simulated cells are [`MatrixCell`], [`FleetCell`] and
+//! [`PageloadCell`], each with a `measure` that returns its
+//! [`MatrixRun`], [`FleetRun`] or [`PageloadRun`]; [`SitePagesCell`] and
+//! [`WorkloadStatsCell`] run no simulator, and [`fleet_transports`] lists
+//! the transports of the fleet and page-load sweeps. A failed run is a
+//! [`CellError`] inside a [`SweepError`]; a [`CellId`] names a cell and a
+//! [`CellOutcome`] holds its row, both opaque outside this crate.
+//! [`stats::summarize`] computes the report bands.
 
 #![warn(missing_docs)]
 #![warn(clippy::print_stdout, clippy::print_stderr, clippy::unwrap_used)]
@@ -45,11 +47,11 @@
 #![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
-pub mod cli;
-pub mod report;
+mod cli;
+mod report;
 pub mod stats;
-pub mod sweep;
-pub mod testbed;
+mod sweep;
+mod testbed;
 
 pub use cli::SweepArgs;
 pub use report::{Report, Value};

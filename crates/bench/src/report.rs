@@ -38,13 +38,13 @@ pub enum Value {
 
 impl Value {
     /// Convenience constructor for the common 2-decimal byte metrics.
-    pub fn fixed2(v: f64) -> Value {
+    pub(crate) fn fixed2(v: f64) -> Value {
         Value::Fixed(v, 2)
     }
 
     /// The numeric view of this value, if it has one — what the stats
     /// layer aggregates.
-    pub fn as_f64(&self) -> Option<f64> {
+    pub(crate) fn as_f64(&self) -> Option<f64> {
         match self {
             Value::U64(v) => Some(*v as f64),
             Value::Fixed(v, _) => Some(*v),
@@ -54,7 +54,7 @@ impl Value {
 
     /// Appends this value's JSON text to `out`. Numbers are formatted
     /// straight into `out`.
-    pub fn write(&self, out: &mut String) {
+    pub(crate) fn write(&self, out: &mut String) {
         match self {
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Value::U64(v) => push_fmt(out, format_args!("{v}")),

@@ -2,8 +2,8 @@
 //!
 //! Every figure harness reports per-cell distributions over seeds, so the
 //! aggregation lives here once: [`mean`], [`median`], [`percentile`] (the
-//! linear-interpolation definition below), [`percentiles`] (several from
-//! one sort) and a seeded, deterministic
+//! linear-interpolation definition below, several from one sort) and a
+//! seeded, deterministic
 //! [`bootstrap_ci`]. [`summarize`] bundles them into the [`Summary`] the
 //! report builder renders per (cell, metric).
 //!
@@ -60,7 +60,7 @@ pub fn percentile(samples: &[f64], p: f64) -> f64 {
 /// Each [`percentile`] of `ps`, in order, from one sort of the samples:
 /// `percentiles(xs, [50.0, 95.0])` is `[median(xs), percentile(xs, 95.0)]`
 /// bit for bit.
-pub fn percentiles<const N: usize>(samples: &[f64], ps: [f64; N]) -> [f64; N] {
+pub(crate) fn percentiles<const N: usize>(samples: &[f64], ps: [f64; N]) -> [f64; N] {
     assert!(!samples.is_empty(), "percentile of no samples");
     let mut sorted = samples.to_vec();
     sorted.sort_by(f64::total_cmp);
@@ -85,7 +85,7 @@ pub fn median(samples: &[f64]) -> f64 {
 /// means. Deterministic in the caller's `rng` state.
 ///
 /// Order-audited: each resample sums in the draw order of `rng`, and the
-/// resample means are then ranked by [`percentiles`]' total-order sort —
+/// resample means are then ranked by [`percentile`]'s total-order sort —
 /// no accumulation depends on anything but the (seeded) draw sequence.
 pub fn bootstrap_ci(samples: &[f64], resamples: usize, level: f64, rng: &mut SimRng) -> (f64, f64) {
     assert!(!samples.is_empty(), "bootstrap of no samples");

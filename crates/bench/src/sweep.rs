@@ -33,12 +33,12 @@ pub struct CellId(String);
 
 impl CellId {
     /// Wraps a label (cell ids must be unique within one sweep).
-    pub fn new(label: impl Into<String>) -> CellId {
+    pub(crate) fn new(label: impl Into<String>) -> CellId {
         CellId(label.into())
     }
 
     /// The label as a string slice.
-    pub fn as_str(&self) -> &str {
+    pub(crate) fn as_str(&self) -> &str {
         &self.0
     }
 }
@@ -55,15 +55,15 @@ impl fmt::Display for CellId {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellOutcome {
     /// Identifying fields, always emitted on every report row.
-    pub identity: Vec<(String, Value)>,
+    pub(crate) identity: Vec<(String, Value)>,
     /// Measured fields, selectable as report columns; numeric ones
     /// ([`Value::as_f64`]) feed the stats layer.
-    pub fields: Vec<(String, Value)>,
+    pub(crate) fields: Vec<(String, Value)>,
 }
 
 impl CellOutcome {
     /// Looks up a measurement field by name.
-    pub fn field(&self, name: &str) -> Option<&Value> {
+    pub(crate) fn field(&self, name: &str) -> Option<&Value> {
         self.fields.iter().find(|(k, _)| k == name).map(|(_, v)| v)
     }
 }
@@ -129,8 +129,8 @@ impl std::error::Error for SweepError {
 }
 
 /// A pure-workload cell for Figure 1: draws `pages` pages from a seeded
-/// [`SiteModel`](dohmark::workload::SiteModel) with Zipf exponent
-/// [`ZIPF_EXPONENT`] and reports the DNS-queries-per-page distribution —
+/// [`SiteModel`](dohmark::workload::SiteModel) with Zipf exponent 1 and
+/// reports the DNS-queries-per-page distribution —
 /// no simulator, no transport; the quantity is a property of the site
 /// model alone.
 #[derive(Debug, Clone)]
@@ -190,8 +190,8 @@ impl Cell for SitePagesCell {
 
 /// A pure-workload cell for the workload-stats table: generates a seeded
 /// [`FleetSchedule`](dohmark::workload::FleetSchedule) of the fleet
-/// experiments' shape ([`FLEET_MEAN_GAP`], [`ZIPF_EXPONENT`], the same
-/// zone) and reports its Zipf/fleet summary statistics — total and
+/// experiments' shape (200 ms mean gap, Zipf exponent 1, the same zone)
+/// and reports its Zipf/fleet summary statistics — total and
 /// distinct names, the name-reuse ratio that upper-bounds any cache hit
 /// rate, and the schedule's time span.
 #[derive(Debug, Clone)]
@@ -358,13 +358,13 @@ impl SweepSpec {
 
 /// One completed (cell, seed) run.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SweepEntry {
+pub(crate) struct SweepEntry {
     /// The cell that ran.
-    pub cell: CellId,
+    pub(crate) cell: CellId,
     /// The seed it ran under.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// What it measured.
-    pub outcome: CellOutcome,
+    pub(crate) outcome: CellOutcome,
 }
 
 /// All results of one sweep, in canonical (cell, seed) order regardless
@@ -373,12 +373,12 @@ pub struct SweepEntry {
 pub struct SweepReport {
     /// Cell-major, seed-minor: all seeds of the first cell, then the
     /// second, …
-    pub entries: Vec<SweepEntry>,
+    pub(crate) entries: Vec<SweepEntry>,
 }
 
 impl SweepReport {
     /// Distinct cell ids, in first-appearance order.
-    pub fn cells(&self) -> Vec<CellId> {
+    pub(crate) fn cells(&self) -> Vec<CellId> {
         let mut cells: Vec<CellId> = Vec::new();
         for entry in &self.entries {
             if !cells.contains(&entry.cell) {
@@ -390,7 +390,7 @@ impl SweepReport {
 
     /// One cell's samples of a numeric metric, in seed order — what the
     /// stats layer summarises.
-    pub fn metric(&self, cell: &CellId, field: &str) -> Vec<f64> {
+    pub(crate) fn metric(&self, cell: &CellId, field: &str) -> Vec<f64> {
         self.entries
             .iter()
             .filter(|e| &e.cell == cell)

@@ -24,20 +24,20 @@ use dohmark::pageload::{load_page, PageLoadResult};
 use dohmark::workload::{FleetSchedule, QuerySchedule, SiteModel};
 
 /// RNG stream label the harnesses draw their workload from.
-pub const WORKLOAD_STREAM: u64 = 7;
+pub(crate) const WORKLOAD_STREAM: u64 = 7;
 
 /// RNG stream label the page-load harness builds its site model from.
-pub const SITE_STREAM: u64 = 8;
+pub(crate) const SITE_STREAM: u64 = 8;
 
 /// Zipf popularity exponent of the fleet's name universe and the
 /// page-load site ranks.
-pub const ZIPF_EXPONENT: f64 = 1.0;
+pub(crate) const ZIPF_EXPONENT: f64 = 1.0;
 
 /// Mean gap between one fleet client's queries (Poisson arrivals).
-pub const FLEET_MEAN_GAP: SimDuration = SimDuration::from_millis(200);
+pub(crate) const FLEET_MEAN_GAP: SimDuration = SimDuration::from_millis(200);
 
 /// Page-load site-model universe (distinct sites ranked by popularity).
-pub const PAGELOAD_SITES: usize = 1000;
+pub(crate) const PAGELOAD_SITES: usize = 1000;
 
 /// One run's simulated world: a resolver host serving `cfg`'s transport,
 /// `clients` stub hosts each on its own link to it, every endpoint built
@@ -192,7 +192,7 @@ impl MatrixCell {
             layers: LayerTag::ALL.map(|tag| (tag, sum.layers.get(tag) as f64 / n)),
             steady_bytes_per_resolution: steady_bytes as f64 / (n - 1.0).max(1.0),
             header_bytes_per_query: (1..=u32::from(self.resolutions))
-                .map(|id| sim.meter.cost(id).layers.http_header)
+                .map(|id| sim.meter.cost(id).layers.get(LayerTag::HttpHeader))
                 .collect(),
         })
     }
@@ -252,8 +252,8 @@ pub struct FleetCell {
     /// Size of the shared Zipf name universe — the knob that sets the
     /// cache-hit ratio for a fixed query count.
     pub universe: usize,
-    /// Queries each client issues (Poisson arrivals, [`FLEET_MEAN_GAP`]
-    /// apart on average).
+    /// Queries each client issues (Poisson arrivals, 200 ms apart on
+    /// average).
     pub queries_per_client: usize,
 }
 

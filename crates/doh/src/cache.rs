@@ -112,7 +112,7 @@ impl DnsCache {
             self.entries.remove(key);
             return None;
         }
-        let remaining = expires_at.duration_since(now).as_secs_f64() as u32;
+        let remaining = (*expires_at - now).as_secs_f64() as u32;
         Some(records.iter().map(|r| Record { ttl: remaining, ..r.clone() }).collect())
     }
 
@@ -218,7 +218,7 @@ mod tests {
                 self.entries.remove(at);
                 return None;
             }
-            let ttl = expires_at.duration_since(now).as_secs_f64() as u32;
+            let ttl = (*expires_at - now).as_secs_f64() as u32;
             Some(records.iter().map(|r| Record { ttl, ..r.clone() }).collect())
         }
 

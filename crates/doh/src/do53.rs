@@ -251,8 +251,11 @@ mod tests {
             let cost = sim.meter.cost(id);
             assert_eq!(cost.packets, 2, "query + response for id {id}");
             // All non-header bytes are raw DNS payload on Do53.
-            assert_eq!(cost.bytes, cost.layers.dns + cost.layers.l4_header);
-            assert_eq!(cost.layers.l4_header, 2 * 28);
+            assert_eq!(
+                cost.bytes,
+                cost.layers.get(LayerTag::DnsPayload) + cost.layers.get(LayerTag::L4Header)
+            );
+            assert_eq!(cost.layers.get(LayerTag::L4Header), 2 * 28);
         }
     }
 
@@ -302,9 +305,8 @@ mod tests {
         let dropped_before = sim.dropped_packets();
         // A stray duplicate response to the query's (now closed) source
         // port must be dropped, not queued on the dead socket.
-        let stub = dohmark_netsim::HostId(0);
-        let resolver_sock = sim.udp_bind(dohmark_netsim::HostId(1), 0);
-        sim.udp_send(resolver_sock, (stub, port), LayerTag::DnsPayload, vec![0; 12]);
+        let resolver_sock = sim.udp_bind(client.server.0, 0);
+        sim.udp_send(resolver_sock, (client.host, port), LayerTag::DnsPayload, vec![0; 12]);
         sim.drain();
         assert_eq!(sim.dropped_packets(), dropped_before + 1);
     }
@@ -316,7 +318,7 @@ mod tests {
     #[test]
     fn undecodable_and_foreign_datagrams_are_skipped() {
         let (mut sim, mut client, mut server) = setup(8);
-        let (stub, resolver) = (HostId(0), HostId(1));
+        let (stub, resolver) = (client.host, client.server.0);
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
         let garbage = vec![0xFF; 7];
         assert!(Message::decode(&garbage).is_err());

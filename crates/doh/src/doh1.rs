@@ -176,15 +176,19 @@ mod tests {
         let cost = sim.meter.cost(1);
         let hs = handshake_bytes(&h1_tls()) as u64;
         // Handshake + one record each way.
-        assert_eq!(cost.layers.tls, hs + 2 * 21);
+        assert_eq!(cost.layers.get(LayerTag::Tls), hs + 2 * 21);
         // Bodies are exactly the DNS messages.
         let query_len = Message::query(1, &name, RecordType::A).encode().len() as u64;
         let resp_len = response.encode().len() as u64;
-        assert_eq!(cost.layers.http_body, query_len + resp_len);
+        assert_eq!(cost.layers.get(LayerTag::HttpBody), query_len + resp_len);
         // The request + response header text is a three-digit number of
         // bytes — the h1 header tax the paper measures.
-        assert!(cost.layers.http_header > 150, "header bytes {}", cost.layers.http_header);
-        assert_eq!(cost.layers.http_mgmt, 0, "h1 has no management frames");
+        assert!(
+            cost.layers.get(LayerTag::HttpHeader) > 150,
+            "header bytes {}",
+            cost.layers.get(LayerTag::HttpHeader)
+        );
+        assert_eq!(cost.layers.get(LayerTag::HttpMgmt), 0, "h1 has no management frames");
         assert!(!client.is_connected(), "cold connection must close");
     }
 
@@ -197,13 +201,13 @@ mod tests {
         }
         assert!(client.is_connected());
         sim.drain();
-        let first = sim.meter.cost(1).layers.http_header;
+        let first = sim.meter.cost(1).layers.get(LayerTag::HttpHeader);
         for id in 2..=3u32 {
             // No compression on h1: identical header bytes per query.
-            assert_eq!(sim.meter.cost(id).layers.http_header, first, "id {id}");
-            assert_eq!(sim.meter.cost(id).layers.tls, 2 * 21, "id {id}");
+            assert_eq!(sim.meter.cost(id).layers.get(LayerTag::HttpHeader), first, "id {id}");
+            assert_eq!(sim.meter.cost(id).layers.get(LayerTag::Tls), 2 * 21, "id {id}");
         }
-        assert_eq!(sim.meter.cost(0).layers.tls, handshake_bytes(&h1_tls()) as u64);
+        assert_eq!(sim.meter.cost(0).layers.get(LayerTag::Tls), handshake_bytes(&h1_tls()) as u64);
     }
 
     #[test]

@@ -317,14 +317,22 @@ mod tests {
         pump(&mut sim, &mut client, &mut server, None);
         let cost = sim.meter.cost(1);
         // Preface + SETTINGS both ways + ACKs + WINDOW_UPDATE + GOAWAY.
-        assert!(cost.layers.http_mgmt > 100, "mgmt bytes {}", cost.layers.http_mgmt);
+        assert!(
+            cost.layers.get(LayerTag::HttpMgmt) > 100,
+            "mgmt bytes {}",
+            cost.layers.get(LayerTag::HttpMgmt)
+        );
         // Bodies: the DNS messages plus one 9-byte DATA frame header each.
         let query_len = Message::query(1, &name, RecordType::A).encode().len() as u64;
         let resp_len = response.encode().len() as u64;
-        assert_eq!(cost.layers.http_body, query_len + resp_len + 2 * 9);
+        assert_eq!(cost.layers.get(LayerTag::HttpBody), query_len + resp_len + 2 * 9);
         // HPACK-compressed headers beat h1 text but are still present.
-        assert!(cost.layers.http_header > 2 * 9, "header bytes {}", cost.layers.http_header);
-        assert!(cost.layers.tls >= handshake_bytes(&h2_tls()) as u64);
+        assert!(
+            cost.layers.get(LayerTag::HttpHeader) > 2 * 9,
+            "header bytes {}",
+            cost.layers.get(LayerTag::HttpHeader)
+        );
+        assert!(cost.layers.get(LayerTag::Tls) >= handshake_bytes(&h2_tls()) as u64);
         assert!(!client.is_connected(), "cold connection must close");
         assert_eq!(server.open_connections(), 0, "server saw the FIN");
     }
@@ -338,16 +346,17 @@ mod tests {
         }
         assert!(client.is_connected());
         sim.drain();
-        let first = sim.meter.cost(1).layers.http_header;
-        let later: Vec<u64> = (2..=4u32).map(|id| sim.meter.cost(id).layers.http_header).collect();
+        let first = sim.meter.cost(1).layers.get(LayerTag::HttpHeader);
+        let later: Vec<u64> =
+            (2..=4u32).map(|id| sim.meter.cost(id).layers.get(LayerTag::HttpHeader)).collect();
         // Same-shape queries: every header but none of the values change,
         // so the dynamic table turns later blocks into pure index bytes.
         assert!(later.iter().all(|&l| l < first / 2), "first {first} B vs later {later:?} B");
         assert_eq!(later[0], later[1]);
         assert_eq!(later[1], later[2]);
         // Mgmt is connection setup, charged to the connection attribution.
-        assert_eq!(sim.meter.cost(2).layers.http_mgmt, 0);
-        assert!(sim.meter.cost(0).layers.http_mgmt > 100);
+        assert_eq!(sim.meter.cost(2).layers.get(LayerTag::HttpMgmt), 0);
+        assert!(sim.meter.cost(0).layers.get(LayerTag::HttpMgmt) > 100);
     }
 
     #[test]
@@ -355,11 +364,11 @@ mod tests {
         let (mut sim, mut client, mut server) = setup(3, ReusePolicy::Persistent);
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
         pump(&mut sim, &mut client, &mut server, Some(&name)).unwrap();
-        let mgmt_before = sim.meter.cost(0).layers.http_mgmt;
+        let mgmt_before = sim.meter.cost(0).layers.get(LayerTag::HttpMgmt);
         client.close(&mut sim);
         pump(&mut sim, &mut client, &mut server, None);
         // GOAWAY: 9-byte frame header + 8-byte payload, plus TLS framing.
-        assert_eq!(sim.meter.cost(0).layers.http_mgmt, mgmt_before + 17);
+        assert_eq!(sim.meter.cost(0).layers.get(LayerTag::HttpMgmt), mgmt_before + 17);
         assert!(!client.is_connected());
         assert_eq!(server.open_connections(), 0);
     }

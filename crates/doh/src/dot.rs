@@ -101,7 +101,7 @@ mod tests {
     use crate::testing::pump;
     use crate::{Resolver, ReusePolicy, ServerBackend};
     use dohmark_dns_wire::{Name, RecordType};
-    use dohmark_netsim::{HostId, LinkConfig, Sim};
+    use dohmark_netsim::{LayerTag, LinkConfig, Sim};
     use dohmark_tls_model::{handshake_bytes, TlsConfig};
 
     fn dot_tls() -> TlsConfig {
@@ -121,10 +121,12 @@ mod tests {
     /// The connection skeleton is shared, so its behaviours are pinned
     /// here once and run over all three framings: `$body` is expanded for
     /// a DoT, a DoH/1.1 and a DoH/2 client/server pair on a fresh
-    /// simulator seeded `$seed`, joined by `$link`, speaking `$tls`.
+    /// simulator seeded `$seed`, joined by `$link`, speaking `$tls`. An
+    /// optional fifth binding names the `[stub, resolver]` hosts.
     macro_rules! for_each_framing {
         ($seed:expr, $link:expr, $tls:expr, $policy:expr,
-         |$sim:ident, $client:ident, $server:ident, $name:ident| $body:block) => {{
+         |$sim:ident, $client:ident, $server:ident, $name:ident $(, $hosts:ident)?|
+         $body:block) => {{
             let topology = || {
                 let mut sim = Sim::new($seed);
                 let stub = sim.add_host("stub");
@@ -136,6 +138,7 @@ mod tests {
             let tls: TlsConfig = $tls;
             {
                 let (mut $sim, stub, resolver) = topology();
+                $(let $hosts = [stub, resolver];)?
                 let mut $server =
                     DotServer::bind(&mut $sim, resolver, 853, tls.clone(), ServerBackend::echo());
                 let mut $client = DotClient::new(stub, (resolver, 853), tls.clone(), $policy);
@@ -143,6 +146,7 @@ mod tests {
             }
             {
                 let (mut $sim, stub, resolver) = topology();
+                $(let $hosts = [stub, resolver];)?
                 let mut $server =
                     DohH1Server::bind(&mut $sim, resolver, 443, tls.clone(), ServerBackend::echo());
                 let mut $client = DohH1Client::new(stub, (resolver, 443), tls.clone(), $policy);
@@ -150,6 +154,7 @@ mod tests {
             }
             {
                 let (mut $sim, stub, resolver) = topology();
+                $(let $hosts = [stub, resolver];)?
                 let mut $server =
                     DohH2Server::bind(&mut $sim, resolver, 443, tls.clone(), ServerBackend::echo());
                 let mut $client = DohH2Client::new(stub, (resolver, 443), tls.clone(), $policy);
@@ -169,11 +174,11 @@ mod tests {
         // The resolution paid the whole TLS handshake plus two sealed
         // records (21 B overhead each way).
         let hs = handshake_bytes(&dot_tls()) as u64;
-        assert_eq!(cost.layers.tls, hs + 2 * 21);
+        assert_eq!(cost.layers.get(LayerTag::Tls), hs + 2 * 21);
         // DNS bytes: 2-byte prefix + message, each way.
         let query_len = Message::query(1, &name, RecordType::A).encode().len() as u64;
         let resp_len = response.encode().len() as u64;
-        assert_eq!(cost.layers.dns, query_len + resp_len + 4);
+        assert_eq!(cost.layers.get(LayerTag::DnsPayload), query_len + resp_len + 4);
     }
 
     #[test]
@@ -190,7 +195,10 @@ mod tests {
         let name = Name::parse("abcdefgh.dohmark.test").unwrap();
         pump(&mut sim, &mut client, &mut server, Some(&name)).unwrap();
         sim.drain();
-        assert_eq!(sim.meter.cost(1).layers.tls, handshake_bytes(&tls) as u64 + 2 * 21);
+        assert_eq!(
+            sim.meter.cost(1).layers.get(LayerTag::Tls),
+            handshake_bytes(&tls) as u64 + 2 * 21
+        );
     }
 
     #[test]
@@ -209,8 +217,11 @@ mod tests {
                 assert_eq!(server.open_connections(), 0);
                 // Both resolutions paid the full handshake independently.
                 let hs = handshake_bytes(&dot_tls()) as u64;
-                assert!(sim.meter.cost(1).layers.tls >= hs + 2 * 21);
-                assert_eq!(sim.meter.cost(1).layers.tls, sim.meter.cost(2).layers.tls);
+                assert!(sim.meter.cost(1).layers.get(LayerTag::Tls) >= hs + 2 * 21);
+                assert_eq!(
+                    sim.meter.cost(1).layers.get(LayerTag::Tls),
+                    sim.meter.cost(2).layers.get(LayerTag::Tls)
+                );
             }
         );
     }
@@ -226,10 +237,10 @@ mod tests {
         sim.drain();
         let hs = handshake_bytes(&dot_tls()) as u64;
         // Setup lives under the connection attribution…
-        assert_eq!(sim.meter.cost(0).layers.tls, hs);
+        assert_eq!(sim.meter.cost(0).layers.get(LayerTag::Tls), hs);
         // …and each resolution pays only per-record framing overhead.
         for id in 1..=5u32 {
-            assert_eq!(sim.meter.cost(id).layers.tls, 2 * 21, "id {id}");
+            assert_eq!(sim.meter.cost(id).layers.get(LayerTag::Tls), 2 * 21, "id {id}");
         }
     }
 
@@ -263,15 +274,15 @@ mod tests {
                 LinkConfig::localhost().loss(1.0),
                 dot_tls(),
                 policy,
-                |sim, client, server, name| {
+                |sim, client, server, name, hosts| {
                     // Every SYN is lost: query 1 is still queued when its
                     // connection fails.
                     client.send_query(&mut sim, &name);
                     pump(&mut sim, &mut client, &mut server, None);
-                    // The link heals (stub and resolver are hosts 0 and 1);
-                    // query 2 reconnects and takes query 1 along, and a cold
-                    // connection must stay open for both answers.
-                    sim.add_link(HostId(0), HostId(1), LinkConfig::localhost());
+                    // The link heals; query 2 reconnects and takes query 1
+                    // along, and a cold connection must stay open for both
+                    // answers.
+                    sim.add_link(hosts[0], hosts[1], LinkConfig::localhost());
                     client.send_query(&mut sim, &name);
                     pump(&mut sim, &mut client, &mut server, None);
                     assert!(client.take_response(1).is_some(), "{policy:?}: query 1");

@@ -224,11 +224,12 @@ mod tests {
     /// `kind`, which fetches misses from a Do53 authoritative upstream
     /// over a link whose jitter lets upstream answers overtake each other,
     /// and which drops each packet with probability `upstream_loss`.
+    /// Returns the stubs and the upstream leg's hosts, resolver first.
     fn two_stubs(
         kind: TransportKind,
         seed: u64,
         upstream_loss: f64,
-    ) -> (Sim, Driver, [EndpointId; 2]) {
+    ) -> (Sim, Driver, [EndpointId; 2], [HostId; 2]) {
         let cfg = TransportConfig::new(kind, ReusePolicy::Persistent);
         let mut sim = Sim::new(seed);
         let resolver = sim.add_host("resolver");
@@ -245,13 +246,7 @@ mod tests {
             sim.add_link(stub, resolver, cfg.link);
             driver.connect(&mut sim, &cfg, stub, resolver)
         });
-        (sim, driver, stubs)
-    }
-
-    /// Bytes the upstream has sent the resolver: [`two_stubs`] adds their
-    /// hosts first, in that order.
-    fn upstream_answer_bytes(sim: &Sim) -> u64 {
-        sim.link_bytes(HostId(1), HostId(0))
+        (sim, driver, stubs, [resolver, upstream])
     }
 
     /// Sends `names[i]` from stub `i` before driving anything — both
@@ -262,7 +257,7 @@ mod tests {
         seed: u64,
         names: [&Name; 2],
     ) -> (Sim, Driver, [Message; 2]) {
-        let (mut sim, mut driver, stubs) = two_stubs(kind, seed, 0.0);
+        let (mut sim, mut driver, stubs, _) = two_stubs(kind, seed, 0.0);
         for (stub, name) in stubs.into_iter().zip(names) {
             assert_eq!(driver.send_query(&mut sim, stub, name), 1, "{kind:?}");
         }
@@ -313,7 +308,10 @@ mod tests {
     #[test]
     fn a_stub_hanging_up_mid_recursion_loses_only_its_own_answer() {
         for kind in TransportKind::ALL {
-            let (mut sim, mut driver, [stub, other]) = two_stubs(kind, 7, 0.0);
+            let (mut sim, mut driver, [stub, other], [resolver, upstream]) =
+                two_stubs(kind, 7, 0.0);
+            // Bytes the upstream has sent the resolver.
+            let upstream_answer_bytes = |sim: &Sim| sim.link_bytes(upstream, resolver);
             driver.resolve(&mut sim, stub, &name("warm")).expect("opens the connection");
             let upstream_queries = sim.meter.counters.upstream_queries;
             let miss = driver.send_query(&mut sim, stub, &name("late"));
@@ -339,7 +337,7 @@ mod tests {
     #[test]
     fn only_http1_holds_a_cache_hit_behind_a_parked_miss() {
         for kind in TransportKind::ALL {
-            let (mut sim, mut driver, [stub, _]) = two_stubs(kind, 7, 0.0);
+            let (mut sim, mut driver, [stub, _], _) = two_stubs(kind, 7, 0.0);
             let (cached, uncached) = (name("cached"), name("uncached"));
             driver.resolve(&mut sim, stub, &cached).expect("warms the cache");
             // Back to back on the one connection: a miss, which parks on
@@ -370,7 +368,7 @@ mod tests {
     #[test]
     fn a_negative_upstream_answer_is_forwarded_and_not_cached() {
         for kind in TransportKind::ALL {
-            let (mut sim, mut driver, [stub, _]) = two_stubs(kind, 7, 0.0);
+            let (mut sim, mut driver, [stub, _], _) = two_stubs(kind, 7, 0.0);
             let foreign = Name::parse("other.example").unwrap();
             for round in 1..=2 {
                 let answer = driver.resolve(&mut sim, stub, &foreign).expect("answered");
@@ -393,7 +391,7 @@ mod tests {
     #[test]
     fn a_dead_upstream_fails_its_fetch_and_the_next_miss_fetches_again() {
         for kind in TransportKind::ALL {
-            let (mut sim, mut driver, [stub, _]) = two_stubs(kind, 7, 1.0);
+            let (mut sim, mut driver, [stub, _], _) = two_stubs(kind, 7, 1.0);
             let dead = name("dead");
             let answer = driver.resolve(&mut sim, stub, &dead);
             // A Do53 stub gives up on its own query about one RTT before

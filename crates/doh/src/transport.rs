@@ -235,7 +235,7 @@ impl TransportConfig {
 mod tests {
     use super::*;
     use dohmark_dns_wire::Name;
-    use dohmark_netsim::SimDuration;
+    use dohmark_netsim::{LayerTag, SimDuration};
 
     #[test]
     fn matrix_covers_every_kind_and_reuse_mode() {
@@ -343,7 +343,7 @@ mod tests {
             let name = Name::parse("abcdefgh.dohmark.test").unwrap();
             driver.resolve(&mut sim, client, &name).unwrap();
             driver.run_until_quiescent(&mut sim);
-            sim.meter.cost(1).layers.tls
+            sim.meter.cost(1).layers.get(LayerTag::Tls)
         };
         for kind in [TransportKind::Dot, TransportKind::DohH1, TransportKind::DohH2] {
             let full = run(&TransportConfig::new(kind, ReusePolicy::Fresh));

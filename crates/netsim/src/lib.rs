@@ -15,6 +15,18 @@
 //! the seeded [`SimRng`], events at equal times fire in FIFO order, and no
 //! wall-clock time or environment state leaks in.
 //!
+//! # Surface
+//!
+//! Every module is private except [`tcp`] (`INIT_RTO`, `MAX_RETRIES` and
+//! [`tcp::backoff`]); the root re-exports are the one path to each item.
+//! A [`HostId`] is what [`Sim::add_host`] returned. A [`SimDuration`] is
+//! built by `from_nanos` (or coarser units), a [`SimTime`] is
+//! [`SimTime::ZERO`] plus one, and both read in nanoseconds by `as_nanos`.
+//! [`LayerBytes`] is read by tag, with [`LayerBytes::get`].
+//! [`Sim::tcp_recv`] (a copying [`Sim::tcp_read`]) and
+//! [`Sim::dropped_packets`] (a field of [`Sim::stats`]) say what another
+//! item says; they stay public because `perfbench` names them.
+//!
 //! # Example
 //!
 //! ```
@@ -56,4 +68,4 @@ pub use packet::{IP_HEADER, TCP_HEADER, UDP_HEADER};
 pub use rng::SimRng;
 pub use sim::{EngineStats, HostId, ListenerId, Side, Sim, SockId, TcpHandle, Wake};
 pub use time::{SimDuration, SimTime};
-pub use trace::{Cost, CostMeter, Counters, LayerBytes, LayerTag, MAX_ATTR};
+pub use trace::{Cost, CostMeter, Counters, LayerBytes, LayerTag};

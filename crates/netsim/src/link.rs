@@ -24,22 +24,16 @@ pub struct LinkConfig {
     pub loss: f64,
 }
 
-impl Default for LinkConfig {
-    fn default() -> LinkConfig {
+impl LinkConfig {
+    /// A loopback-like link: 50 µs one-way, no serialisation, lossless.
+    /// Matches the paper's §3 controlled localhost experiment.
+    pub fn localhost() -> LinkConfig {
         LinkConfig {
             latency: SimDuration::from_micros(50),
             jitter: SimDuration::ZERO,
             bandwidth_bps: None,
             loss: 0.0,
         }
-    }
-}
-
-impl LinkConfig {
-    /// A loopback-like link: 50 µs one-way, no serialisation, lossless.
-    /// Matches the paper's §3 controlled localhost experiment.
-    pub fn localhost() -> LinkConfig {
-        LinkConfig::default()
     }
 
     /// A LAN/university-uplink-like path with the given round-trip time.
@@ -48,7 +42,7 @@ impl LinkConfig {
     /// directions of a symmetric link sum to `rtt - 1` ns for odd RTTs.
     pub fn with_rtt(rtt: SimDuration) -> LinkConfig {
         let half_up = SimDuration::from_nanos(rtt.as_nanos().div_ceil(2));
-        LinkConfig { latency: half_up, ..LinkConfig::default() }
+        LinkConfig { latency: half_up, ..LinkConfig::localhost() }
     }
 
     /// The clean access-network profile the transport-matrix experiments
@@ -155,7 +149,7 @@ mod tests {
 
     #[test]
     fn serialisation_delay_matches_rate() {
-        let cfg = LinkConfig::default().bandwidth_mbps(8); // 1 byte per microsecond
+        let cfg = LinkConfig::localhost().bandwidth_mbps(8); // 1 byte per microsecond
         assert_eq!(cfg.serialise(1000), SimDuration::from_millis(1));
     }
 
@@ -173,7 +167,7 @@ mod tests {
 
     #[test]
     fn idle_link_does_not_queue() {
-        let cfg = LinkConfig::default().bandwidth_mbps(8);
+        let cfg = LinkConfig::localhost().bandwidth_mbps(8);
         let mut dir = DirLink::new(cfg);
         dir.schedule(SimTime::ZERO, 1000, SimDuration::ZERO);
         // A packet handed over much later sees an idle transmitter.
@@ -202,16 +196,16 @@ mod tests {
         // 1500 B at 7 Mbps: 12 000 bits / 7e6 bps = 1 714 285.714… µs-scale
         // value that f64 arithmetic used to round; the integer path
         // truncates to exactly 1 714 285 ns on every platform.
-        let cfg = LinkConfig::default().bandwidth_mbps(7);
+        let cfg = LinkConfig::localhost().bandwidth_mbps(7);
         assert_eq!(cfg.serialise(1500), SimDuration::from_nanos(1_714_285));
         // Exact divisions stay exact.
-        let cfg8 = LinkConfig::default().bandwidth_mbps(8);
+        let cfg8 = LinkConfig::localhost().bandwidth_mbps(8);
         assert_eq!(cfg8.serialise(1500), SimDuration::from_micros(1500));
         // Huge transfers cannot overflow or lose precision.
-        let slow = LinkConfig { bandwidth_bps: Some(1), ..LinkConfig::default() };
+        let slow = LinkConfig { bandwidth_bps: Some(1), ..LinkConfig::localhost() };
         assert_eq!(slow.serialise(2), SimDuration::from_secs(16));
         // Zero bandwidth clamps to 1 bps instead of dividing by zero.
-        let zero = LinkConfig { bandwidth_bps: Some(0), ..LinkConfig::default() };
+        let zero = LinkConfig { bandwidth_bps: Some(0), ..LinkConfig::localhost() };
         assert_eq!(zero.serialise(1), SimDuration::from_secs(8));
     }
 

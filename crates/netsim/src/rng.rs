@@ -74,7 +74,7 @@ impl SimRng {
     }
 
     /// Uniform integer in `[lo, hi]`.
-    pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
+    pub(crate) fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
         debug_assert!(lo <= hi);
         lo + self.below(hi - lo + 1)
     }
@@ -98,7 +98,7 @@ impl SimRng {
     }
 
     /// Standard normal via Box–Muller.
-    pub fn normal(&mut self) -> f64 {
+    pub(crate) fn normal(&mut self) -> f64 {
         let u1 = (1.0 - self.next_f64()).max(f64::MIN_POSITIVE);
         let u2 = self.next_f64();
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()

@@ -39,7 +39,7 @@ const EPHEMERAL_PORTS: usize = (u16::MAX - EPHEMERAL_BASE) as usize + 1;
 
 /// Identifier of a simulated host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct HostId(pub usize);
+pub struct HostId(pub(crate) usize);
 
 /// Identifier of a UDP socket.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -60,7 +60,7 @@ pub enum Side {
 
 impl Side {
     /// The opposite end.
-    pub fn peer(self) -> Side {
+    pub(crate) fn peer(self) -> Side {
         match self {
             Side::Client => Side::Server,
             Side::Server => Side::Client,
@@ -322,7 +322,7 @@ impl Sim {
             listeners: Vec::new(),
             conns: Vec::new(),
             wakes: VecDeque::new(),
-            meter: CostMeter::new(),
+            meter: CostMeter::default(),
             rng: SimRng::new(seed),
             attr: 0,
             owner: 0,
@@ -351,7 +351,7 @@ impl Sim {
     ///
     /// # Panics
     ///
-    /// If `attr` exceeds [`MAX_ATTR`]; every caller widens a `u16` DNS
+    /// If `attr` exceeds `u16::MAX`; every caller widens a `u16` DNS
     /// transaction id.
     pub fn set_attr(&mut self, attr: u32) {
         assert!(attr <= MAX_ATTR, "attribution id {attr} exceeds MAX_ATTR");
@@ -844,7 +844,7 @@ mod tests {
         sim.drain();
         assert!(sim.dropped_packets() > 0, "the link lost nothing");
         let total = sim.meter.total();
-        assert!(total.layers.http_body > written, "nothing was retransmitted");
+        assert!(total.layers.get(LayerTag::HttpBody) > written, "nothing was retransmitted");
         assert_eq!(total.bytes, sim.stats().wire_bytes);
         assert_eq!(total.layers.total(), total.bytes);
         sim
@@ -1087,8 +1087,8 @@ mod tests {
         let cost = sim.meter.cost(9);
         assert_eq!(cost.packets, 1);
         assert_eq!(cost.bytes, 33 + 28);
-        assert_eq!(cost.layers.dns, 33);
-        assert_eq!(cost.layers.l4_header, 28);
+        assert_eq!(cost.layers.get(LayerTag::DnsPayload), 33);
+        assert_eq!(cost.layers.get(LayerTag::L4Header), 28);
     }
 
     #[test]

@@ -58,7 +58,7 @@ const MSS: usize = 1500 - IP_HEADER - TCP_HEADER;
 /// recursive resolver's upstream fetches alike.
 pub const INIT_RTO: SimDuration = SimDuration(200_000_000);
 /// Upper bound on the exponentially backed-off RTO (60 s).
-pub const MAX_RTO: SimDuration = SimDuration(60_000_000_000);
+pub(crate) const MAX_RTO: SimDuration = SimDuration(60_000_000_000);
 /// Delayed-ACK timeout (Linux's default, 40 ms).
 pub(crate) const DELACK: SimDuration = SimDuration(40_000_000);
 /// Consecutive RTO expiries tolerated before the endpoint gives up; also
@@ -67,8 +67,8 @@ pub const MAX_RETRIES: u32 = 6;
 /// Sender window: at most this many MSS-sized segments in flight.
 const WINDOW_SEGS: u64 = 10;
 
-/// The timeout that follows an expired `rto`: doubled, capped at
-/// [`MAX_RTO`]. TCP's RTO and Do53's retransmission timer both back off
+/// The timeout that follows an expired `rto`: doubled, capped at 60 s.
+/// TCP's RTO and Do53's retransmission timer both back off
 /// by it, so a lossy-link comparison of the two measures head-of-line
 /// blocking, not a difference in how hard each side retries.
 pub fn backoff(rto: SimDuration) -> SimDuration {
@@ -915,7 +915,7 @@ mod tests {
         // SYN (60 B) + SYN-ACK (60 B) + ACK (40 B), nothing else.
         assert_eq!(total.packets, 3);
         assert_eq!(total.bytes, 60 + 60 + 40);
-        assert_eq!(total.layers.l4_header, 160);
+        assert_eq!(total.layers.get(LayerTag::L4Header), 160);
         assert!(sim.tcp_is_established(client));
     }
 
@@ -1013,9 +1013,12 @@ mod tests {
         }
         assert_eq!(data_lens, vec![1460, 1460, 1080]);
         let total = sim.meter.total();
-        assert_eq!(total.layers.dns, 4000);
+        assert_eq!(total.layers.get(LayerTag::DnsPayload), 4000);
         // Raw DNS over TCP: every non-payload byte is transport header.
-        assert_eq!(total.bytes, total.layers.dns + total.layers.l4_header);
+        assert_eq!(
+            total.bytes,
+            total.layers.get(LayerTag::DnsPayload) + total.layers.get(LayerTag::L4Header)
+        );
     }
 
     #[test]
@@ -1181,7 +1184,11 @@ mod tests {
         let total = sim.meter.total();
         // Retransmissions inflate the DNS-layer byte count past the
         // logical stream length: the meter sees every wire copy.
-        assert!(total.layers.dns > 6000, "dns bytes {}", total.layers.dns);
+        assert!(
+            total.layers.get(LayerTag::DnsPayload) > 6000,
+            "dns bytes {}",
+            total.layers.get(LayerTag::DnsPayload)
+        );
         assert!(sim.dropped_packets() > 0);
     }
 
@@ -1215,7 +1222,7 @@ mod tests {
         let (mut fired, mut requeued, mut superseded) = (0, 0, 0);
         for schedule in 0..1000 {
             // No serialisation and no jitter: a datagram lands `DELACK` on.
-            let link = LinkConfig { latency: DELACK, ..LinkConfig::default() };
+            let link = LinkConfig { latency: DELACK, ..LinkConfig::localhost() };
             let (mut sim, a, b) = two_hosts(schedule, link);
             let sock = sim.udp_bind(a, 0);
             sim.udp_bind(b, 53);
@@ -1362,18 +1369,24 @@ mod tests {
         let seg = buf.segment(12, 10);
         assert_eq!(buf.bytes(12, 3), [2; 3]);
         assert_eq!((seg.len, seg.attr), (3, 1));
-        assert_eq!((seg.layers.tls, seg.layers.total()), (3, 3));
+        assert_eq!((seg.layers.get(LayerTag::Tls), seg.layers.total()), (3, 3));
         // ...or after `max` bytes, summing every tag it crosses.
         let seg = buf.segment(30, 8);
         assert_eq!((seg.len, seg.attr), (8, 2));
-        assert_eq!((seg.layers.http_body, seg.layers.http_header), (5, 3));
+        assert_eq!(
+            (seg.layers.get(LayerTag::HttpBody), seg.layers.get(LayerTag::HttpHeader)),
+            (5, 3)
+        );
 
         buf.advance(15);
         assert_eq!(buf.len(), 26);
         let seg = buf.segment(0, 1460);
         assert_eq!(buf.bytes(0, 26), [vec![3; 20], vec![4; 6]].concat());
         assert_eq!((seg.len, seg.attr), (26, 2));
-        assert_eq!((seg.layers.http_body, seg.layers.http_header), (20, 6));
+        assert_eq!(
+            (seg.layers.get(LayerTag::HttpBody), seg.layers.get(LayerTag::HttpHeader)),
+            (20, 6)
+        );
     }
 
     /// Random `push` / `advance` / `segment` sequences against a model that
@@ -1472,9 +1485,9 @@ mod tests {
         // One data segment (plus its delayed ACK), not four.
         assert_eq!(sim.meter.total().packets, before + 2);
         let t = sim.meter.total();
-        assert_eq!(t.layers.tls, 21);
-        assert_eq!(t.layers.http_header, 60);
-        assert_eq!(t.layers.http_body, 40);
+        assert_eq!(t.layers.get(LayerTag::Tls), 21);
+        assert_eq!(t.layers.get(LayerTag::HttpHeader), 60);
+        assert_eq!(t.layers.get(LayerTag::HttpBody), 40);
     }
 
     #[test]
@@ -1489,8 +1502,8 @@ mod tests {
         sim.tcp_send(client, LayerTag::DnsPayload, &[2; 400]);
         sim.drain();
         // Each resolution's data packet is charged to its own attribution.
-        assert_eq!(sim.meter.cost(1).layers.dns, 300);
-        assert_eq!(sim.meter.cost(2).layers.dns, 400);
+        assert_eq!(sim.meter.cost(1).layers.get(LayerTag::DnsPayload), 300);
+        assert_eq!(sim.meter.cost(2).layers.get(LayerTag::DnsPayload), 400);
     }
 
     #[test]
@@ -1506,7 +1519,7 @@ mod tests {
         sim.set_attr(2);
         sim.tcp_send(client, LayerTag::DnsPayload, &[2; 400]);
         sim.drain();
-        assert_eq!(sim.meter.cost(1).layers.dns, 300);
-        assert_eq!(sim.meter.cost(2).layers.dns, 400);
+        assert_eq!(sim.meter.cost(1).layers.get(LayerTag::DnsPayload), 300);
+        assert_eq!(sim.meter.cost(2).layers.get(LayerTag::DnsPayload), 400);
     }
 }

@@ -5,11 +5,11 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
 /// A point on the simulated clock, in nanoseconds since simulation start.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct SimTime(pub u64);
+pub struct SimTime(pub(crate) u64);
 
 /// A span of simulated time, in nanoseconds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct SimDuration(pub u64);
+pub struct SimDuration(pub(crate) u64);
 
 impl SimTime {
     /// The simulation epoch.
@@ -23,11 +23,6 @@ impl SimTime {
     /// Seconds since the epoch, as a float (for reporting).
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
-    }
-
-    /// Duration elapsed since `earlier`; saturates at zero.
-    pub fn duration_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
     }
 }
 
@@ -56,7 +51,7 @@ impl SimDuration {
     }
 
     /// Builds a duration from fractional seconds; negative values clamp to 0.
-    pub fn from_secs_f64(s: f64) -> SimDuration {
+    pub(crate) fn from_secs_f64(s: f64) -> SimDuration {
         SimDuration((s.max(0.0) * 1e9).round() as u64)
     }
 
@@ -73,11 +68,6 @@ impl SimDuration {
     /// Fractional milliseconds.
     pub fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1e6
-    }
-
-    /// Saturating subtraction.
-    pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(other.0))
     }
 }
 
@@ -165,8 +155,8 @@ mod tests {
         let a = SimTime(5);
         let b = SimTime(9);
         assert_eq!(a - b, SimDuration::ZERO);
-        assert_eq!(a.duration_since(b), SimDuration::ZERO);
-        assert_eq!(SimDuration(3).saturating_sub(SimDuration(4)), SimDuration::ZERO);
+        assert_eq!(SimDuration(3) - SimDuration(4), SimDuration::ZERO);
+        assert_eq!(SimDuration(9) - SimDuration(4), SimDuration(5));
     }
 
     #[test]

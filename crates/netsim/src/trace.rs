@@ -55,26 +55,14 @@ impl LayerTag {
     }
 }
 
-/// Byte totals split by layer.
+/// Byte totals split by layer: one bucket per [`LayerTag`], indexed by the
+/// tag.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LayerBytes {
-    /// IP + transport header bytes.
-    pub l4_header: u64,
-    /// TLS handshake + record framing bytes.
-    pub tls: u64,
-    /// HTTP header bytes.
-    pub http_header: u64,
-    /// HTTP body bytes.
-    pub http_body: u64,
-    /// HTTP/2 management frame bytes.
-    pub http_mgmt: u64,
-    /// Raw DNS payload bytes (UDP / DoT scenarios).
-    pub dns: u64,
-}
+pub struct LayerBytes([u64; LayerTag::ALL.len()]);
 
 impl LayerBytes {
     /// `n` bytes, all of them in the bucket for `tag`.
-    pub fn of(tag: LayerTag, n: u64) -> LayerBytes {
+    pub(crate) fn of(tag: LayerTag, n: u64) -> LayerBytes {
         let mut layers = LayerBytes::default();
         layers.add(tag, n);
         layers
@@ -82,37 +70,23 @@ impl LayerBytes {
 
     /// Adds `n` bytes to the bucket for `tag`.
     pub fn add(&mut self, tag: LayerTag, n: u64) {
-        match tag {
-            LayerTag::L4Header => self.l4_header += n,
-            LayerTag::Tls => self.tls += n,
-            LayerTag::HttpHeader => self.http_header += n,
-            LayerTag::HttpBody => self.http_body += n,
-            LayerTag::HttpMgmt => self.http_mgmt += n,
-            LayerTag::DnsPayload => self.dns += n,
-        }
+        self.0[tag as usize] += n;
     }
 
     /// Bytes in the bucket for `tag`.
     pub fn get(&self, tag: LayerTag) -> u64 {
-        match tag {
-            LayerTag::L4Header => self.l4_header,
-            LayerTag::Tls => self.tls,
-            LayerTag::HttpHeader => self.http_header,
-            LayerTag::HttpBody => self.http_body,
-            LayerTag::HttpMgmt => self.http_mgmt,
-            LayerTag::DnsPayload => self.dns,
-        }
+        self.0[tag as usize]
     }
 
     /// Sum over all layers.
     pub fn total(&self) -> u64 {
-        LayerTag::ALL.iter().map(|&t| self.get(t)).sum()
+        self.0.iter().sum()
     }
 
     /// Component-wise accumulation.
     pub fn merge(&mut self, other: &LayerBytes) {
-        for tag in LayerTag::ALL {
-            self.add(tag, other.get(tag));
+        for (mine, theirs) in self.0.iter_mut().zip(other.0) {
+            *mine += theirs;
         }
     }
 }
@@ -145,7 +119,7 @@ pub struct Counters {
 /// The largest attribution id: ids are DNS transaction ids, 16 bits.
 /// [`Sim::set_attr`](crate::sim::Sim::set_attr) rejects anything above it,
 /// which caps the [`CostMeter`]'s table at 65 536 [`Cost`]s of 64 bytes.
-pub const MAX_ATTR: u32 = u16::MAX as u32;
+pub(crate) const MAX_ATTR: u32 = u16::MAX as u32;
 
 /// Aggregates packets into per-attribution [`Cost`]s, plus the event
 /// [`Counters`] (cache hits/misses, upstream fetches, …) that application
@@ -163,11 +137,6 @@ pub struct CostMeter {
 }
 
 impl CostMeter {
-    /// An empty meter.
-    pub fn new() -> CostMeter {
-        CostMeter::default()
-    }
-
     /// Records one packet. Crate-private: a packet's `attr` has passed
     /// `Sim::set_attr`'s bound, which an outside caller's need not have.
     pub(crate) fn record(&mut self, pkt: &Packet) {
@@ -215,7 +184,7 @@ mod tests {
 
     #[test]
     fn meter_accumulates_bytes_and_packets() {
-        let mut m = CostMeter::new();
+        let mut m = CostMeter::default();
         m.record(&dummy_packet(1, 33));
         m.record(&dummy_packet(1, 90));
         m.record(&dummy_packet(2, 10));
@@ -223,21 +192,21 @@ mod tests {
         assert_eq!(c1.packets, 2);
         // 28-byte IP+UDP header per packet.
         assert_eq!(c1.bytes, 33 + 28 + 90 + 28);
-        assert_eq!(c1.layers.dns, 123);
-        assert_eq!(c1.layers.l4_header, 56);
+        assert_eq!(c1.layers.get(LayerTag::DnsPayload), 123);
+        assert_eq!(c1.layers.get(LayerTag::L4Header), 56);
         assert_eq!(m.cost(2).packets, 1);
     }
 
     #[test]
     fn meter_total_merges_all_attrs() {
-        let mut m = CostMeter::new();
+        let mut m = CostMeter::default();
         m.record(&dummy_packet(1, 10));
         m.record(&dummy_packet(2, 20));
         m.record(&dummy_packet(700, 5));
         m.record(&dummy_packet(2, 7));
         let t = m.total();
         assert_eq!(t.packets, 4);
-        assert_eq!(t.layers.dns, 42);
+        assert_eq!(t.layers.get(LayerTag::DnsPayload), 42);
         // The total is the sum over the ids used, no more.
         let mut sum = Cost::default();
         for id in [1, 2, 700] {
@@ -251,7 +220,7 @@ mod tests {
 
     #[test]
     fn unknown_attr_is_zero_cost() {
-        let mut m = CostMeter::new();
+        let mut m = CostMeter::default();
         assert_eq!(m.cost(7), Cost::default());
         // Neither an id in a gap of the table nor one past its end.
         m.record(&dummy_packet(9, 10));
@@ -268,8 +237,27 @@ mod tests {
         let mut b = LayerBytes::default();
         b.add(LayerTag::Tls, 3);
         b.merge(&a);
-        assert_eq!(b.tls, 8);
+        assert_eq!(b.get(LayerTag::Tls), 8);
         assert_eq!(b.total(), 15);
+
+        // Each tag has a bucket of its own: `of(tag, n)` holds `n` under
+        // `tag` and nothing under any other, and `total` and `merge` work
+        // bucket by bucket.
+        let mut all = LayerBytes::default();
+        for (i, tag) in LayerTag::ALL.into_iter().enumerate() {
+            let n = 10 + i as u64;
+            let one = LayerBytes::of(tag, n);
+            for t in LayerTag::ALL {
+                assert_eq!(one.get(t), if t == tag { n } else { 0 }, "{tag:?} read as {t:?}");
+            }
+            assert_eq!(one.total(), n);
+            all.merge(&one);
+            all.merge(&one);
+        }
+        for (i, tag) in LayerTag::ALL.into_iter().enumerate() {
+            assert_eq!(all.get(tag), 2 * (10 + i as u64), "{tag:?}");
+        }
+        assert_eq!(all.total(), 2 * (10..16).sum::<u64>());
     }
 
     #[test]

@@ -42,8 +42,11 @@ fn main() {
     let cost = sim.meter.total();
     println!(
         "on the wire: {} packets, {} bytes total ({} DNS payload, {} transport headers)",
-        cost.packets, cost.bytes, cost.layers.dns, cost.layers.l4_header
+        cost.packets,
+        cost.bytes,
+        cost.layers.get(LayerTag::DnsPayload),
+        cost.layers.get(LayerTag::L4Header)
     );
-    assert_eq!(cost.layers.dns, wire.len() as u64);
+    assert_eq!(cost.layers.get(LayerTag::DnsPayload), wire.len() as u64);
     println!("ok");
 }

@@ -58,9 +58,9 @@
 //! sim.drain();
 //!
 //! let cost = sim.meter.total();
-//! assert_eq!(cost.layers.dns, wire.len() as u64);
+//! assert_eq!(cost.layers.get(LayerTag::DnsPayload), wire.len() as u64);
 //! // Handshake + ACKs: the transport overhead the paper quantifies.
-//! assert!(cost.layers.l4_header > cost.layers.dns);
+//! assert!(cost.layers.get(LayerTag::L4Header) > cost.layers.get(LayerTag::DnsPayload));
 //! ```
 
 pub use dohmark_dns_wire as dns;
