@@ -20,40 +20,42 @@
 //!
 //! Nothing here owns header text or copies a frame: a message's header
 //! list is a stack array of `(&str, &str)` that HPACK encodes directly
-//! behind the HEADERS frame header, and arriving frames are read where
-//! they lie in the [`FrameDecoder`]'s buffer — `:status` through
+//! behind the HEADERS frame header, and every other frame this end writes
+//! is a `Frame<&[u8]>` over bytes it already holds — the DNS message, the
+//! constant SETTINGS entries. Arriving frames are read as `Frame<&[u8]>`
+//! where they lie in the [`FrameDecoder`]'s buffer — `:status` through
 //! [`hpack::Decoder::decode_with`], the DNS message out of the DATA
 //! payload. Only a body split over several DATA frames is reassembled.
 
 use crate::doh1::{DNS_MESSAGE, DOH_PATH};
 use crate::stream::{Framing, Segments, StreamClient, StreamServer};
 use dohmark_dns_wire::Message;
-use dohmark_httpsim::h2::{self, settings, Frame, FrameDecoder, FrameRef, PREFACE};
+use dohmark_httpsim::h2::{self, settings, Frame, FrameDecoder, PREFACE};
 use dohmark_httpsim::{decimal, hpack};
 use dohmark_netsim::{LayerTag, Side};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// SETTINGS a browser-like DoH client announces.
-const CLIENT_SETTINGS: [(u16, u32); 4] = [
-    (settings::HEADER_TABLE_SIZE, hpack::DEFAULT_TABLE_SIZE as u32),
-    (settings::ENABLE_PUSH, 0),
-    (settings::INITIAL_WINDOW_SIZE, 131_072),
-    (settings::MAX_FRAME_SIZE, 16_384),
+const CLIENT_SETTINGS: [[u8; 6]; 4] = [
+    settings::entry(settings::HEADER_TABLE_SIZE, hpack::DEFAULT_TABLE_SIZE as u32),
+    settings::entry(settings::ENABLE_PUSH, 0),
+    settings::entry(settings::INITIAL_WINDOW_SIZE, 131_072),
+    settings::entry(settings::MAX_FRAME_SIZE, 16_384),
 ];
 
 /// The connection-window increment the client grants up front.
 const CLIENT_WINDOW_BUMP: u32 = 12_517_377;
 
 /// SETTINGS a resolver-like server announces.
-const SERVER_SETTINGS: [(u16, u32); 3] = [
-    (settings::HEADER_TABLE_SIZE, hpack::DEFAULT_TABLE_SIZE as u32),
-    (settings::MAX_CONCURRENT_STREAMS, 100),
-    (settings::INITIAL_WINDOW_SIZE, 65_535),
+const SERVER_SETTINGS: [[u8; 6]; 3] = [
+    settings::entry(settings::HEADER_TABLE_SIZE, hpack::DEFAULT_TABLE_SIZE as u32),
+    settings::entry(settings::MAX_CONCURRENT_STREAMS, 100),
+    settings::entry(settings::INITIAL_WINDOW_SIZE, 65_535),
 ];
 
 /// Management frames (after `preface`, when the client opens with it)
 /// as one write tagged `HttpMgmt`.
-fn mgmt(preface: &[u8], frames: &[Frame]) -> Segments {
+fn mgmt(preface: &[u8], frames: &[Frame<&[u8]>]) -> Segments {
     let mut bytes = Vec::with_capacity(preface.len() + 40 * frames.len());
     bytes.extend_from_slice(preface);
     for frame in frames {
@@ -105,8 +107,7 @@ impl H2Conn {
         h2::write_headers(&mut headers_frame, stream_id, false, |block| {
             self.encoder.encode_into(headers, block);
         });
-        let mut data_frame = Vec::with_capacity(h2::FRAME_HEADER + body.len());
-        h2::write_data(&mut data_frame, stream_id, body, true);
+        let data_frame = Frame::Data { stream_id, data: body, end_stream: true }.encode();
         vec![(LayerTag::HttpHeader, headers_frame), (LayerTag::HttpBody, data_frame)]
     }
 }
@@ -137,7 +138,7 @@ impl Framing for Http2 {
         Some(mgmt(
             PREFACE,
             &[
-                Frame::Settings { params: CLIENT_SETTINGS.to_vec(), ack: false },
+                Frame::Settings { params: CLIENT_SETTINGS.as_flattened(), ack: false },
                 Frame::WindowUpdate { stream_id: 0, increment: CLIENT_WINDOW_BUMP },
             ],
         ))
@@ -186,7 +187,7 @@ impl Framing for Http2 {
         let skip = conn.preface_left.min(plaintext.len());
         conn.preface_left -= skip;
         if skip > 0 && conn.preface_left == 0 {
-            let announce = Frame::Settings { params: SERVER_SETTINGS.to_vec(), ack: false };
+            let announce = Frame::Settings { params: SERVER_SETTINGS.as_flattened(), ack: false };
             control.push(mgmt(&[], &[announce]));
         }
         if conn.broken {
@@ -205,11 +206,11 @@ impl Framing for Http2 {
                 }
             };
             match frame {
-                FrameRef::Settings { ack: false, .. } => {
-                    control.push(mgmt(&[], &[Frame::Settings { params: Vec::new(), ack: true }]));
+                Frame::Settings { ack: false, .. } => {
+                    control.push(mgmt(&[], &[Frame::Settings { params: &[], ack: true }]));
                 }
-                FrameRef::Settings { ack: true, .. } => {}
-                FrameRef::Headers { stream_id, block, .. } => {
+                Frame::Settings { ack: true, .. } => {}
+                Frame::Headers { stream_id, block, .. } => {
                     conn.last_peer_stream = conn.last_peer_stream.max(stream_id);
                     // A non-200 response is no DNS answer (requests carry
                     // no `:status` and stay accepted). Decoding also keeps
@@ -227,7 +228,7 @@ impl Framing for Http2 {
                         conn.failed_streams.insert(stream_id);
                     }
                 }
-                FrameRef::Data { stream_id, data, end_stream } => {
+                Frame::Data { stream_id, data, end_stream } => {
                     conn.last_peer_stream = conn.last_peer_stream.max(stream_id);
                     if !end_stream {
                         conn.bodies.entry(stream_id).or_default().extend_from_slice(data);
@@ -251,14 +252,14 @@ impl Framing for Http2 {
                         messages.push((stream_id, msg));
                     }
                 }
-                FrameRef::Ping { data, ack: false } => {
+                Frame::Ping { data, ack: false } => {
                     control.push(mgmt(&[], &[Frame::Ping { data, ack: true }]));
                 }
-                FrameRef::Ping { ack: true, .. }
-                | FrameRef::WindowUpdate { .. }
-                | FrameRef::Goaway { .. }
-                | FrameRef::RstStream { .. }
-                | FrameRef::Unknown { .. } => {}
+                Frame::Ping { ack: true, .. }
+                | Frame::WindowUpdate { .. }
+                | Frame::Goaway { .. }
+                | Frame::RstStream { .. }
+                | Frame::Unknown { .. } => {}
             }
         }
         (messages, completed)
@@ -268,7 +269,7 @@ impl Framing for Http2 {
     /// send before the FIN.
     fn goodbye(conn: &H2Conn) -> Option<Segments> {
         let last_stream_id = conn.last_peer_stream;
-        let goaway = Frame::Goaway { last_stream_id, error_code: 0, debug: Vec::new() };
+        let goaway: Frame<&[u8]> = Frame::Goaway { last_stream_id, error_code: 0, debug: &[] };
         conn.started.then(|| mgmt(&[], &[goaway]))
     }
 }
@@ -483,8 +484,7 @@ mod tests {
             h2::write_headers(&mut headers_frame, stream_id, false, |block| {
                 block.extend_from_slice(&[0xBF, 0x20]);
             });
-            let mut data_frame = Vec::new();
-            h2::write_data(&mut data_frame, stream_id, body, true);
+            let data_frame = Frame::Data { stream_id, data: body, end_stream: true }.encode();
             vec![(LayerTag::HttpHeader, headers_frame), (LayerTag::HttpBody, data_frame)]
         });
         assert!(client.take_response(1).is_none(), "DATA behind an undecodable block");
@@ -502,9 +502,8 @@ mod tests {
                 conn.encoder.encode_into(&[(":status", "200")], block);
             });
             let (head, tail) = body.split_at(body.len() / 2);
-            let mut data_frames = Vec::new();
-            h2::write_data(&mut data_frames, stream_id, head, false);
-            h2::write_data(&mut data_frames, stream_id, tail, true);
+            let mut data_frames = Frame::Data { stream_id, data: head, end_stream: false }.encode();
+            Frame::Data { stream_id, data: tail, end_stream: true }.encode_into(&mut data_frames);
             vec![(LayerTag::HttpHeader, headers_frame), (LayerTag::HttpBody, data_frames)]
         });
         for id in 1..=2u16 {

@@ -99,6 +99,14 @@
 //! draws — for persistent ones. A recursive resolver's upstream exchange is
 //! metered under the id its own upstream Do53 client drew, in both
 //! directions, not under the id of the stub query that missed the cache.
+//!
+//! Two kinds of bytes carry no id of their own and take whichever id any
+//! endpoint set last. A TCP segment without data (most often a pure ACK)
+//! is charged to the simulator's current attribution when it is emitted,
+//! and a stream server charges its setup flights to the attribution
+//! current when its `TcpAccepted` wake arrives. So a delayed ACK for
+//! resolution r that fires after resolution r + 1 has set its id is
+//! charged to r + 1, and in a fleet another client's id can take it.
 
 #![warn(missing_docs)]
 #![warn(clippy::print_stdout, clippy::print_stderr, clippy::unwrap_used)]

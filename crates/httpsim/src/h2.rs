@@ -18,15 +18,16 @@
 //!
 //! # Owned and borrowed frames
 //!
-//! [`Frame`] owns its payload; [`FrameRef`] is the same frame with every
-//! variable-length payload a slice of whatever holds the bytes. Both are
-//! one codec: [`FrameDecoder::next_ref`] parses a frame where it lies in
-//! the decoder's buffer and [`FrameDecoder::next_frame`] is
-//! [`FrameRef::to_owned`] of that view; [`Frame::encode`] is
-//! [`Frame::encode_into`] a fresh buffer, and the two frames that carry a
-//! message — [`write_headers`], whose block is written in place behind the
-//! frame header and its length patched in afterwards, and [`write_data`] —
-//! are what `encode_into` itself calls for them.
+//! [`Frame`] is one type for both: `Frame<Vec<u8>>`, the default, owns its
+//! variable-length payloads and `Frame<&[u8]>` borrows them, SETTINGS
+//! included, which carries its raw 6-octet entries in either form. Both
+//! are one codec: [`FrameDecoder::next_ref`] parses a frame where it lies
+//! in the decoder's buffer and [`FrameDecoder::next_frame`] is
+//! [`Frame::to_owned`] of that view; [`Frame::encode`] is
+//! [`Frame::encode_into`] a fresh buffer, in either form. A HEADERS frame
+//! whose block is still to be written goes through [`write_headers`],
+//! which writes the block in place behind the frame header and patches
+//! its length in afterwards; `encode_into` calls it for a finished block.
 //!
 //! A borrowed frame pins the decoder's buffer, so consuming it cannot
 //! move bytes: the decoder only advances a consumed-prefix offset, and
@@ -42,9 +43,10 @@ use std::fmt;
 pub const PREFACE: &[u8; 24] = b"PRI * HTTP/2.0\r\n\r\nSM\r\n\r\n";
 
 /// Size of the fixed frame header (§4.1).
-pub const FRAME_HEADER: usize = 9;
+const FRAME_HEADER: usize = 9;
 
-/// Identifiers of the SETTINGS parameters (§6.5.2).
+/// Identifiers of the SETTINGS parameters (§6.5.2), and the entry that
+/// carries one.
 pub mod settings {
     /// Maximum size of the peer's HPACK dynamic table.
     pub const HEADER_TABLE_SIZE: u16 = 0x1;
@@ -56,6 +58,14 @@ pub mod settings {
     pub const INITIAL_WINDOW_SIZE: u16 = 0x4;
     /// Largest frame payload the sender accepts.
     pub const MAX_FRAME_SIZE: u16 = 0x5;
+
+    /// One 6-octet SETTINGS entry (§6.5.1): `id`, then `value`, both
+    /// big-endian.
+    pub const fn entry(id: u16, value: u32) -> [u8; 6] {
+        let [i0, i1] = id.to_be_bytes();
+        let [v0, v1, v2, v3] = value.to_be_bytes();
+        [i0, i1, v0, v1, v2, v3]
+    }
 }
 
 /// Frame-type codes (§6).
@@ -93,15 +103,16 @@ impl fmt::Display for H2Error {
 
 impl std::error::Error for H2Error {}
 
-/// One HTTP/2 frame, typed by payload.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Frame {
+/// One HTTP/2 frame, typed by payload, which it owns as `Vec<u8>` (the
+/// default `B`) or borrows as `&[u8]` (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Frame<B = Vec<u8>> {
     /// DATA (§6.1): stream payload bytes.
     Data {
         /// Stream the data belongs to.
         stream_id: u32,
         /// Payload bytes.
-        data: Vec<u8>,
+        data: B,
         /// END_STREAM flag.
         end_stream: bool,
     },
@@ -110,14 +121,15 @@ pub enum Frame {
         /// Stream the header block opens.
         stream_id: u32,
         /// HPACK-encoded header block fragment.
-        block: Vec<u8>,
+        block: B,
         /// END_STREAM flag.
         end_stream: bool,
     },
     /// SETTINGS (§6.5): parameter list, or an empty acknowledgement.
     Settings {
-        /// `(identifier, value)` pairs; empty for an ACK.
-        params: Vec<(u16, u32)>,
+        /// Whole 6-octet entries ([`settings::entry`]): a 16-bit
+        /// identifier, a 32-bit value; empty for an ACK.
+        params: B,
         /// ACK flag.
         ack: bool,
     },
@@ -142,7 +154,7 @@ pub enum Frame {
         /// Error code (0 = NO_ERROR, the graceful case).
         error_code: u32,
         /// Optional opaque debug data.
-        debug: Vec<u8>,
+        debug: B,
     },
     /// RST_STREAM (§6.4).
     RstStream {
@@ -159,7 +171,7 @@ pub enum Frame {
         /// Stream id from the frame header.
         stream_id: u32,
         /// Raw payload.
-        payload: Vec<u8>,
+        payload: B,
     },
 }
 
@@ -190,22 +202,15 @@ pub fn write_headers(
     out[at..at + 3].copy_from_slice(&(len as u32).to_be_bytes()[1..]);
 }
 
-/// Appends a DATA frame carrying `data`.
-pub fn write_data(out: &mut Vec<u8>, stream_id: u32, data: &[u8], end_stream: bool) {
-    let flags = if end_stream { FLAG_END_STREAM } else { 0 };
-    put_frame_header(out, data.len(), frame_type::DATA, flags, stream_id);
-    out.extend_from_slice(data);
-}
-
-impl Frame {
+impl<B: AsRef<[u8]>> Frame<B> {
     /// Serialises the frame: 9-octet header plus payload.
     pub fn encode(&self) -> Vec<u8> {
         let payload = match self {
-            Frame::Data { data, .. } => data.len(),
-            Frame::Headers { block, .. } => block.len(),
-            Frame::Settings { params, .. } => params.len() * 6,
-            Frame::Goaway { debug, .. } => 8 + debug.len(),
-            Frame::Unknown { payload, .. } => payload.len(),
+            Frame::Data { data: bytes, .. }
+            | Frame::Headers { block: bytes, .. }
+            | Frame::Settings { params: bytes, .. }
+            | Frame::Unknown { payload: bytes, .. } => bytes.as_ref().len(),
+            Frame::Goaway { debug, .. } => 8 + debug.as_ref().len(),
             Frame::WindowUpdate { .. } | Frame::Ping { .. } | Frame::RstStream { .. } => 8,
         };
         let mut out = Vec::with_capacity(FRAME_HEADER + payload);
@@ -217,18 +222,22 @@ impl Frame {
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Frame::Data { stream_id, data, end_stream } => {
-                write_data(out, *stream_id, data, *end_stream);
+                let data = data.as_ref();
+                let flags = if *end_stream { FLAG_END_STREAM } else { 0 };
+                put_frame_header(out, data.len(), frame_type::DATA, flags, *stream_id);
+                out.extend_from_slice(data);
             }
             Frame::Headers { stream_id, block, end_stream } => {
-                write_headers(out, *stream_id, *end_stream, |out| out.extend_from_slice(block));
+                write_headers(out, *stream_id, *end_stream, |out| {
+                    out.extend_from_slice(block.as_ref());
+                });
             }
             Frame::Settings { params, ack } => {
+                let params = params.as_ref();
                 let flags = if *ack { FLAG_ACK } else { 0 };
-                put_frame_header(out, params.len() * 6, frame_type::SETTINGS, flags, 0);
-                for &(id, value) in params {
-                    out.extend_from_slice(&id.to_be_bytes());
-                    out.extend_from_slice(&value.to_be_bytes());
-                }
+                debug_assert!(params.len() % 6 == 0, "whole SETTINGS entries");
+                put_frame_header(out, params.len(), frame_type::SETTINGS, flags, 0);
+                out.extend_from_slice(params);
             }
             Frame::WindowUpdate { stream_id, increment } => {
                 put_frame_header(out, 4, frame_type::WINDOW_UPDATE, 0, *stream_id);
@@ -240,6 +249,7 @@ impl Frame {
                 out.extend_from_slice(data);
             }
             Frame::Goaway { last_stream_id, error_code, debug } => {
+                let debug = debug.as_ref();
                 put_frame_header(out, 8 + debug.len(), frame_type::GOAWAY, 0, 0);
                 out.extend_from_slice(&(last_stream_id & 0x7FFF_FFFF).to_be_bytes());
                 out.extend_from_slice(&error_code.to_be_bytes());
@@ -250,166 +260,43 @@ impl Frame {
                 out.extend_from_slice(&error_code.to_be_bytes());
             }
             Frame::Unknown { frame_type, stream_id, payload } => {
+                let payload = payload.as_ref();
                 put_frame_header(out, payload.len(), *frame_type, 0, *stream_id);
                 out.extend_from_slice(payload);
             }
         }
     }
-}
 
-/// One HTTP/2 frame as it lies in a receive buffer: [`Frame`] with every
-/// variable-length payload borrowed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrameRef<'a> {
-    /// DATA (§6.1): stream payload bytes.
-    Data {
-        /// Stream the data belongs to.
-        stream_id: u32,
-        /// Payload bytes.
-        data: &'a [u8],
-        /// END_STREAM flag.
-        end_stream: bool,
-    },
-    /// HEADERS (§6.2) carrying a complete HPACK header block.
-    Headers {
-        /// Stream the header block opens.
-        stream_id: u32,
-        /// HPACK-encoded header block fragment.
-        block: &'a [u8],
-        /// END_STREAM flag.
-        end_stream: bool,
-    },
-    /// SETTINGS (§6.5): parameter list, or an empty acknowledgement.
-    Settings {
-        /// Whole 6-octet entries: a 16-bit identifier, a 32-bit value.
-        params: &'a [u8],
-        /// ACK flag.
-        ack: bool,
-    },
-    /// WINDOW_UPDATE (§6.9).
-    WindowUpdate {
-        /// 0 for the connection window, else the stream.
-        stream_id: u32,
-        /// Window increment in octets.
-        increment: u32,
-    },
-    /// PING (§6.7): 8 opaque octets.
-    Ping {
-        /// Opaque payload, echoed in the ACK.
-        data: [u8; 8],
-        /// ACK flag.
-        ack: bool,
-    },
-    /// GOAWAY (§6.8).
-    Goaway {
-        /// Highest stream id the sender may still process.
-        last_stream_id: u32,
-        /// Error code (0 = NO_ERROR, the graceful case).
-        error_code: u32,
-        /// Optional opaque debug data.
-        debug: &'a [u8],
-    },
-    /// RST_STREAM (§6.4).
-    RstStream {
-        /// The stream being reset.
-        stream_id: u32,
-        /// Error code.
-        error_code: u32,
-    },
-    /// Any frame type this model does not interpret.
-    Unknown {
-        /// Frame type code.
-        frame_type: u8,
-        /// Stream id from the frame header.
-        stream_id: u32,
-        /// Raw payload.
-        payload: &'a [u8],
-    },
+    /// The frame with its payload copied into owned buffers.
+    pub fn to_owned(&self) -> Frame {
+        let owned = |bytes: &B| bytes.as_ref().to_vec();
+        match *self {
+            Frame::Data { stream_id, ref data, end_stream } => {
+                Frame::Data { stream_id, data: owned(data), end_stream }
+            }
+            Frame::Headers { stream_id, ref block, end_stream } => {
+                Frame::Headers { stream_id, block: owned(block), end_stream }
+            }
+            Frame::Settings { ref params, ack } => Frame::Settings { params: owned(params), ack },
+            Frame::WindowUpdate { stream_id, increment } => {
+                Frame::WindowUpdate { stream_id, increment }
+            }
+            Frame::Ping { data, ack } => Frame::Ping { data, ack },
+            Frame::Goaway { last_stream_id, error_code, ref debug } => {
+                Frame::Goaway { last_stream_id, error_code, debug: owned(debug) }
+            }
+            Frame::RstStream { stream_id, error_code } => {
+                Frame::RstStream { stream_id, error_code }
+            }
+            Frame::Unknown { frame_type, stream_id, ref payload } => {
+                Frame::Unknown { frame_type, stream_id, payload: owned(payload) }
+            }
+        }
+    }
 }
 
 fn be32(b: &[u8]) -> u32 {
     u32::from_be_bytes([b[0], b[1], b[2], b[3]])
-}
-
-impl<'a> FrameRef<'a> {
-    /// Types one frame from its header fields and complete payload.
-    fn parse(
-        ftype: u8,
-        flags: u8,
-        stream_id: u32,
-        payload: &'a [u8],
-    ) -> Result<FrameRef<'a>, H2Error> {
-        let end_stream = flags & FLAG_END_STREAM != 0;
-        match ftype {
-            frame_type::DATA => Ok(FrameRef::Data { stream_id, data: payload, end_stream }),
-            frame_type::HEADERS => Ok(FrameRef::Headers { stream_id, block: payload, end_stream }),
-            frame_type::SETTINGS => {
-                if payload.len() % 6 != 0 {
-                    return Err(H2Error::BadFrame("SETTINGS"));
-                }
-                Ok(FrameRef::Settings { params: payload, ack: flags & FLAG_ACK != 0 })
-            }
-            frame_type::WINDOW_UPDATE => {
-                if payload.len() != 4 {
-                    return Err(H2Error::BadFrame("WINDOW_UPDATE"));
-                }
-                Ok(FrameRef::WindowUpdate { stream_id, increment: be32(payload) & 0x7FFF_FFFF })
-            }
-            frame_type::PING => {
-                let data: [u8; 8] = payload.try_into().map_err(|_| H2Error::BadFrame("PING"))?;
-                Ok(FrameRef::Ping { data, ack: flags & FLAG_ACK != 0 })
-            }
-            frame_type::GOAWAY => {
-                if payload.len() < 8 {
-                    return Err(H2Error::BadFrame("GOAWAY"));
-                }
-                Ok(FrameRef::Goaway {
-                    last_stream_id: be32(payload) & 0x7FFF_FFFF,
-                    error_code: be32(&payload[4..]),
-                    debug: &payload[8..],
-                })
-            }
-            frame_type::RST_STREAM => {
-                if payload.len() != 4 {
-                    return Err(H2Error::BadFrame("RST_STREAM"));
-                }
-                Ok(FrameRef::RstStream { stream_id, error_code: be32(payload) })
-            }
-            other => Ok(FrameRef::Unknown { frame_type: other, stream_id, payload }),
-        }
-    }
-
-    /// The frame with its payload copied out of the buffer.
-    pub fn to_owned(&self) -> Frame {
-        match *self {
-            FrameRef::Data { stream_id, data, end_stream } => {
-                Frame::Data { stream_id, data: data.to_vec(), end_stream }
-            }
-            FrameRef::Headers { stream_id, block, end_stream } => {
-                Frame::Headers { stream_id, block: block.to_vec(), end_stream }
-            }
-            FrameRef::Settings { params, ack } => {
-                let params = params
-                    .chunks_exact(6)
-                    .map(|c| (u16::from_be_bytes([c[0], c[1]]), be32(&c[2..])))
-                    .collect();
-                Frame::Settings { params, ack }
-            }
-            FrameRef::WindowUpdate { stream_id, increment } => {
-                Frame::WindowUpdate { stream_id, increment }
-            }
-            FrameRef::Ping { data, ack } => Frame::Ping { data, ack },
-            FrameRef::Goaway { last_stream_id, error_code, debug } => {
-                Frame::Goaway { last_stream_id, error_code, debug: debug.to_vec() }
-            }
-            FrameRef::RstStream { stream_id, error_code } => {
-                Frame::RstStream { stream_id, error_code }
-            }
-            FrameRef::Unknown { frame_type, stream_id, payload } => {
-                Frame::Unknown { frame_type, stream_id, payload: payload.to_vec() }
-            }
-        }
-    }
 }
 
 /// Sanity bound on declared payload lengths: 1 MiB, far above the 16 kB
@@ -449,7 +336,7 @@ impl FrameDecoder {
     /// decoder's buffer. A frame whose payload does not match its type's
     /// fixed layout is consumed and reported; a length field at or above
     /// 1 MiB is reported without consuming anything, on every call.
-    pub fn next_ref(&mut self) -> Result<Option<FrameRef<'_>>, H2Error> {
+    pub fn next_ref(&mut self) -> Result<Option<Frame<&[u8]>>, H2Error> {
         let pending = self.buf.pending();
         let Some(header) = pending.get(..FRAME_HEADER) else { return Ok(None) };
         let len =
@@ -460,10 +347,47 @@ impl FrameDecoder {
         if pending.len() < FRAME_HEADER + len {
             return Ok(None);
         }
-        let frame = self.buf.consume(FRAME_HEADER + len);
-        let (header, payload) = frame.split_at(FRAME_HEADER);
-        let stream_id = be32(&header[5..]) & 0x7FFF_FFFF;
-        FrameRef::parse(header[3], header[4], stream_id, payload).map(Some)
+        let (header, payload) = self.buf.consume(FRAME_HEADER + len).split_at(FRAME_HEADER);
+        let (flags, stream_id) = (header[4], be32(&header[5..]) & 0x7FFF_FFFF);
+        let end_stream = flags & FLAG_END_STREAM != 0;
+        let frame = match header[3] {
+            frame_type::DATA => Frame::Data { stream_id, data: payload, end_stream },
+            frame_type::HEADERS => Frame::Headers { stream_id, block: payload, end_stream },
+            frame_type::SETTINGS => {
+                if payload.len() % 6 != 0 {
+                    return Err(H2Error::BadFrame("SETTINGS"));
+                }
+                Frame::Settings { params: payload, ack: flags & FLAG_ACK != 0 }
+            }
+            frame_type::WINDOW_UPDATE => {
+                if payload.len() != 4 {
+                    return Err(H2Error::BadFrame("WINDOW_UPDATE"));
+                }
+                Frame::WindowUpdate { stream_id, increment: be32(payload) & 0x7FFF_FFFF }
+            }
+            frame_type::PING => {
+                let data: [u8; 8] = payload.try_into().map_err(|_| H2Error::BadFrame("PING"))?;
+                Frame::Ping { data, ack: flags & FLAG_ACK != 0 }
+            }
+            frame_type::GOAWAY => {
+                if payload.len() < 8 {
+                    return Err(H2Error::BadFrame("GOAWAY"));
+                }
+                Frame::Goaway {
+                    last_stream_id: be32(payload) & 0x7FFF_FFFF,
+                    error_code: be32(&payload[4..]),
+                    debug: &payload[8..],
+                }
+            }
+            frame_type::RST_STREAM => {
+                if payload.len() != 4 {
+                    return Err(H2Error::BadFrame("RST_STREAM"));
+                }
+                Frame::RstStream { stream_id, error_code: be32(payload) }
+            }
+            other => Frame::Unknown { frame_type: other, stream_id, payload },
+        };
+        Ok(Some(frame))
     }
 
     /// [`FrameDecoder::next_ref`], the frame copied out of the buffer.
@@ -489,7 +413,11 @@ mod tests {
         round_trip(Frame::Data { stream_id: 1, data: vec![1, 2, 3], end_stream: true });
         round_trip(Frame::Headers { stream_id: 3, block: vec![0x82, 0x87], end_stream: false });
         round_trip(Frame::Settings {
-            params: vec![(settings::HEADER_TABLE_SIZE, 4096), (settings::ENABLE_PUSH, 0)],
+            params: [
+                settings::entry(settings::HEADER_TABLE_SIZE, 4096),
+                settings::entry(settings::ENABLE_PUSH, 0),
+            ]
+            .concat(),
             ack: false,
         });
         round_trip(Frame::Settings { params: Vec::new(), ack: true });
@@ -506,14 +434,22 @@ mod tests {
         // Length 5, type DATA, flags END_STREAM, stream 1, payload.
         assert_eq!(&wire[..FRAME_HEADER], &[0, 0, 5, 0, 1, 0, 0, 0, 1]);
         assert_eq!(&wire[FRAME_HEADER..], &[0xAB; 5]);
-        let wire = Frame::Settings { params: vec![(4, 65_535)], ack: false }.encode();
+        let wire = Frame::Settings { params: settings::entry(4, 65_535), ack: false }.encode();
         assert_eq!(wire, vec![0, 0, 6, 4, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0xFF, 0xFF]);
     }
 
     #[test]
     fn frames_reassemble_from_arbitrary_segmentation() {
         let frames = [
-            Frame::Settings { params: vec![(1, 4096), (3, 100), (4, 65_535)], ack: false },
+            Frame::Settings {
+                params: [
+                    settings::entry(1, 4096),
+                    settings::entry(3, 100),
+                    settings::entry(4, 65_535),
+                ]
+                .concat(),
+                ack: false,
+            },
             Frame::Headers { stream_id: 1, block: vec![9; 40], end_stream: false },
             Frame::Data { stream_id: 1, data: vec![3; 33], end_stream: true },
             Frame::Goaway { last_stream_id: 1, error_code: 0, debug: Vec::new() },
@@ -559,7 +495,8 @@ mod tests {
         let mut message = Vec::new();
         write_headers(&mut message, 1, false, |block| block.extend_from_slice(&[0x82; 7]));
         let headers_len = message.len();
-        write_data(&mut message, 1, &[0xAB; 90], true);
+        Frame::Data { stream_id: 1, data: &[0xAB; 90][..], end_stream: true }
+            .encode_into(&mut message);
         let mut dec = FrameDecoder::new();
         let mut wire = Vec::new();
         // Stream offsets: of the bytes pushed, and of each frame end
@@ -579,7 +516,7 @@ mod tests {
             pushed += chunk;
             ends.retain(|&end| end > pushed);
             while let Some(frame) = dec.next_ref().unwrap() {
-                messages += usize::from(matches!(frame, FrameRef::Data { end_stream: true, .. }));
+                messages += usize::from(matches!(frame, Frame::Data { end_stream: true, .. }));
             }
             assert!(dec.buffered() > 0, "a partial frame is pending");
             let held = dec.buf.held();

@@ -24,8 +24,10 @@
 //! decoders hand out views of their own receive buffers
 //! ([`hpack::Decoder::decode_with`], [`h2::FrameDecoder::next_ref`],
 //! [`h1::RequestParser::next_ref`]) of which the owned results
-//! (`decode`, `next_frame`, `next_request`) are copies. A message crosses
-//! this crate without a heap allocation per header, string or frame.
+//! (`decode`, `next_frame`, `next_request`) are copies. An HTTP/2 frame is
+//! one type either way: [`h2::Frame`] owns its payloads and
+//! `Frame<&[u8]>` borrows them, and both encode. A message crosses this
+//! crate without a heap allocation per header, string or frame.
 //!
 //! # Surface
 //!
@@ -36,10 +38,11 @@
 //! with their borrowed [`h1::RequestRef`] / [`h1::ResponseRef`] and
 //! [`h1::Fields`], and the owned [`h1::Request`], which the benchmark's
 //! layer run encodes and reads back through
-//! [`h1::RequestParser::next_request`]. [`h2`]: [`h2::Frame`] and its
-//! borrowed [`h2::FrameRef`], the writers [`h2::write_headers`] /
-//! [`h2::write_data`], the [`h2::FrameDecoder`], the connection
-//! [`h2::PREFACE`] and the [`h2::settings`] identifiers. [`hpack`]: the
+//! [`h1::RequestParser::next_request`]. [`h2`]: [`h2::Frame`], owned or
+//! borrowed, the in-place HEADERS writer [`h2::write_headers`], the
+//! [`h2::FrameDecoder`], the connection [`h2::PREFACE`] and the
+//! [`h2::settings`] identifiers with the [`h2::settings::entry`] that
+//! carries one. [`hpack`]: the
 //! [`hpack::Encoder`] / [`hpack::Decoder`] pair, whose `with_capacity`
 //! constructors and `table_size` the eviction tests use, and
 //! [`hpack::huffman_encode`] / [`hpack::huffman_decode`], which the

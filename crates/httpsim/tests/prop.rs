@@ -8,7 +8,7 @@
 use dohmark_httpsim::h1::{
     encode_response, Fields, H1Error, Request, RequestParser, ResponseParser,
 };
-use dohmark_httpsim::h2::{Frame, FrameDecoder, H2Error};
+use dohmark_httpsim::h2::{settings, Frame, FrameDecoder};
 use dohmark_httpsim::hpack::{huffman_decode, huffman_encode, Decoder, Encoder, HpackError};
 
 const CASES: u64 = 192;
@@ -100,7 +100,7 @@ impl Gen {
             1 => Frame::Headers { stream_id, block: self.bytes(60), end_stream: self.chance(2) },
             2 => Frame::Settings {
                 params: (0..self.below(4))
-                    .map(|_| (self.next() as u16, self.next() as u32))
+                    .flat_map(|_| settings::entry(self.next() as u16, self.next() as u32))
                     .collect(),
                 ack: false,
             },
@@ -151,11 +151,14 @@ impl Gen {
 // Borrowed entry points: one more way to read the same input
 // ---------------------------------------------------------------------
 //
-// Each codec but the h1 response parser, which is read only through
-// `next_ref`, has an owned entry point and a borrowed one under it. The
-// properties below run both over the same bytes, on twin codec states, and
-// require the borrowed one to see exactly what the owned one returns:
-// fields and their order, the error value, the bytes left unconsumed.
+// HPACK and the h1 request parser have an owned entry point and a
+// borrowed one under it. The properties below run both over the same
+// bytes, on twin codec states, and require the borrowed one to see exactly
+// what the owned one returns: fields and their order, the error value, the
+// bytes left unconsumed. The h1 response parser is read only through
+// `next_ref`, and an h2 frame is one type whose owned form is the borrowed
+// one's `to_owned`: `h2_frames_re_encode_to_the_bytes_they_came_from`
+// holds both forms to the wire.
 
 /// An HPACK codec pair and its twin, driven through the borrowed entry
 /// points: a `(&str, &str)` list into `encode_into`, `decode_with` out.
@@ -229,25 +232,6 @@ impl RequestTwins {
             })
         });
         assert_eq!(borrowed, owned, "{context}: next_ref and next_request disagree");
-        owned
-    }
-}
-
-/// A frame decoder and its twin read through `next_ref`.
-#[derive(Default)]
-struct FrameTwins(FrameDecoder, FrameDecoder);
-
-impl FrameTwins {
-    fn push(&mut self, bytes: &[u8]) {
-        self.0.push(bytes);
-        self.1.push(bytes);
-    }
-
-    fn next(&mut self, context: &str) -> Result<Option<Frame>, H2Error> {
-        let owned = self.0.next_frame();
-        let borrowed = self.1.next_ref().map(|view| view.map(|frame| frame.to_owned()));
-        assert_eq!(borrowed, owned, "{context}: next_ref and next_frame disagree");
-        assert_eq!(self.1.buffered(), self.0.buffered(), "{context}: bytes consumed");
         owned
     }
 }
@@ -347,6 +331,42 @@ fn huffman_round_trips_arbitrary_bytes() {
         let input = g.bytes(200);
         let coded = huffman_encode(&input);
         assert_eq!(huffman_decode(&coded).unwrap(), input, "seed {seed}");
+    }
+}
+
+// ---------------------------------------------------------------------
+// HTTP/2
+// ---------------------------------------------------------------------
+
+#[test]
+fn h2_frames_re_encode_to_the_bytes_they_came_from() {
+    for seed in 0..CASES {
+        let mut g = Gen::new(seed);
+        let frames: Vec<Frame> = (0..1 + g.below(6)).map(|_| g.frame()).collect();
+        let wire: Vec<u8> = frames.iter().flat_map(Frame::encode).collect();
+        let mut dec = FrameDecoder::new();
+        let step = 1 + g.below(64) as usize;
+        // Stream offsets: of the bytes pushed, and of the next frame.
+        let (mut pushed, mut at) = (0, 0);
+        let mut got = 0;
+        for chunk in wire.chunks(step) {
+            dec.push(chunk);
+            pushed += chunk.len();
+            loop {
+                let context = format!("seed {seed} frame {got}");
+                let Some(frame) = dec.next_ref().unwrap_or_else(|e| panic!("{context}: {e}"))
+                else {
+                    break;
+                };
+                let (borrowed, owned) = (frame.encode(), frame.to_owned());
+                let end = pushed - dec.buffered();
+                assert_eq!(borrowed, wire[at..end], "{context}: the view re-encodes");
+                assert_eq!(owned.encode(), borrowed, "{context}: the copy encodes alike");
+                assert_eq!(owned, frames[got], "{context}: the frame sent");
+                (at, got) = (end, got + 1);
+            }
+        }
+        assert_eq!((got, at), (frames.len(), wire.len()), "seed {seed}: every frame read");
     }
 }
 
@@ -539,12 +559,12 @@ fn h2_frame_decoder_is_total_and_bounded_on_mutated_streams() {
         let stream: Vec<u8> = (0..1 + g.below(4)).flat_map(|_| g.frame().encode()).collect();
         let donor = g.frame().encode();
         let input = g.mutate(&stream, &donor);
-        let mut dec = FrameTwins::default();
+        let mut dec = FrameDecoder::new();
         let step = 1 + g.below(64) as usize;
         let mut frames = 0;
         for chunk in input.chunks(step) {
             dec.push(chunk);
-            frames += drain_bounded(input.len(), seed, || dec.next(&format!("seed {seed}")));
+            frames += drain_bounded(input.len(), seed, || dec.next_frame());
         }
         // Each frame has a 9-octet header.
         assert!(
